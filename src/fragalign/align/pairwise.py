@@ -51,6 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from fragalign.align.scoring_matrices import SubstitutionModel, encode, unit_dna
+from fragalign.job import check_affine_gaps
 
 __all__ = [
     "Alignment",
@@ -1069,26 +1070,6 @@ def banded_global_score(
 #   bit 6 (64): local only — M was clamped to 0 (stop)
 # All "beats" are strict, so the walk reproduces the tie orders above.
 # ---------------------------------------------------------------------------
-
-
-def check_affine_gaps(gap_open, gap_extend) -> tuple[float, float]:
-    """Validate an affine gap parameter pair; returns them as floats.
-
-    Both must be set together and be non-positive numbers (the local
-    kernels rely on gaps never improving a score, so an optimal local
-    alignment always ends in the M state).
-    """
-    if (gap_open is None) != (gap_extend is None):
-        raise ValueError(
-            "gap_open and gap_extend must be set together "
-            f"(got gap_open={gap_open!r}, gap_extend={gap_extend!r})"
-        )
-    for name, value in (("gap_open", gap_open), ("gap_extend", gap_extend)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{name} must be a number, got {value!r}")
-        if value > 0:
-            raise ValueError(f"{name} must be <= 0, got {value!r}")
-    return float(gap_open), float(gap_extend)
 
 
 def _affine_empty(

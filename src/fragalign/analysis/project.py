@@ -14,8 +14,9 @@ from typing import Iterator
 
 __all__ = ["Project", "qualname_of", "FIELDS_MODULE"]
 
-# Where the request-field registry lives, relative to the package root.
-FIELDS_MODULE = "service/fields.py"
+# Where the request-field registry (and JobSpec) lives, relative to
+# the package root.
+FIELDS_MODULE = "job.py"
 
 
 def qualname_of(stack: list[ast.AST]) -> str:
@@ -122,7 +123,7 @@ class Project:
     # -- the request-field registry -----------------------------------
 
     def load_field_registry(self) -> list[dict] | None:
-        """Parse ``_SPECS`` out of ``service/fields.py`` **statically**
+        """Parse ``_SPECS`` out of ``job.py`` **statically**
         (no import): the registry is required to stay a pure literal.
         Returns the list of spec dicts, or None when the module or the
         literal is missing/unreadable (the knob rule reports that)."""

@@ -6,7 +6,8 @@ correctness story (one owner per key, warm caches that survive
 restarts) rests on it.  Two scopes:
 
 * **whole files** that exist to build identities —
-  ``service/protocol.py``, ``service/fields.py``, ``cluster/ring.py``;
+  ``job.py`` (the :class:`~fragalign.job.JobSpec` keys),
+  ``service/protocol.py``, ``cluster/ring.py``;
 * **key-making functions** anywhere in ``service/`` and ``cluster/``:
   any def whose name matches ``cache_key|ring_key|key_for|shard_for|
   fingerprint|normalize`` (substring, so ``_normalize`` and
@@ -41,7 +42,7 @@ ID = "determinism"
 DESCRIPTION = "key-making code must not use hash()/clock/entropy"
 
 _KEY_FUNC = re.compile(r"cache_key|ring_key|key_for|shard_for|fingerprint|normalize")
-_WHOLE_FILES = ("service/protocol.py", "service/fields.py", "cluster/ring.py")
+_WHOLE_FILES = ("job.py", "service/protocol.py", "cluster/ring.py")
 _SUBDIRS = ("service", "cluster")
 
 _FORBIDDEN_NAMES = {

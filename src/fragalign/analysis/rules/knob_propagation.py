@@ -1,114 +1,132 @@
-"""knob-propagation: every layer covers exactly the registered fields.
+"""knob-propagation: only :class:`~fragalign.job.JobSpec` makes keys.
 
-The request schema lives once, in ``service/fields.py`` (``_SPECS``, a
-pure literal this rule parses without importing anything).  Each layer
-that re-materializes the schema is a *site*; the rule verifies each
-site covers the registered fields — and, for the key-builder sites,
-covers them **exactly**, so deleting a field from the registry (or
-adding an unregistered knob parameter to a key builder) fails the
-check in both directions:
+The request schema lives once, in ``job.py`` (``_SPECS``, a pure
+literal this rule parses without importing anything), beside the
+frozen ``JobSpec`` that every layer passes around and that derives the
+cache, ring and group keys from the registry's participation flags.
+Three checks keep it that way:
 
-* ``service/protocol.py`` — ``parse_request`` must read every field
-  off the wire (``obj.get("<field>")``), and the ``Request`` dataclass
-  must carry exactly ``id/op/a/b`` plus the registered fields;
-* ``service/batcher.py`` — ``MicroBatcher.submit`` takes exactly
-  ``op/a/b`` plus the ``group_key`` fields;
-* ``service/server.py`` — the ``cache_key`` method takes exactly
-  ``op/a/b`` plus the ``cache_key`` fields;
-* ``cluster/ring.py`` — ``ring_key`` takes exactly ``op/a/b`` (plus
-  ``model_fp``/``default_mode`` structure) and the ``ring_key``
-  fields, and the ``ring_key`` field set must equal the ``cache_key``
-  set (routing must agree with caching);
-* ``cluster/warm.py`` — ``generate_keyset`` parameters cover exactly
-  the ``keyset`` fields beyond its structural knobs;
-* ``cli.py`` — the serving verbs' ``add_argument`` calls (in
-  ``build_parser`` and its ``_add_*`` helpers) define every registered
-  ``cli_flag``.
+* **registry** — ``_SPECS`` stays a pure literal of complete entries,
+  and its ``cache_key`` fields equal its ``ring_key`` fields (routing
+  must agree with caching, or per-shard caches stop being disjoint);
+* **spec** — ``JobSpec`` declares exactly the registered *knobs* (the
+  fields with any participation flag on), so deleting a registry field,
+  or adding an unregistered knob to the spec, fails in both directions;
+* **keys** — no ``def`` outside ``job.py`` whose name makes a key
+  (``cache_key``, ``ring_key``, ``key_for``, ``_key``, …) names a
+  registered field: as a parameter, a variable, an attribute, a keyword
+  or a string.  Such a function would be restating the key by hand.
 
-Sites are only checked when their file exists under the analyzed root,
-so fixture trees can exercise one site at a time.
+The non-semantic fields (trace context, deadline) have every flag off:
+they are not spec fields, so no derived key can contain them, and the
+keys check stops them entering a hand-built one.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 
 from fragalign.analysis.findings import Finding
-from fragalign.analysis.project import FIELDS_MODULE, Project
+from fragalign.analysis.project import FIELDS_MODULE, Project, qualname_of
 
 ID = "knob-propagation"
-DESCRIPTION = "request knobs must propagate exactly per the fields registry"
+DESCRIPTION = "only JobSpec (job.py) derives keys from the request-field registry"
 
-_REQUIRED_SPEC_KEYS = {
-    "name", "kind", "ops", "cache_key", "ring_key", "group_key", "keyset",
-    "cli_flag", "doc",
-}
-
-
-def _param_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
-    args = node.args
-    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-    return {n for n in names if n != "self"}
+_FLAGS = ("cache_key", "ring_key", "group_key", "keyset")
+_REQUIRED_SPEC_KEYS = {"name", "kind", "ops", "doc", *_FLAGS}
+_KEY_DEF = re.compile(r"(?:^|_)key(?:_|$)")
 
 
-def _find_def(tree: ast.Module, name: str, method: bool = False):
-    """A def by name: module-level, or (``method=True``) inside any
-    class.  Returns the node or None."""
-    if method:
-        scopes = [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
-    else:
-        scopes = [tree.body]
-    for body in scopes:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name == name:
-                    return node
-    return None
+def _names_in(node: ast.AST) -> set[str]:
+    """Every identifier-like name a def mentions: parameters,
+    variables, attributes, keywords and string constants."""
+    out: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.arg):
+            out.add(sub.arg)
+        elif isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.keyword) and sub.arg is not None:
+            out.add(sub.arg)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.add(sub.value)
+    return out
 
 
-def _exactness(
-    findings: list[Finding],
-    path: str,
-    node,
-    symbol: str,
-    have: set[str],
-    required: set[str],
-    structural: set[str],
-    what: str,
-) -> None:
-    """Report both drift directions for one site."""
-    for name in sorted(required - have):
+def _check_spec(project: Project, path, knobs: set[str], findings: list[Finding]) -> None:
+    tree = project.tree(path)
+    spec = next(
+        (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "JobSpec"), None
+    )
+    if spec is None:
         findings.append(
             Finding(
-                rule=ID, path=path, line=node.lineno, symbol=symbol,
-                message=f"missing registered field {name!r} in {what}",
+                rule=ID, path=FIELDS_MODULE, line=0, symbol="JobSpec",
+                message="job.py must define the JobSpec class",
             )
         )
-    for name in sorted(have - required - structural):
+        return
+    declared = {
+        stmt.target.id
+        for stmt in spec.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+    for name in sorted(knobs - declared):
         findings.append(
             Finding(
-                rule=ID, path=path, line=node.lineno, symbol=symbol,
+                rule=ID, path=FIELDS_MODULE, line=spec.lineno, symbol="JobSpec",
+                message=f"missing registered field {name!r} in JobSpec (its keys would drop it)",
+            )
+        )
+    for name in sorted(declared - knobs):
+        findings.append(
+            Finding(
+                rule=ID, path=FIELDS_MODULE, line=spec.lineno, symbol="JobSpec",
                 message=(
-                    f"{name!r} in {what} is not a registered request field "
-                    "(register it in service/fields.py or remove it)"
+                    f"{name!r} in JobSpec is not a registered request field "
+                    "(register it in job.py's _SPECS or remove it)"
                 ),
             )
         )
 
 
+def _check_key_defs(project: Project, fields: set[str], findings: list[Finding]) -> None:
+    for path in project.files():
+        relpath = project.relpath(path)
+        if relpath == FIELDS_MODULE:
+            continue
+        for node, stack in project.walk_with_stack(path):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not _KEY_DEF.search(node.name):
+                continue
+            named = sorted(_names_in(node) & fields)
+            if named:
+                findings.append(
+                    Finding(
+                        rule=ID, path=relpath, line=node.lineno,
+                        symbol=qualname_of(stack + [node]),
+                        message=(
+                            f"builds a key from registered field(s) {named} outside "
+                            "job.py; derive it with JobSpec.cache_key/ring_key/group_key"
+                        ),
+                    )
+                )
+
+
 def check(project: Project) -> list[Finding]:
     findings: list[Finding] = []
+    path = project.file(FIELDS_MODULE)
     specs = project.load_field_registry()
-    fields_path = project.file(FIELDS_MODULE)
     if specs is None:
-        if fields_path is not None or project.file("service/protocol.py") is not None:
+        if path is not None:
             findings.append(
                 Finding(
                     rule=ID, path=FIELDS_MODULE, line=0, symbol="_SPECS",
-                    message=(
-                        "service/fields.py must define the _SPECS registry as a "
-                        "pure literal tuple of dicts"
-                    ),
+                    message="job.py must define the _SPECS registry as a pure literal tuple of dicts",
                 )
             )
         return findings
@@ -124,14 +142,8 @@ def check(project: Project) -> list[Finding]:
                 )
             )
     specs = [s for s in specs if not (_REQUIRED_SPEC_KEYS - set(s))]
-
-    names = {s["name"] for s in specs}
     cache_fields = {s["name"] for s in specs if s["cache_key"]}
     ring_fields = {s["name"] for s in specs if s["ring_key"]}
-    group_fields = {s["name"] for s in specs if s["group_key"]}
-    keyset_fields = {s["name"] for s in specs if s["keyset"]}
-    flags = {s["cli_flag"] for s in specs}
-
     if cache_fields != ring_fields:
         findings.append(
             Finding(
@@ -143,170 +155,7 @@ def check(project: Project) -> list[Finding]:
                 ),
             )
         )
-
-    # -- site: protocol.parse_request + Request ------------------------
-    path = project.file("service/protocol.py")
-    if path is not None:
-        tree = project.tree(path)
-        relpath = project.relpath(path)
-        parse = _find_def(tree, "parse_request")
-        if parse is None:
-            findings.append(
-                Finding(
-                    rule=ID, path=relpath, line=0, symbol="parse_request",
-                    message="service/protocol.py must define parse_request",
-                )
-            )
-        else:
-            read = {
-                node.args[0].value
-                for node in ast.walk(parse)
-                if isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "get"
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            }
-            for name in sorted(names - read):
-                findings.append(
-                    Finding(
-                        rule=ID, path=relpath, line=parse.lineno, symbol="parse_request",
-                        message=(
-                            f"registered field {name!r} is never read off the wire "
-                            "(no obj.get call)"
-                        ),
-                    )
-                )
-        request = next(
-            (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Request"),
-            None,
-        )
-        if request is not None:
-            declared = {
-                stmt.target.id
-                for stmt in request.body
-                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-            }
-            _exactness(
-                findings, relpath, request, "Request",
-                declared, names, {"id", "op", "a", "b"}, "the Request dataclass",
-            )
-
-    # -- site: batcher group key --------------------------------------
-    path = project.file("service/batcher.py")
-    if path is not None:
-        tree = project.tree(path)
-        relpath = project.relpath(path)
-        submit = _find_def(tree, "submit", method=True)
-        if submit is None:
-            findings.append(
-                Finding(
-                    rule=ID, path=relpath, line=0, symbol="MicroBatcher.submit",
-                    message="service/batcher.py must define a submit method",
-                )
-            )
-        else:
-            _exactness(
-                findings, relpath, submit, "MicroBatcher.submit",
-                _param_names(submit), group_fields, {"op", "a", "b"},
-                "the batch-group key (submit parameters)",
-            )
-
-    # -- site: server result-cache key --------------------------------
-    path = project.file("service/server.py")
-    if path is not None:
-        tree = project.tree(path)
-        relpath = project.relpath(path)
-        cache_key = _find_def(tree, "cache_key", method=True)
-        if cache_key is None:
-            findings.append(
-                Finding(
-                    rule=ID, path=relpath, line=0, symbol="cache_key",
-                    message="service/server.py must define a cache_key method",
-                )
-            )
-        else:
-            _exactness(
-                findings, relpath, cache_key, "cache_key",
-                _param_names(cache_key), cache_fields, {"op", "a", "b"},
-                "the result-cache key (cache_key parameters)",
-            )
-
-    # -- site: cluster routing key ------------------------------------
-    path = project.file("cluster/ring.py")
-    if path is not None:
-        tree = project.tree(path)
-        relpath = project.relpath(path)
-        ring = _find_def(tree, "ring_key")
-        if ring is None:
-            findings.append(
-                Finding(
-                    rule=ID, path=relpath, line=0, symbol="ring_key",
-                    message="cluster/ring.py must define ring_key",
-                )
-            )
-        else:
-            _exactness(
-                findings, relpath, ring, "ring_key",
-                _param_names(ring), ring_fields,
-                {"op", "a", "b", "model_fp", "default_mode"},
-                "the routing key (ring_key parameters)",
-            )
-
-    # -- site: warm keysets -------------------------------------------
-    path = project.file("cluster/warm.py")
-    if path is not None:
-        tree = project.tree(path)
-        relpath = project.relpath(path)
-        generate = _find_def(tree, "generate_keyset")
-        if generate is None:
-            findings.append(
-                Finding(
-                    rule=ID, path=relpath, line=0, symbol="generate_keyset",
-                    message="cluster/warm.py must define generate_keyset",
-                )
-            )
-        else:
-            _exactness(
-                findings, relpath, generate, "generate_keyset",
-                _param_names(generate), keyset_fields, {"n", "length", "seed", "op"},
-                "the keyset generator (generate_keyset parameters)",
-            )
-
-    # -- site: CLI flags ----------------------------------------------
-    path = project.file("cli.py")
-    if path is not None:
-        tree = project.tree(path)
-        relpath = project.relpath(path)
-        build = _find_def(tree, "build_parser")
-        if build is not None:
-            defined: set[str] = set()
-            scopes = [build] + [
-                n
-                for n in tree.body
-                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and n.name.startswith("_add")
-            ]
-            for scope in scopes:
-                for node in ast.walk(scope):
-                    if (
-                        isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "add_argument"
-                        and node.args
-                        and isinstance(node.args[0], ast.Constant)
-                        and isinstance(node.args[0].value, str)
-                    ):
-                        defined.add(node.args[0].value)
-            for flag in sorted(flags - defined):
-                findings.append(
-                    Finding(
-                        rule=ID, path=relpath, line=build.lineno, symbol="build_parser",
-                        message=(
-                            f"registered CLI flag {flag!r} is not defined by "
-                            "build_parser (or its _add_* helpers)"
-                        ),
-                    )
-                )
+    knobs = {s["name"] for s in specs if any(s[flag] for flag in _FLAGS)}
+    _check_spec(project, path, knobs, findings)
+    _check_key_defs(project, {s["name"] for s in specs}, findings)
     return findings

@@ -31,19 +31,54 @@ from typing import Sequence
 __all__ = ["main", "build_parser"]
 
 
-def _add_gap_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--gap-open",
-        type=float,
-        default=None,
-        help="affine gap-open cost (switches to Gotoh gaps; needs --gap-extend)",
-    )
-    parser.add_argument(
-        "--gap-extend",
-        type=float,
-        default=None,
-        help="affine gap-extend cost (with --gap-open)",
-    )
+def _add_knob_flags(
+    parser: argparse.ArgumentParser,
+    serving: bool,
+    memory: bool = True,
+    mixed: bool = False,
+) -> None:
+    """The JobSpec knob flags, generated from the request-field registry.
+
+    ``serving`` verbs (``engine``, ``serve``, ``cluster serve``) set
+    the defaults every request resolves against, so they start from
+    the registry defaults; the other verbs send per-request knobs and
+    leave unset ones to the server.  ``mixed`` adds the load
+    generator's ``--mode mixed``.
+    """
+    from fragalign.job import DEFAULTS, FIELDS, KNOBS, MEMORY_MODES, MODES
+
+    choices = {"mode": MODES + (("mixed",) if mixed else ()), "memory": MEMORY_MODES}
+    where = "the default for every request" if serving else "per request (default: the server's)"
+    for name in KNOBS:
+        if name == "memory" and not memory:
+            continue
+        field = FIELDS[name]
+        extra = "; 'mixed' cycles global/local/overlap" if mixed and name == "mode" else ""
+        parser.add_argument(
+            "--" + name.replace("_", "-"),
+            type={"int": int, "float": float}.get(field["kind"]),
+            default=getattr(DEFAULTS, name) if serving else None,
+            choices=choices.get(name),
+            help=f"{field['doc']}; {where}{extra}",
+        )
+
+
+def _job_spec(knobs, op: str = "align", serving: bool = False):
+    """The verb's knob flags (``knobs``: the parsed args as a mapping) as
+    one validated JobSpec — for ``serving`` verbs, also checked as the
+    defaults every request resolves against.  Prints the refusal and
+    returns None when the flags cannot be served."""
+    from fragalign.job import JobSpec
+    from fragalign.util.errors import InvalidArgument
+
+    try:
+        spec = JobSpec.from_fields(knobs, op)
+        if serving:
+            spec.resolve(spec, "align")
+    except InvalidArgument as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    return spec
 
 
 def _add_log_flags(parser: argparse.ArgumentParser) -> None:
@@ -108,34 +143,6 @@ def _add_admission_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _check_gap_flags(args: argparse.Namespace) -> bool:
-    if args.gap_open is None and args.gap_extend is None:
-        return True
-    from fragalign.align.pairwise import check_affine_gaps
-
-    try:
-        check_affine_gaps(args.gap_open, args.gap_extend)
-    except ValueError as exc:
-        print(f"error: {exc} (--gap-open/--gap-extend)", file=sys.stderr)
-        return False
-    return True
-
-
-def _check_serve_memory(args: argparse.Namespace) -> bool:
-    """Default memory='linear' only serves linear-gap, unbanded align
-    traffic — reject the combination before booting a server that
-    would refuse 100% of its align requests."""
-    if getattr(args, "memory", None) != "linear":
-        return True
-    from fragalign.engine import linear_memory_conflict
-
-    conflict = linear_memory_conflict(args.mode, args.gap_open is not None)
-    if conflict is not None:
-        print(f"error: --memory linear is not supported with {conflict}", file=sys.stderr)
-        return False
-    return True
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fragalign",
@@ -184,25 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     eng = sub.add_parser(
         "engine", help="batch alignment through a selected backend"
     )
-    eng.add_argument(
-        "--backend",
-        default="numpy",
-        help="registered engine backend (naive, numpy, parallel, ...)",
-    )
     eng.add_argument("--batch", type=int, default=50, help="number of pairs")
     eng.add_argument("--length", type=int, default=256, help="sequence length")
-    eng.add_argument(
-        "--mode",
-        choices=["global", "local", "overlap", "banded"],
-        default="global",
-    )
-    eng.add_argument(
-        "--band",
-        type=int,
-        default=None,
-        help="band half-width (required with --mode banded)",
-    )
-    _add_gap_flags(eng)
+    _add_knob_flags(eng, serving=True, memory=False)
     eng.add_argument("--workers", type=int, default=None)
     eng.add_argument("--seed", type=int, default=2026)
 
@@ -213,26 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--port", type=int, default=8765, help="0 binds an ephemeral port"
     )
-    srv.add_argument("--backend", default="numpy")
-    srv.add_argument(
-        "--mode",
-        choices=["global", "local", "overlap", "banded"],
-        default="global",
-        help="default alignment mode (requests may override per call)",
-    )
-    srv.add_argument(
-        "--band",
-        type=int,
-        default=None,
-        help="default band half-width for banded-mode requests",
-    )
-    _add_gap_flags(srv)
-    srv.add_argument(
-        "--memory",
-        choices=["auto", "tensor", "linear"],
-        default="auto",
-        help="default align traceback strategy (requests may override)",
-    )
+    _add_knob_flags(srv, serving=True)
     srv.add_argument(
         "--max-batch", type=int, default=64, help="flush a batch at this size"
     )
@@ -316,30 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of requests repeating an earlier pair (cache food)",
     )
     cli.add_argument("--op", choices=["score", "align"], default="score")
-    cli.add_argument(
-        "--mode",
-        choices=["global", "local", "overlap", "banded"],
-        default=None,
-        help="per-request alignment mode (default: server's mode)",
-    )
-    cli.add_argument(
-        "--band",
-        type=int,
-        default=None,
-        help="band half-width to send with banded-mode requests",
-    )
-    _add_gap_flags(cli)
-    cli.add_argument(
-        "--memory",
-        choices=["auto", "tensor", "linear"],
-        default=None,
-        help="align traceback strategy to request (align op only)",
-    )
-    cli.add_argument(
-        "--backend",
-        default=None,
-        help="engine backend to request per call (default: server's backend)",
-    )
+    _add_knob_flags(cli, serving=False)
     _add_deadline_flag(cli)
     cli.add_argument(
         "--reconnect",
@@ -369,14 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cserve.add_argument("--shards", type=int, default=4)
     cserve.add_argument("--host", default="127.0.0.1")
-    cserve.add_argument("--backend", default="numpy")
-    cserve.add_argument(
-        "--mode",
-        choices=["global", "local", "overlap", "banded"],
-        default="global",
-    )
-    cserve.add_argument("--band", type=int, default=None)
-    _add_gap_flags(cserve)
+    _add_knob_flags(cserve, serving=True, memory=False)
     cserve.add_argument("--max-batch", type=int, default=64)
     cserve.add_argument("--max-delay-ms", type=float, default=2.0)
     cserve.add_argument(
@@ -445,25 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="score",
         help="'mixed' alternates score and align per request",
     )
-    croute.add_argument(
-        "--mode",
-        choices=["global", "local", "overlap", "banded", "mixed"],
-        default=None,
-        help="'mixed' cycles global/local/overlap across requests",
-    )
-    croute.add_argument("--band", type=int, default=None)
-    _add_gap_flags(croute)
-    croute.add_argument(
-        "--memory",
-        choices=["auto", "tensor", "linear"],
-        default=None,
-        help="align traceback strategy to request (align ops only)",
-    )
-    croute.add_argument(
-        "--backend",
-        default=None,
-        help="engine backend to request per call (default: each shard's)",
-    )
+    _add_knob_flags(croute, serving=False, mixed=True)
     croute.add_argument("--seed", type=int, default=2026)
     croute.add_argument(
         "--max-attempts",
@@ -528,18 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     cwarm.add_argument("--length", type=int, default=128)
     cwarm.add_argument("--seed", type=int, default=2026)
     cwarm.add_argument("--op", choices=["score", "align"], default="score")
-    cwarm.add_argument(
-        "--mode",
-        choices=["global", "local", "overlap", "banded"],
-        default=None,
-    )
-    cwarm.add_argument("--band", type=int, default=None)
-    _add_gap_flags(cwarm)
-    cwarm.add_argument(
-        "--backend",
-        default=None,
-        help="engine backend to stamp on generated keyset entries",
-    )
+    _add_knob_flags(cwarm, serving=False, memory=False)
     cwarm.add_argument("--concurrency", type=int, default=32)
 
     cstats = csub.add_parser(
@@ -903,20 +816,11 @@ def _cmd_engine(args: argparse.Namespace) -> int:
         for _ in range(args.batch)
     ]
     options = {} if args.workers is None else {"workers": args.workers}
-    if args.mode == "banded" and args.band is None:
-        print("error: --mode banded needs --band", file=sys.stderr)
-        return 2
-    if not _check_gap_flags(args):
+    spec = _job_spec(vars(args), serving=True)
+    if spec is None:
         return 2
     try:
-        engine = AlignmentEngine(
-            backend=args.backend,
-            mode=args.mode,
-            band=args.band,
-            gap_open=args.gap_open,
-            gap_extend=args.gap_extend,
-            **options,
-        )
+        engine = AlignmentEngine(**spec.wire(), **options)
     except TypeError:
         print(
             f"error: backend {args.backend!r} does not accept --workers",
@@ -942,21 +846,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from fragalign.obs import configure_logging
     from fragalign.service import ServiceConfig, run_server
 
-    if args.mode == "banded" and args.band is None:
-        print("error: --mode banded needs --band", file=sys.stderr)
-        return 2
-    if not _check_gap_flags(args) or not _check_serve_memory(args):
+    # Refuse unservable defaults before booting a server that would
+    # reject 100% of its traffic.
+    spec = _job_spec(vars(args), serving=True)
+    if spec is None:
         return 2
     configure_logging(level=args.log_level, json_format=args.log_json)
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        backend=args.backend,
-        mode=args.mode,
-        band=args.band,
-        gap_open=args.gap_open,
-        gap_extend=args.gap_extend,
-        memory=args.memory,
+        **spec.wire(),
         max_batch=args.max_batch,
         max_delay=args.max_delay_ms / 1e3,
         cache_size=args.cache_size,
@@ -1411,21 +1310,15 @@ def _cmd_client(args: argparse.Namespace) -> int:
     for k, pair in enumerate(unique[: args.requests]):
         pairs[k] = pair  # every unique pair appears at least once
 
-    if not _check_gap_flags(args):
+    spec = _job_spec(vars(args), args.op)
+    if spec is None:
         return 2
+    knobs = spec.wire()
     with AlignmentClient(args.host, args.port, reconnect=args.reconnect) as client:
-        if args.op == "score":
-            run = lambda: client.score_many(
-                pairs, args.concurrency, args.mode, args.band,
-                args.gap_open, args.gap_extend, backend=args.backend,
-                deadline_ms=args.deadline_ms,
-            )
-        else:
-            run = lambda: client.align_many(
-                pairs, args.concurrency, args.mode, args.band,
-                args.gap_open, args.gap_extend, args.memory,
-                backend=args.backend, deadline_ms=args.deadline_ms,
-            )
+        many = client.score_many if args.op == "score" else client.align_many
+        run = lambda: many(
+            pairs, args.concurrency, deadline_ms=args.deadline_ms, **knobs
+        )
         t, results = time_call(run, repeat=1)
         stats = client.stats()
         traced = None
@@ -1433,18 +1326,8 @@ def _cmd_client(args: argparse.Namespace) -> int:
             from fragalign.obs import new_trace_context
 
             root = new_trace_context()
-            if args.op == "score":
-                client.score(
-                    *pairs[0], mode=args.mode, band=args.band,
-                    gap_open=args.gap_open, gap_extend=args.gap_extend,
-                    backend=args.backend, trace=root,
-                )
-            else:
-                client.align(
-                    *pairs[0], mode=args.mode, band=args.band,
-                    gap_open=args.gap_open, gap_extend=args.gap_extend,
-                    memory=args.memory, backend=args.backend, trace=root,
-                )
+            one = client.score if args.op == "score" else client.align
+            one(*pairs[0], trace=root, **knobs)
             traced = (root.trace_id, client.trace_spans(root.trace_id))
         if args.shutdown:
             client.shutdown()
@@ -1474,21 +1357,20 @@ def _cmd_client(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cluster_layout(cluster_file: str) -> tuple[list[tuple[str, int]], dict]:
-    """Addresses plus the fleet's configured defaults (used both to
-    normalize routing keys and to build the --verify engine)."""
+def _cluster_layout(cluster_file: str):
+    """Addresses plus the fleet's configured defaults as a JobSpec
+    (routed requests resolve against it, so their routing keys equal
+    the shards' cache keys; ``--verify`` engines use its backend)."""
     from fragalign.cluster import read_cluster_file
+    from fragalign.job import DEFAULTS, JobSpec
 
     obj = read_cluster_file(cluster_file)
     host = obj.get("host", "127.0.0.1")
     addresses = [(host, s["port"]) for s in obj["shards"] if s.get("port") is not None]
-    defaults = {
-        "backend": obj.get("backend", "numpy"),
-        "mode": obj.get("mode", "global"),
-        "band": obj.get("band"),
-        "gap_open": obj.get("gap_open"),
-        "gap_extend": obj.get("gap_extend"),
-    }
+    defaults = JobSpec(
+        obj.get("mode", DEFAULTS.mode), obj.get("band"), obj.get("gap_open"),
+        obj.get("gap_extend"), DEFAULTS.memory, obj.get("backend", DEFAULTS.backend),
+    )
     return addresses, defaults
 
 
@@ -1498,20 +1380,14 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
     from fragalign.cluster import ClusterSupervisor
     from fragalign.obs import configure_logging
 
-    if args.mode == "banded" and args.band is None:
-        print("error: --mode banded needs --band", file=sys.stderr)
-        return 2
-    if not _check_gap_flags(args):
+    spec = _job_spec(vars(args), serving=True)
+    if spec is None:
         return 2
     configure_logging(level=args.log_level, json_format=args.log_json)
     supervisor = ClusterSupervisor(
         shards=args.shards,
         host=args.host,
-        backend=args.backend,
-        mode=args.mode,
-        band=args.band,
-        gap_open=args.gap_open,
-        gap_extend=args.gap_extend,
+        **spec.wire(),
         max_batch=args.max_batch,
         max_delay_ms=args.max_delay_ms,
         cache_size=args.cache_size,
@@ -1575,21 +1451,24 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster_route(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     import numpy as np
 
     from fragalign.cluster import ClusterClient
     from fragalign.engine import AlignmentEngine
     from fragalign.genome.dna import random_dna
-    from fragalign.util.errors import FragalignError
+    from fragalign.util.errors import FragalignError, InvalidArgument
     from fragalign.util.timing import time_call
 
     addresses, defaults = _cluster_layout(args.cluster_file)
-    if args.mode == "banded" and args.band is None and defaults["band"] is None:
-        print("error: --mode banded needs --band", file=sys.stderr)
-        return 2
     if not addresses:
         print("error: cluster file lists no shards", file=sys.stderr)
         return 1
+    mixed = args.mode == "mixed"
+    base = _job_spec(dict(vars(args), mode=None if mixed else args.mode))
+    if base is None:
+        return 2
     gen = np.random.default_rng(args.seed)
     n_unique = max(1, round(args.requests * (1.0 - args.dup_fraction)))
     unique = [
@@ -1599,28 +1478,23 @@ def _cmd_cluster_route(args: argparse.Namespace) -> int:
     pairs = [unique[int(k)] for k in gen.integers(0, n_unique, args.requests)]
     for k, pair in enumerate(unique[: args.requests]):
         pairs[k] = pair
-    if not _check_gap_flags(args):
-        return 2
+    # Every job is resolved against the fleet's defaults here, at the
+    # edge: its routing key is then exactly the owning shard's cache key.
     mode_cycle = ("global", "local", "overlap")
+    ops = ("score", "align") if args.op == "mixed" else (args.op,)
+    jobs = []
+    try:
+        for k, (a, b) in enumerate(pairs):
+            op = ops[k % len(ops)]
+            spec = replace(base, mode=mode_cycle[k % 3]) if mixed else base
+            jobs.append((op, a, b, spec.resolve(defaults, op)))
+    except InvalidArgument as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     entries = [
-        {
-            "op": args.op if args.op != "mixed" else ("score", "align")[k % 2],
-            "a": pairs[k][0],
-            "b": pairs[k][1],
-            "mode": args.mode
-            if args.mode != "mixed"
-            else mode_cycle[k % len(mode_cycle)],
-            "band": args.band,
-            "gap_open": args.gap_open,
-            "gap_extend": args.gap_extend,
-            "backend": args.backend,
-            "deadline_ms": args.deadline_ms,
-        }
-        for k in range(args.requests)
+        {"op": op, "a": a, "b": b, **spec.wire(), "deadline_ms": args.deadline_ms}
+        for op, a, b, spec in jobs
     ]
-    for entry in entries:
-        if entry["op"] == "align" and args.memory is not None:
-            entry["memory"] = args.memory
 
     def run(cluster):
         # The whole mixed workload fires concurrently through the
@@ -1631,10 +1505,6 @@ def _cmd_cluster_route(args: argparse.Namespace) -> int:
     with ClusterClient(
         addresses,
         max_attempts=args.max_attempts,
-        default_mode=defaults["mode"],
-        default_band=defaults["band"],
-        default_gap_open=defaults["gap_open"],
-        default_gap_extend=defaults["gap_extend"],
         breaker_threshold=args.breaker_threshold,
         breaker_recovery=args.breaker_recovery_s,
         hedge_delay=None if args.hedge_delay_ms is None else args.hedge_delay_ms / 1e3,
@@ -1648,72 +1518,36 @@ def _cmd_cluster_route(args: argparse.Namespace) -> int:
             return 1
         report = cluster.stats()
         if args.verify:
-            # The verify engine must match the fleet's configuration
-            # (backend and mode/band defaults, not this process's).
-            # Unique entries are grouped per (op, mode, band) and
-            # recomputed through the engine's *batch* kernels —
-            # per-pair scalar calls would dominate wall clock at
-            # cluster-scale request counts.
-            memo: dict = {}
+            # Unique jobs are grouped per (op, spec) and recomputed
+            # through the engine's *batch* kernels — per-pair scalar
+            # calls would dominate wall clock at cluster-scale request
+            # counts.  The specs are resolved, so the engine's own
+            # defaults never apply.
             groups: dict = {}
-
-            def entry_key(entry):
-                return (
-                    entry["op"], entry["a"], entry["b"], entry["mode"],
-                    entry["band"], entry.get("gap_open"), entry.get("gap_extend"),
-                )
-
-            for entry in entries:
-                key = entry_key(entry)
-                if key not in memo:
-                    memo[key] = None
-                    groups.setdefault(key[:1] + key[3:], []).append(key)
-            with AlignmentEngine(
-                backend=defaults["backend"],
-                mode=defaults["mode"],
-                band=defaults["band"],
-                gap_open=defaults["gap_open"],
-                gap_extend=defaults["gap_extend"],
-            ) as eng:
-                for (op, mode, band, gap_open, gap_extend), keys in groups.items():
-                    fn = eng.score_many if op == "score" else eng.align_many
-                    values = fn(
-                        [(k[1], k[2]) for k in keys],
-                        mode=mode,
-                        band=band,
-                        gap_open=gap_open,
-                        gap_extend=gap_extend,
-                        backend=args.backend,
+            for op, a, b, spec in dict.fromkeys(jobs):
+                groups.setdefault((op, spec), []).append((a, b))
+            expected: dict = {}
+            with AlignmentEngine(backend=defaults.backend) as eng:
+                for (op, spec), group in groups.items():
+                    values = eng.run(op, group, spec)
+                    expected.update(
+                        ((op, a, b, spec), v) for (a, b), v in zip(group, values)
                     )
-                    memo.update(zip(keys, values))
-            for k, result in enumerate(results):
-                entry = entries[k]
-                key = entry_key(entry)
-                expected = memo[key]
-                if entry["op"] == "score":
-                    expected = float(expected)
-                if result != expected:
+            for k, (result, job) in enumerate(zip(results, jobs)):
+                want = float(expected[job]) if job[0] == "score" else expected[job]
+                if result != want:
                     failures.append(
-                        f"request {k} ({entry['op']}/{entry['mode']}): "
-                        f"cluster={result!r} engine={expected!r}"
+                        f"request {k} ({job[0]}/{job[3].mode}): "
+                        f"cluster={result!r} engine={want!r}"
                     )
         traced = None
         if args.trace:
             from fragalign.obs import new_trace_context
 
             root = new_trace_context()
-            entry = entries[0]
-            kwargs = {
-                "mode": entry["mode"], "band": entry["band"],
-                "gap_open": entry["gap_open"], "gap_extend": entry["gap_extend"],
-                "backend": entry.get("backend"), "trace": root,
-            }
-            if entry["op"] == "score":
-                cluster.score(entry["a"], entry["b"], **kwargs)
-            else:
-                cluster.align(
-                    entry["a"], entry["b"], memory=entry.get("memory"), **kwargs
-                )
+            op, a, b, spec = jobs[0]
+            call = cluster.score if op == "score" else cluster.align
+            call(a, b, trace=root, **spec.wire())
             traced = (root.trace_id, cluster.collect_trace(root.trace_id))
         if args.shutdown:
             acked = cluster.shutdown_shards()
@@ -1768,35 +1602,35 @@ def _cmd_cluster_warm(args: argparse.Namespace) -> int:
         generate_keyset,
         load_keyset,
     )
+    from fragalign.job import JobSpec
+    from fragalign.util.errors import InvalidArgument
 
     addresses, defaults = _cluster_layout(args.cluster_file)
     if not addresses:
         print("error: cluster file lists no shards", file=sys.stderr)
         return 1
     if args.generate is not None:
-        if not _check_gap_flags(args):
+        spec = _job_spec(vars(args), args.op)
+        if spec is None:
             return 2
         entries = generate_keyset(
-            args.generate,
-            length=args.length,
-            seed=args.seed,
-            op=args.op,
-            mode=args.mode,
-            band=args.band,
-            gap_open=args.gap_open,
-            gap_extend=args.gap_extend,
-            backend=args.backend,
+            args.generate, length=args.length, seed=args.seed, op=args.op, **spec.wire()
         )
         dump_keyset(args.keyset, entries)
         print(f"wrote {len(entries)} entries to {args.keyset}", flush=True)
     entries = load_keyset(args.keyset)
-    with ClusterClient(
-        addresses,
-        default_mode=defaults["mode"],
-        default_band=defaults["band"],
-        default_gap_open=defaults["gap_open"],
-        default_gap_extend=defaults["gap_extend"],
-    ) as cluster:
+    # Resolved against the fleet's defaults, like `cluster route` jobs,
+    # so each entry warms the shard live traffic for it routes to.  An
+    # entry no default can serve is sent as-is: its shard refuses it
+    # and the report counts the error.
+    for k, entry in enumerate(entries):
+        op = entry["op"]
+        try:
+            spec = JobSpec.from_fields(entry, op).resolve(defaults, op)
+        except InvalidArgument:
+            continue
+        entries[k] = {"op": op, "a": entry["a"], "b": entry["b"], **spec.wire()}
+    with ClusterClient(addresses) as cluster:
         report = cluster.warm(entries, concurrency=args.concurrency)
     per_shard = ", ".join(
         f"{shard}={count}" for shard, count in sorted(report["per_shard"].items())

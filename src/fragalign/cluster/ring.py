@@ -11,10 +11,10 @@ ring so the slices it owns are many and small, keeping the partition
 balanced).
 
 The ring is deliberately dumb about *what* keys are: it maps strings
-to node names.  :class:`~fragalign.cluster.router.ShardRouter` builds
-the canonical key string from the same ``(op, pair, mode, band,
-model)`` tuple the service result cache keys on, so routing and
-per-shard caching always agree.
+to node names.  :class:`~fragalign.cluster.router.ShardRouter` keys
+each request with :meth:`fragalign.job.JobSpec.ring_key`, built from
+the same registry fields the service result cache keys on, so routing
+and per-shard caching always agree.
 """
 
 from __future__ import annotations
@@ -24,52 +24,9 @@ import hashlib
 from collections import Counter
 from typing import Iterable, Sequence
 
-from fragalign.service.fields import ring_key_fields
+from fragalign.job import ring_key
 
 __all__ = ["HashRing", "ring_key"]
-
-_SEP = "\x1f"  # unit separator: cannot appear in sequences or mode names
-
-# Knob fields of the routing key, from the shared registry.  The
-# registry asserts these mirror the service cache-key fields, which is
-# the property that keeps per-shard caches disjoint.
-_RING_FIELDS = ring_key_fields()  # ("mode", "band", "gap_open", "gap_extend")
-
-
-def ring_key(
-    op: str,
-    a: str,
-    b: str,
-    mode: str | None = None,
-    band: int | None = None,
-    model_fp: str = "",
-    default_mode: str = "global",
-    gap_open: float | None = None,
-    gap_extend: float | None = None,
-) -> str:
-    """Canonical routing-key string for one request.
-
-    Mirrors the service result-cache key ``(op, a, b, mode, band,
-    gap_open, gap_extend, model)`` field-for-field — *after* the same
-    normalization the server applies (``mode=None`` resolves to the
-    cluster's default mode; ``band`` only exists for banded mode; gap
-    parameters are floats or the cluster's defaults; the ``memory``
-    knob never changes the result, so it is absent) — so a request
-    sent with an explicit ``mode="global"`` and one relying on the
-    default hash identically and route to the shard whose cache
-    already holds the result.
-    """
-    mode = mode or default_mode
-    if mode != "banded":
-        band = None
-    if gap_open is not None:
-        gap_open = float(gap_open)
-    if gap_extend is not None:
-        gap_extend = float(gap_extend)
-    knobs = {"mode": mode, "band": band, "gap_open": gap_open, "gap_extend": gap_extend}
-    return _SEP.join(
-        (op, *(str(knobs[name]) for name in _RING_FIELDS), model_fp, a, b)
-    )
 
 
 def _hash64(data: str) -> int:

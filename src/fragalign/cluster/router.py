@@ -1,9 +1,11 @@
 """The shard router: fan out batches over N service instances.
 
 :class:`ShardRouter` fronts N running :mod:`fragalign.service`
-servers.  Each request is keyed exactly like the service result cache
-(``op, pair, mode, band, model``), hashed onto the consistent ring,
-and sent to the owning shard over that shard's pipelined
+servers.  Each request's knobs become one :class:`~fragalign.job.JobSpec`
+(validated here, so a refused request never leaves the router), keyed
+by :meth:`~fragalign.job.JobSpec.ring_key` from the same fields as the
+service result cache, hashed onto the consistent ring, and sent to the
+owning shard over that shard's pipelined
 :class:`~fragalign.service.client.AsyncAlignmentClient`.  Batch calls
 (``score_many``/``align_many``) fire every request concurrently — the
 per-shard groups each fill that shard's micro-batcher — and merge the
@@ -53,13 +55,15 @@ optional health monitor) on a private event-loop thread, mirroring
 from __future__ import annotations
 
 import asyncio
+import functools
 import threading
 import time
 from collections import Counter
 from typing import Any, Sequence
 
 from fragalign.align.pairwise import Alignment
-from fragalign.cluster.ring import HashRing, ring_key
+from fragalign.cluster.ring import HashRing
+from fragalign.job import JobSpec
 from fragalign.obs.logs import get_logger
 from fragalign.obs.metrics import MetricsRegistry, merge_expositions, parse_exposition
 from fragalign.obs.slo import SLOEngine
@@ -67,7 +71,7 @@ from fragalign.obs.trace import TraceContext, Tracer
 from fragalign.resilience.breaker import CLOSED, HALF_OPEN, STATE_CODES, CircuitBreaker
 from fragalign.resilience.deadline import deadline_from_budget_ms, remaining_ms
 from fragalign.service.client import AlignmentClient, AsyncAlignmentClient
-from fragalign.service.protocol import ServiceError
+from fragalign.service.protocol import ServiceError, alignment_from_dict
 from fragalign.util.errors import (
     CircuitOpen,
     DeadlineExceeded,
@@ -119,12 +123,6 @@ class ShardRouter:
         ``request_timeout`` is unset — a black-holing host (dropped
         SYNs) must fail over, not hang the router for the OS TCP
         timeout.
-    default_mode / default_band:
-        The shards' configured defaults.  Routing keys are normalized
-        with them (``mode=None`` hashes as the default mode, ``band``
-        is dropped unless the mode is banded) so requests that the
-        *server* resolves to the same cache key also hash to the same
-        shard.
     breaker_threshold / breaker_recovery:
         Consecutive connection-level failures (or timeouts) that trip
         a shard's circuit open, and the cool-off in seconds before the
@@ -148,10 +146,6 @@ class ShardRouter:
         max_attempts: int = 2,
         request_timeout: float | None = None,
         connect_timeout: float = 5.0,
-        default_mode: str = "global",
-        default_band: int | None = None,
-        default_gap_open: float | None = None,
-        default_gap_extend: float | None = None,
         breaker_threshold: int = 3,
         breaker_recovery: float = 5.0,
         hedge_delay: float | None = None,
@@ -170,10 +164,6 @@ class ShardRouter:
         self.max_attempts = max_attempts
         self.request_timeout = request_timeout
         self.connect_timeout = connect_timeout
-        self.default_mode = default_mode
-        self.default_band = default_band
-        self.default_gap_open = default_gap_open
-        self.default_gap_extend = default_gap_extend
         if breaker_threshold < 1:
             raise ValueError("breaker_threshold must be >= 1")
         if breaker_recovery <= 0:
@@ -226,26 +216,6 @@ class ShardRouter:
     def live_shards(self) -> list[str]:
         return self.ring.nodes
 
-    def key_for(
-        self,
-        op: str,
-        a: str,
-        b: str,
-        mode: str | None = None,
-        band: int | None = None,
-        gap_open: float | None = None,
-        gap_extend: float | None = None,
-    ) -> str:
-        mode = mode or self.default_mode
-        if mode == "banded" and band is None:
-            band = self.default_band
-        if gap_open is None and gap_extend is None:
-            gap_open, gap_extend = self.default_gap_open, self.default_gap_extend
-        return ring_key(
-            op, a, b, mode, band, self.model_fp,
-            gap_open=gap_open, gap_extend=gap_extend,
-        )
-
     def shard_for(
         self,
         op: str,
@@ -257,9 +227,8 @@ class ShardRouter:
         gap_extend: float | None = None,
     ) -> str:
         """The shard currently owning one request (tests, warm reports)."""
-        return self.ring.node_for(
-            self.key_for(op, a, b, mode, band, gap_open, gap_extend)
-        )
+        spec = JobSpec(mode, band, gap_open, gap_extend)
+        return self.ring.node_for(spec.ring_key(op, a, b, self.model_fp))
 
     def mark_shard_down(self, shard: str) -> None:
         """Evict a shard from the ring (idempotent); its keys fall to
@@ -392,17 +361,19 @@ class ShardRouter:
         return self.hedges < max(1.0, self.hedge_max_fraction * total)
 
     async def _route(
-        self, op: str, a: str, b: str, mode, band, request,
-        gap_open=None, gap_extend=None, trace: TraceContext | None = None,
-        deadline_ms: float | None = None,
-    ) -> Any:
+        self, op: str, a: str, b: str, spec: JobSpec,
+        deadline_ms: float | None = None, trace: TraceContext | None = None,
+    ) -> dict:
         """Send one request to its owning shard, failing over along
-        the ring; ``request(client, ctx, budget_ms)`` builds the
-        coroutine (``ctx`` is the per-attempt trace context the shard
-        parents under, or ``None`` when untraced; ``budget_ms`` is the
-        deadline budget still remaining when the attempt launches, or
-        ``None`` when the request carries no deadline)."""
-        key = self.key_for(op, a, b, mode, band, gap_open, gap_extend)
+        the ring; returns the winning shard's response.  Each attempt
+        carries its own trace context (the shard parents under it) and
+        the deadline budget still remaining when it launches."""
+        key = spec.ring_key(op, a, b, self.model_fp)
+        wire = spec.wire()
+
+        def request(client: AsyncAlignmentClient, ctx, budget_ms):
+            return client.request(op, a, b, ctx, budget_ms, **wire)
+
         deadline = deadline_from_budget_ms(deadline_ms)
         self._breaker_readmit()
         # Fan-out span for the whole routing decision; each attempt is
@@ -620,17 +591,8 @@ class ShardRouter:
         trace: TraceContext | None = None,
         deadline_ms: float | None = None,
     ) -> float:
-        # backend is an execution hint, not part of the routing key —
-        # backends are parity-tested to return identical scores.
-        return await self._route(
-            "score", a, b, mode, band,
-            lambda c, ctx, budget: c.score(
-                a, b, mode=mode, band=band, gap_open=gap_open,
-                gap_extend=gap_extend, backend=backend, trace=ctx,
-                deadline_ms=budget,
-            ),
-            gap_open, gap_extend, trace=trace, deadline_ms=deadline_ms,
-        )
+        spec = JobSpec(mode, band, gap_open, gap_extend, backend=backend)
+        return await self.request("score", a, b, spec, deadline_ms, trace)
 
     async def align(
         self,
@@ -645,17 +607,18 @@ class ShardRouter:
         trace: TraceContext | None = None,
         deadline_ms: float | None = None,
     ) -> Alignment:
-        # memory and backend are execution hints, not part of the
-        # routing key — the result is byte-identical either way.
-        return await self._route(
-            "align", a, b, mode, band,
-            lambda c, ctx, budget: c.align(
-                a, b, mode=mode, band=band, gap_open=gap_open,
-                gap_extend=gap_extend, memory=memory, backend=backend,
-                trace=ctx, deadline_ms=budget,
-            ),
-            gap_open, gap_extend, trace=trace, deadline_ms=deadline_ms,
-        )
+        spec = JobSpec(mode, band, gap_open, gap_extend, memory, backend)
+        return await self.request("align", a, b, spec, deadline_ms, trace)
+
+    async def request(
+        self, op: str, a: str, b: str, spec: JobSpec,
+        deadline_ms: float | None = None, trace: TraceContext | None = None,
+    ) -> Any:
+        """Route one pair job: its score (``op="score"``) or Alignment.
+        ``memory`` and ``backend`` ride along as execution hints; only
+        the spec's ring-key fields pick the shard."""
+        result = (await self._route(op, a, b, spec, deadline_ms, trace))["result"]
+        return float(result) if op == "score" else alignment_from_dict(result)
 
     async def request_many(
         self, entries: Sequence[dict], concurrency: int = 64
@@ -663,56 +626,27 @@ class ShardRouter:
         """Fan a heterogeneous batch out across shards; results in
         request order.
 
-        Each entry is ``{"op", "a", "b"}`` with optional ``"mode"`` /
-        ``"band"`` — the keyset-file shape, and what the CLI's mixed
-        workloads use.  ``asyncio.gather`` preserves argument order,
-        so position ``i`` of the returned list answers entry ``i`` —
-        regardless of which shard served it, in what order shards
-        answered, or whether failover rerouted it mid-flight.
+        Each entry is ``{"op", "a", "b"}`` plus optional knob fields
+        and ``"deadline_ms"`` — the keyset-file shape, and what the
+        CLI's mixed workloads use.  ``asyncio.gather`` preserves
+        argument order, so position ``i`` of the returned list answers
+        entry ``i`` — regardless of which shard served it, in what order
+        shards answered, or whether failover rerouted it mid-flight.
         """
+        jobs = [
+            (e["op"], e["a"], e["b"], JobSpec.from_fields(e, e["op"]), e.get("deadline_ms"))
+            for e in entries
+        ]
+        return await self._fan_out(jobs, concurrency)
+
+    async def _fan_out(self, jobs: Sequence[tuple], concurrency: int) -> list:
         semaphore = asyncio.Semaphore(max(1, concurrency))
 
-        async def one(entry: dict):
-            kwargs = {
-                "mode": entry.get("mode"),
-                "band": entry.get("band"),
-                "gap_open": entry.get("gap_open"),
-                "gap_extend": entry.get("gap_extend"),
-                "backend": entry.get("backend"),
-                "deadline_ms": entry.get("deadline_ms"),
-            }
-            if entry["op"] == "score":
-                fn = self.score
-            else:
-                fn = self.align
-                kwargs["memory"] = entry.get("memory")
+        async def one(job: tuple):
             async with semaphore:
-                return await fn(entry["a"], entry["b"], **kwargs)
+                return await self.request(*job)
 
-        return list(await asyncio.gather(*(one(e) for e in entries)))
-
-    async def _many(
-        self,
-        op: str,
-        pairs: Sequence[tuple[str, str]],
-        concurrency: int,
-        mode: str | None,
-        band: int | None,
-        gap_open: float | None = None,
-        gap_extend: float | None = None,
-        memory: str | None = None,
-        backend: str | None = None,
-        deadline_ms: float | None = None,
-    ) -> list:
-        entries = [
-            {
-                "op": op, "a": a, "b": b, "mode": mode, "band": band,
-                "gap_open": gap_open, "gap_extend": gap_extend, "memory": memory,
-                "backend": backend, "deadline_ms": deadline_ms,
-            }
-            for a, b in pairs
-        ]
-        return await self.request_many(entries, concurrency=concurrency)
+        return list(await asyncio.gather(*(one(job) for job in jobs)))
 
     async def score_many(
         self,
@@ -725,9 +659,9 @@ class ShardRouter:
         backend: str | None = None,
         deadline_ms: float | None = None,
     ) -> list[float]:
-        return await self._many(
-            "score", pairs, concurrency, mode, band, gap_open, gap_extend,
-            backend=backend, deadline_ms=deadline_ms,
+        spec = JobSpec(mode, band, gap_open, gap_extend, backend=backend)
+        return await self._fan_out(
+            [("score", a, b, spec, deadline_ms) for a, b in pairs], concurrency
         )
 
     async def align_many(
@@ -742,9 +676,9 @@ class ShardRouter:
         backend: str | None = None,
         deadline_ms: float | None = None,
     ) -> list[Alignment]:
-        return await self._many(
-            "align", pairs, concurrency, mode, band, gap_open, gap_extend, memory,
-            backend=backend, deadline_ms=deadline_ms,
+        spec = JobSpec(mode, band, gap_open, gap_extend, memory, backend)
+        return await self._fan_out(
+            [("align", a, b, spec, deadline_ms) for a, b in pairs], concurrency
         )
 
     # -- stats --------------------------------------------------------
@@ -1041,6 +975,17 @@ class ShardRouter:
         await self.close()
 
 
+def _blocking(method):
+    """Coroutine ``method`` of :class:`ShardRouter` as a blocking
+    :class:`ClusterClient` method with the same signature."""
+
+    @functools.wraps(method)
+    def call(self, *args, **kwargs):
+        return self._call(method(self.router, *args, **kwargs))
+
+    return call
+
+
 class ClusterClient:
     """Blocking facade over :class:`ShardRouter` (+ optional health
     monitor), on a private event-loop thread — the cluster-tier twin of
@@ -1058,10 +1003,6 @@ class ClusterClient:
         model_fp: str = "",
         max_attempts: int = 2,
         request_timeout: float | None = None,
-        default_mode: str = "global",
-        default_band: int | None = None,
-        default_gap_open: float | None = None,
-        default_gap_extend: float | None = None,
         health_interval: float | None = None,
         health_fail_after: int = 2,
         breaker_threshold: int = 3,
@@ -1076,10 +1017,6 @@ class ClusterClient:
             model_fp=model_fp,
             max_attempts=max_attempts,
             request_timeout=request_timeout,
-            default_mode=default_mode,
-            default_band=default_band,
-            default_gap_open=default_gap_open,
-            default_gap_extend=default_gap_extend,
             breaker_threshold=breaker_threshold,
             breaker_recovery=breaker_recovery,
             hedge_delay=hedge_delay,
@@ -1118,58 +1055,13 @@ class ClusterClient:
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
     # -- operations ---------------------------------------------------
+    # The router's verbs, blocking, with the router method's signature.
 
-    def score(
-        self, a, b, mode=None, band=None, gap_open=None, gap_extend=None,
-        backend=None, trace=None, deadline_ms=None,
-    ) -> float:
-        return self._call(
-            self.router.score(
-                a, b, mode=mode, band=band, gap_open=gap_open,
-                gap_extend=gap_extend, backend=backend, trace=trace,
-                deadline_ms=deadline_ms,
-            )
-        )
-
-    def align(
-        self, a, b, mode=None, band=None, gap_open=None, gap_extend=None,
-        memory=None, backend=None, trace=None, deadline_ms=None,
-    ) -> Alignment:
-        return self._call(
-            self.router.align(
-                a, b, mode=mode, band=band, gap_open=gap_open,
-                gap_extend=gap_extend, memory=memory, backend=backend,
-                trace=trace, deadline_ms=deadline_ms,
-            )
-        )
-
-    def score_many(
-        self, pairs, concurrency=64, mode=None, band=None, gap_open=None,
-        gap_extend=None, backend=None, deadline_ms=None,
-    ) -> list[float]:
-        return self._call(
-            self.router.score_many(
-                pairs, concurrency=concurrency, mode=mode, band=band,
-                gap_open=gap_open, gap_extend=gap_extend, backend=backend,
-                deadline_ms=deadline_ms,
-            )
-        )
-
-    def align_many(
-        self, pairs, concurrency=64, mode=None, band=None, gap_open=None,
-        gap_extend=None, memory=None, backend=None, deadline_ms=None,
-    ) -> list[Alignment]:
-        return self._call(
-            self.router.align_many(
-                pairs, concurrency=concurrency, mode=mode, band=band,
-                gap_open=gap_open, gap_extend=gap_extend, memory=memory,
-                backend=backend, deadline_ms=deadline_ms,
-            )
-        )
-
-    def request_many(self, entries, concurrency=64) -> list:
-        """Blocking mixed-batch fan-out (see :meth:`ShardRouter.request_many`)."""
-        return self._call(self.router.request_many(entries, concurrency=concurrency))
+    score = _blocking(ShardRouter.score)
+    align = _blocking(ShardRouter.align)
+    score_many = _blocking(ShardRouter.score_many)
+    align_many = _blocking(ShardRouter.align_many)
+    request_many = _blocking(ShardRouter.request_many)
 
     def warm(self, entries, concurrency=32) -> dict:
         """Replay keyset entries into the owning shards; returns the
@@ -1178,8 +1070,9 @@ class ClusterClient:
 
         return self._call(warm_router(self.router, entries, concurrency=concurrency))
 
-    def shard_for(self, op, a, b, mode=None, band=None, gap_open=None, gap_extend=None) -> str:
-        return self.router.shard_for(op, a, b, mode, band, gap_open, gap_extend)
+    @functools.wraps(ShardRouter.shard_for)
+    def shard_for(self, *args, **kwargs) -> str:
+        return self.router.shard_for(*args, **kwargs)
 
     def stats(self) -> dict:
         report = self._call(self.router.cluster_stats())

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+from fragalign.job import JobSpec
 from fragalign.service.server import wait_for_port_file
 
 __all__ = ["ShardProcess", "ClusterSupervisor", "read_cluster_file"]
@@ -143,11 +144,9 @@ class ClusterSupervisor:
             raise ValueError("crash_loop_window must be > 0")
         self.n_shards = shards
         self.host = host
-        self.backend = backend
-        self.mode = mode
-        self.band = band
-        self.gap_open = gap_open
-        self.gap_extend = gap_extend
+        # The shards' default job, validated here and forwarded to every
+        # spawned server as its knob flags.
+        self.defaults = JobSpec(mode, band, gap_open, gap_extend, backend=backend)
         self.max_batch = max_batch
         self.max_delay_ms = max_delay_ms
         self.cache_size = cache_size
@@ -207,10 +206,6 @@ class ClusterSupervisor:
             "0",
             "--port-file",
             port_file,
-            "--backend",
-            self.backend,
-            "--mode",
-            self.mode,
             "--max-batch",
             str(self.max_batch),
             "--max-delay-ms",
@@ -218,12 +213,8 @@ class ClusterSupervisor:
             "--cache-size",
             str(self.cache_size),
         ]
-        if self.band is not None:
-            cmd += ["--band", str(self.band)]
-        if self.gap_open is not None:
-            cmd += ["--gap-open", str(self.gap_open)]
-        if self.gap_extend is not None:
-            cmd += ["--gap-extend", str(self.gap_extend)]
+        for name, value in self.defaults.wire().items():
+            cmd += ["--" + name.replace("_", "-"), str(value)]
         if self.max_inflight_cells:
             cmd += ["--max-inflight-cells", str(self.max_inflight_cells)]
         if self.max_inflight_jobs:
@@ -329,13 +320,14 @@ class ClusterSupervisor:
     def write_cluster_file(self, path: str | Path) -> None:
         """Publish the fleet layout for routers/CLIs in other
         processes (atomically, like the port files)."""
+        d = self.defaults
         obj = {
             "host": self.host,
-            "backend": self.backend,
-            "mode": self.mode,
-            "band": self.band,
-            "gap_open": self.gap_open,
-            "gap_extend": self.gap_extend,
+            "backend": d.backend,
+            "mode": d.mode,
+            "band": d.band,
+            "gap_open": d.gap_open,
+            "gap_extend": d.gap_extend,
             "shards": [
                 {"index": s.index, "port": s.port, "pid": s.pid} for s in self.procs
             ],

@@ -23,8 +23,7 @@ from typing import Iterable, Sequence
 
 import asyncio
 
-from fragalign.service.fields import REQUEST_FIELDS, coerce, keyset_fields
-from fragalign.service.protocol import PAIR_OPS
+from fragalign.job import PAIR_OPS, JobSpec
 
 __all__ = [
     "load_keyset",
@@ -41,18 +40,9 @@ def _normalize(entry: dict) -> dict:
     a, b = entry.get("a"), entry.get("b")
     if not isinstance(a, str) or not isinstance(b, str):
         raise ValueError("keyset entry needs string fields 'a' and 'b'")
-    out = {"op": op, "a": a, "b": b}
-    # Knob fields come from the shared registry: a keyset written today
+    # The knobs validate as one JobSpec: a keyset written today
     # round-trips every knob the serving stack understands, per-op.
-    for spec in REQUEST_FIELDS:
-        if not spec.keyset or entry.get(spec.name) is None:
-            continue
-        if op not in spec.ops:
-            raise ValueError(f"keyset field {spec.name!r} only applies to {spec.ops}")
-        out[spec.name] = coerce(spec, entry[spec.name])
-    if (out.get("gap_open") is None) != (out.get("gap_extend") is None):
-        raise ValueError("keyset gap_open and gap_extend must appear together")
-    return out
+    return {"op": op, "a": a, "b": b, **JobSpec.from_fields(entry, op).wire()}
 
 
 def load_keyset(path: str | Path) -> list[dict]:
@@ -95,26 +85,11 @@ def generate_keyset(
     from fragalign.genome.dna import random_dna
 
     gen = np.random.default_rng(seed)
-    knobs = {
-        "mode": mode,
-        "band": band,
-        "gap_open": gap_open,
-        "gap_extend": gap_extend,
-        "memory": memory,
-        "backend": backend,
-    }
-    entries = []
-    for _ in range(n):
-        entry = {
-            "op": op,
-            "a": random_dna(length, gen),
-            "b": random_dna(length, gen),
-        }
-        for name in keyset_fields():
-            if knobs[name] is not None:
-                entry[name] = knobs[name]
-        entries.append(entry)
-    return entries
+    knobs = JobSpec(mode, band, gap_open, gap_extend, memory, backend).wire()
+    return [
+        {"op": op, "a": random_dna(length, gen), "b": random_dna(length, gen), **knobs}
+        for _ in range(n)
+    ]
 
 
 async def warm_router(router, entries: Sequence[dict], concurrency: int = 32) -> dict:
@@ -131,28 +106,17 @@ async def warm_router(router, entries: Sequence[dict], concurrency: int = 32) ->
 
     async def one(entry: dict) -> None:
         nonlocal errors
-        op = entry["op"]
-        knobs = {name: entry.get(name) for name in keyset_fields()}
-        # memory and backend are execution hints, never routing fields.
-        memory = knobs.pop("memory", None)
-        backend = knobs.pop("backend", None)
+        op, a, b = entry["op"], entry["a"], entry["b"]
+        spec = JobSpec.from_fields(entry, op)
         async with semaphore:
             try:
-                if op == "score":
-                    await router.score(
-                        entry["a"], entry["b"], backend=backend, **knobs
-                    )
-                else:
-                    await router.align(
-                        entry["a"], entry["b"], memory=memory, backend=backend,
-                        **knobs,
-                    )
+                await router.request(op, a, b, spec)
             except Exception as exc:
                 errors += 1
                 if len(samples) < 5:
                     samples.append(f"{type(exc).__name__}: {exc}")
                 return
-        per_shard[router.shard_for(op, entry["a"], entry["b"], **knobs)] += 1
+        per_shard[router.ring.node_for(spec.ring_key(op, a, b, router.model_fp))] += 1
 
     await asyncio.gather(*(one(e) for e in entries))
     return {

@@ -19,9 +19,11 @@ Adding a backend::
 
     class MyBackend(AlignmentBackend):
         name = "mine"
-        def score(self, p, model, mode): ...
-        def align(self, p, model, mode): ...
-        # override score_many/align_many when you can beat a loop
+        def score(self, p, model, spec): ...   # spec: a resolved JobSpec
+        def align(self, p, model, spec): ...
+        # override score_many(batch, model, spec) / align_many when you
+        # can beat a loop; override accelerates(op, model, spec) to
+        # cover only some knob combinations (the rest run on numpy)
 
     register_backend("mine", MyBackend)
     AlignmentEngine(backend="mine")
@@ -33,13 +35,10 @@ this for the built-ins and is the template for testing new ones.
 
 from fragalign.engine.backends import (
     LINEAR_AUTO_CELLS,
-    MEMORY_MODES,
-    MODES,
     AlignmentBackend,
     NaiveBackend,
     NumpyBackend,
     PreparedPair,
-    linear_memory_conflict,
 )
 from fragalign.engine.facade import AlignmentEngine, default_model
 from fragalign.engine.native import NativeBackend
@@ -49,6 +48,7 @@ from fragalign.engine.registry import (
     get_backend,
     register_backend,
 )
+from fragalign.job import MEMORY_MODES, MODES, JobSpec
 
 register_backend("naive", NaiveBackend, overwrite=True)
 register_backend("numpy", NumpyBackend, overwrite=True)
@@ -64,11 +64,11 @@ __all__ = [
     "NaiveBackend",
     "NativeBackend",
     "NumpyBackend",
+    "JobSpec",
     "ParallelBackend",
     "PreparedPair",
     "available_backends",
     "default_model",
     "get_backend",
-    "linear_memory_conflict",
     "register_backend",
 ]

@@ -7,21 +7,18 @@ identical tracebacks, which the cross-backend parity tests pin down.
 :class:`fragalign.engine.AlignmentEngine` facade buckets mixed-length
 workloads by shape before dispatching.
 
-Four modes are first-class: ``global`` (Needleman–Wunsch), ``local``
+Every hook takes ``(…, model, spec)``: a resolved
+:class:`~fragalign.job.JobSpec` already validated at the edge.  Four
+modes are first-class: ``global`` (Needleman–Wunsch), ``local``
 (Smith–Waterman), ``overlap`` (suffix–prefix, the assembler's overlap
-detector) and ``banded`` (global restricted to ``|i - j| <= band``;
-the only mode that takes the extra ``band`` argument).
-
-Two orthogonal knobs apply to every mode:
-
-* ``gap_open``/``gap_extend`` switch any mode to **affine (Gotoh)
-  gap costs** (a k-gap costs ``open + (k-1)·extend``); both ``None``
-  (the default) keeps the model's linear gap.
-* ``memory`` selects the align-verb traceback strategy: ``"tensor"``
-  (the packed (n, B, m) direction tensor), ``"linear"`` (the
-  Hirschberg-style canonical walker — byte-identical alignments in
-  near-linear memory) or ``"auto"`` (linear above
-  ``linear_auto_cells`` DP cells per pair, tensor below).
+detector) and ``banded`` (global restricted to ``|i - j| <= band``).
+``spec.gap_open``/``spec.gap_extend`` switch any mode to **affine
+(Gotoh) gap costs** (a k-gap costs ``open + (k-1)·extend``; unset keeps
+the model's linear gap).  ``spec.memory`` selects the align-verb
+traceback strategy: ``"tensor"`` (the packed (n, B, m) direction
+tensor), ``"linear"`` (the Hirschberg-style canonical walker —
+byte-identical alignments in near-linear memory) or ``"auto"`` (linear
+above ``linear_auto_cells`` DP cells per chunk, tensor below).
 """
 
 from __future__ import annotations
@@ -61,22 +58,15 @@ from fragalign.align.pairwise import (
     overlap_scores_batch,
 )
 from fragalign.align.scoring_matrices import SubstitutionModel
+from fragalign.job import JobSpec
 
 __all__ = [
     "PreparedPair",
     "AlignmentBackend",
     "NaiveBackend",
     "NumpyBackend",
-    "MODES",
-    "MEMORY_MODES",
     "LINEAR_AUTO_CELLS",
-    "check_memory_mode",
-    "linear_memory_conflict",
-    "resolve_memory",
 ]
-
-MODES = ("global", "local", "overlap", "banded")
-MEMORY_MODES = ("auto", "tensor", "linear")
 
 #: ``memory="auto"`` switches the align verbs to the linear-memory
 #: walker above this many DP cells per *chunk* — the point where the
@@ -107,24 +97,12 @@ class AlignmentBackend:
     Subclasses must implement :meth:`score` and :meth:`align`; they
     *should* override the batch methods when they can do better than a
     Python loop (the whole point of the NumPy and parallel backends).
-    ``band`` is only meaningful for ``mode="banded"``;
-    ``gap_open``/``gap_extend`` select affine gap costs when set;
-    ``memory`` is the align-verb traceback strategy (score verbs are
-    always O(n + m)).
     """
 
     name = "?"
 
-    def accelerates(
-        self,
-        op: str,
-        model: SubstitutionModel,
-        mode: str,
-        band=None,
-        gap_open=None,
-        gap_extend=None,
-    ) -> bool:
-        """Does this backend natively cover the (op, model, mode) combo?
+    def accelerates(self, op: str, model: SubstitutionModel, spec: JobSpec) -> bool:
+        """Does this backend natively cover the (op, model, spec) combo?
 
         The facade consults this before dispatching: a ``False`` means
         the request falls through to the numpy backend instead (same
@@ -134,119 +112,24 @@ class AlignmentBackend:
         """
         return True
 
-    def score(
-        self,
-        p: PreparedPair,
-        model: SubstitutionModel,
-        mode: str,
-        band=None,
-        gap_open=None,
-        gap_extend=None,
-    ) -> float:
+    def score(self, p: PreparedPair, model: SubstitutionModel, spec: JobSpec) -> float:
         raise NotImplementedError
 
-    def align(
-        self,
-        p: PreparedPair,
-        model: SubstitutionModel,
-        mode: str,
-        band=None,
-        gap_open=None,
-        gap_extend=None,
-        memory: str = "auto",
-    ) -> Alignment:
+    def align(self, p: PreparedPair, model: SubstitutionModel, spec: JobSpec) -> Alignment:
         raise NotImplementedError
-
-    @staticmethod
-    def _loop_kwargs(band, gap_open, gap_extend, memory=None) -> dict:
-        """Only forward non-default knobs, so a minimal backend that
-        implements ``score(self, p, model, mode)`` keeps working until
-        a caller actually uses the extra knobs."""
-        kw: dict = {}
-        if band is not None:
-            kw["band"] = band
-        if gap_open is not None or gap_extend is not None:
-            kw["gap_open"] = gap_open
-            kw["gap_extend"] = gap_extend
-        if memory is not None and memory != "auto":
-            kw["memory"] = memory
-        return kw
 
     def score_many(
-        self,
-        batch: list[PreparedPair],
-        model: SubstitutionModel,
-        mode: str,
-        band=None,
-        gap_open=None,
-        gap_extend=None,
+        self, batch: list[PreparedPair], model: SubstitutionModel, spec: JobSpec
     ) -> np.ndarray:
-        kw = self._loop_kwargs(band, gap_open, gap_extend)
-        return np.array([self.score(p, model, mode, **kw) for p in batch])
+        return np.array([self.score(p, model, spec) for p in batch])
 
     def align_many(
-        self,
-        batch: list[PreparedPair],
-        model: SubstitutionModel,
-        mode: str,
-        band=None,
-        gap_open=None,
-        gap_extend=None,
-        memory: str = "auto",
+        self, batch: list[PreparedPair], model: SubstitutionModel, spec: JobSpec
     ) -> list[Alignment]:
-        kw = self._loop_kwargs(band, gap_open, gap_extend, memory)
-        return [self.align(p, model, mode, **kw) for p in batch]
+        return [self.align(p, model, spec) for p in batch]
 
     def close(self) -> None:
         """Release any held resources (process pools, device handles)."""
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"unknown alignment mode {mode!r} (expected one of {MODES})")
-
-
-def check_memory_mode(memory: str) -> None:
-    if memory not in MEMORY_MODES:
-        raise ValueError(
-            f"unknown memory mode {memory!r} (expected one of {MEMORY_MODES})"
-        )
-
-
-def linear_memory_conflict(mode: str, affine: bool) -> str | None:
-    """Why ``memory="linear"`` cannot serve this knob combination —
-    ``None`` when it can.  The single source of the rule, shared by
-    the kernels, the engine facade, the service's pre-batch
-    validation and the CLI's boot check."""
-    if mode == "banded":
-        return "banded mode"  # banded traceback is already O(n·band)
-    if affine:
-        return "affine gaps"  # the tensor path is the only affine traceback
-    return None
-
-
-def resolve_memory(
-    memory: str,
-    mode: str,
-    affine: bool,
-    cells: int,
-    auto_cells: int = LINEAR_AUTO_CELLS,
-) -> str:
-    """Resolve ``"auto"`` and reject unsupported ``"linear"`` combos.
-
-    An explicit ``memory="linear"`` for a combination the walker does
-    not cover (see :func:`linear_memory_conflict`) is an error rather
-    than a silent fallback.
-    """
-    check_memory_mode(memory)
-    conflict = linear_memory_conflict(mode, affine)
-    if memory == "linear":
-        if conflict is not None:
-            raise ValueError(f"memory='linear' is not supported with {conflict}")
-        return "linear"
-    if memory == "auto" and conflict is None and cells >= auto_cells:
-        return "linear"
-    return "tensor"
 
 
 class NaiveBackend(AlignmentBackend):
@@ -258,8 +141,8 @@ class NaiveBackend(AlignmentBackend):
     alignment-for-alignment on integer models.  Affine modes delegate
     to the per-cell Gotoh oracles in :mod:`fragalign.align.affine`
     (same recurrences and tie orders as the batched kernels).
-    ``memory`` is accepted and ignored — the oracle holds the full
-    table regardless.
+    ``spec.memory`` is ignored — the oracle holds the full table
+    regardless.
     """
 
     name = "naive"
@@ -268,37 +151,32 @@ class NaiveBackend(AlignmentBackend):
     def _w_rows(p: PreparedPair, model: SubstitutionModel) -> list[list[float]]:
         return model.pair_matrix(p.a_codes, p.b_codes).tolist()
 
-    def score(
-        self, p, model, mode, band=None, gap_open=None, gap_extend=None
-    ) -> float:
-        _check_mode(mode)
-        if gap_open is not None or gap_extend is not None:
+    def score(self, p, model, spec) -> float:
+        mode = spec.mode
+        if spec.gap_open is not None:
             return affine_score_reference(
-                p.a, p.b, model, gap_open, gap_extend, mode=mode, band=band
+                p.a, p.b, model, spec.gap_open, spec.gap_extend, mode=mode, band=spec.band
             )
         if mode == "local":
             return local_score_reference(p.a, p.b, model)
         if mode == "overlap":
             return overlap_score_reference(p.a, p.b, model)
         if mode == "banded":
-            return banded_global_score_reference(p.a, p.b, band, model)
+            return banded_global_score_reference(p.a, p.b, spec.band, model)
         return global_score_reference(p.a, p.b, model)
 
-    def align(
-        self, p, model, mode, band=None, gap_open=None, gap_extend=None, memory="auto"
-    ) -> Alignment:
-        _check_mode(mode)
-        check_memory_mode(memory)
-        if gap_open is not None or gap_extend is not None:
+    def align(self, p, model, spec) -> Alignment:
+        mode = spec.mode
+        if spec.gap_open is not None:
             return affine_align_reference(
-                p.a, p.b, model, gap_open, gap_extend, mode=mode, band=band
+                p.a, p.b, model, spec.gap_open, spec.gap_extend, mode=mode, band=spec.band
             )
         if mode == "local":
             return self._align_local(p, model)
         if mode == "overlap":
             return self._align_overlap(p, model)
         if mode == "banded":
-            return self._align_banded(p, model, band)
+            return self._align_banded(p, model, spec.band)
         return self._align_global(p, model)
 
     def _align_global(self, p: PreparedPair, model: SubstitutionModel) -> Alignment:
@@ -466,10 +344,8 @@ class NumpyBackend(AlignmentBackend):
         self.chunk = chunk
         self.linear_auto_cells = linear_auto_cells
 
-    def _run(
-        self, codes, model, mode, band, gap_open, gap_extend, chunk, kind, memory="auto"
-    ):
-        affine = gap_open is not None or gap_extend is not None
+    def _run(self, codes, model, spec: JobSpec, chunk: int, kind: str):
+        mode, affine = spec.mode, spec.gap_open is not None
         if kind == "align":
             # The tensor is allocated per chunk — (n, B, m) — so auto
             # resolves on the chunk's cell count, not one pair's.
@@ -478,10 +354,7 @@ class NumpyBackend(AlignmentBackend):
                 if codes
                 else 0
             )
-            memory = resolve_memory(
-                memory, mode, affine, cells, self.linear_auto_cells
-            )
-            if memory == "linear":
+            if spec.linear_traceback(cells, self.linear_auto_cells):
                 return [linear_align(a, b, model, mode=mode) for a, b in codes]
         if mode == "banded":
             if affine:
@@ -490,60 +363,31 @@ class NumpyBackend(AlignmentBackend):
                     if kind == "score"
                     else affine_banded_align_batch
                 )
-                return kernel(codes, band, model, gap_open, gap_extend, chunk=chunk)
+                return kernel(
+                    codes, spec.band, model, spec.gap_open, spec.gap_extend, chunk=chunk
+                )
             kernel = banded_scores_batch if kind == "score" else banded_align_batch
-            return kernel(codes, band, model, chunk=chunk)
+            return kernel(codes, spec.band, model, chunk=chunk)
         if affine:
             table = (
                 self._AFFINE_SCORE_KERNELS
                 if kind == "score"
                 else self._AFFINE_ALIGN_KERNELS
             )
-            return table[mode](codes, model, gap_open, gap_extend, chunk=chunk)
+            return table[mode](codes, model, spec.gap_open, spec.gap_extend, chunk=chunk)
         table = self._SCORE_KERNELS if kind == "score" else self._ALIGN_KERNELS
         return table[mode](codes, model, chunk=chunk)
 
-    def score(
-        self, p, model, mode, band=None, gap_open=None, gap_extend=None
-    ) -> float:
-        _check_mode(mode)
-        return float(
-            self._run(
-                [(p.a_codes, p.b_codes)], model, mode, band, gap_open, gap_extend, 1, "score"
-            )[0]
-        )
+    def score(self, p, model, spec) -> float:
+        return float(self._run([(p.a_codes, p.b_codes)], model, spec, 1, "score")[0])
 
-    def align(
-        self, p, model, mode, band=None, gap_open=None, gap_extend=None, memory="auto"
-    ) -> Alignment:
-        _check_mode(mode)
-        return self._run(
-            [(p.a_codes, p.b_codes)],
-            model,
-            mode,
-            band,
-            gap_open,
-            gap_extend,
-            1,
-            "align",
-            memory=memory,
-        )[0]
+    def align(self, p, model, spec) -> Alignment:
+        return self._run([(p.a_codes, p.b_codes)], model, spec, 1, "align")[0]
 
-    def score_many(
-        self, batch, model, mode, band=None, gap_open=None, gap_extend=None
-    ) -> np.ndarray:
-        _check_mode(mode)
+    def score_many(self, batch, model, spec) -> np.ndarray:
         codes = [(p.a_codes, p.b_codes) for p in batch]
-        return self._run(
-            codes, model, mode, band, gap_open, gap_extend, self.chunk, "score"
-        )
+        return self._run(codes, model, spec, self.chunk, "score")
 
-    def align_many(
-        self, batch, model, mode, band=None, gap_open=None, gap_extend=None, memory="auto"
-    ) -> list[Alignment]:
-        _check_mode(mode)
+    def align_many(self, batch, model, spec) -> list[Alignment]:
         codes = [(p.a_codes, p.b_codes) for p in batch]
-        return self._run(
-            codes, model, mode, band, gap_open, gap_extend, self.chunk, "align",
-            memory=memory,
-        )
+        return self._run(codes, model, spec, self.chunk, "align")

@@ -9,40 +9,36 @@ One object, four verbs::
         scores = eng.score_many(pairs)    # batch, bucketed by shape
 
 Every verb takes optional ``mode=`` / ``band=`` / ``gap_open=`` /
-``gap_extend=`` overrides (and the align verbs ``memory=``), so one
-engine can serve all four alignment modes (``global``, ``local``,
-``overlap``, ``banded``), both gap models (linear and affine/Gotoh)
-and both traceback strategies (direction tensor / linear-memory
-Hirschberg walker) — the service layer relies on this to route
-per-request knobs through a single engine.  ``band`` is required
-whenever the resolved mode is ``banded``; ``gap_open``/``gap_extend``
-must be passed together (both ``None`` keeps the model's linear gap);
-``memory`` is ``"auto"`` (linear-memory traceback above
-``LINEAR_AUTO_CELLS`` DP cells), ``"tensor"`` or ``"linear"``.
+``gap_extend=`` / ``backend=`` overrides (and the align verbs
+``memory=``), so one engine serves all four alignment modes, both gap
+models and both traceback strategies.  The verbs build one
+:class:`~fragalign.job.JobSpec` from their keywords (validating them),
+resolve it against the engine's defaults (:attr:`AlignmentEngine.defaults`,
+set by the constructor) and hand the resolved spec to the backend.  The
+serving tier, which already holds a spec, calls :meth:`AlignmentEngine.run`
+directly.
 
-Every verb also takes ``backend=`` — a registered backend name that
-overrides the engine's default for that call (instantiated lazily,
-once, and kept for the engine's lifetime).  Dispatch is
-capability-probed: the chosen backend's
-:meth:`AlignmentBackend.accelerates` is consulted and the call falls
-through to the numpy backend when the combo is not covered (the
-``native`` backend accelerates score verbs only, for flat models in
-``global``/``overlap`` and integer models in ``local``), so a
+``backend`` names a registered backend that overrides the engine's
+default for that call (instantiated lazily, once, and kept for the
+engine's lifetime).  Dispatch is capability-probed: the chosen
+backend's :meth:`AlignmentBackend.accelerates` is consulted and the
+call falls through to the numpy backend when the combo is not covered
+(the ``native`` backend accelerates score verbs only, for flat models
+in ``global``/``overlap`` and integer models in ``local``), so a
 ``backend="native"`` request never errors on an uncovered knob
 combination — it just runs on numpy at numpy speed.
 
 The facade owns everything backends shouldn't care about: memoized
 sequence encoding (each distinct sequence is encoded once per engine),
-the memoized default scoring matrix, validation, and bucketing mixed
--length batches into uniform-shape groups so backends only ever see
-batches their kernels can sweep in lockstep.
+the memoized default scoring matrix, knob resolution, and bucketing
+mixed-length batches into uniform-shape groups so backends only ever
+see batches their kernels can sweep in lockstep.
 
 Setting :attr:`AlignmentEngine.profiler` (any object with the
 :class:`fragalign.obs.kprof.KernelProfiler` ``record`` signature)
 turns on per-dispatch kernel profiling: every backend call is timed
 and reported with its family, backend, resolved mode and batch shape.
-Left at ``None`` (the default) the verbs take the exact pre-profiling
-code path — no timer reads, no overhead.
+Left at ``None`` (the default) no timer is read.
 """
 
 from __future__ import annotations
@@ -54,16 +50,12 @@ from typing import Sequence
 
 import numpy as np
 
-from fragalign.align.pairwise import Alignment, check_affine_gaps
+from fragalign.align.pairwise import Alignment
 from fragalign.align.scoring_matrices import SubstitutionModel, encode, unit_dna
-from fragalign.engine.backends import (
-    MODES,
-    AlignmentBackend,
-    PreparedPair,
-    check_memory_mode,
-    linear_memory_conflict,
-)
-from fragalign.engine.registry import get_backend
+from fragalign.engine.backends import AlignmentBackend, PreparedPair
+from fragalign.engine.registry import available_backends, get_backend
+from fragalign.job import JobSpec
+from fragalign.util.errors import InvalidArgument
 from fragalign.util.lru import LRUCache
 
 __all__ = ["AlignmentEngine", "default_model"]
@@ -125,34 +117,19 @@ class AlignmentEngine:
         cache_size: int = 4096,
         **backend_options,
     ) -> None:
-        if mode not in MODES:
-            raise ValueError(f"unknown alignment mode {mode!r} (expected one of {MODES})")
-        if band is not None and (not isinstance(band, int) or isinstance(band, bool) or band < 0):
-            raise ValueError(f"band must be a non-negative integer, got {band!r}")
-        if mode == "banded" and band is None:
-            raise ValueError("mode='banded' needs a band (pass band=...)")
-        if gap_open is not None or gap_extend is not None:
-            gap_open, gap_extend = check_affine_gaps(gap_open, gap_extend)
-        check_memory_mode(memory)
-        if memory == "linear":
-            conflict = linear_memory_conflict(mode, gap_open is not None)
-            if conflict is not None:
-                # Fail at construction, not on every align call — a
-                # server built on this engine would otherwise boot
-                # cleanly and then reject 100% of its align traffic.
-                raise ValueError(f"memory='linear' is not supported with {conflict}")
-        self.model = model or default_model()
-        self.mode = mode
-        self.band = band
-        self.gap_open = gap_open
-        self.gap_extend = gap_extend
-        self.memory = memory
         if isinstance(backend, AlignmentBackend):
             if backend_options:
                 raise ValueError("backend options only apply when backend is a name")
             self._backend = backend
         else:
             self._backend = get_backend(backend, **backend_options)
+        #: The engine's default job: every per-call spec resolves against it.
+        self.defaults = JobSpec(mode, band, gap_open, gap_extend, memory, self._backend.name)
+        # Fail at construction, not on every call: a server built on this
+        # engine would otherwise boot cleanly and then reject 100% of its
+        # traffic (banded with no band, linear memory it cannot serve).
+        self.defaults.resolve(self.defaults, "align")
+        self.model = model or default_model()
         # Per-call `backend=` overrides instantiate lazily, once per
         # name, and live for the engine's lifetime (closed with it).
         self._extra_backends: dict[str, AlignmentBackend] = {}
@@ -160,6 +137,14 @@ class AlignmentEngine:
         # Optional KernelProfiler-shaped sink (see module docstring);
         # the serving tier attaches one so `fragalign top` has data.
         self.profiler = None
+
+    @property
+    def mode(self) -> str:
+        return self.defaults.mode
+
+    @property
+    def band(self) -> int | None:
+        return self.defaults.band
 
     @property
     def backend(self) -> AlignmentBackend:
@@ -179,26 +164,28 @@ class AlignmentEngine:
             self._extra_backends[name] = be
         return be
 
-    def _route(
-        self, op: str, mode: str, kw: dict, backend: str | None
-    ) -> AlignmentBackend:
+    def resolve(self, spec: JobSpec, op: str) -> JobSpec:
+        """The job ``spec`` runs as on this engine (see
+        :meth:`JobSpec.resolve`); refuses backend names nobody registered."""
+        spec = spec.resolve(self.defaults, op)
+        if spec.backend != self._backend.name and spec.backend not in available_backends():
+            raise InvalidArgument(
+                f"unknown backend {spec.backend!r} "
+                f"(registered: {', '.join(available_backends())})"
+            )
+        return spec
+
+    def _route(self, op: str, spec: JobSpec) -> AlignmentBackend:
         """Capability-probed dispatch: the requested backend if it
-        accelerates this (op, model, mode, knobs) combo, else numpy.
+        accelerates this (op, model, spec) combo, else numpy.
 
         Partial backends (``native``) self-report coverage through
         :meth:`AlignmentBackend.accelerates`; the fallthrough keeps
         every knob combination servable under any ``backend=`` without
         the partial backend reimplementing the full matrix.
         """
-        be = self._get_backend(backend)
-        if not be.accelerates(
-            op,
-            self.model,
-            mode,
-            band=kw.get("band"),
-            gap_open=kw.get("gap_open"),
-            gap_extend=kw.get("gap_extend"),
-        ):
+        be = self._get_backend(spec.backend)
+        if not be.accelerates(op, self.model, spec):
             be = self._get_backend("numpy")
         return be
 
@@ -215,43 +202,6 @@ class AlignmentEngine:
         """Encode one pair (memoized per distinct sequence)."""
         return PreparedPair(a, b, self._encode(a), self._encode(b))
 
-    def _resolve(
-        self,
-        mode: str | None,
-        band: int | None,
-        gap_open: float | None = None,
-        gap_extend: float | None = None,
-        memory: str | None = None,
-        align: bool = False,
-    ) -> tuple[str, dict]:
-        """Per-call knob resolution -> (mode, backend kwargs)."""
-        mode = self.mode if mode is None else mode
-        if mode not in MODES:
-            raise ValueError(f"unknown alignment mode {mode!r} (expected one of {MODES})")
-        kw: dict = {}
-        if gap_open is None and gap_extend is None:
-            gap_open, gap_extend = self.gap_open, self.gap_extend
-        else:
-            gap_open, gap_extend = check_affine_gaps(gap_open, gap_extend)
-        if gap_open is not None:
-            kw["gap_open"] = gap_open
-            kw["gap_extend"] = gap_extend
-        if align:
-            memory = self.memory if memory is None else memory
-            check_memory_mode(memory)
-            if memory != "auto":
-                # "auto" is every backend's default — omitting it keeps
-                # minimal third-party backends (mode-only signatures)
-                # working until a caller actually uses the knob.
-                kw["memory"] = memory
-        if mode != "banded":
-            return mode, kw
-        band = self.band if band is None else band
-        if band is None:
-            raise ValueError("mode='banded' needs a band (pass band=...)")
-        kw["band"] = band
-        return mode, kw
-
     # -- single-pair API ---------------------------------------------
 
     def score(
@@ -264,18 +214,8 @@ class AlignmentEngine:
         gap_extend: float | None = None,
         backend: str | None = None,
     ) -> float:
-        mode, kw = self._resolve(mode, band, gap_open, gap_extend)
-        be = self._route("score", mode, kw, backend)
-        if self.profiler is None:
-            return be.score(self.prepare(a, b), self.model, mode, **kw)
-        prep = self.prepare(a, b)
-        start = time.perf_counter()
-        value = be.score(prep, self.model, mode, **kw)
-        self.profiler.record(
-            "score", be.name, mode, [prep.shape],
-            time.perf_counter() - start,
-        )
-        return value
+        spec = JobSpec(mode, band, gap_open, gap_extend, backend=backend)
+        return self._one("score", a, b, spec)
 
     def align(
         self,
@@ -288,18 +228,20 @@ class AlignmentEngine:
         memory: str | None = None,
         backend: str | None = None,
     ) -> Alignment:
-        mode, kw = self._resolve(mode, band, gap_open, gap_extend, memory, align=True)
-        be = self._route("align", mode, kw, backend)
-        if self.profiler is None:
-            return be.align(self.prepare(a, b), self.model, mode, **kw)
+        spec = JobSpec(mode, band, gap_open, gap_extend, memory, backend)
+        return self._one("align", a, b, spec)
+
+    def _one(self, op: str, a: str, b: str, spec: JobSpec):
+        spec = self.resolve(spec, op)
+        be = self._route(op, spec)
+        call = be.score if op == "score" else be.align
         prep = self.prepare(a, b)
+        if self.profiler is None:
+            return call(prep, self.model, spec)
         start = time.perf_counter()
-        aln = be.align(prep, self.model, mode, **kw)
-        self.profiler.record(
-            "align", be.name, mode, [prep.shape],
-            time.perf_counter() - start,
-        )
-        return aln
+        out = call(prep, self.model, spec)
+        self.profiler.record(op, be.name, spec.mode, [prep.shape], time.perf_counter() - start)
+        return out
 
     # -- batch API ---------------------------------------------------
 
@@ -326,21 +268,7 @@ class AlignmentEngine:
         backend's batch kernel in one call.  Equals ``[self.score(a, b)
         for a, b in pairs]`` (a standing test invariant).
         """
-        mode, kw = self._resolve(mode, band, gap_open, gap_extend)
-        be = self._route("score_many", mode, kw, backend)
-        preps = [self.prepare(a, b) for a, b in pairs]
-        out = np.empty(len(preps))
-        for idxs, bucket in self._buckets(preps):
-            if self.profiler is None:
-                out[idxs] = be.score_many(bucket, self.model, mode, **kw)
-                continue
-            start = time.perf_counter()
-            out[idxs] = be.score_many(bucket, self.model, mode, **kw)
-            self.profiler.record(
-                "score_many", be.name, mode,
-                [p.shape for p in bucket], time.perf_counter() - start,
-            )
-        return out
+        return self.run("score", pairs, JobSpec(mode, band, gap_open, gap_extend, backend=backend))
 
     def align_many(
         self,
@@ -353,20 +281,30 @@ class AlignmentEngine:
         backend: str | None = None,
     ) -> list[Alignment]:
         """Full alignments for every pair, in input order (bucketed)."""
-        mode, kw = self._resolve(mode, band, gap_open, gap_extend, memory, align=True)
-        be = self._route("align_many", mode, kw, backend)
+        return self.run("align", pairs, JobSpec(mode, band, gap_open, gap_extend, memory, backend))
+
+    def run(self, op: str, pairs: Sequence[tuple[str, str]], spec: JobSpec):
+        """``score_many`` (``op="score"``) or ``align_many`` for a built spec."""
+        spec = self.resolve(spec, op)
+        family = f"{op}_many"
+        be = self._route(family, spec)
+        call = be.score_many if op == "score" else be.align_many
         preps = [self.prepare(a, b) for a, b in pairs]
-        out: list[Alignment | None] = [None] * len(preps)
+        out = np.empty(len(preps)) if op == "score" else [None] * len(preps)
         for idxs, bucket in self._buckets(preps):
             start = time.perf_counter() if self.profiler is not None else 0.0
-            for k, aln in zip(idxs, be.align_many(bucket, self.model, mode, **kw)):
-                out[k] = aln
+            values = call(bucket, self.model, spec)
+            if op == "score":
+                out[idxs] = values
+            else:
+                for k, aln in zip(idxs, values):
+                    out[k] = aln
             if self.profiler is not None:
                 self.profiler.record(
-                    "align_many", be.name, mode,
+                    family, be.name, spec.mode,
                     [p.shape for p in bucket], time.perf_counter() - start,
                 )
-        return out  # type: ignore[return-value]
+        return out
 
     # -- lifecycle ---------------------------------------------------
 

@@ -15,7 +15,7 @@ Two kernel families, one capability-probed backend:
 
 The backend is deliberately *partial*: :meth:`accelerates` tells the
 :class:`fragalign.engine.AlignmentEngine` facade exactly which
-(op, model, mode) combos the kernels cover, and the facade falls
+(op, model, spec) combos the kernels cover, and the facade falls
 through to the numpy backend for everything else (align verbs, affine
 gaps, banded mode, non-flat models).  Called directly, the unsupported
 verbs delegate to an internal :class:`NumpyBackend` so the backend is
@@ -113,48 +113,33 @@ class NativeBackend(AlignmentBackend):
 
     # -- capability probe --------------------------------------------
 
-    def accelerates(
-        self, op, model, mode, band=None, gap_open=None, gap_extend=None
-    ) -> bool:
-        if op not in _SCORE_OPS:
+    def accelerates(self, op, model, spec) -> bool:
+        if op not in _SCORE_OPS or spec.gap_open is not None:
             return False
-        if gap_open is not None or gap_extend is not None:
-            return False
-        if mode in ("global", "overlap"):
+        if spec.mode in ("global", "overlap"):
             return flat_model_family(model) is not None
-        if mode == "local":
+        if spec.mode == "local":
             return self.use_c and _striped_params(model) is not None
         return False
 
     # -- score verbs --------------------------------------------------
 
-    def score(
-        self, p, model, mode, band=None, gap_open=None, gap_extend=None
-    ) -> float:
-        return float(
-            self.score_many([p], model, mode, band, gap_open, gap_extend)[0]
-        )
+    def score(self, p, model, spec) -> float:
+        return float(self.score_many([p], model, spec)[0])
 
-    def score_many(
-        self, batch, model, mode, band=None, gap_open=None, gap_extend=None
-    ) -> np.ndarray:
+    def score_many(self, batch, model, spec) -> np.ndarray:
         if not batch:
             return np.empty(0)
-        if not self.accelerates(
-            "score_many", model, mode, band, gap_open, gap_extend
-        ):
-            return self._numpy.score_many(
-                batch, model, mode, band, gap_open, gap_extend
-            )
+        if not self.accelerates("score_many", model, spec):
+            return self._numpy.score_many(batch, model, spec)
         n, m = batch[0].shape
-        if mode == "local":
-            return self._local_many(batch, model, n, m)
-        return self._bitparallel_many(batch, model, mode, n, m)
+        if spec.mode == "local":
+            return self._local_many(batch, model, spec, n, m)
+        return self._bitparallel_many(batch, model, spec, n, m)
 
-    def _bitparallel_many(
-        self, batch, model, mode, n: int, m: int
-    ) -> np.ndarray:
+    def _bitparallel_many(self, batch, model, spec, n: int, m: int) -> np.ndarray:
         family, c = flat_model_family(model)
+        mode = spec.mode
         B = len(batch)
         if family == "lev" and mode == "overlap":
             # H[i][0] = 0 and every move is <= 0, so 0 is always
@@ -181,10 +166,10 @@ class NativeBackend(AlignmentBackend):
                 )
         if has_n.any():
             sub = [p for p, bad in zip(batch, has_n) if bad]
-            out[has_n] = self._numpy.score_many(sub, model, mode)
+            out[has_n] = self._numpy.score_many(sub, model, spec)
         return out
 
-    def _local_many(self, batch, model, n: int, m: int) -> np.ndarray:
+    def _local_many(self, batch, model, spec, n: int, m: int) -> np.ndarray:
         if n == 0 or m == 0:
             return np.zeros(len(batch))
         mat, pen = _striped_params(model)
@@ -193,7 +178,7 @@ class NativeBackend(AlignmentBackend):
             (min(n, m) + 1) * max(maxabs, 1) >= _SW_MAX_SCORE
             or (n + 8) * pen >= _SW_MAX_DECAY
         ):
-            return self._numpy.score_many(batch, model, "local")
+            return self._numpy.score_many(batch, model, spec)
         acodes = np.stack([p.a_codes for p in batch])
         bcodes = np.stack([p.b_codes for p in batch])
         return striped_local_scores_native(
@@ -202,18 +187,8 @@ class NativeBackend(AlignmentBackend):
 
     # -- everything else delegates ------------------------------------
 
-    def align(
-        self, p, model, mode, band=None, gap_open=None, gap_extend=None,
-        memory="auto",
-    ):
-        return self._numpy.align(
-            p, model, mode, band, gap_open, gap_extend, memory
-        )
+    def align(self, p, model, spec):
+        return self._numpy.align(p, model, spec)
 
-    def align_many(
-        self, batch, model, mode, band=None, gap_open=None, gap_extend=None,
-        memory="auto",
-    ):
-        return self._numpy.align_many(
-            batch, model, mode, band, gap_open, gap_extend, memory
-        )
+    def align_many(self, batch, model, spec):
+        return self._numpy.align_many(batch, model, spec)

@@ -21,28 +21,17 @@ import numpy as np
 from fragalign.align.pairwise import Alignment
 from fragalign.align.scoring_matrices import SubstitutionModel
 from fragalign.align.wavefront import nw_score_wavefront
-from fragalign.engine.backends import (
-    AlignmentBackend,
-    NumpyBackend,
-    PreparedPair,
-    _check_mode,
-)
+from fragalign.engine.backends import AlignmentBackend, NumpyBackend, PreparedPair
+from fragalign.job import JobSpec
 
 __all__ = ["ParallelBackend"]
 
 _KERNELS = NumpyBackend()
 
 
-def _score_chunk(args) -> np.ndarray:
-    codes, model, mode, band, gap_open, gap_extend, chunk = args
-    return _KERNELS._run(codes, model, mode, band, gap_open, gap_extend, chunk, "score")
-
-
-def _align_chunk(args) -> list[Alignment]:
-    codes, model, mode, band, gap_open, gap_extend, chunk, memory = args
-    return _KERNELS._run(
-        codes, model, mode, band, gap_open, gap_extend, chunk, "align", memory=memory
-    )
+def _run_chunk(args):
+    codes, model, spec, chunk, kind = args
+    return _KERNELS._run(codes, model, spec, chunk, kind)
 
 
 class ParallelBackend(AlignmentBackend):
@@ -86,64 +75,31 @@ class ParallelBackend(AlignmentBackend):
         per = max(1, -(-count // self.workers))
         return [(lo, min(lo + per, count)) for lo in range(0, count, per)]
 
-    def score(
-        self, p: PreparedPair, model: SubstitutionModel, mode: str,
-        band=None, gap_open=None, gap_extend=None,
-    ) -> float:
-        _check_mode(mode)
+    def score(self, p: PreparedPair, model: SubstitutionModel, spec: JobSpec) -> float:
         n, m = p.shape
-        if mode == "global" and gap_open is None and min(n, m) >= self.wavefront_min:
+        if spec.mode == "global" and spec.gap_open is None and min(n, m) >= self.wavefront_min:
             block = max(256, n // self.workers)
             return nw_score_wavefront(
                 p.a, p.b, model, block=block, pool=self._ensure_pool()
             )
-        return self._local.score(
-            p, model, mode, band=band, gap_open=gap_open, gap_extend=gap_extend
-        )
+        return self._local.score(p, model, spec)
 
-    def align(
-        self, p: PreparedPair, model: SubstitutionModel, mode: str,
-        band=None, gap_open=None, gap_extend=None, memory="auto",
-    ) -> Alignment:
-        return self._local.align(
-            p, model, mode, band=band, gap_open=gap_open, gap_extend=gap_extend,
-            memory=memory,
-        )
+    def align(self, p: PreparedPair, model: SubstitutionModel, spec: JobSpec) -> Alignment:
+        return self._local.align(p, model, spec)
 
-    def _fan_out(self, batch, model, mode, band, gap_open, gap_extend, runner, extra=()):
+    def _fan_out(self, batch, model, spec, kind: str) -> list:
+        if len(batch) < self.min_batch:
+            run = self._local.score_many if kind == "score" else self._local.align_many
+            return [run(batch, model, spec)]
         codes = [(p.a_codes, p.b_codes) for p in batch]
         tasks = [
-            (codes[lo:hi], model, mode, band, gap_open, gap_extend, self.chunk, *extra)
+            (codes[lo:hi], model, spec, self.chunk, kind)
             for lo, hi in self._chunks(len(batch))
         ]
-        return self._ensure_pool().map(runner, tasks)
+        return list(self._ensure_pool().map(_run_chunk, tasks))
 
-    def score_many(
-        self, batch, model, mode, band=None, gap_open=None, gap_extend=None
-    ) -> np.ndarray:
-        _check_mode(mode)
-        if len(batch) < self.min_batch:
-            return self._local.score_many(
-                batch, model, mode, band=band, gap_open=gap_open, gap_extend=gap_extend
-            )
-        parts = list(
-            self._fan_out(batch, model, mode, band, gap_open, gap_extend, _score_chunk)
-        )
-        return np.concatenate(parts)
+    def score_many(self, batch, model, spec) -> np.ndarray:
+        return np.concatenate(self._fan_out(batch, model, spec, "score"))
 
-    def align_many(
-        self, batch, model, mode, band=None, gap_open=None, gap_extend=None,
-        memory="auto",
-    ) -> list[Alignment]:
-        _check_mode(mode)
-        if len(batch) < self.min_batch:
-            return self._local.align_many(
-                batch, model, mode, band=band, gap_open=gap_open,
-                gap_extend=gap_extend, memory=memory,
-            )
-        out: list[Alignment] = []
-        for part in self._fan_out(
-            batch, model, mode, band, gap_open, gap_extend, _align_chunk, (memory,)
-        ):
-            out.extend(part)
-        return out
+    def align_many(self, batch, model, spec) -> list[Alignment]:
+        return [aln for part in self._fan_out(batch, model, spec, "align") for aln in part]

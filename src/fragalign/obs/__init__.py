@@ -4,7 +4,7 @@ Three legs, all wired through every layer:
 
 * :mod:`fragalign.obs.trace` — request tracing.  A ``trace_id`` /
   ``span_id`` pair rides the JSON-lines wire as *non-semantic* fields
-  (registered in ``service/fields.py`` with every participation flag
+  (registered in ``fragalign/job.py`` with every participation flag
   off, which the knob-propagation analyzer enforces — tracing can
   never split a batch or enter a cache key).  Per-stage spans land in
   a bounded ring buffer, drained via the ``trace`` op.

@@ -3,9 +3,9 @@
 The journal is an opt-in (``--journal PATH``) JSON-lines file the
 server appends one sanitized record per pair request to.  Sanitized
 means **no sequence content by default**: a record carries the knobs
-from the shared field registry (:func:`fragalign.service.fields
-.keyset_fields` — the journal schema extends automatically when a knob
-is registered), the sequences' lengths and short content hashes, the
+from the shared field registry (:data:`fragalign.job.KEYSET_FIELDS` —
+the journal schema extends automatically when a knob is registered),
+the sequences' lengths and short content hashes, the
 outcome, the disposition (cache hit / coalesced / computed /
 degraded), and timings.  ``--journal-sequences`` opts the raw
 sequences in for trusted environments.
@@ -35,7 +35,7 @@ import random
 import threading
 import time
 
-from fragalign.service.fields import keyset_fields
+from fragalign.job import KEYSET_FIELDS
 
 __all__ = [
     "JournalWriter",
@@ -83,7 +83,7 @@ def build_record(
         "ok": ok,
         "duration_ms": round(duration_s * 1e3, 3),
     }
-    for name in keyset_fields():
+    for name in KEYSET_FIELDS:
         value = knobs.get(name)
         if value is not None:
             record[name] = value
@@ -230,7 +230,6 @@ def replay_journal(
     possible" compression).  Returns one result dict per record with
     the replayed ``ok``/``cached``/``duration_ms``.
     """
-    knob_names = keyset_fields()
     results = []
     prev_ts = None
     for record in records:
@@ -243,7 +242,7 @@ def replay_journal(
                 time.sleep(min(gap, max_gap_s))
         prev_ts = ts
         a, b = _record_pair(record)
-        knobs = {name: record[name] for name in knob_names if name in record}
+        knobs = {name: record[name] for name in KEYSET_FIELDS if name in record}
         start = time.perf_counter()
         try:
             ok, cached = send(record["op"], a, b, knobs)

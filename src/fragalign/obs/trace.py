@@ -3,7 +3,7 @@
 A trace context is two 64-bit hex ids — ``trace_id`` names the whole
 request tree, ``span_id`` names one operation within it — plus the
 parent span's id.  The context rides the JSON-lines wire as
-*non-semantic* fields: ``service/fields.py`` registers ``trace_id``
+*non-semantic* fields: ``fragalign/job.py`` registers ``trace_id``
 and ``span_id`` with every participation flag off, so the
 knob-propagation analyzer proves they can never enter a cache key,
 ring key, or batch group key.  Tracing therefore cannot split batches

@@ -17,22 +17,22 @@ degradation policy (widen micro-batch windows, or answer ``align`` with
 
 from __future__ import annotations
 
+from fragalign.job import JobSpec
 from fragalign.util.errors import Overloaded
 
 __all__ = ["estimate_cost", "AdmissionController"]
 
 
-def estimate_cost(op: str, a: str, b: str, mode: str | None = None,
-                  band: int | None = None) -> int:
+def estimate_cost(op: str, a: str, b: str, spec: JobSpec | None = None) -> int:
     """Estimated DP cells for one pair op (the admission currency).
 
-    Banded mode touches about ``(2*band + 1) * max(n, m)`` cells; every
-    other mode fills the full ``n * m`` table.  ``align`` costs twice a
-    ``score`` (the traceback pass re-walks the table).
+    A banded ``spec`` touches about ``(2*band + 1) * max(n, m)`` cells;
+    every other job fills the full ``n * m`` table.  ``align`` costs
+    twice a ``score`` (the traceback pass re-walks the table).
     """
     n, m = len(a), len(b)
-    if mode == "banded" and band is not None:
-        cells = min(n * m, (2 * band + 1) * max(n, m))
+    if spec is not None and spec.mode == "banded" and spec.band is not None:
+        cells = min(n * m, (2 * spec.band + 1) * max(n, m))
     else:
         cells = n * m
     if op == "align":

@@ -9,7 +9,7 @@ transit time between tiers is invisible to the receiver — the sender's
 own timeout (the router's per-attempt ``wait_for``) covers that gap.
 
 Deadlines are **non-semantic**: ``deadline_ms`` is registered in
-:mod:`fragalign.service.fields` with every participation flag off, so
+:mod:`fragalign.job` with every participation flag off, so
 the knob-propagation analyzer proves it can never split a batch or
 enter a cache/ring key.
 """

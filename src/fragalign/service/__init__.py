@@ -37,6 +37,7 @@ from fragalign.service.batcher import MicroBatcher
 from fragalign.service.client import AlignmentClient, AsyncAlignmentClient
 from fragalign.service.protocol import (
     DeadlineExceededError,
+    InvalidArgumentError,
     OverloadedError,
     ProtocolError,
     Request,
@@ -60,6 +61,7 @@ __all__ = [
     "AlignmentService",
     "AsyncAlignmentClient",
     "DeadlineExceededError",
+    "InvalidArgumentError",
     "LRUCache",
     "MicroBatcher",
     "OverloadedError",

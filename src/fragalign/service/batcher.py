@@ -24,26 +24,22 @@ import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from operator import itemgetter
 from typing import Any
 
 from fragalign.engine.facade import AlignmentEngine
+from fragalign.job import JobSpec
 from fragalign.obs.trace import TraceContext, Tracer
-from fragalign.service.fields import group_key_fields
 from fragalign.util.errors import DeadlineExceeded
 
-__all__ = ["MicroBatcher", "GROUP_FIELDS"]
+__all__ = ["MicroBatcher"]
 
-# One dispatch group = one engine batch call.  The knob fields that
-# split groups come from the shared request-field registry — adding a
-# knob there extends every group key here automatically.
-GROUP_FIELDS = group_key_fields()  # ("mode", "band", "gap_open", "gap_extend", "memory", "backend")
+# One job: (dispatch-group key, a, b).  The group key is the spec's
+# (op, group-key knobs) — one group is one engine batch call.
+Key = tuple
 
-Key = tuple  # (op, *GROUP_FIELDS values, a, b)
-_GROUP = 1 + len(GROUP_FIELDS)  # leading key fields that define one engine batch
-# C-speed knob extraction for the per-request side channels (trace_job,
-# note_deadline) — a genexpr over GROUP_FIELDS costs ~1us per call.
-_GROUP_VALUES = itemgetter(*GROUP_FIELDS)
+
+def _key(op: str, a: str, b: str, spec: JobSpec) -> Key:
+    return (spec.group_key(op), a, b)
 
 
 class MicroBatcher:
@@ -52,9 +48,8 @@ class MicroBatcher:
     Parameters
     ----------
     engine:
-        Any object with ``score_many(pairs)`` / ``align_many(pairs)``
-        (normally an :class:`AlignmentEngine`; tests substitute
-        counting wrappers).
+        Any object with ``run(op, pairs, spec)`` (normally an
+        :class:`AlignmentEngine`; tests substitute counting wrappers).
     max_batch:
         Flush as soon as this many distinct jobs are queued.
     max_delay:
@@ -80,21 +75,18 @@ class MicroBatcher:
         self.max_delay = max_delay
         self._stats = stats
         self._tracer = tracer
-        # Trace interest registered out-of-band (trace_job) so the
-        # analyzer-checked submit signature stays exactly the group-key
-        # fields: tracing must not look like a batching knob.
+        # Trace interest and deadlines ride side-channels (trace_job,
+        # note_deadline), keyed like the job: neither is a batching knob.
         self._trace_interest: dict[
             Key, list[tuple[TraceContext, list | None, float]]
         ] = {}
-        # Deadlines likewise ride a side-channel (note_deadline), keyed
-        # like trace interest: a deadline is not a batching knob.
         self._deadlines: dict[Key, float] = {}  # key -> absolute monotonic deadline
         # Degraded-mode widening: the server scales the flush window up
         # under load so batches amortize better (trading latency for
         # throughput).  Multiplies max_delay; 1.0 = no widening.
         self.delay_scale: float = 1.0
         self._pending: dict[Key, asyncio.Future] = {}  # queued and in-flight
-        self._queue: list[Key] = []  # queued, not yet dispatched
+        self._queue: list[tuple[Key, JobSpec]] = []  # queued, not yet dispatched
         self._timer: asyncio.TimerHandle | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._executor = ThreadPoolExecutor(
@@ -103,39 +95,17 @@ class MicroBatcher:
 
     # -- submission ---------------------------------------------------
 
-    async def submit(
-        self,
-        op: str,
-        a: str,
-        b: str,
-        mode: str | None = None,
-        band: int | None = None,
-        gap_open: float | None = None,
-        gap_extend: float | None = None,
-        memory: str | None = None,
-        backend: str | None = None,
-    ) -> Any:
+    async def submit(self, op: str, a: str, b: str, spec: JobSpec) -> Any:
         """Queue one job; await its batched result.
 
         Returns a float for ``op="score"`` and an
         :class:`~fragalign.align.pairwise.Alignment` for ``op="align"``.
-        ``mode``/``band``/``gap_open``/``gap_extend``/``memory``/
-        ``backend`` select the per-job knobs (``None`` means the
-        engine's default); one flush dispatches each distinct ``(op,
-        mode, band, gaps, memory, backend)`` group as its own engine
-        batch — in particular a batch never mixes backends.
+        One flush dispatches each distinct ``spec.group_key(op)`` as its
+        own engine batch — in particular a batch never mixes backends.
         """
         if self._loop is None:
             self._loop = asyncio.get_running_loop()
-        knobs = {
-            "mode": mode,
-            "band": band,
-            "gap_open": gap_open,
-            "gap_extend": gap_extend,
-            "memory": memory,
-            "backend": backend,
-        }
-        key = (op, *(knobs[name] for name in GROUP_FIELDS), a, b)
+        key = _key(op, a, b, spec)
         fut = self._pending.get(key)
         if fut is not None:
             # Identical job already queued or computing: share its future.
@@ -144,7 +114,7 @@ class MicroBatcher:
             return await fut
         fut = self._loop.create_future()
         self._pending[key] = fut
-        self._queue.append(key)
+        self._queue.append((key, spec))
         # The flush window is the configured delay (widened under
         # degraded mode) clamped to the tightest registered deadline —
         # a job must not sit in the queue past its budget.
@@ -170,18 +140,18 @@ class MicroBatcher:
         op: str,
         a: str,
         b: str,
-        knobs: dict,
+        spec: JobSpec,
         ctx: TraceContext | None,
         sink: list | None = None,
     ) -> None:
         """Register trace interest for the job an imminent ``submit``
-        with the same arguments will queue (``knobs`` maps every
-        ``GROUP_FIELDS`` name).  A side-channel, not a knob: the job's
-        identity and batching are completely unaffected.  Interest is
-        consumed — spans recorded under ``ctx`` — when the job's batch
-        runs; a job that never reaches ``submit`` after an interest
-        registration would leak it, so callers pair the two calls
-        (the server does, right next to each other).
+        with the same arguments will queue.  A side-channel, not a
+        knob: the job's identity and batching are completely
+        unaffected.  Interest is consumed — spans recorded under
+        ``ctx`` — when the job's batch runs; a job that never reaches
+        ``submit`` after an interest registration would leak it, so
+        callers pair the two calls (the server does, right next to each
+        other).
 
         ``sink``, when given, receives the deferred span entries
         instead of the shared trace buffer.  The batch resolves every
@@ -192,18 +162,12 @@ class MicroBatcher:
         """
         if ctx is None or self._tracer is None:
             return
-        key = (op, *_GROUP_VALUES(knobs), a, b)
-        self._trace_interest.setdefault(key, []).append(
+        self._trace_interest.setdefault(_key(op, a, b, spec), []).append(
             (ctx, sink, time.perf_counter())
         )
 
     def note_deadline(
-        self,
-        op: str,
-        a: str,
-        b: str,
-        knobs: dict,
-        deadline: float,
+        self, op: str, a: str, b: str, spec: JobSpec, deadline: float
     ) -> None:
         """Register an absolute monotonic deadline for the job an
         imminent ``submit`` with the same arguments will queue.  Same
@@ -212,7 +176,7 @@ class MicroBatcher:
         with ``submit``.  If coalesced jobs carry different deadlines,
         the tightest one governs the shared dispatch.
         """
-        key = (op, *_GROUP_VALUES(knobs), a, b)
+        key = _key(op, a, b, spec)
         current = self._deadlines.get(key)
         self._deadlines[key] = deadline if current is None else min(current, deadline)
 
@@ -229,13 +193,13 @@ class MicroBatcher:
 
     # -- dispatch -----------------------------------------------------
 
-    async def _run_batch(self, keys: list[Key]) -> None:
+    async def _run_batch(self, jobs: list[tuple[Key, JobSpec]]) -> None:
         # Jobs whose deadline expired while queued are dropped before
         # the engine sees them: computing an answer nobody is waiting
         # for only steals worker time from live requests.
         now_mono = time.monotonic()
-        live: list[Key] = []
-        for key in keys:
+        live: list[tuple[Key, JobSpec]] = []
+        for key, spec in jobs:
             key_deadline = self._deadlines.pop(key, None)
             if key_deadline is not None and now_mono >= key_deadline:
                 self._trace_interest.pop(key, None)
@@ -247,10 +211,10 @@ class MicroBatcher:
                         DeadlineExceeded("deadline expired while queued for batch dispatch")
                     )
                 continue
-            live.append(key)
-        keys = live
-        if not keys:
+            live.append((key, spec))
+        if not live:
             return
+        keys = [key for key, _ in live]
         if self._stats is not None:
             self._stats.observe_batch(len(keys))
         # Consume trace interest up front: "batcher.wait" is the
@@ -270,7 +234,7 @@ class MicroBatcher:
                 # One tags dict per job, shared by its watchers — the
                 # entries are read-only downstream (leaf_entry's "takes
                 # ownership" contract), so aliasing is safe.
-                tags = {"op": key[0], "batch": n_keys}
+                tags = {"op": key[0][0], "batch": n_keys}
                 for ctx, sink, enqueued in watchers:
                     wait = dispatched - enqueued
                     entry = (
@@ -280,22 +244,16 @@ class MicroBatcher:
                     (shared if sink is None else sink).append(entry)
             if shared:
                 self._tracer.extend(shared)
-        groups: dict[tuple, list[Key]] = {}
-        for key in keys:
-            groups.setdefault(key[:_GROUP], []).append(key)
+        # One group per dispatch-group key, run with its first job's spec
+        # (jobs sharing the key agree on every knob that executes).
+        groups: dict[tuple, tuple[JobSpec, list[Key]]] = {}
+        for key, spec in live:
+            groups.setdefault(key[0], (spec, []))[1].append(key)
         results: dict[Key, Any] = {}
         try:
-            for group_key, group in groups.items():
-                op = group_key[0]
-                # Registry field names match the engine verbs' keyword
-                # arguments one-to-one (a knob-propagation invariant).
-                knobs = dict(zip(GROUP_FIELDS, group_key[1:]))
-                pairs = [key[_GROUP:] for key in group]
-                if op == "score":
-                    knobs.pop("memory", None)  # execution hint: align only
-                    call = partial(self.engine.score_many, pairs, **knobs)
-                else:
-                    call = partial(self.engine.align_many, pairs, **knobs)
+            for (op, *_), (spec, group) in groups.items():
+                pairs = [key[1:] for key in group]
+                call = partial(self.engine.run, op, pairs, spec)
                 compute_start = time.perf_counter()
                 values = await self._loop.run_in_executor(self._executor, call)
                 if self._tracer is not None and interest:
@@ -304,9 +262,7 @@ class MicroBatcher:
                     # Worker-thread engine call for this job's whole
                     # dispatch group (queue + kernels); one shared tags
                     # dict for the group — read-only downstream.
-                    tags = {
-                        "op": op, "group": len(group), "mode": knobs.get("mode")
-                    }
+                    tags = {"op": op, "group": len(group), "mode": spec.mode}
                     shared = []
                     for key in group:
                         for ctx, sink, _ in interest.get(key, ()):

@@ -15,6 +15,7 @@ concurrency bound (the CLI load generator is built on these).
 from __future__ import annotations
 
 import asyncio
+import functools
 import threading
 from typing import Any, Sequence
 
@@ -129,11 +130,25 @@ class AsyncAlignmentClient:
         return response
 
     # -- operations ---------------------------------------------------
-    # mode/band/gap_open/gap_extend (and memory, for align) select the
-    # per-request knobs (None = server default); see
-    # fragalign.service.protocol for the wire fields.  `trace` is a
-    # TraceContext whose trace_id/span_id ride along as non-semantic
-    # fields — the server's span tree parents under it.
+    # The knob keywords (memory for align only) are sent as given
+    # (None = server default) and validated server-side; see fragalign.service.protocol for the wire
+    # fields.  `trace` is a TraceContext whose trace_id/span_id ride
+    # along as non-semantic fields — the server's span tree parents
+    # under it.
+
+    async def request(
+        self,
+        op: str,
+        a: str,
+        b: str,
+        trace: TraceContext | None = None,
+        deadline_ms: float | None = None,
+        **knobs: Any,
+    ) -> dict:
+        """One pair request with its knob fields; the raw response."""
+        if trace is not None:
+            knobs["trace_id"], knobs["span_id"] = trace.trace_id, trace.span_id
+        return await self._request(op, a=a, b=b, deadline_ms=deadline_ms, **knobs)
 
     async def score(
         self,
@@ -147,12 +162,9 @@ class AsyncAlignmentClient:
         trace: TraceContext | None = None,
         deadline_ms: float | None = None,
     ) -> float:
-        response = await self._request(
-            "score", a=a, b=b, mode=mode, band=band,
+        response = await self.request(
+            "score", a, b, trace, deadline_ms, mode=mode, band=band,
             gap_open=gap_open, gap_extend=gap_extend, backend=backend,
-            trace_id=trace.trace_id if trace is not None else None,
-            span_id=trace.span_id if trace is not None else None,
-            deadline_ms=deadline_ms,
         )
         return float(response["result"])
 
@@ -169,12 +181,9 @@ class AsyncAlignmentClient:
         deadline_ms: float | None = None,
     ) -> tuple[float, bool]:
         """Score plus whether the server answered from its cache."""
-        response = await self._request(
-            "score", a=a, b=b, mode=mode, band=band,
+        response = await self.request(
+            "score", a, b, trace, deadline_ms, mode=mode, band=band,
             gap_open=gap_open, gap_extend=gap_extend, backend=backend,
-            trace_id=trace.trace_id if trace is not None else None,
-            span_id=trace.span_id if trace is not None else None,
-            deadline_ms=deadline_ms,
         )
         return float(response["result"]), bool(response.get("cached"))
 
@@ -191,13 +200,9 @@ class AsyncAlignmentClient:
         trace: TraceContext | None = None,
         deadline_ms: float | None = None,
     ) -> Alignment:
-        response = await self._request(
-            "align", a=a, b=b, mode=mode, band=band,
-            gap_open=gap_open, gap_extend=gap_extend, memory=memory,
-            backend=backend,
-            trace_id=trace.trace_id if trace is not None else None,
-            span_id=trace.span_id if trace is not None else None,
-            deadline_ms=deadline_ms,
+        response = await self.request(
+            "align", a, b, trace, deadline_ms, mode=mode, band=band,
+            gap_open=gap_open, gap_extend=gap_extend, memory=memory, backend=backend,
         )
         return alignment_from_dict(response["result"])
 
@@ -215,13 +220,9 @@ class AsyncAlignmentClient:
         deadline_ms: float | None = None,
     ) -> tuple[Alignment, bool]:
         """Alignment plus whether the server answered from its cache."""
-        response = await self._request(
-            "align", a=a, b=b, mode=mode, band=band,
-            gap_open=gap_open, gap_extend=gap_extend, memory=memory,
-            backend=backend,
-            trace_id=trace.trace_id if trace is not None else None,
-            span_id=trace.span_id if trace is not None else None,
-            deadline_ms=deadline_ms,
+        response = await self.request(
+            "align", a, b, trace, deadline_ms, mode=mode, band=band,
+            gap_open=gap_open, gap_extend=gap_extend, memory=memory, backend=backend,
         )
         return alignment_from_dict(response["result"]), bool(response.get("cached"))
 
@@ -279,6 +280,18 @@ class AsyncAlignmentClient:
 
     async def __aexit__(self, *exc) -> None:
         await self.close()
+
+
+def _blocking(method):
+    """``method`` of :class:`AsyncAlignmentClient` as a blocking
+    :class:`AlignmentClient` method with the same signature, run on the
+    client's loop under its reconnect policy."""
+
+    @functools.wraps(method)
+    def call(self, *args, **kwargs):
+        return self._with_retry(lambda: method(self._client, *args, **kwargs))
+
+    return call
 
 
 class AlignmentClient:
@@ -374,72 +387,18 @@ class AlignmentClient:
                     pass
 
     # -- operations ---------------------------------------------------
+    # Every async verb, blocking, with the async method's signature.
 
-    def score(
-        self, a, b, mode=None, band=None, gap_open=None, gap_extend=None,
-        backend=None, trace=None, deadline_ms=None,
-    ) -> float:
-        return self._with_retry(
-            lambda: self._client.score(
-                a, b, mode=mode, band=band, gap_open=gap_open,
-                gap_extend=gap_extend, backend=backend, trace=trace,
-                deadline_ms=deadline_ms,
-            )
-        )
-
-    def align(
-        self, a, b, mode=None, band=None, gap_open=None, gap_extend=None,
-        memory=None, backend=None, trace=None, deadline_ms=None,
-    ) -> Alignment:
-        return self._with_retry(
-            lambda: self._client.align(
-                a, b, mode=mode, band=band, gap_open=gap_open,
-                gap_extend=gap_extend, memory=memory, backend=backend,
-                trace=trace, deadline_ms=deadline_ms,
-            )
-        )
-
-    def score_detail(
-        self, a, b, mode=None, band=None, gap_open=None, gap_extend=None,
-        backend=None, trace=None, deadline_ms=None,
-    ) -> tuple[float, bool]:
-        return self._with_retry(
-            lambda: self._client.score_detail(
-                a, b, mode=mode, band=band, gap_open=gap_open,
-                gap_extend=gap_extend, backend=backend, trace=trace,
-                deadline_ms=deadline_ms,
-            )
-        )
-
-    def align_detail(
-        self, a, b, mode=None, band=None, gap_open=None, gap_extend=None,
-        memory=None, backend=None, trace=None, deadline_ms=None,
-    ) -> tuple[Alignment, bool]:
-        return self._with_retry(
-            lambda: self._client.align_detail(
-                a, b, mode=mode, band=band, gap_open=gap_open,
-                gap_extend=gap_extend, memory=memory, backend=backend,
-                trace=trace, deadline_ms=deadline_ms,
-            )
-        )
-
-    def stats(self) -> dict:
-        return self._with_retry(lambda: self._client.stats())
-
-    def metrics(self) -> str:
-        return self._with_retry(lambda: self._client.metrics())
-
-    def slo(self) -> dict:
-        return self._with_retry(lambda: self._client.slo())
-
-    def trace_spans(self, trace_id: str | None = None) -> dict:
-        return self._with_retry(lambda: self._client.trace_spans(trace_id=trace_id))
-
-    def ping(self) -> bool:
-        return self._with_retry(lambda: self._client.ping())
-
-    def shutdown(self) -> None:
-        self._with_retry(lambda: self._client.shutdown())
+    score = _blocking(AsyncAlignmentClient.score)
+    align = _blocking(AsyncAlignmentClient.align)
+    score_detail = _blocking(AsyncAlignmentClient.score_detail)
+    align_detail = _blocking(AsyncAlignmentClient.align_detail)
+    stats = _blocking(AsyncAlignmentClient.stats)
+    metrics = _blocking(AsyncAlignmentClient.metrics)
+    slo = _blocking(AsyncAlignmentClient.slo)
+    trace_spans = _blocking(AsyncAlignmentClient.trace_spans)
+    ping = _blocking(AsyncAlignmentClient.ping)
+    shutdown = _blocking(AsyncAlignmentClient.shutdown)
 
     def _map(
         self,

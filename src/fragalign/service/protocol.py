@@ -53,9 +53,8 @@ fields (:mod:`fragalign.obs.trace`): any request may carry them, the
 server records per-stage spans under the given trace with the
 caller's ``span_id`` as parent, and the ``trace`` op drains the span
 ring buffer (optionally filtered to one ``trace_id``).  They are
-registered in :mod:`fragalign.service.fields` with every
-participation flag off — tracing can never split a batch or enter a
-cache/routing key, and the static analyzer enforces that.
+registered in :mod:`fragalign.job` with every participation flag off —
+tracing can never split a batch or enter a cache/routing key.
 
 ``deadline_ms`` (pair ops) is the request's **remaining end-to-end
 budget** in milliseconds — relative, gRPC-style, so it survives hops
@@ -66,10 +65,18 @@ clamps its flush window to the tightest deadline in the group.  Like
 the trace fields it is registered with every participation flag off:
 a deadline can never split a batch or enter a cache/routing key.
 
+The knob fields of a pair request are parsed into one
+:class:`~fragalign.job.JobSpec`, which validates them (finite,
+non-positive gaps; known modes; a non-negative integer band).  Any
+field that is neither ``id``/``op``/``a``/``b`` nor registered in
+:mod:`fragalign.job` is refused by name — a misspelled knob is never
+silently dropped.
+
 Error responses may carry a machine-readable ``code``
-(``DEADLINE_EXCEEDED``, ``OVERLOADED``); clients raise the matching
-typed exception (:func:`service_error_from`) so retry policy is an
-``isinstance`` check against the :mod:`fragalign.util.errors`
+(``INVALID_ARGUMENT`` for every request refused at parse or knob
+resolution, ``DEADLINE_EXCEEDED``, ``OVERLOADED``); clients raise the
+matching typed exception (:func:`service_error_from`) so retry policy
+is an ``isinstance`` check against the :mod:`fragalign.util.errors`
 taxonomy, never a string match.
 
 Responses::
@@ -88,27 +95,28 @@ megabyte per request.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
 from typing import Any
 
-from fragalign.align.pairwise import Alignment, check_affine_gaps
-from fragalign.engine.backends import MEMORY_MODES, MODES
-from fragalign.service.fields import FIELD_NAMES
-from fragalign.util.errors import DeadlineExceeded, FragalignError, Overloaded
+from fragalign.align.pairwise import Alignment
+from fragalign.job import FIELDS, PAIR_OPS, JobSpec
+from fragalign.util.errors import (
+    DeadlineExceeded,
+    FragalignError,
+    InvalidArgument,
+    Overloaded,
+)
 
 __all__ = [
     "MAX_LINE",
-    "MEMORY_MODES",
-    "MODES",
     "OPS",
     "PAIR_OPS",
-    "FIELD_NAMES",
     "ProtocolError",
     "ServiceError",
     "DeadlineExceededError",
+    "InvalidArgumentError",
     "OverloadedError",
     "service_error_from",
     "Request",
@@ -124,24 +132,31 @@ __all__ = [
 MAX_LINE = 1 << 20  # 1 MiB per protocol line (reader buffer limit)
 
 OPS = ("score", "align", "stats", "metrics", "trace", "slo", "ping", "shutdown")
-PAIR_OPS = ("score", "align")
+# Every key a request object may carry: the structure plus the registry.
+_ALLOWED = frozenset(("id", "op", "a", "b", *FIELDS))
 
 
-class ProtocolError(FragalignError):
-    """A malformed protocol line or request object."""
+class ProtocolError(InvalidArgument):
+    """A malformed protocol line or request object (``INVALID_ARGUMENT``)."""
 
 
 class ServiceError(FragalignError):
     """The server answered ``ok: false`` (raised client-side).
 
     ``code`` carries the machine-readable error code when the server
-    sent one (``DEADLINE_EXCEEDED``, ``OVERLOADED``) — clients and the
-    router branch on the *exception type*, never on the message text.
+    sent one (``INVALID_ARGUMENT``, ``DEADLINE_EXCEEDED``,
+    ``OVERLOADED``) — clients and the router branch on the *exception
+    type*, never on the message text.
     """
 
     def __init__(self, message: str, code: str | None = None) -> None:
         super().__init__(message)
         self.code = code
+
+
+class InvalidArgumentError(ServiceError, InvalidArgument):
+    """Server-reported ``INVALID_ARGUMENT`` — the request itself was
+    refused, so no replica would serve it: non-retryable."""
 
 
 class DeadlineExceededError(ServiceError, DeadlineExceeded):
@@ -156,6 +171,7 @@ class OverloadedError(ServiceError, Overloaded):
 # multiply inherit from the fragalign.util.errors taxonomy so retry
 # policy is an isinstance check against RetryableError/NonRetryableError.
 ERROR_CODES: dict[str, type[ServiceError]] = {
+    "INVALID_ARGUMENT": InvalidArgumentError,
     "DEADLINE_EXCEEDED": DeadlineExceededError,
     "OVERLOADED": OverloadedError,
 }
@@ -171,34 +187,19 @@ def service_error_from(response: dict) -> ServiceError:
 
 @dataclass(frozen=True)
 class Request:
-    """One validated request: an op plus (for pair ops) the sequences.
-
-    ``mode``/``band``/``gap_open``/``gap_extend``/``memory`` are
-    ``None`` when the request didn't set them — the server substitutes
-    its configured defaults.
-    """
+    """One validated request: an op plus (for pair ops) the sequences
+    and the :class:`~fragalign.job.JobSpec` of the knobs it set —
+    unset knobs stay ``None`` for the server to fill from its
+    defaults."""
 
     id: Any
     op: str
     a: str = ""
     b: str = ""
-    mode: str | None = None
-    band: int | None = None
-    gap_open: float | None = None
-    gap_extend: float | None = None
-    memory: str | None = None
-    backend: str | None = None  # engine backend override for this request
+    spec: JobSpec | None = None
     trace_id: str | None = None  # non-semantic: tracing only annotates
     span_id: str | None = None  # caller's span — the server span's parent
     deadline_ms: float | None = None  # remaining budget (non-semantic)
-
-
-# The wire request must carry exactly the registered knobs (plus the
-# structural id/op/a/b).  The static analyzer enforces this at check
-# time; this guard keeps an import of a drifted copy from even loading.
-assert {f.name for f in dataclasses.fields(Request)} == {"id", "op", "a", "b", *FIELD_NAMES}, (
-    "Request fields out of sync with the service.fields registry"
-)
 
 
 def encode_line(obj: dict) -> bytes:
@@ -222,6 +223,9 @@ def parse_request(obj: dict) -> Request:
     op = obj.get("op")
     if op not in OPS:
         raise ProtocolError(f"unknown op {op!r} (expected one of {OPS})")
+    if not _ALLOWED.issuperset(obj):
+        unknown = sorted(obj.keys() - _ALLOWED)
+        raise ProtocolError(f"unknown request field {unknown[0]!r}")
     # Trace context is accepted on *every* op: pair ops propagate it,
     # and the trace op uses trace_id as its drain filter.
     trace_id, span_id = obj.get("trace_id"), obj.get("span_id")
@@ -229,58 +233,28 @@ def parse_request(obj: dict) -> Request:
         raise ProtocolError(f"trace_id must be a string, got {trace_id!r}")
     if span_id is not None and not isinstance(span_id, str):
         raise ProtocolError(f"span_id must be a string, got {span_id!r}")
-    if op in PAIR_OPS:
-        a, b = obj.get("a"), obj.get("b")
-        if not isinstance(a, str) or not isinstance(b, str):
-            raise ProtocolError(f"op {op!r} needs string fields 'a' and 'b'")
-        mode = obj.get("mode")
-        if mode is not None and mode not in MODES:
-            raise ProtocolError(f"unknown mode {mode!r} (expected one of {MODES})")
-        band = obj.get("band")
-        if band is not None and (
-            isinstance(band, bool) or not isinstance(band, int) or band < 0
+    if op not in PAIR_OPS:
+        return Request(id=obj.get("id"), op=op, trace_id=trace_id, span_id=span_id)
+    a, b = obj.get("a"), obj.get("b")
+    if not isinstance(a, str) or not isinstance(b, str):
+        raise ProtocolError(f"op {op!r} needs string fields 'a' and 'b'")
+    deadline_ms = obj.get("deadline_ms")
+    if deadline_ms is not None:
+        if (
+            isinstance(deadline_ms, bool)
+            or not isinstance(deadline_ms, (int, float))
+            or not math.isfinite(deadline_ms)
+            or deadline_ms <= 0
         ):
-            raise ProtocolError(f"band must be a non-negative integer, got {band!r}")
-        gap_open, gap_extend = obj.get("gap_open"), obj.get("gap_extend")
-        if gap_open is not None or gap_extend is not None:
-            try:
-                # One source of truth for the gap rules (and the float
-                # coercion that makes 4 and 4.0 key identically).
-                gap_open, gap_extend = check_affine_gaps(gap_open, gap_extend)
-            except ValueError as exc:
-                raise ProtocolError(str(exc)) from exc
-        memory = obj.get("memory")
-        if memory is not None:
-            if memory not in MEMORY_MODES:
-                raise ProtocolError(
-                    f"unknown memory mode {memory!r} (expected one of {MEMORY_MODES})"
-                )
-            if op != "align":
-                raise ProtocolError("memory only applies to align requests")
-        backend = obj.get("backend")
-        if backend is not None and not isinstance(backend, str):
-            # Membership in the registry is validated server-side
-            # (available_backends() is a runtime set, not a wire constant).
-            raise ProtocolError(f"backend must be a string, got {backend!r}")
-        deadline_ms = obj.get("deadline_ms")
-        if deadline_ms is not None:
-            if (
-                isinstance(deadline_ms, bool)
-                or not isinstance(deadline_ms, (int, float))
-                or not math.isfinite(deadline_ms)
-                or deadline_ms <= 0
-            ):
-                raise ProtocolError(
-                    f"deadline_ms must be a positive finite number, got {deadline_ms!r}"
-                )
-            deadline_ms = float(deadline_ms)
-        return Request(
-            id=obj.get("id"), op=op, a=a, b=b, mode=mode, band=band,
-            gap_open=gap_open, gap_extend=gap_extend, memory=memory,
-            backend=backend, trace_id=trace_id, span_id=span_id,
-            deadline_ms=deadline_ms,
-        )
-    return Request(id=obj.get("id"), op=op, trace_id=trace_id, span_id=span_id)
+            raise ProtocolError(
+                f"deadline_ms must be a positive finite number, got {deadline_ms!r}"
+            )
+        deadline_ms = float(deadline_ms)
+    try:
+        spec = JobSpec.from_fields(obj, op)
+    except InvalidArgument as exc:
+        raise ProtocolError(str(exc)) from None
+    return Request(obj.get("id"), op, a, b, spec, trace_id, span_id, deadline_ms)
 
 
 def ok_response(request_id: Any, result: Any, cached: bool | None = None,

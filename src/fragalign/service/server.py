@@ -2,7 +2,8 @@
 
 Request flow for ``score``/``align``::
 
-    line → parse → result cache (LRU, keyed on pair+op+mode+model)
+    line → parse (JobSpec) → resolve against the engine defaults
+         → result cache (LRU, keyed on JobSpec.cache_key)
          → hit:  answer immediately (cached: true)
          → miss: MicroBatcher.submit → coalesced batch on the engine
                  → cache the wire-form result → answer
@@ -22,12 +23,10 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from fragalign.align.scoring_matrices import SubstitutionModel
-from fragalign.engine.backends import linear_memory_conflict
 from fragalign.engine.facade import AlignmentEngine
-from fragalign.engine.registry import available_backends
 from fragalign.obs.journal import JournalWriter, build_record
 from fragalign.obs.kprof import KernelProfiler
 from fragalign.obs.logs import get_logger
@@ -43,10 +42,8 @@ from fragalign.obs.trace import (
     new_trace_context,
 )
 from fragalign.service.batcher import MicroBatcher
-from fragalign.service.fields import cache_key_fields
 from fragalign.service.protocol import (
     MAX_LINE,
-    ProtocolError,
     alignment_to_dict,
     decode_line,
     encode_line,
@@ -57,7 +54,7 @@ from fragalign.service.protocol import (
 from fragalign.service.stats import ServiceStats
 from fragalign.resilience.admission import AdmissionController, estimate_cost
 from fragalign.resilience.deadline import deadline_from_budget_ms, expired
-from fragalign.util.errors import DeadlineExceeded, Overloaded
+from fragalign.util.errors import DeadlineExceeded, InvalidArgument, Overloaded
 from fragalign.util.lru import LRUCache
 
 __all__ = [
@@ -68,11 +65,6 @@ __all__ = [
     "write_port_file",
     "wait_for_port_file",
 ]
-
-# Knob fields of the result-cache key, from the shared registry.
-# ``memory`` is absent by registration: the linear walker returns
-# byte-identical alignments, so one cached entry serves every strategy.
-_CACHE_FIELDS = cache_key_fields()  # ("mode", "band", "gap_open", "gap_extend")
 
 _log = get_logger("service")
 
@@ -268,85 +260,6 @@ class AlignmentService:
         self._inflight: dict[tuple, asyncio.Future] = {}
         self.port: int | None = None  # actual bound port, set by start()
 
-    # -- cache keying -------------------------------------------------
-
-    def cache_key(
-        self,
-        op: str,
-        a: str,
-        b: str,
-        mode: str,
-        band: int | None,
-        gap_open: float | None = None,
-        gap_extend: float | None = None,
-    ) -> tuple:
-        """Result-cache key: the pair *and* op, model identity, plus
-        every knob the registry marks ``cache_key`` — a result computed
-        under one knob set can never satisfy a lookup under another.
-        ``memory`` is deliberately absent: the linear walker returns
-        byte-identical alignments, so one cached result serves both
-        strategies."""
-        knobs = {
-            "mode": mode,
-            "band": band,
-            "gap_open": gap_open,
-            "gap_extend": gap_extend,
-        }
-        return (op, a, b, *(knobs[name] for name in _CACHE_FIELDS), self._model_fp)
-
-    def _resolve_request(
-        self, request
-    ) -> tuple[str, int | None, float | None, float | None, str | None, str]:
-        """Per-request knobs with the server's defaults applied.
-
-        Raises :class:`ProtocolError` for requests that are unservable
-        (no band anywhere, a band too narrow for the pair,
-        ``memory="linear"`` with banded mode / affine gaps, or an
-        unregistered backend name) *before* they reach the batcher, so
-        a bad request can only ever fail itself, never the batch it
-        would have joined.
-        """
-        mode = request.mode or self.engine.mode
-        if request.gap_open is not None:
-            gap_open, gap_extend = request.gap_open, request.gap_extend
-        else:
-            gap_open, gap_extend = self.engine.gap_open, self.engine.gap_extend
-        # Resolve memory fully here (request field or server default):
-        # validation then covers defaulted combinations too, and the
-        # batcher groups "memory omitted" with "memory sent explicitly
-        # as the default" instead of splitting the batch.
-        memory = None
-        if request.op == "align":
-            memory = request.memory if request.memory is not None else self.engine.memory
-        if memory == "linear":
-            conflict = linear_memory_conflict(mode, gap_open is not None)
-            if conflict is not None:
-                raise ProtocolError(
-                    f"memory='linear' is not supported with {conflict}"
-                )
-        # Backend resolves fully too (same batching rationale): the
-        # engine facade handles capability fallthrough, the server only
-        # rejects names the registry has never heard of.
-        backend = request.backend if request.backend is not None else self.engine.backend_name
-        if backend not in available_backends():
-            raise ProtocolError(
-                f"unknown backend {backend!r} "
-                f"(registered: {', '.join(available_backends())})"
-            )
-        if mode != "banded":
-            return mode, None, gap_open, gap_extend, memory, backend
-        band = request.band if request.band is not None else self.engine.band
-        if band is None:
-            raise ProtocolError(
-                "mode 'banded' needs a band (request field or server default)"
-            )
-        if band < abs(len(request.a) - len(request.b)):
-            raise ProtocolError(
-                f"band {band} too narrow for lengths "
-                f"{len(request.a)}/{len(request.b)}"
-            )
-        return mode, band, gap_open, gap_extend, memory, backend
-
     # -- metrics exposition -------------------------------------------
 
     def render_metrics(self) -> str:
@@ -535,9 +448,9 @@ class AlignmentService:
             # from this one deadline.
             deadline = deadline_from_budget_ms(request.deadline_ms)
             response = await self._dispatch(request, ctx, tlog, deadline, jrec)
-        except ProtocolError as exc:
+        except InvalidArgument as exc:  # malformed line, refused knobs
             self.stats.observe_error(op=request.op if request is not None else None)
-            response = error_response(request_id, str(exc))
+            response = error_response(request_id, str(exc), code="INVALID_ARGUMENT")
         except DeadlineExceeded as exc:
             self.stats.observe_error(op=request.op if request is not None else None)
             response = error_response(request_id, str(exc), code="DEADLINE_EXCEEDED")
@@ -649,20 +562,19 @@ class AlignmentService:
             )
         if request.op == "shutdown":
             return ok_response(request.id, "bye")  # _serve_line stops after
-        # score / align
-        mode, band, gap_open, gap_extend, memory, backend = self._resolve_request(
-            request
-        )
+        # score / align: the request's knobs with the server's defaults
+        # filled in, refused here (before any batch) when unservable, so
+        # a bad request can only ever fail itself.
+        spec = self.engine.resolve(request.spec, request.op)
+        spec.check_pair(request.a, request.b)
         # Already-expired work is rejected before it can touch the
         # cache or join a batch: the caller has given up, so any cycles
         # spent on it are stolen from live requests.
         if expired(deadline):
             self.stats.observe_deadline_exceeded()
             raise DeadlineExceeded("deadline expired before the request was scheduled")
-        self.stats.observe_mode(mode)
-        key = self.cache_key(
-            request.op, request.a, request.b, mode, band, gap_open, gap_extend
-        )
+        self.stats.observe_mode(spec.mode)
+        key = spec.cache_key(request.op, request.a, request.b, self._model_fp)
         cache_start = time.perf_counter()
         result = self.cache.get(key)
         if tlog is not None:
@@ -674,11 +586,7 @@ class AlignmentService:
                 )
             )
         if jrec is not None:
-            jrec["knobs"] = {
-                "mode": mode, "band": band, "gap_open": gap_open,
-                "gap_extend": gap_extend, "memory": memory,
-                "backend": backend,
-            }
+            jrec["knobs"] = spec.wire()
         if result is not None:
             if jrec is not None:
                 jrec["cached"] = True
@@ -704,17 +612,13 @@ class AlignmentService:
             return ok_response(request.id, await inflight, cached=False)
         # Cost-aware admission: only genuinely new compute is charged —
         # cache hits and coalesced twins above ride for free.
-        cost = estimate_cost(request.op, request.a, request.b, mode, band)
+        cost = estimate_cost(request.op, request.a, request.b, spec)
         try:
             self.admission.try_admit(cost)
         except Overloaded:
             self.stats.observe_shed()
             raise
         self._apply_degrade()
-        knobs = {
-            "mode": mode, "band": band, "gap_open": gap_open,
-            "gap_extend": gap_extend, "memory": memory, "backend": backend,
-        }
         if (
             self.admission.degraded
             and self.config.degrade == "score"
@@ -725,15 +629,13 @@ class AlignmentService:
             # registered inflight — a degraded answer must not poison
             # the result cache or satisfy a twin's full-align await.
             try:
-                score_knobs = dict(knobs, memory=None)
+                score_spec = replace(spec, memory=None)
                 if deadline is not None:
                     self.batcher.note_deadline(
-                        "score", request.a, request.b, score_knobs, deadline
+                        "score", request.a, request.b, score_spec, deadline
                     )
                 value = await self.batcher.submit(
-                    "score", request.a, request.b, mode, band,
-                    gap_open=gap_open, gap_extend=gap_extend, memory=None,
-                    backend=backend,
+                    "score", request.a, request.b, score_spec
                 )
             finally:
                 self.admission.release(cost)
@@ -753,33 +655,22 @@ class AlignmentService:
         try:
             # Trace interest is registered beside submit (same args →
             # same job key) so the batcher can report coalesce-wait and
-            # worker-thread compute without tracing touching its
-            # analyzer-checked submit signature.  The deadline rides the
-            # same side-channel: it clamps the flush window but is not a
-            # batching knob.
+            # worker-thread compute without tracing becoming part of the
+            # job.  The deadline rides the same side-channel: it clamps
+            # the flush window but is not a batching knob.
             if ctx is not None:
                 # tlog rides along as the span sink: batcher spans join
                 # the request's deferred log instead of the shared
                 # buffer, so a sampled-out trace costs zero buffer
                 # traffic — no write, no discard scan.
                 self.batcher.trace_job(
-                    request.op, request.a, request.b, knobs, ctx, sink=tlog
+                    request.op, request.a, request.b, spec, ctx, sink=tlog
                 )
             if deadline is not None:
                 self.batcher.note_deadline(
-                    request.op, request.a, request.b, knobs, deadline
+                    request.op, request.a, request.b, spec, deadline
                 )
-            value = await self.batcher.submit(
-                request.op,
-                request.a,
-                request.b,
-                mode,
-                band,
-                gap_open=gap_open,
-                gap_extend=gap_extend,
-                memory=memory,
-                backend=backend,
-            )
+            value = await self.batcher.submit(request.op, request.a, request.b, spec)
             # Cache the wire form, so warm hits skip serialization too.
             result = (
                 float(value) if request.op == "score" else alignment_to_dict(value)

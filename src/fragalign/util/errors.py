@@ -52,6 +52,16 @@ class NonRetryableError(FragalignError):
     """A terminal serving failure: retrying cannot change the outcome."""
 
 
+class InvalidArgument(NonRetryableError, ValueError):
+    """A request was refused at the edge (wire code ``INVALID_ARGUMENT``).
+
+    Raised by :class:`fragalign.job.JobSpec` validation and the wire
+    parser: every replica would refuse the same request the same way,
+    so it is never retried.  A ``ValueError`` too, so engine callers
+    catching plain bad arguments keep working.
+    """
+
+
 class DeadlineExceeded(NonRetryableError):
     """The request's end-to-end deadline expired.
 

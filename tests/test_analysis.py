@@ -1,9 +1,10 @@
 """The static analyzer: every rule family fires on a seeded fixture,
 stays quiet on a clean one, and the real tree passes.
 
-The two ``test_real_tree_*_deletion`` tests are the acceptance
-mechanics: deleting a field from the registry, or an oracle from
-``align/``, must fail ``fragalign check``.
+The ``test_real_tree_*_fails`` tests are the acceptance mechanics:
+deleting a field from the registry, hand-building a key outside
+``job.py``, or deleting an oracle from ``align/`` must fail
+``fragalign check``.
 """
 
 from __future__ import annotations
@@ -153,75 +154,33 @@ _SPEC_TEMPLATE = """
 _SPECS = (
     {{"name": "mode", "kind": "str", "ops": ("score", "align"),
       "cache_key": True, "ring_key": True, "group_key": True,
-      "keyset": True, "cli_flag": "--mode", "doc": "d"}},
+      "keyset": True, "doc": "d"}},
     {{"name": "band", "kind": "int", "ops": ("score", "align"),
       "cache_key": True, "ring_key": {band_ring}, "group_key": True,
-      "keyset": True, "cli_flag": "--band", "doc": "d"}},
+      "keyset": True, "doc": "d"}},
+    {{"name": "trace_id", "kind": "str", "ops": ("score", "align"),
+      "cache_key": False, "ring_key": False, "group_key": False,
+      "keyset": False, "doc": "d"}},
 )
+
+
+class JobSpec:
+    {spec_fields}
+
+    def cache_key(self, op, a, b, model_fp):
+        return (op, a, b, self.mode, self.band, model_fp)
 """
 
 
-def _knob_tree(pkg: Path, band_ring: str = "True", cache_key_sig: str | None = None):
-    write(pkg, "service/fields.py", _SPEC_TEMPLATE.format(band_ring=band_ring))
-    write(
-        pkg,
-        "service/protocol.py",
-        """
-        class Request:
-            id: int
-            op: str
-            a: str
-            b: str
-            mode: str
-            band: int
-
-        def parse_request(obj):
-            return (obj.get("mode"), obj.get("band"))
-        """,
-    )
-    write(
-        pkg,
-        "service/batcher.py",
-        """
-        class MicroBatcher:
-            def submit(self, op, a, b, mode, band):
-                pass
-        """,
-    )
+def _knob_tree(pkg: Path, band_ring: str = "True", spec_fields: str = "mode: str\n    band: int"):
+    write(pkg, "job.py", _SPEC_TEMPLATE.format(band_ring=band_ring, spec_fields=spec_fields))
     write(
         pkg,
         "service/server.py",
-        f"""
+        """
         class Server:
-            def cache_key({cache_key_sig or 'self, op, a, b, mode, band'}):
-                pass
-        """,
-    )
-    write(
-        pkg,
-        "cluster/ring.py",
-        """
-        def ring_key(op, a, b, mode=None, band=None, model_fp="", default_mode="g"):
-            pass
-        """,
-    )
-    write(
-        pkg,
-        "cluster/warm.py",
-        """
-        def generate_keyset(n, length, seed, op, mode, band):
-            pass
-        """,
-    )
-    write(
-        pkg,
-        "cli.py",
-        """
-        def build_parser():
-            p = make()
-            p.add_argument("--mode")
-            p.add_argument("--band")
-            return p
+            def lookup(self, request):
+                return self.cache.get(request.spec.cache_key(request.op, request.a, request.b, ""))
         """,
     )
 
@@ -235,15 +194,17 @@ class TestKnobPropagation:
         assert self._run(pkg) == []
 
     def test_missing_field_in_cache_key_fires(self, pkg):
-        _knob_tree(pkg, cache_key_sig="self, op, a, b, mode")
+        # JobSpec derives every key: a registered field missing from it
+        # is missing from the cache key.
+        _knob_tree(pkg, spec_fields="mode: str")
         findings = self._run(pkg)
         assert any(
-            "missing registered field 'band'" in f.message and f.symbol == "cache_key"
+            "missing registered field 'band'" in f.message and f.symbol == "JobSpec"
             for f in findings
         )
 
     def test_unregistered_extra_param_fires(self, pkg):
-        _knob_tree(pkg, cache_key_sig="self, op, a, b, mode, band, gap")
+        _knob_tree(pkg, spec_fields="mode: str\n    band: int\n    gap: float")
         findings = self._run(pkg)
         assert any(
             "'gap'" in f.message and "not a registered request field" in f.message
@@ -255,36 +216,40 @@ class TestKnobPropagation:
         findings = self._run(pkg)
         assert any("must mirror cache_key fields" in f.message for f in findings)
 
-    def test_field_never_parsed_off_wire_fires(self, pkg):
+    def test_key_def_outside_spec_module_fires(self, pkg):
         _knob_tree(pkg)
         write(
             pkg,
-            "service/protocol.py",
+            "service/server.py",
             """
-            class Request:
-                id: int
-                op: str
-                a: str
-                b: str
-                mode: str
-                band: int
-
-            def parse_request(obj):
-                return obj.get("mode")
+            class Server:
+                def cache_key(self, op, a, b, mode, band):
+                    return (op, a, b, mode, band)
             """,
         )
         findings = self._run(pkg)
-        assert any("never read off the wire" in f.message for f in findings)
+        assert [(f.path, f.symbol) for f in findings] == [
+            ("service/server.py", "Server.cache_key")
+        ]
+        assert "['band', 'mode']" in findings[0].message
 
-    def test_missing_cli_flag_fires(self, pkg):
+    def test_non_semantic_field_in_hand_built_key_fires(self, pkg):
         _knob_tree(pkg)
-        write(pkg, "cli.py", "def build_parser():\n    p = make()\n    p.add_argument('--mode')\n    return p\n")
+        write(
+            pkg,
+            "service/batcher.py",
+            """
+            def _job_key(request):
+                return (request.op, request.spec.group_key(request.op), request["trace_id"])
+            """,
+        )
         findings = self._run(pkg)
-        assert any("'--band'" in f.message for f in findings)
+        assert [f.symbol for f in findings] == ["_job_key"]
+        assert "'trace_id'" in findings[0].message
 
     def test_missing_registry_fires(self, pkg):
         _knob_tree(pkg)
-        (pkg / "service/fields.py").write_text("SPECS = []\n")
+        (pkg / "job.py").write_text("SPECS = []\n")
         findings = self._run(pkg)
         assert any("pure literal" in f.message for f in findings)
 
@@ -718,17 +683,37 @@ class TestRealTree:
         return root
 
     def test_real_tree_registry_field_deletion_fails(self, tmp_path):
+        import ast
+
         root = self._copy_tree(tmp_path)
         from fragalign.analysis.project import Project
 
         specs = Project(root, tests=REAL_TESTS).load_field_registry()
         pruned = [s for s in specs if s["name"] != "band"]
-        (root / "service/fields.py").write_text("_SPECS = " + repr(pruned) + "\n")
+        job = root / "job.py"
+        lines = job.read_text().splitlines()
+        node = next(
+            n for n in ast.parse(job.read_text()).body
+            if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", "") == "_SPECS"
+        )
+        lines[node.lineno - 1:node.end_lineno] = ["_SPECS = " + repr(tuple(pruned))]
+        job.write_text("\n".join(lines) + "\n")
         result = run_check(
             root, tests=REAL_TESTS, rules=["knob-propagation"]
         )
         assert result.exit_code == 1
         assert any("'band'" in f.message for f in result.new)
+
+    def test_real_tree_hand_built_key_fails(self, tmp_path):
+        root = self._copy_tree(tmp_path)
+        server = root / "service/server.py"
+        server.write_text(
+            server.read_text()
+            + "\n\ndef cache_key(op, a, b, mode, band):\n    return (op, a, b, mode, band)\n"
+        )
+        result = run_check(root, tests=REAL_TESTS, rules=["knob-propagation"])
+        assert result.exit_code == 1
+        assert [f.symbol for f in result.new] == ["cache_key"]
 
     def test_real_tree_oracle_deletion_fails(self, tmp_path):
         root = self._copy_tree(tmp_path)

@@ -43,6 +43,7 @@ from fragalign.align.scoring_matrices import SubstitutionModel, unit_dna
 from fragalign._native import HAVE_NATIVE
 from fragalign.engine import AlignmentEngine, NativeBackend, get_backend
 from fragalign.engine.backends import NumpyBackend
+from fragalign.job import JobSpec
 
 # Word-boundary lengths: the kernels pack 64 DP cells per uint64 word.
 BOUNDARY_LENGTHS = [1, 2, 3, 5, 17, 63, 64, 65, 127, 128, 129, 200]
@@ -211,16 +212,16 @@ class TestNativeBackend:
     def test_accelerates_contract(self):
         be = NativeBackend()
         unit = unit_dna()
-        assert be.accelerates("score", unit, "global")
-        assert be.accelerates("score_many", unit, "overlap")
-        assert not be.accelerates("align", unit, "global")
-        assert not be.accelerates("score", unit, "banded")
-        assert not be.accelerates("score", unit, "global", gap_open=-4.0)
+        assert be.accelerates("score", unit, JobSpec("global"))
+        assert be.accelerates("score_many", unit, JobSpec("overlap"))
+        assert not be.accelerates("align", unit, JobSpec("global"))
+        assert not be.accelerates("score", unit, JobSpec("banded", 4))
+        assert not be.accelerates("score", unit, JobSpec("global", gap_open=-4.0, gap_extend=-1.0))
         from fragalign.align.scoring_matrices import transition_transversion
 
-        assert not be.accelerates("score", transition_transversion(), "global")
+        assert not be.accelerates("score", transition_transversion(), JobSpec("global"))
         # local acceleration needs the C extension
-        assert be.accelerates("score", unit, "local") == be.use_c
+        assert be.accelerates("score", unit, JobSpec("local")) == be.use_c
 
     def test_force_fallback_matches_c(self):
         pairs = [("ACGTACGTAC", "ACGTTCGTAC"), ("AAAA", "AAAT"), ("", "AC")]
@@ -231,7 +232,7 @@ class TestNativeBackend:
             prepared = [eng.prepare(a, b) for a, b in pairs]
         # uniform-shape batches only for the direct backend call
         for p, want in zip(prepared, via_default):
-            got = fallback.score(p, unit_dna(), "global")
+            got = fallback.score(p, unit_dna(), JobSpec("global"))
             assert got == want
 
     def test_require_native_flag(self):
@@ -342,15 +343,45 @@ class TestServiceBackendKnob:
             thread.join(timeout=10)
 
     def test_backend_is_group_key_not_cache_key(self):
-        from fragalign.service.fields import (
-            cache_key_fields,
-            group_key_fields,
-            keyset_fields,
-        )
+        from fragalign.job import FIELDS, KEYSET_FIELDS, KNOBS
+        from fragalign.service.protocol import parse_request
 
-        assert "backend" in group_key_fields()
-        assert "backend" in keyset_fields()
-        assert "backend" not in cache_key_fields()
+        assert FIELDS["backend"]["group_key"] and "backend" in KEYSET_FIELDS
+        assert not FIELDS["backend"]["cache_key"]
+        # memory and backend never change the cache or ring key, but
+        # they do change the dispatch-group key.
+        base = JobSpec("global", gap_open=-3, gap_extend=-1, memory="tensor", backend="numpy")
+        for other in (JobSpec("global", None, -3.0, -1.0, "auto", "native"),
+                      JobSpec("global", None, -3, -1)):
+            assert other.cache_key("align", "AC", "GT", "fp") == base.cache_key(
+                "align", "AC", "GT", "fp"
+            )
+            assert other.ring_key("align", "AC", "GT", "fp") == base.ring_key(
+                "align", "AC", "GT", "fp"
+            )
+            assert other.group_key("align") != base.group_key("align")
+        # trace and deadline fields are not spec fields at all: a request
+        # that only adds them parses to the very same job.
+        assert not {"trace_id", "span_id", "deadline_ms"} & set(KNOBS)
+        assert not any(
+            FIELDS[name][flag]
+            for name in ("trace_id", "span_id", "deadline_ms")
+            for flag in ("cache_key", "ring_key", "group_key", "keyset")
+        )
+        plain = {"op": "score", "a": "AC", "b": "GT", "mode": "local"}
+        traced = dict(plain, trace_id="t" * 16, span_id="s" * 16, deadline_ms=250)
+        assert parse_request(traced).spec == parse_request(plain).spec
+        # An explicit default and an omitted one key identically.
+        assert JobSpec().cache_key("score", "AC", "GT", "fp") == JobSpec(
+            "global"
+        ).cache_key("score", "AC", "GT", "fp")
+        assert JobSpec().ring_key("score", "AC", "GT") == JobSpec("global", 8).ring_key(
+            "score", "AC", "GT"
+        )
+        defaults = JobSpec("global", None, None, None, "auto", "numpy")
+        assert JobSpec().resolve(defaults, "align").group_key("align") == JobSpec(
+            memory="auto", backend="numpy"
+        ).resolve(defaults, "align").group_key("align")
 
 
 class TestRegistryExposure:

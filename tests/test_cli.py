@@ -80,6 +80,17 @@ def test_engine_naive_local(capsys):
     assert "backend=naive mode=local" in out
 
 
+def test_knob_flags_are_refused_before_anything_boots(capsys):
+    # The knob flags become one JobSpec at the CLI edge: an unservable
+    # default exits 2 with the spec's refusal, before any server starts.
+    assert main(["engine", "--mode", "banded"]) == 2
+    assert main(["serve", "--port", "0", "--gap-open", "nan", "--gap-extend", "-1"]) == 2
+    assert main(["serve", "--port", "0", "--memory", "linear", "--mode", "banded",
+                 "--band", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "needs a band" in err and "must be finite" in err and "banded mode" in err
+
+
 def test_engine_unknown_backend():
     from fragalign.util.errors import SolverError
 

@@ -34,6 +34,7 @@ from fragalign.cluster import (
     warm_router,
 )
 from fragalign.engine import AlignmentEngine
+from fragalign.job import JobSpec
 from fragalign.service import AlignmentService, ServiceConfig, ServiceError
 
 
@@ -462,17 +463,21 @@ class TestRingKeyGapFields:
             gap_open=-4.0, gap_extend=-2.0,
         )
 
-    def test_router_normalizes_gap_defaults(self):
-        router = ShardRouter(
-            [("127.0.0.1", 1)],
-            default_gap_open=-4.0,
-            default_gap_extend=-1.0,
+    def test_resolved_gap_defaults_route_like_explicit_gaps(self):
+        # A fleet started with affine defaults: requests resolved against
+        # them at the edge route exactly like ones that spell the gaps out.
+        defaults = JobSpec("global", None, -4.0, -1.0, "auto", "numpy")
+        router = ShardRouter([("127.0.0.1", 1), ("127.0.0.1", 2)])
+
+        def key(spec: JobSpec) -> str:
+            return spec.resolve(defaults, "score").ring_key("score", "AC", "GT", router.model_fp)
+
+        defaulted = key(JobSpec())
+        assert key(JobSpec(gap_open=-4.0, gap_extend=-1.0)) == defaulted
+        assert key(JobSpec(gap_open=-2.0, gap_extend=-1.0)) != defaulted
+        assert router.shard_for("score", "AC", "GT", gap_open=-4, gap_extend=-1) == (
+            router.ring.node_for(defaulted)
         )
-        explicit = router.key_for("score", "AC", "GT", gap_open=-4.0, gap_extend=-1.0)
-        defaulted = router.key_for("score", "AC", "GT")
-        assert explicit == defaulted
-        other = router.key_for("score", "AC", "GT", gap_open=-2.0, gap_extend=-1.0)
-        assert other != defaulted
 
     def test_keyset_entries_carry_gap_fields(self, tmp_path):
         entries = generate_keyset(

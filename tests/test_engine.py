@@ -20,6 +20,7 @@ from fragalign.align.scoring_matrices import transition_transversion, unit_dna
 from fragalign.engine import (
     AlignmentBackend,
     AlignmentEngine,
+    JobSpec,
     NaiveBackend,
     NumpyBackend,
     available_backends,
@@ -50,8 +51,8 @@ class TestRegistry:
         class Doubling(NumpyBackend):
             name = "doubling"
 
-            def score(self, p, model, mode):
-                return 2.0 * super().score(p, model, mode)
+            def score(self, p, model, spec):
+                return 2.0 * super().score(p, model, spec)
 
         register_backend("doubling", Doubling, overwrite=True)
         try:
@@ -292,7 +293,7 @@ class TestBackendProtocol:
         class Counting(AlignmentBackend):
             name = "counting"
 
-            def score(self, p, model, mode):
+            def score(self, p, model, spec):
                 calls.append(p.a)
                 return 0.0
 
@@ -305,15 +306,17 @@ class TestBackendProtocol:
         from fragalign.engine import ParallelBackend
 
         p = AlignmentEngine().prepare("AC", "GT")
+        # Backends take a JobSpec, which refuses an unknown mode when it
+        # is built — no backend ever sees one.
         for backend in (NaiveBackend(), NumpyBackend()):
             with pytest.raises(ValueError, match="unknown alignment mode"):
-                backend.score(p, unit_dna(), "frobnicate")
-        # The pool fan-out path must validate too (min_batch=0 forces it);
-        # the check fires before any worker process is spawned.
+                backend.score(p, unit_dna(), JobSpec("frobnicate"))
+        # The pool fan-out path too (min_batch=0 forces it): the refusal
+        # fires before any worker process is spawned.
         par = ParallelBackend(min_batch=0)
         for method in (par.score_many, par.align_many):
             with pytest.raises(ValueError, match="unknown alignment mode"):
-                method([p], unit_dna(), "frobnicate")
+                method([p], unit_dna(), JobSpec("frobnicate"))
         assert par._pool is None
 
 

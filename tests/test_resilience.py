@@ -25,6 +25,7 @@ import pytest
 
 from fragalign.cluster import ClusterSupervisor, ShardRouter
 from fragalign.engine import AlignmentEngine
+from fragalign.job import JobSpec
 from fragalign.resilience import (
     AdmissionController,
     CircuitBreaker,
@@ -166,10 +167,10 @@ class TestAdmissionController:
     def test_cost_model(self):
         assert estimate_cost("score", "A" * 10, "A" * 20) == 200
         assert estimate_cost("align", "A" * 10, "A" * 20) == 400  # traceback pass
-        banded = estimate_cost("score", "A" * 100, "A" * 100, mode="banded", band=2)
+        banded = estimate_cost("score", "A" * 100, "A" * 100, JobSpec("banded", 2))
         assert banded == 5 * 100  # (2*band+1) * max(n, m)
         # A band wider than the table never costs more than the table.
-        assert estimate_cost("score", "AC", "GT", mode="banded", band=50) == 4
+        assert estimate_cost("score", "AC", "GT", JobSpec("banded", 50)) == 4
         assert estimate_cost("score", "", "") == 1  # floor
 
     def test_cell_cap_sheds_but_always_admits_one(self):
@@ -224,17 +225,16 @@ class TestAdmissionController:
             AdmissionController(degrade_watermark=0.5, recover_watermark=0.8)
 
 
-_KNOBS = {"mode": None, "band": None, "gap_open": None, "gap_extend": None,
-          "memory": None, "backend": None}
+_SPEC = JobSpec()
 
 
 class TestBatcherDeadlines:
     def test_note_deadline_keeps_the_tightest(self):
         batcher = MicroBatcher(AlignmentEngine(), max_batch=4, max_delay=0.002)
         try:
-            batcher.note_deadline("score", "ACGT", "AGGT", _KNOBS, 50.0)
-            batcher.note_deadline("score", "ACGT", "AGGT", _KNOBS, 20.0)
-            batcher.note_deadline("score", "ACGT", "AGGT", _KNOBS, 30.0)
+            batcher.note_deadline("score", "ACGT", "AGGT", _SPEC, 50.0)
+            batcher.note_deadline("score", "ACGT", "AGGT", _SPEC, 20.0)
+            batcher.note_deadline("score", "ACGT", "AGGT", _SPEC, 30.0)
             assert list(batcher._deadlines.values()) == [20.0]
         finally:
             batcher.close()
@@ -246,11 +246,11 @@ class TestBatcherDeadlines:
             batcher = MicroBatcher(AlignmentEngine(), max_batch=64, max_delay=60.0)
             try:
                 batcher.note_deadline(
-                    "score", "ACGTACGT", "AGGTACGT", _KNOBS,
+                    "score", "ACGTACGT", "AGGTACGT", _SPEC,
                     time.monotonic() + 0.2,
                 )
                 return await asyncio.wait_for(
-                    batcher.submit("score", "ACGTACGT", "AGGTACGT"), timeout=5.0
+                    batcher.submit("score", "ACGTACGT", "AGGTACGT", _SPEC), timeout=5.0
                 )
             finally:
                 batcher.close()
@@ -260,17 +260,17 @@ class TestBatcherDeadlines:
 
     def test_job_expired_in_queue_is_dropped_not_computed(self):
         class NeverEngine:
-            def score_many(self, pairs, **kw):  # pragma: no cover - must not run
+            def run(self, op, pairs, spec):  # pragma: no cover - must not run
                 raise AssertionError("expired job reached the engine")
 
         async def run():
             batcher = MicroBatcher(NeverEngine(), max_batch=4, max_delay=0.002)
             try:
                 batcher.note_deadline(
-                    "score", "ACGT", "AGGT", _KNOBS, time.monotonic() - 1.0
+                    "score", "ACGT", "AGGT", _SPEC, time.monotonic() - 1.0
                 )
                 with pytest.raises(DeadlineExceeded):
-                    await batcher.submit("score", "ACGT", "AGGT")
+                    await batcher.submit("score", "ACGT", "AGGT", _SPEC)
             finally:
                 batcher.close()
 

@@ -21,6 +21,7 @@ import pytest
 from fragalign.align.pairwise import Alignment
 from fragalign.align.scoring_matrices import transition_transversion, unit_dna
 from fragalign.engine import AlignmentEngine
+from fragalign.job import JobSpec
 from fragalign.service import (
     AlignmentClient,
     AlignmentService,
@@ -164,14 +165,14 @@ class TestProtocol:
             parse_request({"op": "score", "a": "ACGT"})
         request = parse_request({"id": 3, "op": "align", "a": "AC", "b": "GT"})
         assert (request.op, request.a, request.b) == ("align", "AC", "GT")
-        assert (request.mode, request.band) == (None, None)
+        assert (request.spec.mode, request.spec.band) == (None, None)
 
     def test_parse_request_mode_and_band(self):
         request = parse_request(
             {"id": 1, "op": "score", "a": "AC", "b": "GT", "mode": "banded", "band": 4}
         )
-        assert (request.mode, request.band) == ("banded", 4)
-        with pytest.raises(ProtocolError, match="unknown mode"):
+        assert (request.spec.mode, request.spec.band) == ("banded", 4)
+        with pytest.raises(ProtocolError, match="unknown alignment mode"):
             parse_request({"op": "score", "a": "AC", "b": "GT", "mode": "diagonal"})
         for bad_band in (-1, 2.5, True, "8"):
             with pytest.raises(ProtocolError, match="band must be"):
@@ -200,25 +201,9 @@ class CountingEngine:
         self._engine = engine
         self.calls: list[tuple[str, int]] = []
 
-    def score_many(
-        self, pairs, mode=None, band=None, gap_open=None, gap_extend=None,
-        backend=None,
-    ):
-        self.calls.append(("score", len(pairs)))
-        return self._engine.score_many(
-            pairs, mode=mode, band=band, gap_open=gap_open,
-            gap_extend=gap_extend, backend=backend,
-        )
-
-    def align_many(
-        self, pairs, mode=None, band=None, gap_open=None, gap_extend=None,
-        memory=None, backend=None,
-    ):
-        self.calls.append(("align", len(pairs)))
-        return self._engine.align_many(
-            pairs, mode=mode, band=band, gap_open=gap_open,
-            gap_extend=gap_extend, memory=memory, backend=backend,
-        )
+    def run(self, op, pairs, spec):
+        self.calls.append((op, len(pairs)))
+        return self._engine.run(op, pairs, spec)
 
 
 class TestMicroBatcher:
@@ -228,7 +213,7 @@ class TestMicroBatcher:
             batcher = MicroBatcher(counting, max_batch=64, max_delay=0.005)
             try:
                 results = await asyncio.gather(
-                    *(batcher.submit("score", "ACGTACGT", "AGGTACGT") for _ in range(16))
+                    *(batcher.submit("score", "ACGTACGT", "AGGTACGT", JobSpec()) for _ in range(16))
                 )
             finally:
                 batcher.close()
@@ -246,8 +231,12 @@ class TestMicroBatcher:
             counting = CountingEngine(AlignmentEngine())
             batcher = MicroBatcher(counting, max_batch=64, max_delay=0.005)
             try:
-                scores = asyncio.gather(*(batcher.submit("score", a, b) for a, b in pairs))
-                alns = asyncio.gather(*(batcher.submit("align", a, b) for a, b in pairs))
+                scores = asyncio.gather(
+                    *(batcher.submit("score", a, b, JobSpec()) for a, b in pairs)
+                )
+                alns = asyncio.gather(
+                    *(batcher.submit("align", a, b, JobSpec()) for a, b in pairs)
+                )
                 return counting.calls, await scores, await alns
             finally:
                 batcher.close()
@@ -267,7 +256,9 @@ class TestMicroBatcher:
             pairs = [("ACGT" * 2, "AGGT" * 2 + "A" * k) for k in range(4)]
             try:
                 scores = await asyncio.wait_for(
-                    asyncio.gather(*(batcher.submit("score", a, b) for a, b in pairs)),
+                    asyncio.gather(
+                        *(batcher.submit("score", a, b, JobSpec()) for a, b in pairs)
+                    ),
                     timeout=5.0,
                 )
             finally:
@@ -280,15 +271,15 @@ class TestMicroBatcher:
 
     def test_engine_error_propagates_to_all_waiters(self):
         class ExplodingEngine:
-            def score_many(self, pairs, **knobs):
+            def run(self, op, pairs, spec):
                 raise RuntimeError("kernel on fire")
 
         async def run():
             batcher = MicroBatcher(ExplodingEngine(), max_batch=8, max_delay=0.001)
             try:
                 results = await asyncio.gather(
-                    *(batcher.submit("score", "AC", "GT") for _ in range(3)),
-                    batcher.submit("score", "TT", "AA"),
+                    *(batcher.submit("score", "AC", "GT", JobSpec()) for _ in range(3)),
+                    batcher.submit("score", "TT", "AA", JobSpec()),
                     return_exceptions=True,
                 )
             finally:
@@ -608,14 +599,17 @@ class TestCacheKeying:
             ServiceConfig(port=0),
             engine=AlignmentEngine(model=transition_transversion()),
         )
+        fp = model_fingerprint(svc.engine.model)
         keys = {
-            svc.cache_key("score", "ACGT", "AGGT", "global", None),
-            svc.cache_key("align", "ACGT", "AGGT", "global", None),
-            svc.cache_key("score", "ACGT", "AGGT", "local", None),
-            svc.cache_key("score", "ACGT", "AGGT", "overlap", None),
-            svc.cache_key("score", "ACGT", "AGGT", "banded", 2),
-            svc.cache_key("score", "ACGT", "AGGT", "banded", 3),
-            svc_model.cache_key("score", "ACGT", "AGGT", "global", None),
+            JobSpec("global").cache_key("score", "ACGT", "AGGT", fp),
+            JobSpec("global").cache_key("align", "ACGT", "AGGT", fp),
+            JobSpec("local").cache_key("score", "ACGT", "AGGT", fp),
+            JobSpec("overlap").cache_key("score", "ACGT", "AGGT", fp),
+            JobSpec("banded", 2).cache_key("score", "ACGT", "AGGT", fp),
+            JobSpec("banded", 3).cache_key("score", "ACGT", "AGGT", fp),
+            JobSpec("global").cache_key(
+                "score", "ACGT", "AGGT", model_fingerprint(svc_model.engine.model)
+            ),
         }
         assert len(keys) == 7  # op, mode, band, model all key
         svc.close()
@@ -625,9 +619,11 @@ class TestCacheKeying:
         svc_a = AlignmentService(ServiceConfig(port=0))
         svc_b = AlignmentService(ServiceConfig(port=0))
         try:
-            assert svc_a.cache_key("score", "AC", "GT", "global", None) == svc_b.cache_key(
-                "score", "AC", "GT", "global", None
-            )
+            spec_a = svc_a.engine.resolve(JobSpec(), "score")
+            spec_b = svc_b.engine.resolve(JobSpec("global"), "score")
+            assert spec_a.cache_key(
+                "score", "AC", "GT", model_fingerprint(svc_a.engine.model)
+            ) == spec_b.cache_key("score", "AC", "GT", model_fingerprint(svc_b.engine.model))
         finally:
             svc_a.close()
             svc_b.close()
