@@ -14,9 +14,13 @@ Public API highlights:
   alignment execution (``naive`` / ``numpy`` / ``parallel``).
 * :mod:`fragalign.reductions` — the paper's reductions, executable.
 * :mod:`fragalign.genome` — two-species contig simulation pipeline.
+
+Subpackages load on first attribute access (PEP 562), so a process
+that only serves — ``fragalign serve``, a cluster shard — never pays
+for ``core`` and its ``scipy.optimize`` import.
 """
 
-from fragalign import align, core, engine, genome, isp, reductions, util
+import importlib
 
 __version__ = "1.1.0"
 
@@ -30,3 +34,13 @@ __all__ = [
     "util",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -17,14 +17,19 @@ _ALPHABET = "ACGTN"
 _CODE = {c: i for i, c in enumerate(_ALPHABET)}
 # Purines A, G (codes 0, 2); pyrimidines C, T (codes 1, 3).
 _PURINE = {0, 2}
+# Byte -> code translation table for encode(): either case of ACGTN
+# maps to its code, every other byte to N.
+_BYTE_CODES = bytes(_CODE.get(chr(byte).upper(), 4) for byte in range(256))
 
 
 def encode(seq: str) -> np.ndarray:
-    """Encode a DNA string into uint8 codes (unknown chars become N)."""
-    out = np.empty(len(seq), dtype=np.uint8)
-    for i, c in enumerate(seq.upper()):
-        out[i] = _CODE.get(c, 4)
-    return out
+    """Encode a DNA string into uint8 codes, one per character.
+
+    Case-insensitive; every character outside ACGTN (including
+    non-ASCII ones, each encoded to a single placeholder byte) becomes N.
+    """
+    raw = seq.encode("latin-1", "replace").translate(_BYTE_CODES)
+    return np.frombuffer(raw, dtype=np.uint8).copy()
 
 
 @dataclass(frozen=True)

@@ -327,34 +327,52 @@ class ShardRouter:
 
     # -- request path -------------------------------------------------
 
-    async def _call_shard(
-        self, shard: str, op: str, request, timeout: float | None = None
-    ) -> Any:
-        async def attempt() -> Any:
-            client = await self._client(shard)
-            return await request(client)
+    async def _exchange(self, shard: str, request, ctx) -> dict:
+        return await request(await self._client(shard), ctx)
 
-        if timeout is None:
-            timeout = self.request_timeout
+    async def _attempt(
+        self, shard: str, request, ctx, timeout: float | None
+    ) -> tuple[dict | None, Exception | None]:
+        """One copy of one attempt: ``(response, None)`` when the shard
+        answered ok, ``(None, exc)`` when it failed.  Awaited inline, or
+        as a task when a hedge may race it.  A cancelled copy reports an
+        abandon to the shard's breaker — it may hold the half-open trial
+        slot, which must never leak."""
+        exchange = self._exchange(shard, request, ctx)
         if timeout is not None:
             # The budget covers connect + round trip: a black-holing
             # shard times out here and fails over like any other death.
-            return await asyncio.wait_for(attempt(), timeout=timeout)
-        return await attempt()
+            exchange = asyncio.wait_for(exchange, timeout=timeout)
+        try:
+            return await exchange, None
+        except asyncio.CancelledError:
+            self._breaker(shard).record_abandon()
+            raise
+        except Exception as exc:
+            return None, exc
 
-    async def _abandon(self, tasks: dict) -> None:
-        """Cancel attempt tasks we no longer care about and reap them,
+    async def _abandon(self, copies: dict) -> None:
+        """Cancel attempt copies we no longer care about and reap them,
         so a losing hedge can never log "exception was never
         retrieved".  Its orphaned wire response (if one arrives) is
         dropped by the client's done-future check.  Each abandoned
         shard's breaker gets the cancellation reported: a cancelled
         request is neither success nor failure, but it may have been
         holding the half-open trial slot."""
-        for task, (t_shard, _ctx, _start) in tasks.items():
-            task.cancel()
+        for copy, (t_shard, _ctx, _start) in copies.items():
+            copy.cancel()
             self._breaker(t_shard).record_abandon()
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+        if copies:
+            await asyncio.gather(*copies, return_exceptions=True)
+
+    async def _wait(self, copies: dict, **kwargs) -> tuple[set, set]:
+        """``asyncio.wait`` over racing attempt copies.  A caller that
+        gives up meanwhile abandons them: no copy may keep a trial slot."""
+        try:
+            return await asyncio.wait(copies, **kwargs)
+        except asyncio.CancelledError:
+            await self._abandon(copies)
+            raise
 
     def _hedge_allowed(self) -> bool:
         total = sum(self.routed.values()) + 1
@@ -370,8 +388,9 @@ class ShardRouter:
         the deadline budget still remaining when it launches."""
         key = spec.ring_key(op, a, b, self.model_fp)
         wire = spec.wire()
+        budget_ms: float | None = None  # re-read per attempt, as it launches
 
-        def request(client: AsyncAlignmentClient, ctx, budget_ms):
+        def request(client: AsyncAlignmentClient, ctx):
             return client.request(op, a, b, ctx, budget_ms, **wire)
 
         deadline = deadline_from_budget_ms(deadline_ms)
@@ -428,18 +447,19 @@ class ShardRouter:
                 rem = deadline - time.monotonic()
                 timeout = rem if timeout is None else min(timeout, rem)
             attempt_ctx = route_ctx.child() if route_ctx is not None else None
-            attempt_start = _perf()
-            # One task per in-flight copy of this attempt: the primary,
-            # plus (maybe) a hedge.  Value: (shard, trace ctx, start).
-            tasks: dict[asyncio.Task, tuple[str, Any, float]] = {}
-            primary = asyncio.ensure_future(self._call_shard(
-                shard, op,
-                lambda c, ctx=attempt_ctx: request(c, ctx, budget_ms),
-                timeout=timeout,
-            ))
-            tasks[primary] = (shard, attempt_ctx, attempt_start)
+            # Every copy of this attempt — the primary, plus (maybe) a
+            # hedge — as a future of its (response, exc) outcome.
+            # Value: (shard, trace ctx, start).
+            copies: dict[asyncio.Future, tuple[str, Any, float]] = {}
+            primary = (shard, attempt_ctx, _perf())
             if self.hedge_delay is not None and op == "score" and attempt == 0:
-                done, _ = await asyncio.wait({primary}, timeout=self.hedge_delay)
+                # Only an attempt a hedge may race pays for a task
+                # and an asyncio.wait.
+                task = asyncio.ensure_future(
+                    self._attempt(shard, request, attempt_ctx, timeout)
+                )
+                copies[task] = primary
+                done, _ = await self._wait(copies, timeout=self.hedge_delay)
                 if not done and self._hedge_allowed():
                     hedge_shard = next(
                         (s for s in candidates
@@ -450,29 +470,36 @@ class ShardRouter:
                         tried.add(hedge_shard)
                         self.hedges += 1
                         hedge_ctx = route_ctx.child() if route_ctx is not None else None
-                        hedge_start = _perf()
-                        hedge = asyncio.ensure_future(self._call_shard(
-                            hedge_shard, op,
-                            lambda c, ctx=hedge_ctx: request(c, ctx, budget_ms),
-                            timeout=timeout,
-                        ))
-                        tasks[hedge] = (hedge_shard, hedge_ctx, hedge_start)
-            value, winner = _MISS, None
-            while tasks and value is _MISS:
-                done, _ = await asyncio.wait(
-                    tasks, return_when=asyncio.FIRST_COMPLETED
+                        hedge = asyncio.ensure_future(
+                            self._attempt(hedge_shard, request, hedge_ctx, timeout)
+                        )
+                        copies[hedge] = (hedge_shard, hedge_ctx, _perf())
+            else:
+                # Awaited inline; the outcome rides in an already
+                # completed future, so both paths share the outcome
+                # handling below.
+                outcome = asyncio.get_running_loop().create_future()
+                outcome.set_result(
+                    await self._attempt(shard, request, attempt_ctx, timeout)
                 )
-                for task in done:
-                    t_shard, t_ctx, t_start = tasks.pop(task)
-                    exc = task.exception()
+                copies[outcome] = primary
+            value, winner = _MISS, None
+            while copies and value is _MISS:
+                done = {copy for copy in copies if copy.done()}
+                if not done:
+                    done, _ = await self._wait(
+                        copies, return_when=asyncio.FIRST_COMPLETED
+                    )
+                for copy in done:
+                    t_shard, t_ctx, t_start = copies.pop(copy)
+                    response, exc = await copy  # done: never suspends
                     if exc is None:
                         # Success closes (or re-arms) the breaker even
                         # when another copy already won — a half-open
                         # trial must never leak its slot.
                         self._breaker(t_shard).record_success()
                         if value is _MISS:
-                            # The task is done: this await just unwraps it.
-                            value, winner = await task, t_shard
+                            value, winner = response, t_shard
                             if route_ctx is not None:
                                 self._finish_attempt(
                                     t_ctx, t_start, t_shard, attempt, "ok"
@@ -499,7 +526,7 @@ class ShardRouter:
                         # and every replica would reject it the same way.
                         # Circuit-wise that's a healthy shard.
                         self._breaker(t_shard).record_success()
-                        await self._abandon(tasks)
+                        await self._abandon(copies)
                         if route_ctx is not None:
                             self._finish_attempt(
                                 t_ctx, t_start, t_shard, attempt, "rejected"
@@ -521,11 +548,11 @@ class ShardRouter:
                     # Unknown failure: not evidence about the shard —
                     # release any trial slot and surface it unchanged.
                     self._breaker(t_shard).record_abandon()
-                    await self._abandon(tasks)
+                    await self._abandon(copies)
                     raise exc
             if value is _MISS:
                 continue  # every copy of this attempt failed
-            await self._abandon(tasks)
+            await self._abandon(copies)
             self.routed[winner] += 1
             if attempt > 0:
                 self.failovers += 1

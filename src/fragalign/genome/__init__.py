@@ -1,74 +1,59 @@
-"""Genome/contig simulation substrate and the Fig.-1 inference pipeline."""
+"""Genome/contig simulation substrate and the Fig.-1 inference pipeline.
 
-from fragalign.genome.assembly import exact_overlap, greedy_assemble
-from fragalign.genome.conserved import (
-    RegionHit,
-    build_csr_instance,
-    find_conserved_regions,
-)
-from fragalign.genome.dna import gc_content, mutate, random_dna, reverse_complement
-from fragalign.genome.evolution import (
-    Ancestor,
-    PlacedBlock,
-    SpeciesGenome,
-    evolve,
-    make_ancestor,
-)
-from fragalign.genome.metrics import OrientOrderReport, evaluate_solution
-from fragalign.genome.pipeline import (
-    PipelineConfig,
-    PipelineResult,
-    run_pipeline,
-    truth_hits,
-)
-from fragalign.genome.report import Inference, format_report, infer_relations
-from fragalign.genome.scaffold import (
-    MatePair,
-    Scaffold,
-    ScaffoldLink,
-    build_scaffolds,
-    sample_mate_pairs,
-    scaffold_order_accuracy,
-)
-from fragalign.genome.shotgun import (
-    Contig,
-    Read,
-    fragment_into_contigs,
-    sample_reads,
-)
+Names load from their submodules on first access (PEP 562): the
+serving tiers and the load-generating CLI verbs only need
+:mod:`fragalign.genome.dna`, and must not pay for the pipeline's
+``fragalign.core`` (and ``scipy``) imports.
+"""
 
-__all__ = [
-    "exact_overlap",
-    "greedy_assemble",
-    "RegionHit",
-    "build_csr_instance",
-    "find_conserved_regions",
-    "gc_content",
-    "mutate",
-    "random_dna",
-    "reverse_complement",
-    "Ancestor",
-    "PlacedBlock",
-    "SpeciesGenome",
-    "evolve",
-    "make_ancestor",
-    "OrientOrderReport",
-    "evaluate_solution",
-    "PipelineConfig",
-    "PipelineResult",
-    "run_pipeline",
-    "truth_hits",
-    "Contig",
-    "Read",
-    "fragment_into_contigs",
-    "sample_reads",
-    "Inference",
-    "format_report",
-    "infer_relations",
-    "MatePair",
-    "Scaffold",
-    "ScaffoldLink",
-    "build_scaffolds",
-    "sample_mate_pairs",
-    "scaffold_order_accuracy",
-]
+import importlib
+
+# Public name -> defining submodule.
+_EXPORTS = {
+    "exact_overlap": "assembly",
+    "greedy_assemble": "assembly",
+    "RegionHit": "conserved",
+    "build_csr_instance": "conserved",
+    "find_conserved_regions": "conserved",
+    "gc_content": "dna",
+    "mutate": "dna",
+    "random_dna": "dna",
+    "reverse_complement": "dna",
+    "Ancestor": "evolution",
+    "PlacedBlock": "evolution",
+    "SpeciesGenome": "evolution",
+    "evolve": "evolution",
+    "make_ancestor": "evolution",
+    "OrientOrderReport": "metrics",
+    "evaluate_solution": "metrics",
+    "PipelineConfig": "pipeline",
+    "PipelineResult": "pipeline",
+    "run_pipeline": "pipeline",
+    "truth_hits": "pipeline",
+    "Contig": "shotgun",
+    "Read": "shotgun",
+    "fragment_into_contigs": "shotgun",
+    "sample_reads": "shotgun",
+    "Inference": "report",
+    "format_report": "report",
+    "infer_relations": "report",
+    "MatePair": "scaffold",
+    "Scaffold": "scaffold",
+    "ScaffoldLink": "scaffold",
+    "build_scaffolds": "scaffold",
+    "sample_mate_pairs": "scaffold",
+    "scaffold_order_accuracy": "scaffold",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -34,6 +34,7 @@ import math
 import re
 import threading
 import time
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -126,13 +127,20 @@ class _Instrument:
         self.help = help
         self.label_names = label_names
         self._lock = threading.Lock()
+        # Validated, sorted child keys by the call's own label items: a
+        # hot-path inc/set validates and sorts each label set only once.
+        self._keys: dict[tuple, tuple[tuple[str, str], ...]] = {}
 
     def _key_for(self, labels: dict) -> tuple[tuple[str, str], ...]:
-        if set(labels) != set(self.label_names):
-            raise ValueError(
-                f"{self.name} expects labels {self.label_names}, got {tuple(labels)}"
-            )
-        return _label_key(labels)
+        items = tuple(labels.items())
+        key = self._keys.get(items)
+        if key is None:
+            if set(labels) != set(self.label_names):
+                raise ValueError(
+                    f"{self.name} expects labels {self.label_names}, got {tuple(labels)}"
+                )
+            key = self._keys[items] = _label_key(labels)
+        return key
 
 
 class Counter(_Instrument):
@@ -249,14 +257,7 @@ class Histogram(_Instrument):
         lands in, rendered OpenMetrics-style on the bucket's exposition
         line so a scrape can jump from a quantile to the exact trace.
         """
-        # Hand-rolled bisect over the (short, immutable) bounds tuple.
-        lo, hi = 0, len(self.bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= self.bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
+        lo = bisect_left(self.bounds, value)  # first bound >= value
         with self._lock:
             self._counts[lo] += 1
             self._sum += value

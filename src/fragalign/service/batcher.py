@@ -245,47 +245,46 @@ class MicroBatcher:
             if shared:
                 self._tracer.extend(shared)
         # One group per dispatch-group key, run with its first job's spec
-        # (jobs sharing the key agree on every knob that executes).
+        # (jobs sharing the key agree on every knob that executes).  An
+        # engine error fails only the group whose call raised it.
         groups: dict[tuple, tuple[JobSpec, list[Key]]] = {}
         for key, spec in live:
             groups.setdefault(key[0], (spec, []))[1].append(key)
-        results: dict[Key, Any] = {}
-        try:
-            for (op, *_), (spec, group) in groups.items():
-                pairs = [key[1:] for key in group]
-                call = partial(self.engine.run, op, pairs, spec)
-                compute_start = time.perf_counter()
+        for (op, *_), (spec, group) in groups.items():
+            pairs = [key[1:] for key in group]
+            call = partial(self.engine.run, op, pairs, spec)
+            compute_start = time.perf_counter()
+            try:
                 values = await self._loop.run_in_executor(self._executor, call)
-                if self._tracer is not None and interest:
-                    compute_s = time.perf_counter() - compute_start
-                    start = time.time() - compute_s
-                    # Worker-thread engine call for this job's whole
-                    # dispatch group (queue + kernels); one shared tags
-                    # dict for the group — read-only downstream.
-                    tags = {"op": op, "group": len(group), "mode": spec.mode}
-                    shared = []
-                    for key in group:
-                        for ctx, sink, _ in interest.get(key, ()):
-                            entry = (
-                                ctx.trace_id, ctx.span_id, "batcher.compute",
-                                start, compute_s, tags,
-                            )
-                            (shared if sink is None else sink).append(entry)
-                    if shared:
-                        self._tracer.extend(shared)
-                if op == "score":
-                    values = [float(v) for v in values]
-                results.update(zip(group, values))
-        except Exception as exc:
-            for key in keys:
+            except Exception as exc:
+                for key in group:
+                    fut = self._pending.pop(key, None)
+                    if fut is not None and not fut.done():
+                        fut.set_exception(exc)
+                continue
+            if self._tracer is not None and interest:
+                compute_s = time.perf_counter() - compute_start
+                start = time.time() - compute_s
+                # Worker-thread engine call for this job's whole
+                # dispatch group (queue + kernels); one shared tags
+                # dict for the group — read-only downstream.
+                tags = {"op": op, "group": len(group), "mode": spec.mode}
+                shared = []
+                for key in group:
+                    for ctx, sink, _ in interest.get(key, ()):
+                        entry = (
+                            ctx.trace_id, ctx.span_id, "batcher.compute",
+                            start, compute_s, tags,
+                        )
+                        (shared if sink is None else sink).append(entry)
+                if shared:
+                    self._tracer.extend(shared)
+            if op == "score":
+                values = [float(v) for v in values]
+            for key, value in zip(group, values):
                 fut = self._pending.pop(key, None)
                 if fut is not None and not fut.done():
-                    fut.set_exception(exc)
-            return
-        for key in keys:
-            fut = self._pending.pop(key, None)
-            if fut is not None and not fut.done():
-                fut.set_result(results[key])
+                    fut.set_result(value)
 
     # -- lifecycle ----------------------------------------------------
 

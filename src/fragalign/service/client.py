@@ -4,7 +4,8 @@
 connection and **pipelines**: many requests can be in flight at once,
 and a reader task routes each response back to its awaiting caller by
 ``id``.  Firing requests concurrently from one client is exactly what
-lets the server's micro-batcher fill batches.
+lets the server's micro-batcher fill batches; requests issued in one
+loop iteration leave in one write (:class:`~fragalign.service.protocol.Outbox`).
 
 :class:`AlignmentClient` is the blocking wrapper: it runs a private
 event loop on a background thread and exposes plain methods, plus
@@ -23,6 +24,7 @@ from fragalign.align.pairwise import Alignment
 from fragalign.obs.trace import TraceContext
 from fragalign.service.protocol import (
     MAX_LINE,
+    Outbox,
     alignment_from_dict,
     decode_line,
     encode_line,
@@ -35,8 +37,9 @@ __all__ = ["AsyncAlignmentClient", "AlignmentClient"]
 class AsyncAlignmentClient:
     """One pipelined connection to a running alignment service."""
 
-    # Bound on a response-write drain: a server that stops reading for
-    # this long is treated as a connection failure, not waited on.
+    # Bound on a request-write drain: a server that stops reading for
+    # this long is treated as a connection failure (the connection is
+    # aborted, failing every pending request), not waited on.
     WRITE_TIMEOUT = 30.0
 
     def __init__(
@@ -44,6 +47,8 @@ class AsyncAlignmentClient:
     ) -> None:
         self._reader = reader
         self._writer = writer
+        # Requests issued in one loop iteration share one write.
+        self._outbox = Outbox(writer, self.WRITE_TIMEOUT)
         self._waiting: dict[int, asyncio.Future] = {}
         self._next_id = 0
         self._conn_error: Exception | None = None
@@ -103,18 +108,16 @@ class AsyncAlignmentClient:
             raise self._conn_error or ConnectionError("client connection closed")
         rid = self._next_id
         self._next_id += 1
+        payload = {k: v for k, v in fields.items() if v is not None}
+        line = encode_line({"id": rid, "op": op, **payload})
         fut = asyncio.get_running_loop().create_future()
         self._waiting[rid] = fut
-        payload = {k: v for k, v in fields.items() if v is not None}
+        self._outbox.send(line)
         try:
-            self._writer.write(encode_line({"id": rid, "op": op, **payload}))
-            # Bounded: a server that stopped reading must fail this
-            # request, not pin it forever.
-            await asyncio.wait_for(self._writer.drain(), timeout=self.WRITE_TIMEOUT)
             response = await fut
         except BaseException:
-            # Any exit — send failure, cancellation of a timed-out or
-            # abandoned attempt — must clear the slot and observe the
+            # Any exit — a lost connection, cancellation of a timed-out
+            # or abandoned attempt — must clear the slot and observe the
             # future: a connection error set later on an unobserved
             # future would warn "exception was never retrieved" at GC.
             self._waiting.pop(rid, None)
@@ -260,7 +263,7 @@ class AsyncAlignmentClient:
             await self._reader_task
         except (asyncio.CancelledError, Exception):
             pass
-        self._writer.close()
+        self._writer.close()  # requests still queued have no waiter left
         # The close waiter is retrieved via a done-callback rather than
         # only by the await below: if this coroutine is cancelled (or
         # times out) before a broken peer's flush error lands on the

@@ -95,6 +95,7 @@ megabyte per request.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import math
 from dataclasses import dataclass
@@ -119,6 +120,7 @@ __all__ = [
     "InvalidArgumentError",
     "OverloadedError",
     "service_error_from",
+    "Outbox",
     "Request",
     "parse_request",
     "encode_line",
@@ -205,6 +207,66 @@ class Request:
 def encode_line(obj: dict) -> bytes:
     """Serialize one protocol object to a compact JSON line."""
     return json.dumps(obj, separators=(",", ":")).encode() + b"\n"
+
+
+class Outbox:
+    """One connection's write side: lines queued during one event-loop
+    iteration leave together in a single ``transport.write``.
+
+    :meth:`send` only appends; the first line of an iteration schedules
+    :meth:`flush` with ``call_soon``, so a burst of responses (or
+    pipelined requests) costs one ``send`` syscall, not one per line,
+    and no sender ever waits.  Backpressure is the outbox's own job: a
+    flush that leaves bytes buffered in the transport starts one
+    :meth:`_watch` for the connection, which waits on ``drain()``
+    bounded by ``drain_timeout`` and aborts a peer that stays wedged
+    past it.
+    """
+
+    def __init__(self, writer: asyncio.StreamWriter, drain_timeout: float) -> None:
+        self._writer = writer
+        self._drain_timeout = drain_timeout
+        self._transport = writer.transport
+        self._loop = asyncio.get_running_loop()
+        self._lines: list[bytes] = []
+        self._draining: asyncio.Task | None = None  # the running _watch
+
+    def send(self, line: bytes) -> None:
+        """Queue ``line`` for this iteration's flush."""
+        if not self._lines:
+            self._loop.call_soon(self.flush)
+        self._lines.append(line)
+
+    def flush(self) -> None:
+        """Write every queued line now (a closing transport drops them)."""
+        if not self._lines:
+            return
+        data = b"".join(self._lines)
+        self._lines.clear()
+        if self._transport.is_closing():
+            return
+        self._transport.write(data)
+        if self._draining is None and self._transport.get_write_buffer_size():
+            self._draining = self._loop.create_task(self._watch())
+
+    async def _watch(self) -> None:
+        try:
+            # Bounded: a peer that stops reading must not pin this
+            # connection (and its buffered bytes) forever.
+            await asyncio.wait_for(self._writer.drain(), timeout=self._drain_timeout)
+        except asyncio.TimeoutError:
+            self._transport.abort()  # wedged peer: drop the connection
+        except (ConnectionError, OSError):
+            pass  # already gone
+        finally:
+            self._draining = None
+
+    def close(self) -> None:
+        """Flush what is queued, then close the stream.  A running
+        drain wait is left to finish: buffered bytes still reach a
+        reading peer, and a wedged one is still aborted."""
+        self.flush()
+        self._writer.close()
 
 
 def decode_line(line: bytes | str) -> dict:

@@ -10,9 +10,14 @@ Request flow for ``score``/``align``::
 
 Everything runs on one event loop; each connection reads lines and
 spawns one task per request, so a single pipelined connection still
-fills batches.  Responses are written under a per-connection lock
-(they can complete out of order — the protocol's ``id`` field exists
-for exactly that).
+fills batches.  Responses go through the connection's
+:class:`~fragalign.service.protocol.Outbox`: every response finished
+in one loop iteration leaves in a single ``transport.write`` (they can
+complete out of order — the protocol's ``id`` field exists for exactly
+that).  No responder waits on the socket: only when a flush leaves
+bytes buffered does the outbox wait on ``drain()``, once per
+connection and bounded by ``drain_timeout``; a client that stays
+wedged past it is aborted.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from fragalign.obs.trace import (
 from fragalign.service.batcher import MicroBatcher
 from fragalign.service.protocol import (
     MAX_LINE,
+    Outbox,
     alignment_to_dict,
     decode_line,
     encode_line,
@@ -253,9 +259,10 @@ class AlignmentService:
             else None
         )
         self._model_fp = model_fingerprint(self.engine.model)
+        self._degraded = False  # degrade state last applied (_apply_degrade)
         self._server: asyncio.AbstractServer | None = None
         self._stopped: asyncio.Event | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
+        self._connections: set[Outbox] = set()
         self._handlers: set[asyncio.Task] = set()
         self._inflight: dict[tuple, asyncio.Future] = {}
         self.port: int | None = None  # actual bound port, set by start()
@@ -338,8 +345,8 @@ class AlignmentService:
         # shutdown forever), then wait for every handler to finish —
         # nothing may outlive the event loop.
         await asyncio.sleep(0)
-        for writer in list(self._connections):
-            writer.close()
+        for outbox in list(self._connections):
+            outbox.close()
         while self._handlers:
             await asyncio.gather(*list(self._handlers), return_exceptions=True)
         if self._server is not None:
@@ -359,11 +366,11 @@ class AlignmentService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.stats.observe_connection(+1)
-        self._connections.add(writer)
+        outbox = Outbox(writer, self.config.drain_timeout)
+        self._connections.add(outbox)
         handler = asyncio.current_task()
         if handler is not None:
             self._handlers.add(handler)
-        write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
         try:
             while True:
@@ -382,28 +389,22 @@ class AlignmentService:
                 # Wire-read wait for this line; attributed to the
                 # request's trace (if any) once the line is parsed.
                 read_s = time.perf_counter() - read_start
-                task = asyncio.create_task(
-                    self._serve_line(line, writer, write_lock, read_s)
-                )
+                task = asyncio.create_task(self._serve_line(line, outbox, read_s))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
         finally:
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
             self.stats.observe_connection(-1)
-            self._connections.discard(writer)
+            self._connections.discard(outbox)
             if handler is not None:
                 self._handlers.discard(handler)
             # Plain close (no wait_closed): the handler must not outlive
             # the loop, and the transport flushes what's buffered anyway.
-            writer.close()
+            outbox.close()
 
     async def _serve_line(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        read_s: float = 0.0,
+        self, line: bytes, outbox: Outbox, read_s: float = 0.0
     ) -> None:
         t0 = time.perf_counter()
         request_id = None
@@ -489,39 +490,32 @@ class AlignmentService:
                     include_sequences=self.config.journal_sequences,
                 )
             )
-        async with write_lock:
-            write_start = time.perf_counter()
-            writer.write(encode_line(response))
-            if ctx is not None and tlog is not None and retained:
-                # Buffered *before* any bytes flush, so a trace drain
-                # fired on response receipt always sees the full tree.
-                now = time.time()
-                write_s = time.perf_counter() - write_start
-                tlog.append(leaf_entry(ctx, "server.write", now - write_s, write_s))
-                tlog.append(
-                    Span(
-                        ctx.trace_id, ctx.span_id, ctx.parent_id,
-                        "server.request", now - duration, duration,
-                        {"op": request.op if request is not None else None,
-                         "ok": bool(response.get("ok"))},
-                    )
+        write_start = time.perf_counter()
+        outbox.send(encode_line(response))
+        if ctx is not None and tlog is not None and retained:
+            # Buffered *before* the outbox flushes (a later loop
+            # iteration), so a trace drain fired on response receipt
+            # always sees the full tree.
+            now = time.time()
+            write_s = time.perf_counter() - write_start
+            tlog.append(leaf_entry(ctx, "server.write", now - write_s, write_s))
+            tlog.append(
+                Span(
+                    ctx.trace_id, ctx.span_id, ctx.parent_id,
+                    "server.request", now - duration, duration,
+                    {"op": request.op if request is not None else None,
+                     "ok": bool(response.get("ok"))},
                 )
-                self.tracer.extend(tlog)
-            # Sampled out: nothing to undo.  Every span for this
-            # request — including the batcher's, routed through the
-            # tlog sink — only ever lived in the per-request list,
-            # so dropping the trace is just not extending the buffer.
-            try:
-                # Bounded: a client that stops reading must not pin this
-                # handler (and its response buffers) forever.
-                await asyncio.wait_for(writer.drain(), timeout=self.config.drain_timeout)
-            except asyncio.TimeoutError:
-                writer.transport.abort()  # wedged peer: drop the connection
-            except (ConnectionError, OSError):
-                pass
+            )
+            self.tracer.extend(tlog)
+        # Sampled out: nothing to undo.  Every span for this request —
+        # including the batcher's, routed through the tlog sink — only
+        # ever lived in the per-request list, so dropping the trace is
+        # just not extending the buffer.
         if request is not None and request.op == "shutdown":
             # Only after the answer is on the wire: stop accepting and
             # release wait_closed() to wind the service down.
+            outbox.flush()
             self.stop()
 
     async def _dispatch(
@@ -692,8 +686,12 @@ class AlignmentService:
 
     def _apply_degrade(self) -> None:
         """Map the admission controller's degrade state onto the
-        configured policy (batch-window widening) and the gauge."""
+        configured policy (batch-window widening) and the gauge —
+        touching either only when the state flips."""
         degraded = self.admission.degraded and self.config.degrade != "none"
+        if degraded == self._degraded:
+            return
+        self._degraded = degraded
         self.batcher.delay_scale = (
             self.config.degrade_widen_factor
             if degraded and self.config.degrade == "widen"

@@ -47,6 +47,32 @@ def test_encode_roundtrip():
     assert list(encode("acxg")) == [0, 1, 4, 2]
 
 
+def _encode_per_char(seq: str) -> np.ndarray:
+    """Per-character reference for encode() on input whose upper()
+    keeps one character per character."""
+    table = {c: i for i, c in enumerate("ACGTN")}
+    out = np.empty(len(seq), dtype=np.uint8)
+    for i, c in enumerate(seq.upper()):
+        out[i] = table.get(c, 4)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="ACGTNacgtnXx -*U", max_size=64))
+def test_encode_matches_per_char_reference_on_ascii(seq):
+    got = encode(seq)
+    assert got.dtype == np.uint8 and got.flags.writeable
+    assert np.array_equal(got, _encode_per_char(seq))
+
+
+def test_encode_gives_one_code_per_character():
+    # Every character, ASCII or not, is exactly one code; unknown ones
+    # N — even "ß", whose upper() is the two characters "SS".
+    assert list(encode("ACGTß")) == [0, 1, 2, 3, 4]
+    assert list(encode("aé☃\U0001F600t")) == [0, 4, 4, 4, 3]
+    assert encode("").shape == (0,)
+
+
 def test_substitution_model_validation():
     import numpy as np
 

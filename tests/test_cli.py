@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from fragalign.cli import build_parser, main
@@ -221,3 +226,24 @@ def test_cluster_serve_route_warm_stats_round_trip(tmp_path, capsys):
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def test_serving_imports_stay_off_core_and_scipy():
+    # The package root loads subpackages lazily: a serve/cluster process
+    # never pays for fragalign.core and its scipy.optimize import.
+    probe = (
+        "import sys\n"
+        "import fragalign.cli, fragalign.service.server, fragalign.cluster.router\n"
+        "eager = sorted(m for m in ('scipy', 'fragalign.core') if m in sys.modules)\n"
+        "assert not eager, eager\n"
+        "import fragalign\n"
+        "assert fragalign.core.csr_improve is not None\n"
+        "assert 'fragalign.core' in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -261,6 +261,24 @@ class TestShardRouter:
         assert stats["failed_requests"] == 0
         assert len(stats["live_shards"]) == 2
 
+    def test_concurrent_router_requests_share_shard_connections(self, three_shards):
+        # Every request in flight at once: each shard's one pipelined
+        # connection carries its share, and every reply reaches its own
+        # caller by id.
+        pairs = [(f"ACGT{'A' * (k % 7)}GT", f"AGGT{'C' * (k % 5)}ACGT") for k in range(300)]
+
+        async def run():
+            async with ShardRouter(_addresses(three_shards)) as router:
+                scores = await router.score_many(pairs, concurrency=len(pairs))
+                return scores, await router.cluster_stats()
+
+        scores, stats = asyncio.run(run())
+        with AlignmentEngine() as eng:
+            assert scores == [float(v) for v in eng.score_many(pairs)]
+        assert stats["router"]["routed_total"] == len(pairs)
+        # Per shard: the router's one connection, plus this stats probe.
+        assert [s["connections"]["total"] for s in stats["shards"].values()] == [2, 2, 2]
+
     def test_bad_request_is_not_retried_as_failover(self, three_shards):
         async def run():
             async with ShardRouter(_addresses(three_shards)) as router:

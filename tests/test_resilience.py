@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from fragalign.cluster import ClusterSupervisor, ShardRouter
+from fragalign.cluster import ClusterError, ClusterSupervisor, ShardRouter
 from fragalign.engine import AlignmentEngine
 from fragalign.job import JobSpec
 from fragalign.resilience import (
@@ -536,21 +536,72 @@ class TestSlowShardStall:
                     [("127.0.0.1", proxy.port),
                      ("127.0.0.1", two_shards[1]["port"])],
                     max_attempts=2, request_timeout=5.0, connect_timeout=2.0,
-                    hedge_delay=0.05, hedge_max_fraction=1.0,
+                    hedge_delay=0.2, hedge_max_fraction=1.0,
                 )
                 async with router:
                     slow_shard = f"127.0.0.1:{proxy.port}"
-                    (pair,) = _owned_pairs(router, slow_shard, 1)
+                    pairs = _owned_pairs(router, slow_shard, 4)
+                    # A prompt owner answers before the hedge delay.
+                    prompt = await asyncio.gather(*(router.score(a, b) for a, b in pairs))
+                    quiet = router.router_stats()["hedges"]
                     proxy.set_faults(latency_ms=2_000.0)
                     start = time.monotonic()
-                    score = await router.score(*pair)
+                    raced = await asyncio.gather(*(router.score(a, b) for a, b in pairs))
                     elapsed = time.monotonic() - start
-                    return score, elapsed, router.router_stats(), pair
+                    return pairs, prompt, quiet, raced, elapsed, router.router_stats()
 
-            score, elapsed, snap, pair = asyncio.run(run())
-            assert score == AlignmentEngine().score(*pair)
-            assert elapsed < 1.5  # the hedge answered, not the 2 s owner
-            assert snap["hedges"] >= 1 and snap["hedge_wins"] >= 1
+            pairs, prompt, quiet, raced, elapsed, snap = asyncio.run(run())
+            with AlignmentEngine() as eng:
+                assert prompt == raced == [eng.score(a, b) for a, b in pairs]
+            assert quiet == 0
+            assert elapsed < 1.5  # the hedges answered, not the 2 s owner
+            assert snap["hedges"] == snap["hedge_wins"] == len(pairs)
+            # The losing copies were abandoned, not failed: the slow
+            # owner's circuit stays closed and it stays on the ring.
+            slow_shard = f"127.0.0.1:{proxy.port}"
+            assert snap["breakers"][slow_shard] == "closed"
+            assert slow_shard in snap["live_shards"]
+            assert snap["failed_requests"] == 0
+        finally:
+            proxy.stop()
+
+    def test_cancelled_half_open_trial_returns_its_slot(self, one_shard):
+        # Regression: a routed request cancelled while it held the
+        # half-open trial slot kept the slot even after the shard
+        # answered, so every later request failed CircuitOpen
+        # "(tried none)".
+        proxy = FaultProxyThread("127.0.0.1", one_shard["port"])
+        proxy.start()
+        try:
+            async def run():
+                router = ShardRouter(
+                    [("127.0.0.1", proxy.port)], max_attempts=1,
+                    connect_timeout=2.0, breaker_threshold=1, breaker_recovery=0.2,
+                )
+                async with router:
+                    shard = f"127.0.0.1:{proxy.port}"
+                    proxy.set_faults(blackhole=True)
+                    with pytest.raises(ClusterError):  # one timeout trips it
+                        await router.score("ACGT", "AGGT", deadline_ms=200.0)
+                    tripped = router.router_stats()["breakers"][shard]
+                    # A shard that answers after 300 ms; the trial is
+                    # cancelled at 50 ms.
+                    proxy.set_faults(blackhole=False, latency_ms=300.0)
+                    await asyncio.sleep(0.3)  # cool-off: half-open
+                    trial = asyncio.create_task(router.score("ACGT", "AGGT"))
+                    await asyncio.sleep(0.05)
+                    trial.cancel()
+                    with pytest.raises(asyncio.CancelledError):
+                        await trial
+                    await asyncio.sleep(0.4)  # the abandoned trial is answered
+                    proxy.clear_faults()
+                    score = await router.score("ACGT", "AGGT")
+                    return tripped, score, router.router_stats()["breakers"][shard]
+
+            tripped, score, breaker_after = asyncio.run(run())
+            assert tripped == "open"
+            assert score == AlignmentEngine().score("ACGT", "AGGT")
+            assert breaker_after == "closed"  # the next request was the trial
         finally:
             proxy.stop()
 

@@ -13,6 +13,8 @@ Standing invariants:
 from __future__ import annotations
 
 import asyncio
+import random
+import socket
 import threading
 import time
 
@@ -35,6 +37,7 @@ from fragalign.service import (
     write_port_file,
 )
 from fragalign.service.protocol import (
+    Outbox,
     ProtocolError,
     alignment_from_dict,
     alignment_to_dict,
@@ -289,6 +292,58 @@ class TestMicroBatcher:
         results = asyncio.run(run())
         assert len(results) == 4
         assert all(isinstance(r, RuntimeError) for r in results)
+
+    def test_engine_error_fails_only_its_dispatch_group(self):
+        class LocalExplodes:
+            def __init__(self) -> None:
+                self._engine = AlignmentEngine()
+
+            def run(self, op, pairs, spec):
+                if spec.mode == "local":
+                    raise RuntimeError("local kernel on fire")
+                return self._engine.run(op, pairs, spec)
+
+        pairs = [("ACGTACGT", "AGGTACGT"), ("AAAA", "AATA"), ("ACGTAC", "ACGTAC")]
+
+        async def run():
+            batcher = MicroBatcher(LocalExplodes(), max_batch=64, max_delay=0.005)
+            try:
+                return await asyncio.gather(
+                    *(batcher.submit("score", a, b, JobSpec()) for a, b in pairs),
+                    *(batcher.submit("score", a, b, JobSpec("local")) for a, b in pairs),
+                    return_exceptions=True,
+                )
+            finally:
+                batcher.close()
+
+        results = asyncio.run(run())
+        with AlignmentEngine() as eng:
+            assert results[:3] == [eng.score(a, b) for a, b in pairs]
+        assert all(isinstance(r, RuntimeError) for r in results[3:])
+
+    def test_non_ascii_request_does_not_fail_its_flush(self):
+        # "ß".upper() is the two characters "SS"; a request carrying it
+        # is answered like any other and costs its flush nothing.
+        good = [("ACGTACGT" + "A" * k, "ACGTTCGT") for k in range(10)]
+        odd = ("ACGTß", "ACGT")
+
+        async def run():
+            counting = CountingEngine(AlignmentEngine())
+            batcher = MicroBatcher(counting, max_batch=64, max_delay=0.01)
+            try:
+                results = await asyncio.gather(
+                    *(batcher.submit("score", a, b, JobSpec()) for a, b in good + [odd]),
+                    return_exceptions=True,
+                )
+            finally:
+                batcher.close()
+            return counting.calls, results
+
+        calls, results = asyncio.run(run())
+        assert calls == [("score", 11)]  # one flush, one dispatch group
+        with AlignmentEngine() as eng:
+            assert results[:10] == [eng.score(a, b) for a, b in good]
+            assert results[10] == eng.score("ACGTN", "ACGT")  # ß scores as N
 
 
 def _serve_in_thread(config: ServiceConfig):
@@ -590,6 +645,203 @@ class TestClientReconnectBehavior:
 async def _close(server):
     server.close()
     await server.wait_closed()
+
+
+class _FakeTransport:
+    def __init__(self) -> None:
+        self.writes: list[bytes] = []
+
+    def write(self, data: bytes) -> None:
+        self.writes.append(data)
+
+    def get_write_buffer_size(self) -> int:
+        return 0
+
+    def is_closing(self) -> bool:
+        return False
+
+
+class _FakeWriter:
+    def __init__(self) -> None:
+        self.transport = _FakeTransport()
+
+
+def _pipelined_workload(
+    hot: int = 20, total: int = 2000
+) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+    """A hot pool to warm the cache with, then ``total`` requests whose
+    even positions repeat the pool (cache hits) and whose odd positions
+    are all distinct (misses that fill batches)."""
+    rng = random.Random(7)
+
+    def seq(n: int) -> str:
+        return "".join(rng.choice("ACGT") for _ in range(n))
+
+    pool = [(seq(16), seq(18)) for _ in range(hot)]
+    pairs = [
+        pool[k // 2 % hot] if k % 2 == 0 else (seq(12 + k % 9), seq(14))
+        for k in range(total)
+    ]
+    return pool, pairs
+
+
+class TestWritePath:
+    """The per-connection outbox: coalesced writes, bounded drains."""
+
+    def test_outbox_writes_once_per_loop_iteration(self):
+        async def run():
+            writer = _FakeWriter()
+            outbox = Outbox(writer, drain_timeout=1.0)
+            for k in range(3):
+                outbox.send(b"%d\n" % k)
+            assert writer.transport.writes == []  # nothing leaves mid-iteration
+            await asyncio.sleep(0)
+            first = list(writer.transport.writes)
+            outbox.send(b"3\n")
+            await asyncio.sleep(0)
+            return first, writer.transport.writes
+
+        first, writes = asyncio.run(run())
+        assert first == [b"0\n1\n2\n"]
+        assert writes == [b"0\n1\n2\n", b"3\n"]
+
+    def test_2000_pipelined_requests_on_one_connection(self, service_port):
+        pool, pairs = _pipelined_workload()
+        with AlignmentEngine() as eng:
+            expected = dict(zip(pairs, eng.score_many(pairs)))
+
+        def blob(batch, first_id):
+            return b"".join(
+                encode_line({"id": first_id + k, "op": "score", "a": a, "b": b})
+                for k, (a, b) in enumerate(batch)
+            )
+
+        with socket.create_connection(("127.0.0.1", service_port), timeout=60) as sock:
+            stream = sock.makefile("rb")
+            sock.sendall(blob(pool, -len(pool)))  # warm the hot pool
+            warm = [decode_line(stream.readline()) for _ in pool]
+            sock.sendall(blob(pairs, 0))  # every request before any answer
+            answers = [decode_line(stream.readline()) for _ in pairs]
+        assert all(w["ok"] for w in warm)
+        assert sorted(a["id"] for a in answers) == list(range(len(pairs)))
+        for answer in answers:
+            assert answer["ok"], answer
+            assert answer["result"] == expected[pairs[answer["id"]]]
+            assert answer["cached"] == (answer["id"] % 2 == 0)  # hits interleaved
+
+    def test_2000_concurrent_client_requests_route_by_id(self, service_port):
+        pool, pairs = _pipelined_workload()
+        with AlignmentEngine() as eng:
+            expected = [float(v) for v in eng.score_many(pairs)]
+
+        async def run():
+            client = await AsyncAlignmentClient.connect(port=service_port)
+            try:
+                await asyncio.gather(*(client.score(a, b) for a, b in pool))
+                return await asyncio.gather(*(client.score_detail(a, b) for a, b in pairs))
+            finally:
+                await client.close()
+
+        answers = asyncio.run(run())
+        assert [score for score, _ in answers] == expected
+        assert [cached for _, cached in answers] == [k % 2 == 0 for k in range(len(pairs))]
+
+    def test_wedged_reader_dropped_after_drain_timeout(self):
+        rng = random.Random(3)
+        a = "".join(rng.choice("ACGT") for _ in range(1200))
+        b = a[:600] + "T" + a[601:]
+        # Identical align requests: computed once, then answered from
+        # the cache — ~15 KB per response, ~12 MB in all.
+        line = encode_line({"id": 0, "op": "align", "a": a, "b": b})
+        port, stop, _service = _serve_in_thread(
+            ServiceConfig(port=0, drain_timeout=0.5, cache_size=16)
+        )
+        wedged = socket.socket()
+        try:
+            wedged.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            wedged.connect(("127.0.0.1", port))
+            wedged.sendall(line * 800)  # ...and never reads a byte
+
+            async def watch():
+                client = await AsyncAlignmentClient.connect(port=port)
+                try:
+                    answered, deadline = 0, time.monotonic() + 30
+                    while time.monotonic() < deadline:
+                        # The second connection keeps being answered.
+                        assert await client.score("ACGTACGT", "AGGTACGT") == 6.0
+                        answered += 1
+                        if (await client.stats())["connections"]["open"] == 1:
+                            return answered
+                        await asyncio.sleep(0.05)
+                    raise AssertionError("the wedged client was never dropped")
+                finally:
+                    await client.close()
+
+            assert asyncio.run(watch()) >= 1
+            # The server aborted its side: once the wedged socket reads,
+            # it reaches a reset or EOF instead of timing out.
+            wedged.settimeout(10)
+            try:
+                while wedged.recv(1 << 16):
+                    pass
+            except ConnectionResetError:
+                pass
+        finally:
+            wedged.close()
+            stop()
+
+    def test_client_aborts_a_server_that_stops_reading(self, monkeypatch):
+        monkeypatch.setattr(AsyncAlignmentClient, "WRITE_TIMEOUT", 0.3)
+        big = "ACGT" * 100_000  # ~800 KB per request line
+
+        async def run():
+            accepted: list[asyncio.StreamWriter] = []
+
+            async def never_reads(reader, writer):
+                accepted.append(writer)
+                await asyncio.sleep(3600)
+
+            server = await asyncio.start_server(never_reads, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            client = await AsyncAlignmentClient.connect(port=port)
+            try:
+                start = time.monotonic()
+                results = await asyncio.wait_for(
+                    asyncio.gather(
+                        *(client.score(big, big) for _ in range(32)),
+                        return_exceptions=True,
+                    ),
+                    timeout=10,
+                )
+                return results, time.monotonic() - start
+            finally:
+                await client.close()
+                for writer in accepted:
+                    writer.close()
+                await _close(server)
+
+        results, elapsed = asyncio.run(run())
+        # ~25 MB backs up in the transport; the bounded drain wait
+        # aborts the connection, failing every pending request.
+        assert all(isinstance(r, ConnectionError) for r in results), results[:3]
+        assert elapsed < 5.0
+
+    def test_request_after_server_closed_fails_fast(self):
+        port, stop, _service = _serve_in_thread(ServiceConfig(port=0))
+
+        async def run():
+            client = await AsyncAlignmentClient.connect(port=port)
+            try:
+                await client.shutdown()
+                await asyncio.to_thread(stop)  # the server has fully exited
+                start = time.monotonic()
+                with pytest.raises(ConnectionError):
+                    await asyncio.wait_for(client.score("ACGT", "AGGT"), timeout=5)
+                return time.monotonic() - start
+            finally:
+                await client.close()
+
+        assert asyncio.run(run()) < 1.0
 
 
 class TestCacheKeying:
