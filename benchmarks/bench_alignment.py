@@ -109,9 +109,7 @@ def test_engine_naive_loop(benchmark, batch_pairs):
 # ---------------------------------------------------------------------------
 
 
-def run_engine_bench(
-    n_pairs: int = 200, length: int = 256, workers: int = 4, seed: int = 2026
-) -> dict:
+def run_engine_bench(n_pairs: int = 200, length: int = 256, seed: int = 2026) -> dict:
     """Time every backend and mode on one batch; return the report.
 
     The headline rows: ``numpy`` ``align_many`` must beat a per-pair
@@ -164,12 +162,6 @@ def run_engine_bench(
             eng.score_many, pairs, "banded", band, repeat=3
         )
         record(f"numpy_banded_score_many_band{band}", t, banded_cells)
-    with AlignmentEngine(backend="parallel", workers=workers) as eng:
-        # Warm the pool: a sub-min_batch slice would run in-process and
-        # leave pool start-up inside the measured window.
-        eng.score_many(pairs[: eng.backend.min_batch])
-        t, par_scores = time_call(eng.score_many, pairs, repeat=3)
-        record(f"parallel_score_many_x{workers}", t)
 
     # Native-backend rows, A/B-interleaved.  Methodology: contenders
     # alternate in round-robin over AB_ROUNDS rounds on the SAME
@@ -301,7 +293,6 @@ def run_engine_bench(
     assert s_vec == s_ref
 
     assert [x.score for x in naive_alns] == [x.score for x in vec_alns]
-    assert np.array_equal(vec_scores, par_scores)
     assert np.array_equal(vec_scores, [x.score for x in vec_alns])
     # Cross-mode sanity on the same workload: overlap is at least the
     # global score (it relaxes end gaps); a full-width band is exact;
@@ -317,7 +308,7 @@ def run_engine_bench(
     )
     return {
         "experiment": "B-ENGINE batch alignment throughput",
-        "config": {"n_pairs": n_pairs, "length": length, "workers": workers, "band": band},
+        "config": {"n_pairs": n_pairs, "length": length, "band": band},
         "ab_methodology": (
             f"native rows: {AB_ROUNDS} interleaved A/B rounds per contender "
             "(round-robin, best-of-3 each round, CPU-minimum across rounds); "
@@ -353,7 +344,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--pairs", type=int, default=200)
     parser.add_argument("--length", type=int, default=256)
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument(
         "--out",
         default=None,
@@ -363,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.quick:
         args.pairs, args.length = 16, 64
-    report = run_engine_bench(args.pairs, args.length, args.workers)
+    report = run_engine_bench(args.pairs, args.length)
     print(json.dumps(report, indent=2))
     out = args.out
     if out is None and not args.quick:

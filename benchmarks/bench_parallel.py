@@ -1,106 +1,20 @@
-"""B-PAR — the parallel-DP study (the IPPS venue's evaluation, on 2026
-hardware: a 24-core shared-memory node instead of a 2002 cluster).
+"""B-PAR — strong scaling of the incremental all-intervals DP (the
+1-CSR solver's profit tables, paper §3.4) over a process pool.
 
-Three measurements:
-
-1. the GIL wall: blocked wavefront with the pure-Python kernel gains
-   nothing from threads but scales with processes;
-2. the vectorized wavefront: process pools vs serial on large tables;
-3. the incremental all-intervals DP: strong scaling over worker counts.
-
-Absolute numbers are machine-specific; the *shape* — threads ≈ serial
-for Python kernels, processes < serial wall-clock, saturating returns
-with more workers — is the reproduced result.
+Absolute numbers are machine-specific: the speedup saturates with the
+host's cores, and on small hosts pool start-up can outweigh the split.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import print_table
 from fragalign.align import (
     all_interval_chain_scores,
     all_interval_chain_scores_parallel,
-    global_score,
-    nw_score_wavefront,
 )
-from fragalign.engine import AlignmentEngine
-from fragalign.genome.dna import random_dna
 from fragalign.util.timing import time_call
-
-
-@pytest.fixture(scope="module")
-def big_seqs():
-    gen = np.random.default_rng(7)
-    return random_dna(1600, gen), random_dna(1600, gen)
-
-
-def test_gil_wall_table(benchmark, big_seqs):
-    a, b = big_seqs
-    expect = global_score(a, b)
-    rows = []
-    t_serial, got = time_call(
-        nw_score_wavefront, a, b, block=400, kernel="python", repeat=1
-    )
-    assert got == pytest.approx(expect)
-    for label, kwargs in [
-        ("threads x4", dict(executor="threads", workers=4)),
-        ("processes x4", dict(executor="processes", workers=4)),
-    ]:
-        t, got = time_call(
-            nw_score_wavefront,
-            a,
-            b,
-            block=400,
-            kernel="python",
-            repeat=1,
-            **kwargs,
-        )
-        assert got == pytest.approx(expect)
-        rows.append((label, f"{t:.2f}s", f"{t_serial / t:.2f}x"))
-    print_table(
-        "B-PAR GIL wall (python kernel)",
-        ["executor", "time", "speedup vs serial"],
-        [("serial", f"{t_serial:.2f}s", "1.00x")] + rows,
-    )
-    benchmark.pedantic(
-        nw_score_wavefront,
-        args=(a, b),
-        kwargs=dict(block=400, executor="processes", workers=4, kernel="python"),
-        rounds=1,
-        iterations=1,
-    )
-
-
-def test_vectorized_wavefront(benchmark, big_seqs):
-    a, b = big_seqs
-    expect = global_score(a, b)
-    got = benchmark(nw_score_wavefront, a, b, block=256)
-    assert got == pytest.approx(expect)
-
-
-def test_engine_batch_backends(benchmark):
-    """Batch throughput per engine backend: the batch analogue of the
-    wavefront study — same scores, different schedules."""
-    gen = np.random.default_rng(9)
-    pairs = [(random_dna(192, gen), random_dna(192, gen)) for _ in range(96)]
-    rows = []
-    with AlignmentEngine(backend="numpy") as eng:
-        t_vec, expect = time_call(eng.score_many, pairs, repeat=1)
-    rows.append(("numpy", f"{t_vec:.2f}s", "1.00x"))
-    with AlignmentEngine(backend="parallel", workers=4) as eng:
-        # Warm with a full min_batch so the pool actually spins up here.
-        eng.score_many(pairs[: eng.backend.min_batch])
-        t_par, got = time_call(eng.score_many, pairs, repeat=1)
-        assert np.array_equal(got, expect)
-        rows.append(("parallel x4", f"{t_par:.2f}s", f"{t_vec / t_par:.2f}x"))
-        print_table(
-            "B-PAR engine batch backends",
-            ["backend", "time", "speedup vs numpy"],
-            rows,
-        )
-        benchmark.pedantic(eng.score_many, args=(pairs,), rounds=1, iterations=1)
 
 
 def test_interval_dp_strong_scaling(benchmark, rng):

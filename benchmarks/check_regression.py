@@ -40,7 +40,6 @@ KEY_ROWS = (
     "numpy_align_many",
     "numpy_score_many",
     "numpy_overlap_score_many",
-    "parallel_score_many_x4",
     "numpy_affine_align_many",
     "numpy_affine_score_many",
     "bitparallel_numpy_score_many",
@@ -48,13 +47,12 @@ KEY_ROWS = (
 )
 
 # Rows whose quick-vs-full ratio is structurally depressed, not just
-# scaled: the parallel backend amortizes thread startup over the batch,
-# so at quick sizes (16 pairs x 64) overhead dominates and its
-# normalized ratio sits far below the vectorized peers even on a
-# healthy build.  These get an absolute floor instead of the peer-
-# normalized tolerance — still gated, but at catastrophic-only level.
+# scaled: at quick sizes (16 pairs x 64) a fixed per-pair or per-call
+# cost dominates, so their normalized ratio sits far below the
+# vectorized peers even on a healthy build.  These get an absolute
+# floor instead of the peer-normalized tolerance — still gated, but at
+# catastrophic-only level.
 ROW_FLOORS = {
-    "parallel_score_many_x4": 0.08,
     # Affine align pairs a vectorized Gotoh sweep (scales with size)
     # with a per-pair three-matrix Python traceback (fixed per-cell
     # cost), so at quick sizes the traceback fraction balloons and the

@@ -1,14 +1,13 @@
 #!/usr/bin/env python
-"""Parallel DP study — the IPPS-2002 evaluation on modern hardware.
+"""Parallel interval DP — strong scaling of the 1-CSR profit tables.
 
-Measures the blocked-wavefront Needleman–Wunsch under three schedules
-(serial / thread pool / process pool) for both the pure-Python and the
-NumPy row kernels, and the strong scaling of the incremental
-all-intervals DP that powers the 1-CSR solver.  The point the numbers
-make: CPython threads do not help a Python DP loop (the GIL), NumPy
-kernels vectorize most of the win, and process pools buy the rest.
+Measures the incremental all-intervals DP that powers the 1-CSR solver
+serially and over process pools of several sizes.  The left endpoints
+are independent, so the work splits cleanly; whether a pool pays
+depends on the table size against pool start-up and on the host's
+cores (at the default size on a two-core host, serial wins).
 
-Run:  python examples/parallel_alignment.py [length] [workers...]
+Run:  python examples/parallel_alignment.py [workers...]
 """
 
 from __future__ import annotations
@@ -20,49 +19,14 @@ import numpy as np
 from fragalign.align import (
     all_interval_chain_scores,
     all_interval_chain_scores_parallel,
-    global_score,
-    nw_score_wavefront,
 )
-from fragalign.genome.dna import random_dna
 from fragalign.util.timing import time_call
-
-
-def wavefront_study(n: int) -> None:
-    gen = np.random.default_rng(1)
-    a, b = random_dna(n, gen), random_dna(n, gen)
-    expect = global_score(a, b)
-    print(f"Needleman–Wunsch, {n}×{n} cells (score {expect:g})")
-    print(f"{'kernel':<8} {'executor':<12} {'time':>8} {'speedup':>8}")
-    base: dict[str, float] = {}
-    for kernel, block in (("python", max(64, n // 4)), ("numpy", max(128, n // 4))):
-        for executor, workers in (
-            ("serial", None),
-            ("threads", 4),
-            ("processes", 4),
-        ):
-            t, got = time_call(
-                nw_score_wavefront,
-                a,
-                b,
-                block=block,
-                kernel=kernel,
-                executor=executor,
-                workers=workers,
-                repeat=1,
-            )
-            assert abs(got - expect) < 1e-6
-            if executor == "serial":
-                base[kernel] = t
-            print(
-                f"{kernel:<8} {executor:<12} {t:>7.2f}s"
-                f" {base[kernel] / t:>7.2f}x"
-            )
 
 
 def interval_dp_study(workers_list: list[int]) -> None:
     gen = np.random.default_rng(2)
     W = gen.normal(size=(64, 800))
-    print("\nIncremental all-intervals DP (1-CSR profit tables)")
+    print("Incremental all-intervals DP (1-CSR profit tables)")
     t1, expect = time_call(all_interval_chain_scores, W, repeat=1)
     print(f"{'workers':<8} {'time':>8} {'speedup':>8}")
     print(f"{'serial':<8} {t1:>7.2f}s {1.0:>7.2f}x")
@@ -73,9 +37,7 @@ def interval_dp_study(workers_list: list[int]) -> None:
 
 
 def main() -> None:
-    n = int(sys.argv[1]) if len(sys.argv) > 1 else 1600
-    workers = [int(x) for x in sys.argv[2:]] or [2, 4, 8]
-    wavefront_study(n)
+    workers = [int(x) for x in sys.argv[1:]] or [2, 4, 8]
     interval_dp_study(workers)
 
 

@@ -5,9 +5,9 @@ Builds the instance of Fig. 2 (contigs h1=⟨a,b,c⟩, h2=⟨d⟩, m1=⟨s,t⟩,
 m2=⟨u,v⟩), runs the exact solver, the (3+ε)-approximation CSR_Improve,
 the factor-4 baseline and the greedy foil, and prints the optimal
 layout (Fig. 4) plus its match set (Fig. 5).  Then the alignment
-engine: the same batch of sequence pairs scored through each
-registered backend (``naive`` per-cell Python, ``numpy`` vectorized,
-``parallel`` multiprocessing) via the ``align_many`` batch API.
+engine: the same batch of sequence pairs scored through the ``naive``
+per-cell Python backend and the ``numpy`` vectorized one via the
+``score_many`` batch API.
 
 Run:  python examples/quickstart.py
 """
@@ -75,7 +75,7 @@ def main() -> None:
     print(f"\nAlignment engine (backends: {', '.join(available_backends())}):")
     gen = np.random.default_rng(0)
     batch = [(random_dna(120, gen), random_dna(120, gen)) for _ in range(16)]
-    for backend in ("naive", "numpy", "parallel"):
+    for backend in ("naive", "numpy"):
         with AlignmentEngine(backend=backend) as engine:
             scores = engine.score_many(batch)
             print(

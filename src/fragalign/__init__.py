@@ -9,9 +9,10 @@ Public API highlights:
 * :func:`fragalign.core.baseline4` — the Corollary-1 factor-4 baseline.
 * :func:`fragalign.core.exact_csr` — exact oracle for small instances.
 * :mod:`fragalign.isp` — interval selection + the two-phase algorithm.
-* :mod:`fragalign.align` — alignment DP substrate (serial + parallel).
+* :mod:`fragalign.align` — alignment DP substrate (serial + batched
+  kernels).
 * :class:`fragalign.engine.AlignmentEngine` — batched, multi-backend
-  alignment execution (``naive`` / ``numpy`` / ``parallel``).
+  alignment execution (``naive`` / ``numpy`` / ``native``).
 * :mod:`fragalign.reductions` — the paper's reductions, executable.
 * :mod:`fragalign.genome` — two-species contig simulation pipeline.
 

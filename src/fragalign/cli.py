@@ -5,7 +5,6 @@ Commands
 ``demo``      — the paper's worked example through every solver.
 ``pipeline``  — the genome → contigs → CSR → inference pipeline.
 ``hardness``  — the Theorem-2 gadget on a random cubic graph.
-``bench-dp``  — a quick DP throughput/parallelism check on this host.
 ``engine``    — batch-align random pairs through a chosen backend.
 ``serve``     — run the JSON-lines alignment service (micro-batching).
 ``client``    — drive a running service: load generation + stats.
@@ -66,15 +65,18 @@ def _add_knob_flags(
 def _job_spec(knobs, op: str = "align", serving: bool = False):
     """The verb's knob flags (``knobs``: the parsed args as a mapping) as
     one validated JobSpec — for ``serving`` verbs, also checked as the
-    defaults every request resolves against.  Prints the refusal and
-    returns None when the flags cannot be served."""
+    defaults every request resolves against, on a registered backend.
+    Prints the refusal and returns None when the flags cannot be served."""
     from fragalign.job import JobSpec
     from fragalign.util.errors import InvalidArgument
 
     try:
         spec = JobSpec.from_fields(knobs, op)
         if serving:
+            from fragalign.engine.registry import check_backend
+
             spec.resolve(spec, "align")
+            check_backend(spec.backend)
     except InvalidArgument as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
@@ -184,17 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
     hard.add_argument("--nodes", type=int, default=10)
     hard.add_argument("--seed", type=int, default=7)
 
-    bench = sub.add_parser("bench-dp", help="quick DP throughput check")
-    bench.add_argument("--length", type=int, default=800)
-    bench.add_argument("--workers", type=int, default=4)
-
     eng = sub.add_parser(
         "engine", help="batch alignment through a selected backend"
     )
     eng.add_argument("--batch", type=int, default=50, help="number of pairs")
     eng.add_argument("--length", type=int, default=256, help="sequence length")
     _add_knob_flags(eng, serving=True, memory=False)
-    eng.add_argument("--workers", type=int, default=None)
     eng.add_argument("--seed", type=int, default=2026)
 
     srv = sub.add_parser(
@@ -777,32 +774,6 @@ def _cmd_hardness(args: argparse.Namespace) -> int:
     return 0 if len(U_opt) == gadget.expected_size(len(W)) else 1
 
 
-def _cmd_bench_dp(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from fragalign.align import global_score, nw_score_wavefront
-    from fragalign.genome.dna import random_dna
-    from fragalign.util.timing import time_call
-
-    gen = np.random.default_rng(0)
-    a, b = random_dna(args.length, gen), random_dna(args.length, gen)
-    t_vec, score = time_call(global_score, a, b, repeat=1)
-    t_par, score2 = time_call(
-        nw_score_wavefront,
-        a,
-        b,
-        repeat=1,
-        block=max(128, args.length // args.workers),
-        executor="processes",
-        workers=args.workers,
-    )
-    assert abs(score - score2) < 1e-6
-    cells = args.length * args.length
-    print(f"vectorized: {t_vec:.3f}s ({cells / t_vec / 1e6:.1f} Mcells/s)")
-    print(f"processes x{args.workers}: {t_par:.3f}s")
-    return 0
-
-
 def _cmd_engine(args: argparse.Namespace) -> int:
     import numpy as np
 
@@ -815,19 +786,10 @@ def _cmd_engine(args: argparse.Namespace) -> int:
         (random_dna(args.length, gen), random_dna(args.length, gen))
         for _ in range(args.batch)
     ]
-    options = {} if args.workers is None else {"workers": args.workers}
     spec = _job_spec(vars(args), serving=True)
     if spec is None:
         return 2
-    try:
-        engine = AlignmentEngine(**spec.wire(), **options)
-    except TypeError:
-        print(
-            f"error: backend {args.backend!r} does not accept --workers",
-            file=sys.stderr,
-        )
-        return 2
-    with engine:
+    with AlignmentEngine(**spec.wire()) as engine:
         t, scores = time_call(engine.score_many, pairs, repeat=1)
         cells = args.batch * args.length * args.length
         print(
@@ -1732,7 +1694,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "demo": _cmd_demo,
         "pipeline": _cmd_pipeline,
         "hardness": _cmd_hardness,
-        "bench-dp": _cmd_bench_dp,
         "engine": _cmd_engine,
         "serve": _cmd_serve,
         "client": _cmd_client,

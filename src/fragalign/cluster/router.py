@@ -132,10 +132,9 @@ class ShardRouter:
         duplicate at the next replica (``None`` disables hedging).
     hedge_max_fraction:
         Cap on hedges as a fraction of routed requests.
-    retry_min_budget:
-        Seconds of deadline budget a retry must have left to be worth
-        starting (the observed cost of this request's failed attempts
-        raises the bar further).
+
+    A retry under a deadline starts only while the budget left exceeds
+    the fastest failed attempt of the same request.
     """
 
     def __init__(
@@ -150,7 +149,6 @@ class ShardRouter:
         breaker_recovery: float = 5.0,
         hedge_delay: float | None = None,
         hedge_max_fraction: float = 0.1,
-        retry_min_budget: float = 0.0,
     ) -> None:
         if not addresses:
             raise ValueError("at least one shard address is required")
@@ -172,13 +170,10 @@ class ShardRouter:
             raise ValueError("hedge_delay must be >= 0")
         if not 0 < hedge_max_fraction <= 1:
             raise ValueError("hedge_max_fraction must be in (0, 1]")
-        if retry_min_budget < 0:
-            raise ValueError("retry_min_budget must be >= 0")
         self.breaker_threshold = breaker_threshold
         self.breaker_recovery = breaker_recovery
         self.hedge_delay = hedge_delay
         self.hedge_max_fraction = hedge_max_fraction
-        self.retry_min_budget = retry_min_budget
         self._breakers: dict[str, CircuitBreaker] = {}
         self._clients: dict[str, AsyncAlignmentClient] = {}
         self._connecting: dict[str, asyncio.Lock] = {}
@@ -408,8 +403,7 @@ class ShardRouter:
                 # A first attempt runs on any positive budget; a retry
                 # must clear the floor — no point starting an attempt
                 # the budget provably can't cover.
-                floor = max(self.retry_min_budget, cheapest or 0.0) if attempt else 0.0
-                if deadline - time.monotonic() <= floor:
+                if deadline - time.monotonic() <= (cheapest or 0.0):
                     self.deadline_gaveups += 1
                     if route_ctx is not None:
                         self._finish_route(route_ctx, route_start, op, tried, False)
@@ -1031,12 +1025,10 @@ class ClusterClient:
         max_attempts: int = 2,
         request_timeout: float | None = None,
         health_interval: float | None = None,
-        health_fail_after: int = 2,
         breaker_threshold: int = 3,
         breaker_recovery: float = 5.0,
         hedge_delay: float | None = None,
         hedge_max_fraction: float = 0.1,
-        retry_min_budget: float = 0.0,
     ) -> None:
         self.router = ShardRouter(
             addresses,
@@ -1048,7 +1040,6 @@ class ClusterClient:
             breaker_recovery=breaker_recovery,
             hedge_delay=hedge_delay,
             hedge_max_fraction=hedge_max_fraction,
-            retry_min_budget=retry_min_budget,
         )
         self._monitor = None
         self._loop = asyncio.new_event_loop()
@@ -1060,11 +1051,7 @@ class ClusterClient:
             if health_interval is not None:
                 from fragalign.cluster.health import HealthMonitor
 
-                self._monitor = HealthMonitor(
-                    self.router,
-                    interval=health_interval,
-                    fail_after=health_fail_after,
-                )
+                self._monitor = HealthMonitor(self.router, interval=health_interval)
                 self._call(self._start_monitor())
         except BaseException:
             # Construction failed after the loop thread started:

@@ -1,16 +1,18 @@
 """fragalign.engine — the batched, vectorized alignment engine.
 
 A backend registry (``naive`` pure-Python, ``numpy`` vectorized,
-``parallel`` multiprocessing, ``native`` bit-parallel/striped-SIMD
-score kernels) behind a single :class:`AlignmentEngine`
-facade with ``align(a, b)`` / ``align_many(pairs)`` single and batch
-APIs plus memoized scoring-matrix and sequence preparation.
+``native`` bit-parallel/striped-SIMD score kernels) behind a single
+:class:`AlignmentEngine` facade with ``align(a, b)`` /
+``align_many(pairs)`` single and batch APIs plus memoized
+scoring-matrix and sequence preparation.  An engine runs on the
+calling thread; multi-core alignment comes from running several
+engines, one per ``cluster serve`` shard process.
 
 Quick use::
 
     from fragalign.engine import AlignmentEngine
 
-    eng = AlignmentEngine(backend="numpy")          # or "naive"/"parallel"
+    eng = AlignmentEngine(backend="numpy")          # or "naive"/"native"
     scores = eng.score_many([(a1, b1), (a2, b2)])   # batched row sweeps
 
 Adding a backend::
@@ -27,6 +29,7 @@ Adding a backend::
 
     register_backend("mine", MyBackend)
     AlignmentEngine(backend="mine")
+    AlignmentEngine(backend=MyBackend(...))  # a configured instance
 
 All backends must agree on scores (and, for integer-valued models, on
 tracebacks) — the parity suite in ``tests/test_engine.py`` enforces
@@ -42,7 +45,6 @@ from fragalign.engine.backends import (
 )
 from fragalign.engine.facade import AlignmentEngine, default_model
 from fragalign.engine.native import NativeBackend
-from fragalign.engine.parallel import ParallelBackend
 from fragalign.engine.registry import (
     available_backends,
     get_backend,
@@ -52,7 +54,6 @@ from fragalign.job import MEMORY_MODES, MODES, JobSpec
 
 register_backend("naive", NaiveBackend, overwrite=True)
 register_backend("numpy", NumpyBackend, overwrite=True)
-register_backend("parallel", ParallelBackend, overwrite=True)
 register_backend("native", NativeBackend, overwrite=True)
 
 __all__ = [
@@ -65,7 +66,6 @@ __all__ = [
     "NativeBackend",
     "NumpyBackend",
     "JobSpec",
-    "ParallelBackend",
     "PreparedPair",
     "available_backends",
     "default_model",

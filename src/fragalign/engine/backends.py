@@ -96,7 +96,7 @@ class AlignmentBackend:
 
     Subclasses must implement :meth:`score` and :meth:`align`; they
     *should* override the batch methods when they can do better than a
-    Python loop (the whole point of the NumPy and parallel backends).
+    Python loop (the whole point of the NumPy and native backends).
     """
 
     name = "?"
@@ -129,7 +129,9 @@ class AlignmentBackend:
         return [self.align(p, model, spec) for p in batch]
 
     def close(self) -> None:
-        """Release any held resources (process pools, device handles)."""
+        """Release any held resources (device handles, worker pools) —
+        a hook for registered third-party backends; the built-ins hold
+        none."""
 
 
 class NaiveBackend(AlignmentBackend):
@@ -344,8 +346,8 @@ class NumpyBackend(AlignmentBackend):
         self.chunk = chunk
         self.linear_auto_cells = linear_auto_cells
 
-    def _run(self, codes, model, spec: JobSpec, chunk: int, kind: str):
-        mode, affine = spec.mode, spec.gap_open is not None
+    def _run(self, codes, model, spec: JobSpec, kind: str):
+        mode, affine, chunk = spec.mode, spec.gap_open is not None, self.chunk
         if kind == "align":
             # The tensor is allocated per chunk — (n, B, m) — so auto
             # resolves on the chunk's cell count, not one pair's.
@@ -379,15 +381,15 @@ class NumpyBackend(AlignmentBackend):
         return table[mode](codes, model, chunk=chunk)
 
     def score(self, p, model, spec) -> float:
-        return float(self._run([(p.a_codes, p.b_codes)], model, spec, 1, "score")[0])
+        return float(self._run([(p.a_codes, p.b_codes)], model, spec, "score")[0])
 
     def align(self, p, model, spec) -> Alignment:
-        return self._run([(p.a_codes, p.b_codes)], model, spec, 1, "align")[0]
+        return self._run([(p.a_codes, p.b_codes)], model, spec, "align")[0]
 
     def score_many(self, batch, model, spec) -> np.ndarray:
         codes = [(p.a_codes, p.b_codes) for p in batch]
-        return self._run(codes, model, spec, self.chunk, "score")
+        return self._run(codes, model, spec, "score")
 
     def align_many(self, batch, model, spec) -> list[Alignment]:
         codes = [(p.a_codes, p.b_codes) for p in batch]
-        return self._run(codes, model, spec, self.chunk, "align")
+        return self._run(codes, model, spec, "align")

@@ -53,9 +53,8 @@ import numpy as np
 from fragalign.align.pairwise import Alignment
 from fragalign.align.scoring_matrices import SubstitutionModel, encode, unit_dna
 from fragalign.engine.backends import AlignmentBackend, PreparedPair
-from fragalign.engine.registry import available_backends, get_backend
+from fragalign.engine.registry import check_backend, get_backend
 from fragalign.job import JobSpec
-from fragalign.util.errors import InvalidArgument
 from fragalign.util.lru import LRUCache
 
 __all__ = ["AlignmentEngine", "default_model"]
@@ -73,8 +72,9 @@ class AlignmentEngine:
     Parameters
     ----------
     backend:
-        A registered backend name (``naive``, ``numpy``, ``parallel``)
-        or an :class:`AlignmentBackend` instance.
+        A registered backend name (``naive``, ``native``, ``numpy``)
+        or an :class:`AlignmentBackend` instance — the way to run a
+        configured backend, e.g. ``NumpyBackend(chunk=32)``.
     model:
         Substitution model; defaults to the memoized unit-cost model.
     mode:
@@ -100,9 +100,6 @@ class AlignmentEngine:
         LRU — ``<= 0`` disables memoization).  Bounded so a
         long-running server scoring an open-ended stream of distinct
         sequences holds steady-state memory.
-    **backend_options:
-        Forwarded to the backend factory (e.g. ``workers=4`` for
-        ``parallel``, ``chunk=32`` for ``numpy``).
     """
 
     def __init__(
@@ -115,14 +112,10 @@ class AlignmentEngine:
         gap_extend: float | None = None,
         memory: str = "auto",
         cache_size: int = 4096,
-        **backend_options,
     ) -> None:
-        if isinstance(backend, AlignmentBackend):
-            if backend_options:
-                raise ValueError("backend options only apply when backend is a name")
-            self._backend = backend
-        else:
-            self._backend = get_backend(backend, **backend_options)
+        self._backend = (
+            backend if isinstance(backend, AlignmentBackend) else get_backend(backend)
+        )
         #: The engine's default job: every per-call spec resolves against it.
         self.defaults = JobSpec(mode, band, gap_open, gap_extend, memory, self._backend.name)
         # Fail at construction, not on every call: a server built on this
@@ -168,11 +161,8 @@ class AlignmentEngine:
         """The job ``spec`` runs as on this engine (see
         :meth:`JobSpec.resolve`); refuses backend names nobody registered."""
         spec = spec.resolve(self.defaults, op)
-        if spec.backend != self._backend.name and spec.backend not in available_backends():
-            raise InvalidArgument(
-                f"unknown backend {spec.backend!r} "
-                f"(registered: {', '.join(available_backends())})"
-            )
+        if spec.backend != self._backend.name:
+            check_backend(spec.backend)
         return spec
 
     def _route(self, op: str, spec: JobSpec) -> AlignmentBackend:
@@ -309,7 +299,7 @@ class AlignmentEngine:
     # -- lifecycle ---------------------------------------------------
 
     def close(self) -> None:
-        """Release backend resources (worker pools), overrides included."""
+        """Release backend resources, per-call overrides included."""
         self._backend.close()
         for be in self._extra_backends.values():
             be.close()

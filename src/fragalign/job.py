@@ -131,7 +131,7 @@ _SPECS = (
         "ring_key": False,  # ...so cache entries and routing are shared
         "group_key": True,  # but one engine batch runs on one backend
         "keyset": True,
-        "doc": "engine backend: numpy, native, naive or parallel",
+        "doc": "engine backend: numpy, native or naive",
     },
     # Non-semantic wire fields: every flag off, so tracing and deadlines
     # can never split a batch, enter a cache or routing key, or appear

@@ -11,13 +11,14 @@ across shards for free; :func:`top_rows` turns either a live registry
 or a scraped exposition into the per-family throughput table behind
 ``fragalign top``.
 
-Recording runs on the batcher's worker thread while the event loop
-serves other traffic — and under the ``parallel`` backend several
-worker threads can dispatch kernels at once, so :meth:`record` takes
-one profiler-level lock around its cross-instrument update.  The
-per-instrument locks alone keep each counter uncorrupted, but not the
-*set* coherent: a reader could otherwise see this dispatch's seconds
-without its cells and compute a garbage Mcells/s for the row.
+Recording runs on the batcher's worker thread while the event-loop
+thread scrapes the same registry (the ``metrics`` op, ``fragalign
+top``, the SLO sampler).  That cross-thread read is why there are
+locks: each instrument's own lock keeps its values exact under a
+concurrent scrape, and :meth:`record` also holds one profiler-level
+lock around its cross-instrument update so that recorders on more
+than one thread (a library engine shared across threads) never
+interleave their per-dispatch updates.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ accounted in **estimated DP cells** — the unit the engine's own
 benchmarks use — with an optional job-count bound on top.
 
 When the cell load crosses ``degrade_watermark`` the controller reports
-*degraded mode* (with hysteresis: it disengages only below
-``recover_watermark``); the server maps that to its configured
+*degraded mode* (with hysteresis: it disengages only at or below
+``recover_watermark``, 2/3 of the degrade watermark — 0.5 at the
+default 0.75); the server maps that to its configured
 degradation policy (widen micro-batch windows, or answer ``align`` with
 ``score``).  Rejections raise :class:`~fragalign.util.errors.Overloaded`
 — retryable, because a different replica may have capacity.
@@ -51,19 +52,15 @@ class AdmissionController:
     """
 
     def __init__(self, max_cells: int = 0, max_jobs: int = 0,
-                 degrade_watermark: float = 0.75,
-                 recover_watermark: float = 0.5) -> None:
+                 degrade_watermark: float = 0.75) -> None:
         if max_cells < 0 or max_jobs < 0:
             raise ValueError("admission bounds must be >= 0 (0 disables)")
-        if not 0.0 < recover_watermark <= degrade_watermark:
-            raise ValueError(
-                "need 0 < recover_watermark <= degrade_watermark, got "
-                f"{recover_watermark!r} / {degrade_watermark!r}"
-            )
+        if not degrade_watermark > 0:
+            raise ValueError(f"degrade_watermark must be > 0, got {degrade_watermark!r}")
         self.max_cells = int(max_cells)
         self.max_jobs = int(max_jobs)
         self.degrade_watermark = float(degrade_watermark)
-        self.recover_watermark = float(recover_watermark)
+        self.recover_watermark = self.degrade_watermark * 2 / 3
         self.inflight_cells = 0
         self.inflight_jobs = 0
         self.admitted_total = 0

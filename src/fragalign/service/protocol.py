@@ -4,7 +4,10 @@ Every request and response is one UTF-8 JSON object on one
 ``\\n``-terminated line.  Responses may arrive **out of order** (the
 server answers cache hits immediately while batched misses are still
 computing), so every request carries a client-chosen ``id`` that the
-server echoes back.
+server echoes back.  An ``id`` must be a string, a finite number or
+null: anything else (a NaN, an infinity, a list, an object, a
+boolean) could not be echoed as JSON, so the request is refused with
+``INVALID_ARGUMENT`` and the refusal carries ``"id": null``.
 
 Requests::
 
@@ -41,8 +44,8 @@ alignments), so it is *not* part of the result-cache key, but
 before batching.
 
 ``backend`` (pair ops) selects the engine backend for the request
-(``numpy``, ``native``, ``naive``, ``parallel``); omitted, the
-server's configured backend applies.  Backends are parity-tested to
+(``numpy``, ``native``, ``naive``); omitted, the server's configured
+backend applies.  Backends are parity-tested to
 return identical scores, so the field is *not* part of the
 result-cache or routing keys — but it is part of the batch group key,
 because one engine batch dispatches to one backend.  Unknown names are
@@ -122,6 +125,7 @@ __all__ = [
     "service_error_from",
     "Outbox",
     "Request",
+    "checked_id",
     "parse_request",
     "encode_line",
     "decode_line",
@@ -280,8 +284,22 @@ def decode_line(line: bytes | str) -> dict:
     return obj
 
 
+def checked_id(obj: dict) -> str | int | float | None:
+    """The request's ``id`` if it can be echoed as JSON: a string, a
+    finite number or null.  Anything else raises :class:`ProtocolError`."""
+    rid = obj.get("id")
+    if (
+        rid is None
+        or type(rid) in (str, int)  # not bool: true/false are no ids
+        or (type(rid) is float and math.isfinite(rid))
+    ):
+        return rid
+    raise ProtocolError(f"id must be a string, a finite number or null, got {rid!r}")
+
+
 def parse_request(obj: dict) -> Request:
     """Validate a decoded request object."""
+    rid = checked_id(obj)
     op = obj.get("op")
     if op not in OPS:
         raise ProtocolError(f"unknown op {op!r} (expected one of {OPS})")
@@ -296,7 +314,7 @@ def parse_request(obj: dict) -> Request:
     if span_id is not None and not isinstance(span_id, str):
         raise ProtocolError(f"span_id must be a string, got {span_id!r}")
     if op not in PAIR_OPS:
-        return Request(id=obj.get("id"), op=op, trace_id=trace_id, span_id=span_id)
+        return Request(id=rid, op=op, trace_id=trace_id, span_id=span_id)
     a, b = obj.get("a"), obj.get("b")
     if not isinstance(a, str) or not isinstance(b, str):
         raise ProtocolError(f"op {op!r} needs string fields 'a' and 'b'")
@@ -316,7 +334,7 @@ def parse_request(obj: dict) -> Request:
         spec = JobSpec.from_fields(obj, op)
     except InvalidArgument as exc:
         raise ProtocolError(str(exc)) from None
-    return Request(obj.get("id"), op, a, b, spec, trace_id, span_id, deadline_ms)
+    return Request(rid, op, a, b, spec, trace_id, span_id, deadline_ms)
 
 
 def ok_response(request_id: Any, result: Any, cached: bool | None = None,

@@ -28,7 +28,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from fragalign.align.scoring_matrices import SubstitutionModel
 from fragalign.engine.facade import AlignmentEngine
@@ -51,6 +51,7 @@ from fragalign.service.protocol import (
     MAX_LINE,
     Outbox,
     alignment_to_dict,
+    checked_id,
     decode_line,
     encode_line,
     error_response,
@@ -73,6 +74,9 @@ __all__ = [
 ]
 
 _log = get_logger("service")
+
+#: ``--degrade widen`` scales the micro-batch flush window by this.
+DEGRADE_WIDEN_FACTOR = 8.0
 
 
 def write_port_file(path: str, port: int) -> None:
@@ -165,12 +169,11 @@ class ServiceConfig:
     max_inflight_cells: int = 0
     max_inflight_jobs: int = 0
     # Degradation policy past the load watermark: "none", "widen"
-    # (scale the micro-batch flush window up by degrade_widen_factor)
+    # (scale the micro-batch flush window up by DEGRADE_WIDEN_FACTOR)
     # or "score" (answer align requests with a score-only result).
+    # Degraded mode disengages at 2/3 of the watermark (hysteresis).
     degrade: str = "none"
     degrade_watermark: float = 0.75  # engage degraded mode at this cell load
-    degrade_recover: float = 0.5  # ...and disengage below this (hysteresis)
-    degrade_widen_factor: float = 8.0
     drain_timeout: float = 30.0  # seconds before a wedged client is dropped
     # Tail-based trace sampling (fragalign.obs.sampling): head-sample
     # server-initiated traces at this rate, always retaining errored
@@ -184,8 +187,6 @@ class ServiceConfig:
     journal: str | None = None
     journal_sequences: bool = False
     journal_max_mb: float = 64.0
-    journal_segments: int = 4
-    backend_options: dict = field(default_factory=dict)
 
 
 class AlignmentService:
@@ -212,7 +213,6 @@ class AlignmentService:
             gap_open=self.config.gap_open,
             gap_extend=self.config.gap_extend,
             memory=self.config.memory,
-            **self.config.backend_options,
         )
         # One registry backs the stats snapshot, the Prometheus
         # exposition, and the kernel profiler — they cannot disagree.
@@ -237,7 +237,6 @@ class AlignmentService:
             max_cells=self.config.max_inflight_cells,
             max_jobs=self.config.max_inflight_jobs,
             degrade_watermark=self.config.degrade_watermark,
-            recover_watermark=self.config.degrade_recover,
         )
         self.sampler = (
             TailSampler(
@@ -253,7 +252,6 @@ class AlignmentService:
             JournalWriter(
                 self.config.journal,
                 max_bytes=int(self.config.journal_max_mb * 1024 * 1024),
-                segments=self.config.journal_segments,
             )
             if self.config.journal
             else None
@@ -415,7 +413,7 @@ class AlignmentService:
         jrec: dict | None = None  # journal disposition, filled by _dispatch
         try:
             obj = decode_line(line)
-            request_id = obj.get("id")
+            request_id = checked_id(obj)  # a refused id is answered as null
             request = parse_request(obj)
             # The server-side span for this request: parented under the
             # caller's span, children are the per-stage spans below.
@@ -693,9 +691,7 @@ class AlignmentService:
             return
         self._degraded = degraded
         self.batcher.delay_scale = (
-            self.config.degrade_widen_factor
-            if degraded and self.config.degrade == "widen"
-            else 1.0
+            DEGRADE_WIDEN_FACTOR if degraded and self.config.degrade == "widen" else 1.0
         )
         self.stats.set_degraded_mode(degraded)
 

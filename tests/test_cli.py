@@ -51,17 +51,11 @@ def test_hardness(capsys):
     assert "CSoP-opt" in out
 
 
-def test_bench_dp(capsys):
-    assert main(["bench-dp", "--length", "200", "--workers", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "Mcells/s" in out
-
-
 def test_engine_numpy(capsys):
     assert main(["engine", "--backend", "numpy", "--batch", "8", "--length", "64"]) == 0
     out = capsys.readouterr().out
     assert "backend=numpy" in out and "Mcells/s" in out
-    assert "naive, native, numpy, parallel" in out
+    assert "registered backends: naive, native, numpy\n" in out
 
 
 def test_engine_naive_local(capsys):
@@ -94,13 +88,19 @@ def test_knob_flags_are_refused_before_anything_boots(capsys):
                  "--band", "4"]) == 2
     err = capsys.readouterr().err
     assert "needs a band" in err and "must be finite" in err and "banded mode" in err
+    # An unregistered backend is refused the same way: no server binds,
+    # no shard process is spawned.
+    unknown = "error: unknown backend 'parallel' (registered: naive, native, numpy)"
+    assert main(["serve", "--port", "0", "--backend", "parallel"]) == 2
+    assert capsys.readouterr().err.strip() == unknown
+    assert main(["cluster", "serve", "--shards", "2", "--backend", "parallel"]) == 2
+    assert capsys.readouterr().err.strip() == unknown
 
 
-def test_engine_unknown_backend():
-    from fragalign.util.errors import SolverError
-
-    with pytest.raises(SolverError, match="unknown backend"):
-        main(["engine", "--backend", "gpu"])
+def test_engine_unknown_backend(capsys):
+    assert main(["engine", "--backend", "gpu"]) == 2
+    err = capsys.readouterr().err
+    assert "error: unknown backend 'gpu' (registered: naive, native, numpy)" in err
 
 
 def test_serve_and_client_round_trip(tmp_path, capsys):

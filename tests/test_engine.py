@@ -37,7 +37,7 @@ dna_pairs = st.lists(st.tuples(dna, dna), min_size=0, max_size=8)
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert {"naive", "numpy", "parallel"} <= set(available_backends())
+        assert available_backends() == ("naive", "native", "numpy")
 
     def test_unknown_backend(self):
         with pytest.raises(SolverError, match="unknown backend"):
@@ -87,8 +87,6 @@ class TestFacade:
     def test_backend_instance_accepted(self):
         eng = AlignmentEngine(backend=NaiveBackend())
         assert eng.backend_name == "naive"
-        with pytest.raises(ValueError, match="backend options"):
-            AlignmentEngine(backend=NaiveBackend(), workers=2)
 
     def test_default_model_memoized(self):
         assert default_model() is default_model()
@@ -196,23 +194,6 @@ class TestCrossBackendParity:
         for x, y in zip(naive.align_many(pairs), vec.align_many(pairs)):
             assert x == y
 
-    def test_parallel_matches_numpy(self):
-        gen = np.random.default_rng(5)
-        # Uniform lengths so the pool fan-out path actually runs.
-        pairs = [(random_dna(96, gen), random_dna(96, gen)) for _ in range(40)]
-        mixed = pairs + [(random_dna(31, gen), random_dna(17, gen)) for _ in range(4)]
-        for mode in ("global", "local", "overlap", "banded"):
-            band = 70 if mode == "banded" else None
-            vec = AlignmentEngine(backend="numpy", mode=mode, band=band)
-            with AlignmentEngine(
-                backend="parallel", mode=mode, band=band, workers=2
-            ) as par:
-                assert np.array_equal(
-                    par.score_many(mixed), vec.score_many(mixed)
-                )
-                for x, y in zip(par.align_many(mixed), vec.align_many(mixed)):
-                    assert x.score == y.score and x.pairs == y.pairs
-
 
 class TestBatchSemantics:
     @settings(deadline=None)
@@ -303,21 +284,12 @@ class TestBackendProtocol:
         assert calls == ["A", "G"]
 
     def test_unknown_mode_rejected_by_backends(self):
-        from fragalign.engine import ParallelBackend
-
         p = AlignmentEngine().prepare("AC", "GT")
         # Backends take a JobSpec, which refuses an unknown mode when it
         # is built — no backend ever sees one.
         for backend in (NaiveBackend(), NumpyBackend()):
             with pytest.raises(ValueError, match="unknown alignment mode"):
                 backend.score(p, unit_dna(), JobSpec("frobnicate"))
-        # The pool fan-out path too (min_batch=0 forces it): the refusal
-        # fires before any worker process is spawned.
-        par = ParallelBackend(min_batch=0)
-        for method in (par.score_many, par.align_many):
-            with pytest.raises(ValueError, match="unknown alignment mode"):
-                method([p], unit_dna(), JobSpec("frobnicate"))
-        assert par._pool is None
 
 
 class TestAffineKnobs:
@@ -347,18 +319,6 @@ class TestAffineKnobs:
             results[name] = (list(scores), alns)
         assert results["naive"][0] == results["numpy"][0]
         assert results["naive"][1] == results["numpy"][1]
-
-    def test_parallel_backend_affine_fan_out(self, rng):
-        pairs = [(random_dna(16, rng), random_dna(16, rng)) for _ in range(20)]
-        with AlignmentEngine(backend="numpy") as ref, AlignmentEngine(
-            backend="parallel", workers=2, min_batch=4
-        ) as par:
-            want = ref.score_many(pairs, gap_open=-4.0, gap_extend=-1.0)
-            got = par.score_many(pairs, gap_open=-4.0, gap_extend=-1.0)
-            assert np.array_equal(want, got)
-            assert par.align_many(
-                pairs, gap_open=-4.0, gap_extend=-1.0
-            ) == ref.align_many(pairs, gap_open=-4.0, gap_extend=-1.0)
 
     def test_engine_level_defaults(self, rng):
         a, b = random_dna(20, rng), random_dna(22, rng)
@@ -396,7 +356,9 @@ class TestMemoryKnob:
 
     def test_auto_threshold_switches_strategy(self, rng):
         a, b = random_dna(64, rng), random_dna(64, rng)
-        with AlignmentEngine(linear_auto_cells=100) as small, AlignmentEngine() as eng:
+        with AlignmentEngine(
+            backend=NumpyBackend(linear_auto_cells=100)
+        ) as small, AlignmentEngine() as eng:
             # 64*64 cells > 100: auto takes the linear walker — results identical
             assert small.align(a, b) == eng.align(a, b, memory="tensor")
 

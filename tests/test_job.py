@@ -108,6 +108,13 @@ class TestEdgeRefusals:
             {"op": "score", "a": "AC", "b": "GT", "mode": "local", "trace_id": "t"}
         ).spec == JobSpec("local")
 
+    def test_request_ids_must_echo_as_json(self):
+        for good in ("a", 7, -2.5, None, 10**30):
+            assert parse_request({"id": good, "op": "ping"}).id == good
+        for bad in (NAN, math.inf, [1], {"k": 1}, True):
+            with pytest.raises(ProtocolError, match="id must be a string"):
+                parse_request({"id": bad, "op": "ping"})
+
     def test_invalid_argument_is_a_typed_non_retryable_error(self):
         exc = service_error_from(
             {"id": 1, "ok": False, "error": "bad knob", "code": "INVALID_ARGUMENT"}
@@ -173,6 +180,10 @@ REFUSALS = {
         {"mode": "diagonal"},
         f"unknown alignment mode 'diagonal' (expected one of {_MODES})",
     ),
+    "unregistered-backend": (
+        {"backend": "parallel"},
+        "unknown backend 'parallel' (registered: naive, native, numpy)",
+    ),
 }
 
 
@@ -208,6 +219,10 @@ def test_refusals_are_strict_json_on_the_wire(two_shards):
     lines = [
         {"id": 1, "op": "score", "a": "ACGT", "b": "AGGT", "gap_open": NAN, "gap_extend": -1.0},
         {"id": 2, "op": "score", "a": "ACGT", "b": "AGGT", "mdoe": "local"},
+        # Ids that cannot be echoed as JSON are refused with id null.
+        {"id": NAN, "op": "ping"},
+        b'{"id": 1e999, "op": "score", "a": "ACGT", "b": "AGGT"}\n',  # parses as inf
+        {"id": [3], "op": "ping"},
     ]
 
     async def send():
@@ -215,7 +230,9 @@ def test_refusals_are_strict_json_on_the_wire(two_shards):
             "127.0.0.1", two_shards[0], limit=MAX_LINE
         )
         try:
-            writer.write(b"".join(encode_line(obj) for obj in lines))
+            writer.write(
+                b"".join(obj if isinstance(obj, bytes) else encode_line(obj) for obj in lines)
+            )
             await writer.drain()
             return [await asyncio.wait_for(reader.readline(), 10) for _ in lines]
         finally:
@@ -226,11 +243,15 @@ def test_refusals_are_strict_json_on_the_wire(two_shards):
 
     responses = sorted(
         (json.loads(line, parse_constant=no_constants) for line in asyncio.run(send())),
-        key=lambda r: r["id"],
+        key=lambda r: (r["id"] is None, r["id"] or 0, r["error"]),
     )
+    bad_id = "id must be a string, a finite number or null, got "
     assert responses == [
         {"id": 1, "ok": False, "error": "gap_open must be finite, got nan",
          "code": "INVALID_ARGUMENT"},
         {"id": 2, "ok": False, "error": "unknown request field 'mdoe'",
          "code": "INVALID_ARGUMENT"},
+        {"id": None, "ok": False, "error": bad_id + "[3]", "code": "INVALID_ARGUMENT"},
+        {"id": None, "ok": False, "error": bad_id + "inf", "code": "INVALID_ARGUMENT"},
+        {"id": None, "ok": False, "error": bad_id + "nan", "code": "INVALID_ARGUMENT"},
     ]

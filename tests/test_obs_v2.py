@@ -232,21 +232,34 @@ class TestTraceBufferConcurrency:
 
 class TestKprofConcurrent:
     def test_concurrent_recording_is_exact(self):
-        """Regression: the parallel backend dispatches kernels from
-        several worker threads at once; totals must come out exact."""
+        """The batcher thread records while the loop thread scrapes (and
+        a library engine may be shared across threads): totals must come
+        out exact, and no scrape may see a counter go backwards."""
         reg = MetricsRegistry()
         prof = KernelProfiler(reg)
         n_threads, per_thread = 8, 500
+        done = threading.Event()
+        scraped: list[float] = []
 
         def worker() -> None:
             for _ in range(per_thread):
-                prof.record("score_many", "parallel", "global", [(64, 64)], 0.001)
+                prof.record("score_many", "numpy", "global", [(64, 64)], 0.001)
+
+        def scraper() -> None:
+            while not done.is_set():
+                scraped.extend(row["calls"] for row in top_rows(reg))
 
         threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+        reader = threading.Thread(target=scraper)
+        reader.start()
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=30)
+        done.set()
+        reader.join(timeout=30)
+        assert not any(t.is_alive() for t in [*threads, reader])
+        assert scraped == sorted(scraped)
         rows = top_rows(reg)
         assert len(rows) == 1
         row = rows[0]

@@ -197,9 +197,7 @@ class TestAdmissionController:
         ctl.try_admit(1)
 
     def test_degraded_mode_hysteresis(self):
-        ctl = AdmissionController(
-            max_cells=100, degrade_watermark=0.75, recover_watermark=0.5
-        )
+        ctl = AdmissionController(max_cells=100, degrade_watermark=0.75)
         for _ in range(8):
             ctl.try_admit(10)
         assert ctl.degraded  # load 0.8, past the watermark
@@ -210,6 +208,19 @@ class TestAdmissionController:
         assert not ctl.degraded
         ctl.try_admit(10)  # back to 0.6, rising: does not engage
         assert not ctl.degraded
+
+    def test_recover_watermark_is_two_thirds_of_the_degrade_watermark(self):
+        ctl = AdmissionController(max_cells=100, degrade_watermark=0.3)
+        assert ctl.recover_watermark == pytest.approx(0.2)
+        for _ in range(8):
+            ctl.try_admit(5)
+        assert ctl.degraded  # load 0.4
+        for _ in range(3):
+            ctl.release(5)
+        assert ctl.degraded  # load 0.25: below degrade, above recover
+        ctl.release(5)
+        ctl.release(5)
+        assert not ctl.degraded  # load 0.15
 
     def test_disabled_and_snapshot(self):
         ctl = AdmissionController()
@@ -222,7 +233,7 @@ class TestAdmissionController:
         with pytest.raises(ValueError):
             AdmissionController(max_cells=-1)
         with pytest.raises(ValueError):
-            AdmissionController(degrade_watermark=0.5, recover_watermark=0.8)
+            AdmissionController(degrade_watermark=0.0)
 
 
 _SPEC = JobSpec()
@@ -349,6 +360,41 @@ class TestServerDeadline:
                 await client.close()
 
         assert asyncio.run(run()) == AlignmentEngine().score("ACGTACGT", "AGGTACGT")
+
+
+class TestServerDegrade:
+    def test_low_watermark_boots_engages_and_recovers(self):
+        """Any degrade watermark boots: degraded mode disengages at 2/3
+        of it, so the hysteresis band never inverts."""
+
+        async def run():
+            service = AlignmentService(
+                ServiceConfig(
+                    port=0, cache_size=0, max_inflight_cells=1000,
+                    degrade="score", degrade_watermark=0.3,
+                )
+            )
+            await service.start()
+            try:
+                client = await AsyncAlignmentClient.connect(port=service.port)
+                try:
+                    # 2 * 20 * 20 = 800 cells: load 0.8 engages degraded mode.
+                    big = await client.request("align", "ACGT" * 5, "AGGT" * 5)
+                    # Released to load 0, so it recovered: 50 cells, a full answer.
+                    small = await client.request("align", "ACGTA", "AGGTA")
+                    return big, small, await client.stats()
+                finally:
+                    await client.close()
+            finally:
+                service.stop()
+                await service.wait_closed()
+                service.close()
+
+        big, small, stats = asyncio.run(run())
+        assert big["degraded"] and big["result"]["pairs"] == []
+        assert "degraded" not in small and small["result"]["pairs"]
+        assert stats["resilience"]["degraded_responses"] == 1
+        assert stats["resilience"]["degraded_mode"] is False
 
 
 class TestFaultProxy:
