@@ -337,6 +337,9 @@ def run_engine_bench(n_pairs: int = 200, length: int = 256, seed: int = 2026) ->
     }
 
 
+QUICK_ROUNDS = 5
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -354,6 +357,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.quick:
         args.pairs, args.length = 16, 64
     report = run_engine_bench(args.pairs, args.length)
+    if args.quick:
+        # A quick row times ~2 ms of work, and on a shared host the same
+        # kernel reads 40 or 58 Mcells/s depending on when it ran, so a
+        # single pass can move one row 30% against the peers
+        # check_regression.py normalizes it by.  Each row keeps its best
+        # of QUICK_ROUNDS passes, taken about a second apart.
+        for _ in range(QUICK_ROUNDS - 1):
+            again = run_engine_bench(args.pairs, args.length)["results"]
+            for name, row in report["results"].items():
+                if again[name]["mcells_per_s"] > row["mcells_per_s"]:
+                    report["results"][name] = again[name]
+        report["quick_rounds"] = QUICK_ROUNDS
     print(json.dumps(report, indent=2))
     out = args.out
     if out is None and not args.quick:

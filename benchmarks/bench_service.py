@@ -4,7 +4,7 @@ Three measurements against in-process :class:`AlignmentService`
 instances over real sockets (the numpy backend throughout):
 
 * **sequential** — one request at a time against a per-request server
-  (``max_batch=1``, ``max_delay=0``, cache off): the foil every
+  (``max_batch=1``, ``max_delay_ms=0``, cache off): the foil every
   non-batching RPC service pays.
 * **batched** — the same pairs fired at concurrency ``C`` against a
   micro-batching server (cache off): requests coalesce into
@@ -103,7 +103,7 @@ async def _bench(n_pairs: int, length: int, concurrency: int, seed: int) -> dict
 
     # 1. Per-request sequential serving (the non-batching foil).
     (t_seq, seq_scores), _ = await _with_service(
-        ServiceConfig(port=0, max_batch=1, max_delay=0.0, cache_size=0),
+        ServiceConfig(port=0, max_batch=1, max_delay_ms=0.0, cache_size=0),
         lambda c: _sequential(c, pairs, warmup=warmup, repeat=2),
     )
     results["sequential_per_request"] = {
@@ -114,7 +114,7 @@ async def _bench(n_pairs: int, length: int, concurrency: int, seed: int) -> dict
     # 2. Micro-batched serving at concurrency C (cache still off, so
     #    the speedup is batching alone, not result reuse).
     (t_batch, batch_scores), batch_stats = await _with_service(
-        ServiceConfig(port=0, max_batch=concurrency, max_delay=0.002, cache_size=0),
+        ServiceConfig(port=0, max_batch=concurrency, max_delay_ms=2.0, cache_size=0),
         lambda c: _concurrent(c, pairs, concurrency, warmup=warmup, repeat=3),
     )
     results["batched_concurrent"] = {
@@ -134,7 +134,7 @@ async def _bench(n_pairs: int, length: int, concurrency: int, seed: int) -> dict
         return t_cold, t_warm
 
     (t_cold, t_warm), cache_stats = await _with_service(
-        ServiceConfig(port=0, max_batch=1, max_delay=0.0, cache_size=4 * n_pairs),
+        ServiceConfig(port=0, max_batch=1, max_delay_ms=0.0, cache_size=4 * n_pairs),
         cold_then_warm,
     )
     results["cache_cold_pass"] = {
@@ -210,7 +210,7 @@ async def _bench(n_pairs: int, length: int, concurrency: int, seed: int) -> dict
         return plain_best, traced_best
 
     (plain_best, traced_best), _ = await _with_service(
-        ServiceConfig(port=0, max_batch=concurrency, max_delay=0.05, cache_size=0),
+        ServiceConfig(port=0, max_batch=concurrency, max_delay_ms=50.0, cache_size=0),
         plain_then_traced,
     )
     overhead_pct = (traced_best[1] / max(plain_best[1], 1e-9) - 1.0) * 100
@@ -251,9 +251,9 @@ async def _bench(n_pairs: int, length: int, concurrency: int, seed: int) -> dict
         return wall, time.process_time() - cpu0, alignments
 
     sampling_cfgs = [
-        ServiceConfig(port=0, max_batch=concurrency, max_delay=0.05, cache_size=0),
+        ServiceConfig(port=0, max_batch=concurrency, max_delay_ms=50.0, cache_size=0),
         ServiceConfig(
-            port=0, max_batch=concurrency, max_delay=0.05, cache_size=0,
+            port=0, max_batch=concurrency, max_delay_ms=50.0, cache_size=0,
             trace_sample=0.1,
         ),
     ]

@@ -44,21 +44,22 @@ def _add_knob_flags(
     leave unset ones to the server.  ``mixed`` adds the load
     generator's ``--mode mixed``.
     """
-    from fragalign.job import DEFAULTS, FIELDS, KNOBS, MEMORY_MODES, MODES
+    from fragalign.job import DEFAULTS, KNOBS
+    from fragalign.service.config import knob_flag
 
-    choices = {"mode": MODES + (("mixed",) if mixed else ()), "memory": MEMORY_MODES}
     where = "the default for every request" if serving else "per request (default: the server's)"
     for name in KNOBS:
         if name == "memory" and not memory:
             continue
-        field = FIELDS[name]
-        extra = "; 'mixed' cycles global/local/overlap" if mixed and name == "mode" else ""
+        flag = knob_flag(name)
+        flag["help"] += f"; {where}"
+        if mixed and name == "mode":
+            flag["choices"] += ("mixed",)
+            flag["help"] += "; 'mixed' cycles global/local/overlap"
         parser.add_argument(
             "--" + name.replace("_", "-"),
-            type={"int": int, "float": float}.get(field["kind"]),
             default=getattr(DEFAULTS, name) if serving else None,
-            choices=choices.get(name),
-            help=f"{field['doc']}; {where}{extra}",
+            **flag,
         )
 
 
@@ -75,12 +76,17 @@ def _job_spec(knobs, op: str = "align", serving: bool = False):
         if serving:
             from fragalign.engine.registry import check_backend
 
-            spec.resolve(spec, "align")
+            JobSpec().resolve(spec, "align")
             check_backend(spec.backend)
     except InvalidArgument as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
     return spec
+
+
+# The server options `cluster serve` sets per shard itself: each shard
+# binds an ephemeral port, and its journal path derives from --base-dir.
+_FLEET_OWN = ("port", "journal")
 
 
 def _add_log_flags(parser: argparse.ArgumentParser) -> None:
@@ -117,35 +123,9 @@ def _add_deadline_flag(
     )
 
 
-def _add_admission_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--max-inflight-cells",
-        type=int,
-        default=0,
-        help="admission cap on estimated in-flight DP cells (0 = unlimited)",
-    )
-    parser.add_argument(
-        "--max-inflight-jobs",
-        type=int,
-        default=0,
-        help="admission cap on concurrently computing jobs (0 = unlimited)",
-    )
-    parser.add_argument(
-        "--degrade",
-        choices=["none", "widen", "score"],
-        default="none",
-        help="degraded mode past the load watermark: 'widen' stretches the "
-        "batch window, 'score' answers align requests score-only",
-    )
-    parser.add_argument(
-        "--degrade-watermark",
-        type=float,
-        default=0.75,
-        help="fraction of the cell cap that engages degraded mode",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
+    from fragalign.service.config import add_flags
+
     parser = argparse.ArgumentParser(
         prog="fragalign",
         description=(
@@ -197,77 +177,12 @@ def build_parser() -> argparse.ArgumentParser:
     srv = sub.add_parser(
         "serve", help="run the micro-batching alignment service"
     )
-    srv.add_argument("--host", default="127.0.0.1")
-    srv.add_argument(
-        "--port", type=int, default=8765, help="0 binds an ephemeral port"
-    )
-    _add_knob_flags(srv, serving=True)
-    srv.add_argument(
-        "--max-batch", type=int, default=64, help="flush a batch at this size"
-    )
-    srv.add_argument(
-        "--max-delay-ms",
-        type=float,
-        default=2.0,
-        help="max milliseconds a request waits for its batch to fill",
-    )
-    srv.add_argument(
-        "--cache-size", type=int, default=4096, help="LRU result-cache entries (0 off)"
-    )
+    add_flags(srv)
     srv.add_argument(
         "--port-file",
         default=None,
         help="write the bound port here once listening (for scripts/CI)",
     )
-    srv.add_argument(
-        "--trace-buffer",
-        type=int,
-        default=4096,
-        help="span ring-buffer capacity (oldest spans drop beyond it)",
-    )
-    srv.add_argument(
-        "--trace-sample",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="tail-based trace sampling: head-sample boring traces at "
-        "this rate, always retain slow/errored ones (default: keep all)",
-    )
-    srv.add_argument(
-        "--slow-trace-factor",
-        type=float,
-        default=3.0,
-        help="a trace is 'slow' (always retained) beyond this multiple "
-        "of the per-op mean latency",
-    )
-    srv.add_argument(
-        "--slo",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help="SLO target, e.g. 'score p99 < 50ms @ 99.9%%' or "
-        "'align availability @ 99.9%%' (repeatable; default: built-ins)",
-    )
-    srv.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help="flight recorder: append sanitized request records here "
-        "(JSON lines, segment-rotated; replay with 'fragalign replay')",
-    )
-    srv.add_argument(
-        "--journal-sequences",
-        action="store_true",
-        help="journal raw sequences too (default records only "
-        "lengths + content hashes)",
-    )
-    srv.add_argument(
-        "--journal-max-mb",
-        type=float,
-        default=64.0,
-        help="rotate the journal segment beyond this size",
-    )
-    _add_admission_flags(srv)
     _add_log_flags(srv)
 
     cli = sub.add_parser(
@@ -311,35 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     csub = cluster.add_subparsers(dest="cluster_command", required=True)
 
     cserve = csub.add_parser(
-        "serve", help="boot N local shards under a supervisor"
+        "serve",
+        help="boot N local shards under a supervisor",
+        description="Every shard runs 'fragalign serve' with the options "
+        "given here; see 'fragalign serve --help'.",
     )
     cserve.add_argument("--shards", type=int, default=4)
-    cserve.add_argument("--host", default="127.0.0.1")
-    _add_knob_flags(cserve, serving=True, memory=False)
-    cserve.add_argument("--max-batch", type=int, default=64)
-    cserve.add_argument("--max-delay-ms", type=float, default=2.0)
-    cserve.add_argument(
-        "--cache-size",
-        type=int,
-        default=4096,
-        help="per-shard LRU result-cache entries (0 off)",
-    )
-    cserve.add_argument(
-        "--trace-sample",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="forward tail-based trace sampling to every shard "
-        "(latency exemplars need a sampling shard)",
-    )
-    cserve.add_argument(
-        "--slo",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help="SLO target forwarded to every shard (repeatable; burn "
-        "gauges then ride the merged exposition)",
-    )
+    add_flags(cserve, exclude=_FLEET_OWN)
     cserve.add_argument(
         "--journal",
         action="store_true",
@@ -354,9 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     cserve.add_argument(
         "--base-dir",
         default=None,
-        help="scratch dir for shard port files and logs",
+        help="scratch dir for shard port files, logs and journals",
     )
-    _add_admission_flags(cserve)
     cserve.add_argument(
         "--auto-heal",
         action="store_true",
@@ -810,30 +702,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     # Refuse unservable defaults before booting a server that would
     # reject 100% of its traffic.
-    spec = _job_spec(vars(args), serving=True)
-    if spec is None:
+    if _job_spec(vars(args), serving=True) is None:
         return 2
     configure_logging(level=args.log_level, json_format=args.log_json)
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        **spec.wire(),
-        max_batch=args.max_batch,
-        max_delay=args.max_delay_ms / 1e3,
-        cache_size=args.cache_size,
-        trace_buffer=args.trace_buffer,
-        trace_sample=args.trace_sample,
-        slow_trace_factor=args.slow_trace_factor,
-        slo=tuple(args.slo or ()),
-        journal=args.journal,
-        journal_sequences=args.journal_sequences,
-        journal_max_mb=args.journal_max_mb,
-        max_inflight_cells=args.max_inflight_cells,
-        max_inflight_jobs=args.max_inflight_jobs,
-        degrade=args.degrade,
-        degrade_watermark=args.degrade_watermark,
-    )
-    return run_server(config, port_file=args.port_file)
+    return run_server(ServiceConfig.from_flags(args), port_file=args.port_file)
 
 
 def _print_span_tree(spans: list[dict], dropped: int, trace_id: str) -> None:
@@ -1324,15 +1196,12 @@ def _cluster_layout(cluster_file: str):
     (routed requests resolve against it, so their routing keys equal
     the shards' cache keys; ``--verify`` engines use its backend)."""
     from fragalign.cluster import read_cluster_file
-    from fragalign.job import DEFAULTS, JobSpec
+    from fragalign.job import DEFAULTS, KNOBS, JobSpec
 
     obj = read_cluster_file(cluster_file)
     host = obj.get("host", "127.0.0.1")
     addresses = [(host, s["port"]) for s in obj["shards"] if s.get("port") is not None]
-    defaults = JobSpec(
-        obj.get("mode", DEFAULTS.mode), obj.get("band"), obj.get("gap_open"),
-        obj.get("gap_extend"), DEFAULTS.memory, obj.get("backend", DEFAULTS.backend),
-    )
+    defaults = JobSpec(**{name: obj.get(name, getattr(DEFAULTS, name)) for name in KNOBS})
     return addresses, defaults
 
 
@@ -1341,28 +1210,18 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
 
     from fragalign.cluster import ClusterSupervisor
     from fragalign.obs import configure_logging
+    from fragalign.service import ServiceConfig
 
-    spec = _job_spec(vars(args), serving=True)
-    if spec is None:
+    if _job_spec(vars(args), serving=True) is None:
         return 2
     configure_logging(level=args.log_level, json_format=args.log_json)
     supervisor = ClusterSupervisor(
         shards=args.shards,
-        host=args.host,
-        **spec.wire(),
-        max_batch=args.max_batch,
-        max_delay_ms=args.max_delay_ms,
-        cache_size=args.cache_size,
-        trace_sample=args.trace_sample,
-        slo=args.slo,
+        config=ServiceConfig.from_flags(args, exclude=_FLEET_OWN),
         journal=args.journal,
         base_dir=args.base_dir,
         log_level=args.log_level,
         log_json=args.log_json,
-        max_inflight_cells=args.max_inflight_cells,
-        max_inflight_jobs=args.max_inflight_jobs,
-        degrade=args.degrade,
-        degrade_watermark=args.degrade_watermark,
         auto_heal=args.auto_heal,
     )
     try:

@@ -48,7 +48,8 @@ fraction of routed requests so a slow cluster can't double its own
 load.
 
 The blocking :class:`ClusterClient` wrapper runs the router (plus an
-optional health monitor) on a private event-loop thread, mirroring
+optional health monitor) on a private event-loop thread
+(:class:`~fragalign.service.client.LoopThread`), like
 :class:`~fragalign.service.client.AlignmentClient`.
 """
 
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import threading
 import time
 from collections import Counter
 from typing import Any, Sequence
@@ -70,7 +70,7 @@ from fragalign.obs.slo import SLOEngine
 from fragalign.obs.trace import TraceContext, Tracer
 from fragalign.resilience.breaker import CLOSED, HALF_OPEN, STATE_CODES, CircuitBreaker
 from fragalign.resilience.deadline import deadline_from_budget_ms, remaining_ms
-from fragalign.service.client import AlignmentClient, AsyncAlignmentClient
+from fragalign.service.client import AsyncAlignmentClient, LoopThread
 from fragalign.service.protocol import ServiceError, alignment_from_dict
 from fragalign.util.errors import (
     CircuitOpen,
@@ -1002,7 +1002,7 @@ def _blocking(method):
 
     @functools.wraps(method)
     def call(self, *args, **kwargs):
-        return self._call(method(self.router, *args, **kwargs))
+        return self._bridge.call(method(self.router, *args, **kwargs))
 
     return call
 
@@ -1042,31 +1042,22 @@ class ClusterClient:
             hedge_max_fraction=hedge_max_fraction,
         )
         self._monitor = None
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="fragalign-cluster", daemon=True
-        )
-        self._thread.start()
+        self._bridge = LoopThread("fragalign-cluster")
         try:
             if health_interval is not None:
                 from fragalign.cluster.health import HealthMonitor
 
                 self._monitor = HealthMonitor(self.router, interval=health_interval)
-                self._call(self._start_monitor())
+                self._bridge.call(self._start_monitor())
         except BaseException:
             # Construction failed after the loop thread started:
             # release it before re-raising or it leaks for the
-            # process lifetime (mirrors AlignmentClient.__init__).
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=5)
-            self._loop.close()
+            # process lifetime.
+            self._bridge.close()
             raise
 
     async def _start_monitor(self) -> None:
         self._monitor.start()
-
-    def _call(self, coro):
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
     # -- operations ---------------------------------------------------
     # The router's verbs, blocking, with the router method's signature.
@@ -1082,14 +1073,14 @@ class ClusterClient:
         warm report (see :func:`fragalign.cluster.warm.warm_router`)."""
         from fragalign.cluster.warm import warm_router
 
-        return self._call(warm_router(self.router, entries, concurrency=concurrency))
+        return self._bridge.call(warm_router(self.router, entries, concurrency=concurrency))
 
     @functools.wraps(ShardRouter.shard_for)
     def shard_for(self, *args, **kwargs) -> str:
         return self.router.shard_for(*args, **kwargs)
 
     def stats(self) -> dict:
-        report = self._call(self.router.cluster_stats())
+        report = self._bridge.call(self.router.cluster_stats())
         if self._monitor is not None:
             report["health"] = self._monitor.snapshot()
         return report
@@ -1097,16 +1088,16 @@ class ClusterClient:
     def metrics(self) -> dict:
         """Scrape + merge every shard's Prometheus exposition (see
         :meth:`ShardRouter.cluster_metrics`)."""
-        return self._call(self.router.cluster_metrics())
+        return self._bridge.call(self.router.cluster_metrics())
 
     def slo(self, specs: Sequence[str] | None = None) -> dict:
         """Cluster-merged SLO evaluation (see :meth:`ShardRouter.cluster_slo`)."""
-        return self._call(self.router.cluster_slo(specs))
+        return self._bridge.call(self.router.cluster_slo(specs))
 
     def collect_trace(self, trace_id: str) -> dict:
         """Assemble one trace's spans from the router and every shard
         (see :meth:`ShardRouter.collect_trace`)."""
-        return self._call(self.router.collect_trace(trace_id))
+        return self._bridge.call(self.router.collect_trace(trace_id))
 
     def probe_round(self) -> dict:
         """Run one synchronous health-probe round (even when no
@@ -1115,10 +1106,10 @@ class ClusterClient:
             from fragalign.cluster.health import HealthMonitor
 
             self._monitor = HealthMonitor(self.router)
-        return self._call(self._monitor.probe_round())
+        return self._bridge.call(self._monitor.probe_round())
 
     def shutdown_shards(self) -> dict[str, bool]:
-        return self._call(self.router.shutdown_shards())
+        return self._bridge.call(self.router.shutdown_shards())
 
     # -- lifecycle ----------------------------------------------------
 
@@ -1128,12 +1119,7 @@ class ClusterClient:
                 await self._monitor.stop()
             await self.router.close()
 
-        try:
-            self._call(teardown())
-        finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=5)
-            self._loop.close()
+        self._bridge.close(teardown())
 
     def __enter__(self) -> "ClusterClient":
         return self

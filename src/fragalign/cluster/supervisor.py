@@ -38,11 +38,11 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
 
-from fragalign.job import JobSpec
+from fragalign.job import KNOBS, JobSpec
+from fragalign.service.config import ServiceConfig
 from fragalign.service.server import wait_for_port_file
 
 __all__ = ["ShardProcess", "ClusterSupervisor", "read_cluster_file"]
@@ -89,6 +89,9 @@ def read_cluster_file(path: str | Path) -> dict:
 class ClusterSupervisor:
     """Boot, observe and stop a local shard fleet.
 
+    Every shard runs ``fragalign serve`` with one :class:`ServiceConfig`:
+    ``config``, updated by any keyword options named like its fields.
+
     Usage::
 
         sup = ClusterSupervisor(shards=4, cache_size=1024)
@@ -101,26 +104,12 @@ class ClusterSupervisor:
     def __init__(
         self,
         shards: int = 4,
-        host: str = "127.0.0.1",
-        backend: str = "numpy",
-        mode: str = "global",
-        band: int | None = None,
-        gap_open: float | None = None,
-        gap_extend: float | None = None,
-        max_batch: int = 64,
-        max_delay_ms: float = 2.0,
-        cache_size: int = 4096,
-        trace_sample: float | None = None,
-        slo: Sequence[str] | None = None,
+        config: ServiceConfig | None = None,
         journal: bool = False,
         base_dir: str | None = None,
         python: str = sys.executable,
         log_level: str | None = None,
         log_json: bool = False,
-        max_inflight_cells: int = 0,
-        max_inflight_jobs: int = 0,
-        degrade: str = "none",
-        degrade_watermark: float = 0.75,
         auto_heal: bool = False,
         heal_backoff: float = 0.5,
         heal_backoff_max: float = 10.0,
@@ -129,6 +118,7 @@ class ClusterSupervisor:
         heal_poll: float = 0.1,
         crash_loop_threshold: int = 5,
         crash_loop_window: float = 30.0,
+        **options,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
@@ -143,31 +133,21 @@ class ClusterSupervisor:
         if crash_loop_window <= 0:
             raise ValueError("crash_loop_window must be > 0")
         self.n_shards = shards
-        self.host = host
-        # The shards' default job, validated here and forwarded to every
-        # spawned server as its knob flags.
-        self.defaults = JobSpec(mode, band, gap_open, gap_extend, backend=backend)
-        self.max_batch = max_batch
-        self.max_delay_ms = max_delay_ms
-        self.cache_size = cache_size
-        # Observability knobs forwarded to every shard: tail-sampled
-        # tracing (exemplars only appear when a shard samples), shard-
-        # side SLO specs (burn gauges in each exposition, so the merged
-        # scrape carries them), and the flight recorder (one journal
-        # per shard slot, in base_dir, stable across auto-heal respawns
-        # because JournalWriter appends).
-        self.trace_sample = trace_sample
-        self.slo = list(slo) if slo else None
+        # _spawn_one overrides only the port, the port file and the
+        # journal path; an option no field is named after is a TypeError.
+        self.config = replace(config or ServiceConfig(), **options)
+        self.host = self.config.host
+        # The shards' default job, refused here rather than by every
+        # shard at boot.
+        JobSpec(**{name: getattr(self.config, name) for name in KNOBS})
+        # One journal per shard slot, in base_dir: stable across
+        # auto-heal respawns because JournalWriter appends.
         self.journal = journal
         # Forwarded to every spawned serve process so shard lifecycle
         # logs (in each shard-N.log) share the fleet's format/level.
         self.log_level = log_level
         self.log_json = log_json
         self.python = python
-        self.max_inflight_cells = max_inflight_cells
-        self.max_inflight_jobs = max_inflight_jobs
-        self.degrade = degrade
-        self.degrade_watermark = degrade_watermark
         self.auto_heal = auto_heal
         self.heal_backoff = heal_backoff
         self.heal_backoff_max = heal_backoff_max
@@ -195,42 +175,13 @@ class ClusterSupervisor:
             os.unlink(port_file)
         except FileNotFoundError:
             pass
-        cmd = [
-            self.python,
-            "-m",
-            "fragalign",
-            "serve",
-            "--host",
-            self.host,
-            "--port",
-            "0",
-            "--port-file",
-            port_file,
-            "--max-batch",
-            str(self.max_batch),
-            "--max-delay-ms",
-            str(self.max_delay_ms),
-            "--cache-size",
-            str(self.cache_size),
-        ]
-        for name, value in self.defaults.wire().items():
-            cmd += ["--" + name.replace("_", "-"), str(value)]
-        if self.max_inflight_cells:
-            cmd += ["--max-inflight-cells", str(self.max_inflight_cells)]
-        if self.max_inflight_jobs:
-            cmd += ["--max-inflight-jobs", str(self.max_inflight_jobs)]
-        if self.degrade != "none":
-            cmd += ["--degrade", self.degrade,
-                    "--degrade-watermark", str(self.degrade_watermark)]
-        if self.trace_sample is not None:
-            cmd += ["--trace-sample", str(self.trace_sample)]
-        for spec in self.slo or ():
-            cmd += ["--slo", spec]
-        if self.journal:
-            cmd += [
-                "--journal",
-                os.path.join(self.base_dir, f"shard-{index}.journal.jsonl"),
-            ]
+        journal = (
+            os.path.join(self.base_dir, f"shard-{index}.journal.jsonl")
+            if self.journal
+            else None
+        )
+        config = replace(self.config, port=0, journal=journal)
+        cmd = [self.python, "-m", "fragalign", "serve", *config.argv(), "--port-file", port_file]
         if self.log_level is not None:
             cmd += ["--log-level", self.log_level]
         if self.log_json:
@@ -320,14 +271,9 @@ class ClusterSupervisor:
     def write_cluster_file(self, path: str | Path) -> None:
         """Publish the fleet layout for routers/CLIs in other
         processes (atomically, like the port files)."""
-        d = self.defaults
         obj = {
             "host": self.host,
-            "backend": d.backend,
-            "mode": d.mode,
-            "band": d.band,
-            "gap_open": d.gap_open,
-            "gap_extend": d.gap_extend,
+            **{name: getattr(self.config, name) for name in KNOBS},
             "shards": [
                 {"index": s.index, "port": s.port, "pid": s.pid} for s in self.procs
             ],

@@ -121,7 +121,7 @@ class AlignmentEngine:
         # Fail at construction, not on every call: a server built on this
         # engine would otherwise boot cleanly and then reject 100% of its
         # traffic (banded with no band, linear memory it cannot serve).
-        self.defaults.resolve(self.defaults, "align")
+        JobSpec().resolve(self.defaults, "align")
         self.model = model or default_model()
         # Per-call `backend=` overrides instantiate lazily, once per
         # name, and live for the engine's lifetime (closed with it).

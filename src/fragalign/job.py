@@ -11,8 +11,9 @@ loose keyword arguments, then travels server → batcher → engine facade
 
 A spec built at an edge may leave knobs unset (``None``).  The tier
 that owns the defaults fills them in with :meth:`JobSpec.resolve`,
-which also refuses what only the resolved values reveal: banded mode
-with no band, and ``memory="linear"`` with banded mode or affine gaps.
+which also refuses what only the resolved values reveal: a band on a
+mode that is not banded, banded mode with no band, and
+``memory="linear"`` with banded mode or affine gaps.
 
 The registry
 ------------
@@ -279,12 +280,16 @@ class JobSpec:
         """The job one ``op`` request actually runs: unset knobs taken
         from ``defaults``, then the combination checked.
 
-        ``band`` survives only in banded mode.  ``memory`` resolves to
-        ``None`` for ``score``: score verbs always run in O(n + m)
-        memory, so a default ``memory="linear"`` never refuses one.
+        ``band`` survives only in banded mode: a request's own band on
+        any other mode is refused, a default band is not (it is the
+        default for banded requests).  ``memory`` resolves to ``None``
+        for ``score``: score verbs always run in O(n + m) memory, so a
+        default ``memory="linear"`` never refuses one.
         """
         mode = self.mode or defaults.mode or DEFAULTS.mode
         band = None
+        if self.band is not None and mode != "banded":
+            raise InvalidArgument(f"band only applies to mode 'banded' (resolved mode is {mode!r})")
         if mode == "banded":
             band = defaults.band if self.band is None else self.band
             if band is None:

@@ -33,47 +33,41 @@ Protocol details live in :mod:`fragalign.service.protocol`; the README
 "Serving" section has an example session and the knob reference.
 """
 
-from fragalign.service.batcher import MicroBatcher
-from fragalign.service.client import AlignmentClient, AsyncAlignmentClient
-from fragalign.service.protocol import (
-    DeadlineExceededError,
-    InvalidArgumentError,
-    OverloadedError,
-    ProtocolError,
-    Request,
-    ServiceError,
-    alignment_from_dict,
-    alignment_to_dict,
-)
-from fragalign.service.server import (
-    AlignmentService,
-    ServiceConfig,
-    model_fingerprint,
-    run_server,
-    wait_for_port_file,
-    write_port_file,
-)
-from fragalign.service.stats import ServiceStats
-from fragalign.util.lru import LRUCache
+import importlib
 
-__all__ = [
-    "AlignmentClient",
-    "AlignmentService",
-    "AsyncAlignmentClient",
-    "DeadlineExceededError",
-    "InvalidArgumentError",
-    "LRUCache",
-    "MicroBatcher",
-    "OverloadedError",
-    "ProtocolError",
-    "Request",
-    "ServiceConfig",
-    "ServiceError",
-    "ServiceStats",
-    "alignment_from_dict",
-    "alignment_to_dict",
-    "model_fingerprint",
-    "run_server",
-    "wait_for_port_file",
-    "write_port_file",
-]
+# Names load on first access (PEP 562), like the package root: the CLI
+# builds its parser from ``ServiceConfig`` without importing the engine.
+_EXPORTS = {
+    "AlignmentClient": "fragalign.service.client",
+    "AlignmentService": "fragalign.service.server",
+    "AsyncAlignmentClient": "fragalign.service.client",
+    "DeadlineExceededError": "fragalign.service.protocol",
+    "InvalidArgumentError": "fragalign.service.protocol",
+    "LRUCache": "fragalign.util.lru",
+    "MicroBatcher": "fragalign.service.batcher",
+    "OverloadedError": "fragalign.service.protocol",
+    "ProtocolError": "fragalign.service.protocol",
+    "Request": "fragalign.service.protocol",
+    "ServiceConfig": "fragalign.service.config",
+    "ServiceError": "fragalign.service.protocol",
+    "ServiceStats": "fragalign.service.stats",
+    "alignment_from_dict": "fragalign.service.protocol",
+    "alignment_to_dict": "fragalign.service.protocol",
+    "model_fingerprint": "fragalign.service.server",
+    "run_server": "fragalign.service.server",
+    "wait_for_port_file": "fragalign.service.server",
+    "write_port_file": "fragalign.service.server",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -31,7 +31,32 @@ from fragalign.service.protocol import (
     service_error_from,
 )
 
-__all__ = ["AsyncAlignmentClient", "AlignmentClient"]
+__all__ = ["AsyncAlignmentClient", "AlignmentClient", "LoopThread"]
+
+
+class LoopThread:
+    """A private event loop on a daemon thread: the bridge a blocking
+    facade runs its coroutines through."""
+
+    def __init__(self, name: str) -> None:
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(target=self._loop.run_forever, name=name, daemon=True)
+        self._thread.start()
+
+    def call(self, coro):
+        """Run ``coro`` on the loop; block until its result."""
+        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
+
+    def close(self, last=None) -> None:
+        """Run the coroutine ``last`` (if any), then stop the loop, join
+        the thread (bounded) and close the loop, even if ``last`` raises."""
+        try:
+            if last is not None:
+                self.call(last)
+        finally:
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._thread.join(timeout=5)
+            self._loop.close()
 
 
 class AsyncAlignmentClient:
@@ -335,24 +360,15 @@ class AlignmentClient:
         self._reconnect_base_delay = reconnect_base_delay
         self._reconnect_max_delay = reconnect_max_delay
         self.reconnects = 0  # successful transparent reconnections
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="fragalign-client", daemon=True
-        )
-        self._thread.start()
+        self._bridge = LoopThread("fragalign-client")
         try:
-            self._client: AsyncAlignmentClient = self._call(
+            self._client: AsyncAlignmentClient = self._bridge.call(
                 AsyncAlignmentClient.connect(host, port)
             )
         except BaseException:
             # Connect failed: release the loop thread before re-raising.
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=5)
-            self._loop.close()
+            self._bridge.close()
             raise
-
-    def _call(self, coro):
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
     @property
     def degraded_responses(self) -> int:
@@ -369,7 +385,7 @@ class AlignmentClient:
         delay = self._reconnect_base_delay
         while True:
             try:
-                return self._call(make_coro())
+                return self._bridge.call(make_coro())
             except (ConnectionError, OSError):
                 if not self._reconnect or attempts >= self._reconnect_attempts:
                     raise
@@ -377,7 +393,7 @@ class AlignmentClient:
                 time.sleep(delay)
                 delay = min(delay * 2, self._reconnect_max_delay)
                 try:
-                    fresh = self._call(
+                    fresh = self._bridge.call(
                         AsyncAlignmentClient.connect(self._host, self._port)
                     )
                 except (ConnectionError, OSError):
@@ -385,7 +401,7 @@ class AlignmentClient:
                 old, self._client = self._client, fresh
                 self.reconnects += 1
                 try:
-                    self._call(old.close())
+                    self._bridge.call(old.close())
                 except Exception:
                     pass
 
@@ -470,12 +486,7 @@ class AlignmentClient:
     # -- lifecycle ----------------------------------------------------
 
     def close(self) -> None:
-        try:
-            self._call(self._client.close())
-        finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=5)
-            self._loop.close()
+        self._bridge.close(self._client.close())
 
     def __enter__(self) -> "AlignmentClient":
         return self

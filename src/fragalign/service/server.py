@@ -16,7 +16,7 @@ in one loop iteration leaves in a single ``transport.write`` (they can
 complete out of order — the protocol's ``id`` field exists for exactly
 that).  No responder waits on the socket: only when a flush leaves
 bytes buffered does the outbox wait on ``drain()``, once per
-connection and bounded by ``drain_timeout``; a client that stays
+connection and bounded by :data:`DRAIN_TIMEOUT`; a client that stays
 wedged past it is aborted.
 """
 
@@ -28,7 +28,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from fragalign.align.scoring_matrices import SubstitutionModel
 from fragalign.engine.facade import AlignmentEngine
@@ -40,13 +40,13 @@ from fragalign.obs.sampling import TailSampler
 from fragalign.obs.slo import SLOEngine
 from fragalign.obs.trace import (
     Span,
-    TraceBuffer,
     Tracer,
     child_context,
     leaf_entry,
     new_trace_context,
 )
 from fragalign.service.batcher import MicroBatcher
+from fragalign.service.config import DEGRADE_POLICIES, ServiceConfig
 from fragalign.service.protocol import (
     MAX_LINE,
     Outbox,
@@ -65,7 +65,6 @@ from fragalign.util.errors import DeadlineExceeded, InvalidArgument, Overloaded
 from fragalign.util.lru import LRUCache
 
 __all__ = [
-    "ServiceConfig",
     "AlignmentService",
     "model_fingerprint",
     "run_server",
@@ -77,6 +76,10 @@ _log = get_logger("service")
 
 #: ``--degrade widen`` scales the micro-batch flush window by this.
 DEGRADE_WIDEN_FACTOR = 8.0
+
+#: Seconds a connection's pending responses may wait on a client that
+#: stopped reading before the connection is aborted.
+DRAIN_TIMEOUT = 30.0
 
 
 def write_port_file(path: str, port: int) -> None:
@@ -147,48 +150,6 @@ def model_fingerprint(model: SubstitutionModel) -> str:
     return digest.hexdigest()[:12]
 
 
-@dataclass
-class ServiceConfig:
-    """Server knobs (CLI flags map onto these one-to-one)."""
-
-    host: str = "127.0.0.1"
-    port: int = 8765  # 0 = bind an ephemeral port (see AlignmentService.port)
-    backend: str = "numpy"
-    mode: str = "global"  # default mode; requests may override per call
-    band: int | None = None  # default band for banded-mode requests
-    gap_open: float | None = None  # default affine gap open (None = linear)
-    gap_extend: float | None = None  # default affine gap extend
-    memory: str = "auto"  # default align traceback strategy
-    max_batch: int = 64  # flush a batch at this many queued jobs
-    max_delay: float = 0.002  # seconds to wait for a batch to fill
-    cache_size: int = 4096  # LRU result-cache entries (0 disables)
-    trace_buffer: int = 4096  # span ring-buffer capacity (see obs.trace)
-    # Admission control (fragalign.resilience): bounded inflight
-    # compute in estimated DP cells plus an optional job-count bound.
-    # 0 disables either bound (the default — admission is opt-in).
-    max_inflight_cells: int = 0
-    max_inflight_jobs: int = 0
-    # Degradation policy past the load watermark: "none", "widen"
-    # (scale the micro-batch flush window up by DEGRADE_WIDEN_FACTOR)
-    # or "score" (answer align requests with a score-only result).
-    # Degraded mode disengages at 2/3 of the watermark (hysteresis).
-    degrade: str = "none"
-    degrade_watermark: float = 0.75  # engage degraded mode at this cell load
-    drain_timeout: float = 30.0  # seconds before a wedged client is dropped
-    # Tail-based trace sampling (fragalign.obs.sampling): head-sample
-    # server-initiated traces at this rate, always retaining errored
-    # and slow ones.  None = off (only client-requested traces exist).
-    trace_sample: float | None = None
-    slow_trace_factor: float = 3.0  # "slow" = this many x the op's EWMA mean
-    # SLO targets (fragalign.obs.slo spec strings); () = the defaults.
-    slo: tuple = ()
-    # Workload flight recorder (fragalign.obs.journal): opt-in via a
-    # journal path; sequences stay out of the journal unless opted in.
-    journal: str | None = None
-    journal_sequences: bool = False
-    journal_max_mb: float = 64.0
-
-
 class AlignmentService:
     """One server: engine + micro-batcher + result cache + stats.
 
@@ -218,20 +179,20 @@ class AlignmentService:
         # exposition, and the kernel profiler — they cannot disagree.
         self.registry = MetricsRegistry()
         self.stats = ServiceStats(registry=self.registry)
-        self.tracer = Tracer(TraceBuffer(self.config.trace_buffer))
+        self.tracer = Tracer()
         self.profiler = KernelProfiler(self.registry)
         self.engine.profiler = self.profiler
         self.cache = LRUCache(self.config.cache_size)
         self.batcher = MicroBatcher(
             self.engine,
             max_batch=self.config.max_batch,
-            max_delay=self.config.max_delay,
+            max_delay=self.config.max_delay_ms / 1e3,
             stats=self.stats,
             tracer=self.tracer,
         )
-        if self.config.degrade not in ("none", "widen", "score"):
+        if self.config.degrade not in DEGRADE_POLICIES:
             raise ValueError(
-                f"degrade must be 'none', 'widen' or 'score', got {self.config.degrade!r}"
+                f"degrade must be one of {DEGRADE_POLICIES}, got {self.config.degrade!r}"
             )
         self.admission = AdmissionController(
             max_cells=self.config.max_inflight_cells,
@@ -239,23 +200,12 @@ class AlignmentService:
             degrade_watermark=self.config.degrade_watermark,
         )
         self.sampler = (
-            TailSampler(
-                head_rate=self.config.trace_sample,
-                slow_factor=self.config.slow_trace_factor,
-                registry=self.registry,
-            )
+            TailSampler(head_rate=self.config.trace_sample, registry=self.registry)
             if self.config.trace_sample is not None
             else None
         )
         self.slo_engine = SLOEngine.from_specs(self.config.slo or None)
-        self.journal = (
-            JournalWriter(
-                self.config.journal,
-                max_bytes=int(self.config.journal_max_mb * 1024 * 1024),
-            )
-            if self.config.journal
-            else None
-        )
+        self.journal = JournalWriter(self.config.journal) if self.config.journal else None
         self._model_fp = model_fingerprint(self.engine.model)
         self._degraded = False  # degrade state last applied (_apply_degrade)
         self._server: asyncio.AbstractServer | None = None
@@ -364,7 +314,7 @@ class AlignmentService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.stats.observe_connection(+1)
-        outbox = Outbox(writer, self.config.drain_timeout)
+        outbox = Outbox(writer, DRAIN_TIMEOUT)
         self._connections.add(outbox)
         handler = asyncio.current_task()
         if handler is not None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
@@ -95,6 +96,9 @@ def test_knob_flags_are_refused_before_anything_boots(capsys):
     assert capsys.readouterr().err.strip() == unknown
     assert main(["cluster", "serve", "--shards", "2", "--backend", "parallel"]) == 2
     assert capsys.readouterr().err.strip() == unknown
+    # A default band on a non-banded default mode is no refusal: it is
+    # the default for banded requests.
+    assert main(["engine", "--band", "8", "--batch", "2", "--length", "16"]) == 0
 
 
 def test_engine_unknown_backend(capsys):
@@ -226,6 +230,41 @@ def test_cluster_serve_route_warm_stats_round_trip(tmp_path, capsys):
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def _verb_flags(*verb: str) -> set[str]:
+    parser = build_parser()
+    for name in verb:
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = sub.choices[name]
+    return {flag for action in parser._actions for flag in action.option_strings}
+
+
+def test_service_config_round_trips_through_serve_flags():
+    from dataclasses import fields
+
+    from fragalign.service.config import ServiceConfig
+
+    config = ServiceConfig(
+        host="0.0.0.0", port=0, backend="native", mode="banded", band=12,
+        gap_open=-3.0, gap_extend=-1.0, memory="tensor", max_batch=8,
+        max_delay_ms=0.5, cache_size=0, max_inflight_cells=1000,
+        max_inflight_jobs=4, degrade="score", degrade_watermark=0.5,
+        trace_sample=0.25, slo=("score p99 < 5ms @ 99%", "align availability @ 99.9%"),
+        journal="shard.journal.jsonl", journal_sequences=True,
+    )
+    default = ServiceConfig()
+    assert all(getattr(config, f.name) != getattr(default, f.name) for f in fields(config))
+    args = build_parser().parse_args(["serve", *config.argv()])
+    assert ServiceConfig.from_flags(args) == config
+    assert default.argv() == []
+
+
+def test_cluster_serve_accepts_every_serve_flag():
+    # Every shard runs `serve` with the fleet's options; only the port
+    # and its port file are the supervisor's to choose per shard.
+    serve = _verb_flags("serve")
+    assert serve - {"--port", "--port-file"} <= _verb_flags("cluster", "serve")
 
 
 def test_serving_imports_stay_off_core_and_scipy():

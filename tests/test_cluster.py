@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 
 import pytest
@@ -35,7 +36,7 @@ from fragalign.cluster import (
 )
 from fragalign.engine import AlignmentEngine
 from fragalign.job import JobSpec
-from fragalign.service import AlignmentService, ServiceConfig, ServiceError
+from fragalign.service import AlignmentClient, AlignmentService, ServiceConfig, ServiceError
 
 
 class TestHashRing:
@@ -153,7 +154,7 @@ def _stop_shard(holder) -> None:
 def three_shards():
     holders = [
         _serve_in_thread(
-            ServiceConfig(port=0, max_batch=16, max_delay=0.002, cache_size=256)
+            ServiceConfig(port=0, max_batch=16, max_delay_ms=2.0, cache_size=256)
         )
         for _ in range(3)
     ]
@@ -310,6 +311,29 @@ class TestShardRouter:
         assert stats["live_shards"] == []
 
 
+class TestBlockingClients:
+    def test_failed_construction_releases_the_loop_thread(self, monkeypatch):
+        # Both blocking clients start a private loop thread before they
+        # can fail; a failed constructor must stop and join it.
+        def alive(name):
+            return sum(t.name == name for t in threading.enumerate())
+
+        before = alive("fragalign-client"), alive("fragalign-cluster")
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]  # closed again: nothing listens
+        with pytest.raises(OSError):
+            AlignmentClient(port=port)
+
+        def refuse(self):
+            raise RuntimeError("monitor refused to start")
+
+        monkeypatch.setattr(HealthMonitor, "start", refuse)
+        with pytest.raises(RuntimeError, match="refused to start"):
+            ClusterClient([("127.0.0.1", port)], health_interval=1.0)
+        assert (alive("fragalign-client"), alive("fragalign-cluster")) == before
+
+
 class TestHealthMonitor:
     def test_eviction_and_readmission_on_same_port(self):
         holder = _serve_in_thread(ServiceConfig(port=0))
@@ -406,6 +430,45 @@ class TestWarm:
         assert sum(report["per_shard"].values()) == 30
         assert after["hits"] - before["hits"] >= 30
 
+        # Aggregate capacity: with each shard's cache smaller than the
+        # keyset, the warmed cluster still replays all hits, and one
+        # shard with the same per-node budget cannot.
+        per_node = 8
+        small = [
+            _serve_in_thread(ServiceConfig(port=0, cache_size=per_node))
+            for _ in range(4)
+        ]
+        cluster, single = small[:3], small[3]
+
+        async def hits(addresses, keyset):
+            async with ShardRouter(addresses) as router:
+                await warm_router(router, keyset, concurrency=8)
+                before = (await router.cluster_stats())["aggregate"]["cache"]
+                await router.score_many([(e["a"], e["b"]) for e in keyset], concurrency=8)
+                after = (await router.cluster_stats())["aggregate"]["cache"]
+            return after["hits"] - before["hits"]
+
+        async def fill_every_shard():
+            # Exactly per_node keys per shard (the ring places keys by
+            # port), so the cluster holds the whole keyset.
+            async with ShardRouter(_addresses(cluster)) as router:
+                owned: dict = {}
+                for entry in generate_keyset(200, length=32, seed=12):
+                    shard = router.shard_for("score", entry["a"], entry["b"])
+                    owned.setdefault(shard, [])
+                    if len(owned[shard]) < per_node:
+                        owned[shard].append(entry)
+            assert sorted(map(len, owned.values())) == [per_node] * 3
+            return [e for group in owned.values() for e in group]
+
+        try:
+            keyset = asyncio.run(fill_every_shard())
+            assert asyncio.run(hits(_addresses(cluster), keyset)) == len(keyset)
+            assert asyncio.run(hits(_addresses([single]), keyset)) <= per_node
+        finally:
+            for holder in small:
+                _stop_shard(holder)
+
 
 class TestClusterStatsAggregation:
     def test_aggregate_sums_and_quantiles(self, three_shards):
@@ -460,6 +523,32 @@ class TestProcessCluster:
                 assert stats["router"]["failed_requests"] == 0
                 assert stats["aggregate"]["shards_reporting"] == 1
         assert sup.alive_count == 0
+
+    def test_supervisor_forwards_every_serve_option(self, tmp_path):
+        from fragalign.cli import _cluster_layout
+
+        with pytest.raises(TypeError):
+            ClusterSupervisor(shards=1, cache_sise=64)  # not a ServiceConfig field
+        a, b = "ACGTACGTAC", "ACGTTCGTAC"
+        with ClusterSupervisor(
+            shards=1, base_dir=str(tmp_path), memory="linear",
+            journal=True, journal_sequences=True,
+        ) as sup:
+            # The cluster file carries the fleet's memory default, so a
+            # router resolving jobs against it keeps the shards' choice.
+            cluster_file = tmp_path / "cluster.json"
+            sup.write_cluster_file(cluster_file)
+            addresses, defaults = _cluster_layout(str(cluster_file))
+            assert addresses == sup.addresses
+            assert defaults.memory == "linear"
+            with ClusterClient(sup.addresses) as cluster:
+                expected = AlignmentEngine().align(a, b)
+                assert cluster.align(a, b) == expected
+        (record,) = [
+            json.loads(line)
+            for line in (tmp_path / "shard-0.journal.jsonl").read_text().splitlines()
+        ]
+        assert (record["a"], record["b"], record["memory"]) == (a, b, "linear")
 
 
 class TestRingKeyGapFields:

@@ -70,6 +70,13 @@ class TestJobSpec:
         with pytest.raises(InvalidArgument, match="needs a band"):
             JobSpec("banded").resolve(JobSpec("global"), "score")
         assert JobSpec(gap_open=-2, gap_extend=-1).resolve(defaults, "score").gap_open == -2.0
+        # A request's own band needs banded mode.  A default band does
+        # not: it is the default for banded requests only.
+        with pytest.raises(InvalidArgument, match="band only applies to mode 'banded'"):
+            JobSpec(band=2).resolve(defaults, "score")
+        with AlignmentEngine(band=8) as eng:
+            assert eng.score("ACGT", "ACGT") == 4.0
+            assert eng.score("ACGT", "ACGT", mode="banded") == 4.0
 
     def test_pair_checks_and_wire_round_trip(self):
         with pytest.raises(InvalidArgument, match="too narrow"):
@@ -156,7 +163,7 @@ def _serve_in_thread(config: ServiceConfig) -> tuple[int, callable]:
 @pytest.fixture(scope="module")
 def two_shards():
     shards = [
-        _serve_in_thread(ServiceConfig(port=0, max_batch=8, max_delay=0.001, cache_size=64))
+        _serve_in_thread(ServiceConfig(port=0, max_batch=8, max_delay_ms=1.0, cache_size=64))
         for _ in range(2)
     ]
     yield [port for port, _ in shards]
@@ -183,6 +190,10 @@ REFUSALS = {
     "unregistered-backend": (
         {"backend": "parallel"},
         "unknown backend 'parallel' (registered: naive, native, numpy)",
+    ),
+    "band-not-banded": (
+        {"band": 2},
+        "band only applies to mode 'banded' (resolved mode is 'global')",
     ),
 }
 

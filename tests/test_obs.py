@@ -87,7 +87,7 @@ def _stop_shard(holder) -> None:
 @pytest.fixture()
 def one_server():
     holder = _serve_in_thread(
-        ServiceConfig(port=0, max_batch=16, max_delay=0.002, cache_size=256)
+        ServiceConfig(port=0, max_batch=16, max_delay_ms=2.0, cache_size=256)
     )
     yield holder
     _stop_shard(holder)
@@ -97,7 +97,7 @@ def one_server():
 def three_shards():
     holders = [
         _serve_in_thread(
-            ServiceConfig(port=0, max_batch=16, max_delay=0.002, cache_size=256)
+            ServiceConfig(port=0, max_batch=16, max_delay_ms=2.0, cache_size=256)
         )
         for _ in range(3)
     ]
@@ -514,7 +514,6 @@ class TestServiceObservability:
             pairs = [("ACGTACGT", "ACGTAGGT" + "T" * k) for k in range(6)]
             client.score_many(pairs, concurrency=4)
             text = client.metrics()
-            snap = client.stats()
         parsed = parse_exposition(text)
         samples = parsed["samples"]
         assert samples[("fragalign_requests_total", (("op", "score"),))] >= 6
@@ -524,10 +523,22 @@ class TestServiceObservability:
             if name == "fragalign_kernel_calls_total"
         )
         assert kernel_calls > 0
+
+        # Every op's latency lands in the histogram after its response
+        # is built, so a `metrics` answer and a later `stats` answer
+        # can differ by the `metrics` op's own sample.  Read both views
+        # in one callback on the server's loop: no request between them.
+        async def both_views():
+            service = one_server["service"]
+            return service.render_metrics(), service.stats.snapshot()
+
+        text, snap = asyncio.run_coroutine_threadsafe(
+            both_views(), one_server["loop"]
+        ).result(timeout=10)
         # Exposition-derived quantiles agree with the stats snapshot
         # (same histogram underneath).
         p95 = histogram_quantile_from_samples(
-            samples, "fragalign_request_latency_seconds", 0.95
+            parse_exposition(text)["samples"], "fragalign_request_latency_seconds", 0.95
         )
         # The snapshot rounds to 3 decimals; otherwise identical.
         assert snap["latency_ms"]["p95"] == pytest.approx(p95 * 1e3, abs=1e-3)
@@ -673,9 +684,9 @@ class TestCliSurface:
 
         parser = build_parser()
         args = parser.parse_args(
-            ["serve", "--log-level", "debug", "--log-json", "--trace-buffer", "64"]
+            ["serve", "--log-level", "debug", "--log-json", "--trace-sample", "0.5"]
         )
-        assert args.log_level == "debug" and args.log_json and args.trace_buffer == 64
+        assert args.log_level == "debug" and args.log_json and args.trace_sample == 0.5
         args = parser.parse_args(["client", "--trace"])
         assert args.trace is True
         args = parser.parse_args(

@@ -325,7 +325,7 @@ def _stop_shard(holder) -> None:
 @pytest.fixture()
 def one_shard():
     holder = _serve_in_thread(
-        ServiceConfig(port=0, max_batch=16, max_delay=0.002, cache_size=64)
+        ServiceConfig(port=0, max_batch=16, max_delay_ms=2.0, cache_size=64)
     )
     yield holder
     _stop_shard(holder)
@@ -488,7 +488,7 @@ class TestFaultProxy:
 def two_shards():
     holders = [
         _serve_in_thread(
-            ServiceConfig(port=0, max_batch=16, max_delay=0.002, cache_size=64)
+            ServiceConfig(port=0, max_batch=16, max_delay_ms=2.0, cache_size=64)
         )
         for _ in range(2)
     ]

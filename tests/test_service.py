@@ -36,6 +36,7 @@ from fragalign.service import (
     wait_for_port_file,
     write_port_file,
 )
+from fragalign.service import server as server_module
 from fragalign.service.protocol import (
     Outbox,
     ProtocolError,
@@ -382,7 +383,7 @@ def _serve_in_thread(config: ServiceConfig):
 @pytest.fixture()
 def service_port():
     port, stop, _service = _serve_in_thread(
-        ServiceConfig(port=0, max_batch=16, max_delay=0.002, cache_size=256)
+        ServiceConfig(port=0, max_batch=16, max_delay_ms=2.0, cache_size=256)
     )
     yield port
     stop()
@@ -746,7 +747,8 @@ class TestWritePath:
         assert [score for score, _ in answers] == expected
         assert [cached for _, cached in answers] == [k % 2 == 0 for k in range(len(pairs))]
 
-    def test_wedged_reader_dropped_after_drain_timeout(self):
+    def test_wedged_reader_dropped_after_drain_timeout(self, monkeypatch):
+        monkeypatch.setattr(server_module, "DRAIN_TIMEOUT", 0.5)
         rng = random.Random(3)
         a = "".join(rng.choice("ACGT") for _ in range(1200))
         b = a[:600] + "T" + a[601:]
@@ -754,7 +756,7 @@ class TestWritePath:
         # the cache — ~15 KB per response, ~12 MB in all.
         line = encode_line({"id": 0, "op": "align", "a": a, "b": b})
         port, stop, _service = _serve_in_thread(
-            ServiceConfig(port=0, drain_timeout=0.5, cache_size=16)
+            ServiceConfig(port=0, cache_size=16)
         )
         wedged = socket.socket()
         try:
@@ -969,7 +971,7 @@ class TestClientAutoReconnect:
     """Opt-in reconnect with capped exponential backoff; fail-fast default."""
 
     def _restartable_config(self):
-        return ServiceConfig(port=0, max_batch=8, max_delay=0.001, cache_size=64)
+        return ServiceConfig(port=0, max_batch=8, max_delay_ms=1.0, cache_size=64)
 
     def test_reconnect_after_server_restart(self):
         port, stop, _service = _serve_in_thread(self._restartable_config())
