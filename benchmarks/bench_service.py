@@ -4,8 +4,8 @@ Three measurements against in-process :class:`AlignmentService`
 instances over real sockets (the numpy backend throughout):
 
 * **sequential** — one request at a time against a per-request server
-  (``max_batch=1``, ``max_delay_ms=0``, cache off): the foil every
-  non-batching RPC service pays.
+  (``max_batch=1``, cache off): the foil every non-batching RPC service
+  pays.
 * **batched** — the same pairs fired at concurrency ``C`` against a
   micro-batching server (cache off): requests coalesce into
   ``score_many`` batches, amortizing the per-row Python sweep.
@@ -103,7 +103,7 @@ async def _bench(n_pairs: int, length: int, concurrency: int, seed: int) -> dict
 
     # 1. Per-request sequential serving (the non-batching foil).
     (t_seq, seq_scores), _ = await _with_service(
-        ServiceConfig(port=0, max_batch=1, max_delay_ms=0.0, cache_size=0),
+        ServiceConfig(port=0, max_batch=1, cache_size=0),
         lambda c: _sequential(c, pairs, warmup=warmup, repeat=2),
     )
     results["sequential_per_request"] = {
@@ -114,7 +114,7 @@ async def _bench(n_pairs: int, length: int, concurrency: int, seed: int) -> dict
     # 2. Micro-batched serving at concurrency C (cache still off, so
     #    the speedup is batching alone, not result reuse).
     (t_batch, batch_scores), batch_stats = await _with_service(
-        ServiceConfig(port=0, max_batch=concurrency, max_delay_ms=2.0, cache_size=0),
+        ServiceConfig(port=0, max_batch=concurrency, cache_size=0),
         lambda c: _concurrent(c, pairs, concurrency, warmup=warmup, repeat=3),
     )
     results["batched_concurrent"] = {
@@ -134,7 +134,7 @@ async def _bench(n_pairs: int, length: int, concurrency: int, seed: int) -> dict
         return t_cold, t_warm
 
     (t_cold, t_warm), cache_stats = await _with_service(
-        ServiceConfig(port=0, max_batch=1, max_delay_ms=0.0, cache_size=4 * n_pairs),
+        ServiceConfig(port=0, max_batch=1, cache_size=4 * n_pairs),
         cold_then_warm,
     )
     results["cache_cold_pass"] = {
@@ -152,13 +152,11 @@ async def _bench(n_pairs: int, length: int, concurrency: int, seed: int) -> dict
     #    traced at 100% sampling.  Rounds are interleaved against the
     #    *same* server instance — running all untraced rounds first
     #    would hand the traced side a better-warmed server and skew
-    #    the ratio.  The server's flush window is opened wide (50ms)
-    #    so every batch flushes by *size* (concurrency == max_batch):
-    #    each round computes identical full batches, and the A/B
-    #    resolves span-capture cost rather than per-round batch-
-    #    formation luck, whose amortization jitter under a timer-
-    #    dominated window is an order of magnitude larger than the
-    #    3% effect being gated.
+    #    the ratio.  max_batch == concurrency, and batches follow the
+    #    worker: the client's semaphore, not a clock, decides how many
+    #    requests each batch holds, the same on both sides of the A/B,
+    #    so it resolves span-capture cost rather than batch-formation
+    #    luck.
     from fragalign.obs import new_trace_context
 
     # Overhead is judged on *process CPU time* (client + server + the
@@ -210,7 +208,7 @@ async def _bench(n_pairs: int, length: int, concurrency: int, seed: int) -> dict
         return plain_best, traced_best
 
     (plain_best, traced_best), _ = await _with_service(
-        ServiceConfig(port=0, max_batch=concurrency, max_delay_ms=50.0, cache_size=0),
+        ServiceConfig(port=0, max_batch=concurrency, cache_size=0),
         plain_then_traced,
     )
     overhead_pct = (traced_best[1] / max(plain_best[1], 1e-9) - 1.0) * 100
@@ -231,13 +229,10 @@ async def _bench(n_pairs: int, length: int, concurrency: int, seed: int) -> dict
     #    Methodology: sampling changes the server's config, so both
     #    sides run as separate servers — but booted *simultaneously*
     #    and measured in interleaved rounds, because machine-load drift
-    #    between two sequential boots swamps a 3% signal.  The flush
-    #    window is opened wide (50ms) so every batch flushes by *size*:
-    #    with concurrency == max_batch both servers compute identical
-    #    full batches, and the A/B measures span capture — not the
-    #    batch-formation lottery, whose amortization jitter is an order
-    #    of magnitude larger than the tracing cost under a timer-
-    #    dominated window.
+    #    between two sequential boots swamps a 3% signal.  As in (4),
+    #    max_batch == concurrency and the client's semaphore, not a
+    #    clock, forms the batches, so both servers see the same batch
+    #    sizes and the A/B measures span capture.
     async def one_sampling_round(client):
         semaphore = asyncio.Semaphore(concurrency)
 
@@ -251,11 +246,8 @@ async def _bench(n_pairs: int, length: int, concurrency: int, seed: int) -> dict
         return wall, time.process_time() - cpu0, alignments
 
     sampling_cfgs = [
-        ServiceConfig(port=0, max_batch=concurrency, max_delay_ms=50.0, cache_size=0),
-        ServiceConfig(
-            port=0, max_batch=concurrency, max_delay_ms=50.0, cache_size=0,
-            trace_sample=0.1,
-        ),
+        ServiceConfig(port=0, max_batch=concurrency, cache_size=0),
+        ServiceConfig(port=0, max_batch=concurrency, cache_size=0, trace_sample=0.1),
     ]
     sampling_servers = [AlignmentService(cfg) for cfg in sampling_cfgs]
     for service in sampling_servers:

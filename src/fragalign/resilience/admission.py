@@ -11,9 +11,9 @@ When the cell load crosses ``degrade_watermark`` the controller reports
 *degraded mode* (with hysteresis: it disengages only at or below
 ``recover_watermark``, 2/3 of the degrade watermark — 0.5 at the
 default 0.75); the server maps that to its configured
-degradation policy (widen micro-batch windows, or answer ``align`` with
-``score``).  Rejections raise :class:`~fragalign.util.errors.Overloaded`
-— retryable, because a different replica may have capacity.
+degradation policy (answer ``align`` with ``score``).  Rejections
+raise :class:`~fragalign.util.errors.Overloaded` — retryable, because
+a different replica may have capacity.
 """
 
 from __future__ import annotations

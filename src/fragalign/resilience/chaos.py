@@ -68,8 +68,9 @@ __all__ = ["run_chaos"]
 _ALLOWED_FAILURES = (DeadlineExceeded, Overloaded, CircuitOpen, ClusterError)
 
 # Grace window on top of a request's deadline before an answer (or a
-# typed failure) counts as "outlived its deadline": one batch flush
-# window is the contract, the rest absorbs CI scheduling noise.
+# typed failure) counts as "outlived its deadline": a job already
+# computing when its deadline passes finishes its batch, and the rest
+# absorbs CI scheduling noise.
 _DEADLINE_SLACK_S = 0.75
 
 # Drill-fleet tuning: tight enough that faults bite within seconds,
@@ -524,7 +525,7 @@ def run_chaos(args) -> int:
         backend=args.backend,
         base_dir=args.base_dir,
         max_inflight_cells=cap,
-        degrade="widen",
+        degrade="score",
         degrade_watermark=0.6,
         auto_heal=True,
         heal_backoff=0.2,

@@ -2,8 +2,8 @@
 
 An asyncio JSON-lines alignment server whose core is a
 **micro-batcher**: concurrent ``score``/``align`` requests are
-coalesced over a short window, deduplicated, and dispatched as single
-``score_many``/``align_many`` calls on a configurable
+deduplicated and dispatched, a batch whenever the worker is free, as
+single ``score_many``/``align_many`` calls on a configurable
 :class:`~fragalign.engine.AlignmentEngine` backend, with results
 fanned back out to the awaiting clients.  In front of the batcher sits
 a bounded LRU result cache keyed on ``(op, pair, mode, model)``, and a

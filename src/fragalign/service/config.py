@@ -4,7 +4,7 @@ Each :class:`ServiceConfig` field is one server option.  Its metadata
 holds the flag's help and, where the default does not imply them, its
 type, choices and metavar.  The six job knobs take all three from the
 request-field registry in :mod:`fragalign.job`.  A flag is always its
-field's name with dashes (``max_delay_ms`` → ``--max-delay-ms``).
+field's name with dashes (``cache_size`` → ``--cache-size``).
 
 * :func:`add_flags` declares the flags on a verb's parser;
 * :meth:`ServiceConfig.from_flags` builds the config from the parsed
@@ -26,10 +26,9 @@ from fragalign.job import DEFAULTS, FIELDS, KNOBS, MEMORY_MODES, MODES
 
 __all__ = ["DEGRADE_POLICIES", "ServiceConfig", "add_flags", "knob_flag"]
 
-#: ``--degrade`` policies past the load watermark: ``widen`` scales the
-#: micro-batch flush window up, ``score`` answers align requests with a
-#: score-only result.
-DEGRADE_POLICIES = ("none", "widen", "score")
+#: ``--degrade`` policies past the load watermark: ``score`` answers
+#: align requests with a score-only result.
+DEGRADE_POLICIES = ("none", "score")
 
 
 def knob_flag(name: str) -> dict:
@@ -60,10 +59,7 @@ class ServiceConfig:
     gap_open: float | None = None
     gap_extend: float | None = None
     memory: str = DEFAULTS.memory
-    max_batch: int = _option(64, "flush a batch at this many queued jobs")
-    max_delay_ms: float = _option(
-        2.0, "max milliseconds a request waits for its batch to fill"
-    )
+    max_batch: int = _option(64, "most distinct jobs one batch dispatches")
     cache_size: int = _option(4096, "LRU result-cache entries (0 disables)")
     # Admission control (fragalign.resilience): bounded inflight
     # compute in estimated DP cells plus an optional job-count bound.
@@ -77,8 +73,8 @@ class ServiceConfig:
     # Degraded mode disengages at 2/3 of the watermark (hysteresis).
     degrade: str = _option(
         "none",
-        "degraded mode past the load watermark: 'widen' stretches the "
-        "batch window, 'score' answers align requests score-only",
+        "degraded mode past the load watermark: 'score' answers align "
+        "requests score-only",
         choices=DEGRADE_POLICIES,
     )
     degrade_watermark: float = _option(

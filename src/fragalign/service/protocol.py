@@ -63,8 +63,8 @@ tracing can never split a batch or enter a cache/routing key.
 budget** in milliseconds — relative, gRPC-style, so it survives hops
 without synchronized clocks.  The server converts it to an absolute
 monotonic deadline on receipt, rejects already-expired work before it
-joins a batch (error code ``DEADLINE_EXCEEDED``), and the batcher
-clamps its flush window to the tightest deadline in the group.  Like
+joins a batch (error code ``DEADLINE_EXCEEDED``), and the batcher drops
+a queued job once every waiter's deadline has passed.  Like
 the trace fields it is registered with every participation flag off:
 a deadline can never split a batch or enter a cache/routing key.
 

@@ -74,9 +74,6 @@ __all__ = [
 
 _log = get_logger("service")
 
-#: ``--degrade widen`` scales the micro-batch flush window by this.
-DEGRADE_WIDEN_FACTOR = 8.0
-
 #: Seconds a connection's pending responses may wait on a client that
 #: stopped reading before the connection is aborted.
 DRAIN_TIMEOUT = 30.0
@@ -186,7 +183,6 @@ class AlignmentService:
         self.batcher = MicroBatcher(
             self.engine,
             max_batch=self.config.max_batch,
-            max_delay=self.config.max_delay_ms / 1e3,
             stats=self.stats,
             tracer=self.tracer,
         )
@@ -537,21 +533,28 @@ class AlignmentService:
         inflight = self._inflight.get(key)
         if inflight is not None:
             # A twin request is already computing; share its result.
-            # (The batcher also coalesces, but only until its batch is
-            # dispatched — this closes the dispatch→cache-put window.)
+            # (The batcher also coalesces, but only until its batch
+            # resolves — this closes the resolve→cache-put window.)
             self.stats.observe_coalesced()
             if jrec is not None:
                 jrec["cached"] = False
                 jrec["disposition"] = "coalesced"
-            if tlog is not None:
-                join_start = time.perf_counter()
+            join_start = time.perf_counter()
+            try:
                 value = await inflight
-                join_s = time.perf_counter() - join_start
-                tlog.append(
-                    leaf_entry(ctx, "server.join", time.time() - join_s, join_s)
-                )
+            except DeadlineExceeded:
+                # The twin's deadline passed, which says nothing about
+                # this request's: unless it too has expired, compute the
+                # job below (the batcher shares it with any newer twin).
+                if expired(deadline):
+                    raise
+            else:
+                if tlog is not None:
+                    join_s = time.perf_counter() - join_start
+                    tlog.append(
+                        leaf_entry(ctx, "server.join", time.time() - join_s, join_s)
+                    )
                 return ok_response(request.id, value, cached=False)
-            return ok_response(request.id, await inflight, cached=False)
         # Cost-aware admission: only genuinely new compute is charged —
         # cache hits and coalesced twins above ride for free.
         cost = estimate_cost(request.op, request.a, request.b, spec)
@@ -571,13 +574,9 @@ class AlignmentService:
             # registered inflight — a degraded answer must not poison
             # the result cache or satisfy a twin's full-align await.
             try:
-                score_spec = replace(spec, memory=None)
-                if deadline is not None:
-                    self.batcher.note_deadline(
-                        "score", request.a, request.b, score_spec, deadline
-                    )
                 value = await self.batcher.submit(
-                    "score", request.a, request.b, score_spec
+                    "score", request.a, request.b, replace(spec, memory=None),
+                    deadline=deadline,
                 )
             finally:
                 self.admission.release(cost)
@@ -595,24 +594,13 @@ class AlignmentService:
         future = asyncio.get_running_loop().create_future()
         self._inflight[key] = future
         try:
-            # Trace interest is registered beside submit (same args →
-            # same job key) so the batcher can report coalesce-wait and
-            # worker-thread compute without tracing becoming part of the
-            # job.  The deadline rides the same side-channel: it clamps
-            # the flush window but is not a batching knob.
-            if ctx is not None:
-                # tlog rides along as the span sink: batcher spans join
-                # the request's deferred log instead of the shared
-                # buffer, so a sampled-out trace costs zero buffer
-                # traffic — no write, no discard scan.
-                self.batcher.trace_job(
-                    request.op, request.a, request.b, spec, ctx, sink=tlog
-                )
-            if deadline is not None:
-                self.batcher.note_deadline(
-                    request.op, request.a, request.b, spec, deadline
-                )
-            value = await self.batcher.submit(request.op, request.a, request.b, spec)
+            # tlog is the span sink: batcher spans join the request's
+            # deferred log instead of the shared buffer, so a
+            # sampled-out trace costs zero buffer traffic.
+            value = await self.batcher.submit(
+                request.op, request.a, request.b, spec,
+                deadline=deadline, trace=ctx, sink=tlog,
+            )
             # Cache the wire form, so warm hits skip serialization too.
             result = (
                 float(value) if request.op == "score" else alignment_to_dict(value)
@@ -633,17 +621,13 @@ class AlignmentService:
         return ok_response(request.id, result, cached=False)
 
     def _apply_degrade(self) -> None:
-        """Map the admission controller's degrade state onto the
-        configured policy (batch-window widening) and the gauge —
-        touching either only when the state flips."""
+        """Publish the degraded-mode gauge: the admission controller's
+        degrade state under a configured policy, set only when it
+        flips."""
         degraded = self.admission.degraded and self.config.degrade != "none"
-        if degraded == self._degraded:
-            return
-        self._degraded = degraded
-        self.batcher.delay_scale = (
-            DEGRADE_WIDEN_FACTOR if degraded and self.config.degrade == "widen" else 1.0
-        )
-        self.stats.set_degraded_mode(degraded)
+        if degraded != self._degraded:
+            self._degraded = degraded
+            self.stats.set_degraded_mode(degraded)
 
 
 def run_server(config: ServiceConfig, port_file: str | None = None) -> int:

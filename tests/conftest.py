@@ -14,6 +14,9 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# The same with many more examples, for CI's own job.  pytest imports
+# this file before it applies --hypothesis-profile, so the flag wins.
+settings.register_profile("long", settings.get_profile("repro"), max_examples=1000)
 settings.load_profile("repro")
 
 

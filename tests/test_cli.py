@@ -248,7 +248,7 @@ def test_service_config_round_trips_through_serve_flags():
     config = ServiceConfig(
         host="0.0.0.0", port=0, backend="native", mode="banded", band=12,
         gap_open=-3.0, gap_extend=-1.0, memory="tensor", max_batch=8,
-        max_delay_ms=0.5, cache_size=0, max_inflight_cells=1000,
+        cache_size=0, max_inflight_cells=1000,
         max_inflight_jobs=4, degrade="score", degrade_watermark=0.5,
         trace_sample=0.25, slo=("score p99 < 5ms @ 99%", "align availability @ 99.9%"),
         journal="shard.journal.jsonl", journal_sequences=True,

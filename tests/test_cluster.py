@@ -154,7 +154,7 @@ def _stop_shard(holder) -> None:
 def three_shards():
     holders = [
         _serve_in_thread(
-            ServiceConfig(port=0, max_batch=16, max_delay_ms=2.0, cache_size=256)
+            ServiceConfig(port=0, max_batch=16, cache_size=256)
         )
         for _ in range(3)
     ]

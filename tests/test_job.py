@@ -163,7 +163,7 @@ def _serve_in_thread(config: ServiceConfig) -> tuple[int, callable]:
 @pytest.fixture(scope="module")
 def two_shards():
     shards = [
-        _serve_in_thread(ServiceConfig(port=0, max_batch=8, max_delay_ms=1.0, cache_size=64))
+        _serve_in_thread(ServiceConfig(port=0, max_batch=8, cache_size=64))
         for _ in range(2)
     ]
     yield [port for port, _ in shards]

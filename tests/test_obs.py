@@ -87,7 +87,7 @@ def _stop_shard(holder) -> None:
 @pytest.fixture()
 def one_server():
     holder = _serve_in_thread(
-        ServiceConfig(port=0, max_batch=16, max_delay_ms=2.0, cache_size=256)
+        ServiceConfig(port=0, max_batch=16, cache_size=256)
     )
     yield holder
     _stop_shard(holder)
@@ -97,7 +97,7 @@ def one_server():
 def three_shards():
     holders = [
         _serve_in_thread(
-            ServiceConfig(port=0, max_batch=16, max_delay_ms=2.0, cache_size=256)
+            ServiceConfig(port=0, max_batch=16, cache_size=256)
         )
         for _ in range(3)
     ]

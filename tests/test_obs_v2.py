@@ -640,7 +640,6 @@ def sampled_server(tmp_path):
         ServiceConfig(
             port=0,
             max_batch=16,
-            max_delay_ms=2.0,
             cache_size=256,
             trace_sample=0.1,
             journal=str(tmp_path / "journal.jsonl"),

@@ -10,7 +10,8 @@ Standing invariants:
   wedge a shard out of the fleet forever;
 * deadlines are end-to-end: an expired budget is refused at whichever
   tier notices first (router give-up, server admission, batch queue),
-  and a queued job never waits past its remaining budget.
+  and a queued job whose every waiter's budget has run out never
+  reaches the engine.
 """
 
 from __future__ import annotations
@@ -240,28 +241,40 @@ _SPEC = JobSpec()
 
 
 class TestBatcherDeadlines:
-    def test_note_deadline_keeps_the_tightest(self):
-        batcher = MicroBatcher(AlignmentEngine(), max_batch=4, max_delay=0.002)
-        try:
-            batcher.note_deadline("score", "ACGT", "AGGT", _SPEC, 50.0)
-            batcher.note_deadline("score", "ACGT", "AGGT", _SPEC, 20.0)
-            batcher.note_deadline("score", "ACGT", "AGGT", _SPEC, 30.0)
-            assert list(batcher._deadlines.values()) == [20.0]
-        finally:
-            batcher.close()
-
-    def test_flush_window_clamps_to_registered_deadline(self):
-        async def run():
-            # An absurd flush window: only the deadline clamp can
-            # dispatch this job in time.
-            batcher = MicroBatcher(AlignmentEngine(), max_batch=64, max_delay=60.0)
+    def test_coalesced_job_keeps_the_loosest_deadline(self):
+        # A waiter whose deadline has passed does not fail a twin whose
+        # deadline is live or absent: the shared job is dropped only
+        # when every waiter's deadline has passed.
+        async def run(*deadlines):
+            batcher = MicroBatcher(AlignmentEngine(), max_batch=4)
             try:
-                batcher.note_deadline(
-                    "score", "ACGTACGT", "AGGTACGT", _SPEC,
-                    time.monotonic() + 0.2,
+                return await asyncio.gather(
+                    *(
+                        batcher.submit("score", "ACGT", "AGGT", _SPEC, deadline=d)
+                        for d in deadlines
+                    ),
+                    return_exceptions=True,
                 )
+            finally:
+                batcher.close()
+
+        score = AlignmentEngine().score("ACGT", "AGGT")
+        past = time.monotonic() - 1.0
+        assert asyncio.run(run(past, time.monotonic() + 30.0)) == [score, score]
+        assert asyncio.run(run(past, None, past - 1.0)) == [score] * 3
+        dropped = asyncio.run(run(past, past - 1.0))
+        assert all(isinstance(r, DeadlineExceeded) for r in dropped)
+
+    def test_lone_job_with_a_deadline_is_answered_on_an_idle_worker(self):
+        async def run():
+            batcher = MicroBatcher(AlignmentEngine(), max_batch=64)
+            try:
                 return await asyncio.wait_for(
-                    batcher.submit("score", "ACGTACGT", "AGGTACGT", _SPEC), timeout=5.0
+                    batcher.submit(
+                        "score", "ACGTACGT", "AGGTACGT", _SPEC,
+                        deadline=time.monotonic() + 0.2,
+                    ),
+                    timeout=5.0,
                 )
             finally:
                 batcher.close()
@@ -275,13 +288,12 @@ class TestBatcherDeadlines:
                 raise AssertionError("expired job reached the engine")
 
         async def run():
-            batcher = MicroBatcher(NeverEngine(), max_batch=4, max_delay=0.002)
+            batcher = MicroBatcher(NeverEngine(), max_batch=4)
             try:
-                batcher.note_deadline(
-                    "score", "ACGT", "AGGT", _SPEC, time.monotonic() - 1.0
-                )
                 with pytest.raises(DeadlineExceeded):
-                    await batcher.submit("score", "ACGT", "AGGT", _SPEC)
+                    await batcher.submit(
+                        "score", "ACGT", "AGGT", _SPEC, deadline=time.monotonic() - 1.0
+                    )
             finally:
                 batcher.close()
 
@@ -325,7 +337,7 @@ def _stop_shard(holder) -> None:
 @pytest.fixture()
 def one_shard():
     holder = _serve_in_thread(
-        ServiceConfig(port=0, max_batch=16, max_delay_ms=2.0, cache_size=64)
+        ServiceConfig(port=0, max_batch=16, cache_size=64)
     )
     yield holder
     _stop_shard(holder)
@@ -360,6 +372,51 @@ class TestServerDeadline:
                 await client.close()
 
         assert asyncio.run(run()) == AlignmentEngine().score("ACGTACGT", "AGGTACGT")
+
+    def test_coalesced_twin_outlives_its_twins_deadline(self):
+        # A (30-ms budget) queues behind a busy worker; twin B (no
+        # budget) joins A's in-flight computation.  A's job is dropped
+        # at dispatch, but B must still get its answer.
+        entered, gate = threading.Event(), threading.Event()
+
+        class GatedEngine(AlignmentEngine):
+            def run(self, op, pairs, spec):
+                entered.set()
+                assert gate.wait(10), "gate never opened"
+                return super().run(op, pairs, spec)
+
+        async def until(condition):
+            for _ in range(5000):
+                if condition():
+                    return
+                await asyncio.sleep(0.001)
+            raise AssertionError("condition never held")
+
+        async def run():
+            service = AlignmentService(ServiceConfig(port=0), engine=GatedEngine())
+            await service.start()
+            client = await AsyncAlignmentClient.connect(port=service.port)
+            try:
+                busy = asyncio.create_task(client.score("AAAA", "AATA"))
+                await until(entered.is_set)  # the worker holds the gated call
+                a = asyncio.create_task(client.score("ACGT", "AGGT", deadline_ms=30))
+                await until(lambda: len(service._inflight) == 2)
+                b = asyncio.create_task(client.score("ACGT", "AGGT"))
+                await until(lambda: service.stats.snapshot()["batches"]["coalesced"] == 1)
+                await asyncio.sleep(0.1)  # A's budget runs out in the queue
+                gate.set()
+                return await asyncio.gather(busy, a, b, return_exceptions=True)
+            finally:
+                gate.set()
+                await client.close()
+                service.stop()
+                await service.wait_closed()
+                service.close()
+
+        busy, a, b = asyncio.run(run())
+        assert busy == AlignmentEngine().score("AAAA", "AATA")
+        assert isinstance(a, DeadlineExceededError)
+        assert b == AlignmentEngine().score("ACGT", "AGGT")
 
 
 class TestServerDegrade:
@@ -488,7 +545,7 @@ class TestFaultProxy:
 def two_shards():
     holders = [
         _serve_in_thread(
-            ServiceConfig(port=0, max_batch=16, max_delay_ms=2.0, cache_size=64)
+            ServiceConfig(port=0, max_batch=16, cache_size=64)
         )
         for _ in range(2)
     ]

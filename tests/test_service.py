@@ -19,6 +19,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fragalign.align.pairwise import Alignment
 from fragalign.align.scoring_matrices import transition_transversion, unit_dna
@@ -32,6 +34,7 @@ from fragalign.service import (
     MicroBatcher,
     ServiceConfig,
     ServiceError,
+    ServiceStats,
     model_fingerprint,
     wait_for_port_file,
     write_port_file,
@@ -46,6 +49,7 @@ from fragalign.service.protocol import (
     encode_line,
     parse_request,
 )
+from fragalign.util.errors import DeadlineExceeded
 
 
 class TestLRUCache:
@@ -210,11 +214,77 @@ class CountingEngine:
         return self._engine.run(op, pairs, spec)
 
 
+class GatedEngine:
+    """Engine whose calls block on the batcher's worker thread until the
+    test releases them, one :meth:`release` per call."""
+
+    def __init__(self) -> None:
+        self._engine = AlignmentEngine()
+        self._cond = threading.Condition()
+        self._released = 0
+        self.calls: list[list[tuple[str, str]]] = []  # each call's pairs
+        self.returned = 0
+        self.peak = 0  # most calls in flight at once
+
+    def run(self, op, pairs, spec):
+        with self._cond:
+            self.calls.append(list(pairs))
+            n = len(self.calls)
+            self.peak = max(self.peak, n - self.returned)
+            if not self._cond.wait_for(lambda: self._released >= n, timeout=10):
+                raise TimeoutError("engine call never released")
+        try:
+            return self._engine.run(op, pairs, spec)
+        finally:
+            with self._cond:
+                self.returned += 1
+
+    @property
+    def parked(self) -> bool:
+        """A call is waiting at the gate."""
+        with self._cond:
+            return len(self.calls) > self._released
+
+    def release(self, n: int = 1) -> None:
+        with self._cond:
+            self._released += n
+            self._cond.notify_all()
+
+    def open(self) -> None:
+        self.release(10**9)
+
+
+async def _until(condition, timeout: float = 5.0) -> None:
+    """Poll ``condition`` while the loop and the worker thread run."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.0005)
+
+
+_SCHEDULE_PAIRS = [
+    ("ACGT", "AGGT"), ("AAAA", "AATA"), ("ACGTAC", "ACGTTC"),
+    ("GGGG", "GGCG"), ("TTACG", "TTAG"),
+]
+# One step: a burst of (pair index, already expired?) submits in one
+# loop tick, or a release of the engine call at the gate.
+_SCHEDULES = st.lists(
+    st.one_of(
+        st.lists(
+            st.tuples(st.integers(0, len(_SCHEDULE_PAIRS) - 1), st.booleans()),
+            min_size=1, max_size=6,
+        ),
+        st.just("release"),
+    ),
+    max_size=24,
+)
+
+
 class TestMicroBatcher:
     def test_identical_concurrent_requests_coalesce(self):
         async def run():
             counting = CountingEngine(AlignmentEngine())
-            batcher = MicroBatcher(counting, max_batch=64, max_delay=0.005)
+            batcher = MicroBatcher(counting, max_batch=64)
             try:
                 results = await asyncio.gather(
                     *(batcher.submit("score", "ACGTACGT", "AGGTACGT", JobSpec()) for _ in range(16))
@@ -233,7 +303,7 @@ class TestMicroBatcher:
 
         async def run():
             counting = CountingEngine(AlignmentEngine())
-            batcher = MicroBatcher(counting, max_batch=64, max_delay=0.005)
+            batcher = MicroBatcher(counting, max_batch=64)
             try:
                 scores = asyncio.gather(
                     *(batcher.submit("score", a, b, JobSpec()) for a, b in pairs)
@@ -252,12 +322,70 @@ class TestMicroBatcher:
             assert scores == [eng.score(a, b) for a, b in pairs]
             assert alns == eng.align_many(pairs)
 
-    def test_flush_by_size_before_delay(self):
+    def test_submits_in_one_tick_share_one_call_on_an_idle_worker(self):
+        pairs = [("ACGT" * 2, "AGGT" * 2 + "A" * k) for k in range(6)]
+
         async def run():
-            counting = CountingEngine(AlignmentEngine())
-            # Absurd delay: only the size trigger can flush in time.
-            batcher = MicroBatcher(counting, max_batch=4, max_delay=60.0)
-            pairs = [("ACGT" * 2, "AGGT" * 2 + "A" * k) for k in range(4)]
+            engine = GatedEngine()
+            engine.open()
+            batcher = MicroBatcher(engine, max_batch=64)
+            try:
+                tasks = [
+                    asyncio.ensure_future(batcher.submit("score", a, b, JobSpec()))
+                    for a, b in pairs
+                ]
+                return engine.calls, await asyncio.wait_for(asyncio.gather(*tasks), 5)
+            finally:
+                batcher.close()
+
+        calls, scores = asyncio.run(run())
+        assert calls == [pairs]
+        with AlignmentEngine() as eng:
+            assert scores == [eng.score(a, b) for a, b in pairs]
+
+    def test_jobs_queued_behind_a_running_batch_share_the_next_call(self):
+        async def run():
+            engine = GatedEngine()
+            batcher = MicroBatcher(engine, max_batch=64)
+
+            def submit(a, b):
+                return asyncio.ensure_future(batcher.submit("score", a, b, JobSpec()))
+
+            try:
+                first = submit("ACGT", "AGGT")
+                await _until(lambda: len(engine.calls) == 1)
+                # Spread wider than any short batching window: the
+                # running call, not a clock, decides what batches.
+                second = submit("AAAA", "AATA")
+                await asyncio.sleep(0.01)
+                third = submit("ACGTAC", "ACGTTC")
+                await asyncio.sleep(0.01)
+                assert len(engine.calls) == 1  # nothing starts while it runs
+                engine.release()
+                await _until(lambda: len(engine.calls) == 2)
+                engine.open()
+                results = await asyncio.wait_for(asyncio.gather(first, second, third), 5)
+                return engine.calls, engine.peak, results
+            finally:
+                engine.open()
+                batcher.close()
+
+        calls, peak, results = asyncio.run(run())
+        assert calls == [[("ACGT", "AGGT")], [("AAAA", "AATA"), ("ACGTAC", "ACGTTC")]]
+        assert peak == 1
+        with AlignmentEngine() as eng:
+            assert results == [
+                eng.score("ACGT", "AGGT"), eng.score("AAAA", "AATA"),
+                eng.score("ACGTAC", "ACGTTC"),
+            ]
+
+    def test_max_batch_caps_each_call_and_the_rest_go_next(self):
+        pairs = [("ACGT" * 2, "AGGT" * 2 + "A" * k) for k in range(10)]
+
+        async def run():
+            engine = GatedEngine()
+            engine.open()
+            batcher = MicroBatcher(engine, max_batch=4)
             try:
                 scores = await asyncio.wait_for(
                     asyncio.gather(
@@ -267,11 +395,92 @@ class TestMicroBatcher:
                 )
             finally:
                 batcher.close()
-            return counting.calls, scores
+            return engine.calls, scores
 
         calls, scores = asyncio.run(run())
-        assert calls == [("score", 4)]
-        assert len(scores) == 4
+        assert calls == [pairs[:4], pairs[4:8], pairs[8:]]
+        with AlignmentEngine() as eng:
+            assert scores == [eng.score(a, b) for a, b in pairs]
+
+    def test_drain_resolves_queued_and_running_jobs(self):
+        async def run():
+            engine = GatedEngine()
+            batcher = MicroBatcher(engine, max_batch=64)
+            try:
+                running = asyncio.ensure_future(
+                    batcher.submit("score", "ACGT", "AGGT", JobSpec())
+                )
+                await _until(lambda: len(engine.calls) == 1)
+                queued = asyncio.ensure_future(
+                    batcher.submit("score", "AAAA", "AATA", JobSpec())
+                )
+                await asyncio.sleep(0)  # the submit runs: one job queued
+                drain = asyncio.ensure_future(batcher.drain())
+                await asyncio.sleep(0.01)
+                assert not drain.done()
+                engine.open()
+                await asyncio.wait_for(drain, 5)
+                assert running.done() and queued.done()
+                return running.result(), queued.result()
+            finally:
+                engine.open()
+                batcher.close()
+
+        with AlignmentEngine() as eng:
+            assert asyncio.run(run()) == (eng.score("ACGT", "AGGT"), eng.score("AAAA", "AATA"))
+
+    @given(schedule=_SCHEDULES, max_batch=st.integers(1, 4))
+    def test_paced_invariants_hold_on_any_schedule(self, schedule, max_batch):
+        async def run():
+            engine = GatedEngine()
+            stats = ServiceStats()
+            batcher = MicroBatcher(engine, max_batch=max_batch, stats=stats)
+            submits: list[tuple[int, bool, asyncio.Future]] = []
+
+            def quiet() -> bool:
+                # Only a release can change anything now: a call waits at
+                # the gate, or every submit is answered.  A job queued
+                # while the worker idles would never get here.
+                return engine.parked or all(f.done() for _, _, f in submits)
+
+            try:
+                for step in schedule:
+                    if step == "release":
+                        if engine.parked:
+                            engine.release()
+                    else:
+                        for i, expired in step:
+                            deadline = time.monotonic() - 1.0 if expired else None
+                            submits.append((i, expired, asyncio.ensure_future(
+                                batcher.submit("score", *_SCHEDULE_PAIRS[i], JobSpec(),
+                                               deadline=deadline)
+                            )))
+                        await asyncio.sleep(0)  # the whole burst submits in one tick
+                    await _until(quiet)
+                engine.open()
+                await _until(lambda: all(f.done() for _, _, f in submits))
+            finally:
+                engine.open()
+                batcher.close()
+            return engine, stats.snapshot(), submits
+
+        engine, snap, submits = asyncio.run(run())
+        assert engine.peak <= 1
+        assert all(1 <= len(call) <= max_batch for call in engine.calls)
+        # Every distinct job is computed once or dropped once: never
+        # twice, never lost.
+        batches = snap["batches"]
+        computed = sum(len(call) for call in engine.calls)
+        assert (batches["dispatched"], batches["pairs"]) == (len(engine.calls), computed)
+        dropped = snap["resilience"]["deadline_exceeded"]
+        assert computed + dropped == len(submits) - batches["coalesced"]
+        with AlignmentEngine() as eng:
+            for i, expired, future in submits:
+                result = future.exception() or future.result()
+                if isinstance(result, DeadlineExceeded):
+                    assert expired  # a waiter without a deadline keeps its job live
+                else:
+                    assert result == eng.score(*_SCHEDULE_PAIRS[i])
 
     def test_engine_error_propagates_to_all_waiters(self):
         class ExplodingEngine:
@@ -279,7 +488,7 @@ class TestMicroBatcher:
                 raise RuntimeError("kernel on fire")
 
         async def run():
-            batcher = MicroBatcher(ExplodingEngine(), max_batch=8, max_delay=0.001)
+            batcher = MicroBatcher(ExplodingEngine(), max_batch=8)
             try:
                 results = await asyncio.gather(
                     *(batcher.submit("score", "AC", "GT", JobSpec()) for _ in range(3)),
@@ -307,7 +516,7 @@ class TestMicroBatcher:
         pairs = [("ACGTACGT", "AGGTACGT"), ("AAAA", "AATA"), ("ACGTAC", "ACGTAC")]
 
         async def run():
-            batcher = MicroBatcher(LocalExplodes(), max_batch=64, max_delay=0.005)
+            batcher = MicroBatcher(LocalExplodes(), max_batch=64)
             try:
                 return await asyncio.gather(
                     *(batcher.submit("score", a, b, JobSpec()) for a, b in pairs),
@@ -330,7 +539,7 @@ class TestMicroBatcher:
 
         async def run():
             counting = CountingEngine(AlignmentEngine())
-            batcher = MicroBatcher(counting, max_batch=64, max_delay=0.01)
+            batcher = MicroBatcher(counting, max_batch=64)
             try:
                 results = await asyncio.gather(
                     *(batcher.submit("score", a, b, JobSpec()) for a, b in good + [odd]),
@@ -383,7 +592,7 @@ def _serve_in_thread(config: ServiceConfig):
 @pytest.fixture()
 def service_port():
     port, stop, _service = _serve_in_thread(
-        ServiceConfig(port=0, max_batch=16, max_delay_ms=2.0, cache_size=256)
+        ServiceConfig(port=0, max_batch=16, cache_size=256)
     )
     yield port
     stop()
@@ -971,7 +1180,7 @@ class TestClientAutoReconnect:
     """Opt-in reconnect with capped exponential backoff; fail-fast default."""
 
     def _restartable_config(self):
-        return ServiceConfig(port=0, max_batch=8, max_delay_ms=1.0, cache_size=64)
+        return ServiceConfig(port=0, max_batch=8, cache_size=64)
 
     def test_reconnect_after_server_restart(self):
         port, stop, _service = _serve_in_thread(self._restartable_config())

@@ -78,7 +78,9 @@ def _apply(state: SolutionState, op: str, salt: int) -> None:
         state.detach_fragment((species, frags[salt % len(frags)].fid))
 
 
-@settings(max_examples=40)
+# At least this many examples; more under a larger profile such as
+# `--hypothesis-profile=long`.
+@settings(max_examples=max(40, settings.default.max_examples))
 @given(st.integers(0, 10_000), ops)
 def test_invariants_survive_random_operations(seed, operations):
     inst = random_instance(n_h=2, n_m=2, len_lo=2, len_hi=4, rng=seed)
@@ -89,7 +91,7 @@ def test_invariants_survive_random_operations(seed, operations):
         assert layout_score(state) + 1e-9 >= state.score()
 
 
-@settings(max_examples=25)
+@settings(max_examples=max(25, settings.default.max_examples))
 @given(st.integers(0, 10_000), ops, ops)
 def test_snapshot_isolates_suffix(seed, prefix, suffix):
     inst = random_instance(n_h=2, n_m=2, len_lo=2, len_hi=4, rng=seed)
