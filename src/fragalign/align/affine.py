@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from fragalign.align.pairwise import (
     Alignment,
-    _affine_empty,
     _check_band,
     affine_align_batch,
     affine_scores_batch,
@@ -161,8 +160,6 @@ def affine_score_reference(
         mode = "global"
     else:
         band = None
-    if n == 0 or m == 0:
-        return _affine_empty(n, m, open_, ext, mode)[0]
     M, X, Y, _, _ = _affine_tables(a, b, model, open_, ext, mode, band)
     if mode == "local":
         return max(max(row) for row in M)
@@ -192,9 +189,6 @@ def affine_align_reference(
     else:
         band = None
         table_mode = mode
-    if n == 0 or m == 0:
-        score, ai, bi = _affine_empty(n, m, open_, ext, table_mode)
-        return Alignment(score, (), ai, bi)
     M, X, Y, W, stop = _affine_tables(a, b, model, open_, ext, table_mode, band)
 
     def end_state(i: int, j: int) -> int:

@@ -42,10 +42,10 @@ import numpy as np
 
 from fragalign.align.pairwise import (
     Alignment,
-    _sweep_global,
-    _sweep_local,
-    _walk_global,
-    _walk_local,
+    _empty_side,
+    _sweep_ends,
+    _sweep_linear,
+    _walk,
     global_align,
 )
 from fragalign.align.scoring_matrices import SubstitutionModel, encode, unit_dna
@@ -88,18 +88,8 @@ class _LinearWalk:
         A = self.ac[lo:hi][None, :]
         Bm = self.bc[:je][None, :]
         F0 = F_lo[None, : je + 1]
-        if self.mode == "local":
-            _, _, _, fr = _sweep_local(A, Bm, self.model, D=D, F0=F0, i0=lo)
-        else:
-            fr = _sweep_global(
-                A, Bm, self.model, overlap=self.mode == "overlap", D=D, F0=F0, i0=lo
-            )
+        fr, _, _, _ = _sweep_linear(A, Bm, self.model, self.mode, D=D, F0=F0, i0=lo)
         return fr.prev[0, : je + 1].copy()
-
-    def _walk_block(self, db: bytes, rows: int, je: int):
-        if self.mode == "local":
-            return _walk_local(db, je, rows, je)
-        return _walk_global(db, je, rows, je)
 
     # -- the recursion ------------------------------------------------
 
@@ -127,7 +117,7 @@ class _LinearWalk:
                 # (the bottom chain never shrinks rows or columns), so
                 # its frontier carries the corner value for the score.
                 self.corner = float(F_hi[je])
-            walked, i_rel, j_stop = self._walk_block(D[:, 0, :].tobytes(), rows, je)
+            walked, i_rel, j_stop = _walk(D[:, 0, :].tobytes(), je, rows, je)
             if walked:
                 self.segments.append([(lo + ri, cj) for ri, cj in walked])
             if i_rel == 0 and j_stop > 0:
@@ -176,12 +166,8 @@ def linear_align(  # parity-oracle: hirschberg_align_reference
     n, m = len(ac), len(bc)
     g = model.gap
     if n == 0 or m == 0:
-        if mode == "global":
-            return Alignment((n + m) * g, (), (0, n), (0, m))
-        if mode == "overlap":
-            return Alignment(0.0, (), (n, n), (0, 0))
-        return Alignment(0.0, (), (0, 0), (0, 0))
-    js = np.arange(m + 1)
+        score, a_iv, b_iv = _empty_side(n, m, mode, model, None)
+        return Alignment(score, (), a_iv, b_iv)
 
     if mode == "global":
         walk = _LinearWalk(ac, bc, model, mode, block_cells)
@@ -190,34 +176,20 @@ def linear_align(  # parity-oracle: hirschberg_align_reference
         score = walk.corner + g * (m + n)
         return Alignment(score, walk.pairs(), (0, n), (0, m))
 
-    if mode == "overlap":
-        fr = _sweep_global(ac[None, :], bc[None, :], model, overlap=True)
-        hrow = fr.prev[0, : m + 1] + g * js
-        b_end = int(np.argmax(hrow))
-        score = float(hrow[b_end] + n * g)
-        if b_end == 0:  # empty overlap: the walk starts (and ends) at (n, 0)
-            return Alignment(score, (), (n, n), (0, 0))
-        walk = _LinearWalk(ac, bc, model, mode, block_cells)
-        F0 = np.zeros(m + 1)
-        walk.run(0, n, F0, b_end)
-        # stop records where the walk hit column 0; otherwise it
-        # reached row 0 with the b column still open (a_start = 0).
-        a_start = walk.stop[0] if walk.stop is not None else 0
-        return Alignment(score, walk.pairs(), (a_start, n), (0, b_end))
-
-    # local
-    best, bi, bj, _ = _sweep_local(ac[None, :], bc[None, :], model)
-    score, ei, ej = float(best[0]), int(bi[0]), int(bj[0])
-    if ei == 0 or ej == 0:
-        return Alignment(0.0, (), (0, 0), (0, 0))
+    # Overlap and local: a score sweep finds the end cell (overlap ends
+    # in row n), then the walk runs back from it.
+    score, ends_i, ends_j, _ = _sweep_ends(ac[None, :], bc[None, :], model, mode)
+    score, ei, ej = float(score[0]), int(ends_i[0]), int(ends_j[0])
+    if ei == 0 or ej == 0:  # empty alignment: the walk starts and ends here
+        return Alignment(score, (), (ei, ei), (ej, ej))
     walk = _LinearWalk(ac, bc, model, mode, block_cells)
-    F0 = -g * js  # row 0: H = 0 -> F = -g*j
-    crossed = walk.run(0, ei, F0[: ej + 1], ej)
-    if walk.stop is not None:
-        i0, j0 = walk.stop
-    else:
-        i0, j0 = 0, crossed if crossed is not None else 0
-    return Alignment(score, walk.pairs(), (i0, ei), (j0, ej))
+    # Row 0 in f-space: H = 0 (local) -> F = -g*j; H = g*j (overlap) -> F = 0.
+    F0 = -g * np.arange(ej + 1) if mode == "local" else np.zeros(ej + 1)
+    crossed = walk.run(0, ei, F0, ej)
+    # stop records where the walk ended; otherwise it crossed row 0 at
+    # column ``crossed``.
+    i0, j0 = walk.stop or (0, crossed)
+    return Alignment(score, walk.pairs(), (i0, ei), (j0 if mode == "local" else 0, ej))
 
 
 def hirschberg_align(

@@ -2,28 +2,16 @@
 
 Kernel design
 -------------
-Every kernel sweeps the DP row by row with NumPy; two tricks carry the
-throughput:
-
-* **Shifted frontier ("f-space").**  A DP row is stored as
-  ``F[j] = H[i][j] - g*j - i*g`` (the banded kernel shifts
-  per-diagonal).  Under this change of variables the up-move
-  ``H[i-1][j] + g`` becomes a plain *view* of the previous frontier,
-  the diagonal move folds its constants into a pre-shifted
-  substitution gather (``W - 2g``), the ``j = 0`` boundary becomes a
-  per-row constant, and the in-row left-extension becomes an
-  *unweighted* running maximum — a score row costs one add, one max,
-  and one prefix-max.
-
-* **Prefix max behind a switch.**  The left-extension
-  ``H[j] = max(V[j], H[j-1] + g)`` collapses to a prefix maximum of
-  the shifted frontier.  Two parity-tested implementations sit behind
-  :func:`set_prefix_max_mode`: ``"scan"`` (``np.maximum.accumulate``,
-  sequential per batch row) and ``"blocked"`` (a two-pass block-local
-  accumulate plus a broadcast carry, which turns the scan into
-  elementwise maxima that vectorize *across the batch* and wins for
-  wide batches).  ``"auto"`` (the default) picks per shape.  Both are
-  exact — ``max`` is associative — so results are bit-identical.
+Every kernel sweeps the DP row by row with NumPy.  The trick that
+carries the throughput is the **shifted frontier ("f-space")**: a DP
+row is stored as ``F[j] = H[i][j] - g*j - i*g`` (the banded kernel
+shifts per-diagonal).  Under this change of variables the up-move
+``H[i-1][j] + g`` becomes a plain *view* of the previous frontier, the
+diagonal move folds its constants into a pre-shifted substitution
+gather (``W - 2g``), the ``j = 0`` boundary becomes a per-row constant,
+and the in-row left-extension ``H[j] = max(V[j], H[j-1] + g)`` becomes
+an *unweighted* running maximum (``np.maximum.accumulate``) — a score
+row costs one add, one max, and one prefix-max.
 
 Traceback is **table-free**: the align kernels emit one packed uint8
 direction code per cell during the forward sweep (2 bits — bit0 "up
@@ -34,9 +22,12 @@ the walk, which removes both the 8x memory cost of the old float
 table and the tie-breaking fragility of recompute walks.  Tie order
 everywhere: diagonal, then up, then left (then stop).
 
-The ``*_batch`` kernels sweep a whole batch of same-shape pairs in
-lockstep: the frontier is a (batch, m+1) matrix and every DP row
-costs one set of NumPy ops for the entire batch.  The scalar entry
+The sixteen ``*_batch`` kernels share one driver, :func:`_batch`.  It
+checks that the batch has one shape, answers pairs with an empty side
+from one table, sweeps ``chunk`` pairs at a time in lockstep (the
+frontier is a (batch, m+1) matrix and every DP row costs one set of
+NumPy ops for the entire batch), reads each pair's end cell, score and
+affine end state, and walks the direction codes.  The scalar entry
 points (:func:`global_align`, :func:`local_align`, ...) are the batch
 kernels at batch size 1, so *every* traceback in the system goes
 through the direction-code walk.  The ``*_reference`` functions are
@@ -84,11 +75,11 @@ __all__ = [
     "affine_banded_scores_batch",
     "affine_banded_align_batch",
     "check_affine_gaps",
-    "set_prefix_max_mode",
-    "get_prefix_max_mode",
 ]
 
 _NEG = -1e30  # effectively -inf while staying finite for arithmetic
+
+_Pairs = Sequence[tuple[str | np.ndarray, str | np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -121,18 +112,14 @@ def _as_codes(seq: str | np.ndarray) -> np.ndarray:
     return seq if isinstance(seq, np.ndarray) else encode(seq)
 
 
-def _batch_codes(
-    pairs: Sequence[tuple[str | np.ndarray, str | np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray]:
+def _batch_codes(pairs: _Pairs) -> tuple[np.ndarray, np.ndarray]:
     """Stack a batch of same-length pairs into code matrices (B, n), (B, m)."""
     A = np.stack([_as_codes(a) for a, _ in pairs])
     B = np.stack([_as_codes(b) for _, b in pairs])
     return A, B
 
 
-def _check_uniform(
-    pairs: Sequence[tuple[str | np.ndarray, str | np.ndarray]]
-) -> tuple[int, int]:
+def _check_uniform(pairs: _Pairs) -> tuple[int, int]:
     n, m = len(pairs[0][0]), len(pairs[0][1])
     for a, b in pairs:
         if len(a) != n or len(b) != m:
@@ -154,98 +141,21 @@ def _check_band(n: int, m: int, band) -> int:
     return int(band)
 
 
-# ---------------------------------------------------------------------------
-# Prefix-max switch and the rotating frontier buffers.
-# ---------------------------------------------------------------------------
-
-_PREFIX_MAX_MODES = ("auto", "scan", "blocked")
-_prefix_max_mode = "auto"
-_PM_BLOCK = 8  # block width of the two-pass formulation
-_PM_MIN_BATCH = 192  # "auto": blocked only pays off for wide batches
-
-
-def set_prefix_max_mode(mode: str) -> str:
-    """Select the row prefix-max implementation; returns the old mode.
-
-    ``"scan"`` is the sequential ``np.maximum.accumulate``;
-    ``"blocked"`` is the two-pass block-local accumulate + broadcast
-    carry; ``"auto"`` (default) uses blocked only where measurement
-    says it wins — sweeps at least ~200 pairs wide, which the default
-    ``chunk=64`` never reaches, so auto engages blocked only when a
-    caller also raises the kernel ``chunk``.  The two produce
-    bit-identical results (``max`` is associative) — a standing test
-    invariant.
-    """
-    global _prefix_max_mode
-    if mode not in _PREFIX_MAX_MODES:
-        raise ValueError(
-            f"unknown prefix-max mode {mode!r} (expected one of {_PREFIX_MAX_MODES})"
-        )
-    old, _prefix_max_mode = _prefix_max_mode, mode
-    return old
-
-
-def get_prefix_max_mode() -> str:
-    """The currently selected prefix-max mode."""
-    return _prefix_max_mode
-
-
 class _Frontier:
-    """Rotating padded row buffers plus the prefix-max strategy.
+    """Three rotating (B, M) row buffers: ``prev`` (last finished row),
+    ``cur`` (this row before left-extension) and ``acc`` (this row
+    after)."""
 
-    Three (B, P) float buffers — ``prev`` (last finished row), ``cur``
-    (this row before left-extension), ``acc`` (this row after) — whose
-    first ``M`` columns are live; any pad beyond ``M`` exists only for
-    the blocked prefix-max and starts at -inf (pad positions sit after
-    the live data inside the final block, so block-local maxima never
-    leak pad values into live columns, and the final block's carry is
-    never consumed).
-    """
-
-    __slots__ = ("M", "blocked", "prev", "cur", "acc", "_views", "_tot", "_carry")
+    __slots__ = ("prev", "cur", "acc")
 
     def __init__(self, B: int, M: int) -> None:
-        mode = _prefix_max_mode
-        self.M = M
-        self.blocked = mode == "blocked" or (
-            mode == "auto" and B >= _PM_MIN_BATCH and M > 2 * _PM_BLOCK
-        )
-        if self.blocked:
-            nb = -(-M // _PM_BLOCK)
-            P = nb * _PM_BLOCK
-        else:
-            nb, P = 1, M
-        self.prev = np.full((B, P), -np.inf)
-        self.cur = np.full((B, P), -np.inf)
-        self.acc = np.full((B, P), -np.inf)
-        if self.blocked:
-            self._views = {
-                id(buf): buf.reshape(B, nb, _PM_BLOCK)
-                for buf in (self.prev, self.cur, self.acc)
-            }
-            self._tot = np.empty((B, nb))
-            self._carry = np.empty((B, nb))
+        self.prev = np.full((B, M), -np.inf)
+        self.cur = np.full((B, M), -np.inf)
+        self.acc = np.full((B, M), -np.inf)
 
     def prefix_max(self) -> None:
-        """``acc[:, :M]`` <- running maxima of ``cur[:, :M]`` (axis 1)."""
-        if not self.blocked:
-            np.maximum.accumulate(
-                self.cur[:, : self.M], axis=1, out=self.acc[:, : self.M]
-            )
-            return
-        cur_v = self._views[id(self.cur)]
-        acc_v = self._views[id(self.acc)]
-        # Pass 1: block-local running maxima.  Each of the K-1 steps is
-        # one elementwise max over the whole (batch, n_blocks) grid —
-        # vectorized across the batch, unlike the sequential scan.
-        np.copyto(acc_v[:, :, 0], cur_v[:, :, 0])
-        for k in range(1, _PM_BLOCK):
-            np.maximum(acc_v[:, :, k - 1], cur_v[:, :, k], out=acc_v[:, :, k])
-        # Pass 2: carry every block's total into all later blocks.
-        np.maximum.accumulate(acc_v[:, :, _PM_BLOCK - 1], axis=1, out=self._tot)
-        self._carry[:, 0] = -np.inf
-        self._carry[:, 1:] = self._tot[:, :-1]
-        np.maximum(acc_v, self._carry[:, :, None], out=acc_v)
+        """``acc`` <- running maxima of ``cur`` along each row."""
+        np.maximum.accumulate(self.cur, axis=1, out=self.acc)
 
     def advance(self) -> None:
         """The accumulated row becomes ``prev``; old ``prev`` is scratch."""
@@ -253,7 +163,7 @@ class _Frontier:
 
 
 # ---------------------------------------------------------------------------
-# Direction codes and the table-free walks.
+# Direction codes and the table-free walk.
 #
 # bit0 (value 1): the up-move strictly beat the diagonal.
 # bit1 (value 2): the left-extension strictly beat both.
@@ -265,33 +175,23 @@ class _Frontier:
 # ---------------------------------------------------------------------------
 
 
-def _walk_global(db: bytes, m: int, i: int, j: int) -> tuple[list[tuple[int, int]], int, int]:
-    """Walk direction codes from (i, j) toward the origin.
+def _walk(
+    db: bytes, width: int, i: int, j: int, band: int | None = None
+) -> tuple[list[tuple[int, int]], int, int]:
+    """Walk linear direction codes from (i, j) toward the origin;
+    returns (pairs in forward order, stop_i, stop_j).
 
-    ``db`` is the row-major bytes of the (n, m) code matrix for one
-    pair.  Returns (pairs in forward order, stop_i, stop_j); the walk
-    stops at the first row/column (remaining moves are forced gaps).
+    ``db`` is the row-major bytes of one pair's code matrix: (n, m)
+    cell-indexed with ``width == m``, or — when ``band`` is given —
+    the (n, 2*band+1) diagonal-offset layout, where a cell (i, j)
+    lives at offset ``j - i + band``.  The walk ends at the first
+    row/column (remaining moves are forced gaps) or at a local stop
+    code.
     """
     rev: list[tuple[int, int]] = []
     while i > 0 and j > 0:
-        c = db[(i - 1) * m + (j - 1)]
-        if c >= 2:
-            j -= 1
-        elif c == 1:
-            i -= 1
-        else:
-            rev.append((i - 1, j - 1))
-            i -= 1
-            j -= 1
-    rev.reverse()
-    return rev, i, j
-
-
-def _walk_local(db: bytes, m: int, i: int, j: int) -> tuple[list[tuple[int, int]], int, int]:
-    """Like :func:`_walk_global` but a stop code (bit2) ends the walk."""
-    rev: list[tuple[int, int]] = []
-    while i > 0 and j > 0:
-        c = db[(i - 1) * m + (j - 1)]
+        col = (j - 1) if band is None else (j - i + band)
+        c = db[(i - 1) * width + col]
         if c >= 4:
             break
         if c >= 2:
@@ -314,7 +214,7 @@ def _pair_bytes(D: np.ndarray, k: int) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Global (Needleman–Wunsch) and overlap kernels.
+# Linear-gap global, overlap and local kernels.
 #
 # f-space: F[j] = H[i][j] - g*j - i*g.  Then
 #   diag  H[i-1][j-1] + W  ->  F_prev[j-1] + (W - 2g)
@@ -322,55 +222,100 @@ def _pair_bytes(D: np.ndarray, k: int) -> bytes:
 #   left  H[i][j-1] + g    ->  F_cur[j-1]           (unweighted prefix max)
 #   H[i][0] = i*g          ->  F[0] = 0             (global)
 #   H[i][0] = 0            ->  F[0] = -i*g          (overlap: free start in a)
-#   row 0 (H = g*j)        ->  F = 0 everywhere
+#   row 0 (H = g*j)        ->  F = 0 everywhere     (global, overlap)
+#
+# Local clamps at 0: the clamp becomes one against the per-row vector
+# cv[j] = -g*j - i*g (the F-value of a zero cell; row 0 is F = -g*j),
+# and the running best needs one subtract per row to read the H values
+# back out.
 # ---------------------------------------------------------------------------
 
 
-def _sweep_global(
+def _sweep_linear(
     A: np.ndarray,
     Bm: np.ndarray,
     model: SubstitutionModel,
-    overlap: bool = False,
+    mode: str,
     D: np.ndarray | None = None,
     F0: np.ndarray | None = None,
     i0: int = 0,
-) -> _Frontier:
-    """Forward sweep; final frontier in ``fr.prev``.  Emits direction
+) -> tuple[_Frontier, np.ndarray, np.ndarray, np.ndarray]:
+    """Forward linear-gap sweep for ``mode`` in global/overlap/local.
+
+    Returns (frontier, best, best_i, best_j); the final f-space row is
+    in ``fr.prev``.  In local mode ``best*`` are each pair's best cell
+    (earliest row, then earliest column on ties — matching
+    ``np.argmax`` over the full table; ``best_i`` counts rows within
+    this sweep); in the other modes they are zeros.  Emits direction
     codes into ``D`` ((n, B, m) uint8) when given.
 
     ``F0`` is an optional initial frontier (f-space, shape (B, m+1)) —
     the checkpoint row a linear-memory walk restarts from; ``i0`` is
-    that row's absolute index (the overlap boundary depends on it).
-    Defaults reproduce a sweep from row 0.
+    that row's absolute index (the overlap boundary and the local
+    zero-cell clamp depend on it).  Defaults reproduce a sweep from
+    row 0.
     """
     g = model.gap
     B, n = A.shape
     m = Bm.shape[1]
     M = m + 1
+    local = mode == "local"
+    overlap = mode == "overlap"
     P2 = (model.matrix - 2.0 * g)[:, Bm]  # per-code diag rows, pre-shifted
     bidx = np.arange(B)
+    negjs = -g * np.arange(M)
     fr = _Frontier(B, M)
-    fr.prev[:, :M] = 0.0 if F0 is None else F0
+    if F0 is not None:
+        fr.prev[:] = F0
+    else:
+        fr.prev[:] = negjs if local else 0.0
     t1 = np.empty((B, m))
+    cv = np.empty(M)
+    hrow = np.empty((B, M))
+    best = np.zeros(B)
+    bi = np.zeros(B, dtype=np.int64)
+    bj = np.zeros(B, dtype=np.int64)
     if D is not None:
         up = np.empty((B, m), dtype=bool)
         left = np.empty((B, m), dtype=bool)
+        stop = np.empty((B, m), dtype=bool)
         tmp8 = np.empty((B, m), dtype=np.uint8)
     for i in range(1, n + 1):
         prev, cur = fr.prev, fr.cur
         np.add(prev[:, :m], P2[A[:, i - 1], bidx], out=t1)
-        up_from = prev[:, 1:M]
+        up_from = prev[:, 1:]
         if D is not None:
             np.greater(up_from, t1, out=up)
-        cur[:, 0] = -(i0 + i) * g if overlap else 0.0
-        np.maximum(t1, up_from, out=cur[:, 1:M])
+        if local:
+            np.add(negjs, -g * (i0 + i), out=cv)  # F-value of a zero cell, this row
+            cur[:, 0] = cv[0]
+        else:
+            cur[:, 0] = -(i0 + i) * g if overlap else 0.0
+        np.maximum(t1, up_from, out=cur[:, 1:])
+        if local:
+            np.maximum(cur, cv, out=cur)  # the 0-clamp
         fr.prefix_max()
+        acc = fr.acc
+        if local:
+            # H never drops below its own clamped V, so no second clamp;
+            # read the H row back out for the running best.
+            np.subtract(acc, cv, out=hrow)
+            rowmax = hrow.max(axis=1)
+            better = rowmax > best
+            if better.any():
+                best[better] = rowmax[better]
+                bi[better] = i
+                bj[better] = np.argmax(hrow[better], axis=1)
         if D is not None:
-            np.greater(fr.acc[:, 1:M], cur[:, 1:M], out=left)
+            np.greater(acc[:, 1:], cur[:, 1:], out=left)
             np.multiply(left.view(np.uint8), 2, out=tmp8)
             np.add(tmp8, up.view(np.uint8), out=D[i - 1])
+            if local:
+                np.equal(acc[:, 1:], cv[1:], out=stop)  # H == 0: clamp won
+                np.multiply(stop.view(np.uint8), 4, out=tmp8)
+                np.add(D[i - 1], tmp8, out=D[i - 1])
         fr.advance()
-    return fr
+    return fr, best, bi, bj
 
 
 def global_score_reference(a: str, b: str, model: SubstitutionModel | None = None) -> float:
@@ -390,83 +335,6 @@ def global_score_reference(a: str, b: str, model: SubstitutionModel | None = Non
             )
         prev = cur
     return float(prev[m])
-
-
-def global_scores_batch(
-    pairs: Sequence[tuple[str | np.ndarray, str | np.ndarray]],
-    model: SubstitutionModel | None = None,
-    chunk: int = 64,
-) -> np.ndarray:
-    """Needleman–Wunsch scores for a batch of same-shape pairs.
-
-    Each pair is (a, b) as strings or pre-encoded uint8 codes; all
-    ``a`` must share one length and all ``b`` another.  Exact on
-    integer-valued models (every operation stays integral in float64);
-    ``chunk`` bounds how many pairs sweep together (working set).
-    """
-    model = model or unit_dna()
-    if not pairs:
-        return np.zeros(0)
-    n, m = _check_uniform(pairs)
-    if n == 0 or m == 0:
-        return np.full(len(pairs), (n + m) * model.gap)
-    g = model.gap
-    shift = g * (m + n)
-    out = np.empty(len(pairs))
-    for lo in range(0, len(pairs), chunk):
-        A, B = _batch_codes(pairs[lo : lo + chunk])
-        fr = _sweep_global(A, B, model)
-        out[lo : lo + A.shape[0]] = fr.prev[:, m] + shift
-    return out
-
-
-def global_score(a: str, b: str, model: SubstitutionModel | None = None) -> float:
-    """Needleman–Wunsch score, row-vectorized (score only)."""
-    return float(global_scores_batch([(a, b)], model, chunk=1)[0])
-
-
-def global_align_batch(
-    pairs: Sequence[tuple[str | np.ndarray, str | np.ndarray]],
-    model: SubstitutionModel | None = None,
-    chunk: int = 64,
-) -> list[Alignment]:
-    """Batched Needleman–Wunsch with table-free traceback.
-
-    One forward sweep per chunk emits the packed direction tensor
-    ((n, B, m) uint8 — ~8x smaller than the float H table it
-    replaces); each pair is then an exact O(n+m) code walk.  Equals a
-    loop of :func:`global_align` — same scores, same tie-breaking.
-    """
-    model = model or unit_dna()
-    if not pairs:
-        return []
-    n, m = _check_uniform(pairs)
-    g = model.gap
-    if n == 0 or m == 0:
-        return [Alignment((n + m) * g, (), (0, n), (0, m)) for _ in pairs]
-    shift = g * (m + n)
-    out: list[Alignment] = []
-    Dbuf = np.empty((n, min(chunk, len(pairs)), m), dtype=np.uint8)
-    for lo in range(0, len(pairs), chunk):
-        A, Bm = _batch_codes(pairs[lo : lo + chunk])
-        B = A.shape[0]
-        D = Dbuf[:, :B]
-        fr = _sweep_global(A, Bm, model, D=D)
-        scores = fr.prev[:, m] + shift
-        for k in range(B):
-            walked, _, _ = _walk_global(_pair_bytes(D, k), m, n, m)
-            out.append(Alignment(float(scores[k]), tuple(walked), (0, n), (0, m)))
-    return out
-
-
-def global_align(a: str, b: str, model: SubstitutionModel | None = None) -> Alignment:
-    """Needleman–Wunsch with traceback (via the direction-code walk)."""
-    return global_align_batch([(a, b)], model, chunk=1)[0]
-
-
-# ---------------------------------------------------------------------------
-# Overlap: free leading gaps in a, free trailing gaps in b.
-# ---------------------------------------------------------------------------
 
 
 def overlap_score_reference(
@@ -492,164 +360,6 @@ def overlap_score_reference(
     return float(max(prev))
 
 
-def overlap_scores_batch(
-    pairs: Sequence[tuple[str | np.ndarray, str | np.ndarray]],
-    model: SubstitutionModel | None = None,
-    chunk: int = 64,
-) -> np.ndarray:
-    """Best suffix(a)–prefix(b) overlap scores for same-shape pairs."""
-    model = model or unit_dna()
-    if not pairs:
-        return np.zeros(0)
-    n, m = _check_uniform(pairs)
-    if n == 0 or m == 0:
-        return np.zeros(len(pairs))
-    g = model.gap
-    gjs = g * np.arange(m + 1)
-    out = np.empty(len(pairs))
-    for lo in range(0, len(pairs), chunk):
-        A, B = _batch_codes(pairs[lo : lo + chunk])
-        fr = _sweep_global(A, B, model, overlap=True)
-        # H[n][j] = F[j] + g*j + n*g; the free end in b takes the max.
-        out[lo : lo + A.shape[0]] = (fr.prev[:, : m + 1] + gjs).max(axis=1) + n * g
-    return out
-
-
-def overlap_align_batch(
-    pairs: Sequence[tuple[str | np.ndarray, str | np.ndarray]],
-    model: SubstitutionModel | None = None,
-    chunk: int = 64,
-) -> list[Alignment]:
-    """Batched overlap alignment with table-free traceback.
-
-    ``a_interval`` is (a_start, n) and ``b_interval`` is (0, b_end):
-    the overlap aligns ``a[a_start:]`` against ``b[:b_end]``.
-    """
-    model = model or unit_dna()
-    if not pairs:
-        return []
-    n, m = _check_uniform(pairs)
-    if n == 0 or m == 0:
-        return [Alignment(0.0, (), (n, n), (0, 0)) for _ in pairs]
-    g = model.gap
-    gjs = g * np.arange(m + 1)
-    out: list[Alignment] = []
-    Dbuf = np.empty((n, min(chunk, len(pairs)), m), dtype=np.uint8)
-    for lo in range(0, len(pairs), chunk):
-        A, Bm = _batch_codes(pairs[lo : lo + chunk])
-        B = A.shape[0]
-        D = Dbuf[:, :B]
-        fr = _sweep_global(A, Bm, model, overlap=True, D=D)
-        hrow = fr.prev[:, : m + 1] + gjs
-        ends = np.argmax(hrow, axis=1)  # first maximum, like np.argmax
-        for k in range(B):
-            b_end = int(ends[k])
-            score = float(hrow[k, b_end] + n * g)
-            walked, a_start, _ = _walk_global(_pair_bytes(D, k), m, n, b_end)
-            out.append(
-                Alignment(score, tuple(walked), (a_start, n), (0, b_end))
-            )
-    return out
-
-
-def overlap_align(a: str, b: str, model: SubstitutionModel | None = None) -> Alignment:
-    """Best suffix(a)–prefix(b) overlap alignment with traceback."""
-    return overlap_align_batch([(a, b)], model, chunk=1)[0]
-
-
-def overlap_score(a: str, b: str, model: SubstitutionModel | None = None) -> tuple[float, int, int]:
-    """Best suffix(a)–prefix(b) overlap alignment.
-
-    Free leading gaps in ``a`` and free trailing gaps in ``b``: start
-    anywhere in ``a``, must start at b[0]; end at a[-1], anywhere in
-    ``b``.  Returns (score, a_start, b_end) — the overlap aligns
-    a[a_start:] with b[:b_end].  This is the assembler's overlap
-    detector.
-    """
-    aln = overlap_align(a, b, model)
-    return aln.score, aln.a_interval[0], aln.b_interval[1]
-
-
-# ---------------------------------------------------------------------------
-# Local (Smith–Waterman) kernels.
-#
-# f-space again (F = H - g*j - i*g); the 0-clamp becomes a clamp
-# against the per-row vector cv[j] = -g*j - i*g (the F-value of a
-# zero cell), and the running best needs one subtract per row to read
-# the H values back out.
-# ---------------------------------------------------------------------------
-
-
-def _sweep_local(
-    A: np.ndarray,
-    Bm: np.ndarray,
-    model: SubstitutionModel,
-    D: np.ndarray | None = None,
-    F0: np.ndarray | None = None,
-    i0: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, _Frontier]:
-    """Forward local sweep; returns (best, best_i, best_j, frontier)
-    per pair (``best_i`` counts rows within this sweep).
-
-    ``F0``/``i0`` restart the sweep from a checkpoint frontier, as in
-    :func:`_sweep_global`; the local f-space depends on the absolute
-    row index, so ``i0`` shifts the zero-cell clamp accordingly.
-    """
-    g = model.gap
-    B, n = A.shape
-    m = Bm.shape[1]
-    M = m + 1
-    P2 = (model.matrix - 2.0 * g)[:, Bm]
-    bidx = np.arange(B)
-    negjs = -g * np.arange(M)
-    fr = _Frontier(B, M)
-    if F0 is None:
-        fr.prev[:, :M] = negjs  # row 0: H = 0  ->  F = -g*j
-    else:
-        fr.prev[:, :M] = F0
-    t1 = np.empty((B, m))
-    cv = np.empty(M)
-    hrow = np.empty((B, M))
-    best = np.zeros(B)
-    bi = np.zeros(B, dtype=np.int64)
-    bj = np.zeros(B, dtype=np.int64)
-    if D is not None:
-        up = np.empty((B, m), dtype=bool)
-        left = np.empty((B, m), dtype=bool)
-        stop = np.empty((B, m), dtype=bool)
-        tmp8 = np.empty((B, m), dtype=np.uint8)
-    for i in range(1, n + 1):
-        prev, cur = fr.prev, fr.cur
-        np.add(prev[:, :m], P2[A[:, i - 1], bidx], out=t1)
-        up_from = prev[:, 1:M]
-        if D is not None:
-            np.greater(up_from, t1, out=up)
-        np.add(negjs, -g * (i0 + i), out=cv)  # F-value of a zero cell, this row
-        cur[:, 0] = cv[0]
-        np.maximum(t1, up_from, out=cur[:, 1:M])
-        np.maximum(cur[:, :M], cv, out=cur[:, :M])  # the 0-clamp
-        fr.prefix_max()
-        acc = fr.acc
-        # H never drops below its own clamped V, so no second clamp;
-        # read the H row back out for the running best.
-        np.subtract(acc[:, :M], cv, out=hrow)
-        rowmax = hrow.max(axis=1)
-        better = rowmax > best
-        if better.any():
-            best[better] = rowmax[better]
-            bi[better] = i
-            bj[better] = np.argmax(hrow[better], axis=1)
-        if D is not None:
-            np.greater(acc[:, 1:M], cur[:, 1:M], out=left)
-            np.equal(acc[:, 1:M], cv[1:M], out=stop)  # H == 0: clamp won
-            np.multiply(left.view(np.uint8), 2, out=tmp8)
-            np.add(tmp8, up.view(np.uint8), out=D[i - 1])
-            np.multiply(stop.view(np.uint8), 4, out=tmp8)
-            np.add(D[i - 1], tmp8, out=D[i - 1])
-        fr.advance()
-    return best, bi, bj, fr
-
-
 def local_score_reference(a: str, b: str, model: SubstitutionModel | None = None) -> float:
     """Scalar Smith–Waterman, the oracle for the vectorized kernels."""
     model = model or unit_dna()
@@ -671,70 +381,6 @@ def local_score_reference(a: str, b: str, model: SubstitutionModel | None = None
                 best = cur[j]
         prev = cur
     return best
-
-
-def local_scores_batch(
-    pairs: Sequence[tuple[str | np.ndarray, str | np.ndarray]],
-    model: SubstitutionModel | None = None,
-    chunk: int = 64,
-) -> np.ndarray:
-    """Smith–Waterman scores for a batch of same-shape pairs."""
-    model = model or unit_dna()
-    if not pairs:
-        return np.zeros(0)
-    n, m = _check_uniform(pairs)
-    if n == 0 or m == 0:
-        return np.zeros(len(pairs))
-    out = np.empty(len(pairs))
-    for lo in range(0, len(pairs), chunk):
-        A, B = _batch_codes(pairs[lo : lo + chunk])
-        best, _, _, _ = _sweep_local(A, B, model)
-        out[lo : lo + A.shape[0]] = best
-    return out
-
-
-def local_score(a: str, b: str, model: SubstitutionModel | None = None) -> float:
-    """Smith–Waterman score, row-vectorized (score only)."""
-    return float(local_scores_batch([(a, b)], model, chunk=1)[0])
-
-
-def local_align_batch(
-    pairs: Sequence[tuple[str | np.ndarray, str | np.ndarray]],
-    model: SubstitutionModel | None = None,
-    chunk: int = 64,
-) -> list[Alignment]:
-    """Batched Smith–Waterman with table-free traceback.
-
-    The best cell per pair is tracked during the sweep (earliest row,
-    then earliest column on ties — matching ``np.argmax`` over the
-    full table) and the walk runs back over the direction codes until
-    a stop code (a zero cell) or the table edge.
-    """
-    model = model or unit_dna()
-    if not pairs:
-        return []
-    n, m = _check_uniform(pairs)
-    if n == 0 or m == 0:
-        return [Alignment(0.0, (), (0, 0), (0, 0)) for _ in pairs]
-    out: list[Alignment] = []
-    Dbuf = np.empty((n, min(chunk, len(pairs)), m), dtype=np.uint8)
-    for lo in range(0, len(pairs), chunk):
-        A, Bm = _batch_codes(pairs[lo : lo + chunk])
-        B = A.shape[0]
-        D = Dbuf[:, :B]
-        best, bi, bj, _ = _sweep_local(A, Bm, model, D=D)
-        for k in range(B):
-            ei, ej = int(bi[k]), int(bj[k])
-            walked, i0, j0 = _walk_local(_pair_bytes(D, k), m, ei, ej)
-            out.append(
-                Alignment(float(best[k]), tuple(walked), (i0, ei), (j0, ej))
-            )
-    return out
-
-
-def local_align(a: str, b: str, model: SubstitutionModel | None = None) -> Alignment:
-    """Smith–Waterman with traceback; returns the best local alignment."""
-    return local_align_batch([(a, b)], model, chunk=1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -930,118 +576,6 @@ def banded_global_score_reference(
     return float(prev[m])
 
 
-def banded_scores_batch(
-    pairs: Sequence[tuple[str | np.ndarray, str | np.ndarray]],
-    band: int,
-    model: SubstitutionModel | None = None,
-    chunk: int = 64,
-) -> np.ndarray:
-    """Banded Needleman–Wunsch scores (|i - j| <= band) for a batch.
-
-    Exact when the optimal path stays inside the band (always true if
-    band >= |len(a) - len(b)| + number of indels); a cheap surrogate
-    otherwise.  The vectorized diagonal-offset sweep costs O(n * band)
-    per pair instead of O(n * m).
-    """
-    model = model or unit_dna()
-    if not pairs:
-        return np.zeros(0)
-    n, m = _check_uniform(pairs)
-    band = _check_band(n, m, band)
-    if n == 0 or m == 0:
-        return np.full(len(pairs), (n + m) * model.gap)
-    g = model.gap
-    k_end = m - n + band
-    shift = g * k_end + 2.0 * g * n
-    out = np.empty(len(pairs))
-    w = 2 * band + 1
-    if min(len(pairs), chunk) == 1 and n * w * 8 <= _BANDED_SINGLE_MAX_BYTES:
-        # Batch-of-one sweeps are dispatch-bound; take the trimmed
-        # single-pair path (identical scores, ~2x fewer NumPy calls).
-        for k, (a, b) in enumerate(pairs):
-            final = _sweep_banded_single(_as_codes(a), _as_codes(b), band, model)
-            out[k] = final[k_end] + shift
-        return out
-    for lo in range(0, len(pairs), chunk):
-        A, B = _batch_codes(pairs[lo : lo + chunk])
-        fr = _sweep_banded(A, B, band, model)
-        out[lo : lo + A.shape[0]] = fr.prev[:, k_end] + shift
-    return out
-
-
-def banded_align_batch(
-    pairs: Sequence[tuple[str | np.ndarray, str | np.ndarray]],
-    band: int,
-    model: SubstitutionModel | None = None,
-    chunk: int = 64,
-) -> list[Alignment]:
-    """Batched banded global alignment with table-free traceback."""
-    model = model or unit_dna()
-    if not pairs:
-        return []
-    n, m = _check_uniform(pairs)
-    band = _check_band(n, m, band)
-    g = model.gap
-    if n == 0 or m == 0:
-        return [Alignment((n + m) * g, (), (0, n), (0, m)) for _ in pairs]
-    w = 2 * band + 1
-    k_end = m - n + band
-    shift = g * k_end + 2.0 * g * n
-
-    def walk_codes(db: bytes, score: float) -> Alignment:
-        i, j = n, m
-        rev: list[tuple[int, int]] = []
-        while i > 0 and j > 0:
-            c = db[(i - 1) * w + (j - i + band)]
-            if c >= 2:
-                j -= 1
-            elif c == 1:
-                i -= 1
-            else:
-                rev.append((i - 1, j - 1))
-                i -= 1
-                j -= 1
-        rev.reverse()
-        return Alignment(score, tuple(rev), (0, n), (0, m))
-
-    out: list[Alignment] = []
-    if min(len(pairs), chunk) == 1 and n * w * 9 <= _BANDED_SINGLE_MAX_BYTES:
-        D1 = np.empty((n, w), dtype=np.uint8)
-        for a, b in pairs:
-            final = _sweep_banded_single(_as_codes(a), _as_codes(b), band, model, D=D1)
-            out.append(walk_codes(D1.tobytes(), float(final[k_end] + shift)))
-        return out
-    Dbuf = np.empty((n, min(chunk, len(pairs)), w), dtype=np.uint8)
-    for lo in range(0, len(pairs), chunk):
-        A, Bm = _batch_codes(pairs[lo : lo + chunk])
-        B = A.shape[0]
-        D = Dbuf[:, :B]
-        fr = _sweep_banded(A, Bm, band, model, D=D)
-        scores = fr.prev[:, k_end] + shift
-        for k in range(B):
-            out.append(walk_codes(_pair_bytes(D, k), float(scores[k])))
-    return out
-
-
-def banded_align(
-    a: str, b: str, band: int, model: SubstitutionModel | None = None
-) -> Alignment:
-    """Banded global alignment with traceback."""
-    return banded_align_batch([(a, b)], band, model, chunk=1)[0]
-
-
-def banded_global_score(
-    a: str, b: str, band: int, model: SubstitutionModel | None = None
-) -> float:
-    """Needleman–Wunsch restricted to |i - j| <= band.
-
-    The vectorized diagonal-offset kernel (the scalar dict DP it
-    replaced survives as :func:`banded_global_score_reference`, the
-    parity oracle).  ``band`` is validated once up front.
-    """
-    return float(banded_scores_batch([(a, b)], band, model, chunk=1)[0])
-
-
 # ---------------------------------------------------------------------------
 # Affine-gap (Gotoh) kernels.
 #
@@ -1070,23 +604,6 @@ def banded_global_score(
 #   bit 6 (64): local only — M was clamped to 0 (stop)
 # All "beats" are strict, so the walk reproduces the tie orders above.
 # ---------------------------------------------------------------------------
-
-
-def _affine_empty(
-    n: int, m: int, open_: float, ext: float, mode: str
-) -> tuple[float, tuple[int, int], tuple[int, int]]:
-    """Score and intervals for a degenerate (n==0 or m==0) affine pair."""
-    if mode in ("local", "overlap"):
-        score = 0.0
-    elif n == 0 and m == 0:
-        score = 0.0
-    else:
-        score = open_ + (max(n, m) - 1) * ext
-    if mode == "local":
-        return score, (0, 0), (0, 0)
-    if mode == "overlap":
-        return score, (n, n), (0, 0)
-    return score, (0, n), (0, m)
 
 
 class _AffineRows:
@@ -1222,32 +739,20 @@ def _sweep_affine(
     return r, best, bi, bj
 
 
-def _end_state(mv: float, xv: float, yv: float) -> int:
-    """Best end state with tie order M > X > Y."""
-    best = max(mv, xv, yv)
-    if mv == best:
-        return 0
-    if xv == best:
-        return 1
-    return 2
-
-
 def _walk_affine(
-    db: bytes, m: int, i: int, j: int, state: int, band: int | None = None
+    db: bytes, width: int, i: int, j: int, state: int, band: int | None = None
 ) -> tuple[list[tuple[int, int]], int, int]:
     """Walk affine direction codes from (i, j) in ``state`` toward the
     origin; returns (pairs in forward order, stop_i, stop_j).
 
-    ``db`` is the row-major bytes of one pair's code matrix: (n, m)
-    cell-indexed, or — when ``band`` is given — the (n, 2*band+1)
-    diagonal-offset layout, where ``m`` is the band width and a cell
-    (i, j) lives at offset ``j - i + band``.  The walk ends at the
-    first row/column or at a local stop code.
+    ``db`` is the row-major bytes of one pair's code matrix, laid out
+    as for :func:`_walk`.  The walk ends at the first row/column or at
+    a local stop code.
     """
     rev: list[tuple[int, int]] = []
     while i > 0 and j > 0:
         col = (j - 1) if band is None else (j - i + band)
-        c = db[(i - 1) * m + col]
+        c = db[(i - 1) * width + col]
         if state == 0:
             if c >= 64:  # local stop: this cell's M is 0
                 break
@@ -1263,140 +768,6 @@ def _walk_affine(
             j -= 1
     rev.reverse()
     return rev, i, j
-
-
-def _affine_batch(
-    pairs: Sequence[tuple[str | np.ndarray, str | np.ndarray]],
-    model: SubstitutionModel | None,
-    gap_open,
-    gap_extend,
-    chunk: int,
-    mode: str,
-    kind: str,
-):
-    """Shared driver for the unbanded affine score/align kernels."""
-    model = model or unit_dna()
-    open_, ext = check_affine_gaps(gap_open, gap_extend)
-    if not pairs:
-        return np.zeros(0) if kind == "score" else []
-    n, m = _check_uniform(pairs)
-    if n == 0 or m == 0:
-        score, ai, bi_ = _affine_empty(n, m, open_, ext, mode)
-        if kind == "score":
-            return np.full(len(pairs), score)
-        return [Alignment(score, (), ai, bi_) for _ in pairs]
-    out_scores = np.empty(len(pairs))
-    out_alns: list[Alignment] = []
-    cap = min(chunk, len(pairs))
-    rows = np.arange(cap)
-    Dbuf = np.empty((n, cap, m), dtype=np.uint8) if kind == "align" else None
-    for lo in range(0, len(pairs), chunk):
-        A, Bm = _batch_codes(pairs[lo : lo + chunk])
-        B = A.shape[0]
-        D = Dbuf[:, :B] if Dbuf is not None else None
-        r, best, bi, bj = _sweep_affine(A, Bm, model, open_, ext, mode, D=D)
-        if mode == "global":
-            mv, xv, yv = r.Mp[:, m], r.Xp[:, m], r.Yp[:, m]
-            scores = np.maximum(np.maximum(mv, xv), yv)
-        elif mode == "overlap":
-            hrow = np.maximum(np.maximum(r.Mp, r.Xp), r.Yp)
-            ends = np.argmax(hrow, axis=1)
-            scores = hrow[rows[:B], ends]
-        else:  # local
-            scores = best
-        if kind == "score":
-            out_scores[lo : lo + B] = scores
-            continue
-        for k in range(B):
-            db = _pair_bytes(D, k)
-            if mode == "global":
-                state = _end_state(float(r.Mp[k, m]), float(r.Xp[k, m]), float(r.Yp[k, m]))
-                walked, _, _ = _walk_affine(db, m, n, m, state)
-                out_alns.append(
-                    Alignment(float(scores[k]), tuple(walked), (0, n), (0, m))
-                )
-            elif mode == "overlap":
-                b_end = int(ends[k])
-                state = _end_state(
-                    float(r.Mp[k, b_end]), float(r.Xp[k, b_end]), float(r.Yp[k, b_end])
-                )
-                walked, a_start, _ = _walk_affine(db, m, n, b_end, state)
-                out_alns.append(
-                    Alignment(float(scores[k]), tuple(walked), (a_start, n), (0, b_end))
-                )
-            else:  # local: best cell is always an M cell
-                ei, ej = int(bi[k]), int(bj[k])
-                walked, i0, j0 = _walk_affine(db, m, ei, ej, 0)
-                out_alns.append(
-                    Alignment(float(scores[k]), tuple(walked), (i0, ei), (j0, ej))
-                )
-    return out_scores if kind == "score" else out_alns
-
-
-def affine_scores_batch(
-    pairs: Sequence[tuple[str | np.ndarray, str | np.ndarray]],
-    model: SubstitutionModel | None = None,
-    gap_open: float = -4.0,
-    gap_extend: float = -1.0,
-    chunk: int = 64,
-) -> np.ndarray:
-    """Batched Gotoh global scores (affine gaps) for same-shape pairs."""
-    return _affine_batch(pairs, model, gap_open, gap_extend, chunk, "global", "score")
-
-
-def affine_align_batch(
-    pairs: Sequence[tuple[str | np.ndarray, str | np.ndarray]],
-    model: SubstitutionModel | None = None,
-    gap_open: float = -4.0,
-    gap_extend: float = -1.0,
-    chunk: int = 64,
-) -> list[Alignment]:
-    """Batched Gotoh global alignment with table-free traceback."""
-    return _affine_batch(pairs, model, gap_open, gap_extend, chunk, "global", "align")
-
-
-def affine_local_scores_batch(
-    pairs: Sequence[tuple[str | np.ndarray, str | np.ndarray]],
-    model: SubstitutionModel | None = None,
-    gap_open: float = -4.0,
-    gap_extend: float = -1.0,
-    chunk: int = 64,
-) -> np.ndarray:
-    """Batched affine Smith–Waterman scores for same-shape pairs."""
-    return _affine_batch(pairs, model, gap_open, gap_extend, chunk, "local", "score")
-
-
-def affine_local_align_batch(
-    pairs: Sequence[tuple[str | np.ndarray, str | np.ndarray]],
-    model: SubstitutionModel | None = None,
-    gap_open: float = -4.0,
-    gap_extend: float = -1.0,
-    chunk: int = 64,
-) -> list[Alignment]:
-    """Batched affine Smith–Waterman with table-free traceback."""
-    return _affine_batch(pairs, model, gap_open, gap_extend, chunk, "local", "align")
-
-
-def affine_overlap_scores_batch(
-    pairs: Sequence[tuple[str | np.ndarray, str | np.ndarray]],
-    model: SubstitutionModel | None = None,
-    gap_open: float = -4.0,
-    gap_extend: float = -1.0,
-    chunk: int = 64,
-) -> np.ndarray:
-    """Batched affine suffix(a)–prefix(b) overlap scores."""
-    return _affine_batch(pairs, model, gap_open, gap_extend, chunk, "overlap", "score")
-
-
-def affine_overlap_align_batch(
-    pairs: Sequence[tuple[str | np.ndarray, str | np.ndarray]],
-    model: SubstitutionModel | None = None,
-    gap_open: float = -4.0,
-    gap_extend: float = -1.0,
-    chunk: int = 64,
-) -> list[Alignment]:
-    """Batched affine overlap alignment with table-free traceback."""
-    return _affine_batch(pairs, model, gap_open, gap_extend, chunk, "overlap", "align")
 
 
 # ---------------------------------------------------------------------------
@@ -1659,8 +1030,321 @@ def _sweep_affine_banded_single(
     return Mw, Xw, Yw
 
 
+# ---------------------------------------------------------------------------
+# The driver: one chunk loop behind all sixteen batch kernels.
+# ---------------------------------------------------------------------------
+
+
+def _empty_side(
+    n: int, m: int, mode: str, model: SubstitutionModel, gaps: tuple[float, float] | None
+) -> tuple[float, tuple[int, int], tuple[int, int]]:
+    """Score and intervals of a pair with an empty side (n == 0 or m == 0).
+
+    Local and overlap alignments are empty and score 0.  Global and
+    banded ones are one gap over the other side: ``(n + m) * gap``
+    linear, ``open + (k - 1) * extend`` affine (0 when both are empty).
+    """
+    if mode == "local":
+        return 0.0, (0, 0), (0, 0)
+    if mode == "overlap":
+        return 0.0, (n, n), (0, 0)
+    if gaps is None:
+        score = (n + m) * model.gap
+    elif n == 0 and m == 0:
+        score = 0.0
+    else:
+        score = gaps[0] + (max(n, m) - 1) * gaps[1]
+    return score, (0, n), (0, m)
+
+
+def _sweep_ends(
+    A: np.ndarray,
+    Bm: np.ndarray,
+    model: SubstitutionModel,
+    mode: str,
+    band: int | None = None,
+    gaps: tuple[float, float] | None = None,
+    D: np.ndarray | None = None,
+    single: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sweep one chunk; returns each pair's (score, end_i, end_j, state).
+
+    (end_i, end_j) is the cell the alignment ends in, where its walk
+    starts.  ``state`` is the affine end state (0 = M, 1 = X, 2 = Y,
+    ties in that order); it is 0 for linear gaps and for local, whose
+    best cell is an M cell.  ``single`` takes the dispatch-trimmed
+    one-pair banded sweep (``D`` then holds exactly one pair).
+    """
+    B, n = A.shape
+    m = Bm.shape[1]
+    g = model.gap
+    rows = np.arange(B)
+    ei = np.full(B, n)
+    ej = np.full(B, m)
+    state = np.zeros(B, dtype=np.int64)
+    if mode == "banded":
+        col = m - n + band  # the end cell (n, m) in the diagonal layout
+        D1 = None if D is None else D[:, 0]  # the single path's (n, w) codes
+        if gaps is None:
+            if single:
+                F = _sweep_banded_single(A[0], Bm[0], band, model, D=D1)[None]
+            else:
+                F = _sweep_banded(A, Bm, band, model, D=D).prev
+            return F[:, col] + (g * col + 2.0 * g * n), ei, ej, state
+        if single:
+            ends = [
+                f[None]
+                for f in _sweep_affine_banded_single(A[0], Bm[0], band, model, *gaps, D=D1)
+            ]
+        else:
+            r = _sweep_affine_banded(A, Bm, band, model, *gaps, D=D)
+            ends = [r.Mp, r.Xp, r.Yp]
+    elif gaps is None:
+        fr, best, bi, bj = _sweep_linear(A, Bm, model, mode, D=D)
+        if mode == "local":
+            return best, bi, bj, state
+        if mode == "global":
+            return fr.prev[:, m] + g * (m + n), ei, ej, state
+        # Overlap: H[n][j] = F[j] + g*j + n*g; the free end in b takes
+        # the first maximum.
+        hrow = fr.prev + g * np.arange(m + 1)
+        ej = np.argmax(hrow, axis=1)
+        return hrow[rows, ej] + n * g, ei, ej, state
+    else:
+        r, best, bi, bj = _sweep_affine(A, Bm, model, *gaps, mode, D=D)
+        if mode == "local":
+            return best, bi, bj, state
+        ends = [r.Mp, r.Xp, r.Yp]
+        if mode == "overlap":
+            ej = np.argmax(np.maximum(np.maximum(r.Mp, r.Xp), r.Yp), axis=1)
+        col = ej
+    mv, xv, yv = (f[rows, col] for f in ends)
+    score = np.maximum(np.maximum(mv, xv), yv)
+    state = np.where(mv == score, 0, np.where(xv == score, 1, 2))
+    return score, ei, ej, state
+
+
+def _batch(
+    kind: str,
+    pairs: _Pairs,
+    model: SubstitutionModel | None,
+    mode: str,
+    band: int | None = None,
+    gaps: tuple[float, float] | None = None,
+    chunk: int = 64,
+) -> np.ndarray | list[Alignment]:
+    """The one driver behind every batch kernel.
+
+    ``kind`` is ``"score"`` (returns an array of scores) or ``"align"``
+    (a list of :class:`Alignment`); ``mode`` is global, local, overlap
+    or banded (``band`` is read in banded mode only); ``gaps`` is
+    ``(gap_open, gap_extend)`` for affine (Gotoh) costs, ``None`` for
+    the model's linear gap.  All pairs share one shape; ``chunk``
+    bounds how many sweep together (the working set).
+    """
+    model = model or unit_dna()
+    if gaps is not None:
+        gaps = check_affine_gaps(*gaps)
+    align = kind == "align"
+    if not pairs:
+        return [] if align else np.zeros(0)
+    n, m = _check_uniform(pairs)
+    band = _check_band(n, m, band) if mode == "banded" else None
+    if n == 0 or m == 0:
+        score, a_iv, b_iv = _empty_side(n, m, mode, model, gaps)
+        if align:
+            return [Alignment(score, (), a_iv, b_iv) for _ in pairs]
+        return np.full(len(pairs), score)
+    width = m if band is None else 2 * band + 1
+    cap = min(chunk, len(pairs))
+    # Batch-of-one banded sweeps are dispatch-bound: take the trimmed
+    # single-pair path (identical results, fewer NumPy calls).
+    single = (
+        band is not None
+        and cap == 1
+        and n * width * (8 + align) <= _BANDED_SINGLE_MAX_BYTES
+    )
+    Dbuf = np.empty((n, cap, width), dtype=np.uint8) if align else None
+    scores = np.empty(len(pairs))
+    alns: list[Alignment] = []
+    for lo in range(0, len(pairs), chunk):
+        A, Bm = _batch_codes(pairs[lo : lo + chunk])
+        B = A.shape[0]
+        D = None if Dbuf is None else Dbuf[:, :B]
+        score, ei, ej, state = _sweep_ends(A, Bm, model, mode, band, gaps, D, single)
+        if D is None:
+            scores[lo : lo + B] = score
+            continue
+        for k in range(B):
+            i, j = int(ei[k]), int(ej[k])
+            db = _pair_bytes(D, k)
+            if gaps is None:
+                walked, i0, j0 = _walk(db, width, i, j, band)
+            else:
+                walked, i0, j0 = _walk_affine(db, width, i, j, int(state[k]), band)
+            a_iv = (i0 if mode in ("local", "overlap") else 0, i)
+            b_iv = (j0 if mode == "local" else 0, j)
+            alns.append(Alignment(float(score[k]), tuple(walked), a_iv, b_iv))
+    return alns if align else scores
+
+
+# ---------------------------------------------------------------------------
+# The public kernels: each is one call to the driver.
+# ---------------------------------------------------------------------------
+
+
+def global_scores_batch(
+    pairs: _Pairs, model: SubstitutionModel | None = None, chunk: int = 64
+) -> np.ndarray:
+    """Needleman–Wunsch scores for a batch of same-shape pairs.
+
+    Each pair is (a, b) as strings or pre-encoded uint8 codes; all
+    ``a`` must share one length and all ``b`` another.  Exact on
+    integer-valued models (every operation stays integral in float64);
+    ``chunk`` bounds how many pairs sweep together (working set).
+    """
+    return _batch("score", pairs, model, "global", chunk=chunk)
+
+
+def global_align_batch(
+    pairs: _Pairs, model: SubstitutionModel | None = None, chunk: int = 64
+) -> list[Alignment]:
+    """Batched Needleman–Wunsch with table-free traceback.
+
+    One forward sweep per chunk emits the packed direction tensor
+    ((n, B, m) uint8 — ~8x smaller than the float H table it
+    replaces); each pair is then an exact O(n+m) code walk.  Equals a
+    loop of :func:`global_align` — same scores, same tie-breaking.
+    """
+    return _batch("align", pairs, model, "global", chunk=chunk)
+
+
+def local_scores_batch(
+    pairs: _Pairs, model: SubstitutionModel | None = None, chunk: int = 64
+) -> np.ndarray:
+    """Smith–Waterman scores for a batch of same-shape pairs."""
+    return _batch("score", pairs, model, "local", chunk=chunk)
+
+
+def local_align_batch(
+    pairs: _Pairs, model: SubstitutionModel | None = None, chunk: int = 64
+) -> list[Alignment]:
+    """Batched Smith–Waterman with table-free traceback.
+
+    The best cell per pair is tracked during the sweep (earliest row,
+    then earliest column on ties — matching ``np.argmax`` over the
+    full table) and the walk runs back over the direction codes until
+    a stop code (a zero cell) or the table edge.
+    """
+    return _batch("align", pairs, model, "local", chunk=chunk)
+
+
+def overlap_scores_batch(
+    pairs: _Pairs, model: SubstitutionModel | None = None, chunk: int = 64
+) -> np.ndarray:
+    """Best suffix(a)–prefix(b) overlap scores for same-shape pairs."""
+    return _batch("score", pairs, model, "overlap", chunk=chunk)
+
+
+def overlap_align_batch(
+    pairs: _Pairs, model: SubstitutionModel | None = None, chunk: int = 64
+) -> list[Alignment]:
+    """Batched overlap alignment with table-free traceback.
+
+    ``a_interval`` is (a_start, n) and ``b_interval`` is (0, b_end):
+    the overlap aligns ``a[a_start:]`` against ``b[:b_end]``.
+    """
+    return _batch("align", pairs, model, "overlap", chunk=chunk)
+
+
+def banded_scores_batch(
+    pairs: _Pairs, band: int, model: SubstitutionModel | None = None, chunk: int = 64
+) -> np.ndarray:
+    """Banded Needleman–Wunsch scores (|i - j| <= band) for a batch.
+
+    Exact when the optimal path stays inside the band (always true if
+    band >= |len(a) - len(b)| + number of indels); a cheap surrogate
+    otherwise.  The vectorized diagonal-offset sweep costs O(n * band)
+    per pair instead of O(n * m).
+    """
+    return _batch("score", pairs, model, "banded", band, chunk=chunk)
+
+
+def banded_align_batch(
+    pairs: _Pairs, band: int, model: SubstitutionModel | None = None, chunk: int = 64
+) -> list[Alignment]:
+    """Batched banded global alignment with table-free traceback."""
+    return _batch("align", pairs, model, "banded", band, chunk=chunk)
+
+
+def affine_scores_batch(
+    pairs: _Pairs,
+    model: SubstitutionModel | None = None,
+    gap_open: float = -4.0,
+    gap_extend: float = -1.0,
+    chunk: int = 64,
+) -> np.ndarray:
+    """Batched Gotoh global scores (affine gaps) for same-shape pairs."""
+    return _batch("score", pairs, model, "global", gaps=(gap_open, gap_extend), chunk=chunk)
+
+
+def affine_align_batch(
+    pairs: _Pairs,
+    model: SubstitutionModel | None = None,
+    gap_open: float = -4.0,
+    gap_extend: float = -1.0,
+    chunk: int = 64,
+) -> list[Alignment]:
+    """Batched Gotoh global alignment with table-free traceback."""
+    return _batch("align", pairs, model, "global", gaps=(gap_open, gap_extend), chunk=chunk)
+
+
+def affine_local_scores_batch(
+    pairs: _Pairs,
+    model: SubstitutionModel | None = None,
+    gap_open: float = -4.0,
+    gap_extend: float = -1.0,
+    chunk: int = 64,
+) -> np.ndarray:
+    """Batched affine Smith–Waterman scores for same-shape pairs."""
+    return _batch("score", pairs, model, "local", gaps=(gap_open, gap_extend), chunk=chunk)
+
+
+def affine_local_align_batch(
+    pairs: _Pairs,
+    model: SubstitutionModel | None = None,
+    gap_open: float = -4.0,
+    gap_extend: float = -1.0,
+    chunk: int = 64,
+) -> list[Alignment]:
+    """Batched affine Smith–Waterman with table-free traceback."""
+    return _batch("align", pairs, model, "local", gaps=(gap_open, gap_extend), chunk=chunk)
+
+
+def affine_overlap_scores_batch(
+    pairs: _Pairs,
+    model: SubstitutionModel | None = None,
+    gap_open: float = -4.0,
+    gap_extend: float = -1.0,
+    chunk: int = 64,
+) -> np.ndarray:
+    """Batched affine suffix(a)–prefix(b) overlap scores."""
+    return _batch("score", pairs, model, "overlap", gaps=(gap_open, gap_extend), chunk=chunk)
+
+
+def affine_overlap_align_batch(
+    pairs: _Pairs,
+    model: SubstitutionModel | None = None,
+    gap_open: float = -4.0,
+    gap_extend: float = -1.0,
+    chunk: int = 64,
+) -> list[Alignment]:
+    """Batched affine overlap alignment with table-free traceback."""
+    return _batch("align", pairs, model, "overlap", gaps=(gap_open, gap_extend), chunk=chunk)
+
+
 def affine_banded_scores_batch(
-    pairs: Sequence[tuple[str | np.ndarray, str | np.ndarray]],
+    pairs: _Pairs,
     band: int,
     model: SubstitutionModel | None = None,
     gap_open: float = -4.0,
@@ -1668,37 +1352,11 @@ def affine_banded_scores_batch(
     chunk: int = 64,
 ) -> np.ndarray:
     """Banded Gotoh scores (|i - j| <= band) for same-shape pairs."""
-    model = model or unit_dna()
-    open_, ext = check_affine_gaps(gap_open, gap_extend)
-    if not pairs:
-        return np.zeros(0)
-    n, m = _check_uniform(pairs)
-    band = _check_band(n, m, band)
-    if n == 0 or m == 0:
-        return np.full(len(pairs), _affine_empty(n, m, open_, ext, "global")[0])
-    k_end = m - n + band
-    out = np.empty(len(pairs))
-    w = 2 * band + 1
-    if min(len(pairs), chunk) == 1 and n * w * 8 <= _BANDED_SINGLE_MAX_BYTES:
-        # Batch-of-one sweeps are dispatch-bound; take the trimmed
-        # single-pair path (identical scores, fewer NumPy calls).
-        for k, (a, b) in enumerate(pairs):
-            Mf, Xf, Yf = _sweep_affine_banded_single(
-                _as_codes(a), _as_codes(b), band, model, open_, ext
-            )
-            out[k] = max(float(Mf[k_end]), float(Xf[k_end]), float(Yf[k_end]))
-        return out
-    for lo in range(0, len(pairs), chunk):
-        A, B = _batch_codes(pairs[lo : lo + chunk])
-        r = _sweep_affine_banded(A, B, band, model, open_, ext)
-        out[lo : lo + A.shape[0]] = np.maximum(
-            np.maximum(r.Mp[:, k_end], r.Xp[:, k_end]), r.Yp[:, k_end]
-        )
-    return out
+    return _batch("score", pairs, model, "banded", band, (gap_open, gap_extend), chunk)
 
 
 def affine_banded_align_batch(
-    pairs: Sequence[tuple[str | np.ndarray, str | np.ndarray]],
+    pairs: _Pairs,
     band: int,
     model: SubstitutionModel | None = None,
     gap_open: float = -4.0,
@@ -1706,40 +1364,61 @@ def affine_banded_align_batch(
     chunk: int = 64,
 ) -> list[Alignment]:
     """Batched banded Gotoh alignment with table-free traceback."""
-    model = model or unit_dna()
-    open_, ext = check_affine_gaps(gap_open, gap_extend)
-    if not pairs:
-        return []
-    n, m = _check_uniform(pairs)
-    band = _check_band(n, m, band)
-    if n == 0 or m == 0:
-        score, ai, bi_ = _affine_empty(n, m, open_, ext, "global")
-        return [Alignment(score, (), ai, bi_) for _ in pairs]
-    w = 2 * band + 1
-    k_end = m - n + band
-    out: list[Alignment] = []
-    if min(len(pairs), chunk) == 1 and n * w * 9 <= _BANDED_SINGLE_MAX_BYTES:
-        D1 = np.empty((n, w), dtype=np.uint8)
-        for a, b in pairs:
-            Mf, Xf, Yf = _sweep_affine_banded_single(
-                _as_codes(a), _as_codes(b), band, model, open_, ext, D=D1
-            )
-            state = _end_state(float(Mf[k_end]), float(Xf[k_end]), float(Yf[k_end]))
-            score = (Mf[k_end], Xf[k_end], Yf[k_end])[state]
-            walked, _, _ = _walk_affine(D1.tobytes(), w, n, m, state, band=band)
-            out.append(Alignment(float(score), tuple(walked), (0, n), (0, m)))
-        return out
-    Dbuf = np.empty((n, min(chunk, len(pairs)), w), dtype=np.uint8)
-    for lo in range(0, len(pairs), chunk):
-        A, Bm = _batch_codes(pairs[lo : lo + chunk])
-        B = A.shape[0]
-        D = Dbuf[:, :B]
-        r = _sweep_affine_banded(A, Bm, band, model, open_, ext, D=D)
-        for k in range(B):
-            state = _end_state(
-                float(r.Mp[k, k_end]), float(r.Xp[k, k_end]), float(r.Yp[k, k_end])
-            )
-            score = (r.Mp[k, k_end], r.Xp[k, k_end], r.Yp[k, k_end])[state]
-            walked, _, _ = _walk_affine(_pair_bytes(D, k), w, n, m, state, band=band)
-            out.append(Alignment(float(score), tuple(walked), (0, n), (0, m)))
-    return out
+    return _batch("align", pairs, model, "banded", band, (gap_open, gap_extend), chunk)
+
+
+def global_score(a: str, b: str, model: SubstitutionModel | None = None) -> float:
+    """Needleman–Wunsch score, row-vectorized (score only)."""
+    return float(_batch("score", [(a, b)], model, "global", chunk=1)[0])
+
+
+def global_align(a: str, b: str, model: SubstitutionModel | None = None) -> Alignment:
+    """Needleman–Wunsch with traceback (via the direction-code walk)."""
+    return _batch("align", [(a, b)], model, "global", chunk=1)[0]
+
+
+def local_score(a: str, b: str, model: SubstitutionModel | None = None) -> float:
+    """Smith–Waterman score, row-vectorized (score only)."""
+    return float(_batch("score", [(a, b)], model, "local", chunk=1)[0])
+
+
+def local_align(a: str, b: str, model: SubstitutionModel | None = None) -> Alignment:
+    """Smith–Waterman with traceback; returns the best local alignment."""
+    return _batch("align", [(a, b)], model, "local", chunk=1)[0]
+
+
+def overlap_align(a: str, b: str, model: SubstitutionModel | None = None) -> Alignment:
+    """Best suffix(a)–prefix(b) overlap alignment with traceback."""
+    return _batch("align", [(a, b)], model, "overlap", chunk=1)[0]
+
+
+def overlap_score(a: str, b: str, model: SubstitutionModel | None = None) -> tuple[float, int, int]:
+    """Best suffix(a)–prefix(b) overlap alignment.
+
+    Free leading gaps in ``a`` and free trailing gaps in ``b``: start
+    anywhere in ``a``, must start at b[0]; end at a[-1], anywhere in
+    ``b``.  Returns (score, a_start, b_end) — the overlap aligns
+    a[a_start:] with b[:b_end].  This is the assembler's overlap
+    detector.
+    """
+    aln = overlap_align(a, b, model)
+    return aln.score, aln.a_interval[0], aln.b_interval[1]
+
+
+def banded_global_score(
+    a: str, b: str, band: int, model: SubstitutionModel | None = None
+) -> float:
+    """Needleman–Wunsch restricted to |i - j| <= band.
+
+    The vectorized diagonal-offset kernel (the scalar dict DP it
+    replaced survives as :func:`banded_global_score_reference`, the
+    parity oracle).  ``band`` is validated once up front.
+    """
+    return float(_batch("score", [(a, b)], model, "banded", band, chunk=1)[0])
+
+
+def banded_align(
+    a: str, b: str, band: int, model: SubstitutionModel | None = None
+) -> Alignment:
+    """Banded global alignment with traceback."""
+    return _batch("align", [(a, b)], model, "banded", band, chunk=1)[0]

@@ -34,28 +34,13 @@ from fragalign.align.affine import (
 from fragalign.align.hirschberg import linear_align
 from fragalign.align.pairwise import (
     _NEG,
+    _batch,
     _check_band,
     Alignment,
-    affine_align_batch,
-    affine_banded_align_batch,
-    affine_banded_scores_batch,
-    affine_local_align_batch,
-    affine_local_scores_batch,
-    affine_overlap_align_batch,
-    affine_overlap_scores_batch,
-    affine_scores_batch,
-    banded_align_batch,
     banded_global_score_reference,
-    banded_scores_batch,
-    global_align_batch,
     global_score_reference,
-    global_scores_batch,
-    local_align_batch,
     local_score_reference,
-    local_scores_batch,
-    overlap_align_batch,
     overlap_score_reference,
-    overlap_scores_batch,
 )
 from fragalign.align.scoring_matrices import SubstitutionModel
 from fragalign.job import JobSpec
@@ -68,11 +53,15 @@ __all__ = [
     "LINEAR_AUTO_CELLS",
 ]
 
+#: Pairs one kernel sweep holds at once: bounds the sweep buffers and
+#: the (n, CHUNK, m) direction tensor of a batch.
+CHUNK = 64
+
 #: ``memory="auto"`` switches the align verbs to the linear-memory
 #: walker above this many DP cells per *chunk* — the point where the
 #: (n, B, m) uint8 direction tensor starts to dominate peak memory
 #: (16M cells = a 16 MB tensor allocation).  A batch sweeps up to
-#: ``chunk`` pairs per tensor, so the resolution accounts for the
+#: ``CHUNK`` pairs per tensor, so the resolution accounts for the
 #: whole chunk, not one pair.
 LINEAR_AUTO_CELLS = 1 << 24
 
@@ -313,72 +302,31 @@ class NaiveBackend(AlignmentBackend):
 class NumpyBackend(AlignmentBackend):
     """Row-vectorized kernels; batches share one sweep per DP row.
 
-    ``chunk`` bounds how many pairs' sweep buffers are held in memory
-    at once during a batch sweep; ``linear_auto_cells`` is the per-pair
-    DP-cell count above which ``memory="auto"`` align calls take the
-    linear-memory walker instead of the direction tensor.
+    Every verb runs the kernels' one driver, sweeping up to
+    :data:`CHUNK` pairs at a time; ``linear_auto_cells`` is the
+    per-chunk DP-cell count above which ``memory="auto"`` align calls
+    take the linear-memory walker instead of the direction tensor.
     """
 
     name = "numpy"
 
-    _SCORE_KERNELS = {
-        "global": global_scores_batch,
-        "local": local_scores_batch,
-        "overlap": overlap_scores_batch,
-    }
-    _ALIGN_KERNELS = {
-        "global": global_align_batch,
-        "local": local_align_batch,
-        "overlap": overlap_align_batch,
-    }
-    _AFFINE_SCORE_KERNELS = {
-        "global": affine_scores_batch,
-        "local": affine_local_scores_batch,
-        "overlap": affine_overlap_scores_batch,
-    }
-    _AFFINE_ALIGN_KERNELS = {
-        "global": affine_align_batch,
-        "local": affine_local_align_batch,
-        "overlap": affine_overlap_align_batch,
-    }
-
-    def __init__(self, chunk: int = 64, linear_auto_cells: int = LINEAR_AUTO_CELLS) -> None:
-        self.chunk = chunk
+    def __init__(self, linear_auto_cells: int = LINEAR_AUTO_CELLS) -> None:
         self.linear_auto_cells = linear_auto_cells
 
     def _run(self, codes, model, spec: JobSpec, kind: str):
-        mode, affine, chunk = spec.mode, spec.gap_open is not None, self.chunk
+        mode = spec.mode
         if kind == "align":
             # The tensor is allocated per chunk — (n, B, m) — so auto
             # resolves on the chunk's cell count, not one pair's.
             cells = (
-                len(codes[0][0]) * len(codes[0][1]) * min(len(codes), chunk)
+                len(codes[0][0]) * len(codes[0][1]) * min(len(codes), CHUNK)
                 if codes
                 else 0
             )
             if spec.linear_traceback(cells, self.linear_auto_cells):
                 return [linear_align(a, b, model, mode=mode) for a, b in codes]
-        if mode == "banded":
-            if affine:
-                kernel = (
-                    affine_banded_scores_batch
-                    if kind == "score"
-                    else affine_banded_align_batch
-                )
-                return kernel(
-                    codes, spec.band, model, spec.gap_open, spec.gap_extend, chunk=chunk
-                )
-            kernel = banded_scores_batch if kind == "score" else banded_align_batch
-            return kernel(codes, spec.band, model, chunk=chunk)
-        if affine:
-            table = (
-                self._AFFINE_SCORE_KERNELS
-                if kind == "score"
-                else self._AFFINE_ALIGN_KERNELS
-            )
-            return table[mode](codes, model, spec.gap_open, spec.gap_extend, chunk=chunk)
-        table = self._SCORE_KERNELS if kind == "score" else self._ALIGN_KERNELS
-        return table[mode](codes, model, chunk=chunk)
+        gaps = None if spec.gap_open is None else (spec.gap_open, spec.gap_extend)
+        return _batch(kind, codes, model, mode, spec.band, gaps, CHUNK)
 
     def score(self, p, model, spec) -> float:
         return float(self._run([(p.a_codes, p.b_codes)], model, spec, "score")[0])

@@ -74,7 +74,7 @@ class AlignmentEngine:
     backend:
         A registered backend name (``naive``, ``native``, ``numpy``)
         or an :class:`AlignmentBackend` instance — the way to run a
-        configured backend, e.g. ``NumpyBackend(chunk=32)``.
+        configured backend, e.g. ``NumpyBackend(linear_auto_cells=1 << 20)``.
     model:
         Substitution model; defaults to the memoized unit-cost model.
     mode:

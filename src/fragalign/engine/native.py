@@ -91,25 +91,20 @@ class NativeBackend(AlignmentBackend):
     require_native:
         Raise at construction when the C extension is unavailable
         (the native-build CI job asserts the compiled path is live).
-    chunk:
-        Chunk size for the internal numpy backend that takes the
-        unaccelerated verbs and the N-carrying bit-parallel pairs.
+
+    The unaccelerated verbs and the N-carrying bit-parallel pairs run
+    on an internal default :class:`NumpyBackend`.
     """
 
     name = "native"
 
-    def __init__(
-        self,
-        force_fallback: bool = False,
-        require_native: bool = False,
-        chunk: int = 64,
-    ) -> None:
+    def __init__(self, force_fallback: bool = False, require_native: bool = False) -> None:
         if require_native and not HAVE_NATIVE:
             raise RuntimeError(
                 f"native kernels required but unavailable: {NATIVE_ERROR}"
             )
         self.use_c = HAVE_NATIVE and not force_fallback
-        self._numpy = NumpyBackend(chunk=chunk)
+        self._numpy = NumpyBackend()
 
     # -- capability probe --------------------------------------------
 

@@ -7,13 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fragalign.align.affine import affine_align_reference, affine_score_reference
 from fragalign.align.pairwise import (
+    affine_align_batch,
+    affine_banded_align_batch,
+    affine_banded_scores_batch,
+    affine_local_align_batch,
+    affine_local_scores_batch,
+    affine_overlap_align_batch,
+    affine_overlap_scores_batch,
+    affine_scores_batch,
     banded_align,
     banded_align_batch,
     banded_global_score,
     banded_global_score_reference,
     banded_scores_batch,
-    get_prefix_max_mode,
     global_align,
     global_align_batch,
     global_score,
@@ -29,13 +37,14 @@ from fragalign.align.pairwise import (
     overlap_score,
     overlap_score_reference,
     overlap_scores_batch,
-    set_prefix_max_mode,
 )
 from fragalign.align.scoring_matrices import (
     encode,
     transition_transversion,
     unit_dna,
 )
+from fragalign.engine.backends import NaiveBackend, PreparedPair
+from fragalign.job import JobSpec
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=24)
 dna1 = st.text(alphabet="ACGT", min_size=1, max_size=24)
@@ -189,6 +198,20 @@ def test_banded_validates_band_up_front():
         banded_global_score("ACGT", "ACGT", band=None)
 
 
+LINEAR_KERNELS = [
+    ("global", global_scores_batch, global_align_batch),
+    ("local", local_scores_batch, local_align_batch),
+    ("overlap", overlap_scores_batch, overlap_align_batch),
+    ("banded", banded_scores_batch, banded_align_batch),
+]
+AFFINE_KERNELS = [
+    ("global", affine_scores_batch, affine_align_batch),
+    ("local", affine_local_scores_batch, affine_local_align_batch),
+    ("overlap", affine_overlap_scores_batch, affine_overlap_align_batch),
+    ("banded", affine_banded_scores_batch, affine_banded_align_batch),
+]
+
+
 def _random_uniform_batch(rng, count, n, m):
     from fragalign.genome.dna import random_dna
 
@@ -326,21 +349,33 @@ class TestDegenerateShapes:
         assert overlap_align_batch([]) == []
         assert banded_align_batch([], band=0) == []
 
-    @pytest.mark.parametrize("a,b", [("", ""), ("", "ACG"), ("ACGT", "")])
+    @pytest.mark.parametrize(
+        "a,b", [("", ""), ("", "ACG"), ("ACGT", ""), ("A", "ACG"), ("ACG", "T")]
+    )
     def test_empty_sequences(self, a, b):
-        g = unit_dna().gap
-        n, m = len(a), len(b)
-        assert global_scores_batch([(a, b)])[0] == (n + m) * g
-        assert local_scores_batch([(a, b)])[0] == 0.0
-        assert overlap_scores_batch([(a, b)])[0] == 0.0
-        assert banded_scores_batch([(a, b)], band=max(n, m))[0] == (n + m) * g
-        for aln in (
-            global_align_batch([(a, b)])[0],
-            banded_align_batch([(a, b)], band=max(n, m))[0],
-        ):
-            assert aln.pairs == () and aln.score == (n + m) * g
-        assert local_align_batch([(a, b)])[0].pairs == ()
-        assert overlap_align_batch([(a, b)])[0].pairs == ()
+        """All sixteen kernels, four modes x linear/affine x score/align,
+        equal their oracles in full (score, pairs and both intervals):
+        the linear ones ``NaiveBackend``, the affine ones (gaps -3/-1)
+        ``affine_score_reference``/``affine_align_reference``."""
+        model = unit_dna()
+        band = max(len(a), len(b))
+        pair = PreparedPair(a, b, encode(a), encode(b))
+        naive = NaiveBackend()
+        for mode, score_kernel, align_kernel in LINEAR_KERNELS:
+            args = (band,) if mode == "banded" else ()
+            spec = JobSpec(mode, band if mode == "banded" else None)
+            want = naive.align(pair, model, spec)
+            assert want.score == naive.score(pair, model, spec)
+            assert score_kernel([(a, b)], *args, model)[0] == want.score
+            assert align_kernel([(a, b)], *args, model)[0] == want
+        for mode, score_kernel, align_kernel in AFFINE_KERNELS:
+            args = (band,) if mode == "banded" else ()
+            want = affine_align_reference(a, b, model, -3.0, -1.0, mode=mode, band=band)
+            assert want.score == affine_score_reference(
+                a, b, model, -3.0, -1.0, mode=mode, band=band
+            )
+            assert score_kernel([(a, b)], *args, model, -3.0, -1.0)[0] == want.score
+            assert align_kernel([(a, b)], *args, model, -3.0, -1.0)[0] == want
 
     def test_band_exactly_length_gap(self):
         # band == |n - m|: the tightest band that still connects the
@@ -362,43 +397,3 @@ class TestDegenerateShapes:
             (2, 2),
             (3, 3),
         )
-
-
-class TestPrefixMaxSwitch:
-    """The blocked two-pass prefix max is bit-identical to the scan."""
-
-    def _all_outputs(self, pairs, band):
-        return (
-            global_scores_batch(pairs),
-            local_scores_batch(pairs),
-            overlap_scores_batch(pairs),
-            banded_scores_batch(pairs, band),
-            global_align_batch(pairs),
-            local_align_batch(pairs),
-        )
-
-    def test_modes_are_bit_identical(self, rng):
-        for count, n, m in [(4, 33, 29), (200, 17, 21), (3, 1, 1)]:
-            pairs = _random_uniform_batch(rng, count, n, m)
-            band = abs(n - m) + 5
-            old = set_prefix_max_mode("scan")
-            try:
-                scan = self._all_outputs(pairs, band)
-                set_prefix_max_mode("blocked")
-                blocked = self._all_outputs(pairs, band)
-            finally:
-                set_prefix_max_mode(old)
-            for s, bl in zip(scan, blocked):
-                if isinstance(s, np.ndarray):
-                    assert np.array_equal(s, bl)
-                else:
-                    assert s == bl
-
-    def test_switch_validates_and_restores(self):
-        assert get_prefix_max_mode() == "auto"
-        with pytest.raises(ValueError, match="unknown prefix-max mode"):
-            set_prefix_max_mode("sideways")
-        old = set_prefix_max_mode("blocked")
-        assert old == "auto" and get_prefix_max_mode() == "blocked"
-        set_prefix_max_mode(old)
-        assert get_prefix_max_mode() == "auto"
