@@ -3,12 +3,11 @@
 The request schema lives once, in ``job.py`` (``_SPECS``, a pure
 literal this rule parses without importing anything), beside the
 frozen ``JobSpec`` that every layer passes around and that derives the
-cache, ring and group keys from the registry's participation flags.
-Three checks keep it that way:
+cache, ring and group keys from the registry's participation flags
+(the ring key from the ``cache_key`` flag, so routing cannot disagree
+with caching).  Three checks keep it that way:
 
-* **registry** — ``_SPECS`` stays a pure literal of complete entries,
-  and its ``cache_key`` fields equal its ``ring_key`` fields (routing
-  must agree with caching, or per-shard caches stop being disjoint);
+* **registry** — ``_SPECS`` stays a pure literal of complete entries;
 * **spec** — ``JobSpec`` declares exactly the registered *knobs* (the
   fields with any participation flag on), so deleting a registry field,
   or adding an unregistered knob to the spec, fails in both directions;
@@ -33,7 +32,7 @@ from fragalign.analysis.project import FIELDS_MODULE, Project, qualname_of
 ID = "knob-propagation"
 DESCRIPTION = "only JobSpec (job.py) derives keys from the request-field registry"
 
-_FLAGS = ("cache_key", "ring_key", "group_key", "keyset")
+_FLAGS = ("cache_key", "group_key", "keyset")
 _REQUIRED_SPEC_KEYS = {"name", "kind", "ops", "doc", *_FLAGS}
 _KEY_DEF = re.compile(r"(?:^|_)key(?:_|$)")
 
@@ -142,19 +141,6 @@ def check(project: Project) -> list[Finding]:
                 )
             )
     specs = [s for s in specs if not (_REQUIRED_SPEC_KEYS - set(s))]
-    cache_fields = {s["name"] for s in specs if s["cache_key"]}
-    ring_fields = {s["name"] for s in specs if s["ring_key"]}
-    if cache_fields != ring_fields:
-        findings.append(
-            Finding(
-                rule=ID, path=FIELDS_MODULE, line=0, symbol="_SPECS",
-                message=(
-                    "ring_key fields must mirror cache_key fields "
-                    f"(cache {sorted(cache_fields)} vs ring {sorted(ring_fields)}): "
-                    "routing must agree with caching"
-                ),
-            )
-        )
     knobs = {s["name"] for s in specs if any(s[flag] for flag in _FLAGS)}
     _check_spec(project, path, knobs, findings)
     _check_key_defs(project, {s["name"] for s in specs}, findings)

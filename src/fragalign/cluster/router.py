@@ -104,14 +104,8 @@ class ShardRouter:
     ----------
     addresses:
         ``(host, port)`` per shard.  The shard's ring name is
-        ``"host:port"``.
-    vnodes:
-        Virtual nodes per shard on the ring.
-    model_fp:
-        Substitution-model fingerprint mixed into routing keys.  For a
-        homogeneous cluster any constant works (it shifts every key's
-        hash identically); pass the real fingerprint when routing for
-        multiple models so their keyspaces interleave.
+        ``"host:port"``; each shard gets :class:`HashRing`'s default
+        number of virtual nodes.
     max_attempts:
         Maximum number of *distinct* shards tried per request.
     request_timeout:
@@ -140,8 +134,6 @@ class ShardRouter:
     def __init__(
         self,
         addresses: Sequence[tuple[str, int]],
-        vnodes: int = 96,
-        model_fp: str = "",
         max_attempts: int = 2,
         request_timeout: float | None = None,
         connect_timeout: float = 5.0,
@@ -157,8 +149,7 @@ class ShardRouter:
         self.addresses: dict[str, tuple[str, int]] = {
             f"{host}:{port}": (host, port) for host, port in addresses
         }
-        self.ring = HashRing(self.addresses, vnodes=vnodes)
-        self.model_fp = model_fp
+        self.ring = HashRing(self.addresses)
         self.max_attempts = max_attempts
         self.request_timeout = request_timeout
         self.connect_timeout = connect_timeout
@@ -223,7 +214,7 @@ class ShardRouter:
     ) -> str:
         """The shard currently owning one request (tests, warm reports)."""
         spec = JobSpec(mode, band, gap_open, gap_extend)
-        return self.ring.node_for(spec.ring_key(op, a, b, self.model_fp))
+        return self.ring.node_for(spec.ring_key(op, a, b))
 
     def mark_shard_down(self, shard: str) -> None:
         """Evict a shard from the ring (idempotent); its keys fall to
@@ -381,7 +372,7 @@ class ShardRouter:
         the ring; returns the winning shard's response.  Each attempt
         carries its own trace context (the shard parents under it) and
         the deadline budget still remaining when it launches."""
-        key = spec.ring_key(op, a, b, self.model_fp)
+        key = spec.ring_key(op, a, b)
         wire = spec.wire()
         budget_ms: float | None = None  # re-read per attempt, as it launches
 
@@ -1020,8 +1011,6 @@ class ClusterClient:
     def __init__(
         self,
         addresses: Sequence[tuple[str, int]],
-        vnodes: int = 96,
-        model_fp: str = "",
         max_attempts: int = 2,
         request_timeout: float | None = None,
         health_interval: float | None = None,
@@ -1032,8 +1021,6 @@ class ClusterClient:
     ) -> None:
         self.router = ShardRouter(
             addresses,
-            vnodes=vnodes,
-            model_fp=model_fp,
             max_attempts=max_attempts,
             request_timeout=request_timeout,
             breaker_threshold=breaker_threshold,

@@ -116,7 +116,7 @@ async def warm_router(router, entries: Sequence[dict], concurrency: int = 32) ->
                 if len(samples) < 5:
                     samples.append(f"{type(exc).__name__}: {exc}")
                 return
-        per_shard[router.ring.node_for(spec.ring_key(op, a, b, router.model_fp))] += 1
+        per_shard[router.ring.node_for(spec.ring_key(op, a, b))] += 1
 
     await asyncio.gather(*(one(e) for e in entries))
     return {

@@ -21,13 +21,13 @@ The registry
 participates:
 
 ``cache_key``
-    Part of the server's LRU result-cache key: fields that change the
-    *result*.  ``memory`` and ``backend`` are not.  The linear walker
-    returns byte-identical alignments and the backends are
-    parity-tested, so one cached entry serves them all.
-``ring_key``
-    Part of the cluster routing key.  Must equal the cache-key set, or
-    the per-shard caches stop being disjoint partitions.
+    Part of a job's one identity, :meth:`JobSpec.cache_key`: fields
+    that change the *result*.  ``memory`` and ``backend`` are not.  The
+    linear walker returns byte-identical alignments and the backends
+    are parity-tested, so one job serves them all.  The result cache
+    and the micro-batcher key jobs by it; the routing key
+    (:meth:`JobSpec.ring_key`) is built from the same fields, so each
+    shard's cache is a disjoint partition of the keyspace.
 ``group_key``
     Part of the micro-batcher's dispatch-group key: fields that change
     how a batch *executes* (one engine call runs one memory strategy on
@@ -79,7 +79,6 @@ _SPECS = (
         "kind": "str",
         "ops": ("score", "align"),
         "cache_key": True,
-        "ring_key": True,
         "group_key": True,
         "keyset": True,
         "doc": "alignment mode: global, local, overlap or banded",
@@ -89,7 +88,6 @@ _SPECS = (
         "kind": "int",
         "ops": ("score", "align"),
         "cache_key": True,
-        "ring_key": True,
         "group_key": True,
         "keyset": True,
         "doc": "banded-mode half-width (>= abs(len(a) - len(b)))",
@@ -99,7 +97,6 @@ _SPECS = (
         "kind": "float",
         "ops": ("score", "align"),
         "cache_key": True,
-        "ring_key": True,
         "group_key": True,
         "keyset": True,
         "doc": "affine (Gotoh) gap-open cost; needs --gap-extend",
@@ -109,7 +106,6 @@ _SPECS = (
         "kind": "float",
         "ops": ("score", "align"),
         "cache_key": True,
-        "ring_key": True,
         "group_key": True,
         "keyset": True,
         "doc": "affine (Gotoh) gap-extend cost; needs --gap-open",
@@ -118,8 +114,7 @@ _SPECS = (
         "name": "memory",
         "kind": "str",
         "ops": ("align",),
-        "cache_key": False,  # byte-identical results: cache entries are shared
-        "ring_key": False,  # ...and routing mirrors the cache key
+        "cache_key": False,  # byte-identical results: jobs are shared
         "group_key": True,  # but one engine batch runs one strategy
         "keyset": True,
         "doc": "align traceback strategy: auto, tensor or linear",
@@ -128,8 +123,7 @@ _SPECS = (
         "name": "backend",
         "kind": "str",
         "ops": ("score", "align"),
-        "cache_key": False,  # backends are parity-tested: same scores,
-        "ring_key": False,  # ...so cache entries and routing are shared
+        "cache_key": False,  # backends are parity-tested: jobs are shared
         "group_key": True,  # but one engine batch runs on one backend
         "keyset": True,
         "doc": "engine backend: numpy, native or naive",
@@ -143,7 +137,6 @@ _SPECS = (
         "kind": "str",
         "ops": ("score", "align"),
         "cache_key": False,
-        "ring_key": False,
         "group_key": False,
         "keyset": False,
         "doc": "distributed-trace id (see fragalign.obs)",
@@ -153,7 +146,6 @@ _SPECS = (
         "kind": "str",
         "ops": ("score", "align"),
         "cache_key": False,
-        "ring_key": False,
         "group_key": False,
         "keyset": False,
         "doc": "caller's span id: the server span's parent",
@@ -163,7 +155,6 @@ _SPECS = (
         "kind": "float",
         "ops": ("score", "align"),
         "cache_key": False,
-        "ring_key": False,
         "group_key": False,
         "keyset": False,
         "doc": "remaining end-to-end budget in ms (see fragalign.resilience)",
@@ -174,7 +165,7 @@ FIELDS: dict[str, dict] = {spec["name"]: spec for spec in _SPECS}
 KNOBS: tuple[str, ...] = tuple(
     name
     for name, spec in FIELDS.items()
-    if spec["cache_key"] or spec["ring_key"] or spec["group_key"] or spec["keyset"]
+    if spec["cache_key"] or spec["group_key"] or spec["keyset"]
 )
 
 
@@ -183,11 +174,7 @@ def _flagged(flag: str) -> tuple[str, ...]:
 
 
 KEYSET_FIELDS = _flagged("keyset")
-# Routing must agree with caching, or the per-shard LRU caches stop
-# being disjoint partitions of the keyspace.
-assert _flagged("cache_key") == _flagged("ring_key"), "ring-key fields must mirror cache-key fields"
 _CACHE_VALUES = attrgetter(*_flagged("cache_key"))
-_RING_VALUES = attrgetter(*_flagged("ring_key"))
 _GROUP_VALUES = attrgetter(*_flagged("group_key"))
 # Knobs a request for each pair op may not carry (memory on score).
 _NOT_FOR = {op: tuple(n for n in KNOBS if op not in FIELDS[n]["ops"]) for op in PAIR_OPS}
@@ -341,7 +328,7 @@ class JobSpec:
     def ring_key(self, op: str, a: str, b: str, model_fp: str = "") -> str:
         """Routing-key string: the cache key's fields, so routing and
         per-shard caching always agree."""
-        knobs = map(str, _RING_VALUES(self._normalized()))
+        knobs = map(str, _CACHE_VALUES(self._normalized()))
         return _SEP.join((op, *knobs, model_fp, a, b))
 
     def group_key(self, op: str) -> tuple:

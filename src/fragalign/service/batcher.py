@@ -14,9 +14,11 @@ as soon as it finishes, up to ``max_batch`` per batch.  An idle server
 therefore answers a lone request without waiting, and under load a
 batch grows by itself to what queued while the previous one ran.
 
-Identical queued or in-flight jobs are deduplicated: N concurrent
-requests for the same ``(op, a, b)`` share one future and cost one
-backend slot (the ``coalesced`` stat counts the N-1 free riders).
+Jobs are keyed by the result-cache key (``JobSpec.cache_key``): N
+concurrent requests with one key share one future and cost one backend
+slot (the ``coalesced`` stat counts the N-1 free riders).  A job's
+result goes into the result cache before the job leaves the table, so
+a twin request always finds either the job or its answer.
 
 Engine calls are CPU-bound, so they run on a dedicated single worker
 thread: the event loop keeps accepting (and queueing) the *next* batch
@@ -31,30 +33,35 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import Any
 
 from fragalign.engine.facade import AlignmentEngine
 from fragalign.job import JobSpec
 from fragalign.obs.trace import TraceContext, Tracer
+from fragalign.service.protocol import alignment_to_dict
 from fragalign.util.errors import DeadlineExceeded
+from fragalign.util.lru import LRUCache
 
 __all__ = ["MicroBatcher"]
 
-# One job: (dispatch-group key, a, b).  The group key is the spec's
-# (op, group-key knobs) — one group is one engine batch call.
-Key = tuple
+# The wire form each op's engine result is answered and cached in.
+_WIRE = {"score": float, "align": alignment_to_dict}
 
 
 class _Job:
     """One distinct job: the future its waiters share and what its
     dispatch reads."""
 
-    __slots__ = ("key", "spec", "future", "deadline", "watchers")
+    __slots__ = ("key", "op", "pair", "spec", "future", "deadline", "watchers")
 
     def __init__(
-        self, key: Key, spec: JobSpec, future: asyncio.Future, deadline: float | None
+        self, key: tuple, op: str, pair: tuple[str, str], spec: JobSpec,
+        future: asyncio.Future, deadline: float | None,
     ) -> None:
-        self.key = key
+        self.key = key  # the job's result-cache key
+        self.op = op
+        self.pair = pair
+        # The first waiter's spec: twins may differ only in backend and
+        # memory, which never change the result.
         self.spec = spec
         self.future = future
         # The loosest waiter's absolute monotonic deadline; None once
@@ -77,6 +84,12 @@ class MicroBatcher:
         request by request (the foil the benchmark measures against).
     stats:
         Optional :class:`~fragalign.service.stats.ServiceStats` feeder.
+    cache:
+        The result cache each computed job's wire-form result is put
+        in; none by default.
+    model_fp:
+        The engine model's fingerprint, the last field of every job's
+        cache key (see :func:`~fragalign.service.server.model_fingerprint`).
     """
 
     def __init__(
@@ -85,6 +98,8 @@ class MicroBatcher:
         max_batch: int = 64,
         stats=None,
         tracer: Tracer | None = None,
+        cache: LRUCache | None = None,
+        model_fp: str = "",
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -92,7 +107,9 @@ class MicroBatcher:
         self.max_batch = max_batch
         self._stats = stats
         self._tracer = tracer
-        self._jobs: dict[Key, _Job] = {}  # queued and in flight
+        self._cache = LRUCache(0) if cache is None else cache  # size 0 stores nothing
+        self._model_fp = model_fp
+        self._jobs: dict[tuple, _Job] = {}  # queued and in flight, by cache key
         self._queue: deque[_Job] = deque()  # queued, oldest first
         self._running: asyncio.Task | None = None  # the one batch in flight
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -101,6 +118,10 @@ class MicroBatcher:
         )
 
     # -- submission ---------------------------------------------------
+
+    def __contains__(self, key: tuple) -> bool:
+        """Whether the job with this cache key is queued or computing."""
+        return key in self._jobs
 
     async def submit(
         self,
@@ -112,13 +133,17 @@ class MicroBatcher:
         deadline: float | None = None,
         trace: TraceContext | None = None,
         sink: list | None = None,
-    ) -> Any:
-        """Queue one job; await its batched result.
+    ) -> float | dict:
+        """Queue one job; await its batched result in wire form: a
+        float for ``op="score"``, the
+        :func:`~fragalign.service.protocol.alignment_to_dict` form for
+        ``op="align"``.
 
-        Returns a float for ``op="score"`` and an
-        :class:`~fragalign.align.pairwise.Alignment` for ``op="align"``.
-        Each distinct ``spec.group_key(op)`` in a batch is its own
-        engine call — in particular a call never mixes backends.
+        The job is keyed by ``spec.cache_key(op, a, b, model_fp)``, so
+        specs differing only in ``backend`` or ``memory`` share one job,
+        which runs with its first waiter's spec.  Each distinct
+        ``spec.group_key(op)`` in a batch is its own engine call — in
+        particular a call never mixes backends.
 
         ``deadline`` (absolute, :func:`time.monotonic`) and ``trace``
         are not part of the job: identical submits share one job
@@ -133,10 +158,10 @@ class MicroBatcher:
         """
         if self._loop is None:
             self._loop = asyncio.get_running_loop()
-        key = (spec.group_key(op), a, b)
+        key = spec.cache_key(op, a, b, self._model_fp)
         job = self._jobs.get(key)
         if job is None:
-            job = _Job(key, spec, self._loop.create_future(), deadline)
+            job = _Job(key, op, (a, b), spec, self._loop.create_future(), deadline)
             self._jobs[key] = job
             self._queue.append(job)
             if self._running is None:
@@ -206,7 +231,7 @@ class MicroBatcher:
                 # One tags dict per job, shared by its watchers — the
                 # entries are read-only downstream (leaf_entry's "takes
                 # ownership" contract), so aliasing is safe.
-                tags = {"op": job.key[0][0], "batch": len(batch)}
+                tags = {"op": job.op, "batch": len(batch)}
                 for ctx, sink, enqueued in job.watchers:
                     wait = dispatched - enqueued
                     entry = (
@@ -221,15 +246,14 @@ class MicroBatcher:
         # executes).  An engine error fails only the group it hit.
         groups: dict[tuple, list[_Job]] = {}
         for job in batch:
-            groups.setdefault(job.key[0], []).append(job)
+            groups.setdefault(job.spec.group_key(job.op), []).append(job)
         for (op, *_), group in groups.items():
             spec = group[0].spec
-            call = partial(self.engine.run, op, [job.key[1:] for job in group], spec)
+            call = partial(self.engine.run, op, [job.pair for job in group], spec)
             compute_start = time.perf_counter()
             try:
                 values = await self._loop.run_in_executor(self._executor, call)
-                if op == "score":
-                    values = [float(v) for v in values]
+                values = list(map(_WIRE[op], values))
             except Exception as exc:
                 for job in group:
                     del self._jobs[job.key]
@@ -254,6 +278,9 @@ class MicroBatcher:
                 if shared:
                     self._tracer.extend(shared)
             for job, value in zip(group, values):
+                # Cached before the job leaves the table, with no await
+                # in between: a twin finds the job or its answer.
+                self._cache.put(job.key, value)
                 del self._jobs[job.key]
                 if not job.future.done():
                     job.future.set_result(value)

@@ -5,8 +5,10 @@ Request flow for ``score``/``align``::
     line → parse (JobSpec) → resolve against the engine defaults
          → result cache (LRU, keyed on JobSpec.cache_key)
          → hit:  answer immediately (cached: true)
-         → miss: MicroBatcher.submit → coalesced batch on the engine
-                 → cache the wire-form result → answer
+         → twin: its job, under the same key, is queued or computing
+                 → MicroBatcher.submit shares it, free of admission
+         → miss: admission → MicroBatcher.submit → batch on the engine
+                 → the batcher caches the wire-form result → answer
 
 Everything runs on one event loop; each connection reads lines and
 spawns one task per request, so a single pipelined connection still
@@ -50,7 +52,6 @@ from fragalign.service.config import DEGRADE_POLICIES, ServiceConfig
 from fragalign.service.protocol import (
     MAX_LINE,
     Outbox,
-    alignment_to_dict,
     checked_id,
     decode_line,
     encode_line,
@@ -180,11 +181,14 @@ class AlignmentService:
         self.profiler = KernelProfiler(self.registry)
         self.engine.profiler = self.profiler
         self.cache = LRUCache(self.config.cache_size)
+        self._model_fp = model_fingerprint(self.engine.model)
         self.batcher = MicroBatcher(
             self.engine,
             max_batch=self.config.max_batch,
             stats=self.stats,
             tracer=self.tracer,
+            cache=self.cache,
+            model_fp=self._model_fp,
         )
         if self.config.degrade not in DEGRADE_POLICIES:
             raise ValueError(
@@ -202,13 +206,11 @@ class AlignmentService:
         )
         self.slo_engine = SLOEngine.from_specs(self.config.slo or None)
         self.journal = JournalWriter(self.config.journal) if self.config.journal else None
-        self._model_fp = model_fingerprint(self.engine.model)
         self._degraded = False  # degrade state last applied (_apply_degrade)
         self._server: asyncio.AbstractServer | None = None
         self._stopped: asyncio.Event | None = None
         self._connections: set[Outbox] = set()
         self._handlers: set[asyncio.Task] = set()
-        self._inflight: dict[tuple, asyncio.Future] = {}
         self.port: int | None = None  # actual bound port, set by start()
 
     # -- metrics exposition -------------------------------------------
@@ -530,31 +532,17 @@ class AlignmentService:
                 jrec["cached"] = True
                 jrec["disposition"] = "cache_hit"
             return ok_response(request.id, result, cached=True)
-        inflight = self._inflight.get(key)
-        if inflight is not None:
-            # A twin request is already computing; share its result.
-            # (The batcher also coalesces, but only until its batch
-            # resolves — this closes the resolve→cache-put window.)
-            self.stats.observe_coalesced()
+        if key in self.batcher:
+            # A twin is queued or computing: share its job, free of
+            # admission and degrade.
             if jrec is not None:
                 jrec["cached"] = False
                 jrec["disposition"] = "coalesced"
-            join_start = time.perf_counter()
-            try:
-                value = await inflight
-            except DeadlineExceeded:
-                # The twin's deadline passed, which says nothing about
-                # this request's: unless it too has expired, compute the
-                # job below (the batcher shares it with any newer twin).
-                if expired(deadline):
-                    raise
-            else:
-                if tlog is not None:
-                    join_s = time.perf_counter() - join_start
-                    tlog.append(
-                        leaf_entry(ctx, "server.join", time.time() - join_s, join_s)
-                    )
-                return ok_response(request.id, value, cached=False)
+            value = await self.batcher.submit(
+                request.op, request.a, request.b, spec,
+                deadline=deadline, trace=ctx, sink=tlog,
+            )
+            return ok_response(request.id, value, cached=False)
         # Cost-aware admission: only genuinely new compute is charged —
         # cache hits and coalesced twins above ride for free.
         cost = estimate_cost(request.op, request.a, request.b, spec)
@@ -570,9 +558,8 @@ class AlignmentService:
             and request.op == "align"
         ):
             # Degraded mode: answer align with the (exact) score and no
-            # pairs.  The response is flagged, never cached, and never
-            # registered inflight — a degraded answer must not poison
-            # the result cache or satisfy a twin's full-align await.
+            # pairs.  The flagged response is never cached: only the
+            # score job it rides on is, under its own score key.
             try:
                 value = await self.batcher.submit(
                     "score", request.a, request.b, replace(spec, memory=None),
@@ -587,12 +574,10 @@ class AlignmentService:
                 jrec["disposition"] = "degraded"
                 jrec["degraded"] = True
             result = {
-                "score": float(value), "pairs": [],
+                "score": value, "pairs": [],
                 "a_interval": [0, 0], "b_interval": [0, 0],
             }
             return ok_response(request.id, result, cached=False, degraded=True)
-        future = asyncio.get_running_loop().create_future()
-        self._inflight[key] = future
         try:
             # tlog is the span sink: batcher spans join the request's
             # deferred log instead of the shared buffer, so a
@@ -601,24 +586,13 @@ class AlignmentService:
                 request.op, request.a, request.b, spec,
                 deadline=deadline, trace=ctx, sink=tlog,
             )
-            # Cache the wire form, so warm hits skip serialization too.
-            result = (
-                float(value) if request.op == "score" else alignment_to_dict(value)
-            )
-            self.cache.put(key, result)
-            future.set_result(result)
-        except Exception as exc:
-            future.set_exception(exc)
-            future.exception()  # mark retrieved: twins may not exist
-            raise
         finally:
             self.admission.release(cost)
             self._apply_degrade()
-            self._inflight.pop(key, None)
         if jrec is not None:
             jrec["cached"] = False
             jrec["disposition"] = "computed"
-        return ok_response(request.id, result, cached=False)
+        return ok_response(request.id, value, cached=False)
 
     def _apply_degrade(self) -> None:
         """Publish the degraded-mode gauge: the admission controller's

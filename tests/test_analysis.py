@@ -153,14 +153,11 @@ class TestKernelParity:
 _SPEC_TEMPLATE = """
 _SPECS = (
     {{"name": "mode", "kind": "str", "ops": ("score", "align"),
-      "cache_key": True, "ring_key": True, "group_key": True,
-      "keyset": True, "doc": "d"}},
+      "cache_key": True, "group_key": True, "keyset": True, "doc": "d"}},
     {{"name": "band", "kind": "int", "ops": ("score", "align"),
-      "cache_key": True, "ring_key": {band_ring}, "group_key": True,
-      "keyset": True, "doc": "d"}},
+      "cache_key": True, "group_key": True, "keyset": True, "doc": "d"}},
     {{"name": "trace_id", "kind": "str", "ops": ("score", "align"),
-      "cache_key": False, "ring_key": False, "group_key": False,
-      "keyset": False, "doc": "d"}},
+      "cache_key": False, "group_key": False, "keyset": False, "doc": "d"}},
 )
 
 
@@ -172,8 +169,8 @@ class JobSpec:
 """
 
 
-def _knob_tree(pkg: Path, band_ring: str = "True", spec_fields: str = "mode: str\n    band: int"):
-    write(pkg, "job.py", _SPEC_TEMPLATE.format(band_ring=band_ring, spec_fields=spec_fields))
+def _knob_tree(pkg: Path, spec_fields: str = "mode: str\n    band: int"):
+    write(pkg, "job.py", _SPEC_TEMPLATE.format(spec_fields=spec_fields))
     write(
         pkg,
         "service/server.py",
@@ -210,11 +207,6 @@ class TestKnobPropagation:
             "'gap'" in f.message and "not a registered request field" in f.message
             for f in findings
         )
-
-    def test_ring_cache_mismatch_fires(self, pkg):
-        _knob_tree(pkg, band_ring="False")
-        findings = self._run(pkg)
-        assert any("must mirror cache_key fields" in f.message for f in findings)
 
     def test_key_def_outside_spec_module_fires(self, pkg):
         _knob_tree(pkg)

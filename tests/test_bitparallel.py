@@ -366,7 +366,7 @@ class TestServiceBackendKnob:
         assert not any(
             FIELDS[name][flag]
             for name in ("trace_id", "span_id", "deadline_ms")
-            for flag in ("cache_key", "ring_key", "group_key", "keyset")
+            for flag in ("cache_key", "group_key", "keyset")
         )
         plain = {"op": "score", "a": "AC", "b": "GT", "mode": "local"}
         traced = dict(plain, trace_id="t" * 16, span_id="s" * 16, deadline_ms=250)

@@ -577,7 +577,7 @@ class TestRingKeyGapFields:
         router = ShardRouter([("127.0.0.1", 1), ("127.0.0.1", 2)])
 
         def key(spec: JobSpec) -> str:
-            return spec.resolve(defaults, "score").ring_key("score", "AC", "GT", router.model_fp)
+            return spec.resolve(defaults, "score").ring_key("score", "AC", "GT")
 
         defaulted = key(JobSpec())
         assert key(JobSpec(gap_open=-4.0, gap_extend=-1.0)) == defaulted

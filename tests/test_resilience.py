@@ -43,6 +43,7 @@ from fragalign.service import (
     MicroBatcher,
     ServiceConfig,
     ServiceError,
+    model_fingerprint,
 )
 from fragalign.service.protocol import DeadlineExceededError, OverloadedError, encode_line
 from fragalign.util.errors import (
@@ -375,12 +376,15 @@ class TestServerDeadline:
 
     def test_coalesced_twin_outlives_its_twins_deadline(self):
         # A (30-ms budget) queues behind a busy worker; twin B (no
-        # budget) joins A's in-flight computation.  A's job is dropped
-        # at dispatch, but B must still get its answer.
+        # budget) joins A's queued job and keeps it live, so both get
+        # the one computed answer.  Lone C (30-ms budget) queues too:
+        # nobody keeps its job live, so it is dropped, never computed.
         entered, gate = threading.Event(), threading.Event()
+        computed: list[tuple[str, str]] = []
 
         class GatedEngine(AlignmentEngine):
             def run(self, op, pairs, spec):
+                computed.extend(pairs)
                 entered.set()
                 assert gate.wait(10), "gate never opened"
                 return super().run(op, pairs, spec)
@@ -396,16 +400,20 @@ class TestServerDeadline:
             service = AlignmentService(ServiceConfig(port=0), engine=GatedEngine())
             await service.start()
             client = await AsyncAlignmentClient.connect(port=service.port)
+            fp = model_fingerprint(service.engine.model)
+            key_a = JobSpec("global").cache_key("score", "ACGT", "AGGT", fp)
+            key_c = JobSpec("global").cache_key("score", "TTTT", "TTAT", fp)
             try:
                 busy = asyncio.create_task(client.score("AAAA", "AATA"))
                 await until(entered.is_set)  # the worker holds the gated call
                 a = asyncio.create_task(client.score("ACGT", "AGGT", deadline_ms=30))
-                await until(lambda: len(service._inflight) == 2)
+                c = asyncio.create_task(client.score("TTTT", "TTAT", deadline_ms=30))
+                await until(lambda: key_a in service.batcher and key_c in service.batcher)
                 b = asyncio.create_task(client.score("ACGT", "AGGT"))
                 await until(lambda: service.stats.snapshot()["batches"]["coalesced"] == 1)
-                await asyncio.sleep(0.1)  # A's budget runs out in the queue
+                await asyncio.sleep(0.1)  # A's and C's budgets run out in the queue
                 gate.set()
-                return await asyncio.gather(busy, a, b, return_exceptions=True)
+                return await asyncio.gather(busy, a, b, c, return_exceptions=True)
             finally:
                 gate.set()
                 await client.close()
@@ -413,10 +421,12 @@ class TestServerDeadline:
                 await service.wait_closed()
                 service.close()
 
-        busy, a, b = asyncio.run(run())
+        busy, a, b, c = asyncio.run(run())
         assert busy == AlignmentEngine().score("AAAA", "AATA")
-        assert isinstance(a, DeadlineExceededError)
-        assert b == AlignmentEngine().score("ACGT", "AGGT")
+        assert a == b == AlignmentEngine().score("ACGT", "AGGT")
+        assert computed.count(("ACGT", "AGGT")) == 1
+        assert isinstance(c, DeadlineExceededError)
+        assert ("TTTT", "TTAT") not in computed
 
 
 class TestServerDegrade:

@@ -266,12 +266,24 @@ _SCHEDULE_PAIRS = [
     ("ACGT", "AGGT"), ("AAAA", "AATA"), ("ACGTAC", "ACGTTC"),
     ("GGGG", "GGCG"), ("TTACG", "TTAG"),
 ]
-# One step: a burst of (pair index, already expired?) submits in one
-# loop tick, or a release of the engine call at the gate.
+# Two jobs per pair, each spelled several ways: execution twins (other
+# backends) and equivalent spellings (an unset mode, integer gaps)
+# share the job's cache key.
+_SCHEDULE_SPECS = [
+    JobSpec(), JobSpec("global", backend="naive"), JobSpec(backend="native"),
+    JobSpec(gap_open=-4, gap_extend=-1),
+    JobSpec("global", None, -4.0, -1.0, backend="naive"),
+]
+# One step: a burst of (pair index, spec index, already expired?)
+# submits in one loop tick, or a release of the engine call at the gate.
 _SCHEDULES = st.lists(
     st.one_of(
         st.lists(
-            st.tuples(st.integers(0, len(_SCHEDULE_PAIRS) - 1), st.booleans()),
+            st.tuples(
+                st.integers(0, len(_SCHEDULE_PAIRS) - 1),
+                st.integers(0, len(_SCHEDULE_SPECS) - 1),
+                st.booleans(),
+            ),
             min_size=1, max_size=6,
         ),
         st.just("release"),
@@ -320,7 +332,33 @@ class TestMicroBatcher:
         assert sorted(calls) == [("align", 3), ("score", 3)]
         with AlignmentEngine() as eng:
             assert scores == [eng.score(a, b) for a, b in pairs]
-            assert alns == eng.align_many(pairs)
+            assert alns == [alignment_to_dict(x) for x in eng.align_many(pairs)]
+
+    def test_execution_twins_share_one_job(self):
+        # Specs that differ only in backend or memory name one job: it
+        # runs once, with its first waiter's spec, and answers them all.
+        specs = [
+            JobSpec("global", backend="numpy", memory="tensor"),
+            JobSpec(backend="naive", memory="linear"),
+            JobSpec("global", backend="native", memory="auto"),
+        ]
+
+        async def run():
+            counting = CountingEngine(AlignmentEngine())
+            batcher = MicroBatcher(counting, max_batch=64)
+            try:
+                results = await asyncio.gather(
+                    *(batcher.submit("align", "ACGTACGT", "AGGTACGT", spec) for spec in specs)
+                )
+            finally:
+                batcher.close()
+            return counting.calls, results
+
+        calls, results = asyncio.run(run())
+        assert calls == [("align", 1)]
+        assert results[0] == results[1] == results[2]
+        with AlignmentEngine() as eng:
+            assert results[0] == alignment_to_dict(eng.align("ACGTACGT", "AGGTACGT"))
 
     def test_submits_in_one_tick_share_one_call_on_an_idle_worker(self):
         pairs = [("ACGT" * 2, "AGGT" * 2 + "A" * k) for k in range(6)]
@@ -431,17 +469,23 @@ class TestMicroBatcher:
 
     @given(schedule=_SCHEDULES, max_batch=st.integers(1, 4))
     def test_paced_invariants_hold_on_any_schedule(self, schedule, max_batch):
+        def key(i: int, k: int) -> tuple:
+            return _SCHEDULE_SPECS[k].cache_key("score", *_SCHEDULE_PAIRS[i], "fp")
+
         async def run():
             engine = GatedEngine()
             stats = ServiceStats()
-            batcher = MicroBatcher(engine, max_batch=max_batch, stats=stats)
-            submits: list[tuple[int, bool, asyncio.Future]] = []
+            cache = LRUCache(64)
+            batcher = MicroBatcher(
+                engine, max_batch=max_batch, stats=stats, cache=cache, model_fp="fp"
+            )
+            submits: list[tuple[int, int, bool, asyncio.Future]] = []
 
             def quiet() -> bool:
                 # Only a release can change anything now: a call waits at
                 # the gate, or every submit is answered.  A job queued
                 # while the worker idles would never get here.
-                return engine.parked or all(f.done() for _, _, f in submits)
+                return engine.parked or all(f.done() for *_, f in submits)
 
             try:
                 for step in schedule:
@@ -449,38 +493,50 @@ class TestMicroBatcher:
                         if engine.parked:
                             engine.release()
                     else:
-                        for i, expired in step:
+                        for i, k, expired in step:
                             deadline = time.monotonic() - 1.0 if expired else None
-                            submits.append((i, expired, asyncio.ensure_future(
-                                batcher.submit("score", *_SCHEDULE_PAIRS[i], JobSpec(),
+                            submits.append((i, k, expired, asyncio.ensure_future(
+                                batcher.submit("score", *_SCHEDULE_PAIRS[i], _SCHEDULE_SPECS[k],
                                                deadline=deadline)
                             )))
                         await asyncio.sleep(0)  # the whole burst submits in one tick
                     await _until(quiet)
+                    # A twin arriving now finds its job or its answer.
+                    assert all(
+                        key(i, k) in batcher or key(i, k) in cache
+                        for i, k, _, f in submits if not f.done()
+                    )
                 engine.open()
-                await _until(lambda: all(f.done() for _, _, f in submits))
+                await _until(lambda: all(f.done() for *_, f in submits))
             finally:
                 engine.open()
                 batcher.close()
-            return engine, stats.snapshot(), submits
+            return engine, stats.snapshot(), cache, submits
 
-        engine, snap, submits = asyncio.run(run())
+        engine, snap, cache, submits = asyncio.run(run())
         assert engine.peak <= 1
         assert all(1 <= len(call) <= max_batch for call in engine.calls)
         # Every distinct job is computed once or dropped once: never
-        # twice, never lost.
+        # twice, never lost.  A batch may hold several dispatch groups
+        # (twins run on their first waiter's backend), each its own call.
         batches = snap["batches"]
         computed = sum(len(call) for call in engine.calls)
-        assert (batches["dispatched"], batches["pairs"]) == (len(engine.calls), computed)
+        assert batches["pairs"] == computed
+        assert batches["dispatched"] <= len(engine.calls)
         dropped = snap["resilience"]["deadline_exceeded"]
         assert computed + dropped == len(submits) - batches["coalesced"]
+        answered = {}  # cache key -> the direct engine's wire form
         with AlignmentEngine() as eng:
-            for i, expired, future in submits:
+            for i, k, expired, future in submits:
                 result = future.exception() or future.result()
                 if isinstance(result, DeadlineExceeded):
                     assert expired  # a waiter without a deadline keeps its job live
                 else:
-                    assert result == eng.score(*_SCHEDULE_PAIRS[i])
+                    pair = _SCHEDULE_PAIRS[i]
+                    answered[key(i, k)] = float(eng.run("score", [pair], _SCHEDULE_SPECS[k])[0])
+                    assert result == answered[key(i, k)]
+        # Every computed job's answer, and nothing else, is cached.
+        assert {key: cache.get(key) for key in cache.keys()} == answered
 
     def test_engine_error_propagates_to_all_waiters(self):
         class ExplodingEngine:
