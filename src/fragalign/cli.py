@@ -7,18 +7,27 @@ Commands
 ``hardness``  — the Theorem-2 gadget on a random cubic graph.
 ``engine``    — batch-align random pairs through a chosen backend.
 ``serve``     — run the JSON-lines alignment service (micro-batching).
-``client``    — drive a running service: load generation + stats.
-``cluster``   — the sharded tier: ``serve``/``route``/``warm``/``stats``
-                over N local service instances behind a consistent-hash
-                router with health-aware failover.
+``client``    — drive a server or a cluster through the router: load
+                generation, ``--verify`` against a local engine, stats.
+``cluster``   — the sharded tier: ``serve``/``warm``/``stats`` over N
+                local service instances behind a consistent-hash router
+                with health-aware failover.
 ``metrics``   — scrape Prometheus expositions (one server or a whole
                 cluster, merged) to stdout.
 ``top``       — the kernel-profile throughput table (Mcells/s by
                 family/backend/mode) from the same scrape.
+``slo``/``trace``/``dash`` — SLO burn rates, one request's span tree,
+                the live terminal dashboard.
 ``chaos``     — the resilience drill: boot a fleet behind fault
                 proxies, walk a scripted fault schedule, assert the
                 invariants (no wrong answers, bounded latency,
                 breakers trip and recover, dead shards auto-heal).
+
+Every verb that talks to running servers targets ``--cluster-file`` or
+a lone ``--host``/``--port`` server, which it treats as a one-shard
+cluster: one :class:`~fragalign.cluster.ClusterClient` either way.
+Only ``replay`` (it reads each answer's ``cached`` flag) and a lone
+server's own ``slo`` read use a direct connection.
 """
 
 from __future__ import annotations
@@ -41,8 +50,8 @@ def _add_knob_flags(
     ``serving`` verbs (``engine``, ``serve``, ``cluster serve``) set
     the defaults every request resolves against, so they start from
     the registry defaults; the other verbs send per-request knobs and
-    leave unset ones to the server.  ``mixed`` adds the load
-    generator's ``--mode mixed``.
+    take unset ones from the servers' own defaults.  ``mixed`` adds the
+    load generator's ``--mode mixed``.
     """
     from fragalign.job import DEFAULTS, KNOBS
     from fragalign.service.config import knob_flag
@@ -103,12 +112,15 @@ def _add_log_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
+def _add_target_flags(parser: argparse.ArgumentParser, verb: str) -> None:
     parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="send one traced request after the run and print its span tree",
+        "--cluster-file",
+        default=None,
+        help=f"{verb} every shard in this cluster file (else the one "
+        "server at --host/--port)",
     )
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=8765)
 
 
 def _add_deadline_flag(
@@ -186,10 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_log_flags(srv)
 
     cli = sub.add_parser(
-        "client", help="drive a running service (load generator + stats)"
+        "client",
+        help="drive a server or a cluster: load generation through the router",
     )
-    cli.add_argument("--host", default="127.0.0.1")
-    cli.add_argument("--port", type=int, default=8765)
+    _add_target_flags(cli, "drive")
     cli.add_argument("--requests", type=int, default=100)
     cli.add_argument("--concurrency", type=int, default=16)
     cli.add_argument("--length", type=int, default=128)
@@ -199,29 +211,68 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.5,
         help="fraction of requests repeating an earlier pair (cache food)",
     )
-    cli.add_argument("--op", choices=["score", "align"], default="score")
-    _add_knob_flags(cli, serving=False)
+    cli.add_argument(
+        "--op",
+        choices=["score", "align", "mixed"],
+        default="score",
+        help="'mixed' alternates score and align per request",
+    )
+    _add_knob_flags(cli, serving=False, mixed=True)
+    cli.add_argument("--seed", type=int, default=2026)
     _add_deadline_flag(cli)
     cli.add_argument(
-        "--reconnect",
-        action="store_true",
-        help="transparently reconnect (capped backoff) on connection loss",
+        "--max-attempts",
+        type=int,
+        default=2,
+        help="distinct shards tried per request before giving up",
     )
-    cli.add_argument("--seed", type=int, default=2026)
+    cli.add_argument(
+        "--hedge-delay-ms",
+        type=float,
+        default=None,
+        help="fire a duplicate score attempt after this many ms without "
+        "an answer (hedged requests; default off)",
+    )
+    cli.add_argument(
+        "--breaker-threshold",
+        type=int,
+        default=3,
+        help="consecutive shard failures that trip its circuit open",
+    )
+    cli.add_argument(
+        "--breaker-recovery-s",
+        type=float,
+        default=5.0,
+        help="seconds an open circuit waits before a half-open trial",
+    )
+    cli.add_argument(
+        "--verify",
+        action="store_true",
+        help="check every response against a local engine (exit 1 on drift)",
+    )
+    cli.add_argument(
+        "--expect-failover",
+        action="store_true",
+        help="exit nonzero unless the router recorded a failover (CI drills)",
+    )
     cli.add_argument(
         "--expect-cache-hits",
         action="store_true",
-        help="exit nonzero unless the server reports cache hits (CI smoke)",
+        help="exit nonzero unless the shards report cache hits (CI smoke)",
     )
     cli.add_argument(
         "--shutdown",
         action="store_true",
-        help="ask the server to stop after the run",
+        help="ask every shard to stop after the run",
     )
-    _add_trace_flag(cli)
+    cli.add_argument(
+        "--trace",
+        action="store_true",
+        help="send one traced request after the run and print its span tree",
+    )
 
     cluster = sub.add_parser(
-        "cluster", help="sharded serving tier (serve/route/warm/stats)"
+        "cluster", help="sharded serving tier (serve/warm/stats)"
     )
     csub = cluster.add_subparsers(dest="cluster_command", required=True)
 
@@ -257,75 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_log_flags(cserve)
 
-    croute = csub.add_parser(
-        "route", help="drive a cluster: load generation through the router"
-    )
-    croute.add_argument("--cluster-file", required=True)
-    croute.add_argument("--requests", type=int, default=200)
-    croute.add_argument("--concurrency", type=int, default=32)
-    croute.add_argument("--length", type=int, default=128)
-    croute.add_argument(
-        "--dup-fraction",
-        type=float,
-        default=0.5,
-        help="fraction of requests repeating an earlier pair (cache food)",
-    )
-    croute.add_argument(
-        "--op",
-        choices=["score", "align", "mixed"],
-        default="score",
-        help="'mixed' alternates score and align per request",
-    )
-    _add_knob_flags(croute, serving=False, mixed=True)
-    croute.add_argument("--seed", type=int, default=2026)
-    croute.add_argument(
-        "--max-attempts",
-        type=int,
-        default=2,
-        help="distinct shards tried per request before giving up",
-    )
-    _add_deadline_flag(croute)
-    croute.add_argument(
-        "--hedge-delay-ms",
-        type=float,
-        default=None,
-        help="fire a duplicate score attempt after this many ms without "
-        "an answer (hedged requests; default off)",
-    )
-    croute.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=3,
-        help="consecutive shard failures that trip its circuit open",
-    )
-    croute.add_argument(
-        "--breaker-recovery-s",
-        type=float,
-        default=5.0,
-        help="seconds an open circuit waits before a half-open trial",
-    )
-    croute.add_argument(
-        "--verify",
-        action="store_true",
-        help="check every response against a local engine (exit 1 on drift)",
-    )
-    croute.add_argument(
-        "--expect-failover",
-        action="store_true",
-        help="exit nonzero unless the router recorded a failover (CI drills)",
-    )
-    croute.add_argument(
-        "--expect-cache-hits",
-        action="store_true",
-        help="exit nonzero unless the cluster reports aggregate cache hits",
-    )
-    croute.add_argument(
-        "--shutdown",
-        action="store_true",
-        help="ask every shard to stop after the run",
-    )
-    _add_trace_flag(croute)
-
     cwarm = csub.add_parser(
         "warm", help="replay a keyset file into the owning shards"
     )
@@ -353,13 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics",
         help="scrape Prometheus metrics from a server or a whole cluster",
     )
-    metrics.add_argument(
-        "--cluster-file",
-        default=None,
-        help="scrape every shard in this cluster file and merge (else --host/--port)",
-    )
-    metrics.add_argument("--host", default="127.0.0.1")
-    metrics.add_argument("--port", type=int, default=8765)
+    _add_target_flags(metrics, "scrape and merge")
     metrics.add_argument(
         "--summary",
         action="store_true",
@@ -371,13 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         "top",
         help="kernel-profile throughput table (Mcells/s by family/backend/mode)",
     )
-    top.add_argument(
-        "--cluster-file",
-        default=None,
-        help="aggregate over every shard in this cluster file (else --host/--port)",
-    )
-    top.add_argument("--host", default="127.0.0.1")
-    top.add_argument("--port", type=int, default=8765)
+    _add_target_flags(top, "aggregate over")
     top.add_argument(
         "--expect-samples",
         action="store_true",
@@ -388,13 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         "slo",
         help="evaluate SLO burn rates against a server or a whole cluster",
     )
-    slo.add_argument(
-        "--cluster-file",
-        default=None,
-        help="evaluate over the cluster's merged metrics (else --host/--port)",
-    )
-    slo.add_argument("--host", default="127.0.0.1")
-    slo.add_argument("--port", type=int, default=8765)
+    _add_target_flags(slo, "evaluate over")
     slo.add_argument(
         "--spec",
         action="append",
@@ -436,13 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="fetch one trace's span tree (by id, or via a histogram exemplar)",
     )
-    trc.add_argument(
-        "--cluster-file",
-        default=None,
-        help="search every shard in this cluster file (else --host/--port)",
-    )
-    trc.add_argument("--host", default="127.0.0.1")
-    trc.add_argument("--port", type=int, default=8765)
+    _add_target_flags(trc, "search")
     trc.add_argument(
         "--trace-id", default=None, help="fetch this trace id directly"
     )
@@ -500,13 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dash",
         help="live terminal dashboard: cluster health, SLO burn, top kernels",
     )
-    dash.add_argument(
-        "--cluster-file",
-        default=None,
-        help="watch every shard in this cluster file (else --host/--port)",
-    )
-    dash.add_argument("--host", default="127.0.0.1")
-    dash.add_argument("--port", type=int, default=8765)
+    _add_target_flags(dash, "watch")
     dash.add_argument(
         "--interval", type=float, default=2.0, help="poll interval in seconds"
     )
@@ -734,35 +686,52 @@ def _print_span_tree(spans: list[dict], dropped: int, trace_id: str) -> None:
         walk(parent, 0)
 
 
-def _scrape_exposition(args: argparse.Namespace) -> str | None:
-    """One exposition: a single server's, or a cluster's merged one.
+def _open_target(args: argparse.Namespace, **options):
+    """One :class:`~fragalign.cluster.ClusterClient` over the verb's
+    target: every shard in ``--cluster-file``, or the lone
+    ``--host``/``--port`` server as a one-shard cluster.  ``options``
+    go to the client.  A cluster file with no shard exits 1, like a
+    usage error."""
+    from fragalign.cluster import ClusterClient, read_cluster_file
 
-    Prints scrape errors to stderr; returns ``None`` when nothing could
-    be scraped at all.
-    """
-    if args.cluster_file:
-        from fragalign.cluster import ClusterClient
+    if args.cluster_file is None:
+        return ClusterClient([(args.host, args.port)], **options)
+    layout = read_cluster_file(args.cluster_file)
+    host = layout.get("host", "127.0.0.1")
+    addresses = [(host, s["port"]) for s in layout["shards"] if s.get("port") is not None]
+    if not addresses:
+        print("error: cluster file lists no shards", file=sys.stderr)
+        raise SystemExit(1)
+    return ClusterClient(addresses, **options)
 
-        addresses, _defaults = _cluster_layout(args.cluster_file)
-        if not addresses:
-            print("error: cluster file lists no shards", file=sys.stderr)
-            return None
-        with ClusterClient(addresses) as cluster:
-            report = cluster.metrics()
-        for shard, message in sorted(report["errors"].items()):
-            print(f"warning: {shard}: {message}", file=sys.stderr)
-        if not any(report["shards"].values()):
-            print("error: no shard answered the metrics scrape", file=sys.stderr)
-            return None
-        return report["merged"]
-    from fragalign.service import AlignmentClient
 
-    try:
-        with AlignmentClient(args.host, args.port) as client:
-            return client.metrics()
-    except OSError as exc:
-        print(f"error: {args.host}:{args.port}: {exc}", file=sys.stderr)
+def _fleet_defaults(cluster):
+    """The job defaults the shards report in their ``stats`` op, as one
+    JobSpec.  Routed jobs resolve against it, so each routing key is the
+    owning shard's cache key, and ``--verify`` recomputes what the
+    shards ran.  Exits 1 when no shard answers or the shards disagree."""
+    from fragalign.job import JobSpec
+
+    snaps = cluster.stats()["shards"]
+    found = {JobSpec(**snap["engine"]) for snap in snaps.values() if "error" not in snap}
+    if len(found) != 1:
+        for shard, snap in sorted(snaps.items()):
+            print(f"{shard}: {snap.get('error') or snap['engine']}", file=sys.stderr)
+        print("error: the shards report no single set of job defaults", file=sys.stderr)
+        raise SystemExit(1)
+    return found.pop()
+
+
+def _scrape_exposition(cluster) -> str | None:
+    """The shards' expositions merged with the router's.  Prints scrape
+    errors to stderr; returns ``None`` when no shard answered."""
+    report = cluster.metrics()
+    for shard, message in sorted(report["errors"].items()):
+        print(f"warning: {shard}: {message}", file=sys.stderr)
+    if not any(report["shards"].values()):
+        print("error: no shard answered the metrics scrape", file=sys.stderr)
         return None
+    return report["merged"]
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -772,7 +741,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         parse_exposition,
     )
 
-    text = _scrape_exposition(args)
+    with _open_target(args) as cluster:
+        text = _scrape_exposition(cluster)
     if text is None:
         return 1
     print(text, end="" if text.endswith("\n") else "\n")
@@ -807,7 +777,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_top(args: argparse.Namespace) -> int:
     from fragalign.obs.kprof import format_top, top_rows_from_exposition
 
-    text = _scrape_exposition(args)
+    with _open_target(args) as cluster:
+        text = _scrape_exposition(cluster)
     if text is None:
         return 1
     rows = top_rows_from_exposition(text)
@@ -822,57 +793,33 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     import json as json_mod
     import time
 
-    from fragalign.obs.slo import SLOEngine, format_slo_report
+    from fragalign.obs.slo import format_slo_report
 
-    # Scrape-side engine for --spec against a single server; persists
-    # across --watch rounds so burn windows accumulate history.  The
-    # cluster client persists for the same reason: its router owns the
-    # cluster-level SLOEngine, and burn rates are deltas between
-    # samples — a fresh client every round would only ever see one
-    # snapshot and report burn 0.0 forever.
-    scrape_engine = (
-        SLOEngine.from_specs(tuple(args.spec))
-        if args.spec and not args.cluster_file
-        else None
-    )
-    cluster = None
-    if args.cluster_file:
-        from fragalign.cluster import ClusterClient
-
-        addresses, _defaults = _cluster_layout(args.cluster_file)
-        if not addresses:
-            print("error: cluster file lists no shards", file=sys.stderr)
-            return 1
-        cluster = ClusterClient(addresses)
+    # One client for the whole run: its router's SLO engine keeps the
+    # history burn rates are deltas of, so a fresh client every --watch
+    # round would only ever see one snapshot and report burn 0.0.
+    # Without --spec, a lone server is asked for its own evaluation:
+    # its configured targets and burn history live in that server.
+    cluster = _open_target(args) if args.cluster_file or args.spec else None
 
     def evaluate() -> dict | None:
         """One evaluation round → {"slos": [...], ...} or None on error."""
-        if cluster is not None:
-            report = cluster.slo(args.spec)
-            for shard, message in sorted(report.get("errors", {}).items()):
-                print(f"warning: {shard}: {message}", file=sys.stderr)
-            if not report.get("shards_reporting"):
-                print("error: no shard answered the scrape", file=sys.stderr)
-                return None
-            return report
-        if scrape_engine is not None:
-            # A spec override against one server means scrape-side
-            # evaluation (the server's engine only knows its own set).
-            from fragalign.obs.metrics import parse_exposition
+        if cluster is None:
+            from fragalign.service import AlignmentClient
 
-            text = _scrape_exposition(args)
-            if text is None:
+            try:
+                with AlignmentClient(args.host, args.port) as client:
+                    return client.slo()
+            except OSError as exc:
+                print(f"error: {args.host}:{args.port}: {exc}", file=sys.stderr)
                 return None
-            scrape_engine.sample(parse_exposition(text))
-            return {"slos": scrape_engine.evaluate()}
-        from fragalign.service import AlignmentClient
-
-        try:
-            with AlignmentClient(args.host, args.port) as client:
-                return client.slo()
-        except OSError as exc:
-            print(f"error: {args.host}:{args.port}: {exc}", file=sys.stderr)
+        report = cluster.slo(args.spec)
+        for shard, message in sorted(report["errors"].items()):
+            print(f"warning: {shard}: {message}", file=sys.stderr)
+        if not report["shards_reporting"]:
+            print("error: no shard answered the scrape", file=sys.stderr)
             return None
+        return report
 
     burning: list[dict] = []
     rounds_done = 0
@@ -917,50 +864,33 @@ def _cmd_trace(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    trace_id = args.trace_id
-    if trace_id is None:
-        from fragalign.obs.metrics import exemplar_for_quantile, parse_exposition
+    from fragalign.obs.metrics import exemplar_for_quantile, parse_exposition
 
-        text = _scrape_exposition(args)
-        if text is None:
-            return 1
-        q = {"p50": 0.5, "p95": 0.95, "p99": 0.99}[args.exemplar]
-        ex = exemplar_for_quantile(parse_exposition(text), args.metric, q)
-        if ex is None:
+    trace_id = args.trace_id
+    with _open_target(args) as cluster:
+        if trace_id is None:
+            text = _scrape_exposition(cluster)
+            if text is None:
+                return 1
+            q = {"p50": 0.5, "p95": 0.95, "p99": 0.99}[args.exemplar]
+            ex = exemplar_for_quantile(parse_exposition(text), args.metric, q)
+            if ex is None:
+                print(
+                    f"error: no exemplar near {args.exemplar} of {args.metric} "
+                    "(is the server sampling? has it seen traffic?)",
+                    file=sys.stderr,
+                )
+                return 1
+            trace_id = ex["trace_id"]
             print(
-                f"error: no exemplar near {args.exemplar} of {args.metric} "
-                "(is the server sampling? has it seen traffic?)",
+                f"exemplar: {args.exemplar} bucket le={ex['le']} holds trace "
+                f"{trace_id} ({ex['value'] * 1e3:.3f} ms)",
                 file=sys.stderr,
             )
-            return 1
-        trace_id = ex["trace_id"]
-        print(
-            f"exemplar: {args.exemplar} bucket le={ex['le']} holds trace "
-            f"{trace_id} ({ex['value'] * 1e3:.3f} ms)",
-            file=sys.stderr,
-        )
-
-    if args.cluster_file:
-        from fragalign.cluster import ClusterClient
-
-        addresses, _defaults = _cluster_layout(args.cluster_file)
-        if not addresses:
-            print("error: cluster file lists no shards", file=sys.stderr)
-            return 1
-        with ClusterClient(addresses) as cluster:
-            reply = cluster.collect_trace(trace_id)
-        for shard, message in sorted(reply.get("errors", {}).items()):
-            print(f"warning: {shard}: {message}", file=sys.stderr)
-    else:
-        from fragalign.service import AlignmentClient
-
-        try:
-            with AlignmentClient(args.host, args.port) as client:
-                reply = client.trace_spans(trace_id)
-        except OSError as exc:
-            print(f"error: {args.host}:{args.port}: {exc}", file=sys.stderr)
-            return 1
-    spans = reply.get("spans", [])
+        reply = cluster.collect_trace(trace_id)
+    for shard, message in sorted(reply["errors"].items()):
+        print(f"warning: {shard}: {message}", file=sys.stderr)
+    spans = reply["spans"]
     if not spans:
         print(
             f"trace {trace_id}: no spans retained (sampled out, drained "
@@ -968,7 +898,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    _print_span_tree(spans, reply.get("dropped", 0), trace_id)
+    _print_span_tree(spans, reply["dropped"], trace_id)
     return 0
 
 
@@ -1058,151 +988,178 @@ def _cmd_dash(args: argparse.Namespace) -> int:
     from fragalign.obs.dash import CLEAR, build_state, render_frame
 
     color = not args.no_color and (sys.stdout.isatty() or args.once)
+    # One client for the whole run: its router's SLO engine needs the
+    # earlier polls' samples to see a burn.
+    cluster = _open_target(args)
+    shards = len(cluster.router.addresses)
+    label = f"cluster ({shards} shards)" if args.cluster_file else f"{args.host}:{args.port}"
 
     def frame() -> str:
-        cluster_stats = None
-        slo_reports = None
-        metrics_text = None
-        label = f"{args.host}:{args.port}"
-        if args.cluster_file:
-            from fragalign.cluster import ClusterClient
-
-            addresses, _defaults = _cluster_layout(args.cluster_file)
-            if not addresses:
-                return "no shards in cluster file\n"
-            label = f"cluster ({len(addresses)} shards)"
-            with ClusterClient(addresses) as cluster:
-                try:
-                    cluster_stats = cluster.stats()
-                except Exception:
-                    cluster_stats = None
-                try:
-                    report = cluster.metrics()
-                    metrics_text = report["merged"] if any(
-                        report["shards"].values()
-                    ) else None
-                except Exception:
-                    metrics_text = None
-                try:
-                    slo_reports = cluster.slo().get("slos")
-                except Exception:
-                    slo_reports = None
-        else:
-            from fragalign.service import AlignmentClient
-
-            try:
-                with AlignmentClient(args.host, args.port) as client:
-                    stats = client.stats()
-                    metrics_text = client.metrics()
-                    slo_reports = client.slo().get("slos")
-                # A single server rendered as a one-shard "cluster".
-                cluster_stats = {
-                    "router": {},
-                    "aggregate": {},
-                    "shards": {label: stats},
-                }
-            except OSError as exc:
-                return f"scrape failed: {exc}\n"
+        report = cluster.metrics()
         state = build_state(
-            cluster_stats=cluster_stats,
-            slo_reports=slo_reports,
-            metrics_text=metrics_text,
+            cluster_stats=cluster.stats(),
+            slo_reports=cluster.slo()["slos"],
+            metrics_text=report["merged"] if any(report["shards"].values()) else None,
             label=label,
         )
         return render_frame(state, color=color)
 
-    if args.once:
-        sys.stdout.write(frame())
-        return 0
-    try:
-        while True:
-            text = frame()
-            sys.stdout.write(CLEAR + text)
-            sys.stdout.flush()
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        sys.stdout.write("\n")
+    with cluster:
+        if args.once:
+            sys.stdout.write(frame())
+            return 0
+        try:
+            while True:
+                text = frame()
+                sys.stdout.write(CLEAR + text)
+                sys.stdout.flush()
+                time.sleep(args.interval)
+        except KeyboardInterrupt:
+            sys.stdout.write("\n")
     return 0
 
 
 def _cmd_client(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     import numpy as np
 
+    from fragalign.engine import AlignmentEngine
     from fragalign.genome.dna import random_dna
-    from fragalign.service import AlignmentClient
+    from fragalign.util.errors import FragalignError, InvalidArgument
     from fragalign.util.timing import time_call
 
+    mixed = args.mode == "mixed"
+    base = _job_spec(
+        dict(vars(args), mode=None if mixed else args.mode),
+        "align" if args.op == "mixed" else args.op,
+    )
+    if base is None:
+        return 2
     gen = np.random.default_rng(args.seed)
     n_unique = max(1, round(args.requests * (1.0 - args.dup_fraction)))
     unique = [
         (random_dna(args.length, gen), random_dna(args.length, gen))
         for _ in range(n_unique)
     ]
-    # Repeats are drawn from the unique pool: the server should answer
-    # them from its result cache (or coalesce concurrent duplicates).
     pairs = [unique[int(k)] for k in gen.integers(0, n_unique, args.requests)]
     for k, pair in enumerate(unique[: args.requests]):
-        pairs[k] = pair  # every unique pair appears at least once
-
-    spec = _job_spec(vars(args), args.op)
-    if spec is None:
-        return 2
-    knobs = spec.wire()
-    with AlignmentClient(args.host, args.port, reconnect=args.reconnect) as client:
-        many = client.score_many if args.op == "score" else client.align_many
-        run = lambda: many(
-            pairs, args.concurrency, deadline_ms=args.deadline_ms, **knobs
-        )
-        t, results = time_call(run, repeat=1)
-        stats = client.stats()
+        pairs[k] = pair
+    failures = []
+    with _open_target(
+        args,
+        max_attempts=args.max_attempts,
+        breaker_threshold=args.breaker_threshold,
+        breaker_recovery=args.breaker_recovery_s,
+        hedge_delay=None if args.hedge_delay_ms is None else args.hedge_delay_ms / 1e3,
+    ) as cluster:
+        # Every job is resolved against the shards' defaults here, at
+        # the edge: its routing key is then exactly the owning shard's
+        # cache key.
+        defaults = _fleet_defaults(cluster)
+        mode_cycle = ("global", "local", "overlap")
+        ops = ("score", "align") if args.op == "mixed" else (args.op,)
+        jobs = []
+        try:
+            for k, (a, b) in enumerate(pairs):
+                op = ops[k % len(ops)]
+                spec = replace(base, mode=mode_cycle[k % 3]) if mixed else base
+                jobs.append((op, a, b, spec.resolve(defaults, op)))
+        except InvalidArgument as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        entries = [
+            {"op": op, "a": a, "b": b, **spec.wire(), "deadline_ms": args.deadline_ms}
+            for op, a, b, spec in jobs
+        ]
+        try:
+            # The whole mixed workload fires concurrently through the
+            # router (each request routes to its own shard/op/mode).
+            t, results = time_call(
+                cluster.request_many, entries, concurrency=args.concurrency, repeat=1
+            )
+        except FragalignError as exc:
+            # ClusterError, DeadlineExceeded, CircuitOpen, Overloaded —
+            # every typed routing failure lands here.
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
+        report = cluster.stats()
+        if args.verify:
+            # Unique jobs are grouped per (op, spec) and recomputed
+            # through the engine's *batch* kernels — per-pair scalar
+            # calls would dominate wall clock at cluster-scale request
+            # counts.  The specs are resolved, so the engine's own
+            # defaults never apply.
+            groups: dict = {}
+            for op, a, b, spec in dict.fromkeys(jobs):
+                groups.setdefault((op, spec), []).append((a, b))
+            expected: dict = {}
+            with AlignmentEngine(backend=defaults.backend) as eng:
+                for (op, spec), group in groups.items():
+                    values = eng.run(op, group, spec)
+                    expected.update(
+                        ((op, a, b, spec), v) for (a, b), v in zip(group, values)
+                    )
+            for k, (result, job) in enumerate(zip(results, jobs)):
+                want = float(expected[job]) if job[0] == "score" else expected[job]
+                if result != want:
+                    failures.append(
+                        f"request {k} ({job[0]}/{job[3].mode}): "
+                        f"cluster={result!r} engine={want!r}"
+                    )
         traced = None
         if args.trace:
             from fragalign.obs import new_trace_context
 
             root = new_trace_context()
-            one = client.score if args.op == "score" else client.align
-            one(*pairs[0], trace=root, **knobs)
-            traced = (root.trace_id, client.trace_spans(root.trace_id))
+            op, a, b, spec = jobs[0]
+            call = cluster.score if op == "score" else cluster.align
+            call(a, b, trace=root, **spec.wire())
+            traced = (root.trace_id, cluster.collect_trace(root.trace_id))
         if args.shutdown:
-            client.shutdown()
+            acked = cluster.shutdown_shards()
+            print(
+                "shutdown acknowledged by "
+                f"{sum(acked.values())}/{len(acked)} shards",
+                flush=True,
+            )
+    router = report["router"]
+    agg = report["aggregate"]
     rps = args.requests / max(t, 1e-9)
-    mean = float(
-        np.mean([r if args.op == "score" else r.score for r in results])
+    print(
+        f"{args.requests} requests (op={args.op}, mode={args.mode or defaults.mode}) "
+        f"over {len(router['configured_shards'])} shard(s) at concurrency "
+        f"{args.concurrency}: {t:.3f}s ({rps:.0f} req/s)"
     )
     print(
-        f"{args.requests} {args.op} requests x{args.length} "
-        f"at concurrency {args.concurrency}: {t:.3f}s ({rps:.0f} req/s), "
-        f"mean score {mean:.2f}"
+        f"router: routed={router['routed_total']} "
+        f"failovers={router['failovers']} retries={router['retries']} "
+        f"evictions={router['evictions']} live={len(router['live_shards'])}"
+        f"/{len(router['configured_shards'])}"
     )
-    cache = stats["cache"]
-    batches = stats["batches"]
-    latency = stats["latency_ms"]
-    print(
-        f"server: {batches['dispatched']} batches (mean {batches['mean_size']}, "
-        f"coalesced {batches['coalesced']}), cache hit rate {cache['hit_rate']:.2f}, "
-        f"latency p50/p95 {latency['p50']:.2f}/{latency['p95']:.2f} ms"
-    )
+    if agg.get("shards_reporting"):
+        cache = agg["cache"]
+        print(
+            f"aggregate: requests={agg['requests_total']} "
+            f"cache hit rate {cache['hit_rate']:.2f} "
+            f"({cache['hits']} hits / {cache['misses']} misses), "
+            f"worst p95 {agg['latency_ms']['worst_p95']:.2f} ms"
+        )
     if traced is not None:
         trace_id, reply = traced
         _print_span_tree(reply["spans"], reply["dropped"], trace_id)
-    if args.expect_cache_hits and cache["hits"] <= 0:
-        print("error: expected cache hits, server reports none", file=sys.stderr)
+    for line in failures[:5]:
+        print(f"verify drift: {line}", file=sys.stderr)
+    if failures:
+        print(f"error: {len(failures)} responses drifted", file=sys.stderr)
+        return 1
+    if args.expect_failover and router["failovers"] <= 0:
+        print("error: expected a failover, router recorded none", file=sys.stderr)
+        return 1
+    if args.expect_cache_hits and agg.get("cache", {}).get("hits", 0) <= 0:
+        print("error: expected cache hits, the shards report none", file=sys.stderr)
         return 1
     return 0
-
-
-def _cluster_layout(cluster_file: str):
-    """Addresses plus the fleet's configured defaults as a JobSpec
-    (routed requests resolve against it, so their routing keys equal
-    the shards' cache keys; ``--verify`` engines use its backend)."""
-    from fragalign.cluster import read_cluster_file
-    from fragalign.job import DEFAULTS, KNOBS, JobSpec
-
-    obj = read_cluster_file(cluster_file)
-    host = obj.get("host", "127.0.0.1")
-    addresses = [(host, s["port"]) for s in obj["shards"] if s.get("port") is not None]
-    defaults = JobSpec(**{name: obj.get(name, getattr(DEFAULTS, name)) for name in KNOBS})
-    return addresses, defaults
 
 
 def _cmd_cluster_serve(args: argparse.Namespace) -> int:
@@ -1271,165 +1228,11 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cluster_route(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    import numpy as np
-
-    from fragalign.cluster import ClusterClient
-    from fragalign.engine import AlignmentEngine
-    from fragalign.genome.dna import random_dna
-    from fragalign.util.errors import FragalignError, InvalidArgument
-    from fragalign.util.timing import time_call
-
-    addresses, defaults = _cluster_layout(args.cluster_file)
-    if not addresses:
-        print("error: cluster file lists no shards", file=sys.stderr)
-        return 1
-    mixed = args.mode == "mixed"
-    base = _job_spec(dict(vars(args), mode=None if mixed else args.mode))
-    if base is None:
-        return 2
-    gen = np.random.default_rng(args.seed)
-    n_unique = max(1, round(args.requests * (1.0 - args.dup_fraction)))
-    unique = [
-        (random_dna(args.length, gen), random_dna(args.length, gen))
-        for _ in range(n_unique)
-    ]
-    pairs = [unique[int(k)] for k in gen.integers(0, n_unique, args.requests)]
-    for k, pair in enumerate(unique[: args.requests]):
-        pairs[k] = pair
-    # Every job is resolved against the fleet's defaults here, at the
-    # edge: its routing key is then exactly the owning shard's cache key.
-    mode_cycle = ("global", "local", "overlap")
-    ops = ("score", "align") if args.op == "mixed" else (args.op,)
-    jobs = []
-    try:
-        for k, (a, b) in enumerate(pairs):
-            op = ops[k % len(ops)]
-            spec = replace(base, mode=mode_cycle[k % 3]) if mixed else base
-            jobs.append((op, a, b, spec.resolve(defaults, op)))
-    except InvalidArgument as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    entries = [
-        {"op": op, "a": a, "b": b, **spec.wire(), "deadline_ms": args.deadline_ms}
-        for op, a, b, spec in jobs
-    ]
-
-    def run(cluster):
-        # The whole mixed workload fires concurrently through the
-        # router (each request routes to its own shard/op/mode).
-        return cluster.request_many(entries, concurrency=args.concurrency)
-
-    failures = []
-    with ClusterClient(
-        addresses,
-        max_attempts=args.max_attempts,
-        breaker_threshold=args.breaker_threshold,
-        breaker_recovery=args.breaker_recovery_s,
-        hedge_delay=None if args.hedge_delay_ms is None else args.hedge_delay_ms / 1e3,
-    ) as cluster:
-        try:
-            t, results = time_call(run, cluster, repeat=1)
-        except FragalignError as exc:
-            # ClusterError, DeadlineExceeded, CircuitOpen, Overloaded —
-            # every typed routing failure lands here.
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 1
-        report = cluster.stats()
-        if args.verify:
-            # Unique jobs are grouped per (op, spec) and recomputed
-            # through the engine's *batch* kernels — per-pair scalar
-            # calls would dominate wall clock at cluster-scale request
-            # counts.  The specs are resolved, so the engine's own
-            # defaults never apply.
-            groups: dict = {}
-            for op, a, b, spec in dict.fromkeys(jobs):
-                groups.setdefault((op, spec), []).append((a, b))
-            expected: dict = {}
-            with AlignmentEngine(backend=defaults.backend) as eng:
-                for (op, spec), group in groups.items():
-                    values = eng.run(op, group, spec)
-                    expected.update(
-                        ((op, a, b, spec), v) for (a, b), v in zip(group, values)
-                    )
-            for k, (result, job) in enumerate(zip(results, jobs)):
-                want = float(expected[job]) if job[0] == "score" else expected[job]
-                if result != want:
-                    failures.append(
-                        f"request {k} ({job[0]}/{job[3].mode}): "
-                        f"cluster={result!r} engine={want!r}"
-                    )
-        traced = None
-        if args.trace:
-            from fragalign.obs import new_trace_context
-
-            root = new_trace_context()
-            op, a, b, spec = jobs[0]
-            call = cluster.score if op == "score" else cluster.align
-            call(a, b, trace=root, **spec.wire())
-            traced = (root.trace_id, cluster.collect_trace(root.trace_id))
-        if args.shutdown:
-            acked = cluster.shutdown_shards()
-            print(
-                "shutdown acknowledged by "
-                f"{sum(acked.values())}/{len(acked)} shards",
-                flush=True,
-            )
-    router = report["router"]
-    agg = report["aggregate"]
-    rps = args.requests / max(t, 1e-9)
-    print(
-        f"{args.requests} requests (op={args.op}, mode={args.mode or 'default'}) "
-        f"over {len(addresses)} shards at concurrency {args.concurrency}: "
-        f"{t:.3f}s ({rps:.0f} req/s)"
-    )
-    print(
-        f"router: routed={router['routed_total']} "
-        f"failovers={router['failovers']} retries={router['retries']} "
-        f"evictions={router['evictions']} live={len(router['live_shards'])}"
-        f"/{len(router['configured_shards'])}"
-    )
-    if agg.get("shards_reporting"):
-        cache = agg["cache"]
-        print(
-            f"aggregate: requests={agg['requests_total']} "
-            f"cache hit rate {cache['hit_rate']:.2f} "
-            f"({cache['hits']} hits / {cache['misses']} misses), "
-            f"worst p95 {agg['latency_ms']['worst_p95']:.2f} ms"
-        )
-    if traced is not None:
-        trace_id, reply = traced
-        _print_span_tree(reply["spans"], reply["dropped"], trace_id)
-    for line in failures[:5]:
-        print(f"verify drift: {line}", file=sys.stderr)
-    if failures:
-        print(f"error: {len(failures)} responses drifted", file=sys.stderr)
-        return 1
-    if args.expect_failover and router["failovers"] <= 0:
-        print("error: expected a failover, router recorded none", file=sys.stderr)
-        return 1
-    if args.expect_cache_hits and agg.get("cache", {}).get("hits", 0) <= 0:
-        print("error: expected cache hits, cluster reports none", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_cluster_warm(args: argparse.Namespace) -> int:
-    from fragalign.cluster import (
-        ClusterClient,
-        dump_keyset,
-        generate_keyset,
-        load_keyset,
-    )
+    from fragalign.cluster import dump_keyset, generate_keyset, load_keyset
     from fragalign.job import JobSpec
     from fragalign.util.errors import InvalidArgument
 
-    addresses, defaults = _cluster_layout(args.cluster_file)
-    if not addresses:
-        print("error: cluster file lists no shards", file=sys.stderr)
-        return 1
     if args.generate is not None:
         spec = _job_spec(vars(args), args.op)
         if spec is None:
@@ -1440,18 +1243,19 @@ def _cmd_cluster_warm(args: argparse.Namespace) -> int:
         dump_keyset(args.keyset, entries)
         print(f"wrote {len(entries)} entries to {args.keyset}", flush=True)
     entries = load_keyset(args.keyset)
-    # Resolved against the fleet's defaults, like `cluster route` jobs,
-    # so each entry warms the shard live traffic for it routes to.  An
-    # entry no default can serve is sent as-is: its shard refuses it
-    # and the report counts the error.
-    for k, entry in enumerate(entries):
-        op = entry["op"]
-        try:
-            spec = JobSpec.from_fields(entry, op).resolve(defaults, op)
-        except InvalidArgument:
-            continue
-        entries[k] = {"op": op, "a": entry["a"], "b": entry["b"], **spec.wire()}
-    with ClusterClient(addresses) as cluster:
+    with _open_target(args) as cluster:
+        # Resolved against the shards' defaults, like `client` jobs, so
+        # each entry warms the shard live traffic for it routes to.  An
+        # entry no default can serve is sent as-is: its shard refuses
+        # it and the report counts the error.
+        defaults = _fleet_defaults(cluster)
+        for k, entry in enumerate(entries):
+            op = entry["op"]
+            try:
+                spec = JobSpec.from_fields(entry, op).resolve(defaults, op)
+            except InvalidArgument:
+                continue
+            entries[k] = {"op": op, "a": entry["a"], "b": entry["b"], **spec.wire()}
         report = cluster.warm(entries, concurrency=args.concurrency)
     per_shard = ", ".join(
         f"{shard}={count}" for shard, count in sorted(report["per_shard"].items())
@@ -1466,13 +1270,7 @@ def _cmd_cluster_warm(args: argparse.Namespace) -> int:
 def _cmd_cluster_stats(args: argparse.Namespace) -> int:
     import json
 
-    from fragalign.cluster import ClusterClient
-
-    addresses, _defaults = _cluster_layout(args.cluster_file)
-    if not addresses:
-        print("error: cluster file lists no shards", file=sys.stderr)
-        return 1
-    with ClusterClient(addresses) as cluster:
+    with _open_target(args) as cluster:
         report = cluster.stats()
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
@@ -1481,7 +1279,6 @@ def _cmd_cluster_stats(args: argparse.Namespace) -> int:
 def _cmd_cluster(args: argparse.Namespace) -> int:
     handlers = {
         "serve": _cmd_cluster_serve,
-        "route": _cmd_cluster_route,
         "warm": _cmd_cluster_warm,
         "stats": _cmd_cluster_stats,
     }

@@ -19,8 +19,8 @@ traffic over N :mod:`fragalign.service` instances:
 Quickstart::
 
     $ fragalign cluster serve --shards 4 --cluster-file /tmp/cluster.json
-    $ fragalign cluster route --cluster-file /tmp/cluster.json \\
-          --requests 500 --concurrency 64
+    $ fragalign client --cluster-file /tmp/cluster.json \\
+          --requests 500 --concurrency 64 --verify
     $ fragalign cluster stats --cluster-file /tmp/cluster.json
 
 or in-process::

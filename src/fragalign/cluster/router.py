@@ -51,6 +51,11 @@ The blocking :class:`ClusterClient` wrapper runs the router (plus an
 optional health monitor) on a private event-loop thread
 (:class:`~fragalign.service.client.LoopThread`), like
 :class:`~fragalign.service.client.AlignmentClient`.
+
+The operator-side calls (stats, metrics scrapes, trace collection,
+shutdown) each run one op on every configured shard over a fresh,
+bounded connection (:meth:`ShardRouter.probe_shard`), reporting an
+unreachable shard instead of failing.
 """
 
 from __future__ import annotations
@@ -99,6 +104,14 @@ class ClusterError(FragalignError):
 
 class ShardRouter:
     """Health-aware consistent-hash router over N service shards.
+
+    One shard is a valid cluster: the CLI drives a lone server through
+    a one-shard router, so every verb has one code path.  A router has
+    no fleet defaults of its own — a request's unset knobs route as the
+    registry defaults (:data:`~fragalign.job.DEFAULTS`), so callers
+    that want each routing key to equal the owning shard's cache key
+    resolve their jobs first, e.g. against the ``engine`` block of a
+    shard's ``stats`` answer (``fragalign client`` does).
 
     Parameters
     ----------
@@ -294,22 +307,40 @@ class ShardRouter:
             self._clients[shard] = client
             return client
 
-    async def probe_shard(self, shard: str) -> dict:
-        """Health probe: fresh connection, ``stats`` op, close.  Raises
-        on any failure; returns the shard's stats snapshot.  The whole
-        round trip is bounded by ``connect_timeout`` — a wedged shard
-        whose listen socket still accepts must fail the probe, not
-        hang ``cluster_stats()``."""
+    async def probe_shard(self, shard: str, op: str = "stats", *args) -> Any:
+        """One ``op`` (an :class:`AsyncAlignmentClient` method: the
+        health probe's ``stats``, or ``metrics``, ``trace_spans``,
+        ``shutdown``) on one shard over a fresh connection, closed
+        after.  Raises on any failure.  The whole round trip is bounded
+        by ``connect_timeout`` — a wedged shard whose listen socket
+        still accepts must fail, not hang the caller."""
         host, port = self.addresses[shard]
 
-        async def probe() -> dict:
+        async def call() -> Any:
             client = await AsyncAlignmentClient.connect(host, port)
             try:
-                return await client.stats()
+                return await getattr(client, op)(*args)
             finally:
                 await client.close()
 
-        return await asyncio.wait_for(probe(), timeout=self.connect_timeout)
+        return await asyncio.wait_for(call(), timeout=self.connect_timeout)
+
+    async def _each_shard(self, op: str, *args) -> tuple[dict, dict]:
+        """:meth:`probe_shard` on every configured shard (evicted ones
+        included) at once: ``({shard: value}, {shard: error})``.  An
+        unreachable shard is reported, not raised, so a degraded
+        cluster still answers."""
+        values: dict[str, Any] = {}
+        errors: dict[str, str] = {}
+
+        async def one(shard: str) -> None:
+            try:
+                values[shard] = await self.probe_shard(shard, op, *args)
+            except Exception as exc:
+                errors[shard] = f"{type(exc).__name__}: {exc}"
+
+        await asyncio.gather(*(one(s) for s in self.configured_shards))
+        return values, errors
 
     # -- request path -------------------------------------------------
 
@@ -725,16 +756,9 @@ class ShardRouter:
         over a fresh connection), router counters, and cross-shard
         aggregates (summed counters, pooled cache hit rate, worst-case
         latency quantiles)."""
-        shards: dict[str, dict] = {}
-
-        async def grab(shard: str) -> None:
-            try:
-                shards[shard] = await self.probe_shard(shard)
-            except Exception as exc:
-                shards[shard] = {"error": f"{type(exc).__name__}: {exc}"}
-
-        await asyncio.gather(*(grab(s) for s in self.configured_shards))
-        live = [s for s in shards.values() if "error" not in s]
+        live_snaps, errors = await self._each_shard("stats")
+        shards = {**live_snaps, **{s: {"error": e} for s, e in errors.items()}}
+        live = list(live_snaps.values())
         agg: dict[str, Any] = {"shards_reporting": len(live)}
         if live:
             requests = sum(s["requests"]["total"] for s in live)
@@ -844,20 +868,6 @@ class ShardRouter:
         ).set(len(self.ring.nodes))
         return registry.render()
 
-    async def scrape_shard_metrics(self, shard: str) -> str:
-        """Scrape one shard's ``metrics`` op over a fresh, bounded
-        connection (mirrors :meth:`probe_shard`)."""
-        host, port = self.addresses[shard]
-
-        async def scrape() -> str:
-            client = await AsyncAlignmentClient.connect(host, port)
-            try:
-                return await client.metrics()
-            finally:
-                await client.close()
-
-        return await asyncio.wait_for(scrape(), timeout=self.connect_timeout)
-
     async def cluster_metrics(self) -> dict:
         """Scrape every configured shard's exposition and merge them
         (plus the router's own counters) into one cluster-wide text.
@@ -865,21 +875,10 @@ class ShardRouter:
         Returns ``{"merged": text, "shards": {shard: text | None},
         "errors": {shard: message}}`` — unreachable shards are reported,
         not fatal, so a degraded cluster still exposes metrics."""
-        shards: dict[str, str | None] = {}
-        errors: dict[str, str] = {}
-
-        async def grab(shard: str) -> None:
-            try:
-                shards[shard] = await self.scrape_shard_metrics(shard)
-            except Exception as exc:
-                shards[shard] = None
-                errors[shard] = f"{type(exc).__name__}: {exc}"
-
-        await asyncio.gather(*(grab(s) for s in self.configured_shards))
-        texts = [t for t in shards.values() if t] + [self.render_router_metrics()]
+        texts, errors = await self._each_shard("metrics")
         return {
-            "merged": merge_expositions(texts),
-            "shards": shards,
+            "merged": merge_expositions([*texts.values(), self.render_router_metrics()]),
+            "shards": {shard: texts.get(shard) for shard in self.configured_shards},
             "errors": errors,
         }
 
@@ -915,28 +914,10 @@ class ShardRouter:
         a trace should degrade, not fail, when a shard is down."""
         spans = [s.to_dict() for s in self.tracer.buffer.drain(trace_id)]
         dropped = self.tracer.buffer.dropped
-        errors: dict[str, str] = {}
-
-        async def grab(shard: str) -> None:
-            nonlocal dropped
-            host, port = self.addresses[shard]
-
-            async def ask() -> dict:
-                client = await AsyncAlignmentClient.connect(host, port)
-                try:
-                    return await client.trace_spans(trace_id)
-                finally:
-                    await client.close()
-
-            try:
-                reply = await asyncio.wait_for(ask(), timeout=self.connect_timeout)
-            except Exception as exc:
-                errors[shard] = f"{type(exc).__name__}: {exc}"
-                return
+        replies, errors = await self._each_shard("trace_spans", trace_id)
+        for reply in replies.values():
             spans.extend(reply.get("spans", ()))
             dropped += reply.get("dropped", 0)
-
-        await asyncio.gather(*(grab(s) for s in self.configured_shards))
         spans.sort(key=lambda s: (s.get("start_s", 0.0), s.get("span_id", "")))
         return {"trace_id": trace_id, "spans": spans, "dropped": dropped,
                 "errors": errors}
@@ -948,26 +929,8 @@ class ShardRouter:
         concurrently and each bounded by ``connect_timeout`` so one
         black-holed host can't stall the teardown; return
         {shard: acknowledged}."""
-
-        async def one(shard: str) -> bool:
-            host, port = self.addresses[shard]
-
-            async def ask() -> None:
-                client = await AsyncAlignmentClient.connect(host, port)
-                try:
-                    await client.shutdown()
-                finally:
-                    await client.close()
-
-            try:
-                await asyncio.wait_for(ask(), timeout=self.connect_timeout)
-                return True
-            except Exception:
-                return False
-
-        shards = self.configured_shards
-        outcomes = await asyncio.gather(*(one(s) for s in shards))
-        return dict(zip(shards, outcomes))
+        acked, _errors = await self._each_shard("shutdown")
+        return {shard: shard in acked for shard in self.configured_shards}
 
     async def close(self) -> None:
         clients = list(self._clients.values()) + self._orphans
@@ -1006,6 +969,11 @@ class ClusterClient:
         with ClusterClient([("127.0.0.1", p) for p in ports]) as cluster:
             scores = cluster.score_many(pairs, concurrency=64)
             report = cluster.stats()
+
+    It is also how every CLI verb talks to servers, a lone ``--port``
+    server being a one-shard cluster.  Keep one client for as long as
+    its readings must add up: :meth:`slo` burn rates are deltas
+    between the samples its router has taken.
     """
 
     def __init__(

@@ -270,10 +270,10 @@ class ClusterSupervisor:
 
     def write_cluster_file(self, path: str | Path) -> None:
         """Publish the fleet layout for routers/CLIs in other
-        processes (atomically, like the port files)."""
+        processes (atomically, like the port files).  It carries no
+        job defaults: each shard reports its own in the ``stats`` op."""
         obj = {
             "host": self.host,
-            **{name: getattr(self.config, name) for name in KNOBS},
             "shards": [
                 {"index": s.index, "port": s.port, "pid": s.pid} for s in self.procs
             ],

@@ -37,29 +37,23 @@ def build_state(
     """Distill one poll's raw blobs into the frame-ready state dict.
 
     ``cluster_stats`` is the router's aggregate (``{"router", "shards",
-    "aggregate"}``) or a single server's ``stats`` snapshot wrapped as
-    one pseudo-shard; ``metrics_text`` is the (merged) exposition.
-    Every argument is optional — the frame renders whatever arrived
-    and marks the rest absent, so one dead endpoint never blanks the
-    whole dashboard.
+    "aggregate"}``; a lone server is a one-shard cluster);
+    ``metrics_text`` is the merged exposition.  Every argument is
+    optional — the frame renders whatever arrived and marks the rest
+    absent, so one dead endpoint never blanks the whole dashboard.
     """
     state: dict = {"label": label, "shards": [], "slo": slo_reports, "top": None}
     if cluster_stats is not None:
-        router = cluster_stats.get("router") or {}
-        breakers = router.get("breakers", {})
-        if router:  # absent for a single server's pseudo-cluster
-            live = router.get("live_shards")
-            configured = router.get("configured_shards")
-            state["router"] = {
-                "live": len(live) if isinstance(live, (list, tuple)) else live,
-                "configured": len(configured)
-                if isinstance(configured, (list, tuple))
-                else configured,
-                "failovers": router.get("failovers", 0),
-                "retries": router.get("retries", 0),
-                "hedges": router.get("hedges", 0),
-                "breaker_fast_fails": router.get("breaker_fast_fails", 0),
-            }
+        router = cluster_stats["router"]
+        breakers = router["breakers"]
+        state["router"] = {
+            "live": len(router["live_shards"]),
+            "configured": len(router["configured_shards"]),
+            "failovers": router["failovers"],
+            "retries": router["retries"],
+            "hedges": router["hedges"],
+            "breaker_fast_fails": router["breaker_fast_fails"],
+        }
         for shard, snap in sorted(cluster_stats.get("shards", {}).items()):
             row = {"shard": shard, "breaker": breakers.get(shard, "closed")}
             if "error" in snap:

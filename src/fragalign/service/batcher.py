@@ -174,7 +174,9 @@ class MicroBatcher:
                 job.deadline = None if deadline is None else max(job.deadline, deadline)
         if trace is not None and self._tracer is not None:
             job.watchers.append((trace, sink, time.perf_counter()))
-        return await job.future
+        # Shielded: a waiter that is cancelled gives up only its own
+        # wait, never the job its twins share.
+        return await asyncio.shield(job.future)
 
     def _start(self) -> None:
         # A task's first step runs at the end of this loop tick, so the

@@ -480,10 +480,9 @@ class AlignmentService:
                 request.id,
                 self.stats.snapshot(
                     cache_stats=self.cache.stats(),
-                    engine={
-                        "backend": self.engine.backend_name,
-                        "mode": self.engine.mode,
-                    },
+                    # Every knob default, so a router resolves jobs
+                    # the way this server would.
+                    engine=self.engine.defaults.wire(),
                     admission=self.admission.snapshot(),
                 ),
             )

@@ -151,8 +151,9 @@ def test_serve_and_client_round_trip(tmp_path, capsys):
 
 
 def test_cluster_serve_route_warm_stats_round_trip(tmp_path, capsys):
-    """`fragalign cluster`: boot 2 shards, warm, route+verify, stats,
-    shutdown — the whole tier through the CLI entry points."""
+    """`fragalign cluster`: boot 2 shards, warm, route+verify through
+    `client --cluster-file`, stats, shutdown — the whole tier through
+    the CLI entry points."""
     import threading
 
     cluster_file = tmp_path / "cluster.json"
@@ -188,8 +189,7 @@ def test_cluster_serve_route_warm_stats_round_trip(tmp_path, capsys):
     ) == 0
     assert main(
         [
-            "cluster",
-            "route",
+            "client",
             *common,
             "--requests",
             "40",
@@ -206,8 +206,7 @@ def test_cluster_serve_route_warm_stats_round_trip(tmp_path, capsys):
     assert main(["cluster", "stats", *common]) == 0
     assert main(
         [
-            "cluster",
-            "route",
+            "client",
             *common,
             "--requests",
             "4",
@@ -225,6 +224,65 @@ def test_cluster_serve_route_warm_stats_round_trip(tmp_path, capsys):
     assert "router: routed=40" in out
     assert '"aggregate"' in out  # the stats JSON
     assert "all shards exited" in out
+
+
+def test_client_verifies_a_lone_server_against_its_own_defaults(tmp_path, capsys):
+    """`client --port` drives one server as a one-shard cluster: jobs
+    resolve against the defaults the server reports in `stats`, so a
+    server configured off the registry defaults verifies with no drift
+    and runs every job in its own default mode."""
+    import threading
+
+    from fragalign.service import AlignmentClient
+
+    port_file = tmp_path / "port"
+    exit_codes = {}
+
+    def serve():
+        exit_codes["serve"] = main(
+            ["serve", "--port", "0", "--port-file", str(port_file),
+             "--mode", "local", "--gap-open", "-3", "--gap-extend", "-1"]
+        )
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    for _ in range(100):
+        if port_file.exists() and port_file.read_text().strip():
+            break
+        thread.join(timeout=0.05)
+    port = port_file.read_text().strip()
+    assert main(
+        ["client", "--port", port, "--requests", "24", "--concurrency", "8",
+         "--length", "32", "--op", "mixed", "--verify"]
+    ) == 0
+    with AlignmentClient("127.0.0.1", int(port)) as client:
+        by_mode = client.stats()["requests"]["by_mode"]
+        client.shutdown()
+    thread.join(timeout=10)
+    assert not thread.is_alive() and exit_codes["serve"] == 0
+    assert by_mode == {"local": 24}
+    out, err = capsys.readouterr()
+    assert "mode=local" in out and "over 1 shard(s)" in out
+    assert "drift" not in err
+
+
+def test_fleet_defaults_come_from_the_shards_that_answer(capsys):
+    from fragalign.cli import _fleet_defaults
+
+    class Fleet:  # the `stats` answer of a ClusterClient
+        def __init__(self, *engines):
+            self.shards = {f"s{k}": {"engine": e} for k, e in enumerate(engines)}
+            self.shards["down"] = {"error": "ConnectionRefusedError"}
+
+        def stats(self):
+            return {"shards": self.shards}
+
+    local = {"mode": "local", "memory": "auto", "backend": "numpy"}
+    assert _fleet_defaults(Fleet(local, dict(local))).mode == "local"
+    for fleet in (Fleet(local, dict(local, mode="global")), Fleet()):
+        with pytest.raises(SystemExit):
+            _fleet_defaults(fleet)  # disagreeing shards, or none answering
+        assert "no single set of job defaults" in capsys.readouterr().err
 
 
 def test_parser_requires_command():

@@ -525,7 +525,9 @@ class TestProcessCluster:
         assert sup.alive_count == 0
 
     def test_supervisor_forwards_every_serve_option(self, tmp_path):
-        from fragalign.cli import _cluster_layout
+        from argparse import Namespace
+
+        from fragalign.cli import _fleet_defaults, _open_target
 
         with pytest.raises(TypeError):
             ClusterSupervisor(shards=1, cache_sise=64)  # not a ServiceConfig field
@@ -534,14 +536,15 @@ class TestProcessCluster:
             shards=1, base_dir=str(tmp_path), memory="linear",
             journal=True, journal_sequences=True,
         ) as sup:
-            # The cluster file carries the fleet's memory default, so a
-            # router resolving jobs against it keeps the shards' choice.
+            # The cluster file is the layout alone; the shard reports
+            # the fleet's memory default in `stats`, so a router
+            # resolving jobs against it keeps the shards' choice.
             cluster_file = tmp_path / "cluster.json"
             sup.write_cluster_file(cluster_file)
-            addresses, defaults = _cluster_layout(str(cluster_file))
-            assert addresses == sup.addresses
-            assert defaults.memory == "linear"
-            with ClusterClient(sup.addresses) as cluster:
+            assert set(json.loads(cluster_file.read_text())) == {"host", "shards"}
+            with _open_target(Namespace(cluster_file=str(cluster_file))) as cluster:
+                assert list(cluster.router.addresses.values()) == sup.addresses
+                assert _fleet_defaults(cluster).memory == "linear"
                 expected = AlignmentEngine().align(a, b)
                 assert cluster.align(a, b) == expected
         (record,) = [

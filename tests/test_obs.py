@@ -615,7 +615,7 @@ class TestClusterObservability:
                 await router.score_many(pairs, concurrency=8)
                 per_shard = []
                 for shard in router.configured_shards:
-                    per_shard.append(await router.scrape_shard_metrics(shard))
+                    per_shard.append(await router.probe_shard(shard, "metrics"))
                 return await router.cluster_metrics(), per_shard
             finally:
                 await router.close()
@@ -693,10 +693,8 @@ class TestCliSurface:
             ["cluster", "serve", "--log-level", "warning", "--log-json"]
         )
         assert args.log_level == "warning"
-        args = parser.parse_args(
-            ["cluster", "route", "--cluster-file", "x.json", "--trace"]
-        )
-        assert args.trace is True
+        args = parser.parse_args(["client", "--cluster-file", "x.json", "--trace"])
+        assert args.trace is True and args.cluster_file == "x.json"
         args = parser.parse_args(["metrics", "--cluster-file", "x.json", "--summary"])
         assert args.summary is True
         args = parser.parse_args(["top", "--port", "9999", "--expect-samples"])
@@ -738,6 +736,82 @@ class TestCliSurface:
         out, _ = capsys.readouterr()
         assert rc == 0
         assert "trace " in out and "server.request" in out
+
+    def test_trace_command_prints_a_lone_servers_span_tree(self, one_server, capsys):
+        from fragalign.cli import main
+
+        root = new_trace_context()
+        with AlignmentClient("127.0.0.1", one_server["port"]) as client:
+            client.score("ACGTACGT", "ACGTAGGT", trace=root)
+        rc = main(
+            ["trace", "--port", str(one_server["port"]), "--trace-id", root.trace_id]
+        )
+        out, _ = capsys.readouterr()
+        assert rc == 0
+        assert f"trace {root.trace_id}:" in out and "server.request" in out
+
+    def test_dash_once_renders_a_lone_server_as_one_shard(self, one_server, capsys):
+        from fragalign.cli import main
+
+        port = one_server["port"]
+        with AlignmentClient("127.0.0.1", port) as client:
+            client.score("ACGTACGT", "ACGTAGGT")
+        assert main(["dash", "--once", "--no-color", "--port", str(port)]) == 0
+        out = capsys.readouterr().out
+        assert f"127.0.0.1:{port} " in out  # the shard row
+        assert "shards 1/1" in out  # the router row
+
+    def test_dash_keeps_one_router_so_a_burn_shows(
+        self, one_server, capsys, monkeypatch, tmp_path
+    ):
+        """Two frames of one `dash` run around failing requests: the
+        second pages, because both frames sample the same router."""
+        import re
+        import time
+
+        from fragalign.cli import main
+        from fragalign.obs.dash import CLEAR
+        from fragalign.service import ServiceError
+
+        port = one_server["port"]
+        pauses = []
+
+        def between_frames(seconds: float) -> None:
+            pauses.append(seconds)
+            if len(pauses) > 1:
+                raise KeyboardInterrupt  # after the second frame
+            with AlignmentClient("127.0.0.1", port) as client:
+                client.score("ACGT", "AGGT")
+                for _ in range(50):
+                    with pytest.raises(ServiceError):
+                        client.score("ACGT", "ACGT", mode="banded")  # no band
+
+        with AlignmentClient("127.0.0.1", port) as client:
+            client.score("ACGTACGT", "ACGTAGGT")  # the first frame has data
+        cluster_file = tmp_path / "cluster.json"
+        cluster_file.write_text(json.dumps({"host": "127.0.0.1", "shards": [{"port": port}]}))
+        monkeypatch.setattr(time, "sleep", between_frames)
+        assert main(
+            ["dash", "--no-color", "--interval", "0", "--cluster-file", str(cluster_file)]
+        ) == 0
+        first, second = capsys.readouterr().out.split(CLEAR)[1:]
+        assert re.search(r"^score_availability .* ok$", first, re.M)
+        assert re.search(r"^score_availability .* page$", second, re.M)
+
+    def test_slo_command_against_a_lone_server(self, one_server, capsys):
+        from fragalign.cli import main
+
+        port = str(one_server["port"])
+        with AlignmentClient("127.0.0.1", one_server["port"]) as client:
+            client.score("ACGTACGT", "ACGTAGGT")
+        # Without --spec: the server's own targets and burn history.
+        assert main(["slo", "--port", port, "--expect-ok"]) == 0
+        assert "score_availability" in capsys.readouterr().out
+        # With --spec: evaluated over the one-shard cluster's scrape.
+        assert main(["slo", "--port", port, "--spec", "score p99 < 5s @ 50%", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [s["name"] for s in report["slos"]] == ["score_latency_5s"]
+        assert report["shards_reporting"] == 1 and not report["errors"]
 
     def test_span_tree_printer_orders_children(self, capsys):
         from fragalign.cli import _print_span_tree

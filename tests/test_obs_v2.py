@@ -566,8 +566,17 @@ class TestDash:
             "cache": {"hit_rate": 0.5},
             "resilience": {"degraded_mode": False, "shed": 0, "deadline_exceeded": 0},
         }
+        router = {  # a lone server is a one-shard cluster
+            "breakers": {"s1": "closed"},
+            "live_shards": ["s1"],
+            "configured_shards": ["s1"],
+            "failovers": 0,
+            "retries": 0,
+            "hedges": 0,
+            "breaker_fast_fails": 0,
+        }
         state = build_state(
-            cluster_stats={"router": {}, "aggregate": {}, "shards": {"s1": stats}},
+            cluster_stats={"router": router, "aggregate": {}, "shards": {"s1": stats}},
             slo_reports=[
                 {
                     "name": "score_availability",
@@ -585,10 +594,10 @@ class TestDash:
             metrics_text=reg.render(),
             label="test",
         )
-        assert "router" not in state  # single server: no router line
+        assert state["router"]["live"] == state["router"]["configured"] == 1
         frame = render_frame(state, color=False)
         assert "fragalign dash" in frame
-        assert "s1" in frame
+        assert "s1" in frame and "shards 1/1" in frame
         assert "score_availability" in frame
         assert "\x1b[" not in frame  # color off means no ANSI
 

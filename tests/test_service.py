@@ -19,7 +19,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fragalign.align.pairwise import Alignment
@@ -275,7 +275,8 @@ _SCHEDULE_SPECS = [
     JobSpec("global", None, -4.0, -1.0, backend="naive"),
 ]
 # One step: a burst of (pair index, spec index, already expired?)
-# submits in one loop tick, or a release of the engine call at the gate.
+# submits in one loop tick, a release of the engine call at the gate,
+# or the cancel of one unanswered waiter (its index among them, modulo).
 _SCHEDULES = st.lists(
     st.one_of(
         st.lists(
@@ -287,6 +288,7 @@ _SCHEDULES = st.lists(
             min_size=1, max_size=6,
         ),
         st.just("release"),
+        st.tuples(st.just("cancel"), st.integers(0, 5)),
     ),
     max_size=24,
 )
@@ -468,6 +470,8 @@ class TestMicroBatcher:
             assert asyncio.run(run()) == (eng.score("ACGT", "AGGT"), eng.score("AAAA", "AATA"))
 
     @given(schedule=_SCHEDULES, max_batch=st.integers(1, 4))
+    # Two twins wait on a computing job and the first gives up.
+    @example(schedule=[[(0, 0, False), (0, 1, False)], ("cancel", 0), "release"], max_batch=1)
     def test_paced_invariants_hold_on_any_schedule(self, schedule, max_batch):
         def key(i: int, k: int) -> tuple:
             return _SCHEDULE_SPECS[k].cache_key("score", *_SCHEDULE_PAIRS[i], "fp")
@@ -480,18 +484,39 @@ class TestMicroBatcher:
                 engine, max_batch=max_batch, stats=stats, cache=cache, model_fp="fp"
             )
             submits: list[tuple[int, int, bool, asyncio.Future]] = []
+            cancelled: set[asyncio.Future] = set()
+
+            def idle() -> bool:
+                # Every submit is answered and no job is left: a job
+                # whose waiters were all cancelled still runs.
+                return all(f.done() for *_, f in submits) and not any(
+                    key(i, k) in batcher for i, k, *_ in submits
+                )
 
             def quiet() -> bool:
                 # Only a release can change anything now: a call waits at
-                # the gate, or every submit is answered.  A job queued
-                # while the worker idles would never get here.
-                return engine.parked or all(f.done() for *_, f in submits)
+                # the gate, or the batcher is idle.  A job queued while
+                # the worker idles would never get here.  Waiters await
+                # their job through a shield, so a dropped job's waiters
+                # hear of it a loop turn after the worker moved on: wait
+                # for them too.
+                return (engine.parked or idle()) and all(
+                    f.done() or key(i, k) in batcher or key(i, k) in cache
+                    for i, k, expired, f in submits if expired
+                )
 
             try:
                 for step in schedule:
                     if step == "release":
                         if engine.parked:
                             engine.release()
+                    elif step[0] == "cancel":
+                        waiting = [f for *_, f in submits if not f.done()]
+                        if waiting:
+                            victim = waiting[step[1] % len(waiting)]
+                            victim.cancel()
+                            cancelled.add(victim)
+                            await asyncio.sleep(0)  # the cancel lands
                     else:
                         for i, k, expired in step:
                             deadline = time.monotonic() - 1.0 if expired else None
@@ -507,13 +532,13 @@ class TestMicroBatcher:
                         for i, k, _, f in submits if not f.done()
                     )
                 engine.open()
-                await _until(lambda: all(f.done() for *_, f in submits))
+                await _until(idle)
             finally:
                 engine.open()
                 batcher.close()
-            return engine, stats.snapshot(), cache, submits
+            return engine, stats.snapshot(), cache, submits, cancelled
 
-        engine, snap, cache, submits = asyncio.run(run())
+        engine, snap, cache, submits, cancelled = asyncio.run(run())
         assert engine.peak <= 1
         assert all(1 <= len(call) <= max_batch for call in engine.calls)
         # Every distinct job is computed once or dropped once: never
@@ -528,13 +553,20 @@ class TestMicroBatcher:
         answered = {}  # cache key -> the direct engine's wire form
         with AlignmentEngine() as eng:
             for i, k, expired, future in submits:
+                want = float(eng.run("score", [_SCHEDULE_PAIRS[i]], _SCHEDULE_SPECS[k])[0])
+                if future in cancelled:
+                    # Only its own wait ends: the job still runs for its
+                    # twins and the cache unless every deadline passed.
+                    assert future.cancelled()
+                    if not expired:
+                        answered[key(i, k)] = want
+                    continue
                 result = future.exception() or future.result()
                 if isinstance(result, DeadlineExceeded):
                     assert expired  # a waiter without a deadline keeps its job live
                 else:
-                    pair = _SCHEDULE_PAIRS[i]
-                    answered[key(i, k)] = float(eng.run("score", [pair], _SCHEDULE_SPECS[k])[0])
-                    assert result == answered[key(i, k)]
+                    answered[key(i, k)] = want
+                    assert result == want
         # Every computed job's answer, and nothing else, is cached.
         assert {key: cache.get(key) for key in cache.keys()} == answered
 
