@@ -88,8 +88,8 @@ class _LinearWalk:
         A = self.ac[lo:hi][None, :]
         Bm = self.bc[:je][None, :]
         F0 = F_lo[None, : je + 1]
-        fr, _, _, _ = _sweep_linear(A, Bm, self.model, self.mode, D=D, F0=F0, i0=lo)
-        return fr.prev[0, : je + 1].copy()
+        F, _, _, _ = _sweep_linear(A, Bm, self.model, self.mode, D=D, F0=F0, i0=lo)
+        return F[0, : je + 1].copy()
 
     # -- the recursion ------------------------------------------------
 

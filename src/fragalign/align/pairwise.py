@@ -23,10 +23,15 @@ table and the tie-breaking fragility of recompute walks.  Tie order
 everywhere: diagonal, then up, then left (then stop).
 
 The sixteen ``*_batch`` kernels share one driver, :func:`_batch`.  It
-checks that the batch has one shape, answers pairs with an empty side
-from one table, sweeps ``chunk`` pairs at a time in lockstep (the
-frontier is a (batch, m+1) matrix and every DP row costs one set of
-NumPy ops for the entire batch), reads each pair's end cell, score and
+answers pairs with an empty side from one table and sweeps the rest in
+lockstep chunks of up to ``chunk`` pairs (the frontier is a (batch,
+m+1) matrix and every DP row costs one set of NumPy ops for the entire
+batch).  Pairs may differ in shape: :func:`_chunks` groups them in
+shape order under a padding bound, and a chunk is padded to its
+longest pair with the pad code :data:`_PAD`, whose row and column in
+every gather table are ``_NEG``, so no cell of a pair's own table
+reads a padded one.  The sweeps save each pair's frontier as they pass
+its own last row; the driver reads each pair's own end cell, score and
 affine end state, and walks the direction codes.  The scalar entry
 points (:func:`global_align`, :func:`local_align`, ...) are the batch
 kernels at batch size 1, so *every* traceback in the system goes
@@ -37,7 +42,7 @@ independent per-cell Python oracles for the parity tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -78,6 +83,7 @@ __all__ = [
 ]
 
 _NEG = -1e30  # effectively -inf while staying finite for arithmetic
+_PAD = 5  # pads a chunk past a pair's own end; encode() emits only 0-4
 
 _Pairs = Sequence[tuple[str | np.ndarray, str | np.ndarray]]
 
@@ -112,31 +118,54 @@ def _as_codes(seq: str | np.ndarray) -> np.ndarray:
     return seq if isinstance(seq, np.ndarray) else encode(seq)
 
 
-def _batch_codes(pairs: _Pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a batch of same-length pairs into code matrices (B, n), (B, m)."""
-    A = np.stack([_as_codes(a) for a, _ in pairs])
-    B = np.stack([_as_codes(b) for _, b in pairs])
-    return A, B
+def _padded(table: np.ndarray) -> np.ndarray:
+    """A 5 x 5 substitution table grown by the :data:`_PAD` row and
+    column, both ``_NEG``: a diagonal move into padding never wins."""
+    return np.pad(table, (0, 1), constant_values=_NEG)
 
 
-def _check_uniform(pairs: _Pairs) -> tuple[int, int]:
-    n, m = len(pairs[0][0]), len(pairs[0][1])
-    for a, b in pairs:
-        if len(a) != n or len(b) != m:
-            raise ValueError(
-                "batch kernels need uniform lengths; bucket by shape first "
-                "(AlignmentEngine does this automatically)"
-            )
-    return n, m
+class _Ends:
+    """Each pair's frontier rows, saved as a padded sweep passes its own
+    last row nₖ (``nk`` ``None``: the final rows are every pair's)."""
+
+    def __init__(self, nk: np.ndarray | None, B: int, M: int, count: int) -> None:
+        self.stops = {} if nk is None else {int(r): np.flatnonzero(nk == r) for r in np.unique(nk)}
+        self.rows = [np.empty((B, M)) for _ in range(count if self.stops else 0)]
+
+    def save(self, i: int, *rows: np.ndarray) -> np.ndarray | None:
+        """Keep the pairs whose last row is ``i``; returns their indices."""
+        ks = self.stops.get(i)
+        if ks is not None:
+            for out, row in zip(self.rows, rows):
+                out[ks] = row[ks]
+        return ks
+
+    def result(self, *final: np.ndarray) -> list[np.ndarray]:
+        return self.rows if self.stops else list(final)
 
 
-def _check_band(n: int, m: int, band) -> int:
-    """Validate ``band`` once, up front, for an (n, m)-shaped pair."""
+def _column_cap(mk: np.ndarray, M: int) -> np.ndarray:
+    """(B, M) ``+inf`` over each pair's columns 0..mₖ, ``-inf`` past them:
+    ``np.minimum`` with it keeps a pair's cells and no padded one wins."""
+    return np.where(np.arange(M) <= mk[:, None], np.inf, -np.inf)
+
+
+def _first_best(hrow: np.ndarray, mk: np.ndarray | None) -> np.ndarray:
+    """Each row's first maximum over its pair's columns 0..mₖ.  Padding is
+    masked, as it can outscore them: under a positive linear gap, or by
+    affine X/Y zig-zags paying 2 × open a row where a gap pays one extend."""
+    if mk is not None:
+        np.minimum(hrow, _column_cap(mk, hrow.shape[1]), out=hrow)
+    return np.argmax(hrow, axis=1)
+
+
+def _check_band(n, m, band) -> int:
+    """Validate ``band`` once, up front, for one pair's or a batch's lengths."""
     if not isinstance(band, (int, np.integer)) or isinstance(band, bool):
         raise ValueError(f"band must be an integer, got {band!r}")
     if band < 0:
         raise ValueError("band must be non-negative")
-    if band < abs(n - m):
+    if band < np.max(np.abs(np.subtract(n, m))):
         raise ValueError("band too narrow to connect the corners")
     return int(band)
 
@@ -239,15 +268,18 @@ def _sweep_linear(
     D: np.ndarray | None = None,
     F0: np.ndarray | None = None,
     i0: int = 0,
-) -> tuple[_Frontier, np.ndarray, np.ndarray, np.ndarray]:
+    nk: np.ndarray | None = None,
+    mk: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Forward linear-gap sweep for ``mode`` in global/overlap/local.
 
-    Returns (frontier, best, best_i, best_j); the final f-space row is
-    in ``fr.prev``.  In local mode ``best*`` are each pair's best cell
-    (earliest row, then earliest column on ties — matching
-    ``np.argmax`` over the full table; ``best_i`` counts rows within
-    this sweep); in the other modes they are zeros.  Emits direction
-    codes into ``D`` ((n, B, m) uint8) when given.
+    Returns (last, best, best_i, best_j): ``last`` is each pair's
+    f-space row at its own last row (``nk``/``mk``: the pairs' lengths
+    in a padded chunk).  In local mode ``best*`` are each pair's best
+    cell of its own (earliest row, then earliest column on ties, as
+    ``np.argmax`` over its table; ``best_i`` counts rows within this
+    sweep); in the other modes they are zeros.  Emits direction codes
+    into ``D`` ((n, B, m) uint8) when given.
 
     ``F0`` is an optional initial frontier (f-space, shape (B, m+1)) —
     the checkpoint row a linear-memory walk restarts from; ``i0`` is
@@ -261,7 +293,7 @@ def _sweep_linear(
     M = m + 1
     local = mode == "local"
     overlap = mode == "overlap"
-    P2 = (model.matrix - 2.0 * g)[:, Bm]  # per-code diag rows, pre-shifted
+    P2 = _padded(model.matrix - 2.0 * g)[:, Bm]  # per-code diag rows, pre-shifted
     bidx = np.arange(B)
     negjs = -g * np.arange(M)
     fr = _Frontier(B, M)
@@ -275,6 +307,8 @@ def _sweep_linear(
     best = np.zeros(B)
     bi = np.zeros(B, dtype=np.int64)
     bj = np.zeros(B, dtype=np.int64)
+    ends = _Ends(nk, B, M, 1)
+    cap = _column_cap(mk, M) if local and mk is not None else None
     if D is not None:
         up = np.empty((B, m), dtype=bool)
         left = np.empty((B, m), dtype=bool)
@@ -300,6 +334,8 @@ def _sweep_linear(
             # H never drops below its own clamped V, so no second clamp;
             # read the H row back out for the running best.
             np.subtract(acc, cv, out=hrow)
+            if cap is not None:
+                np.minimum(hrow, cap, out=hrow)
             rowmax = hrow.max(axis=1)
             better = rowmax > best
             if better.any():
@@ -314,8 +350,11 @@ def _sweep_linear(
                 np.equal(acc[:, 1:], cv[1:], out=stop)  # H == 0: clamp won
                 np.multiply(stop.view(np.uint8), 4, out=tmp8)
                 np.add(D[i - 1], tmp8, out=D[i - 1])
+        ks = ends.save(i, acc)
+        if ks is not None and cap is not None:
+            cap[ks] = -np.inf  # the rows past nₖ are padding
         fr.advance()
-    return fr, best, bi, bj
+    return ends.result(fr.prev)[0], best, bi, bj
 
 
 def global_score_reference(a: str, b: str, model: SubstitutionModel | None = None) -> float:
@@ -402,13 +441,16 @@ def _sweep_banded(
     band: int,
     model: SubstitutionModel,
     D: np.ndarray | None = None,
-) -> _Frontier:
+    nk: np.ndarray | None = None,
+) -> np.ndarray:
+    """Forward banded sweep; returns each pair's f-space row at its own
+    last row (``nk`` in a padded chunk)."""
     g = model.gap
     B, n = A.shape
     m = Bm.shape[1]
     w = 2 * band + 1
     M = w + 1  # slot w is the -inf sentinel feeding the up-shift
-    P2m = model.matrix - 2.0 * g
+    P2m = _padded(model.matrix - 2.0 * g)
     ks = np.arange(w)
     boundary = -g * band
     fr = _Frontier(B, M)
@@ -425,6 +467,7 @@ def _sweep_banded(
     if B * n * w * 8 <= (64 << 20):
         W_all = P2m[A[:, :, None], Bm[:, jm1_all]]  # (B, n, w)
     t1 = np.empty((B, w))
+    ends = _Ends(nk, B, M, 1)
     if D is not None:
         up = np.empty((B, w), dtype=bool)
         left = np.empty((B, w), dtype=bool)
@@ -455,9 +498,10 @@ def _sweep_banded(
             np.greater(fr.acc[:, :w], cur[:, :w], out=left)
             np.multiply(left.view(np.uint8), 2, out=tmp8)
             np.add(tmp8, up.view(np.uint8), out=D[i - 1])
+        ends.save(i, fr.acc)
         fr.advance()
         fr.prev[:, w] = -np.inf  # re-pin the sentinel after rotation
-    return fr
+    return ends.result(fr.prev)[0]
 
 
 def _sweep_banded_single(
@@ -637,18 +681,20 @@ def _sweep_affine(
     ext: float,
     mode: str,
     D: np.ndarray | None = None,
-) -> tuple[_AffineRows, np.ndarray, np.ndarray, np.ndarray]:
+    nk: np.ndarray | None = None,
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
     """Forward Gotoh sweep for ``mode`` in global/overlap/local.
 
-    Returns (rows, best, best_i, best_j); the final frontiers are in
-    ``rows.Mp/Xp/Yp``.  ``best*`` track the running best M cell (used
-    by local; zeros otherwise).  Emits packed direction codes into
-    ``D`` ((n, B, m) uint8) when given.
+    Returns (last, best, best_i, best_j): ``last`` is each pair's
+    [M, X, Y] rows at its own last row (``nk`` in a padded chunk, else
+    the chunk's last row).  ``best*`` track the running best M cell
+    (used by local; a padded M cell clamps to 0, which never beats it).
+    Emits packed direction codes into ``D`` ((n, B, m) uint8) when given.
     """
     B, n = A.shape
     m = Bm.shape[1]
     M = m + 1
-    P = model.matrix[:, Bm]  # per-code substitution rows, (5, B, m)
+    P = _padded(model.matrix)[:, Bm]  # per-code substitution rows, (6, B, m)
     bidx = np.arange(B)
     js = np.arange(M)
     extjs = ext * js
@@ -667,6 +713,7 @@ def _sweep_affine(
     best = np.zeros(B)
     bi = np.zeros(B, dtype=np.int64)
     bj = np.zeros(B, dtype=np.int64)
+    ends = _Ends(nk, B, M, 3)
     if D is not None:
         e_x = np.empty((B, m), dtype=bool)
         e_y = np.empty((B, m), dtype=bool)
@@ -735,8 +782,9 @@ def _sweep_affine(
                 best[better] = rowmax[better]
                 bi[better] = i
                 bj[better] = np.argmax(Mc[better], axis=1)
+        ends.save(i, Mc, Xc, Yc)
         r.advance()
-    return r, best, bi, bj
+    return ends.result(r.Mp, r.Xp, r.Yp), best, bi, bj
 
 
 def _walk_affine(
@@ -790,7 +838,10 @@ def _sweep_affine_banded(
     open_: float,
     ext: float,
     D: np.ndarray | None = None,
-) -> _AffineRows:
+    nk: np.ndarray | None = None,
+) -> list[np.ndarray]:
+    """Forward banded Gotoh sweep; returns each pair's [M, X, Y] rows
+    at its own last row (``nk`` in a padded chunk)."""
     B, n = A.shape
     m = Bm.shape[1]
     w = 2 * band + 1
@@ -802,10 +853,11 @@ def _sweep_affine_banded(
     # positions are clip artifacts; they are -inf'd below anyway).
     jm1_all = np.clip(np.arange(n)[:, None] - band + ks[:w], 0, max(m - 1, 0))
     W_all = None
-    Pm = model.matrix
+    Pm = _padded(model.matrix)
     if B * n * w * 8 <= (64 << 20):
         W_all = Pm[A[:, :, None], Bm[:, jm1_all]]  # (B, n, w)
     r = _AffineRows(B, M)
+    ends = _Ends(nk, B, M, 3)
     # Row 0: j = k - band in [0, m]; M[0][0] = 0, Y[0][j] carries the
     # leading gap in b.
     j0s = ks[:w] - band
@@ -889,8 +941,9 @@ def _sweep_affine_banded(
             np.greater(r.t[:, : w - 1], r.run[:, : w - 1], out=b1[:, 1:w])  # bit 4
             np.multiply(b1.view(np.uint8), 16, out=u8b)
             np.add(u8a, u8b, out=D[i - 1])
+        ends.save(i, Mc, Xc, Yc)
         r.advance()
-    return r
+    return ends.result(r.Mp, r.Xp, r.Yp)
 
 
 def _sweep_affine_banded_single(
@@ -1057,6 +1110,33 @@ def _empty_side(
     return score, (0, n), (0, m)
 
 
+#: A chunk closes before a pair that would make it sweep more than
+#: ``_PAD_RATIO`` times its pairs' own DP cells plus ``_ROW_CELLS`` a
+#: row, about what a row's fixed NumPy calls cost in cells (0.7-2.2 k on
+#: a 2-vCPU host): padding buys fewer sweeps, never a long pair's table
+#: for many short ones.
+_PAD_RATIO = 2
+_ROW_CELLS = 2048
+
+
+def _chunks(nk: np.ndarray, mk: np.ndarray, band: int | None, chunk: int) -> list:
+    """(pair indices, rows, columns) of each chunk of at most ``chunk``
+    pairs with two non-empty sides, taken in shape order."""
+    live = np.flatnonzero((nk > 0) & (mk > 0))
+    order = live[np.lexsort((mk[live], nk[live]))].tolist()
+    rows, cols = nk.tolist(), (mk if band is None else np.full_like(mk, 2 * band + 1)).tolist()
+    plan: list[list[int]] = [[]]
+    n = c = own = 0
+    for k in order:
+        n, c, own = max(n, rows[k]), max(c, cols[k]), own + rows[k] * cols[k]
+        size = len(plan[-1])
+        if size and (size == chunk or (size + 1) * n * c > _PAD_RATIO * own + _ROW_CELLS * n):
+            plan.append([])
+            n, c, own = rows[k], cols[k], rows[k] * cols[k]
+        plan[-1].append(k)
+    return [(i, int(nk[i].max()), int(mk[i].max())) for i in map(np.array, plan) if i.size]
+
+
 def _sweep_ends(
     A: np.ndarray,
     Bm: np.ndarray,
@@ -1065,58 +1145,61 @@ def _sweep_ends(
     band: int | None = None,
     gaps: tuple[float, float] | None = None,
     D: np.ndarray | None = None,
-    single: bool = False,
+    nk: np.ndarray | None = None,
+    mk: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sweep one chunk; returns each pair's (score, end_i, end_j, state).
 
     (end_i, end_j) is the cell the alignment ends in, where its walk
-    starts.  ``state`` is the affine end state (0 = M, 1 = X, 2 = Y,
-    ties in that order); it is 0 for linear gaps and for local, whose
-    best cell is an M cell.  ``single`` takes the dispatch-trimmed
-    one-pair banded sweep (``D`` then holds exactly one pair).
+    starts: (nₖ, mₖ), the pairs' own lengths in a chunk padded with
+    :data:`_PAD` (``None``: every pair fills the chunk), or a best
+    cell of the pair's own.  ``state`` is the affine end state (0 = M,
+    1 = X, 2 = Y, ties in that order); it is 0 for linear gaps and for
+    local, whose best cell is an M cell.
     """
     B, n = A.shape
     m = Bm.shape[1]
     g = model.gap
     rows = np.arange(B)
-    ei = np.full(B, n)
-    ej = np.full(B, m)
+    ei = np.full(B, n) if nk is None else nk
+    ej = np.full(B, m) if mk is None else mk
     state = np.zeros(B, dtype=np.int64)
     if mode == "banded":
-        col = m - n + band  # the end cell (n, m) in the diagonal layout
+        col = ej - ei + band  # each end cell (nₖ, mₖ) in the diagonal layout
+        # One pair sweeps dispatch-bound: take the trimmed single-pair
+        # path (identical results, fewer NumPy calls).
+        single = B == 1 and n * (2 * band + 1) * (8 + (D is not None)) <= _BANDED_SINGLE_MAX_BYTES
         D1 = None if D is None else D[:, 0]  # the single path's (n, w) codes
         if gaps is None:
             if single:
                 F = _sweep_banded_single(A[0], Bm[0], band, model, D=D1)[None]
             else:
-                F = _sweep_banded(A, Bm, band, model, D=D).prev
-            return F[:, col] + (g * col + 2.0 * g * n), ei, ej, state
+                F = _sweep_banded(A, Bm, band, model, D=D, nk=nk)
+            return F[rows, col] + (g * col + 2.0 * g * ei), ei, ej, state
         if single:
             ends = [
                 f[None]
                 for f in _sweep_affine_banded_single(A[0], Bm[0], band, model, *gaps, D=D1)
             ]
         else:
-            r = _sweep_affine_banded(A, Bm, band, model, *gaps, D=D)
-            ends = [r.Mp, r.Xp, r.Yp]
+            ends = _sweep_affine_banded(A, Bm, band, model, *gaps, D=D, nk=nk)
     elif gaps is None:
-        fr, best, bi, bj = _sweep_linear(A, Bm, model, mode, D=D)
+        F, best, bi, bj = _sweep_linear(A, Bm, model, mode, D=D, nk=nk, mk=mk)
         if mode == "local":
             return best, bi, bj, state
         if mode == "global":
-            return fr.prev[:, m] + g * (m + n), ei, ej, state
+            return F[rows, ej] + g * (ej + ei), ei, ej, state
         # Overlap: H[n][j] = F[j] + g*j + n*g; the free end in b takes
         # the first maximum.
-        hrow = fr.prev + g * np.arange(m + 1)
-        ej = np.argmax(hrow, axis=1)
-        return hrow[rows, ej] + n * g, ei, ej, state
+        hrow = F + g * np.arange(m + 1)
+        ej = _first_best(hrow, mk)
+        return hrow[rows, ej] + ei * g, ei, ej, state
     else:
-        r, best, bi, bj = _sweep_affine(A, Bm, model, *gaps, mode, D=D)
+        ends, best, bi, bj = _sweep_affine(A, Bm, model, *gaps, mode, D=D, nk=nk)
         if mode == "local":
             return best, bi, bj, state
-        ends = [r.Mp, r.Xp, r.Yp]
         if mode == "overlap":
-            ej = np.argmax(np.maximum(np.maximum(r.Mp, r.Xp), r.Yp), axis=1)
+            ej = _first_best(np.maximum(np.maximum(ends[0], ends[1]), ends[2]), mk)
         col = ej
     mv, xv, yv = (f[rows, col] for f in ends)
     score = np.maximum(np.maximum(mv, xv), yv)
@@ -1132,6 +1215,7 @@ def _batch(
     band: int | None = None,
     gaps: tuple[float, float] | None = None,
     chunk: int = 64,
+    linear: Callable[[int], bool] | None = None,
 ) -> np.ndarray | list[Alignment]:
     """The one driver behind every batch kernel.
 
@@ -1139,8 +1223,11 @@ def _batch(
     (a list of :class:`Alignment`); ``mode`` is global, local, overlap
     or banded (``band`` is read in banded mode only); ``gaps`` is
     ``(gap_open, gap_extend)`` for affine (Gotoh) costs, ``None`` for
-    the model's linear gap.  All pairs share one shape; ``chunk``
-    bounds how many sweep together (the working set).
+    the model's linear gap.  Pairs may have any shapes: they sweep in
+    the chunks :func:`_chunks` plans, at most ``chunk`` pairs each
+    (the working set), each padded to its longest pair into buffers
+    allocated once per call.  ``linear`` (align only) says whether a
+    chunk of that many padded cells walks in linear memory instead.
     """
     model = model or unit_dna()
     if gaps is not None:
@@ -1148,43 +1235,56 @@ def _batch(
     align = kind == "align"
     if not pairs:
         return [] if align else np.zeros(0)
-    n, m = _check_uniform(pairs)
-    band = _check_band(n, m, band) if mode == "banded" else None
-    if n == 0 or m == 0:
-        score, a_iv, b_iv = _empty_side(n, m, mode, model, gaps)
-        if align:
-            return [Alignment(score, (), a_iv, b_iv) for _ in pairs]
-        return np.full(len(pairs), score)
-    width = m if band is None else 2 * band + 1
-    cap = min(chunk, len(pairs))
-    # Batch-of-one banded sweeps are dispatch-bound: take the trimmed
-    # single-pair path (identical results, fewer NumPy calls).
-    single = (
-        band is not None
-        and cap == 1
-        and n * width * (8 + align) <= _BANDED_SINGLE_MAX_BYTES
-    )
-    Dbuf = np.empty((n, cap, width), dtype=np.uint8) if align else None
-    scores = np.empty(len(pairs))
-    alns: list[Alignment] = []
-    for lo in range(0, len(pairs), chunk):
-        A, Bm = _batch_codes(pairs[lo : lo + chunk])
-        B = A.shape[0]
-        D = None if Dbuf is None else Dbuf[:, :B]
-        score, ei, ej, state = _sweep_ends(A, Bm, model, mode, band, gaps, D, single)
+    codes = [(_as_codes(a), _as_codes(b)) for a, b in pairs]
+    nk = np.array([len(a) for a, _ in codes], dtype=np.int64)
+    mk = np.array([len(b) for _, b in codes], dtype=np.int64)
+    band = _check_band(nk, mk, band) if mode == "banded" else None
+    scores = np.empty(len(codes))
+    alns: list = [None] * len(codes)
+    for k in np.flatnonzero((nk == 0) | (mk == 0)):
+        score, a_iv, b_iv = _empty_side(int(nk[k]), int(mk[k]), mode, model, gaps)
+        scores[k] = score
+        alns[k] = Alignment(score, (), a_iv, b_iv)
+    plan = _chunks(nk, mk, band, chunk)
+    if align and linear is not None:
+        from fragalign.align.hirschberg import linear_align  # it imports this module
+
+        walks = [linear(idx.size * n * m) for idx, n, m in plan]
+        for k in (k for (idx, _, _), walk in zip(plan, walks) if walk for k in idx):
+            alns[k] = linear_align(*codes[k], model, mode=mode)
+        plan = [c for c, walk in zip(plan, walks) if not walk]
+    bw = None if band is None else 2 * band + 1  # a banded row's width
+    if plan:
+        Abuf = np.empty(max(idx.size * n for idx, n, _ in plan), dtype=np.uint8)
+        Bbuf = np.empty(max(idx.size * m for idx, _, m in plan), dtype=np.uint8)
+        cells = max(idx.size * n * (bw or m) for idx, n, m in plan)
+        Dbuf = np.empty(cells, dtype=np.uint8) if align else None
+    for idx, n, m in plan:
+        B, width = idx.size, bw or m
+        A = Abuf[: B * n].reshape(B, n)
+        Bm = Bbuf[: B * m].reshape(B, m)
+        A.fill(_PAD)
+        Bm.fill(_PAD)
+        for r, k in enumerate(idx):
+            A[r, : nk[k]] = codes[k][0]
+            Bm[r, : mk[k]] = codes[k][1]
+        ragged = nk[idx].min() < n or mk[idx].min() < m
+        lens = (nk[idx], mk[idx]) if ragged else (None, None)
+        D = None if Dbuf is None else Dbuf[: n * B * width].reshape(n, B, width)
+        score, ei, ej, state = _sweep_ends(A, Bm, model, mode, band, gaps, D, *lens)
         if D is None:
-            scores[lo : lo + B] = score
+            scores[idx] = score
             continue
-        for k in range(B):
-            i, j = int(ei[k]), int(ej[k])
-            db = _pair_bytes(D, k)
+        for r, k in enumerate(idx):
+            i, j = int(ei[r]), int(ej[r])
+            db = _pair_bytes(D, r)
             if gaps is None:
                 walked, i0, j0 = _walk(db, width, i, j, band)
             else:
-                walked, i0, j0 = _walk_affine(db, width, i, j, int(state[k]), band)
+                walked, i0, j0 = _walk_affine(db, width, i, j, int(state[r]), band)
             a_iv = (i0 if mode in ("local", "overlap") else 0, i)
             b_iv = (j0 if mode == "local" else 0, j)
-            alns.append(Alignment(float(score[k]), tuple(walked), a_iv, b_iv))
+            alns[k] = Alignment(float(score[r]), tuple(walked), a_iv, b_iv)
     return alns if align else scores
 
 
@@ -1196,10 +1296,10 @@ def _batch(
 def global_scores_batch(
     pairs: _Pairs, model: SubstitutionModel | None = None, chunk: int = 64
 ) -> np.ndarray:
-    """Needleman–Wunsch scores for a batch of same-shape pairs.
+    """Needleman–Wunsch scores for a batch of pairs.
 
-    Each pair is (a, b) as strings or pre-encoded uint8 codes; all
-    ``a`` must share one length and all ``b`` another.  Exact on
+    Each pair is (a, b) as strings or pre-encoded uint8 codes, of any
+    lengths: each chunk is padded to its longest pair.  Exact on
     integer-valued models (every operation stays integral in float64);
     ``chunk`` bounds how many pairs sweep together (working set).
     """
@@ -1222,7 +1322,7 @@ def global_align_batch(
 def local_scores_batch(
     pairs: _Pairs, model: SubstitutionModel | None = None, chunk: int = 64
 ) -> np.ndarray:
-    """Smith–Waterman scores for a batch of same-shape pairs."""
+    """Smith–Waterman scores for a batch of pairs."""
     return _batch("score", pairs, model, "local", chunk=chunk)
 
 
@@ -1242,7 +1342,7 @@ def local_align_batch(
 def overlap_scores_batch(
     pairs: _Pairs, model: SubstitutionModel | None = None, chunk: int = 64
 ) -> np.ndarray:
-    """Best suffix(a)–prefix(b) overlap scores for same-shape pairs."""
+    """Best suffix(a)–prefix(b) overlap scores for a batch of pairs."""
     return _batch("score", pairs, model, "overlap", chunk=chunk)
 
 
@@ -1284,7 +1384,7 @@ def affine_scores_batch(
     gap_extend: float = -1.0,
     chunk: int = 64,
 ) -> np.ndarray:
-    """Batched Gotoh global scores (affine gaps) for same-shape pairs."""
+    """Batched Gotoh global scores (affine gaps) for a batch of pairs."""
     return _batch("score", pairs, model, "global", gaps=(gap_open, gap_extend), chunk=chunk)
 
 
@@ -1306,7 +1406,7 @@ def affine_local_scores_batch(
     gap_extend: float = -1.0,
     chunk: int = 64,
 ) -> np.ndarray:
-    """Batched affine Smith–Waterman scores for same-shape pairs."""
+    """Batched affine Smith–Waterman scores for a batch of pairs."""
     return _batch("score", pairs, model, "local", gaps=(gap_open, gap_extend), chunk=chunk)
 
 
@@ -1351,7 +1451,7 @@ def affine_banded_scores_batch(
     gap_extend: float = -1.0,
     chunk: int = 64,
 ) -> np.ndarray:
-    """Banded Gotoh scores (|i - j| <= band) for same-shape pairs."""
+    """Banded Gotoh scores (|i - j| <= band) for a batch of pairs."""
     return _batch("score", pairs, model, "banded", band, (gap_open, gap_extend), chunk)
 
 

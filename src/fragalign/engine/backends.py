@@ -3,9 +3,10 @@
 A backend is an execution strategy for the same mathematical DP; all
 backends produce identical scores and (for integer-valued models)
 identical tracebacks, which the cross-backend parity tests pin down.
-``score_many``/``align_many`` receive *uniform-shape* batches — the
-:class:`fragalign.engine.AlignmentEngine` facade buckets mixed-length
-workloads by shape before dispatching.
+``score_many``/``align_many`` receive a whole dispatch group, whatever
+its pairs' shapes: the numpy kernels pad each chunk to its longest
+pair, and a backend whose kernels need one shape buckets the group
+itself.
 
 Every hook takes ``(…, model, spec)``: a resolved
 :class:`~fragalign.job.JobSpec` already validated at the edge.  Four
@@ -24,6 +25,7 @@ above ``linear_auto_cells`` DP cells per chunk, tensor below).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +33,6 @@ from fragalign.align.affine import (
     affine_align_reference,
     affine_score_reference,
 )
-from fragalign.align.hirschberg import linear_align
 from fragalign.align.pairwise import (
     _NEG,
     _batch,
@@ -61,8 +62,9 @@ CHUNK = 64
 #: walker above this many DP cells per *chunk* — the point where the
 #: (n, B, m) uint8 direction tensor starts to dominate peak memory
 #: (16M cells = a 16 MB tensor allocation).  A batch sweeps up to
-#: ``CHUNK`` pairs per tensor, so the resolution accounts for the
-#: whole chunk, not one pair.
+#: ``CHUNK`` pairs per tensor, padded to its longest pair, so each
+#: chunk resolves on its padded cells: one too big walks in linear
+#: memory while the rest of its batch keeps the tensor.
 LINEAR_AUTO_CELLS = 1 << 24
 
 
@@ -303,9 +305,10 @@ class NumpyBackend(AlignmentBackend):
     """Row-vectorized kernels; batches share one sweep per DP row.
 
     Every verb runs the kernels' one driver, sweeping up to
-    :data:`CHUNK` pairs at a time; ``linear_auto_cells`` is the
-    per-chunk DP-cell count above which ``memory="auto"`` align calls
-    take the linear-memory walker instead of the direction tensor.
+    :data:`CHUNK` pairs of any shapes at a time; ``linear_auto_cells``
+    is the padded per-chunk DP-cell count from which a ``memory="auto"``
+    align chunk takes the linear-memory walker instead of the direction
+    tensor.
     """
 
     name = "numpy"
@@ -314,19 +317,9 @@ class NumpyBackend(AlignmentBackend):
         self.linear_auto_cells = linear_auto_cells
 
     def _run(self, codes, model, spec: JobSpec, kind: str):
-        mode = spec.mode
-        if kind == "align":
-            # The tensor is allocated per chunk — (n, B, m) — so auto
-            # resolves on the chunk's cell count, not one pair's.
-            cells = (
-                len(codes[0][0]) * len(codes[0][1]) * min(len(codes), CHUNK)
-                if codes
-                else 0
-            )
-            if spec.linear_traceback(cells, self.linear_auto_cells):
-                return [linear_align(a, b, model, mode=mode) for a, b in codes]
         gaps = None if spec.gap_open is None else (spec.gap_open, spec.gap_extend)
-        return _batch(kind, codes, model, mode, spec.band, gaps, CHUNK)
+        linear = partial(spec.linear_traceback, auto_cells=self.linear_auto_cells)
+        return _batch(kind, codes, model, spec.mode, spec.band, gaps, CHUNK, linear)
 
     def score(self, p, model, spec) -> float:
         return float(self._run([(p.a_codes, p.b_codes)], model, spec, "score")[0])

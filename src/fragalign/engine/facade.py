@@ -5,8 +5,8 @@ One object, four verbs::
     with AlignmentEngine(backend="numpy") as eng:
         aln    = eng.align(a, b)          # full Alignment (traceback)
         s      = eng.score(a, b)          # score only
-        alns   = eng.align_many(pairs)    # batch, bucketed by shape
-        scores = eng.score_many(pairs)    # batch, bucketed by shape
+        alns   = eng.align_many(pairs)    # batch, any shapes
+        scores = eng.score_many(pairs)    # batch, any shapes
 
 Every verb takes optional ``mode=`` / ``band=`` / ``gap_open=`` /
 ``gap_extend=`` / ``backend=`` overrides (and the align verbs
@@ -30,21 +30,20 @@ combination — it just runs on numpy at numpy speed.
 
 The facade owns everything backends shouldn't care about: memoized
 sequence encoding (each distinct sequence is encoded once per engine),
-the memoized default scoring matrix, knob resolution, and bucketing
-mixed-length batches into uniform-shape groups so backends only ever
-see batches their kernels can sweep in lockstep.
+the memoized default scoring matrix and knob resolution.  A batch
+verb is one backend call, whatever its pairs' shapes.
 
 Setting :attr:`AlignmentEngine.profiler` (any object with the
 :class:`fragalign.obs.kprof.KernelProfiler` ``record`` signature)
 turns on per-dispatch kernel profiling: every backend call is timed
-and reported with its family, backend, resolved mode and batch shape.
+and reported with its family, backend, resolved mode and its pairs'
+shapes.
 Left at ``None`` (the default) no timer is read.
 """
 
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from functools import lru_cache
 from typing import Sequence
 
@@ -235,14 +234,6 @@ class AlignmentEngine:
 
     # -- batch API ---------------------------------------------------
 
-    def _buckets(
-        self, preps: list[PreparedPair]
-    ) -> list[tuple[list[int], list[PreparedPair]]]:
-        by_shape: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for k, p in enumerate(preps):
-            by_shape[p.shape].append(k)
-        return [([k for k in idxs], [preps[k] for k in idxs]) for idxs in by_shape.values()]
-
     def score_many(
         self,
         pairs: Sequence[tuple[str, str]],
@@ -254,9 +245,9 @@ class AlignmentEngine:
     ) -> np.ndarray:
         """Scores for every (a, b) pair, in input order.
 
-        Pairs are bucketed by shape; each uniform bucket goes to the
-        backend's batch kernel in one call.  Equals ``[self.score(a, b)
-        for a, b in pairs]`` (a standing test invariant).
+        The pairs, whatever their shapes, go to the backend's batch
+        kernel in one call.  Equals ``[self.score(a, b) for a, b in
+        pairs]`` (a standing test invariant).
         """
         return self.run("score", pairs, JobSpec(mode, band, gap_open, gap_extend, backend=backend))
 
@@ -270,7 +261,7 @@ class AlignmentEngine:
         memory: str | None = None,
         backend: str | None = None,
     ) -> list[Alignment]:
-        """Full alignments for every pair, in input order (bucketed)."""
+        """Full alignments for every pair, in input order (one call)."""
         return self.run("align", pairs, JobSpec(mode, band, gap_open, gap_extend, memory, backend))
 
     def run(self, op: str, pairs: Sequence[tuple[str, str]], spec: JobSpec):
@@ -280,20 +271,13 @@ class AlignmentEngine:
         be = self._route(family, spec)
         call = be.score_many if op == "score" else be.align_many
         preps = [self.prepare(a, b) for a, b in pairs]
-        out = np.empty(len(preps)) if op == "score" else [None] * len(preps)
-        for idxs, bucket in self._buckets(preps):
-            start = time.perf_counter() if self.profiler is not None else 0.0
-            values = call(bucket, self.model, spec)
-            if op == "score":
-                out[idxs] = values
-            else:
-                for k, aln in zip(idxs, values):
-                    out[k] = aln
-            if self.profiler is not None:
-                self.profiler.record(
-                    family, be.name, spec.mode,
-                    [p.shape for p in bucket], time.perf_counter() - start,
-                )
+        if self.profiler is None or not preps:
+            return call(preps, self.model, spec)
+        start = time.perf_counter()
+        out = call(preps, self.model, spec)
+        self.profiler.record(
+            family, be.name, spec.mode, [p.shape for p in preps], time.perf_counter() - start
+        )
         return out
 
     # -- lifecycle ---------------------------------------------------

@@ -22,13 +22,16 @@ verbs delegate to an internal :class:`NumpyBackend` so the backend is
 still total — capability probing is an optimization contract, not a
 correctness one.
 
-Pairs whose sequences contain ``N`` (code 4) are split out of the
-bit-parallel path per batch — the 2-bit Eq tables cover A/C/G/T only —
-and scored by the internal numpy backend; the striped-SW kernel
-handles ``N`` natively through its 5x5 profile.
+The C kernels sweep one shape per call, so :meth:`NativeBackend.score_many`
+buckets its batch by shape.  Pairs whose sequences contain ``N`` (code
+4) are split out of the bit-parallel path per bucket — the 2-bit Eq
+tables cover A/C/G/T only — and scored by the internal numpy backend;
+the striped-SW kernel handles ``N`` natively through its 5x5 profile.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 import numpy as np
 
@@ -93,7 +96,8 @@ class NativeBackend(AlignmentBackend):
         (the native-build CI job asserts the compiled path is live).
 
     The unaccelerated verbs and the N-carrying bit-parallel pairs run
-    on an internal default :class:`NumpyBackend`.
+    on an internal default :class:`NumpyBackend`.  The accelerated
+    score batches run one kernel call per shape bucket.
     """
 
     name = "native"
@@ -123,14 +127,16 @@ class NativeBackend(AlignmentBackend):
         return float(self.score_many([p], model, spec)[0])
 
     def score_many(self, batch, model, spec) -> np.ndarray:
-        if not batch:
-            return np.empty(0)
         if not self.accelerates("score_many", model, spec):
             return self._numpy.score_many(batch, model, spec)
-        n, m = batch[0].shape
-        if spec.mode == "local":
-            return self._local_many(batch, model, spec, n, m)
-        return self._bitparallel_many(batch, model, spec, n, m)
+        by_shape: dict[tuple[int, int], list[int]] = defaultdict(list)
+        for k, p in enumerate(batch):
+            by_shape[p.shape].append(k)
+        many = self._local_many if spec.mode == "local" else self._bitparallel_many
+        out = np.empty(len(batch))
+        for (n, m), idxs in by_shape.items():
+            out[idxs] = many([batch[k] for k in idxs], model, spec, n, m)
+        return out
 
     def _bitparallel_many(self, batch, model, spec, n: int, m: int) -> np.ndarray:
         family, c = flat_model_family(model)

@@ -10,8 +10,9 @@ distinct" — no partial overlap (§1).
 All candidate windows are collected first and scored in one
 ``align_many`` batch through the alignment engine, so discovery can be
 pointed at any registered backend (numpy, native or naive).
-On the numpy backend the whole batch of same-shape windows shares one
-forward sweep that emits packed direction codes, and each window's
+On the numpy backend the whole batch of windows, whatever their
+shapes, shares one forward sweep per chunk (padded to its longest
+window) that emits packed direction codes, and each window's
 alignment is recovered by the table-free O(n+m) code walk — discovery
 no longer pays for per-window float DP tables.
 

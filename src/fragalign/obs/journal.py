@@ -281,7 +281,8 @@ def _run_stats(rows: list[dict]) -> dict:
     n = len(pair_rows)
     ok = sum(1 for r in pair_rows if r.get("ok"))
     with_cache = [r for r in pair_rows if r.get("cached") is not None]
-    hits = sum(1 for r in with_cache if r.get("cached"))
+    # Answered without compute: a hit, or a twin that joined its job.
+    hits = sum(1 for r in with_cache if r.get("cached") or r.get("disposition") == "coalesced")
     lat = sorted(r.get("duration_ms", 0.0) for r in pair_rows)
     return {
         "requests": n,

@@ -3,8 +3,9 @@
 Concurrent ``score``/``align`` submissions are dispatched as *one*
 ``score_many`` / ``align_many`` call per dispatch group on the engine,
 whose batch kernels amortize the per-row Python sweep across the whole
-batch.  Results fan back out to the awaiting tasks through per-job
-futures.
+batch.  Results fan back out through one future per waiter, in wire
+form: a score as a float, an align answer as its JSON text
+(:class:`~fragalign.service.protocol.EncodedJSON`), as the cache keeps it.
 
 Batches follow the worker, not a clock: at most one batch is in
 flight.  A job that arrives while the worker is idle goes out at the
@@ -15,7 +16,7 @@ therefore answers a lone request without waiting, and under load a
 batch grows by itself to what queued while the previous one ran.
 
 Jobs are keyed by the result-cache key (``JobSpec.cache_key``): N
-concurrent requests with one key share one future and cost one backend
+concurrent requests with one key share one job and cost one backend
 slot (the ``coalesced`` stat counts the N-1 free riders).  A job's
 result goes into the result cache before the job leaves the table, so
 a twin request always finds either the job or its answer.
@@ -37,25 +38,24 @@ from functools import partial
 from fragalign.engine.facade import AlignmentEngine
 from fragalign.job import JobSpec
 from fragalign.obs.trace import TraceContext, Tracer
-from fragalign.service.protocol import alignment_to_dict
+from fragalign.service.protocol import alignment_json
 from fragalign.util.errors import DeadlineExceeded
 from fragalign.util.lru import LRUCache
 
 __all__ = ["MicroBatcher"]
 
 # The wire form each op's engine result is answered and cached in.
-_WIRE = {"score": float, "align": alignment_to_dict}
+_WIRE = {"score": float, "align": alignment_json}
 
 
 class _Job:
-    """One distinct job: the future its waiters share and what its
-    dispatch reads."""
+    """One distinct job: its waiters' futures and what its dispatch reads."""
 
-    __slots__ = ("key", "op", "pair", "spec", "future", "deadline", "watchers")
+    __slots__ = ("key", "op", "pair", "spec", "waiters", "deadline", "watchers")
 
     def __init__(
         self, key: tuple, op: str, pair: tuple[str, str], spec: JobSpec,
-        future: asyncio.Future, deadline: float | None,
+        deadline: float | None,
     ) -> None:
         self.key = key  # the job's result-cache key
         self.op = op
@@ -63,12 +63,23 @@ class _Job:
         # The first waiter's spec: twins may differ only in backend and
         # memory, which never change the result.
         self.spec = spec
-        self.future = future
+        # One future per waiter: a cancelled one is that waiter's alone.
+        self.waiters: list[asyncio.Future] = []
         # The loosest waiter's absolute monotonic deadline; None once
         # any waiter has none.
         self.deadline: float | None = deadline
         # One (context, span sink, submit time) per traced waiter.
         self.watchers: list[tuple[TraceContext, list | None, float]] = []
+
+    def settle(self, value=None, exc: BaseException | None = None) -> None:
+        """Answer every waiter still waiting; cancelled ones are skipped."""
+        for waiter in self.waiters:
+            if waiter.done():
+                continue
+            if exc is None:
+                waiter.set_result(value)
+            else:
+                waiter.set_exception(exc)
 
 
 class MicroBatcher:
@@ -133,11 +144,11 @@ class MicroBatcher:
         deadline: float | None = None,
         trace: TraceContext | None = None,
         sink: list | None = None,
-    ) -> float | dict:
+    ) -> float | str:
         """Queue one job; await its batched result in wire form: a
-        float for ``op="score"``, the
+        float for ``op="score"``, the compact JSON text of the
         :func:`~fragalign.service.protocol.alignment_to_dict` form for
-        ``op="align"``.
+        ``op="align"`` (an :class:`~fragalign.service.protocol.EncodedJSON`).
 
         The job is keyed by ``spec.cache_key(op, a, b, model_fp)``, so
         specs differing only in ``backend`` or ``memory`` share one job,
@@ -153,7 +164,7 @@ class MicroBatcher:
         traced waiter gets ``batcher.wait`` and ``batcher.compute``
         spans under ``trace``, appended to ``sink`` when given (the
         caller then owns them) and to the tracer otherwise.  The
-        spans are recorded before the job's future resolves, so the
+        spans are recorded before the waiters' futures resolve, so the
         sink is complete once this returns.
         """
         if self._loop is None:
@@ -161,22 +172,24 @@ class MicroBatcher:
         key = spec.cache_key(op, a, b, self._model_fp)
         job = self._jobs.get(key)
         if job is None:
-            job = _Job(key, op, (a, b), spec, self._loop.create_future(), deadline)
+            job = _Job(key, op, (a, b), spec, deadline)
             self._jobs[key] = job
             self._queue.append(job)
             if self._running is None:
                 self._start()
         else:
-            # Identical job already queued or computing: share its future.
+            # Identical job already queued or computing: share it.
             if self._stats is not None:
                 self._stats.observe_coalesced()
             if job.deadline is not None:
                 job.deadline = None if deadline is None else max(job.deadline, deadline)
         if trace is not None and self._tracer is not None:
             job.watchers.append((trace, sink, time.perf_counter()))
-        # Shielded: a waiter that is cancelled gives up only its own
-        # wait, never the job its twins share.
-        return await asyncio.shield(job.future)
+        # The waiter's own future: cancelling this wait cancels only
+        # it, never the job its twins share.
+        waiter = self._loop.create_future()
+        job.waiters.append(waiter)
+        return await waiter
 
     def _start(self) -> None:
         # A task's first step runs at the end of this loop tick, so the
@@ -210,10 +223,7 @@ class MicroBatcher:
             del self._jobs[job.key]
             if self._stats is not None:
                 self._stats.observe_deadline_exceeded()
-            if not job.future.done():
-                job.future.set_exception(
-                    DeadlineExceeded("deadline expired while queued for batch dispatch")
-                )
+            job.settle(exc=DeadlineExceeded("deadline expired while queued for batch dispatch"))
         return batch
 
     async def _run_batch(self) -> None:
@@ -259,8 +269,7 @@ class MicroBatcher:
             except Exception as exc:
                 for job in group:
                     del self._jobs[job.key]
-                    if not job.future.done():
-                        job.future.set_exception(exc)
+                    job.settle(exc=exc)
                 continue
             if traced:
                 compute_s = time.perf_counter() - compute_start
@@ -284,14 +293,13 @@ class MicroBatcher:
                 # in between: a twin finds the job or its answer.
                 self._cache.put(job.key, value)
                 del self._jobs[job.key]
-                if not job.future.done():
-                    job.future.set_result(value)
+                job.settle(value)
 
     # -- lifecycle ----------------------------------------------------
 
     async def drain(self) -> None:
-        """Wait for every queued and in-flight job (shutdown path)."""
-        pending = [job.future for job in self._jobs.values()]
+        """Wait for every waiter of a queued or in-flight job (shutdown path)."""
+        pending = [w for job in self._jobs.values() for w in job.waiters]
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
 

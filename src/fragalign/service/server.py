@@ -320,7 +320,6 @@ class AlignmentService:
         tasks: set[asyncio.Task] = set()
         try:
             while True:
-                read_start = time.perf_counter()
                 try:
                     # io-timeout: idle clients legitimately hold connections open; shutdown closes them
                     line = await reader.readline()
@@ -332,10 +331,10 @@ class AlignmentService:
                     break
                 if not line.strip():
                     continue
-                # Wire-read wait for this line; attributed to the
-                # request's trace (if any) once the line is parsed.
-                read_s = time.perf_counter() - read_start
-                task = asyncio.create_task(self._serve_line(line, outbox, read_s))
+                # Stamped when the line arrives, not when the wait for it
+                # began: an idle kept-alive connection is no read time.
+                arrived = time.perf_counter()
+                task = asyncio.create_task(self._serve_line(line, outbox, arrived))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
         finally:
@@ -350,9 +349,12 @@ class AlignmentService:
             outbox.close()
 
     async def _serve_line(
-        self, line: bytes, outbox: Outbox, read_s: float = 0.0
+        self, line: bytes, outbox: Outbox, arrived: float
     ) -> None:
         t0 = time.perf_counter()
+        # "server.read": the line's wait from arrival until this task
+        # starts on it, attributed to its trace once the line is parsed.
+        read_s = t0 - arrived
         request_id = None
         request = None
         ctx = None

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fragalign.align import pairwise
 from fragalign.align.affine import affine_align_reference, affine_score_reference
 from fragalign.align.pairwise import (
+    Alignment,
     affine_align_batch,
     affine_banded_align_batch,
     affine_banded_scores_batch,
@@ -397,3 +403,137 @@ class TestDegenerateShapes:
             (2, 2),
             (3, 3),
         )
+
+
+# -- ragged batches: one padded sweep per chunk ------------------------
+
+_RAGGED_MODELS = {
+    "unit": unit_dna(),
+    "tt": transition_transversion(),
+    "gap0": unit_dna(gap=0.0),
+    "gap+0.5": unit_dna(gap=0.5),
+}
+_ORACLE_MODELS = ("unit", "tt")  # integer models NaiveBackend matches exactly
+# Linear, then affine (open, extend).  With 2 * open > extend, a zig-zag
+# between X and Y through padded columns beats a real gap's extension.
+_RAGGED_GAPS = [None, (-3.0, -1.0), (0.0, 0.0), (0.0, -1.0), (-1.0, -3.0)]
+
+
+def _padding(unbounded: bool):
+    """Unbounded: every chunk pads to its longest pair however skewed,
+    so the sweeps are tested whatever the planner's padding bound."""
+    if not unbounded:
+        return contextlib.nullcontext()
+    return mock.patch.object(pairwise, "_PAD_RATIO", math.inf)
+
+
+@st.composite
+def _ragged_pairs(draw):
+    """Up to 10 pairs of mixed shapes: lengths at the 64-column word
+    edges or anywhere in 0..80, with or without N."""
+    lengths = draw(st.sampled_from([st.sampled_from([0, 1, 2, 63, 64, 65]), st.integers(0, 80)]))
+    alphabet = draw(st.sampled_from(["ACGT", "ACGTN"]))
+    seq = lengths.flatmap(lambda n: st.text(alphabet=alphabet, min_size=n, max_size=n))
+    return draw(st.lists(st.tuples(seq, seq), min_size=1, max_size=10))
+
+
+def _exact(values) -> list:
+    """Scores as their bit patterns (sign bits included), alignments in full."""
+    return [
+        (np.float64(v.score).tobytes(), v.pairs, v.a_interval, v.b_interval)
+        if isinstance(v, Alignment)
+        else np.float64(v).tobytes()
+        for v in values
+    ]
+
+
+@given(
+    pairs=_ragged_pairs(),
+    model_name=st.sampled_from(sorted(_RAGGED_MODELS)),
+    gaps=st.sampled_from(_RAGGED_GAPS),
+    mode=st.sampled_from(["global", "local", "overlap", "banded"]),
+    extra_band=st.integers(0, 3),
+    chunk=st.sampled_from([1, 3, 64]),
+    unbounded=st.booleans(),
+)
+# A local batch whose best is 0: every alignment is empty.
+@example(
+    pairs=[("AAAA", "CCC"), ("", "GG"), ("TTTTTT", "GA"), ("A", "C")],
+    model_name="unit", gaps=None, mode="local", extra_band=0, chunk=3, unbounded=False,
+)
+# An affine overlap whose X/Y zig-zag through padded columns outscores
+# the pair's own end row.
+@example(
+    pairs=[("ACGTGG", "ACGT"), ("ACGTGG", "ACGTACGT")],
+    model_name="unit", gaps=(0.0, -1.0), mode="overlap", extra_band=0, chunk=64, unbounded=False,
+)
+def test_ragged_batch_equals_each_pair_alone(
+    pairs, model_name, gaps, mode, extra_band, chunk, unbounded
+):
+    """Every entry of a mixed-shape batch equals that pair run alone (a
+    batch of one, no padding), sign bits included, in all four modes,
+    linear and affine, score and align; on the integer models it also
+    equals the per-cell oracles."""
+    model = _RAGGED_MODELS[model_name]
+    kernels = {m: (s, a) for m, s, a in (LINEAR_KERNELS if gaps is None else AFFINE_KERNELS)}
+    score_kernel, align_kernel = kernels[mode]
+    band = max(abs(len(a) - len(b)) for a, b in pairs) + extra_band
+    args = ((band,) if mode == "banded" else ()) + (model,) + (gaps or ())
+    with _padding(unbounded):
+        scores = score_kernel(pairs, *args, chunk=chunk)
+        alns = align_kernel(pairs, *args, chunk=chunk)
+    assert _exact(scores) == _exact([score_kernel([p], *args)[0] for p in pairs])
+    assert _exact(alns) == _exact([align_kernel([p], *args)[0] for p in pairs])
+    if model_name not in _ORACLE_MODELS:
+        return
+    spec = JobSpec(mode, band if mode == "banded" else None, *(gaps or (None, None)))
+    naive = NaiveBackend()
+    for (a, b), score, aln in zip(pairs, scores, alns):
+        want = naive.align(PreparedPair(a, b, encode(a), encode(b)), model, spec)
+        assert (score, aln) == (want.score, want)
+
+
+@pytest.mark.parametrize("unbounded", [False, True])
+@pytest.mark.parametrize("model_name", sorted(_RAGGED_MODELS))
+def test_ragged_chunks_equal_each_pair_alone_in_every_mode(model_name, unbounded, rng):
+    """Every mode, gap model and verb on one batch whose chunks of 3 are
+    each padded (a positive gap makes any padded cell that could win,
+    win)."""
+    from fragalign.genome.dna import random_dna
+
+    shapes = [(65, 2), (0, 7), (1, 64), (63, 65), (30, 12), (64, 0), (17, 40), (2, 1)]
+    pairs = [(random_dna(n, rng), random_dna(m, rng)) for n, m in shapes]
+    pairs[4] = (pairs[4][0][:10] + "N" + pairs[4][0][11:], pairs[4][1])
+    model = _RAGGED_MODELS[model_name]
+    band = max(abs(n - m) for n, m in shapes)
+    for gaps in _RAGGED_GAPS:
+        for mode, score_kernel, align_kernel in LINEAR_KERNELS if gaps is None else AFFINE_KERNELS:
+            args = ((band,) if mode == "banded" else ()) + (model,) + (gaps or ())
+            for kernel in (score_kernel, align_kernel):
+                alone = [kernel([p], *args)[0] for p in pairs]
+                with _padding(unbounded):
+                    got = kernel(pairs, *args, chunk=3)
+                assert _exact(got) == _exact(alone), (mode, gaps)
+
+
+@given(
+    shapes=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 400)), max_size=80),
+    chunk=st.sampled_from([1, 3, 64]),
+)
+def test_chunk_plan_sweeps_each_pair_once_within_the_padding_bound(shapes, chunk):
+    nk = np.array([n for n, _ in shapes], dtype=np.int64)
+    mk = np.array([m for _, m in shapes], dtype=np.int64)
+    plan = pairwise._chunks(nk, mk, None, chunk)
+    assert sorted(k for idx, _, _ in plan for k in idx) == [
+        k for k, (n, m) in enumerate(shapes) if n and m
+    ]
+    for idx, n, m in plan:
+        assert 1 <= idx.size <= chunk and (n, m) == (nk[idx].max(), mk[idx].max())
+        bound = pairwise._PAD_RATIO * int((nk[idx] * mk[idx]).sum()) + pairwise._ROW_CELLS * n
+        assert idx.size == 1 or idx.size * n * m <= bound
+
+
+def test_a_long_pair_sweeps_apart_from_short_ones():
+    nk = mk = np.array([32] * 63 + [2000])
+    plan = pairwise._chunks(nk, mk, None, 64)
+    assert [idx.tolist() for idx, _, _ in plan] == [list(range(63)), [63]]

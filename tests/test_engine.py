@@ -15,13 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fragalign.align.pairwise import global_scores_batch
+from fragalign.align.pairwise import global_align_batch, global_scores_batch
 from fragalign.align.scoring_matrices import transition_transversion, unit_dna
 from fragalign.engine import (
     AlignmentBackend,
     AlignmentEngine,
     JobSpec,
     NaiveBackend,
+    NativeBackend,
     NumpyBackend,
     available_backends,
     default_model,
@@ -216,9 +217,25 @@ class TestBatchSemantics:
                 loop = np.array([eng.score(a, b) for a, b in pairs])
                 assert np.array_equal(batch, loop)
 
-    def test_batch_kernel_rejects_mixed_shapes(self):
-        with pytest.raises(ValueError, match="uniform lengths"):
-            global_scores_batch([("AC", "GT"), ("ACG", "GT")])
+    def test_batch_kernel_takes_mixed_shapes(self):
+        pairs = [("AC", "GT"), ("ACG", "GT"), ("", "ACGT"), ("ACGTN", "A"), ("ACGTACGT", "ACG")]
+        assert list(global_scores_batch(pairs)) == [
+            global_scores_batch([p])[0] for p in pairs
+        ]
+        assert global_align_batch(pairs) == [global_align_batch([p])[0] for p in pairs]
+
+    @pytest.mark.parametrize("mode", ["global", "overlap", "local"])
+    @pytest.mark.parametrize("force_fallback", [False, True])
+    def test_native_score_many_takes_mixed_shapes(self, mode, force_fallback, rng):
+        # The C kernels need one shape: the backend buckets the group.
+        shapes = [(12, 9), (30, 31), (12, 9), (0, 5), (7, 0), (1, 1), (64, 65)]
+        pairs = [(random_dna(n, rng), random_dna(m, rng)) for n, m in shapes]
+        pairs.append(("ACGTNACGTA", "ACGTTACGT"))  # N: the numpy side path
+        native = NativeBackend(force_fallback=force_fallback)
+        with AlignmentEngine(backend=native) as eng, AlignmentEngine() as ref:
+            got = eng.score_many(pairs, mode=mode)
+            assert np.array_equal(got, ref.score_many(pairs, mode=mode))
+            assert list(got) == [ref.score(a, b, mode=mode) for a, b in pairs]
 
     def test_engine_buckets_mixed_shapes(self):
         eng = AlignmentEngine(backend="numpy")
@@ -361,6 +378,27 @@ class TestMemoryKnob:
         ) as small, AlignmentEngine() as eng:
             # 64*64 cells > 100: auto takes the linear walker — results identical
             assert small.align(a, b) == eng.align(a, b, memory="tensor")
+
+    def test_auto_resolves_per_chunk(self, rng, monkeypatch):
+        # One long pair among short ones sweeps in a chunk of its own,
+        # and only that chunk is big enough to walk in linear memory.
+        import fragalign.align.hirschberg as hirschberg
+
+        walked = []
+        real = hirschberg.linear_align
+
+        def counted(a, b, *args, **kwargs):
+            walked.append((len(a), len(b)))
+            return real(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(hirschberg, "linear_align", counted)
+        pairs = [(random_dna(8, rng), random_dna(9, rng)) for _ in range(20)]
+        pairs.insert(7, (random_dna(300, rng), random_dna(310, rng)))
+        with AlignmentEngine(
+            backend=NumpyBackend(linear_auto_cells=5000)
+        ) as small, AlignmentEngine() as eng:
+            assert small.align_many(pairs) == eng.align_many(pairs, memory="tensor")
+        assert walked == [(300, 310)]
 
     def test_invalid_memory_combinations(self, rng):
         a, b = random_dna(16, rng), random_dna(16, rng)

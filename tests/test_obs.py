@@ -19,6 +19,7 @@ import io
 import json
 import logging
 import threading
+import time
 from collections import deque
 
 import numpy as np
@@ -377,9 +378,9 @@ class TestKernelProfiler:
         assert ("align", "global") in families
         assert ("score_many", "global") in families
         assert ("align_many", "local") in families
-        # mixed-shape batch: one dispatch per shape bucket
+        # mixed-shape batch: one dispatch of both pairs
         row = next(r for r in top_rows(reg) if r["family"] == "score_many")
-        assert row["calls"] == 2 and row["pairs"] == 2
+        assert row["calls"] == 1 and row["pairs"] == 2
 
     def test_profiler_off_changes_nothing(self):
         with AlignmentEngine() as eng:
@@ -479,6 +480,16 @@ class TestServiceObservability:
             s for s in reply["spans"] if s["name"] == "server.request"
         )
         assert request_span["parent_id"] == root.span_id
+
+    def test_server_read_excludes_an_idle_kept_alive_gap(self, one_server):
+        with AlignmentClient("127.0.0.1", one_server["port"]) as client:
+            client.score("ACGTACGT", "ACGTAGGT")  # opens the connection
+            time.sleep(0.05)  # idle on the kept-alive connection
+            root = new_trace_context()
+            client.score("ACGTACGTAC", "ACGTAGGTAC", trace=root)
+            reply = client.trace_spans(root.trace_id)
+        read = next(s for s in reply["spans"] if s["name"] == "server.read")
+        assert read["duration_s"] < 0.005
 
     def test_cache_hit_trace_has_no_batcher_spans(self, one_server):
         with AlignmentClient("127.0.0.1", one_server["port"]) as client:

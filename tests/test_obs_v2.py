@@ -540,6 +540,33 @@ class TestJournal:
         text = format_diff_report(diff)
         assert "cache hit rate" in text
 
+    def test_coalesced_twins_count_as_repeats(self):
+        # Recorded: each twin arrived while its job computed (coalesced,
+        # not cached).  A serial replay sends one record at a time, so
+        # every repeat hits: both runs answered 2 of 6 without compute.
+        pairs = [("A" * 16, "C" * 16), ("G" * 16, "T" * 16), ("AC" * 8, "GT" * 8)]
+        records = []
+        for k, (a, b) in enumerate(pairs + pairs[:2] + pairs[2:]):
+            twin = k in (3, 4)
+            records.append(
+                build_record(
+                    "score", a, b, {}, ok=True, cached=False, ts=float(k),
+                    disposition="coalesced" if twin else "computed",
+                )
+            )
+        records[5]["cached"] = True  # a later repeat, after its job finished
+        records[5]["disposition"] = "cache_hit"
+        served: set = set()
+
+        def send(op, a, b, knobs):
+            hit = (a, b) in served
+            served.add((a, b))
+            return True, hit
+
+        diff = diff_report(records, replay_journal(records, send, speed=0))
+        assert diff["recorded"]["hit_rate"] == pytest.approx(3 / 6)
+        assert diff["hit_rate_delta"] == 0
+
     def test_replay_paces_but_caps_gaps(self):
         records = [
             build_record("score", "A" * 8, "C" * 8, {}, ok=True, ts=0.0),

@@ -13,6 +13,7 @@ Standing invariants:
 from __future__ import annotations
 
 import asyncio
+import json
 import random
 import socket
 import threading
@@ -47,6 +48,7 @@ from fragalign.service.protocol import (
     alignment_to_dict,
     decode_line,
     encode_line,
+    ok_response,
     parse_request,
 )
 from fragalign.util.errors import DeadlineExceeded
@@ -334,7 +336,9 @@ class TestMicroBatcher:
         assert sorted(calls) == [("align", 3), ("score", 3)]
         with AlignmentEngine() as eng:
             assert scores == [eng.score(a, b) for a, b in pairs]
-            assert alns == [alignment_to_dict(x) for x in eng.align_many(pairs)]
+            assert [json.loads(x) for x in alns] == [
+                alignment_to_dict(x) for x in eng.align_many(pairs)
+            ]
 
     def test_execution_twins_share_one_job(self):
         # Specs that differ only in backend or memory name one job: it
@@ -360,7 +364,7 @@ class TestMicroBatcher:
         assert calls == [("align", 1)]
         assert results[0] == results[1] == results[2]
         with AlignmentEngine() as eng:
-            assert results[0] == alignment_to_dict(eng.align("ACGTACGT", "AGGTACGT"))
+            assert json.loads(results[0]) == alignment_to_dict(eng.align("ACGTACGT", "AGGTACGT"))
 
     def test_submits_in_one_tick_share_one_call_on_an_idle_worker(self):
         pairs = [("ACGT" * 2, "AGGT" * 2 + "A" * k) for k in range(6)]
@@ -496,10 +500,9 @@ class TestMicroBatcher:
             def quiet() -> bool:
                 # Only a release can change anything now: a call waits at
                 # the gate, or the batcher is idle.  A job queued while
-                # the worker idles would never get here.  Waiters await
-                # their job through a shield, so a dropped job's waiters
-                # hear of it a loop turn after the worker moved on: wait
-                # for them too.
+                # the worker idles would never get here.  A dropped
+                # job's waiters hear of it through their own futures, a
+                # loop turn after the worker moved on: wait for them too.
                 return (engine.parked or idle()) and all(
                     f.done() or key(i, k) in batcher or key(i, k) in cache
                     for i, k, expired, f in submits if expired
@@ -696,6 +699,26 @@ class TestServiceEndToEnd:
         with AlignmentEngine() as eng:
             assert scores == [eng.score(a, b) for a, b in pairs]
             assert alns == eng.align_many(pairs)
+
+    def test_served_align_lines_equal_the_encoded_dict(self, service_port):
+        # The server answers and caches align as JSON text: the line it
+        # writes, computed or cached, is the encoded dict's, byte for byte.
+        pairs = [("ACGTACGTAC", "ACGTAGGTAC"), ("TTTTACGTACGTAAA", "ACGNTCGTA"), ("", "ACG")]
+        ids = iter([0, "x-1", 2.5, None, -7, "é", 1e-3, 10**20, 8, 9, 10, 11] * 2)
+        with AlignmentEngine() as eng, socket.create_connection(
+            ("127.0.0.1", service_port), timeout=60
+        ) as sock:
+            stream = sock.makefile("rb")
+            for a, b in pairs:
+                for mode in ("global", "local", "overlap", "banded"):
+                    knobs = {"mode": mode, "band": 9} if mode == "banded" else {"mode": mode}
+                    want = alignment_to_dict(eng.align(a, b, **knobs))
+                    for cached in (False, True):
+                        rid = next(ids)
+                        request = {"id": rid, "op": "align", "a": a, "b": b, **knobs}
+                        sock.sendall(encode_line(request))
+                        line = stream.readline()
+                        assert line == encode_line(ok_response(rid, want, cached=cached))
 
     def test_cache_hit_on_repeat(self, service_port):
         async def run():
