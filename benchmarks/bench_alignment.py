@@ -154,12 +154,12 @@ def run_engine_bench(n_pairs: int = 200, length: int = 256, seed: int = 2026) ->
         # The new first-class modes, score kernels (banded sweeps
         # O(n * band) cells, so its rate is reported over that count).
         t, overlap_scores = time_call(
-            eng.score_many, pairs, "overlap", repeat=3
+            eng.score_many, pairs, mode="overlap", repeat=3
         )
         record("numpy_overlap_score_many", t)
         banded_cells = n_pairs * length * (2 * band + 1)
         t, banded_scores = time_call(
-            eng.score_many, pairs, "banded", band, repeat=3
+            eng.score_many, pairs, mode="banded", band=band, repeat=3
         )
         record(f"numpy_banded_score_many_band{band}", t, banded_cells)
 
@@ -190,11 +190,11 @@ def run_engine_bench(n_pairs: int = 200, length: int = 256, seed: int = 2026) ->
             contenders += [
                 (
                     "numpy_local_score_many_ab",
-                    lambda: np_eng.score_many(pairs, "local"),
+                    lambda: np_eng.score_many(pairs, mode="local"),
                 ),
                 (
                     "native_local_score_many",
-                    lambda: nat_eng.score_many(pairs, "local"),
+                    lambda: nat_eng.score_many(pairs, mode="local"),
                 ),
             ]
         ab_best = {name: float("inf") for name, _ in contenders}
@@ -211,7 +211,7 @@ def run_engine_bench(n_pairs: int = 200, length: int = 256, seed: int = 2026) ->
         assert np.array_equal(bitparallel_scores_batch(pairs, mode="global"), vec_scores)
         if HAVE_NATIVE:
             assert np.array_equal(
-                nat_eng.score_many(pairs, "local"), np_eng.score_many(pairs, "local")
+                nat_eng.score_many(pairs, mode="local"), np_eng.score_many(pairs, mode="local")
             )
     native_speedup = results["native_score_many"]["mcells_per_s"] / max(
         results["numpy_score_many_ab"]["mcells_per_s"], 1e-9
@@ -228,11 +228,11 @@ def run_engine_bench(n_pairs: int = 200, length: int = 256, seed: int = 2026) ->
 
     with AlignmentEngine(backend="numpy") as eng:
         t_aff_align, aff_alns = time_call(
-            eng.align_many, pairs, "global", None, -4.0, -1.0, repeat=3
+            eng.align_many, pairs, mode="global", gap_open=-4.0, gap_extend=-1.0, repeat=3
         )
         record("numpy_affine_align_many", t_aff_align)
         t, aff_scores = time_call(
-            eng.score_many, pairs, "global", None, -4.0, -1.0, repeat=3
+            eng.score_many, pairs, mode="global", gap_open=-4.0, gap_extend=-1.0, repeat=3
         )
         record("numpy_affine_score_many", t)
     n_oracle = max(2, min(12, n_pairs // 16))

@@ -14,22 +14,20 @@ the DP frontier ``f`` forward:
     g[r]   = f[r] + W[r, e]                (chains ending in column e)
     f'[i]  = max(f[i], max_{r < i} g[r])   (two maximum.accumulate)
 
-This is the "incremental DP variant" of the IPPS evaluation; the
-parallel version fans left endpoints out over a process pool (the
-columns for different ``d`` are independent), standing in for the
-paper's cluster run.
+This is the "incremental DP variant" of the IPPS evaluation.  Every
+left endpoint advances in one batched sweep per column, so the whole
+table costs m Python-level iterations.  There is no parallel variant:
+a process pool over left endpoints (the paper's cluster run) lost to
+this sweep at every size measured on a 2-vCPU host.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 __all__ = [
     "all_interval_chain_scores",
     "all_interval_chain_scores_reference",
-    "all_interval_chain_scores_parallel",
 ]
 
 
@@ -46,21 +44,6 @@ def all_interval_chain_scores_reference(W: np.ndarray) -> np.ndarray:
     return S
 
 
-def _scores_for_left_endpoints(W: np.ndarray, ds: range) -> np.ndarray:
-    """Rows ``ds`` of the interval-score table, incrementally."""
-    n, m = W.shape
-    out = np.zeros((len(ds), m + 1))
-    for row, d in enumerate(ds):
-        f = np.zeros(n + 1)
-        for e in range(d, m):
-            g = f[:-1] + W[:, e]
-            np.maximum.accumulate(g, out=g)
-            np.maximum(f[1:], g, out=f[1:])
-            # f is nondecreasing by construction, so f[n] is the score.
-            out[row, e + 1] = f[n]
-    return out
-
-
 def all_interval_chain_scores(W: np.ndarray) -> np.ndarray:
     """S[d, e] = max-weight chain of W restricted to columns [d, e).
 
@@ -69,9 +52,9 @@ def all_interval_chain_scores(W: np.ndarray) -> np.ndarray:
 
     All left endpoints are advanced together: ``F[d]`` holds the DP
     frontier for left endpoint ``d``, and extending every active
-    frontier to column ``e`` is one batched sweep (the same ops as
-    :func:`_scores_for_left_endpoints` per row, but m python-level
-    iterations total instead of m²/2).
+    frontier to column ``e`` is one batched sweep (m Python-level
+    iterations in all, not one per interval).  Each frontier is
+    nondecreasing by construction, so ``F[d, n]`` is the score.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2:
@@ -87,60 +70,4 @@ def all_interval_chain_scores(W: np.ndarray) -> np.ndarray:
         np.maximum.accumulate(G, axis=1, out=G)
         np.maximum(A[:, 1:], G, out=A[:, 1:])
         S[: e + 1, e + 1] = A[:, n]
-    return S
-
-
-# Worker-process global: the weight matrix is broadcast once through
-# the pool initializer instead of being pickled into every task (the
-# message-passing pattern an MPI implementation would use: one bcast,
-# then index-only work assignments).
-_WORKER_W: np.ndarray | None = None
-
-
-def _init_worker(W: np.ndarray) -> None:
-    global _WORKER_W
-    _WORKER_W = W
-
-
-def _parallel_worker(span: tuple[int, int]) -> tuple[int, int, np.ndarray]:
-    lo, hi = span
-    assert _WORKER_W is not None
-    return lo, hi, _scores_for_left_endpoints(_WORKER_W, range(lo, hi))
-
-
-def all_interval_chain_scores_parallel(
-    W: np.ndarray, workers: int = 2, chunk: int | None = None
-) -> np.ndarray:
-    """Process-pool version of :func:`all_interval_chain_scores`.
-
-    Left endpoints are independent, so the table is computed in
-    contiguous ``d``-chunks by worker processes.  Work per left
-    endpoint shrinks linearly with ``d`` (intervals get shorter), so
-    chunks are interleaved in a cheap static load-balancing scheme:
-    expensive (small d) chunks alternate with cheap (large d) ones.
-    """
-    W = np.asarray(W, dtype=float)
-    m = W.shape[1]
-    S = np.zeros((m + 1, m + 1))
-    if W.size == 0:
-        return S
-    if workers <= 1 or m < 4:
-        S[:m, :] = _scores_for_left_endpoints(W, range(m))
-        return S
-    chunk = chunk or max(1, m // (4 * workers))
-    tasks = [(lo, min(lo + chunk, m)) for lo in range(0, m, chunk)]
-    # Pair expensive (small lo) with cheap (large lo) chunks.
-    order = []
-    i, j = 0, len(tasks) - 1
-    while i <= j:
-        order.append(tasks[i])
-        if i != j:
-            order.append(tasks[j])
-        i += 1
-        j -= 1
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(W,)
-    ) as pool:
-        for lo, hi, rows in pool.map(_parallel_worker, order):
-            S[lo:hi, :] = rows
     return S

@@ -925,14 +925,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         engine = AlignmentEngine(backend=args.backend)
 
         def send(op: str, a: str, b: str, knobs: dict) -> tuple[bool, bool]:
+            if op != "align":
+                knobs = {k: v for k, v in knobs.items() if k != "memory"}
             try:
-                if op == "align":
-                    engine.align(a, b, **knobs)
-                else:
-                    engine.score(
-                        a, b,
-                        **{k: v for k, v in knobs.items() if k != "memory"},
-                    )
+                getattr(engine, op)(a, b, **knobs)
                 return True, False
             except Exception:
                 return False, False
@@ -945,16 +941,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             with AlignmentClient(args.host, args.port) as client:
 
                 def send(op: str, a: str, b: str, knobs: dict) -> tuple[bool, bool]:
+                    if op != "align":
+                        knobs = {k: v for k, v in knobs.items() if k != "memory"}
                     try:
-                        if op == "align":
-                            _res, cached = client.align_detail(a, b, **knobs)
-                        else:
-                            _res, cached = client.score_detail(
-                                a, b,
-                                **{k: v for k, v in knobs.items()
-                                   if k != "memory"},
-                            )
-                        return True, cached
+                        return True, bool(client.request(op, a, b, **knobs).get("cached"))
                     except OSError:
                         raise
                     except Exception:

@@ -1,9 +1,11 @@
 """The shard router: fan out batches over N service instances.
 
 :class:`ShardRouter` fronts N running :mod:`fragalign.service`
-servers.  Each request's knobs become one :class:`~fragalign.job.JobSpec`
-(validated here, so a refused request never leaves the router), keyed
-by :meth:`~fragalign.job.JobSpec.ring_key` from the same fields as the
+servers.  Each request's knobs — the pair verbs' keywords, as on the
+engine, or a ``request_many`` entry's fields — become one
+:class:`~fragalign.job.JobSpec` (validated here, so a refused request
+never leaves the router), keyed by
+:meth:`~fragalign.job.JobSpec.ring_key` from the same fields as the
 service result cache, hashed onto the consistent ring, and sent to the
 owning shard over that shard's pipelined
 :class:`~fragalign.service.client.AsyncAlignmentClient`.  Batch calls
@@ -68,7 +70,7 @@ from typing import Any, Sequence
 
 from fragalign.align.pairwise import Alignment
 from fragalign.cluster.ring import HashRing
-from fragalign.job import JobSpec
+from fragalign.job import JobSpec, check_fields
 from fragalign.obs.logs import get_logger
 from fragalign.obs.metrics import MetricsRegistry, merge_expositions, parse_exposition
 from fragalign.obs.slo import SLOEngine
@@ -106,12 +108,18 @@ class ShardRouter:
     """Health-aware consistent-hash router over N service shards.
 
     One shard is a valid cluster: the CLI drives a lone server through
-    a one-shard router, so every verb has one code path.  A router has
-    no fleet defaults of its own — a request's unset knobs route as the
-    registry defaults (:data:`~fragalign.job.DEFAULTS`), so callers
-    that want each routing key to equal the owning shard's cache key
-    resolve their jobs first, e.g. against the ``engine`` block of a
-    shard's ``stats`` answer (``fragalign client`` does).
+    a one-shard router, so every verb has one code path.  The pair
+    verbs (``score``, ``align``, ``score_many``, ``align_many`` and
+    ``shard_for``) take the job knobs as keywords, as the engine's do:
+    :meth:`JobSpec.of <fragalign.job.JobSpec.of>` refuses a misspelled
+    one (``TypeError``) and ``memory`` on a score verb
+    (:class:`~fragalign.util.errors.InvalidArgument`) before anything
+    is sent; ``trace`` and ``deadline_ms`` are keyword-only.  A router
+    has no fleet defaults of its own — a request's unset knobs route
+    as the registry defaults (:data:`~fragalign.job.DEFAULTS`), so
+    callers that want each routing key to equal the owning shard's
+    cache key resolve their jobs first, e.g. against the ``engine``
+    block of a shard's ``stats`` answer (``fragalign client`` does).
 
     Parameters
     ----------
@@ -215,19 +223,9 @@ class ShardRouter:
     def live_shards(self) -> list[str]:
         return self.ring.nodes
 
-    def shard_for(
-        self,
-        op: str,
-        a: str,
-        b: str,
-        mode: str | None = None,
-        band: int | None = None,
-        gap_open: float | None = None,
-        gap_extend: float | None = None,
-    ) -> str:
+    def shard_for(self, op: str, a: str, b: str, **knobs) -> str:
         """The shard currently owning one request (tests, warm reports)."""
-        spec = JobSpec(mode, band, gap_open, gap_extend)
-        return self.ring.node_for(spec.ring_key(op, a, b))
+        return self.ring.node_for(JobSpec.of(op, **knobs).ring_key(op, a, b))
 
     def mark_shard_down(self, shard: str) -> None:
         """Evict a shard from the ring (idempotent); its keys fall to
@@ -408,7 +406,7 @@ class ShardRouter:
         budget_ms: float | None = None  # re-read per attempt, as it launches
 
         def request(client: AsyncAlignmentClient, ctx):
-            return client.request(op, a, b, ctx, budget_ms, **wire)
+            return client.request(op, a, b, trace=ctx, deadline_ms=budget_ms, **wire)
 
         deadline = deadline_from_budget_ms(deadline_ms)
         self._breaker_readmit()
@@ -623,34 +621,17 @@ class ShardRouter:
         )
 
     async def score(
-        self,
-        a: str,
-        b: str,
-        mode: str | None = None,
-        band: int | None = None,
-        gap_open: float | None = None,
-        gap_extend: float | None = None,
-        backend: str | None = None,
-        trace: TraceContext | None = None,
-        deadline_ms: float | None = None,
+        self, a: str, b: str, *, trace: TraceContext | None = None,
+        deadline_ms: float | None = None, **knobs,
     ) -> float:
-        spec = JobSpec(mode, band, gap_open, gap_extend, backend=backend)
+        spec = JobSpec.of("score", **knobs)
         return await self.request("score", a, b, spec, deadline_ms, trace)
 
     async def align(
-        self,
-        a: str,
-        b: str,
-        mode: str | None = None,
-        band: int | None = None,
-        gap_open: float | None = None,
-        gap_extend: float | None = None,
-        memory: str | None = None,
-        backend: str | None = None,
-        trace: TraceContext | None = None,
-        deadline_ms: float | None = None,
+        self, a: str, b: str, *, trace: TraceContext | None = None,
+        deadline_ms: float | None = None, **knobs,
     ) -> Alignment:
-        spec = JobSpec(mode, band, gap_open, gap_extend, memory, backend)
+        spec = JobSpec.of("align", **knobs)
         return await self.request("align", a, b, spec, deadline_ms, trace)
 
     async def request(
@@ -671,11 +652,15 @@ class ShardRouter:
 
         Each entry is ``{"op", "a", "b"}`` plus optional knob fields
         and ``"deadline_ms"`` — the keyset-file shape, and what the
-        CLI's mixed workloads use.  ``asyncio.gather`` preserves
-        argument order, so position ``i`` of the returned list answers
-        entry ``i`` — regardless of which shard served it, in what order
-        shards answered, or whether failover rerouted it mid-flight.
+        CLI's mixed workloads use.  An entry with a field the wire
+        would refuse fails the whole batch before any request is sent.
+        ``asyncio.gather`` preserves argument order, so position ``i``
+        of the returned list answers entry ``i`` — regardless of which
+        shard served it, in what order shards answered, or whether
+        failover rerouted it mid-flight.
         """
+        for entry in entries:
+            check_fields(entry)
         jobs = [
             (e["op"], e["a"], e["b"], JobSpec.from_fields(e, e["op"]), e.get("deadline_ms"))
             for e in entries
@@ -692,34 +677,19 @@ class ShardRouter:
         return list(await asyncio.gather(*(one(job) for job in jobs)))
 
     async def score_many(
-        self,
-        pairs: Sequence[tuple[str, str]],
-        concurrency: int = 64,
-        mode: str | None = None,
-        band: int | None = None,
-        gap_open: float | None = None,
-        gap_extend: float | None = None,
-        backend: str | None = None,
-        deadline_ms: float | None = None,
+        self, pairs: Sequence[tuple[str, str]], concurrency: int = 64, *,
+        deadline_ms: float | None = None, **knobs,
     ) -> list[float]:
-        spec = JobSpec(mode, band, gap_open, gap_extend, backend=backend)
+        spec = JobSpec.of("score", **knobs)
         return await self._fan_out(
             [("score", a, b, spec, deadline_ms) for a, b in pairs], concurrency
         )
 
     async def align_many(
-        self,
-        pairs: Sequence[tuple[str, str]],
-        concurrency: int = 64,
-        mode: str | None = None,
-        band: int | None = None,
-        gap_open: float | None = None,
-        gap_extend: float | None = None,
-        memory: str | None = None,
-        backend: str | None = None,
-        deadline_ms: float | None = None,
+        self, pairs: Sequence[tuple[str, str]], concurrency: int = 64, *,
+        deadline_ms: float | None = None, **knobs,
     ) -> list[Alignment]:
-        spec = JobSpec(mode, band, gap_open, gap_extend, memory, backend)
+        spec = JobSpec.of("align", **knobs)
         return await self._fan_out(
             [("align", a, b, spec, deadline_ms) for a, b in pairs], concurrency
         )

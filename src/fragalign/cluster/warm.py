@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import asyncio
 
-from fragalign.job import PAIR_OPS, JobSpec
+from fragalign.job import PAIR_OPS, JobSpec, check_fields
 
 __all__ = [
     "load_keyset",
@@ -34,6 +34,7 @@ __all__ = [
 
 
 def _normalize(entry: dict) -> dict:
+    check_fields(entry)
     op = entry.get("op", "score")
     if op not in PAIR_OPS:
         raise ValueError(f"keyset op must be one of {PAIR_OPS}, got {op!r}")
@@ -68,26 +69,19 @@ def dump_keyset(path: str | Path, entries: Iterable[dict]) -> int:
 
 
 def generate_keyset(
-    n: int,
-    length: int = 128,
-    seed: int = 2026,
-    op: str = "score",
-    mode: str | None = None,
-    band: int | None = None,
-    gap_open: float | None = None,
-    gap_extend: float | None = None,
-    memory: str | None = None,
-    backend: str | None = None,
+    n: int, length: int = 128, seed: int = 2026, op: str = "score", **knobs
 ) -> list[dict]:
-    """A synthetic keyset of ``n`` random DNA pairs (benchmarks, CI)."""
+    """A synthetic keyset of ``n`` random DNA pairs (benchmarks, CI),
+    each an ``op`` request carrying the job knobs given as keywords
+    (validated as :meth:`JobSpec.of <fragalign.job.JobSpec.of>`)."""
     import numpy as np
 
     from fragalign.genome.dna import random_dna
 
     gen = np.random.default_rng(seed)
-    knobs = JobSpec(mode, band, gap_open, gap_extend, memory, backend).wire()
+    fields = JobSpec.of(op, **knobs).wire()
     return [
-        {"op": op, "a": random_dna(length, gen), "b": random_dna(length, gen), **knobs}
+        {"op": op, "a": random_dna(length, gen), "b": random_dna(length, gen), **fields}
         for _ in range(n)
     ]
 
@@ -97,8 +91,11 @@ async def warm_router(router, entries: Sequence[dict], concurrency: int = 32) ->
 
     The report counts entries warmed per owning shard plus failures:
     ``{"warmed": int, "errors": int, "per_shard": {shard: n},
-    "error_samples": [str, ...]}``.
+    "error_samples": [str, ...]}``.  An entry with a field the wire
+    would refuse fails the whole warm before any entry is sent.
     """
+    for entry in entries:
+        check_fields(entry)
     semaphore = asyncio.Semaphore(max(1, concurrency))
     per_shard: Counter[str] = Counter()
     errors = 0

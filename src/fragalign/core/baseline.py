@@ -71,10 +71,10 @@ def _unconcat_moving(moving: Arrangement, frozen: Arrangement) -> Arrangement:
     return moving.mirrored() if frozen.order[0][1] else moving
 
 
-def baseline4(instance: CSRInstance, workers: int = 1) -> CSRSolution:
+def baseline4(instance: CSRInstance) -> CSRSolution:
     """Theorem 3's A′ with the TPA 1-CSR solver: ratio 4 (Corollary 1)."""
     # Run 1: H fragments move, M is frozen in concatenation order.
-    sol_hm = solve_one_csr(concat_m_instance(instance), workers=workers)
+    sol_hm = solve_one_csr(concat_m_instance(instance))
     arr_h1 = Arrangement(
         "H", _unconcat_moving(sol_hm.arr_h, sol_hm.arr_m).order
     )
@@ -82,7 +82,7 @@ def baseline4(instance: CSRInstance, workers: int = 1) -> CSRSolution:
     score1 = score_pair(instance, arr_h1, arr_m1)
 
     # Run 2: M fragments move, H is frozen.
-    sol_mh = solve_one_csr(transposed_concat_instance(instance), workers=workers)
+    sol_mh = solve_one_csr(transposed_concat_instance(instance))
     arr_h2 = identity_arrangement(instance, "H")
     arr_m2 = Arrangement(
         "M", _unconcat_moving(sol_mh.arr_h, sol_mh.arr_m).order

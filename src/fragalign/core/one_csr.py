@@ -19,10 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fragalign.align.interval_dp import (
-    all_interval_chain_scores,
-    all_interval_chain_scores_parallel,
-)
+from fragalign.align.interval_dp import all_interval_chain_scores
 from fragalign.core.fragments import CSRInstance
 from fragalign.core.match_score import MatchScorer
 from fragalign.core.sites import Site
@@ -37,9 +34,7 @@ from fragalign.util.errors import SolverError
 __all__ = ["one_csr_profits", "solve_one_csr", "solve_one_csr_exact"]
 
 
-def one_csr_profits(
-    instance: CSRInstance, workers: int = 1
-) -> list[np.ndarray]:
+def one_csr_profits(instance: CSRInstance) -> list[np.ndarray]:
     """Per-H-fragment interval profit tables.
 
     Returns a list P with P[i][d, e] = MS(h_i, m(d, e)) for the single
@@ -49,37 +44,29 @@ def one_csr_profits(
     if instance.n_m != 1:
         raise SolverError("one_csr_profits needs exactly one m-fragment")
     m_word = instance.m_fragments[0].regions
-    L = len(m_word)
-    compute = (
-        all_interval_chain_scores
-        if workers <= 1
-        else lambda W: all_interval_chain_scores_parallel(W, workers=workers)
-    )
     tables: list[np.ndarray] = []
     for frag in instance.h_fragments:
         W_fwd = instance.scorer.weight_matrix(frag.regions, m_word)
         W_rev = instance.scorer.weight_matrix(frag.regions, reverse_word(m_word))
-        S_fwd = compute(W_fwd)
-        S_rev = compute(W_rev)
-        # Interval [d, e) of m maps to [L-e, L-d) of reversed m.
+        S_fwd = all_interval_chain_scores(W_fwd)
+        S_rev = all_interval_chain_scores(W_rev)
+        # Interval [d, e) of m maps to [L-e, L-d) of reversed m (L = len(m)).
         S_rev_mapped = S_rev[::-1, ::-1].T
         tables.append(np.maximum(S_fwd, S_rev_mapped))
     return tables
 
 
-def _one_csr_items(
-    instance: CSRInstance, workers: int = 1, dominated_prune: bool = True
-) -> list[ISPItem]:
+def _one_csr_items(instance: CSRInstance) -> list[ISPItem]:
     """The ISP items of §3.4's reduction.
 
-    ``dominated_prune`` drops items whose profit does not exceed that
-    of a strictly shorter nested interval for the same fragment —
-    padding is free, so such items are never needed (this prunes the
-    quadratic interval count substantially without touching the
-    optimum or the TPA guarantee, which holds for any item subset
-    containing an optimal solution's items).
+    An item whose profit does not exceed that of a strictly shorter
+    nested interval for the same fragment is dropped — padding is
+    free, so such items are never needed (this prunes the quadratic
+    interval count substantially without touching the optimum or the
+    TPA guarantee, which holds for any item subset containing an
+    optimal solution's items).
     """
-    profits = one_csr_profits(instance, workers=workers)
+    profits = one_csr_profits(instance)
     L = len(instance.m_fragments[0])
     items: list[ISPItem] = []
     for i, table in enumerate(profits):
@@ -88,7 +75,7 @@ def _one_csr_items(
                 p = float(table[d, e])
                 if p <= 0:
                     continue
-                if dominated_prune and e - d > 1:
+                if e - d > 1:
                     inner = max(float(table[d + 1, e]), float(table[d, e - 1]))
                     if p <= inner:
                         continue
@@ -96,12 +83,10 @@ def _one_csr_items(
     return items
 
 
-def solve_one_csr(
-    instance: CSRInstance, workers: int = 1, fast_tpa: bool = True
-) -> CSRSolution:
+def solve_one_csr(instance: CSRInstance) -> CSRSolution:
     """Ratio-2 1-CSR solver: all-interval profits + TPA."""
-    items = _one_csr_items(instance, workers=workers)
-    chosen = tpa(ISPInstance.build(items), fast=fast_tpa)
+    items = _one_csr_items(instance)
+    chosen = tpa(ISPInstance.build(items))
     ms = MatchScorer(instance)
     state = SolutionState(instance, ms)
     for item in chosen:
@@ -111,16 +96,14 @@ def solve_one_csr(
     )
 
 
-def solve_one_csr_exact(
-    instance: CSRInstance, workers: int = 1, max_items: int = 30
-) -> CSRSolution:
+def solve_one_csr_exact(instance: CSRInstance, max_items: int = 30) -> CSRSolution:
     """Exact 1-CSR on small instances: exact ISP over the same items.
 
     Plugged into Theorem 3's combinator this yields a true ratio-2 CSR
     algorithm (r = 1), the best the paper's framework offers short of
     the improvement algorithms.
     """
-    items = _one_csr_items(instance, workers=workers)
+    items = _one_csr_items(instance)
     if len(items) > max_items:
         raise SolverError(
             f"exact 1-CSR limited to {max_items} ISP items (got {len(items)})"

@@ -8,15 +8,23 @@ One object, four verbs::
         alns   = eng.align_many(pairs)    # batch, any shapes
         scores = eng.score_many(pairs)    # batch, any shapes
 
-Every verb takes optional ``mode=`` / ``band=`` / ``gap_open=`` /
-``gap_extend=`` / ``backend=`` overrides (and the align verbs
-``memory=``), so one engine serves all four alignment modes, both gap
-models and both traceback strategies.  The verbs build one
-:class:`~fragalign.job.JobSpec` from their keywords (validating them),
-resolve it against the engine's defaults (:attr:`AlignmentEngine.defaults`,
-set by the constructor) and hand the resolved spec to the backend.  The
-serving tier, which already holds a spec, calls :meth:`AlignmentEngine.run`
-directly.
+Every verb takes the job knobs registered in :mod:`fragalign.job` as
+keyword overrides — ``mode=``, ``band=``, ``gap_open=``/``gap_extend=``,
+``backend=`` and, on the align verbs, ``memory=`` — so one engine
+serves all four alignment modes, both gap models and both traceback
+strategies::
+
+    eng.score(a, b, mode="local", gap_open=-4, gap_extend=-1)
+    eng.align_many(pairs, mode="banded", band=16, memory="tensor")
+
+The verbs build one :class:`~fragalign.job.JobSpec` from their
+keywords with :meth:`~fragalign.job.JobSpec.of`, which validates them:
+an unknown name is a ``TypeError``, ``memory=`` on a score verb an
+:class:`~fragalign.util.errors.InvalidArgument`, as on the wire.  The
+spec is resolved against the engine's defaults
+(:attr:`AlignmentEngine.defaults`, set by the constructor's same
+keywords) and handed to the backend.  The serving tier, which already
+holds a spec, calls :meth:`AlignmentEngine.run` directly.
 
 ``backend`` names a registered backend that overrides the engine's
 default for that call (instantiated lazily, once, and kept for the
@@ -44,6 +52,7 @@ Left at ``None`` (the default) no timer is read.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -53,7 +62,7 @@ from fragalign.align.pairwise import Alignment
 from fragalign.align.scoring_matrices import SubstitutionModel, encode, unit_dna
 from fragalign.engine.backends import AlignmentBackend, PreparedPair
 from fragalign.engine.registry import check_backend, get_backend
-from fragalign.job import JobSpec
+from fragalign.job import DEFAULTS, JobSpec
 from fragalign.util.lru import LRUCache
 
 __all__ = ["AlignmentEngine", "default_model"]
@@ -76,47 +85,37 @@ class AlignmentEngine:
         configured backend, e.g. ``NumpyBackend(linear_auto_cells=1 << 20)``.
     model:
         Substitution model; defaults to the memoized unit-cost model.
-    mode:
-        Default alignment mode: ``"global"`` (Needleman–Wunsch),
-        ``"local"`` (Smith–Waterman), ``"overlap"`` (suffix–prefix) or
-        ``"banded"``.  Every verb accepts a per-call ``mode=`` override.
-    band:
-        Default band half-width for ``banded`` mode (per-call ``band=``
-        overrides it).  Must be a non-negative integer when set.
-    gap_open / gap_extend:
-        Default affine (Gotoh) gap parameters — a k-long gap costs
-        ``gap_open + (k-1)·gap_extend``.  Both ``None`` (the default)
-        keeps the model's linear per-symbol gap; both must be set
-        together and be non-positive.  Per-call overrides on every
-        verb.
-    memory:
-        Default traceback strategy for the align verbs: ``"auto"``
-        (the default — linear-memory Hirschberg walker above a size
-        threshold, direction tensor below), ``"tensor"`` or
-        ``"linear"``.  Score verbs always run in O(n + m) memory.
     cache_size:
-        How many distinct sequences' encodings to memoize (a bounded
-        LRU — ``<= 0`` disables memoization).  Bounded so a
-        long-running server scoring an open-ended stream of distinct
-        sequences holds steady-state memory.
+        Keyword only.  How many distinct sequences' encodings to
+        memoize (a bounded LRU — ``<= 0`` disables memoization).
+        Bounded so a long-running server scoring an open-ended stream
+        of distinct sequences holds steady-state memory.
+    **defaults:
+        The default job, as the registry's knob keywords (see
+        :mod:`fragalign.job`): ``mode`` (``"global"`` unless given:
+        Needleman–Wunsch; ``"local"``, ``"overlap"`` or ``"banded"``),
+        ``band`` (the banded half-width), ``gap_open``/``gap_extend``
+        (affine Gotoh costs, set together: a k-long gap costs
+        ``gap_open + (k-1)·gap_extend``; unset keeps the model's
+        linear gap) and ``memory`` (the align traceback: ``"auto"``
+        unless given, ``"tensor"`` or ``"linear"``).  Every verb
+        accepts the same keywords per call.  A knob passed by position
+        is a ``TypeError``.
     """
 
     def __init__(
         self,
         backend: str | AlignmentBackend = "numpy",
         model: SubstitutionModel | None = None,
-        mode: str = "global",
-        band: int | None = None,
-        gap_open: float | None = None,
-        gap_extend: float | None = None,
-        memory: str = "auto",
+        *,
         cache_size: int = 4096,
+        **defaults,
     ) -> None:
         self._backend = (
             backend if isinstance(backend, AlignmentBackend) else get_backend(backend)
         )
         #: The engine's default job: every per-call spec resolves against it.
-        self.defaults = JobSpec(mode, band, gap_open, gap_extend, memory, self._backend.name)
+        self.defaults = replace(DEFAULTS, **defaults, backend=self._backend.name)
         # Fail at construction, not on every call: a server built on this
         # engine would otherwise boot cleanly and then reject 100% of its
         # traffic (banded with no band, linear memory it cannot serve).
@@ -193,32 +192,11 @@ class AlignmentEngine:
 
     # -- single-pair API ---------------------------------------------
 
-    def score(
-        self,
-        a: str,
-        b: str,
-        mode: str | None = None,
-        band: int | None = None,
-        gap_open: float | None = None,
-        gap_extend: float | None = None,
-        backend: str | None = None,
-    ) -> float:
-        spec = JobSpec(mode, band, gap_open, gap_extend, backend=backend)
-        return self._one("score", a, b, spec)
+    def score(self, a: str, b: str, **knobs) -> float:
+        return self._one("score", a, b, JobSpec.of("score", **knobs))
 
-    def align(
-        self,
-        a: str,
-        b: str,
-        mode: str | None = None,
-        band: int | None = None,
-        gap_open: float | None = None,
-        gap_extend: float | None = None,
-        memory: str | None = None,
-        backend: str | None = None,
-    ) -> Alignment:
-        spec = JobSpec(mode, band, gap_open, gap_extend, memory, backend)
-        return self._one("align", a, b, spec)
+    def align(self, a: str, b: str, **knobs) -> Alignment:
+        return self._one("align", a, b, JobSpec.of("align", **knobs))
 
     def _one(self, op: str, a: str, b: str, spec: JobSpec):
         spec = self.resolve(spec, op)
@@ -234,35 +212,18 @@ class AlignmentEngine:
 
     # -- batch API ---------------------------------------------------
 
-    def score_many(
-        self,
-        pairs: Sequence[tuple[str, str]],
-        mode: str | None = None,
-        band: int | None = None,
-        gap_open: float | None = None,
-        gap_extend: float | None = None,
-        backend: str | None = None,
-    ) -> np.ndarray:
+    def score_many(self, pairs: Sequence[tuple[str, str]], **knobs) -> np.ndarray:
         """Scores for every (a, b) pair, in input order.
 
         The pairs, whatever their shapes, go to the backend's batch
-        kernel in one call.  Equals ``[self.score(a, b) for a, b in
-        pairs]`` (a standing test invariant).
+        kernel in one call.  Equals ``[self.score(a, b, **knobs) for a,
+        b in pairs]`` (a standing test invariant).
         """
-        return self.run("score", pairs, JobSpec(mode, band, gap_open, gap_extend, backend=backend))
+        return self.run("score", pairs, JobSpec.of("score", **knobs))
 
-    def align_many(
-        self,
-        pairs: Sequence[tuple[str, str]],
-        mode: str | None = None,
-        band: int | None = None,
-        gap_open: float | None = None,
-        gap_extend: float | None = None,
-        memory: str | None = None,
-        backend: str | None = None,
-    ) -> list[Alignment]:
+    def align_many(self, pairs: Sequence[tuple[str, str]], **knobs) -> list[Alignment]:
         """Full alignments for every pair, in input order (one call)."""
-        return self.run("align", pairs, JobSpec(mode, band, gap_open, gap_extend, memory, backend))
+        return self.run("align", pairs, JobSpec.of("align", **knobs))
 
     def run(self, op: str, pairs: Sequence[tuple[str, str]], spec: JobSpec):
         """``score_many`` (``op="score"``) or ``align_many`` for a built spec."""

@@ -2,12 +2,16 @@
 
 Six knobs select what the alignment engine computes and how: ``mode``,
 ``band``, ``gap_open``/``gap_extend``, ``memory`` and ``backend``.
-Each edge — the wire parser, the engine constructor and verbs, the
-router's ``score``/``align``, keyset loading and the CLI — builds one
-frozen :class:`JobSpec`, which validates itself once.  The spec, not
-loose keyword arguments, then travels server → batcher → engine facade
-→ backends.  Bad input is refused here with
-:class:`~fragalign.util.errors.InvalidArgument`, never coerced.
+Each edge builds one frozen :class:`JobSpec`, which validates itself
+once: the wire parser and keyset loading from a request object
+(:meth:`JobSpec.from_fields`), the engine's and the router's verbs
+from their ``**knobs`` keywords (:meth:`JobSpec.of`), and the CLI from
+its generated flags.  No verb restates the knobs, so a knob registered
+here reaches every verb.  The spec, not loose keyword arguments, then
+travels server → batcher → engine facade → backends.  Bad input is
+refused here with :class:`~fragalign.util.errors.InvalidArgument`,
+never coerced, and a request object carrying a field nobody registered
+is refused by :func:`check_fields`, never dropped.
 
 A spec built at an edge may leave knobs unset (``None``).  The tier
 that owns the defaults fills them in with :meth:`JobSpec.resolve`,
@@ -64,6 +68,7 @@ __all__ = [
     "MODES",
     "PAIR_OPS",
     "check_affine_gaps",
+    "check_fields",
     "linear_memory_conflict",
     "ring_key",
 ]
@@ -174,11 +179,22 @@ def _flagged(flag: str) -> tuple[str, ...]:
 
 
 KEYSET_FIELDS = _flagged("keyset")
+# Every key a request object may carry: the structure plus the registry.
+_ALLOWED = frozenset(("id", "op", "a", "b", *FIELDS))
 _CACHE_VALUES = attrgetter(*_flagged("cache_key"))
 _GROUP_VALUES = attrgetter(*_flagged("group_key"))
 # Knobs a request for each pair op may not carry (memory on score).
 _NOT_FOR = {op: tuple(n for n in KNOBS if op not in FIELDS[n]["ops"]) for op in PAIR_OPS}
 _SEP = "\x1f"  # unit separator: cannot appear in sequences or mode names
+
+
+def check_fields(obj: Mapping, error: type[InvalidArgument] = InvalidArgument) -> None:
+    """Refuse a request object — a wire line, a keyset line or a
+    router ``request_many`` entry — that carries a field nobody
+    registered: a misspelled knob is refused, never dropped."""
+    if not _ALLOWED.issuperset(obj):
+        unknown = sorted(obj.keys() - _ALLOWED)
+        raise error(f"unknown request field {unknown[0]!r}")
 
 
 def check_affine_gaps(gap_open, gap_extend) -> tuple[float, float]:
@@ -254,14 +270,26 @@ class JobSpec:
             raise InvalidArgument(f"backend must be a string, got {self.backend!r}")
 
     @classmethod
+    def of(cls, op: str, **knobs) -> "JobSpec":
+        """The spec an ``op`` verb called with ``knobs`` runs: an
+        unknown name is a ``TypeError``, as for any keyword."""
+        return cls(**knobs)._for(op)
+
+    @classmethod
     def from_fields(cls, obj: Mapping, op: str) -> "JobSpec":
         """The spec a wire request or keyset entry for ``op`` carries."""
-        spec = cls(*map(obj.get, KNOBS))
+        return cls(*map(obj.get, KNOBS))._for(op)
+
+    def _for(self, op: str) -> "JobSpec":
+        """This spec, refused if ``op`` is no pair op or the spec sets a
+        knob ``op`` does not take (``memory`` on ``score``)."""
+        if op not in _NOT_FOR:
+            raise InvalidArgument(f"unknown pair op {op!r} (expected one of {PAIR_OPS})")
         for name in _NOT_FOR[op]:
-            if getattr(spec, name) is not None:
+            if getattr(self, name) is not None:
                 ops = " and ".join(FIELDS[name]["ops"])
                 raise InvalidArgument(f"{name} only applies to {ops} requests")
-        return spec
+        return self
 
     def resolve(self, defaults: "JobSpec", op: str) -> "JobSpec":
         """The job one ``op`` request actually runs: unset knobs taken

@@ -10,7 +10,16 @@ loop iteration leave in one write (:class:`~fragalign.service.protocol.Outbox`).
 :class:`AlignmentClient` is the blocking wrapper: it runs a private
 event loop on a background thread and exposes plain methods, plus
 ``score_many``/``align_many`` batch helpers that fan out with a
-concurrency bound (the CLI load generator is built on these).
+concurrency bound.
+
+The pair verbs take the job knobs of :mod:`fragalign.job` as keywords
+(``client.score(a, b, mode="local")``) and send them as wire fields,
+so the server is their one validator: a knob the op does not take, or
+a misspelled one, is an
+:class:`~fragalign.service.protocol.InvalidArgumentError` naming the
+field.  :meth:`AsyncAlignmentClient.request` returns the raw response,
+whose ``cached`` flag tells whether the server answered from its
+result cache; ``score`` and ``align`` return just the result.
 """
 
 from __future__ import annotations
@@ -158,101 +167,35 @@ class AsyncAlignmentClient:
         return response
 
     # -- operations ---------------------------------------------------
-    # The knob keywords (memory for align only) are sent as given
-    # (None = server default) and validated server-side; see fragalign.service.protocol for the wire
-    # fields.  `trace` is a TraceContext whose trace_id/span_id ride
-    # along as non-semantic fields — the server's span tree parents
-    # under it.
+    # The pair verbs send their knob keywords as given (None = server
+    # default) and the server validates them; see
+    # fragalign.service.protocol for the wire fields.  `trace` is a
+    # TraceContext whose trace_id/span_id ride along as non-semantic
+    # fields — the server's span tree parents under it.
 
     async def request(
         self,
         op: str,
         a: str,
         b: str,
+        *,
         trace: TraceContext | None = None,
         deadline_ms: float | None = None,
         **knobs: Any,
     ) -> dict:
-        """One pair request with its knob fields; the raw response."""
+        """One pair request; the raw response, whose ``cached`` flag
+        tells whether the server answered from its cache."""
         if trace is not None:
             knobs["trace_id"], knobs["span_id"] = trace.trace_id, trace.span_id
         return await self._request(op, a=a, b=b, deadline_ms=deadline_ms, **knobs)
 
-    async def score(
-        self,
-        a: str,
-        b: str,
-        mode: str | None = None,
-        band: int | None = None,
-        gap_open: float | None = None,
-        gap_extend: float | None = None,
-        backend: str | None = None,
-        trace: TraceContext | None = None,
-        deadline_ms: float | None = None,
-    ) -> float:
-        response = await self.request(
-            "score", a, b, trace, deadline_ms, mode=mode, band=band,
-            gap_open=gap_open, gap_extend=gap_extend, backend=backend,
-        )
-        return float(response["result"])
+    async def score(self, a: str, b: str, **kwargs: Any) -> float:
+        """One pair's score; ``kwargs`` as for :meth:`request`."""
+        return float((await self.request("score", a, b, **kwargs))["result"])
 
-    async def score_detail(
-        self,
-        a: str,
-        b: str,
-        mode: str | None = None,
-        band: int | None = None,
-        gap_open: float | None = None,
-        gap_extend: float | None = None,
-        backend: str | None = None,
-        trace: TraceContext | None = None,
-        deadline_ms: float | None = None,
-    ) -> tuple[float, bool]:
-        """Score plus whether the server answered from its cache."""
-        response = await self.request(
-            "score", a, b, trace, deadline_ms, mode=mode, band=band,
-            gap_open=gap_open, gap_extend=gap_extend, backend=backend,
-        )
-        return float(response["result"]), bool(response.get("cached"))
-
-    async def align(
-        self,
-        a: str,
-        b: str,
-        mode: str | None = None,
-        band: int | None = None,
-        gap_open: float | None = None,
-        gap_extend: float | None = None,
-        memory: str | None = None,
-        backend: str | None = None,
-        trace: TraceContext | None = None,
-        deadline_ms: float | None = None,
-    ) -> Alignment:
-        response = await self.request(
-            "align", a, b, trace, deadline_ms, mode=mode, band=band,
-            gap_open=gap_open, gap_extend=gap_extend, memory=memory, backend=backend,
-        )
-        return alignment_from_dict(response["result"])
-
-    async def align_detail(
-        self,
-        a: str,
-        b: str,
-        mode: str | None = None,
-        band: int | None = None,
-        gap_open: float | None = None,
-        gap_extend: float | None = None,
-        memory: str | None = None,
-        backend: str | None = None,
-        trace: TraceContext | None = None,
-        deadline_ms: float | None = None,
-    ) -> tuple[Alignment, bool]:
-        """Alignment plus whether the server answered from its cache."""
-        response = await self.request(
-            "align", a, b, trace, deadline_ms, mode=mode, band=band,
-            gap_open=gap_open, gap_extend=gap_extend, memory=memory, backend=backend,
-        )
-        return alignment_from_dict(response["result"]), bool(response.get("cached"))
+    async def align(self, a: str, b: str, **kwargs: Any) -> Alignment:
+        """One pair's alignment; ``kwargs`` as for :meth:`request`."""
+        return alignment_from_dict((await self.request("align", a, b, **kwargs))["result"])
 
     async def stats(self) -> dict:
         return (await self._request("stats"))["result"]
@@ -408,10 +351,9 @@ class AlignmentClient:
     # -- operations ---------------------------------------------------
     # Every async verb, blocking, with the async method's signature.
 
+    request = _blocking(AsyncAlignmentClient.request)
     score = _blocking(AsyncAlignmentClient.score)
     align = _blocking(AsyncAlignmentClient.align)
-    score_detail = _blocking(AsyncAlignmentClient.score_detail)
-    align_detail = _blocking(AsyncAlignmentClient.align_detail)
     stats = _blocking(AsyncAlignmentClient.stats)
     metrics = _blocking(AsyncAlignmentClient.metrics)
     slo = _blocking(AsyncAlignmentClient.slo)
@@ -444,44 +386,29 @@ class AlignmentClient:
         self,
         pairs: Sequence[tuple[str, str]],
         concurrency: int = 32,
-        mode: str | None = None,
-        band: int | None = None,
-        gap_open: float | None = None,
-        gap_extend: float | None = None,
-        backend: str | None = None,
+        *,
         trace_ctxs: Sequence[TraceContext] | None = None,
-        deadline_ms: float | None = None,
+        **kwargs: Any,
     ) -> list[float]:
         """Scores for all pairs, pipelined ``concurrency`` at a time.
 
         ``trace_ctxs`` (optional, one per pair) sends each request
-        under its own trace context.
+        under its own trace context; ``deadline_ms`` and the knobs
+        apply to every request, as for :meth:`request`.
         """
-        return self._map(
-            "score", pairs, concurrency, trace_ctxs=trace_ctxs, mode=mode,
-            band=band, gap_open=gap_open, gap_extend=gap_extend,
-            backend=backend, deadline_ms=deadline_ms,
-        )
+        return self._map("score", pairs, concurrency, trace_ctxs, **kwargs)
 
     def align_many(
         self,
         pairs: Sequence[tuple[str, str]],
         concurrency: int = 32,
-        mode: str | None = None,
-        band: int | None = None,
-        gap_open: float | None = None,
-        gap_extend: float | None = None,
-        memory: str | None = None,
-        backend: str | None = None,
+        *,
         trace_ctxs: Sequence[TraceContext] | None = None,
-        deadline_ms: float | None = None,
+        **kwargs: Any,
     ) -> list[Alignment]:
-        """Alignments for all pairs, pipelined ``concurrency`` at a time."""
-        return self._map(
-            "align", pairs, concurrency, trace_ctxs=trace_ctxs, mode=mode,
-            band=band, gap_open=gap_open, gap_extend=gap_extend, memory=memory,
-            backend=backend, deadline_ms=deadline_ms,
-        )
+        """Alignments for all pairs, pipelined ``concurrency`` at a time
+        (keywords as for :meth:`score_many`)."""
+        return self._map("align", pairs, concurrency, trace_ctxs, **kwargs)
 
     # -- lifecycle ----------------------------------------------------
 

@@ -106,7 +106,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from fragalign.align.pairwise import Alignment
-from fragalign.job import FIELDS, PAIR_OPS, JobSpec
+from fragalign.job import PAIR_OPS, JobSpec, check_fields
 from fragalign.util.errors import (
     DeadlineExceeded,
     FragalignError,
@@ -141,8 +141,6 @@ __all__ = [
 MAX_LINE = 1 << 20  # 1 MiB per protocol line (reader buffer limit)
 
 OPS = ("score", "align", "stats", "metrics", "trace", "slo", "ping", "shutdown")
-# Every key a request object may carry: the structure plus the registry.
-_ALLOWED = frozenset(("id", "op", "a", "b", *FIELDS))
 
 
 class ProtocolError(InvalidArgument):
@@ -322,9 +320,7 @@ def parse_request(obj: dict) -> Request:
     op = obj.get("op")
     if op not in OPS:
         raise ProtocolError(f"unknown op {op!r} (expected one of {OPS})")
-    if not _ALLOWED.issuperset(obj):
-        unknown = sorted(obj.keys() - _ALLOWED)
-        raise ProtocolError(f"unknown request field {unknown[0]!r}")
+    check_fields(obj, ProtocolError)
     # Trace context is accepted on *every* op: pair ops propagate it,
     # and the trace op uses trace_id as its drain filter.
     trace_id, span_id = obj.get("trace_id"), obj.get("span_id")

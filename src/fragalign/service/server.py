@@ -34,6 +34,7 @@ from dataclasses import replace
 
 from fragalign.align.scoring_matrices import SubstitutionModel
 from fragalign.engine.facade import AlignmentEngine
+from fragalign.job import KNOBS
 from fragalign.obs.journal import JournalWriter, build_record
 from fragalign.obs.kprof import KernelProfiler
 from fragalign.obs.logs import get_logger
@@ -166,12 +167,7 @@ class AlignmentService:
     ) -> None:
         self.config = config or ServiceConfig()
         self.engine = engine or AlignmentEngine(
-            backend=self.config.backend,
-            mode=self.config.mode,
-            band=self.config.band,
-            gap_open=self.config.gap_open,
-            gap_extend=self.config.gap_extend,
-            memory=self.config.memory,
+            **{name: getattr(self.config, name) for name in KNOBS}
         )
         # One registry backs the stats snapshot, the Prometheus
         # exposition, and the kernel profiler — they cannot disagree.

@@ -1,17 +1,16 @@
-"""Incremental all-intervals DP ≡ per-interval reference; parallel ≡ serial."""
+"""Incremental all-intervals DP ≡ per-interval reference."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fragalign.align.chain import chain_score
 from fragalign.align.interval_dp import (
     all_interval_chain_scores,
-    all_interval_chain_scores_parallel,
     all_interval_chain_scores_reference,
 )
 
@@ -51,15 +50,3 @@ def test_empty_matrix():
     S = all_interval_chain_scores(np.zeros((0, 0)))
     assert S.shape == (1, 1)
 
-
-@settings(max_examples=5)
-@given(matrices)
-def test_parallel_equals_serial_small(W):
-    got = all_interval_chain_scores_parallel(W, workers=1)
-    assert np.allclose(got, all_interval_chain_scores(W))
-
-
-def test_parallel_equals_serial_with_pool(rng):
-    W = rng.normal(size=(10, 24))
-    got = all_interval_chain_scores_parallel(W, workers=3)
-    assert np.allclose(got, all_interval_chain_scores(W), atol=1e-9)

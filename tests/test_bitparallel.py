@@ -330,8 +330,8 @@ class TestServiceBackendKnob:
         pairs = [("ACGTACGTAC", "ACGTTCGTAC"), ("AAAA", "AAAT"), ("", "ACGT")]
         try:
             with AlignmentClient("127.0.0.1", port) as client:
-                native = client.score_many(pairs, 4, "global", backend="native")
-                default = client.score_many(pairs, 4, "global")
+                native = client.score_many(pairs, 4, mode="global", backend="native")
+                default = client.score_many(pairs, 4, mode="global")
                 assert native == default
                 # unknown backend fails just that request, typed
                 with pytest.raises(Exception, match="backend"):

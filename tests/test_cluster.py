@@ -37,6 +37,7 @@ from fragalign.cluster import (
 from fragalign.engine import AlignmentEngine
 from fragalign.job import JobSpec
 from fragalign.service import AlignmentClient, AlignmentService, ServiceConfig, ServiceError
+from fragalign.util.errors import InvalidArgument
 
 
 class TestHashRing:
@@ -185,38 +186,55 @@ class TestShardRouter:
         assert len(routed) >= 2
         assert sum(routed.values()) == len(self.PAIRS) + 6
 
-    def test_routing_is_deterministic_and_mode_aware(self, three_shards):
-        async def run():
-            async with ShardRouter(_addresses(three_shards)) as router:
-                first = router.shard_for("score", "ACGTACGT", "AGGTACGT")
-                again = router.shard_for("score", "ACGTACGT", "AGGTACGT")
-                spread = {
-                    router.shard_for(op, "ACGTACGT", "AGGTACGT", mode)
-                    for op in ("score", "align")
-                    for mode in ("global", "local", "overlap")
-                }
-                return first, again, spread
+    # `shard_for` never connects, so routing tests need no servers: a
+    # router over fixed addresses names its shards, and so places every
+    # key, the same way on every run.
+    FIXED = [("127.0.0.1", 7001), ("127.0.0.1", 7002), ("127.0.0.1", 7003)]
 
-        first, again, spread = asyncio.run(run())
+    def test_routing_is_deterministic_and_mode_aware(self):
+        router = ShardRouter(self.FIXED)
+        first = router.shard_for("score", "ACGTACGT", "AGGTACGT")
+        again = router.shard_for("score", "ACGTACGT", "AGGTACGT")
+        combos = [(op, mode) for op in ("score", "align") for mode in ("global", "local", "overlap")]
+        spread = {router.shard_for(op, "ACGTACGT", "AGGTACGT", mode=mode) for op, mode in combos}
         assert first == again  # same request -> same shard, always
-        # op/mode are part of the routing key: with 6 combinations over
-        # 3 shards at least two distinct shards appear (probabilistic
-        # in general, deterministic for this fixed key set).
+        # op/mode are part of the routing key: the six combinations
+        # are six distinct keys...
+        keys = {JobSpec(mode=mode).ring_key(op, "ACGTACGT", "AGGTACGT") for op, mode in combos}
+        assert len(keys) == len(combos)
+        # ...which these fixed addresses place on two of the three
+        # shards (four and two).
         assert len(spread) >= 2
 
-    def test_default_mode_routes_like_explicit_mode(self, three_shards):
-        async def run():
-            async with ShardRouter(_addresses(three_shards)) as router:
-                return (
-                    router.shard_for("score", "ACGTACGT", "AGGTACGT"),
-                    router.shard_for("score", "ACGTACGT", "AGGTACGT", "global"),
-                    router.shard_for("score", "ACGTACGT", "AGGTACGT", "global", 8),
-                )
-
-        implicit, explicit, with_band = asyncio.run(run())
+    def test_default_mode_routes_like_explicit_mode(self):
+        router = ShardRouter(self.FIXED)
+        implicit, explicit, with_band = (
+            router.shard_for("score", "ACGTACGT", "AGGTACGT"),
+            router.shard_for("score", "ACGTACGT", "AGGTACGT", mode="global"),
+            router.shard_for("score", "ACGTACGT", "AGGTACGT", mode="global", band=8),
+        )
         # A warmed default-mode entry and live explicit-global traffic
         # must land on the same shard cache.
         assert implicit == explicit == with_band
+
+    def test_request_many_and_warm_refuse_a_misspelled_knob_before_sending(self):
+        entries = [
+            {"op": "score", "a": "ACGT", "b": "AGGT"},
+            {"op": "score", "a": "ACGT", "b": "AGGT", "mdoe": "local"},
+        ]
+
+        async def run():
+            async with ShardRouter(self.FIXED) as router:
+                with pytest.raises(InvalidArgument, match="unknown request field 'mdoe'"):
+                    await router.request_many(entries)
+                with pytest.raises(InvalidArgument, match="unknown request field 'mdoe'"):
+                    await warm_router(router, entries)
+                return router.router_stats()
+
+        stats = asyncio.run(run())
+        # Refused whole: no entry was routed and no shard was dialled
+        # (nothing listens on the fixed addresses, so a dial would evict).
+        assert (stats["routed_total"], stats["retries"], stats["evictions"]) == (0, 0, 0)
 
     def test_per_request_modes_route_and_verify(self, three_shards):
         pairs = [("TTTTTACGTACGT", "ACGTACGTCCCC"), ("ACGTACGT", "ACGTAGGT")]
@@ -407,6 +425,15 @@ class TestWarm:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"op": "shutdown", "a": "A", "b": "C"}\n')
         with pytest.raises(ValueError, match="bad keyset entry"):
+            load_keyset(path)
+
+    def test_keyset_refuses_a_misspelled_knob(self, tmp_path):
+        path = tmp_path / "keys.jsonl"
+        good = {"op": "score", "a": "ACGT", "b": "AGGT"}
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "mdoe": "local"}) + "\n")
+        with pytest.raises(
+            ValueError, match="keys.jsonl:2: bad keyset entry: unknown request field 'mdoe'"
+        ):
             load_keyset(path)
 
     def test_warm_then_hit(self, three_shards):

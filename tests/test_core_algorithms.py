@@ -50,12 +50,6 @@ class TestOneCSR:
         assert 2.0 * sol.score + SLACK >= opt
         check_consistent(sol.state)
 
-    def test_parallel_workers_agree(self):
-        inst = random_instance(n_h=3, n_m=1, len_lo=3, len_hi=5, rng=7)
-        assert solve_one_csr(inst).score == pytest.approx(
-            solve_one_csr(inst, workers=2).score
-        )
-
 
 class TestBaseline4:
     @given(seeds)

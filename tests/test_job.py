@@ -7,7 +7,10 @@ Standing invariants:
   the *same* refusal: an ``InvalidArgument`` with the same message
   (wire code ``INVALID_ARGUMENT``), which the router never retries;
 * the server never writes a non-JSON number: non-finite gaps are
-  refused before any kernel runs.
+  refused before any kernel runs;
+* the pair verbs of the engine, the router and the clients take the
+  knobs as keywords only: a knob passed by position is a ``TypeError``,
+  and a knob the op does not take is refused as on the wire.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ import threading
 
 import pytest
 
-from fragalign.cluster import ShardRouter
+from fragalign.cluster import ClusterClient, ShardRouter, generate_keyset
 from fragalign.engine import AlignmentEngine
 from fragalign.job import JobSpec
 from fragalign.service import (
+    AlignmentClient,
     AlignmentService,
     AsyncAlignmentClient,
     InvalidArgumentError,
@@ -266,3 +270,81 @@ def test_refusals_are_strict_json_on_the_wire(two_shards):
         {"id": None, "ok": False, "error": bad_id + "inf", "code": "INVALID_ARGUMENT"},
         {"id": None, "ok": False, "error": bad_id + "nan", "code": "INVALID_ARGUMENT"},
     ]
+
+
+class TestVerbKeywords:
+    A, B = "ACGTACGT", "ACGTTCGT"
+
+    def test_memory_on_a_score_verb_is_refused_at_every_tier(self, two_shards):
+        a, b = self.A, self.B
+        message = "memory only applies to align requests"
+        addresses = [("127.0.0.1", p) for p in two_shards]
+        with AlignmentEngine() as eng:
+            with pytest.raises(InvalidArgument, match=message):
+                eng.score(a, b, memory="linear")
+            with pytest.raises(InvalidArgument, match=message):
+                eng.score_many([(a, b)], memory="linear")
+
+        async def over_the_wire():
+            client = await AsyncAlignmentClient.connect(port=two_shards[0])
+            try:
+                with pytest.raises(InvalidArgumentError, match=message):
+                    await client.score(a, b, memory="linear")
+            finally:
+                await client.close()
+            async with ShardRouter(addresses) as router:
+                with pytest.raises(InvalidArgument, match=message):
+                    await router.score(a, b, memory="linear")
+                with pytest.raises(InvalidArgument, match=message):
+                    await router.score_many([(a, b)], memory="linear")
+                return router.router_stats()["routed_total"]
+
+        assert asyncio.run(over_the_wire()) == 0  # refused before routing
+        with AlignmentClient(port=two_shards[0]) as client:
+            with pytest.raises(InvalidArgumentError, match=message):
+                client.score(a, b, memory="linear")
+            with pytest.raises(InvalidArgumentError, match=message):
+                client.score_many([(a, b)], memory="linear")
+        with ClusterClient(addresses) as cluster:
+            with pytest.raises(InvalidArgument, match=message):
+                cluster.score(a, b, memory="linear")
+
+    def test_an_unknown_op_is_refused_by_name(self):
+        with pytest.raises(InvalidArgument, match="unknown pair op 'stats'"):
+            ShardRouter([("127.0.0.1", 7001)]).shard_for("stats", self.A, self.B)
+
+    def test_a_knob_passed_by_position_is_a_type_error(self, two_shards):
+        a, b = self.A, self.B
+        with pytest.raises(TypeError):
+            AlignmentEngine("numpy", None, "local")
+        with AlignmentEngine() as eng, pytest.raises(TypeError):
+            eng.score(a, b, "local")
+        router = ShardRouter([("127.0.0.1", p) for p in two_shards])
+        with pytest.raises(TypeError):
+            router.score_many([(a, b)], 4, "global")
+        with AlignmentClient(port=two_shards[0]) as client, pytest.raises(TypeError):
+            client.score_many([(a, b)], 4, "global")
+
+    def test_a_misspelled_knob_is_refused_by_name(self, two_shards):
+        a, b = self.A, self.B
+        with pytest.raises(TypeError, match="'mdoe'"):
+            AlignmentEngine(mdoe="local")
+        with AlignmentEngine() as eng, pytest.raises(TypeError, match="'mdoe'"):
+            eng.align(a, b, mdoe="local")
+        with pytest.raises(TypeError, match="'mdoe'"):
+            generate_keyset(2, mdoe="local")
+
+        async def route():
+            async with ShardRouter([("127.0.0.1", p) for p in two_shards]) as router:
+                with pytest.raises(TypeError, match="'mdoe'"):
+                    router.shard_for("score", a, b, mdoe="local")
+                with pytest.raises(TypeError, match="'mdoe'"):
+                    await router.score(a, b, mdoe="local")
+
+        asyncio.run(route())
+        # A client sends its knobs as wire fields: the server refuses the
+        # unknown one by name, as it would from any client.
+        with AlignmentClient(port=two_shards[0]) as client:
+            with pytest.raises(InvalidArgumentError, match="unknown request field 'mdoe'"):
+                client.score(a, b, mdoe="local")
+            assert client.ping()

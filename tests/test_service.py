@@ -724,12 +724,12 @@ class TestServiceEndToEnd:
         async def run():
             client = await AsyncAlignmentClient.connect(port=service_port)
             try:
-                first, cached_first = await client.score_detail("ACGT", "AGGT")
-                second, cached_second = await client.score_detail("ACGT", "AGGT")
+                first = await client.request("score", "ACGT", "AGGT")
+                second = await client.request("score", "ACGT", "AGGT")
                 stats = await client.stats()
             finally:
                 await client.close()
-            return first, cached_first, second, cached_second, stats
+            return first["result"], first["cached"], second["result"], second["cached"], stats
 
         first, cached_first, second, cached_second, stats = asyncio.run(run())
         assert first == second
@@ -1059,7 +1059,8 @@ class TestWritePath:
             client = await AsyncAlignmentClient.connect(port=service_port)
             try:
                 await asyncio.gather(*(client.score(a, b) for a, b in pool))
-                return await asyncio.gather(*(client.score_detail(a, b) for a, b in pairs))
+                replies = await asyncio.gather(*(client.request("score", a, b) for a, b in pairs))
+                return [(reply["result"], reply["cached"]) for reply in replies]
             finally:
                 await client.close()
 
@@ -1243,7 +1244,8 @@ class TestAffineAndMemoryKnobsEndToEnd:
         async def run():
             client = await AsyncAlignmentClient.connect(port=service_port)
             s1 = await client.score(a, b)
-            s2, cached = await client.score_detail(a, b, gap_open=-4.0, gap_extend=-1.0)
+            reply = await client.request("score", a, b, gap_open=-4.0, gap_extend=-1.0)
+            s2, cached = reply["result"], reply["cached"]
             await client.close()
             return s1, s2, cached
 
