@@ -35,7 +35,7 @@ from fragalign.align import (
     global_score_reference,
     local_score,
 )
-from fragalign.engine import AlignmentEngine
+from fragalign.engine import AlignmentEngine, JobSpec
 from fragalign.genome.dna import random_dna
 from fragalign.util.timing import time_call
 
@@ -162,6 +162,16 @@ def run_engine_bench(n_pairs: int = 200, length: int = 256, seed: int = 2026) ->
             eng.score_many, pairs, mode="banded", band=band, repeat=3
         )
         record(f"numpy_banded_score_many_band{band}", t, banded_cells)
+        # One dispatch group in three modes, cycling global/local/overlap
+        # over the pairs: one engine call, its chunks swept mixed.
+        specs = [JobSpec(("global", "local", "overlap")[k % 3]) for k in range(n_pairs)]
+        t, mixed_scores = time_call(eng.run, "score", pairs, specs, repeat=3)
+        record("numpy_mixed_mode_score_many", t)
+        by_mode = {
+            "global": vec_scores, "overlap": overlap_scores,
+            "local": eng.score_many(pairs, mode="local"),
+        }
+        assert list(mixed_scores) == [by_mode[s.mode][k] for k, s in enumerate(specs)]
 
     # Native-backend rows, A/B-interleaved.  Methodology: contenders
     # alternate in round-robin over AB_ROUNDS rounds on the SAME

@@ -32,7 +32,10 @@ longest pair with the pad code :data:`_PAD`, whose row and column in
 every gather table are ``_NEG``, so no cell of a pair's own table
 reads a padded one.  The sweeps save each pair's frontier as they pass
 its own last row; the driver reads each pair's own end cell, score and
-affine end state, and walks the direction codes.  The scalar entry
+affine end state, and walks the direction codes.  Pairs may differ in
+mode too: a chunk mixing global, overlap and local sweeps once, its
+rows in that order, so each mode's boundary, clamp and readout act on
+one contiguous slice of rows (banded never mixes).  The scalar entry
 points (:func:`global_align`, :func:`local_align`, ...) are the batch
 kernels at batch size 1, so *every* traceback in the system goes
 through the direction-code walk.  The ``*_reference`` functions are
@@ -121,7 +124,9 @@ def _as_codes(seq: str | np.ndarray) -> np.ndarray:
 def _padded(table: np.ndarray) -> np.ndarray:
     """A 5 x 5 substitution table grown by the :data:`_PAD` row and
     column, both ``_NEG``: a diagonal move into padding never wins."""
-    return np.pad(table, (0, 1), constant_values=_NEG)
+    out = np.full((table.shape[0] + 1, table.shape[1] + 1), _NEG)
+    out[:-1, :-1] = table
+    return out
 
 
 class _Ends:
@@ -157,6 +162,19 @@ def _first_best(hrow: np.ndarray, mk: np.ndarray | None) -> np.ndarray:
     if mk is not None:
         np.minimum(hrow, _column_cap(mk, hrow.shape[1]), out=hrow)
     return np.argmax(hrow, axis=1)
+
+
+#: A mixed chunk's row order: each mode's rows are one slice of a buffer.
+_MODE_ORDER = ("global", "overlap", "local")
+
+
+def _split(mode: str | Sequence[str], B: int) -> tuple[int, int]:
+    """Where a chunk's B rows change mode: (first overlap or local row,
+    first local row).  ``mode`` is every row's mode, or each row's own
+    in :data:`_MODE_ORDER`."""
+    if isinstance(mode, str):
+        return (B, B) if mode == "global" else (0, 0 if mode == "local" else B)
+    return mode.count("global"), B - mode.count("local")
 
 
 def _check_band(n, m, band) -> int:
@@ -264,21 +282,22 @@ def _sweep_linear(
     A: np.ndarray,
     Bm: np.ndarray,
     model: SubstitutionModel,
-    mode: str,
+    mode: str | Sequence[str],
     D: np.ndarray | None = None,
     F0: np.ndarray | None = None,
     i0: int = 0,
     nk: np.ndarray | None = None,
     mk: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Forward linear-gap sweep for ``mode`` in global/overlap/local.
+    """Forward linear-gap sweep in global/overlap/local: ``mode`` is
+    every pair's, or each pair's own with the rows in :data:`_MODE_ORDER`.
 
     Returns (last, best, best_i, best_j): ``last`` is each pair's
     f-space row at its own last row (``nk``/``mk``: the pairs' lengths
-    in a padded chunk).  In local mode ``best*`` are each pair's best
+    in a padded chunk).  In local rows ``best*`` are each pair's best
     cell of its own (earliest row, then earliest column on ties, as
     ``np.argmax`` over its table; ``best_i`` counts rows within this
-    sweep); in the other modes they are zeros.  Emits direction codes
+    sweep); in the other rows they are zeros.  Emits direction codes
     into ``D`` ((n, B, m) uint8) when given.
 
     ``F0`` is an optional initial frontier (f-space, shape (B, m+1)) —
@@ -291,8 +310,8 @@ def _sweep_linear(
     B, n = A.shape
     m = Bm.shape[1]
     M = m + 1
-    local = mode == "local"
-    overlap = mode == "overlap"
+    ng, L = _split(mode, B)  # rows [0, ng) global, [ng, L) overlap, [L, B) local
+    nl = B - L
     P2 = _padded(model.matrix - 2.0 * g)[:, Bm]  # per-code diag rows, pre-shifted
     bidx = np.arange(B)
     negjs = -g * np.arange(M)
@@ -300,59 +319,65 @@ def _sweep_linear(
     if F0 is not None:
         fr.prev[:] = F0
     else:
-        fr.prev[:] = negjs if local else 0.0
+        fr.prev[:L] = 0.0
+        fr.prev[L:] = negjs
     t1 = np.empty((B, m))
     cv = np.empty(M)
-    hrow = np.empty((B, M))
+    hrow = np.empty((nl, M))
     best = np.zeros(B)
     bi = np.zeros(B, dtype=np.int64)
     bj = np.zeros(B, dtype=np.int64)
+    lbest, lbi, lbj = best[L:], bi[L:], bj[L:]
     ends = _Ends(nk, B, M, 1)
-    cap = _column_cap(mk, M) if local and mk is not None else None
+    cap = _column_cap(mk[L:], M) if nl and mk is not None else None
     if D is not None:
         up = np.empty((B, m), dtype=bool)
         left = np.empty((B, m), dtype=bool)
-        stop = np.empty((B, m), dtype=bool)
+        stop = np.empty((nl, m), dtype=bool)
         tmp8 = np.empty((B, m), dtype=np.uint8)
+        ltmp8 = tmp8[L:]
     for i in range(1, n + 1):
         prev, cur = fr.prev, fr.cur
         np.add(prev[:, :m], P2[A[:, i - 1], bidx], out=t1)
         up_from = prev[:, 1:]
         if D is not None:
             np.greater(up_from, t1, out=up)
-        if local:
-            np.add(negjs, -g * (i0 + i), out=cv)  # F-value of a zero cell, this row
-            cur[:, 0] = cv[0]
-        else:
-            cur[:, 0] = -(i0 + i) * g if overlap else 0.0
+        if ng:
+            cur[:ng, 0] = 0.0
+        if ng < B:
+            cur[ng:, 0] = -(i0 + i) * g  # overlap's boundary is local's zero cell
         np.maximum(t1, up_from, out=cur[:, 1:])
-        if local:
-            np.maximum(cur, cv, out=cur)  # the 0-clamp
+        if nl:
+            np.add(negjs, -g * (i0 + i), out=cv)  # F-value of a zero cell, this row
+            lcur = cur[L:] if L else cur
+            np.maximum(lcur, cv, out=lcur)  # the 0-clamp
         fr.prefix_max()
         acc = fr.acc
-        if local:
+        if nl:
             # H never drops below its own clamped V, so no second clamp;
             # read the H row back out for the running best.
-            np.subtract(acc, cv, out=hrow)
+            lacc = acc[L:] if L else acc
+            np.subtract(lacc, cv, out=hrow)
             if cap is not None:
                 np.minimum(hrow, cap, out=hrow)
             rowmax = hrow.max(axis=1)
-            better = rowmax > best
+            better = rowmax > lbest
             if better.any():
-                best[better] = rowmax[better]
-                bi[better] = i
-                bj[better] = np.argmax(hrow[better], axis=1)
+                lbest[better] = rowmax[better]
+                lbi[better] = i
+                lbj[better] = np.argmax(hrow[better], axis=1)
         if D is not None:
             np.greater(acc[:, 1:], cur[:, 1:], out=left)
             np.multiply(left.view(np.uint8), 2, out=tmp8)
             np.add(tmp8, up.view(np.uint8), out=D[i - 1])
-            if local:
-                np.equal(acc[:, 1:], cv[1:], out=stop)  # H == 0: clamp won
-                np.multiply(stop.view(np.uint8), 4, out=tmp8)
-                np.add(D[i - 1], tmp8, out=D[i - 1])
+            if nl:
+                np.equal(lacc[:, 1:], cv[1:], out=stop)  # H == 0: clamp won
+                np.multiply(stop.view(np.uint8), 4, out=ltmp8)
+                dl = D[i - 1, L:]
+                np.add(dl, ltmp8, out=dl)
         ks = ends.save(i, acc)
         if ks is not None and cap is not None:
-            cap[ks] = -np.inf  # the rows past nₖ are padding
+            cap[ks[ks >= L] - L] = -np.inf  # the rows past nₖ are padding
         fr.advance()
     return ends.result(fr.prev)[0], best, bi, bj
 
@@ -679,40 +704,41 @@ def _sweep_affine(
     model: SubstitutionModel,
     open_: float,
     ext: float,
-    mode: str,
+    mode: str | Sequence[str],
     D: np.ndarray | None = None,
     nk: np.ndarray | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
-    """Forward Gotoh sweep for ``mode`` in global/overlap/local.
+    """Forward Gotoh sweep in global/overlap/local: ``mode`` is every
+    pair's, or each pair's own with the rows in :data:`_MODE_ORDER`.
 
     Returns (last, best, best_i, best_j): ``last`` is each pair's
     [M, X, Y] rows at its own last row (``nk`` in a padded chunk, else
-    the chunk's last row).  ``best*`` track the running best M cell
-    (used by local; a padded M cell clamps to 0, which never beats it).
-    Emits packed direction codes into ``D`` ((n, B, m) uint8) when given.
+    the chunk's last row).  In local rows ``best*`` track the running
+    best M cell (a padded M cell clamps to 0, which never beats it); in
+    the other rows they are zeros.  Emits packed direction codes into
+    ``D`` ((n, B, m) uint8) when given.
     """
     B, n = A.shape
     m = Bm.shape[1]
     M = m + 1
+    ng, L = _split(mode, B)  # rows [0, ng) global, [ng, L) overlap, [L, B) local
+    nl = B - L
     P = _padded(model.matrix)[:, Bm]  # per-code substitution rows, (6, B, m)
     bidx = np.arange(B)
     js = np.arange(M)
     extjs = ext * js
     src_shift = open_ - ext * (js + 1.0)
     r = _AffineRows(B, M)
-    local = mode == "local"
-    overlap = mode == "overlap"
-    # Row 0: M[0][0] = 0 (local: the whole row restarts at 0);
-    # leading gaps in b live in Y unless local.
-    if local:
-        r.Mp[:, :] = 0.0
-    else:
-        r.Mp[:, 0] = 0.0
-        if m:
-            r.Yp[:, 1:] = open_ + (js[1:] - 1) * ext
+    # Row 0: M[0][0] = 0 and the leading gaps in b live in Y; a local
+    # row restarts at 0 everywhere.
+    r.Mp[:L, 0] = 0.0
+    if m:
+        r.Yp[:L, 1:] = open_ + (js[1:] - 1) * ext
+    r.Mp[L:] = 0.0
     best = np.zeros(B)
     bi = np.zeros(B, dtype=np.int64)
     bj = np.zeros(B, dtype=np.int64)
+    lbest, lbi, lbj = best[L:], bi[L:], bj[L:]
     ends = _Ends(nk, B, M, 3)
     if D is not None:
         e_x = np.empty((B, m), dtype=bool)
@@ -720,6 +746,7 @@ def _sweep_affine(
         b1 = np.empty((B, m), dtype=bool)
         u8a = np.empty((B, m), dtype=np.uint8)
         u8b = np.empty((B, m), dtype=np.uint8)
+        lb1, lu8a, lu8b = b1[L:], u8a[L:], u8b[L:]
     for i in range(1, n + 1):
         Mp, Xp, Yp = r.Mp, r.Xp, r.Yp
         Mc, Xc, Yc = r.Mc, r.Xc, r.Yc
@@ -735,14 +762,18 @@ def _sweep_affine(
             np.add(u8a, b1.view(np.uint8), out=u8a)  # u8a = msrc
         np.maximum(r.bp, Yp, out=r.bp)
         np.add(r.bp[:, :m], P[A[:, i - 1], bidx], out=Mc[:, 1:])
-        Mc[:, 0] = 0.0 if (local or overlap) else -np.inf
-        if local:
+        if ng:
+            Mc[:ng, 0] = -np.inf
+        if ng < B:
+            Mc[ng:, 0] = 0.0
+        if nl:
+            lM = Mc[L:] if L else Mc
             if D is not None:
                 # bit 6: the clamp won (cell value 0) — stop.
-                np.less_equal(Mc[:, 1:], 0.0, out=b1)
-                np.multiply(b1.view(np.uint8), 64, out=u8b)
-                np.add(u8a, u8b, out=u8a)
-            np.maximum(Mc, 0.0, out=Mc)
+                np.less_equal(lM[:, 1:], 0.0, out=lb1)
+                np.multiply(lb1.view(np.uint8), 64, out=lu8b)
+                np.add(lu8a, lu8b, out=lu8a)
+            np.maximum(lM, 0.0, out=lM)
         # X: open from M/Y above, or extend the running gap.
         np.maximum(Mp, Yp, out=r.osrc)
         if D is not None:
@@ -756,7 +787,10 @@ def _sweep_affine(
             np.multiply(b1.view(np.uint8), 4, out=u8b)
             np.add(u8a, u8b, out=u8a)
         np.maximum(r.osrc, r.t, out=Xc)
-        Xc[:, 0] = -np.inf if (local or overlap) else open_ + (i - 1) * ext
+        if ng:
+            Xc[:ng, 0] = open_ + (i - 1) * ext
+        if ng < B:
+            Xc[ng:, 0] = -np.inf
         # Y: prefix max over max(M, X)[j'] + open - ext*(j'+1).
         np.maximum(Mc, Xc, out=r.osrc)
         if D is not None:
@@ -775,13 +809,13 @@ def _sweep_affine(
             np.greater(r.t[:, :m], r.run[:, :m], out=b1)
             np.multiply(b1.view(np.uint8), 16, out=u8b)
             np.add(u8a, u8b, out=D[i - 1])
-        if local:
-            rowmax = Mc.max(axis=1)
-            better = rowmax > best
+        if nl:
+            rowmax = lM.max(axis=1)
+            better = rowmax > lbest
             if better.any():
-                best[better] = rowmax[better]
-                bi[better] = i
-                bj[better] = np.argmax(Mc[better], axis=1)
+                lbest[better] = rowmax[better]
+                lbi[better] = i
+                lbj[better] = np.argmax(lM[better], axis=1)
         ends.save(i, Mc, Xc, Yc)
         r.advance()
     return ends.result(r.Mp, r.Xp, r.Yp), best, bi, bj
@@ -1137,18 +1171,29 @@ def _chunks(nk: np.ndarray, mk: np.ndarray, band: int | None, chunk: int) -> lis
     return [(i, int(nk[i].max()), int(mk[i].max())) for i in map(np.array, plan) if i.size]
 
 
+def _affine_end(
+    ends: list[np.ndarray], rows: np.ndarray, col: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's best score over its [M, X, Y] ends at column ``col``,
+    and the state it is in (0 = M, 1 = X, 2 = Y, ties in that order)."""
+    mv, xv, yv = (f[rows, col] for f in ends)
+    score = np.maximum(np.maximum(mv, xv), yv)
+    return score, np.where(mv == score, 0, np.where(xv == score, 1, 2))
+
+
 def _sweep_ends(
     A: np.ndarray,
     Bm: np.ndarray,
     model: SubstitutionModel,
-    mode: str,
+    mode: str | Sequence[str],
     band: int | None = None,
     gaps: tuple[float, float] | None = None,
     D: np.ndarray | None = None,
     nk: np.ndarray | None = None,
     mk: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sweep one chunk; returns each pair's (score, end_i, end_j, state).
+    """Sweep one chunk in ``mode``s as the sweeps take them; returns
+    each pair's (score, end_i, end_j, state).
 
     (end_i, end_j) is the cell the alignment ends in, where its walk
     starts: (nₖ, mₖ), the pairs' own lengths in a chunk padded with
@@ -1161,8 +1206,8 @@ def _sweep_ends(
     m = Bm.shape[1]
     g = model.gap
     rows = np.arange(B)
-    ei = np.full(B, n) if nk is None else nk
-    ej = np.full(B, m) if mk is None else mk
+    ei = np.full(B, n) if nk is None else nk.copy()
+    ej = np.full(B, m) if mk is None else mk.copy()
     state = np.zeros(B, dtype=np.int64)
     if mode == "banded":
         col = ej - ei + band  # each end cell (nₖ, mₖ) in the diagonal layout
@@ -1183,27 +1228,30 @@ def _sweep_ends(
             ]
         else:
             ends = _sweep_affine_banded(A, Bm, band, model, *gaps, D=D, nk=nk)
-    elif gaps is None:
+        score, state = _affine_end(ends, rows, col)
+        return score, ei, ej, state
+    # Each mode reads its own rows: global [0, ng), overlap [ng, L), local [L, B).
+    ng, L = _split(mode, B)
+    score = np.empty(B)
+    omk = None if mk is None else mk[ng:L]
+    if gaps is None:
         F, best, bi, bj = _sweep_linear(A, Bm, model, mode, D=D, nk=nk, mk=mk)
-        if mode == "local":
-            return best, bi, bj, state
-        if mode == "global":
-            return F[rows, ej] + g * (ej + ei), ei, ej, state
-        # Overlap: H[n][j] = F[j] + g*j + n*g; the free end in b takes
-        # the first maximum.
-        hrow = F + g * np.arange(m + 1)
-        ej = _first_best(hrow, mk)
-        return hrow[rows, ej] + ei * g, ei, ej, state
+        if ng:
+            score[:ng] = F[rows[:ng], ej[:ng]] + g * (ej[:ng] + ei[:ng])
+        if L > ng:
+            # Overlap: H[n][j] = F[j] + g*j + n*g; the free end in b
+            # takes the first maximum.
+            hrow = F[ng:L] + g * np.arange(m + 1)
+            ej[ng:L] = _first_best(hrow, omk)
+            score[ng:L] = hrow[rows[: L - ng], ej[ng:L]] + ei[ng:L] * g
     else:
         ends, best, bi, bj = _sweep_affine(A, Bm, model, *gaps, mode, D=D, nk=nk)
-        if mode == "local":
-            return best, bi, bj, state
-        if mode == "overlap":
-            ej = _first_best(np.maximum(np.maximum(ends[0], ends[1]), ends[2]), mk)
-        col = ej
-    mv, xv, yv = (f[rows, col] for f in ends)
-    score = np.maximum(np.maximum(mv, xv), yv)
-    state = np.where(mv == score, 0, np.where(xv == score, 1, 2))
+        if L > ng:
+            ej[ng:L] = _first_best(np.maximum(np.maximum(*ends[:2]), ends[2])[ng:L], omk)
+        if L:
+            score[:L], state[:L] = _affine_end(ends, rows[:L], ej[:L])
+    if L < B:
+        score[L:], ei[L:], ej[L:] = best[L:], bi[L:], bj[L:]
     return score, ei, ej, state
 
 
@@ -1211,7 +1259,7 @@ def _batch(
     kind: str,
     pairs: _Pairs,
     model: SubstitutionModel | None,
-    mode: str,
+    mode: str | Sequence[str],
     band: int | None = None,
     gaps: tuple[float, float] | None = None,
     chunk: int = 64,
@@ -1221,13 +1269,15 @@ def _batch(
 
     ``kind`` is ``"score"`` (returns an array of scores) or ``"align"``
     (a list of :class:`Alignment`); ``mode`` is global, local, overlap
-    or banded (``band`` is read in banded mode only); ``gaps`` is
-    ``(gap_open, gap_extend)`` for affine (Gotoh) costs, ``None`` for
-    the model's linear gap.  Pairs may have any shapes: they sweep in
-    the chunks :func:`_chunks` plans, at most ``chunk`` pairs each
-    (the working set), each padded to its longest pair into buffers
-    allocated once per call.  ``linear`` (align only) says whether a
-    chunk of that many padded cells walks in linear memory instead.
+    or banded for every pair, or a sequence of each pair's own (banded
+    never mixes with the other three); ``band`` is read in banded mode
+    only; ``gaps`` is ``(gap_open, gap_extend)`` for affine (Gotoh)
+    costs, ``None`` for the model's linear gap.  Pairs may have any
+    shapes: they sweep in the chunks :func:`_chunks` plans, at most
+    ``chunk`` pairs each (the working set), each padded to its longest
+    pair into buffers allocated once per call, with a chunk's pairs in
+    :data:`_MODE_ORDER`.  ``linear`` (align only) says whether a chunk
+    of that many padded cells walks in linear memory instead.
     """
     model = model or unit_dna()
     if gaps is not None:
@@ -1235,14 +1285,20 @@ def _batch(
     align = kind == "align"
     if not pairs:
         return [] if align else np.zeros(0)
+    modes = [mode] * len(pairs) if isinstance(mode, str) else list(mode)
+    rank = None  # each pair's place in _MODE_ORDER, when the pairs mix modes
+    if modes.count(modes[0]) < len(modes):
+        if "banded" in modes:
+            raise ValueError("banded pairs cannot share a batch with other modes")
+        rank = np.array([_MODE_ORDER.index(md) for md in modes])
     codes = [(_as_codes(a), _as_codes(b)) for a, b in pairs]
     nk = np.array([len(a) for a, _ in codes], dtype=np.int64)
     mk = np.array([len(b) for _, b in codes], dtype=np.int64)
-    band = _check_band(nk, mk, band) if mode == "banded" else None
+    band = _check_band(nk, mk, band) if modes[0] == "banded" else None
     scores = np.empty(len(codes))
     alns: list = [None] * len(codes)
     for k in np.flatnonzero((nk == 0) | (mk == 0)):
-        score, a_iv, b_iv = _empty_side(int(nk[k]), int(mk[k]), mode, model, gaps)
+        score, a_iv, b_iv = _empty_side(int(nk[k]), int(mk[k]), modes[k], model, gaps)
         scores[k] = score
         alns[k] = Alignment(score, (), a_iv, b_iv)
     plan = _chunks(nk, mk, band, chunk)
@@ -1251,7 +1307,7 @@ def _batch(
 
         walks = [linear(idx.size * n * m) for idx, n, m in plan]
         for k in (k for (idx, _, _), walk in zip(plan, walks) if walk for k in idx):
-            alns[k] = linear_align(*codes[k], model, mode=mode)
+            alns[k] = linear_align(*codes[k], model, mode=modes[k])
         plan = [c for c, walk in zip(plan, walks) if not walk]
     bw = None if band is None else 2 * band + 1  # a banded row's width
     if plan:
@@ -1261,6 +1317,10 @@ def _batch(
         Dbuf = np.empty(cells, dtype=np.uint8) if align else None
     for idx, n, m in plan:
         B, width = idx.size, bw or m
+        cmode: str | list[str] = modes[idx[0]]
+        if rank is not None and rank[idx].min() < rank[idx].max():
+            idx = idx[np.argsort(rank[idx], kind="stable")]
+            cmode = [modes[k] for k in idx]
         A = Abuf[: B * n].reshape(B, n)
         Bm = Bbuf[: B * m].reshape(B, m)
         A.fill(_PAD)
@@ -1271,7 +1331,7 @@ def _batch(
         ragged = nk[idx].min() < n or mk[idx].min() < m
         lens = (nk[idx], mk[idx]) if ragged else (None, None)
         D = None if Dbuf is None else Dbuf[: n * B * width].reshape(n, B, width)
-        score, ei, ej, state = _sweep_ends(A, Bm, model, mode, band, gaps, D, *lens)
+        score, ei, ej, state = _sweep_ends(A, Bm, model, cmode, band, gaps, D, *lens)
         if D is None:
             scores[idx] = score
             continue
@@ -1282,8 +1342,8 @@ def _batch(
                 walked, i0, j0 = _walk(db, width, i, j, band)
             else:
                 walked, i0, j0 = _walk_affine(db, width, i, j, int(state[r]), band)
-            a_iv = (i0 if mode in ("local", "overlap") else 0, i)
-            b_iv = (j0 if mode == "local" else 0, j)
+            a_iv = (i0 if modes[k] in ("local", "overlap") else 0, i)
+            b_iv = (j0 if modes[k] == "local" else 0, j)
             alns[k] = Alignment(float(score[r]), tuple(walked), a_iv, b_iv)
     return alns if align else scores
 

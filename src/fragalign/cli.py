@@ -1075,21 +1075,19 @@ def _cmd_client(args: argparse.Namespace) -> int:
             return 1
         report = cluster.stats()
         if args.verify:
-            # Unique jobs are grouped per (op, spec) and recomputed
-            # through the engine's *batch* kernels — per-pair scalar
-            # calls would dominate wall clock at cluster-scale request
-            # counts.  The specs are resolved, so the engine's own
-            # defaults never apply.
+            # Unique jobs are grouped per op and recomputed through the
+            # engine's *batch* kernels, each with its own spec — per-pair
+            # scalar calls would dominate wall clock at cluster-scale
+            # request counts.  The specs are resolved, so the engine's
+            # own defaults never apply.
             groups: dict = {}
-            for op, a, b, spec in dict.fromkeys(jobs):
-                groups.setdefault((op, spec), []).append((a, b))
+            for job in dict.fromkeys(jobs):
+                groups.setdefault(job[0], []).append(job)
             expected: dict = {}
             with AlignmentEngine(backend=defaults.backend) as eng:
-                for (op, spec), group in groups.items():
-                    values = eng.run(op, group, spec)
-                    expected.update(
-                        ((op, a, b, spec), v) for (a, b), v in zip(group, values)
-                    )
+                for op, group in groups.items():
+                    values = eng.run(op, [job[1:3] for job in group], [job[3] for job in group])
+                    expected.update(zip(group, values))
             for k, (result, job) in enumerate(zip(results, jobs)):
                 want = float(expected[job]) if job[0] == "score" else expected[job]
                 if result != want:

@@ -70,7 +70,7 @@ from typing import Any, Sequence
 
 from fragalign.align.pairwise import Alignment
 from fragalign.cluster.ring import HashRing
-from fragalign.job import JobSpec, check_fields
+from fragalign.job import JobSpec, pair_job
 from fragalign.obs.logs import get_logger
 from fragalign.obs.metrics import MetricsRegistry, merge_expositions, parse_exposition
 from fragalign.obs.slo import SLOEngine
@@ -652,19 +652,15 @@ class ShardRouter:
 
         Each entry is ``{"op", "a", "b"}`` plus optional knob fields
         and ``"deadline_ms"`` — the keyset-file shape, and what the
-        CLI's mixed workloads use.  An entry with a field the wire
-        would refuse fails the whole batch before any request is sent.
+        CLI's mixed workloads use.  An entry the wire would refuse (an
+        unknown field or op, a bad knob, ``a`` or ``b`` not a string)
+        fails the whole batch before any request is sent.
         ``asyncio.gather`` preserves argument order, so position ``i``
         of the returned list answers entry ``i`` — regardless of which
         shard served it, in what order shards answered, or whether
         failover rerouted it mid-flight.
         """
-        for entry in entries:
-            check_fields(entry)
-        jobs = [
-            (e["op"], e["a"], e["b"], JobSpec.from_fields(e, e["op"]), e.get("deadline_ms"))
-            for e in entries
-        ]
+        jobs = [(*pair_job(e), e.get("deadline_ms")) for e in entries]
         return await self._fan_out(jobs, concurrency)
 
     async def _fan_out(self, jobs: Sequence[tuple], concurrency: int) -> list:

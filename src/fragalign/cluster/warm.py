@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import asyncio
 
-from fragalign.job import PAIR_OPS, JobSpec, check_fields
+from fragalign.job import JobSpec, pair_job
 
 __all__ = [
     "load_keyset",
@@ -34,16 +34,10 @@ __all__ = [
 
 
 def _normalize(entry: dict) -> dict:
-    check_fields(entry)
-    op = entry.get("op", "score")
-    if op not in PAIR_OPS:
-        raise ValueError(f"keyset op must be one of {PAIR_OPS}, got {op!r}")
-    a, b = entry.get("a"), entry.get("b")
-    if not isinstance(a, str) or not isinstance(b, str):
-        raise ValueError("keyset entry needs string fields 'a' and 'b'")
     # The knobs validate as one JobSpec: a keyset written today
     # round-trips every knob the serving stack understands, per-op.
-    return {"op": op, "a": a, "b": b, **JobSpec.from_fields(entry, op).wire()}
+    op, a, b, spec = pair_job({"op": "score", **entry})
+    return {"op": op, "a": a, "b": b, **spec.wire()}
 
 
 def load_keyset(path: str | Path) -> list[dict]:
@@ -91,20 +85,17 @@ async def warm_router(router, entries: Sequence[dict], concurrency: int = 32) ->
 
     The report counts entries warmed per owning shard plus failures:
     ``{"warmed": int, "errors": int, "per_shard": {shard: n},
-    "error_samples": [str, ...]}``.  An entry with a field the wire
-    would refuse fails the whole warm before any entry is sent.
+    "error_samples": [str, ...]}``.  An entry the wire would refuse
+    fails the whole warm before any entry is sent.
     """
-    for entry in entries:
-        check_fields(entry)
+    jobs = [pair_job(entry) for entry in entries]
     semaphore = asyncio.Semaphore(max(1, concurrency))
     per_shard: Counter[str] = Counter()
     errors = 0
     samples: list[str] = []
 
-    async def one(entry: dict) -> None:
+    async def one(op: str, a: str, b: str, spec: JobSpec) -> None:
         nonlocal errors
-        op, a, b = entry["op"], entry["a"], entry["b"]
-        spec = JobSpec.from_fields(entry, op)
         async with semaphore:
             try:
                 await router.request(op, a, b, spec)
@@ -115,7 +106,7 @@ async def warm_router(router, entries: Sequence[dict], concurrency: int = 32) ->
                 return
         per_shard[router.ring.node_for(spec.ring_key(op, a, b))] += 1
 
-    await asyncio.gather(*(one(e) for e in entries))
+    await asyncio.gather(*(one(*job) for job in jobs))
     return {
         "entries": len(entries),
         "warmed": int(sum(per_shard.values())),

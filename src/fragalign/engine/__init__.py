@@ -23,8 +23,9 @@ Adding a backend::
         name = "mine"
         def score(self, p, model, spec): ...   # spec: a resolved JobSpec
         def align(self, p, model, spec): ...
-        # override score_many(batch, model, spec) / align_many when you
-        # can beat a loop; override accelerates(op, model, spec) to
+        # override score_many(batch, model, specs) / align_many when
+        # you can beat a loop (specs: each pair's own, agreeing on every
+        # knob but mode); override accelerates(op, model, spec) to
         # cover only some knob combinations (the rest run on numpy)
 
     register_backend("mine", MyBackend)

@@ -4,15 +4,18 @@ A backend is an execution strategy for the same mathematical DP; all
 backends produce identical scores and (for integer-valued models)
 identical tracebacks, which the cross-backend parity tests pin down.
 ``score_many``/``align_many`` receive a whole dispatch group, whatever
-its pairs' shapes: the numpy kernels pad each chunk to its longest
-pair, and a backend whose kernels need one shape buckets the group
+its pairs' shapes and modes: the numpy kernels pad each chunk to its
+longest pair and sweep global, overlap and local pairs together, and
+a backend whose kernels need one shape or one mode buckets the group
 itself.
 
-Every hook takes ``(…, model, spec)``: a resolved
-:class:`~fragalign.job.JobSpec` already validated at the edge.  Four
-modes are first-class: ``global`` (Needleman–Wunsch), ``local``
-(Smith–Waterman), ``overlap`` (suffix–prefix, the assembler's overlap
-detector) and ``banded`` (global restricted to ``|i - j| <= band``).
+The per-pair hooks take ``(p, model, spec)``, a resolved
+:class:`~fragalign.job.JobSpec` already validated at the edge; the
+batch hooks take ``(batch, model, specs)``, each pair's own, which
+agree on every knob but ``mode``.  Four modes are first-class:
+``global`` (Needleman–Wunsch), ``local`` (Smith–Waterman),
+``overlap`` (suffix–prefix, the assembler's overlap detector) and
+``banded`` (global restricted to ``|i - j| <= band``).
 ``spec.gap_open``/``spec.gap_extend`` switch any mode to **affine
 (Gotoh) gap costs** (a k-gap costs ``open + (k-1)·extend``; unset keeps
 the model's linear gap).  ``spec.memory`` selects the align-verb
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import Sequence
 
 import numpy as np
 
@@ -110,14 +114,14 @@ class AlignmentBackend:
         raise NotImplementedError
 
     def score_many(
-        self, batch: list[PreparedPair], model: SubstitutionModel, spec: JobSpec
+        self, batch: list[PreparedPair], model: SubstitutionModel, specs: Sequence[JobSpec]
     ) -> np.ndarray:
-        return np.array([self.score(p, model, spec) for p in batch])
+        return np.array([self.score(p, model, spec) for p, spec in zip(batch, specs)])
 
     def align_many(
-        self, batch: list[PreparedPair], model: SubstitutionModel, spec: JobSpec
+        self, batch: list[PreparedPair], model: SubstitutionModel, specs: Sequence[JobSpec]
     ) -> list[Alignment]:
-        return [self.align(p, model, spec) for p in batch]
+        return [self.align(p, model, spec) for p, spec in zip(batch, specs)]
 
     def close(self) -> None:
         """Release any held resources (device handles, worker pools) —
@@ -305,7 +309,7 @@ class NumpyBackend(AlignmentBackend):
     """Row-vectorized kernels; batches share one sweep per DP row.
 
     Every verb runs the kernels' one driver, sweeping up to
-    :data:`CHUNK` pairs of any shapes at a time; ``linear_auto_cells``
+    :data:`CHUNK` pairs of any shapes and modes at a time; ``linear_auto_cells``
     is the padded per-chunk DP-cell count from which a ``memory="auto"``
     align chunk takes the linear-memory walker instead of the direction
     tensor.
@@ -316,21 +320,25 @@ class NumpyBackend(AlignmentBackend):
     def __init__(self, linear_auto_cells: int = LINEAR_AUTO_CELLS) -> None:
         self.linear_auto_cells = linear_auto_cells
 
-    def _run(self, codes, model, spec: JobSpec, kind: str):
+    def _run(self, codes, model, specs: Sequence[JobSpec], kind: str):
+        # The specs differ in mode alone, and banded never mixes, so the
+        # first one's gaps, band and traceback memory hold for all.
+        spec = specs[0]
         gaps = None if spec.gap_open is None else (spec.gap_open, spec.gap_extend)
         linear = partial(spec.linear_traceback, auto_cells=self.linear_auto_cells)
-        return _batch(kind, codes, model, spec.mode, spec.band, gaps, CHUNK, linear)
+        modes = [s.mode for s in specs]
+        return _batch(kind, codes, model, modes, spec.band, gaps, CHUNK, linear)
 
     def score(self, p, model, spec) -> float:
-        return float(self._run([(p.a_codes, p.b_codes)], model, spec, "score")[0])
+        return float(self._run([(p.a_codes, p.b_codes)], model, [spec], "score")[0])
 
     def align(self, p, model, spec) -> Alignment:
-        return self._run([(p.a_codes, p.b_codes)], model, spec, "align")[0]
+        return self._run([(p.a_codes, p.b_codes)], model, [spec], "align")[0]
 
-    def score_many(self, batch, model, spec) -> np.ndarray:
+    def score_many(self, batch, model, specs) -> np.ndarray:
         codes = [(p.a_codes, p.b_codes) for p in batch]
-        return self._run(codes, model, spec, "score")
+        return self._run(codes, model, specs, "score")
 
-    def align_many(self, batch, model, spec) -> list[Alignment]:
+    def align_many(self, batch, model, specs) -> list[Alignment]:
         codes = [(p.a_codes, p.b_codes) for p in batch]
-        return self._run(codes, model, spec, "align")
+        return self._run(codes, model, specs, "align")

@@ -24,7 +24,9 @@ an unknown name is a ``TypeError``, ``memory=`` on a score verb an
 spec is resolved against the engine's defaults
 (:attr:`AlignmentEngine.defaults`, set by the constructor's same
 keywords) and handed to the backend.  The serving tier, which already
-holds a spec, calls :meth:`AlignmentEngine.run` directly.
+holds each job's spec, calls :meth:`AlignmentEngine.run` with one spec
+per pair: it resolves and routes each distinct spec once, and pairs
+whose specs differ in ``mode`` alone share one backend call.
 
 ``backend`` names a registered backend that overrides the engine's
 default for that call (instantiated lazily, once, and kept for the
@@ -44,8 +46,8 @@ verb is one backend call, whatever its pairs' shapes.
 Setting :attr:`AlignmentEngine.profiler` (any object with the
 :class:`fragalign.obs.kprof.KernelProfiler` ``record`` signature)
 turns on per-dispatch kernel profiling: every backend call is timed
-and reported with its family, backend, resolved mode and its pairs'
-shapes.
+and reported with its family, backend, resolved mode (``mixed`` when
+its pairs differ in mode) and its pairs' shapes.
 Left at ``None`` (the default) no timer is read.
 """
 
@@ -62,7 +64,7 @@ from fragalign.align.pairwise import Alignment
 from fragalign.align.scoring_matrices import SubstitutionModel, encode, unit_dna
 from fragalign.engine.backends import AlignmentBackend, PreparedPair
 from fragalign.engine.registry import check_backend, get_backend
-from fragalign.job import DEFAULTS, JobSpec
+from fragalign.job import DEFAULTS, JobSpec, mode_label
 from fragalign.util.lru import LRUCache
 
 __all__ = ["AlignmentEngine", "default_model"]
@@ -219,25 +221,51 @@ class AlignmentEngine:
         kernel in one call.  Equals ``[self.score(a, b, **knobs) for a,
         b in pairs]`` (a standing test invariant).
         """
-        return self.run("score", pairs, JobSpec.of("score", **knobs))
+        spec = self.resolve(JobSpec.of("score", **knobs), "score")  # refused with no pairs too
+        return self.run("score", pairs, [spec] * len(pairs))
 
     def align_many(self, pairs: Sequence[tuple[str, str]], **knobs) -> list[Alignment]:
         """Full alignments for every pair, in input order (one call)."""
-        return self.run("align", pairs, JobSpec.of("align", **knobs))
+        spec = self.resolve(JobSpec.of("align", **knobs), "align")
+        return self.run("align", pairs, [spec] * len(pairs))
 
-    def run(self, op: str, pairs: Sequence[tuple[str, str]], spec: JobSpec):
-        """``score_many`` (``op="score"``) or ``align_many`` for a built spec."""
-        spec = self.resolve(spec, op)
-        family = f"{op}_many"
-        be = self._route(family, spec)
-        call = be.score_many if op == "score" else be.align_many
+    def run(self, op: str, pairs: Sequence[tuple[str, str]], specs: Sequence[JobSpec]):
+        """``score_many`` (``op="score"``) or ``align_many`` with each
+        pair's own built spec; results in input order.
+
+        Each distinct spec is resolved and routed once.  Pairs whose
+        resolved specs differ at most in ``mode`` and route to one
+        backend go to it in one call: a group mixing global, overlap and
+        local is one call, or one per backend a partial backend splits."""
+        routes: dict[JobSpec, tuple[JobSpec, list[int]]] = {}
+        calls: dict[tuple, list[int]] = {}  # (backend, group key) -> pair indices
+        resolved = []
+        for k, spec in enumerate(specs):
+            route = routes.get(spec)
+            if route is None:
+                job = self.resolve(spec, op)
+                key = (self._route(f"{op}_many", job), job.group_key(op))
+                route = routes[spec] = (job, calls.setdefault(key, []))
+            resolved.append(route[0])
+            route[1].append(k)
         preps = [self.prepare(a, b) for a, b in pairs]
-        if self.profiler is None or not preps:
-            return call(preps, self.model, spec)
+        out = np.empty(len(preps)) if op == "score" else [None] * len(preps)
+        for (be, _), idx in calls.items():
+            values = self._call(be, op, [preps[k] for k in idx], [resolved[k] for k in idx])
+            for k, value in zip(idx, values):
+                out[k] = value
+        return out
+
+    def _call(self, be: AlignmentBackend, op: str, preps: list, specs: list):
+        """One backend batch call, profiled when a profiler is set."""
+        call = be.score_many if op == "score" else be.align_many
+        if self.profiler is None:
+            return call(preps, self.model, specs)
         start = time.perf_counter()
-        out = call(preps, self.model, spec)
+        out = call(preps, self.model, specs)
         self.profiler.record(
-            family, be.name, spec.mode, [p.shape for p in preps], time.perf_counter() - start
+            f"{op}_many", be.name, mode_label(specs), [p.shape for p in preps],
+            time.perf_counter() - start,
         )
         return out
 

@@ -22,8 +22,10 @@ verbs delegate to an internal :class:`NumpyBackend` so the backend is
 still total — capability probing is an optimization contract, not a
 correctness one.
 
-The C kernels sweep one shape per call, so :meth:`NativeBackend.score_many`
-buckets its batch by shape.  Pairs whose sequences contain ``N`` (code
+The C kernels sweep one shape in one mode per call, so
+:meth:`NativeBackend.score_many` buckets its batch by mode and shape,
+and hands the pairs of any mode it does not cover to the internal numpy
+backend in one call.  Pairs whose sequences contain ``N`` (code
 4) are split out of the bit-parallel path per bucket — the 2-bit Eq
 tables cover A/C/G/T only — and scored by the internal numpy backend;
 the striped-SW kernel handles ``N`` natively through its 5x5 profile.
@@ -97,7 +99,7 @@ class NativeBackend(AlignmentBackend):
 
     The unaccelerated verbs and the N-carrying bit-parallel pairs run
     on an internal default :class:`NumpyBackend`.  The accelerated
-    score batches run one kernel call per shape bucket.
+    score batches run one kernel call per (mode, shape) bucket.
     """
 
     name = "native"
@@ -124,18 +126,24 @@ class NativeBackend(AlignmentBackend):
     # -- score verbs --------------------------------------------------
 
     def score(self, p, model, spec) -> float:
-        return float(self.score_many([p], model, spec)[0])
+        return float(self.score_many([p], model, [spec])[0])
 
-    def score_many(self, batch, model, spec) -> np.ndarray:
-        if not self.accelerates("score_many", model, spec):
-            return self._numpy.score_many(batch, model, spec)
-        by_shape: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for k, p in enumerate(batch):
-            by_shape[p.shape].append(k)
-        many = self._local_many if spec.mode == "local" else self._bitparallel_many
+    def score_many(self, batch, model, specs) -> np.ndarray:
+        buckets: dict[tuple[str, tuple[int, int]], list[int]] = defaultdict(list)
+        for k, (p, spec) in enumerate(zip(batch, specs)):
+            buckets[spec.mode, p.shape].append(k)
         out = np.empty(len(batch))
-        for (n, m), idxs in by_shape.items():
+        rest: list[int] = []  # pairs in a mode the kernels do not cover
+        for (mode, (n, m)), idxs in buckets.items():
+            spec = specs[idxs[0]]
+            if not self.accelerates("score_many", model, spec):
+                rest += idxs
+                continue
+            many = self._local_many if mode == "local" else self._bitparallel_many
             out[idxs] = many([batch[k] for k in idxs], model, spec, n, m)
+        if rest:
+            sub = [batch[k] for k in rest]
+            out[rest] = self._numpy.score_many(sub, model, [specs[k] for k in rest])
         return out
 
     def _bitparallel_many(self, batch, model, spec, n: int, m: int) -> np.ndarray:
@@ -167,7 +175,7 @@ class NativeBackend(AlignmentBackend):
                 )
         if has_n.any():
             sub = [p for p, bad in zip(batch, has_n) if bad]
-            out[has_n] = self._numpy.score_many(sub, model, spec)
+            out[has_n] = self._numpy.score_many(sub, model, [spec] * len(sub))
         return out
 
     def _local_many(self, batch, model, spec, n: int, m: int) -> np.ndarray:
@@ -179,7 +187,7 @@ class NativeBackend(AlignmentBackend):
             (min(n, m) + 1) * max(maxabs, 1) >= _SW_MAX_SCORE
             or (n + 8) * pen >= _SW_MAX_DECAY
         ):
-            return self._numpy.score_many(batch, model, spec)
+            return self._numpy.score_many(batch, model, [spec] * len(batch))
         acodes = np.stack([p.a_codes for p in batch])
         bcodes = np.stack([p.b_codes for p in batch])
         return striped_local_scores_native(
@@ -191,5 +199,5 @@ class NativeBackend(AlignmentBackend):
     def align(self, p, model, spec):
         return self._numpy.align(p, model, spec)
 
-    def align_many(self, batch, model, spec):
-        return self._numpy.align_many(batch, model, spec)
+    def align_many(self, batch, model, specs):
+        return self._numpy.align_many(batch, model, specs)

@@ -34,8 +34,9 @@ participates:
     shard's cache is a disjoint partition of the keyspace.
 ``group_key``
     Part of the micro-batcher's dispatch-group key: fields that change
-    how a batch *executes* (one engine call runs one memory strategy on
-    one backend).
+    how a batch *executes* (one engine call runs one gap model, band,
+    memory strategy and backend).  Not ``mode``: the kernels sweep
+    modes together, and a banded job groups apart by its ``band``.
 ``keyset``
     Carried by warm-keyset entries and journal records.
 
@@ -54,7 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from fragalign.util.errors import InvalidArgument
 
@@ -70,6 +71,8 @@ __all__ = [
     "check_affine_gaps",
     "check_fields",
     "linear_memory_conflict",
+    "mode_label",
+    "pair_job",
     "ring_key",
 ]
 
@@ -84,7 +87,7 @@ _SPECS = (
         "kind": "str",
         "ops": ("score", "align"),
         "cache_key": True,
-        "group_key": True,
+        "group_key": False,  # the kernels sweep mixed modes in one batch
         "keyset": True,
         "doc": "alignment mode: global, local, overlap or banded",
     },
@@ -197,6 +200,19 @@ def check_fields(obj: Mapping, error: type[InvalidArgument] = InvalidArgument) -
         raise error(f"unknown request field {unknown[0]!r}")
 
 
+def pair_job(obj: Mapping) -> tuple[str, str, str, "JobSpec"]:
+    """The ``(op, a, b, spec)`` a pair request object — a keyset line or
+    a router ``request_many`` entry — asks for, refused with
+    :class:`InvalidArgument` where the wire refuses it: an unregistered
+    field, an op that is no pair op, ``a`` or ``b`` not a string."""
+    check_fields(obj)
+    op, a, b = obj.get("op"), obj.get("a"), obj.get("b")
+    spec = JobSpec.from_fields(obj, op)
+    if not isinstance(a, str) or not isinstance(b, str):
+        raise InvalidArgument(f"op {op!r} needs string fields 'a' and 'b'")
+    return op, a, b, spec
+
+
 def check_affine_gaps(gap_open, gap_extend) -> tuple[float, float]:
     """Validate an affine gap parameter pair; returns them as floats.
 
@@ -283,7 +299,7 @@ class JobSpec:
     def _for(self, op: str) -> "JobSpec":
         """This spec, refused if ``op`` is no pair op or the spec sets a
         knob ``op`` does not take (``memory`` on ``score``)."""
-        if op not in _NOT_FOR:
+        if op not in PAIR_OPS:
             raise InvalidArgument(f"unknown pair op {op!r} (expected one of {PAIR_OPS})")
         for name in _NOT_FOR[op]:
             if getattr(self, name) is not None:
@@ -362,6 +378,13 @@ class JobSpec:
     def group_key(self, op: str) -> tuple:
         """Dispatch-group key: jobs sharing it run as one engine batch."""
         return (op, *_GROUP_VALUES(self._normalized()))
+
+
+def mode_label(specs: Sequence[JobSpec]) -> str | None:
+    """The mode a batch of specs shares, or ``"mixed"``: the mode label
+    of one kernel dispatch in metrics and trace spans."""
+    mode = specs[0].mode
+    return mode if all(spec.mode == mode for spec in specs) else "mixed"
 
 
 assert tuple(f.name for f in fields(JobSpec)) == KNOBS, "JobSpec fields must be the registered knobs"

@@ -3,8 +3,11 @@
 Concurrent ``score``/``align`` submissions are dispatched as *one*
 ``score_many`` / ``align_many`` call per dispatch group on the engine,
 whose batch kernels amortize the per-row Python sweep across the whole
-batch.  Results fan back out through one future per waiter, in wire
-form: a score as a float, an align answer as its JSON text
+batch.  A dispatch group is every job of one op that agrees on the
+knobs that change how a batch executes (``JobSpec.group_key``): modes
+mix in a group, and each job runs with its own spec.  Results fan back
+out through one future per waiter, in wire form: a score as a float,
+an align answer as its JSON text
 (:class:`~fragalign.service.protocol.EncodedJSON`), as the cache keeps it.
 
 Batches follow the worker, not a clock: at most one batch is in
@@ -36,7 +39,7 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 from fragalign.engine.facade import AlignmentEngine
-from fragalign.job import JobSpec
+from fragalign.job import JobSpec, mode_label
 from fragalign.obs.trace import TraceContext, Tracer
 from fragalign.service.protocol import alignment_json
 from fragalign.util.errors import DeadlineExceeded
@@ -88,8 +91,9 @@ class MicroBatcher:
     Parameters
     ----------
     engine:
-        Any object with ``run(op, pairs, spec)`` (normally an
-        :class:`AlignmentEngine`; tests substitute counting wrappers).
+        Any object with ``run(op, pairs, specs)``, one spec per pair
+        (normally an :class:`AlignmentEngine`; tests substitute
+        counting wrappers).
     max_batch:
         The most distinct jobs one batch dispatches; ``1`` serves
         request by request (the foil the benchmark measures against).
@@ -154,7 +158,8 @@ class MicroBatcher:
         specs differing only in ``backend`` or ``memory`` share one job,
         which runs with its first waiter's spec.  Each distinct
         ``spec.group_key(op)`` in a batch is its own engine call — in
-        particular a call never mixes backends.
+        particular a call never mixes backends or gap models — and a
+        call mixes modes, each job with its own.
 
         ``deadline`` (absolute, :func:`time.monotonic`) and ``trace``
         are not part of the job: identical submits share one job
@@ -253,15 +258,15 @@ class MicroBatcher:
                     (shared if sink is None else sink).append(entry)
             if shared:
                 self._tracer.extend(shared)
-        # One engine call per dispatch-group key, run with its first
-        # job's spec (jobs sharing the key agree on every knob that
-        # executes).  An engine error fails only the group it hit.
+        # One engine call per dispatch-group key, each job with its own
+        # spec: jobs sharing the key differ at most in mode.  An engine
+        # error fails only the group it hit.
         groups: dict[tuple, list[_Job]] = {}
         for job in batch:
             groups.setdefault(job.spec.group_key(job.op), []).append(job)
         for (op, *_), group in groups.items():
-            spec = group[0].spec
-            call = partial(self.engine.run, op, [job.pair for job in group], spec)
+            specs = [job.spec for job in group]
+            call = partial(self.engine.run, op, [job.pair for job in group], specs)
             compute_start = time.perf_counter()
             try:
                 values = await self._loop.run_in_executor(self._executor, call)
@@ -277,7 +282,7 @@ class MicroBatcher:
                 # Worker-thread engine call for this job's whole
                 # dispatch group (queue + kernels); one shared tags
                 # dict for the group — read-only downstream.
-                tags = {"op": op, "group": len(group), "mode": spec.mode}
+                tags = {"op": op, "group": len(group), "mode": mode_label(specs)}
                 shared = []
                 for job in group:
                     for ctx, sink, _ in job.watchers:

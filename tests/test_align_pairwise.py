@@ -447,11 +447,15 @@ def _exact(values) -> list:
     ]
 
 
+_SWEPT_TOGETHER = ["global", "local", "overlap"]  # the modes one chunk may mix
+
+
 @given(
     pairs=_ragged_pairs(),
     model_name=st.sampled_from(sorted(_RAGGED_MODELS)),
     gaps=st.sampled_from(_RAGGED_GAPS),
-    mode=st.sampled_from(["global", "local", "overlap", "banded"]),
+    mode=st.sampled_from(["global", "local", "overlap", "banded", "mixed"]),
+    mixed=st.lists(st.sampled_from(_SWEPT_TOGETHER), min_size=10, max_size=10),
     extra_band=st.integers(0, 3),
     chunk=st.sampled_from([1, 3, 64]),
     unbounded=st.booleans(),
@@ -459,36 +463,50 @@ def _exact(values) -> list:
 # A local batch whose best is 0: every alignment is empty.
 @example(
     pairs=[("AAAA", "CCC"), ("", "GG"), ("TTTTTT", "GA"), ("A", "C")],
-    model_name="unit", gaps=None, mode="local", extra_band=0, chunk=3, unbounded=False,
+    model_name="unit", gaps=None, mode="local", mixed=["local"] * 10, extra_band=0, chunk=3,
+    unbounded=False,
 )
 # An affine overlap whose X/Y zig-zag through padded columns outscores
 # the pair's own end row.
 @example(
     pairs=[("ACGTGG", "ACGT"), ("ACGTGG", "ACGTACGT")],
-    model_name="unit", gaps=(0.0, -1.0), mode="overlap", extra_band=0, chunk=64, unbounded=False,
+    model_name="unit", gaps=(0.0, -1.0), mode="overlap", mixed=["overlap"] * 10, extra_band=0,
+    chunk=64, unbounded=False,
+)
+# One chunk in all three modes, a local pair first and one padded.
+@example(
+    pairs=[("ACGTGG", "ACGT"), ("TTACGTT", "ACGT"), ("ACGTGG", "ACGTACGT"), ("GA", "")],
+    model_name="unit", gaps=(-3.0, -1.0), mode="mixed",
+    mixed=["local", "global", "overlap", "local"] + ["global"] * 6, extra_band=0, chunk=64,
+    unbounded=True,
 )
 def test_ragged_batch_equals_each_pair_alone(
-    pairs, model_name, gaps, mode, extra_band, chunk, unbounded
+    pairs, model_name, gaps, mode, mixed, extra_band, chunk, unbounded
 ):
-    """Every entry of a mixed-shape batch equals that pair run alone (a
-    batch of one, no padding), sign bits included, in all four modes,
-    linear and affine, score and align; on the integer models it also
-    equals the per-cell oracles."""
+    """Every entry of a mixed-shape batch, in one mode or with each pair
+    in its own of global, local and overlap, equals that pair run alone
+    (a batch of one, no padding), sign bits included, linear and affine,
+    score and align; on the integer models it also equals the per-cell
+    oracles."""
     model = _RAGGED_MODELS[model_name]
-    kernels = {m: (s, a) for m, s, a in (LINEAR_KERNELS if gaps is None else AFFINE_KERNELS)}
-    score_kernel, align_kernel = kernels[mode]
+    modes = mixed[: len(pairs)] if mode == "mixed" else [mode] * len(pairs)
     band = max(abs(len(a) - len(b)) for a, b in pairs) + extra_band
-    args = ((band,) if mode == "banded" else ()) + (model,) + (gaps or ())
     with _padding(unbounded):
-        scores = score_kernel(pairs, *args, chunk=chunk)
-        alns = align_kernel(pairs, *args, chunk=chunk)
-    assert _exact(scores) == _exact([score_kernel([p], *args)[0] for p in pairs])
-    assert _exact(alns) == _exact([align_kernel([p], *args)[0] for p in pairs])
+        scores = pairwise._batch("score", pairs, model, modes, band, gaps, chunk)
+        alns = pairwise._batch("align", pairs, model, modes, band, gaps, chunk)
+    kernels = {m: (s, a) for m, s, a in (LINEAR_KERNELS if gaps is None else AFFINE_KERNELS)}
+    alone_scores, alone_alns = [], []
+    for p, md in zip(pairs, modes):
+        args = ((band,) if md == "banded" else ()) + (model,) + (gaps or ())
+        alone_scores.append(kernels[md][0]([p], *args)[0])
+        alone_alns.append(kernels[md][1]([p], *args)[0])
+    assert _exact(scores) == _exact(alone_scores)
+    assert _exact(alns) == _exact(alone_alns)
     if model_name not in _ORACLE_MODELS:
         return
-    spec = JobSpec(mode, band if mode == "banded" else None, *(gaps or (None, None)))
     naive = NaiveBackend()
-    for (a, b), score, aln in zip(pairs, scores, alns):
+    for (a, b), md, score, aln in zip(pairs, modes, scores, alns):
+        spec = JobSpec(md, band if md == "banded" else None, *(gaps or (None, None)))
         want = naive.align(PreparedPair(a, b, encode(a), encode(b)), model, spec)
         assert (score, aln) == (want.score, want)
 
@@ -498,22 +516,36 @@ def test_ragged_batch_equals_each_pair_alone(
 def test_ragged_chunks_equal_each_pair_alone_in_every_mode(model_name, unbounded, rng):
     """Every mode, gap model and verb on one batch whose chunks of 3 are
     each padded (a positive gap makes any padded cell that could win,
-    win)."""
+    win); then the same batch with each pair in each of global, local
+    and overlap by turns, in chunks that mix the three."""
     from fragalign.genome.dna import random_dna
 
     shapes = [(65, 2), (0, 7), (1, 64), (63, 65), (30, 12), (64, 0), (17, 40), (2, 1)]
     pairs = [(random_dna(n, rng), random_dna(m, rng)) for n, m in shapes]
     pairs[4] = (pairs[4][0][:10] + "N" + pairs[4][0][11:], pairs[4][1])
+    # A suffix-prefix overlap and a local hit, where the three modes differ.
+    core = random_dna(14, rng)
+    pairs.append((random_dna(20, rng) + core, core + random_dna(25, rng)))
+    pairs.append((random_dna(9, rng) + core + random_dna(7, rng), random_dna(4, rng) + core))
     model = _RAGGED_MODELS[model_name]
-    band = max(abs(n - m) for n, m in shapes)
+    band = max(abs(len(a) - len(b)) for a, b in pairs)
     for gaps in _RAGGED_GAPS:
+        alone = {}
         for mode, score_kernel, align_kernel in LINEAR_KERNELS if gaps is None else AFFINE_KERNELS:
             args = ((band,) if mode == "banded" else ()) + (model,) + (gaps or ())
-            for kernel in (score_kernel, align_kernel):
-                alone = [kernel([p], *args)[0] for p in pairs]
+            for kind, kernel in (("score", score_kernel), ("align", align_kernel)):
+                alone[mode, kind] = [kernel([p], *args)[0] for p in pairs]
                 with _padding(unbounded):
                     got = kernel(pairs, *args, chunk=3)
-                assert _exact(got) == _exact(alone), (mode, gaps)
+                assert _exact(got) == _exact(alone[mode, kind]), (mode, gaps)
+        for shift in range(3):
+            modes = [_SWEPT_TOGETHER[(k + shift) % 3] for k in range(len(pairs))]
+            for kind in ("score", "align"):
+                want = _exact([alone[md, kind][k] for k, md in enumerate(modes)])
+                for chunk in (3, 64):
+                    with _padding(unbounded):
+                        got = pairwise._batch(kind, pairs, model, modes, gaps=gaps, chunk=chunk)
+                    assert _exact(got) == want, (kind, gaps, chunk, shift)
 
 
 @given(
@@ -531,6 +563,11 @@ def test_chunk_plan_sweeps_each_pair_once_within_the_padding_bound(shapes, chunk
         assert 1 <= idx.size <= chunk and (n, m) == (nk[idx].max(), mk[idx].max())
         bound = pairwise._PAD_RATIO * int((nk[idx] * mk[idx]).sum()) + pairwise._ROW_CELLS * n
         assert idx.size == 1 or idx.size * n * m <= bound
+
+
+def test_banded_pairs_never_share_a_batch_with_other_modes():
+    with pytest.raises(ValueError, match="banded"):
+        pairwise._batch("score", [("ACGT", "ACG"), ("AC", "AC")], None, ["banded", "global"], 2)
 
 
 def test_a_long_pair_sweeps_apart_from_short_ones():

@@ -236,6 +236,29 @@ class TestShardRouter:
         # (nothing listens on the fixed addresses, so a dial would evict).
         assert (stats["routed_total"], stats["retries"], stats["evictions"]) == (0, 0, 0)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"op": "score", "b": "AC"}, "needs string fields 'a' and 'b'"),
+            ({"a": "A", "b": "C"}, "unknown pair op None"),
+            ({"op": "score", "a": 3, "b": "AC"}, "needs string fields 'a' and 'b'"),
+            ({"op": ["score"], "a": "A", "b": "C"}, "unknown pair op"),
+        ],
+    )
+    def test_request_many_and_warm_refuse_a_malformed_entry_before_sending(self, bad, message):
+        entries = [{"op": "score", "a": "ACGT", "b": "AGGT"}, bad]
+
+        async def run():
+            async with ShardRouter(self.FIXED) as router:
+                with pytest.raises(InvalidArgument, match=message):
+                    await router.request_many(entries)
+                with pytest.raises(InvalidArgument, match=message):
+                    await warm_router(router, entries)
+                return router.router_stats()
+
+        stats = asyncio.run(run())
+        assert (stats["routed_total"], stats["retries"], stats["evictions"]) == (0, 0, 0)
+
     def test_per_request_modes_route_and_verify(self, three_shards):
         pairs = [("TTTTTACGTACGT", "ACGTACGTCCCC"), ("ACGTACGT", "ACGTAGGT")]
 

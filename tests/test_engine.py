@@ -237,6 +237,24 @@ class TestBatchSemantics:
             assert np.array_equal(got, ref.score_many(pairs, mode=mode))
             assert list(got) == [ref.score(a, b, mode=mode) for a, b in pairs]
 
+    @pytest.mark.parametrize("force_fallback", [False, True])
+    def test_native_group_of_mixed_modes_equals_numpy(self, force_fallback, rng):
+        # One dispatch group in three modes: the C kernels take one mode
+        # and shape per call, and local without the extension runs on
+        # numpy, through the facade's routing or the backend's own.
+        shapes = [(12, 9), (30, 31), (12, 9), (0, 5), (7, 0), (1, 1), (64, 65), (40, 33)]
+        pairs = [(random_dna(n, rng), random_dna(m, rng)) for n, m in shapes]
+        pairs.append(("ACGTNACGTA", "ACGTTACGT"))  # N: the numpy side path
+        specs = [JobSpec(("global", "overlap", "local")[k % 3]) for k in range(len(pairs))]
+        native = NativeBackend(force_fallback=force_fallback)
+        with AlignmentEngine(backend=native) as eng, AlignmentEngine() as ref:
+            want = ref.run("score", pairs, specs)
+            assert list(want) == [ref.score(a, b, mode=s.mode) for (a, b), s in zip(pairs, specs)]
+            assert np.array_equal(eng.run("score", pairs, specs), want)
+            preps = [eng.prepare(a, b) for a, b in pairs]
+            resolved = [eng.resolve(s, "score") for s in specs]
+            assert np.array_equal(native.score_many(preps, eng.model, resolved), want)
+
     def test_engine_buckets_mixed_shapes(self):
         eng = AlignmentEngine(backend="numpy")
         pairs = [("ACGT", "ACGA"), ("AC", "A"), ("TTTT", "GGGG"), ("", "ACG")]

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from fragalign.cluster import HealthMonitor, ShardRouter
-from fragalign.engine import AlignmentEngine
+from fragalign.engine import AlignmentEngine, JobSpec
 from fragalign.obs import (
     KernelProfiler,
     MetricsRegistry,
@@ -381,6 +381,22 @@ class TestKernelProfiler:
         # mixed-shape batch: one dispatch of both pairs
         row = next(r for r in top_rows(reg) if r["family"] == "score_many")
         assert row["calls"] == 1 and row["pairs"] == 2
+
+    def test_mixed_mode_run_is_one_mixed_dispatch(self):
+        reg = MetricsRegistry()
+        pairs = [("ACGT", "AGGT"), ("ACGTA", "AGGTA"), ("TTACG", "TTAG"), ("GG", "GAG")]
+        specs = [JobSpec(mode) for mode in ("global", "local", "overlap", "local")]
+        with AlignmentEngine(backend="numpy") as eng:
+            eng.profiler = KernelProfiler(reg)
+            for op in ("score", "align"):
+                eng.run(op, pairs, specs)
+        rows = top_rows(reg)
+        assert {(r["family"], r["mode"]) for r in rows} == {
+            ("score_many", "mixed"), ("align_many", "mixed"),
+        }
+        assert all(r["calls"] == 1 and r["pairs"] == len(pairs) for r in rows)
+        table = format_top(rows)
+        assert "score_many   numpy      mixed" in table and "align_many   numpy      mixed" in table
 
     def test_profiler_off_changes_nothing(self):
         with AlignmentEngine() as eng:

@@ -285,7 +285,7 @@ class TestBatcherDeadlines:
 
     def test_job_expired_in_queue_is_dropped_not_computed(self):
         class NeverEngine:
-            def run(self, op, pairs, spec):  # pragma: no cover - must not run
+            def run(self, op, pairs, specs):  # pragma: no cover - must not run
                 raise AssertionError("expired job reached the engine")
 
         async def run():
@@ -383,11 +383,11 @@ class TestServerDeadline:
         computed: list[tuple[str, str]] = []
 
         class GatedEngine(AlignmentEngine):
-            def run(self, op, pairs, spec):
+            def run(self, op, pairs, specs):
                 computed.extend(pairs)
                 entered.set()
                 assert gate.wait(10), "gate never opened"
-                return super().run(op, pairs, spec)
+                return super().run(op, pairs, specs)
 
         async def until(condition):
             for _ in range(5000):

@@ -211,9 +211,9 @@ class CountingEngine:
         self._engine = engine
         self.calls: list[tuple[str, int]] = []
 
-    def run(self, op, pairs, spec):
+    def run(self, op, pairs, specs):
         self.calls.append((op, len(pairs)))
-        return self._engine.run(op, pairs, spec)
+        return self._engine.run(op, pairs, specs)
 
 
 class GatedEngine:
@@ -225,18 +225,20 @@ class GatedEngine:
         self._cond = threading.Condition()
         self._released = 0
         self.calls: list[list[tuple[str, str]]] = []  # each call's pairs
+        self.specs: list[list[JobSpec]] = []  # and each pair's spec
         self.returned = 0
         self.peak = 0  # most calls in flight at once
 
-    def run(self, op, pairs, spec):
+    def run(self, op, pairs, specs):
         with self._cond:
             self.calls.append(list(pairs))
+            self.specs.append(list(specs))
             n = len(self.calls)
             self.peak = max(self.peak, n - self.returned)
             if not self._cond.wait_for(lambda: self._released >= n, timeout=10):
                 raise TimeoutError("engine call never released")
         try:
-            return self._engine.run(op, pairs, spec)
+            return self._engine.run(op, pairs, specs)
         finally:
             with self._cond:
                 self.returned += 1
@@ -267,14 +269,17 @@ async def _until(condition, timeout: float = 5.0) -> None:
 _SCHEDULE_PAIRS = [
     ("ACGT", "AGGT"), ("AAAA", "AATA"), ("ACGTAC", "ACGTTC"),
     ("GGGG", "GGCG"), ("TTACG", "TTAG"),
+    ("ACGTTTT", "CCACGTC"),  # global -1, local 4, overlap 0; affine -3, local 4
 ]
-# Two jobs per pair, each spelled several ways: execution twins (other
+# Five jobs per pair, some spelled several ways: execution twins (other
 # backends) and equivalent spellings (an unset mode, integer gaps)
-# share the job's cache key.
+# share the job's cache key.  Jobs that differ only in mode stay apart
+# but share a dispatch group, each answered in its own mode.
 _SCHEDULE_SPECS = [
     JobSpec(), JobSpec("global", backend="naive"), JobSpec(backend="native"),
     JobSpec(gap_open=-4, gap_extend=-1),
     JobSpec("global", None, -4.0, -1.0, backend="naive"),
+    JobSpec("local"), JobSpec("overlap"), JobSpec("local", None, -4.0, -1.0),
 ]
 # One step: a burst of (pair index, spec index, already expired?)
 # submits in one loop tick, a release of the engine call at the gate,
@@ -476,6 +481,13 @@ class TestMicroBatcher:
     @given(schedule=_SCHEDULES, max_batch=st.integers(1, 4))
     # Two twins wait on a computing job and the first gives up.
     @example(schedule=[[(0, 0, False), (0, 1, False)], ("cancel", 0), "release"], max_batch=1)
+    # One pair in three modes, then in two affine ones: each burst is one
+    # engine call whose jobs keep their own modes.
+    @example(
+        schedule=[[(5, 0, False), (5, 5, False), (5, 6, False)], [(5, 3, False), (5, 7, False)],
+                  "release", "release"],
+        max_batch=4,
+    )
     def test_paced_invariants_hold_on_any_schedule(self, schedule, max_batch):
         def key(i: int, k: int) -> tuple:
             return _SCHEDULE_SPECS[k].cache_key("score", *_SCHEDULE_PAIRS[i], "fp")
@@ -544,6 +556,12 @@ class TestMicroBatcher:
         engine, snap, cache, submits, cancelled = asyncio.run(run())
         assert engine.peak <= 1
         assert all(1 <= len(call) <= max_batch for call in engine.calls)
+        # A call is one dispatch group (its jobs may differ in mode
+        # alone), and each of its jobs is a distinct one.
+        for pairs, specs in zip(engine.calls, engine.specs):
+            assert len({spec.group_key("score") for spec in specs}) == 1
+            keys = {spec.cache_key("score", *pair, "fp") for pair, spec in zip(pairs, specs)}
+            assert len(keys) == len(pairs)
         # Every distinct job is computed once or dropped once: never
         # twice, never lost.  A batch may hold several dispatch groups
         # (twins run on their first waiter's backend), each its own call.
@@ -556,7 +574,7 @@ class TestMicroBatcher:
         answered = {}  # cache key -> the direct engine's wire form
         with AlignmentEngine() as eng:
             for i, k, expired, future in submits:
-                want = float(eng.run("score", [_SCHEDULE_PAIRS[i]], _SCHEDULE_SPECS[k])[0])
+                want = eng.score(*_SCHEDULE_PAIRS[i], **_SCHEDULE_SPECS[k].wire())
                 if future in cancelled:
                     # Only its own wait ends: the job still runs for its
                     # twins and the cache unless every deadline passed.
@@ -575,7 +593,7 @@ class TestMicroBatcher:
 
     def test_engine_error_propagates_to_all_waiters(self):
         class ExplodingEngine:
-            def run(self, op, pairs, spec):
+            def run(self, op, pairs, specs):
                 raise RuntimeError("kernel on fire")
 
         async def run():
@@ -595,23 +613,25 @@ class TestMicroBatcher:
         assert all(isinstance(r, RuntimeError) for r in results)
 
     def test_engine_error_fails_only_its_dispatch_group(self):
-        class LocalExplodes:
+        affine = JobSpec(gap_open=-4.0, gap_extend=-1.0)
+
+        class AffineExplodes:
             def __init__(self) -> None:
                 self._engine = AlignmentEngine()
 
-            def run(self, op, pairs, spec):
-                if spec.mode == "local":
-                    raise RuntimeError("local kernel on fire")
-                return self._engine.run(op, pairs, spec)
+            def run(self, op, pairs, specs):
+                if any(spec.gap_open is not None for spec in specs):
+                    raise RuntimeError("affine kernel on fire")
+                return self._engine.run(op, pairs, specs)
 
         pairs = [("ACGTACGT", "AGGTACGT"), ("AAAA", "AATA"), ("ACGTAC", "ACGTAC")]
 
         async def run():
-            batcher = MicroBatcher(LocalExplodes(), max_batch=64)
+            batcher = MicroBatcher(AffineExplodes(), max_batch=64)
             try:
                 return await asyncio.gather(
                     *(batcher.submit("score", a, b, JobSpec()) for a, b in pairs),
-                    *(batcher.submit("score", a, b, JobSpec("local")) for a, b in pairs),
+                    *(batcher.submit("score", a, b, affine) for a, b in pairs),
                     return_exceptions=True,
                 )
             finally:
@@ -621,6 +641,31 @@ class TestMicroBatcher:
         with AlignmentEngine() as eng:
             assert results[:3] == [eng.score(a, b) for a, b in pairs]
         assert all(isinstance(r, RuntimeError) for r in results[3:])
+
+    def test_compute_span_tags_a_mixed_mode_group(self):
+        from fragalign.obs import Tracer, new_trace_context
+
+        jobs = [("score", JobSpec()), ("score", JobSpec("local")), ("align", JobSpec("local"))]
+
+        async def run():
+            batcher = MicroBatcher(AlignmentEngine(), max_batch=64, tracer=Tracer())
+            sinks: list[list] = [[] for _ in jobs]
+            try:
+                await asyncio.gather(*(
+                    batcher.submit(
+                        op, "ACGTTTT", "CCACGTC", spec, trace=new_trace_context(), sink=sink
+                    )
+                    for (op, spec), sink in zip(jobs, sinks)
+                ))
+            finally:
+                batcher.close()
+            return sinks
+
+        sinks = asyncio.run(run())
+        tags = [[e[5] for e in sink if e[2] == "batcher.compute"] for sink in sinks]
+        assert [[(t["op"], t["group"], t["mode"]) for t in ts] for ts in tags] == [
+            [("score", 2, "mixed")], [("score", 2, "mixed")], [("align", 1, "local")],
+        ]
 
     def test_non_ascii_request_does_not_fail_its_flush(self):
         # "ß".upper() is the two characters "SS"; a request carrying it
