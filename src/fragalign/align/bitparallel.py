@@ -61,6 +61,7 @@ __all__ = [
 _MODES = ("global", "overlap")
 _ONE = np.uint64(1)
 _S63 = np.uint64(63)
+_ALL = ~np.uint64(0)
 
 
 def flat_model_family(model: SubstitutionModel | None) -> tuple[str, float] | None:
@@ -101,29 +102,31 @@ def bitparallel_score_reference(
     return global_score_reference(a, b, model)
 
 
-# -- multiword uint64 primitives (B pairs x W words, bit k of word w
-# -- is query row w*64 + k + 1; all information flows toward higher
-# -- bits, so padding bits above n never contaminate valid ones) ------
+# -- multiword uint64 primitives.  State is word-major, (W words, B
+# -- pairs): bit k of word w is query row w*64 + k + 1, and each word is
+# -- one contiguous row across the batch.  All information flows toward
+# -- higher bits, so padding bits above n never contaminate valid ones.
 
 
 def _shl1(x: np.ndarray) -> np.ndarray:
     """Shift every pair's W-word bit-vector up one bit (zero fill)."""
     out = x << _ONE
-    if x.shape[1] > 1:
-        out[:, 1:] |= x[:, :-1] >> _S63
+    if len(x) > 1:
+        out[1:] |= x[:-1] >> _S63
     return out
 
 
 def _add(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Multiword add with carry chain across words (wraparound ok)."""
-    carry = np.zeros(x.shape[0], dtype=np.uint64)
-    for w in range(x.shape[1]):
-        t = x[:, w] + y[:, w]
-        c1 = t < x[:, w]
-        r = t + carry
-        c2 = r < t
-        out[:, w] = r
-        carry = (c1 | c2).astype(np.uint64)
+    """Multiword add (wraparound ok), the carries across words by
+    lookahead: a word generates one when its sum wrapped (``t < x``) and
+    passes one on when its sum is all ones (``t == ~0``)."""
+    np.add(x, y, out=out)
+    if len(out) > 1:
+        carry = out < x  # generated; becomes each word's carry out
+        through = out == _ALL
+        for w in range(1, len(out) - 1):
+            carry[w] |= through[w] & carry[w - 1]
+        out[1:] += carry[:-1]
     return out
 
 
@@ -131,97 +134,93 @@ def _propagate(S: np.ndarray, R: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Solve ``X[i] = S[i] | (R[i] & X[i-1])`` along the bit chain.
 
     The carry of ``R + (S << 1)`` rides exactly the runs of ``R``
-    sitting on top of a seed; OR-ing the shifted seed back in covers
-    the run-of-length-zero case the adder's carry-in misses.
+    sitting on top of a seed and clears the bits it passes; OR-ing the
+    shifted seed back in covers a run bit that the seed's own carry
+    leaves set.
     """
     Sh = _shl1(S)
     U = _add(R, Sh, scratch)
-    C = (U ^ R ^ Sh) | Sh
-    return S | (R & C)
+    return S | (R & (~U | Sh))
 
 
-def _pack_eq(codes: np.ndarray, W: int) -> np.ndarray:
-    """``(B, 4, W)`` uint64 match masks: bit i of Eq[p, c] set iff
-    ``codes[p, i] == c``."""
-    B, n = codes.shape
-    eq = codes[:, None, :] == np.arange(4, dtype=codes.dtype)[None, :, None]
-    padded = np.zeros((B, 4, W * 64), dtype=bool)
-    padded[:, :, :n] = eq
-    weights = _ONE << np.arange(64, dtype=np.uint64)
-    return (padded.reshape(B, 4, W, 64) * weights).sum(axis=3, dtype=np.uint64)
+def _sweep_setup(acodes: np.ndarray, bcodes: np.ndarray):
+    """(valid, Eq, cols): the (W, B) mask of the query rows, the
+    (W, 4 * B) match masks (bit i of word w in column c * B + p set iff
+    ``acodes[p, w*64 + i] == c``) and each text column's (B,) index into
+    them."""
+    B, n = acodes.shape
+    W = (n + 63) // 64
+    eq = np.zeros((4, B, W * 64), dtype=bool)
+    eq[:, :, :n] = acodes == np.arange(4, dtype=acodes.dtype)[:, None, None]
+    words = np.packbits(eq, axis=2, bitorder="little").view("<u8").astype(np.uint64, copy=False)
+    Eq = np.ascontiguousarray(words.transpose(2, 0, 1)).reshape(W, 4 * B)
+    valid = np.zeros((W, B), dtype=np.uint64)
+    valid[: n // 64] = _ALL
+    if n % 64:
+        valid[n // 64] = (_ONE << np.uint64(n % 64)) - _ONE
+    return valid, Eq, bcodes.T.astype(np.intp) * B + np.arange(B)
+
+
+def _top_bits(tops: np.ndarray, n: int) -> np.ndarray:
+    """Bit ``n - 1`` (the last query row) of each saved word, as int64."""
+    return ((tops >> np.uint64((n - 1) % 64)) & _ONE).astype(np.int64)
 
 
 def _scores_unit(acodes: np.ndarray, bcodes: np.ndarray, mode: str) -> np.ndarray:
     """Unit-family sweep, scores in units of ``c`` (int64).
 
-    State per pair: four disjoint indicator vectors over query rows
-    for the vertical delta ``DV in {-1, 0, 1, 2}`` (``Vm``/``V0``/
-    ``V1``/``V2``).  Per text char the horizontal-delta thresholds
-    ``A_t = [DH >= t]`` come out of seed/propagate algebra, the top
-    bit of each accumulates the last-row score, and the new vertical
-    indicators are rebuilt from delta-threshold case analysis.
+    State per pair: three nested threshold vectors over query rows for
+    the vertical delta ``DV in {-1, 0, 1, 2}``, ``T_t = [DV >= t]`` for
+    t = 0, 1, 2 (bits above n hold garbage that only flows upward).
+    Per text char the horizontal-delta thresholds ``A_t = [DH >= t]``
+    come out of seed/propagate algebra, the top bit of each accumulates
+    the last-row score, and the new vertical thresholds follow from
+    delta-threshold case analysis.
     """
     B, n = acodes.shape
     m = bcodes.shape[1]
-    W = (n + 63) // 64
-    Eq_all = _pack_eq(acodes, W)
-    rows = np.arange(B)
-
-    valid = np.zeros((B, W), dtype=np.uint64)
-    valid[:, : n // 64] = ~np.uint64(0)
-    if n % 64:
-        valid[:, n // 64] = (_ONE << np.uint64(n % 64)) - _ONE
-
-    Vm = np.zeros((B, W), dtype=np.uint64)
-    V0 = np.zeros((B, W), dtype=np.uint64)
-    V1 = np.zeros((B, W), dtype=np.uint64)
-    V2 = np.zeros((B, W), dtype=np.uint64)
-    if mode == "global":
-        Vm[:] = valid  # H[i][0] = -i: every vertical delta is -1
-    else:
-        V0[:] = valid  # overlap: H[i][0] = 0, every delta is 0
-
-    wn, bn = (n - 1) // 64, np.uint64((n - 1) % 64)
-    run = np.full(B, -n if mode == "global" else 0, dtype=np.int64)
-    best = np.zeros(B, dtype=np.int64)
-    scratch = np.empty((B, W), dtype=np.uint64)
+    valid, Eq_all, cols = _sweep_setup(acodes, bcodes)
+    # H[i][0] = -i (global): every vertical delta is -1; overlap's
+    # H[i][0] = 0: every delta is 0.
+    T0 = np.zeros_like(valid) if mode == "global" else valid
+    T1 = np.zeros_like(valid)
+    T2 = np.zeros_like(valid)
+    wn = (n - 1) // 64
+    tops = np.empty((m, 3, B), dtype=np.uint64)  # each column's last-row A0/A1/A2 word
+    scratch = np.empty_like(valid)
 
     for j in range(m):
-        Eq = Eq_all[rows, bcodes[:, j]]
+        Eq = Eq_all.take(cols[j], axis=1)
         NEq = ~Eq
         # Horizontal-delta thresholds up the column.  Chain positions
         # R (mismatch over DV=-1) pass any threshold along unchanged;
         # matches seed 1 - DV; a mismatch one level down feeds the
         # next threshold through the shifted indicators.
-        R = NEq & Vm
-        A2 = _propagate(Eq & Vm, R, scratch)
+        nT0, nT1, nT2 = ~T0, ~T1, ~T2
+        R = NEq & nT0
+        A2 = _propagate(Eq & nT0, R, scratch)
         A2s = _shl1(A2)
-        M0 = NEq & V0
-        A1 = _propagate((Eq & (Vm | V0)) | (M0 & A2s), R, scratch)
+        M0 = NEq & T0 & nT1  # a mismatch over DV=0
+        A1 = _propagate((Eq & nT1) | (M0 & A2s), R, scratch)
         A1s = _shl1(A1)
-        A0 = (Eq & ~V2) | R | (M0 & A1s) | ((NEq & V1) & A2s)
+        A0 = (Eq & nT2) | R | (M0 & A1s) | (NEq & T1 & nT2 & A2s)
+        tops[j, 0], tops[j, 1], tops[j, 2] = A0[wn], A1[wn], A2[wn]
 
-        run += (
-            ((A0[:, wn] >> bn) & _ONE)
-            + ((A1[:, wn] >> bn) & _ONE)
-            + ((A2[:, wn] >> bn) & _ONE)
-        ).astype(np.int64) - 1
-        if mode == "overlap":
-            np.maximum(best, run, out=best)
-
-        # New vertical deltas from DH[i-1] thresholds (shift in the
-        # top-row delta, always -1) and the old vertical indicators.
+        # New vertical thresholds from DH[i-1] thresholds (shift in the
+        # top-row delta, always -1) and the old vertical ones.
         B0 = _shl1(A0)
-        NV2 = ~B0 & (Eq | V2)
-        NV1 = (Eq & ~A1s) | (NEq & ((~B0 & (V1 | V2)) | (B0 & ~A1s & V2)))
-        NV0 = (Eq & ~A2s) | (
-            NEq & (~B0 | (B0 & ~A1s & (V1 | V2)) | (A1s & ~A2s & V2))
+        nB0, nA1s = ~B0, ~A1s
+        B0nA1s = B0 & nA1s
+        T0, T1, T2 = (
+            (Eq & ~A2s) | (NEq & (nB0 | (B0nA1s & T1) | (A1s & ~A2s & T2))),
+            (Eq & nA1s) | (NEq & ((nB0 & T1) | (B0nA1s & T2))),
+            nB0 & (Eq | T2),
         )
-        Vm = ~NV0 & valid
-        V0 = NV0 & ~NV1
-        V1 = NV1 & ~NV2
-        V2 = NV2
-    return best if mode == "overlap" else run
+    # The last row moves by DH = (A0 + A1 + A2) - 1 per text char.
+    steps = _top_bits(tops, n).sum(axis=1) - 1
+    if mode == "global":
+        return steps.sum(axis=0) - n
+    return np.maximum(np.cumsum(steps, axis=0).max(axis=0), 0)
 
 
 def _scores_lev(acodes: np.ndarray, bcodes: np.ndarray) -> np.ndarray:
@@ -233,35 +232,27 @@ def _scores_lev(acodes: np.ndarray, bcodes: np.ndarray) -> np.ndarray:
     """
     B, n = acodes.shape
     m = bcodes.shape[1]
-    W = (n + 63) // 64
-    Eq_all = _pack_eq(acodes, W)
-    rows = np.arange(B)
-
-    valid = np.zeros((B, W), dtype=np.uint64)
-    valid[:, : n // 64] = ~np.uint64(0)
-    if n % 64:
-        valid[:, n // 64] = (_ONE << np.uint64(n % 64)) - _ONE
-
+    valid, Eq_all, cols = _sweep_setup(acodes, bcodes)
     Pv = valid.copy()
-    Mv = np.zeros((B, W), dtype=np.uint64)
-    wn, bn = (n - 1) // 64, np.uint64((n - 1) % 64)
-    dist = np.full(B, n, dtype=np.int64)
-    scratch = np.empty((B, W), dtype=np.uint64)
+    Mv = np.zeros_like(valid)
+    wn = (n - 1) // 64
+    tops = np.empty((m, 2, B), dtype=np.uint64)  # each column's last-row Ph/Mh word
+    scratch = np.empty_like(valid)
 
     for j in range(m):
-        Eq = Eq_all[rows, bcodes[:, j]]
+        Eq = Eq_all.take(cols[j], axis=1)
         Xv = Eq | Mv
         Xh = (_add(Eq & Pv, Pv, scratch) ^ Pv) | Eq
         Ph = Mv | ~(Xh | Pv)
         Mh = Pv & Xh
-        dist += ((Ph[:, wn] >> bn) & _ONE).astype(np.int64)
-        dist -= ((Mh[:, wn] >> bn) & _ONE).astype(np.int64)
+        tops[j, 0], tops[j, 1] = Ph[wn], Mh[wn]
         Phs = _shl1(Ph)
-        Phs[:, 0] |= _ONE  # top-row delta is always +1 cost
+        Phs[0] |= _ONE  # top-row delta is always +1 cost
         Mhs = _shl1(Mh)
         Pv = (Mhs | ~(Xv | Phs)) & valid
         Mv = Phs & Xv
-    return -dist
+    bits = _top_bits(tops, n).sum(axis=0)
+    return bits[1] - bits[0] - n
 
 
 def bitparallel_scores_batch(

@@ -43,6 +43,7 @@ import numpy as np
 from fragalign.align.pairwise import (
     Alignment,
     _empty_side,
+    _sweep_dtype,
     _sweep_ends,
     _sweep_linear,
     _walk,
@@ -70,12 +71,14 @@ class _LinearWalk:
         model: SubstitutionModel,
         mode: str,
         block_cells: int,
+        dt: np.dtype,
     ) -> None:
         self.ac = a_codes
         self.bc = b_codes
         self.model = model
         self.mode = mode
         self.block_cells = max(1, block_cells)
+        self.dt = dt  # the sweeps' and checkpoint rows' dtype
         self.segments: list[list[tuple[int, int]]] = []  # bottom-first
         self.stop: tuple[int, int] | None = None  # where the walk ended
         self.corner: float | None = None  # f-space F at (len(ac), je_root)
@@ -88,7 +91,7 @@ class _LinearWalk:
         A = self.ac[lo:hi][None, :]
         Bm = self.bc[:je][None, :]
         F0 = F_lo[None, : je + 1]
-        F, _, _, _ = _sweep_linear(A, Bm, self.model, self.mode, D=D, F0=F0, i0=lo)
+        F, _, _, _ = _sweep_linear(A, Bm, self.model, self.mode, D=D, F0=F0, i0=lo, dt=self.dt)
         return F[0, : je + 1].copy()
 
     # -- the recursion ------------------------------------------------
@@ -168,23 +171,24 @@ def linear_align(  # parity-oracle: hirschberg_align_reference
     if n == 0 or m == 0:
         score, a_iv, b_iv = _empty_side(n, m, mode, model, None)
         return Alignment(score, (), a_iv, b_iv)
+    dt = _sweep_dtype(model, None, n, m)
 
     if mode == "global":
-        walk = _LinearWalk(ac, bc, model, mode, block_cells)
-        walk.run(0, n, np.zeros(m + 1), m)
+        walk = _LinearWalk(ac, bc, model, mode, block_cells, dt)
+        walk.run(0, n, np.zeros(m + 1, dt), m)
         # f-space: H(n, m) = F(n, m) + g*m + n*g.
         score = walk.corner + g * (m + n)
         return Alignment(score, walk.pairs(), (0, n), (0, m))
 
     # Overlap and local: a score sweep finds the end cell (overlap ends
     # in row n), then the walk runs back from it.
-    score, ends_i, ends_j, _ = _sweep_ends(ac[None, :], bc[None, :], model, mode)
+    score, ends_i, ends_j, _ = _sweep_ends(ac[None, :], bc[None, :], model, mode, dt=dt)
     score, ei, ej = float(score[0]), int(ends_i[0]), int(ends_j[0])
     if ei == 0 or ej == 0:  # empty alignment: the walk starts and ends here
         return Alignment(score, (), (ei, ei), (ej, ej))
-    walk = _LinearWalk(ac, bc, model, mode, block_cells)
+    walk = _LinearWalk(ac, bc, model, mode, block_cells, dt)
     # Row 0 in f-space: H = 0 (local) -> F = -g*j; H = g*j (overlap) -> F = 0.
-    F0 = -g * np.arange(ej + 1) if mode == "local" else np.zeros(ej + 1)
+    F0 = -dt.type(g) * np.arange(ej + 1, dtype=dt) if mode == "local" else np.zeros(ej + 1, dt)
     crossed = walk.run(0, ei, F0, ej)
     # stop records where the walk ended; otherwise it crossed row 0 at
     # column ``crossed``.

@@ -40,6 +40,18 @@ points (:func:`global_align`, :func:`local_align`, ...) are the batch
 kernels at batch size 1, so *every* traceback in the system goes
 through the direction-code walk.  The ``*_reference`` functions are
 independent per-cell Python oracles for the parity tests.
+
+The linear and affine sweeps compute in one of two dtypes, which
+:func:`_sweep_dtype` picks once per call from the model, the gaps and
+the longest sides.  When the matrix, the linear gap and the affine
+gaps are finite integers and (n + m + 2) times their largest magnitude
+stays under 2**26 (:data:`_INT_HEADROOM`), every cell is an exact
+integer under 2**27 in magnitude and the sweep runs in int32, where a
+row's adds, maxima and prefix max cost 0.5-0.7x of float64's; -2**28
+(:data:`_INT_NEG`) stands for both -inf and ``_NEG``.  Otherwise it runs
+in float64.  Both dtypes compute the same integers and the same
+direction codes, and scores return to float64 at the readout, so an
+answer's bytes do not depend on the dtype.  Banded sweeps stay float64.
 """
 
 from __future__ import annotations
@@ -88,6 +100,16 @@ __all__ = [
 _NEG = -1e30  # effectively -inf while staying finite for arithmetic
 _PAD = 5  # pads a chunk past a pair's own end; encode() emits only 0-4
 
+_F64, _I32 = np.dtype(np.float64), np.dtype(np.int32)
+#: An int32 sweep's stand-in for both -inf and ``_NEG``.
+_INT_NEG = -(1 << 28)
+#: Sweeps run in int32 while (n + m + 2) times the largest per-cell step
+#: stays under this, so every cell stays under 2**27 in magnitude and a
+#: sentinel plus a cell stays far inside int32.
+_INT_HEADROOM = 1 << 26
+#: Each sweep dtype's (-inf, ``_NEG``).
+_LOW = {_F64: (-np.inf, _NEG), _I32: (_INT_NEG, _INT_NEG)}
+
 _Pairs = Sequence[tuple[str | np.ndarray, str | np.ndarray]]
 
 
@@ -121,10 +143,23 @@ def _as_codes(seq: str | np.ndarray) -> np.ndarray:
     return seq if isinstance(seq, np.ndarray) else encode(seq)
 
 
+def _sweep_dtype(
+    model: SubstitutionModel, gaps: tuple[float, float] | None, n: int, m: int
+) -> np.dtype:
+    """int32 when every cell of an (n, m) sweep is an exact small integer:
+    the matrix, the gap and ``gaps`` are integers and (n + m + 2) times
+    the largest of their magnitudes is under :data:`_INT_HEADROOM`.
+    float64 otherwise."""
+    if not model.integral or not all(float(x).is_integer() for x in gaps or ()):
+        return _F64
+    step = max(np.abs(model.matrix).max(), abs(model.gap), *map(abs, gaps or ()))
+    return _I32 if (n + m + 2) * step < _INT_HEADROOM else _F64
+
+
 def _padded(table: np.ndarray) -> np.ndarray:
     """A 5 x 5 substitution table grown by the :data:`_PAD` row and
     column, both ``_NEG``: a diagonal move into padding never wins."""
-    out = np.full((table.shape[0] + 1, table.shape[1] + 1), _NEG)
+    out = np.full((table.shape[0] + 1, table.shape[1] + 1), _LOW[table.dtype][1], table.dtype)
     out[:-1, :-1] = table
     return out
 
@@ -133,9 +168,11 @@ class _Ends:
     """Each pair's frontier rows, saved as a padded sweep passes its own
     last row nₖ (``nk`` ``None``: the final rows are every pair's)."""
 
-    def __init__(self, nk: np.ndarray | None, B: int, M: int, count: int) -> None:
+    def __init__(
+        self, nk: np.ndarray | None, B: int, M: int, count: int, dt: np.dtype = _F64
+    ) -> None:
         self.stops = {} if nk is None else {int(r): np.flatnonzero(nk == r) for r in np.unique(nk)}
-        self.rows = [np.empty((B, M)) for _ in range(count if self.stops else 0)]
+        self.rows = [np.empty((B, M), dt) for _ in range(count if self.stops else 0)]
 
     def save(self, i: int, *rows: np.ndarray) -> np.ndarray | None:
         """Keep the pairs whose last row is ``i``; returns their indices."""
@@ -149,10 +186,12 @@ class _Ends:
         return self.rows if self.stops else list(final)
 
 
-def _column_cap(mk: np.ndarray, M: int) -> np.ndarray:
-    """(B, M) ``+inf`` over each pair's columns 0..mₖ, ``-inf`` past them:
-    ``np.minimum`` with it keeps a pair's cells and no padded one wins."""
-    return np.where(np.arange(M) <= mk[:, None], np.inf, -np.inf)
+def _column_cap(mk: np.ndarray, M: int, dt: np.dtype) -> np.ndarray:
+    """(B, M) ``+inf`` over each pair's columns 0..mₖ, ``-inf`` past them
+    (in ``dt``'s stand-ins): ``np.minimum`` with it keeps a pair's cells
+    and no padded one wins."""
+    low = _LOW[dt][0]
+    return np.where(np.arange(M) <= mk[:, None], -low, low).astype(dt, copy=False)
 
 
 def _first_best(hrow: np.ndarray, mk: np.ndarray | None) -> np.ndarray:
@@ -160,7 +199,7 @@ def _first_best(hrow: np.ndarray, mk: np.ndarray | None) -> np.ndarray:
     masked, as it can outscore them: under a positive linear gap, or by
     affine X/Y zig-zags paying 2 × open a row where a gap pays one extend."""
     if mk is not None:
-        np.minimum(hrow, _column_cap(mk, hrow.shape[1]), out=hrow)
+        np.minimum(hrow, _column_cap(mk, hrow.shape[1], hrow.dtype), out=hrow)
     return np.argmax(hrow, axis=1)
 
 
@@ -189,16 +228,16 @@ def _check_band(n, m, band) -> int:
 
 
 class _Frontier:
-    """Three rotating (B, M) row buffers: ``prev`` (last finished row),
-    ``cur`` (this row before left-extension) and ``acc`` (this row
-    after)."""
+    """Three rotating (B, M) row buffers of dtype ``dt``: ``prev`` (last
+    finished row), ``cur`` (this row before left-extension) and ``acc``
+    (this row after)."""
 
     __slots__ = ("prev", "cur", "acc")
 
-    def __init__(self, B: int, M: int) -> None:
-        self.prev = np.full((B, M), -np.inf)
-        self.cur = np.full((B, M), -np.inf)
-        self.acc = np.full((B, M), -np.inf)
+    def __init__(self, B: int, M: int, dt: np.dtype = _F64) -> None:
+        self.prev = np.full((B, M), _LOW[dt][0], dt)
+        self.cur = np.full((B, M), _LOW[dt][0], dt)
+        self.acc = np.full((B, M), _LOW[dt][0], dt)
 
     def prefix_max(self) -> None:
         """``acc`` <- running maxima of ``cur`` along each row."""
@@ -288,9 +327,12 @@ def _sweep_linear(
     i0: int = 0,
     nk: np.ndarray | None = None,
     mk: np.ndarray | None = None,
+    dt: np.dtype = _F64,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Forward linear-gap sweep in global/overlap/local: ``mode`` is
     every pair's, or each pair's own with the rows in :data:`_MODE_ORDER`.
+    It computes in ``dt`` (see :func:`_sweep_dtype`), and so do the rows
+    and bests it returns.
 
     Returns (last, best, best_i, best_j): ``last`` is each pair's
     f-space row at its own last row (``nk``/``mk``: the pairs' lengths
@@ -306,30 +348,30 @@ def _sweep_linear(
     zero-cell clamp depend on it).  Defaults reproduce a sweep from
     row 0.
     """
-    g = model.gap
+    g = dt.type(model.gap)
     B, n = A.shape
     m = Bm.shape[1]
     M = m + 1
     ng, L = _split(mode, B)  # rows [0, ng) global, [ng, L) overlap, [L, B) local
     nl = B - L
-    P2 = _padded(model.matrix - 2.0 * g)[:, Bm]  # per-code diag rows, pre-shifted
+    P2 = _padded(model.matrix.astype(dt) - 2 * g)[:, Bm]  # per-code diag rows, pre-shifted
     bidx = np.arange(B)
-    negjs = -g * np.arange(M)
-    fr = _Frontier(B, M)
+    negjs = -g * np.arange(M, dtype=dt)
+    fr = _Frontier(B, M, dt)
     if F0 is not None:
         fr.prev[:] = F0
     else:
-        fr.prev[:L] = 0.0
+        fr.prev[:L] = 0
         fr.prev[L:] = negjs
-    t1 = np.empty((B, m))
-    cv = np.empty(M)
-    hrow = np.empty((nl, M))
-    best = np.zeros(B)
+    t1 = np.empty((B, m), dt)
+    cv = np.empty(M, dt)
+    hrow = np.empty((nl, M), dt)
+    best = np.zeros(B, dt)
     bi = np.zeros(B, dtype=np.int64)
     bj = np.zeros(B, dtype=np.int64)
     lbest, lbi, lbj = best[L:], bi[L:], bj[L:]
-    ends = _Ends(nk, B, M, 1)
-    cap = _column_cap(mk[L:], M) if nl and mk is not None else None
+    ends = _Ends(nk, B, M, 1, dt)
+    cap = _column_cap(mk[L:], M, dt) if nl and mk is not None else None
     if D is not None:
         up = np.empty((B, m), dtype=bool)
         left = np.empty((B, m), dtype=bool)
@@ -343,7 +385,7 @@ def _sweep_linear(
         if D is not None:
             np.greater(up_from, t1, out=up)
         if ng:
-            cur[:ng, 0] = 0.0
+            cur[:ng, 0] = 0
         if ng < B:
             cur[ng:, 0] = -(i0 + i) * g  # overlap's boundary is local's zero cell
         np.maximum(t1, up_from, out=cur[:, 1:])
@@ -377,7 +419,7 @@ def _sweep_linear(
                 np.add(dl, ltmp8, out=dl)
         ks = ends.save(i, acc)
         if ks is not None and cap is not None:
-            cap[ks[ks >= L] - L] = -np.inf  # the rows past nₖ are padding
+            cap[ks[ks >= L] - L] = _LOW[dt][0]  # the rows past nₖ are padding
         fr.advance()
     return ends.result(fr.prev)[0], best, bi, bj
 
@@ -676,21 +718,23 @@ def banded_global_score_reference(
 
 
 class _AffineRows:
-    """The three rotating (B, m+1) frontiers plus per-row scratch."""
+    """The three rotating (B, m+1) frontiers plus per-row scratch, all of
+    dtype ``dt``."""
 
     __slots__ = ("Mp", "Xp", "Yp", "Mc", "Xc", "Yc", "bp", "osrc", "run", "t")
 
-    def __init__(self, B: int, M: int) -> None:
-        self.Mp = np.full((B, M), -np.inf)
-        self.Xp = np.full((B, M), -np.inf)
-        self.Yp = np.full((B, M), -np.inf)
-        self.Mc = np.full((B, M), -np.inf)
-        self.Xc = np.full((B, M), -np.inf)
-        self.Yc = np.full((B, M), -np.inf)
-        self.bp = np.empty((B, M))
-        self.osrc = np.empty((B, M))
-        self.run = np.empty((B, M))
-        self.t = np.empty((B, M))
+    def __init__(self, B: int, M: int, dt: np.dtype = _F64) -> None:
+        low = _LOW[dt][0]
+        self.Mp = np.full((B, M), low, dt)
+        self.Xp = np.full((B, M), low, dt)
+        self.Yp = np.full((B, M), low, dt)
+        self.Mc = np.full((B, M), low, dt)
+        self.Xc = np.full((B, M), low, dt)
+        self.Yc = np.full((B, M), low, dt)
+        self.bp = np.empty((B, M), dt)
+        self.osrc = np.empty((B, M), dt)
+        self.run = np.empty((B, M), dt)
+        self.t = np.empty((B, M), dt)
 
     def advance(self) -> None:
         self.Mp, self.Mc = self.Mc, self.Mp
@@ -707,9 +751,12 @@ def _sweep_affine(
     mode: str | Sequence[str],
     D: np.ndarray | None = None,
     nk: np.ndarray | None = None,
+    dt: np.dtype = _F64,
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
     """Forward Gotoh sweep in global/overlap/local: ``mode`` is every
     pair's, or each pair's own with the rows in :data:`_MODE_ORDER`.
+    It computes in ``dt`` (see :func:`_sweep_dtype`), and so do the rows
+    and bests it returns.
 
     Returns (last, best, best_i, best_j): ``last`` is each pair's
     [M, X, Y] rows at its own last row (``nk`` in a padded chunk, else
@@ -723,23 +770,24 @@ def _sweep_affine(
     M = m + 1
     ng, L = _split(mode, B)  # rows [0, ng) global, [ng, L) overlap, [L, B) local
     nl = B - L
-    P = _padded(model.matrix)[:, Bm]  # per-code substitution rows, (6, B, m)
+    P = _padded(model.matrix.astype(dt))[:, Bm]  # per-code substitution rows, (6, B, m)
     bidx = np.arange(B)
-    js = np.arange(M)
+    open_, ext, low = dt.type(open_), dt.type(ext), _LOW[dt][0]
+    js = np.arange(M, dtype=dt)
     extjs = ext * js
-    src_shift = open_ - ext * (js + 1.0)
-    r = _AffineRows(B, M)
+    src_shift = open_ - ext * (js + 1)
+    r = _AffineRows(B, M, dt)
     # Row 0: M[0][0] = 0 and the leading gaps in b live in Y; a local
     # row restarts at 0 everywhere.
-    r.Mp[:L, 0] = 0.0
+    r.Mp[:L, 0] = 0
     if m:
         r.Yp[:L, 1:] = open_ + (js[1:] - 1) * ext
-    r.Mp[L:] = 0.0
-    best = np.zeros(B)
+    r.Mp[L:] = 0
+    best = np.zeros(B, dt)
     bi = np.zeros(B, dtype=np.int64)
     bj = np.zeros(B, dtype=np.int64)
     lbest, lbi, lbj = best[L:], bi[L:], bj[L:]
-    ends = _Ends(nk, B, M, 3)
+    ends = _Ends(nk, B, M, 3, dt)
     if D is not None:
         e_x = np.empty((B, m), dtype=bool)
         e_y = np.empty((B, m), dtype=bool)
@@ -763,17 +811,17 @@ def _sweep_affine(
         np.maximum(r.bp, Yp, out=r.bp)
         np.add(r.bp[:, :m], P[A[:, i - 1], bidx], out=Mc[:, 1:])
         if ng:
-            Mc[:ng, 0] = -np.inf
+            Mc[:ng, 0] = low
         if ng < B:
-            Mc[ng:, 0] = 0.0
+            Mc[ng:, 0] = 0
         if nl:
             lM = Mc[L:] if L else Mc
             if D is not None:
                 # bit 6: the clamp won (cell value 0) — stop.
-                np.less_equal(lM[:, 1:], 0.0, out=lb1)
+                np.less_equal(lM[:, 1:], 0, out=lb1)
                 np.multiply(lb1.view(np.uint8), 64, out=lu8b)
                 np.add(lu8a, lu8b, out=lu8a)
-            np.maximum(lM, 0.0, out=lM)
+            np.maximum(lM, 0, out=lM)
         # X: open from M/Y above, or extend the running gap.
         np.maximum(Mp, Yp, out=r.osrc)
         if D is not None:
@@ -790,7 +838,7 @@ def _sweep_affine(
         if ng:
             Xc[:ng, 0] = open_ + (i - 1) * ext
         if ng < B:
-            Xc[ng:, 0] = -np.inf
+            Xc[ng:, 0] = low
         # Y: prefix max over max(M, X)[j'] + open - ext*(j'+1).
         np.maximum(Mc, Xc, out=r.osrc)
         if D is not None:
@@ -798,10 +846,10 @@ def _sweep_affine(
             np.multiply(b1.view(np.uint8), 32, out=u8b)
             np.add(u8a, u8b, out=u8a)
         np.add(r.osrc, src_shift, out=r.t)
-        r.run[:, 0] = -np.inf
+        r.run[:, 0] = low
         np.maximum.accumulate(r.t[:, :m], axis=1, out=r.run[:, 1:])
         np.add(r.run, extjs, out=Yc)
-        Yc[:, 0] = -np.inf
+        Yc[:, 0] = low
         if D is not None:
             # bit 4: Y extended — the gap ran past the previous column.
             np.add(Yc[:, :m], ext, out=r.t[:, :m])
@@ -1191,9 +1239,11 @@ def _sweep_ends(
     D: np.ndarray | None = None,
     nk: np.ndarray | None = None,
     mk: np.ndarray | None = None,
+    dt: np.dtype = _F64,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sweep one chunk in ``mode``s as the sweeps take them; returns
-    each pair's (score, end_i, end_j, state).
+    """Sweep one chunk in ``mode``s as the sweeps take them, the linear
+    and affine ones in ``dt`` (banded stays float64); returns each
+    pair's (score, end_i, end_j, state), the scores in float64.
 
     (end_i, end_j) is the cell the alignment ends in, where its walk
     starts: (nₖ, mₖ), the pairs' own lengths in a chunk padded with
@@ -1235,7 +1285,7 @@ def _sweep_ends(
     score = np.empty(B)
     omk = None if mk is None else mk[ng:L]
     if gaps is None:
-        F, best, bi, bj = _sweep_linear(A, Bm, model, mode, D=D, nk=nk, mk=mk)
+        F, best, bi, bj = _sweep_linear(A, Bm, model, mode, D=D, nk=nk, mk=mk, dt=dt)
         if ng:
             score[:ng] = F[rows[:ng], ej[:ng]] + g * (ej[:ng] + ei[:ng])
         if L > ng:
@@ -1245,7 +1295,7 @@ def _sweep_ends(
             ej[ng:L] = _first_best(hrow, omk)
             score[ng:L] = hrow[rows[: L - ng], ej[ng:L]] + ei[ng:L] * g
     else:
-        ends, best, bi, bj = _sweep_affine(A, Bm, model, *gaps, mode, D=D, nk=nk)
+        ends, best, bi, bj = _sweep_affine(A, Bm, model, *gaps, mode, D=D, nk=nk, dt=dt)
         if L > ng:
             ej[ng:L] = _first_best(np.maximum(np.maximum(*ends[:2]), ends[2])[ng:L], omk)
         if L:
@@ -1276,7 +1326,8 @@ def _batch(
     shapes: they sweep in the chunks :func:`_chunks` plans, at most
     ``chunk`` pairs each (the working set), each padded to its longest
     pair into buffers allocated once per call, with a chunk's pairs in
-    :data:`_MODE_ORDER`.  ``linear`` (align only) says whether a chunk
+    :data:`_MODE_ORDER`, all in the one dtype :func:`_sweep_dtype` picks
+    for the longest sides.  ``linear`` (align only) says whether a chunk
     of that many padded cells walks in linear memory instead.
     """
     model = model or unit_dna()
@@ -1295,6 +1346,7 @@ def _batch(
     nk = np.array([len(a) for a, _ in codes], dtype=np.int64)
     mk = np.array([len(b) for _, b in codes], dtype=np.int64)
     band = _check_band(nk, mk, band) if modes[0] == "banded" else None
+    dt = _F64 if band is not None else _sweep_dtype(model, gaps, nk.max(), mk.max())
     scores = np.empty(len(codes))
     alns: list = [None] * len(codes)
     for k in np.flatnonzero((nk == 0) | (mk == 0)):
@@ -1331,7 +1383,7 @@ def _batch(
         ragged = nk[idx].min() < n or mk[idx].min() < m
         lens = (nk[idx], mk[idx]) if ragged else (None, None)
         D = None if Dbuf is None else Dbuf[: n * B * width].reshape(n, B, width)
-        score, ei, ej, state = _sweep_ends(A, Bm, model, cmode, band, gaps, D, *lens)
+        score, ei, ej, state = _sweep_ends(A, Bm, model, cmode, band, gaps, D, *lens, dt)
         if D is None:
             scores[idx] = score
             continue
@@ -1360,8 +1412,10 @@ def global_scores_batch(
 
     Each pair is (a, b) as strings or pre-encoded uint8 codes, of any
     lengths: each chunk is padded to its longest pair.  Exact on
-    integer-valued models (every operation stays integral in float64);
-    ``chunk`` bounds how many pairs sweep together (working set).
+    integer-valued models: they sweep in int32 while (n + m + 2) times
+    the largest |matrix entry| or |gap| stays under 2**26, else in
+    float64, where every operation stays integral; ``chunk`` bounds how
+    many pairs sweep together (working set).
     """
     return _batch("score", pairs, model, "global", chunk=chunk)
 

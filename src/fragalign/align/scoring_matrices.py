@@ -39,11 +39,13 @@ class SubstitutionModel:
     ``matrix[i, j]`` scores aligning code ``i`` against code ``j``;
     ``gap`` is the (linear) per-symbol gap penalty, conventionally
     negative.  Instances are immutable so they can be shared freely
-    across worker processes.
+    across worker processes.  ``integral`` says whether the matrix and
+    the gap are finite integers (the integer kernels' precondition).
     """
 
     matrix: np.ndarray = field(repr=False)
     gap: float
+    integral: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
@@ -52,6 +54,9 @@ class SubstitutionModel:
         if not np.allclose(m, m.T):
             raise ValueError("substitution matrix must be symmetric")
         object.__setattr__(self, "matrix", m)
+        values = np.append(m, float(self.gap))
+        integral = bool(np.isfinite(values).all() and (np.rint(values) == values).all())
+        object.__setattr__(self, "integral", integral)
 
     def score(self, a: str, b: str) -> float:
         """Score one character pair (slow path, for tests/examples)."""

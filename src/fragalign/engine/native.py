@@ -70,18 +70,11 @@ def _striped_params(
     model: SubstitutionModel,
 ) -> tuple[np.ndarray, int] | None:
     """(int32 matrix, positive gap penalty) when the striped-SW kernel
-    covers this model — integral 5x5 matrix, integral negative linear
-    gap — else ``None``."""
-    mat = np.asarray(model.matrix, dtype=np.float64)
-    if mat.shape != (5, 5):
+    covers this model — finite integral matrix and gap, the gap
+    negative — else ``None``."""
+    if not model.integral or model.gap >= 0:
         return None
-    rounded = np.rint(mat)
-    if not np.array_equal(rounded, mat):
-        return None
-    gap = float(model.gap)
-    if gap >= 0 or gap != int(gap):
-        return None
-    return rounded.astype(np.int32), int(-gap)
+    return model.matrix.astype(np.int32), int(-model.gap)
 
 
 class NativeBackend(AlignmentBackend):
@@ -182,7 +175,7 @@ class NativeBackend(AlignmentBackend):
         if n == 0 or m == 0:
             return np.zeros(len(batch))
         mat, pen = _striped_params(model)
-        maxabs = int(np.abs(mat).max())
+        maxabs = int(np.abs(model.matrix).max())  # mat may have wrapped
         if (
             (min(n, m) + 1) * max(maxabs, 1) >= _SW_MAX_SCORE
             or (n + 8) * pen >= _SW_MAX_DECAY

@@ -16,6 +16,8 @@ The standing invariants:
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,7 @@ from fragalign.align.hirschberg import (
     hirschberg_align_reference,
     linear_align,
 )
+from fragalign.align import pairwise
 from fragalign.align.pairwise import (
     affine_align_batch,
     affine_banded_align_batch,
@@ -236,15 +239,21 @@ class TestLinearMemoryIdentity:
         ("local", local_align),
     ])
     def test_randomized_byte_identity(self, mode, ref, rng):
+        """The walk sweeps these integer models in int32; it equals the
+        tensor walk in int32 and in float64, score bytes included."""
         models = [unit_dna(), transition_transversion()]
         for trial in range(80):
             n, m = int(rng.integers(0, 48)), int(rng.integers(0, 48))
             a, b = random_dna(n, rng), random_dna(m, rng)
             model = models[trial % 2]
+            assert pairwise._sweep_dtype(model, None, n, m) == np.int32
             block = int(rng.choice([1, 3, 17, 1 << 22]))
-            assert linear_align(a, b, model, mode=mode, block_cells=block) == ref(
-                a, b, model
-            )
+            lin = linear_align(a, b, model, mode=mode, block_cells=block)
+            with mock.patch.object(pairwise, "_INT_HEADROOM", 0):
+                wide = ref(a, b, model)
+            for want in (ref(a, b, model), wide):
+                assert lin == want
+                assert np.float64(lin.score).tobytes() == np.float64(want.score).tobytes()
 
     def test_long_pair_identity_and_small_blocks(self, rng):
         a, b = random_dna(700, rng), random_dna(650, rng)

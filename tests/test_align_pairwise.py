@@ -45,6 +45,7 @@ from fragalign.align.pairwise import (
     overlap_scores_batch,
 )
 from fragalign.align.scoring_matrices import (
+    SubstitutionModel,
     encode,
     transition_transversion,
     unit_dna,
@@ -427,6 +428,11 @@ def _padding(unbounded: bool):
     return mock.patch.object(pairwise, "_PAD_RATIO", math.inf)
 
 
+def _float64():
+    """No headroom for int32: every sweep computes in float64."""
+    return mock.patch.object(pairwise, "_INT_HEADROOM", 0)
+
+
 @st.composite
 def _ragged_pairs(draw):
     """Up to 10 pairs of mixed shapes: lengths at the 64-column word
@@ -486,14 +492,21 @@ def test_ragged_batch_equals_each_pair_alone(
     """Every entry of a mixed-shape batch, in one mode or with each pair
     in its own of global, local and overlap, equals that pair run alone
     (a batch of one, no padding), sign bits included, linear and affine,
-    score and align; on the integer models it also equals the per-cell
-    oracles."""
+    score and align, whether it sweeps in int32 or float64; on the
+    integer models it also equals the per-cell oracles."""
     model = _RAGGED_MODELS[model_name]
     modes = mixed[: len(pairs)] if mode == "mixed" else [mode] * len(pairs)
     band = max(abs(len(a) - len(b)) for a, b in pairs) + extra_band
     with _padding(unbounded):
         scores = pairwise._batch("score", pairs, model, modes, band, gaps, chunk)
         alns = pairwise._batch("align", pairs, model, modes, band, gaps, chunk)
+        with _float64():
+            assert _exact(pairwise._batch("score", pairs, model, modes, band, gaps, chunk)) == (
+                _exact(scores)
+            )
+            assert _exact(pairwise._batch("align", pairs, model, modes, band, gaps, chunk)) == (
+                _exact(alns)
+            )
     kernels = {m: (s, a) for m, s, a in (LINEAR_KERNELS if gaps is None else AFFINE_KERNELS)}
     alone_scores, alone_alns = [], []
     for p, md in zip(pairs, modes):
@@ -517,7 +530,9 @@ def test_ragged_chunks_equal_each_pair_alone_in_every_mode(model_name, unbounded
     """Every mode, gap model and verb on one batch whose chunks of 3 are
     each padded (a positive gap makes any padded cell that could win,
     win); then the same batch with each pair in each of global, local
-    and overlap by turns, in chunks that mix the three."""
+    and overlap by turns, in chunks that mix the three.  The batches run
+    in int32 where the model allows it and again in float64, and both
+    equal the pairs run alone in int32."""
     from fragalign.genome.dna import random_dna
 
     shapes = [(65, 2), (0, 7), (1, 64), (63, 65), (30, 12), (64, 0), (17, 40), (2, 1)]
@@ -535,17 +550,69 @@ def test_ragged_chunks_equal_each_pair_alone_in_every_mode(model_name, unbounded
             args = ((band,) if mode == "banded" else ()) + (model,) + (gaps or ())
             for kind, kernel in (("score", score_kernel), ("align", align_kernel)):
                 alone[mode, kind] = [kernel([p], *args)[0] for p in pairs]
-                with _padding(unbounded):
-                    got = kernel(pairs, *args, chunk=3)
-                assert _exact(got) == _exact(alone[mode, kind]), (mode, gaps)
+                for forced in (contextlib.nullcontext(), _float64()):
+                    with _padding(unbounded), forced:
+                        got = kernel(pairs, *args, chunk=3)
+                    assert _exact(got) == _exact(alone[mode, kind]), (mode, gaps, forced)
         for shift in range(3):
             modes = [_SWEPT_TOGETHER[(k + shift) % 3] for k in range(len(pairs))]
             for kind in ("score", "align"):
                 want = _exact([alone[md, kind][k] for k, md in enumerate(modes)])
                 for chunk in (3, 64):
-                    with _padding(unbounded):
-                        got = pairwise._batch(kind, pairs, model, modes, gaps=gaps, chunk=chunk)
-                    assert _exact(got) == want, (kind, gaps, chunk, shift)
+                    for forced in (contextlib.nullcontext(), _float64()):
+                        with _padding(unbounded), forced:
+                            got = pairwise._batch(kind, pairs, model, modes, gaps=gaps, chunk=chunk)
+                        assert _exact(got) == want, (kind, gaps, chunk, shift, forced)
+
+
+# An integral model whose per-cell step puts an (n, m) sweep at the int32
+# headroom bound exactly when n + m = 60.
+_STEP = -(-pairwise._INT_HEADROOM // 62)
+_BIG = unit_dna(_STEP, -_STEP, -_STEP)
+_NINF_MATRIX = np.where(unit_dna().matrix == -1, -np.inf, unit_dna().matrix)
+
+
+def test_sweep_dtype_rule():
+    """int32 only for finite integer models and gaps under the headroom
+    bound, which counts the affine gaps' magnitudes too."""
+    i32, f64 = np.dtype(np.int32), np.dtype(np.float64)
+    rule = pairwise._sweep_dtype
+    assert rule(unit_dna(), None, 384, 384) == rule(unit_dna(), (-3.0, -1.0), 384, 384) == i32
+    assert rule(SubstitutionModel(np.zeros((5, 5)), 0.0), (0.0, 0.0), 9, 9) == i32
+    assert rule(_BIG, None, 30, 29) == i32 and rule(_BIG, None, 30, 30) == f64
+    assert rule(unit_dna(), (-_STEP, -1.0), 30, 29) == i32
+    assert rule(unit_dna(), (-_STEP, -1.0), 30, 30) == f64
+    assert rule(unit_dna(gap=0.5), None, 4, 4) == f64
+    assert rule(unit_dna(), (-2.5, -1.0), 4, 4) == f64
+    assert rule(SubstitutionModel(_NINF_MATRIX, -1.0), None, 4, 4) == f64
+
+
+@pytest.mark.parametrize("gaps", [None, (-3.0, -1.0)])
+@pytest.mark.parametrize("model_name", ["big", "ninf"])
+def test_float64_models_equal_the_oracle(model_name, gaps, rng):
+    """Models the int32 rule refuses sweep in float64 and equal the
+    per-cell oracle, every mode, score and align.  The big model's batch
+    crosses the headroom bound only by its longest pair, so it sweeps in
+    float64 while its other pairs alone sweep in int32, and the two
+    agree to the bit."""
+    from fragalign.genome.dna import random_dna
+
+    model = _BIG if model_name == "big" else SubstitutionModel(_NINF_MATRIX, -1.0)
+    shapes = [(30, 30), (29, 30), (12, 20), (1, 7), (30, 0), (25, 17)]
+    pairs = [(random_dna(n, rng), random_dna(m, rng)) for n, m in shapes]
+    core = random_dna(10, rng)
+    pairs.append((random_dna(8, rng) + core, core + random_dna(11, rng)))
+    assert pairwise._sweep_dtype(model, gaps, 30, 30) == np.float64
+    naive = NaiveBackend()
+    for mode, score_kernel, align_kernel in LINEAR_KERNELS if gaps is None else AFFINE_KERNELS:
+        args = ((30,) if mode == "banded" else ()) + (model,) + (gaps or ())
+        scores, alns = score_kernel(pairs, *args), align_kernel(pairs, *args)
+        assert _exact(scores) == _exact(score_kernel([p], *args)[0] for p in pairs), mode
+        assert _exact(alns) == _exact(align_kernel([p], *args)[0] for p in pairs), mode
+        spec = JobSpec(mode, 30 if mode == "banded" else None, *(gaps or (None, None)))
+        for (a, b), score, aln in zip(pairs, scores, alns):
+            want = naive.align(PreparedPair(a, b, encode(a), encode(b)), model, spec)
+            assert (score, aln) == (want.score, want), (mode, a, b)
 
 
 @given(

@@ -23,8 +23,12 @@ from __future__ import annotations
 
 import threading
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fragalign.align.bitparallel import (
     bitparallel_score_reference,
@@ -43,6 +47,7 @@ from fragalign.align.scoring_matrices import SubstitutionModel, unit_dna
 from fragalign._native import HAVE_NATIVE
 from fragalign.engine import AlignmentEngine, NativeBackend, get_backend
 from fragalign.engine.backends import NumpyBackend
+from fragalign.engine.native import _striped_params
 from fragalign.job import JobSpec
 
 # Word-boundary lengths: the kernels pack 64 DP cells per uint64 word.
@@ -59,6 +64,20 @@ def _enc(s: str) -> np.ndarray:
 
 def _rand_seq(rng, n: int, alphabet: str = "ACGT") -> str:
     return "".join(alphabet[c] for c in rng.integers(0, len(alphabet), size=n))
+
+
+@st.composite
+def _flat_batches(draw, max_batch: int):
+    """A uniform-shape batch of A/C/G/T pairs, its sides from
+    ``BOUNDARY_LENGTHS``, like every engine batch kernel's."""
+    n = draw(st.sampled_from(BOUNDARY_LENGTHS))
+    m = draw(st.sampled_from(BOUNDARY_LENGTHS))
+    size = draw(st.integers(1, max_batch))
+
+    def seq(k: int):
+        return st.text(alphabet="ACGT", min_size=k, max_size=k)
+
+    return draw(st.lists(st.tuples(seq(n), seq(m)), min_size=size, max_size=size))
 
 
 def _lev_model(c: float = 1.0) -> SubstitutionModel:
@@ -102,21 +121,12 @@ class TestBitparallelParity:
 
     @pytest.mark.parametrize("model_name", sorted(FLAT_MODELS))
     @pytest.mark.parametrize("mode", ["global", "overlap"])
-    def test_kernel_matches_reference_fuzz(self, model_name, mode):
+    @given(pairs=_flat_batches(3))
+    def test_kernel_matches_reference_fuzz(self, model_name, mode, pairs):
         model = FLAT_MODELS[model_name]
-        rng = np.random.default_rng(hash((model_name, mode)) % (1 << 32))
-        for _ in range(25):
-            # uniform-shape batches, like every engine batch kernel
-            n = int(rng.choice(BOUNDARY_LENGTHS))
-            m = int(rng.choice(BOUNDARY_LENGTHS))
-            B = int(rng.integers(1, 4))
-            pairs = [(_rand_seq(rng, n), _rand_seq(rng, m)) for _ in range(B)]
-            got = bitparallel_scores_batch(pairs, model=model, mode=mode)
-            want = [
-                bitparallel_score_reference(a, b, model=model, mode=mode)
-                for a, b in pairs
-            ]
-            assert np.array_equal(got, np.asarray(want))
+        got = bitparallel_scores_batch(pairs, model=model, mode=mode)
+        want = [bitparallel_score_reference(a, b, model=model, mode=mode) for a, b in pairs]
+        assert np.array_equal(got, np.asarray(want))
 
     @pytest.mark.parametrize("mode", ["global", "overlap"])
     def test_reference_matches_classic_dp(self, mode):
@@ -161,24 +171,19 @@ class TestNativeCParity:
 
     @pytest.mark.parametrize("model_name", sorted(FLAT_MODELS))
     @pytest.mark.parametrize("mode", ["global", "overlap"])
-    def test_c_matches_numpy_kernel(self, model_name, mode):
+    @given(pairs=_flat_batches(4))
+    def test_c_matches_numpy_kernel(self, model_name, mode, pairs):
         from fragalign._native import bitparallel_scores_native
 
         model = FLAT_MODELS[model_name]
         family, c = flat_model_family(model)
         if family == "lev" and mode == "overlap":
             pytest.skip("short-circuited to zeros before the kernel")
-        rng = np.random.default_rng(hash((model_name, mode, "c")) % (1 << 32))
-        for _ in range(15):
-            n = int(rng.choice(BOUNDARY_LENGTHS))
-            m = int(rng.choice(BOUNDARY_LENGTHS))
-            B = int(rng.integers(1, 5))
-            pairs = [(_rand_seq(rng, n), _rand_seq(rng, m)) for _ in range(B)]
-            ref = bitparallel_scores_batch(pairs, model=model, mode=mode)
-            ac = np.stack([_enc(a) for a, _ in pairs])
-            bc = np.stack([_enc(b) for _, b in pairs])
-            got = bitparallel_scores_native(ac, bc, family, mode) * c
-            assert np.array_equal(ref, got.astype(np.float64))
+        ref = bitparallel_scores_batch(pairs, model=model, mode=mode)
+        ac = np.stack([_enc(a) for a, _ in pairs])
+        bc = np.stack([_enc(b) for _, b in pairs])
+        got = bitparallel_scores_native(ac, bc, family, mode) * c
+        assert np.array_equal(ref, got.astype(np.float64))
 
     def test_c_rejects_out_of_range_codes(self):
         from fragalign._native import bitparallel_scores_native
@@ -241,6 +246,28 @@ class TestNativeBackend:
         else:
             with pytest.raises(RuntimeError):
                 NativeBackend(require_native=True)
+
+    def test_non_finite_model_equals_numpy_in_every_mode(self):
+        # A -inf mismatch passes np.rint(x) == x; the striped kernel's
+        # int32 profile cannot hold it, so nothing native may claim it.
+        matrix = unit_dna().matrix.copy()
+        matrix[matrix == -1] = -np.inf
+        model = SubstitutionModel(matrix=matrix, gap=-1.0)
+        assert not model.integral and _striped_params(model) is None
+        assert not any(
+            NativeBackend().accelerates("score_many", model, JobSpec(mode))
+            for mode in ("global", "local", "overlap")
+        )
+        pairs = [("ACGTACG", "ACGTACG"), ("ACGTTT", "ACGAAA"), ("ACGTACGTAC", "TTACGTACG")]
+        knobs = [{"mode": "global"}, {"mode": "local"}, {"mode": "overlap"},
+                 {"mode": "banded", "band": 4}]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with AlignmentEngine("native", model) as nat, AlignmentEngine("numpy", model) as ref:
+                for kn in knobs:
+                    got = nat.score_many(pairs, **kn)
+                    assert np.array_equal(got, ref.score_many(pairs, **kn)), kn
+                assert list(nat.score_many(pairs, mode="local")) == [7.0, 3.0, 7.0]
 
     def test_n_pairs_split_from_bitparallel_path(self):
         rng = np.random.default_rng(5)
