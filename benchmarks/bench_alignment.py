@@ -123,7 +123,10 @@ def run_engine_bench(n_pairs: int = 200, length: int = 256, seed: int = 2026) ->
     top of score-only.  The long-pair rows compare the direction
     -tensor traceback against the linear-memory Hirschberg walker on
     one pair, including each strategy's peak allocation
-    (``peak_mb``, via tracemalloc — NumPy reports its buffers there).
+    (``peak_mb``, via tracemalloc — NumPy reports its buffers there —
+    in a pass of its own, apart from the timed ones).  Every row but
+    ``numpy_ragged_mixed_many`` sweeps pairs of ``length`` on each side;
+    that one sweeps the served ragged shape.
     """
     gen = np.random.default_rng(seed)
     pairs = [(random_dna(length, gen), random_dna(length, gen)) for _ in range(n_pairs)]
@@ -172,6 +175,22 @@ def run_engine_bench(n_pairs: int = 200, length: int = 256, seed: int = 2026) ->
             "local": eng.score_many(pairs, mode="local"),
         }
         assert list(mixed_scores) == [by_mode[s.mode][k] for k, s in enumerate(specs)]
+        # The served shape: each side's length uniform in [length/8,
+        # 3·length/2), the modes cycling, run as closed-loop dispatch
+        # groups of 24 pairs, score then align.  Its rate counts each
+        # verb's pass over the pairs' own cells.
+        rag_gen = np.random.default_rng(seed + 1)
+        rag_lens = rag_gen.integers(length // 8, 3 * length // 2, (n_pairs, 2))
+        ragged = [(random_dna(int(n), rag_gen), random_dna(int(m), rag_gen)) for n, m in rag_lens]
+        groups = [(ragged[k : k + 24], specs[k : k + 24]) for k in range(0, n_pairs, 24)]
+        t, rag_out = time_call(
+            lambda: [(eng.run("score", p, s), eng.run("align", p, s)) for p, s in groups], repeat=3
+        )
+        record("numpy_ragged_mixed_many", t, 2 * int(np.prod(rag_lens, axis=1).sum()))
+        for (group, group_specs), (scores, alns) in zip(groups, rag_out):
+            for pair, spec, score, aln in zip(group, group_specs, scores, alns):
+                assert eng.run("score", [pair], [spec])[0] == score
+                assert eng.run("align", [pair], [spec])[0] == aln
 
     # Native-backend rows, A/B-interleaved.  Methodology: contenders
     # alternate in round-robin over AB_ROUNDS rounds on the SAME
@@ -267,12 +286,16 @@ def run_engine_bench(n_pairs: int = 200, length: int = 256, seed: int = 2026) ->
     ha, hb = random_dna(hl, gen), random_dna(hl, gen)
     hcells = hl * hl
 
-    def peak_call(fn, *args, **kwargs):
+    def peak_call(fn, *args):
+        """Best-of-3 untraced time, the result, and the peak MB of one
+        more pass under tracemalloc (its allocation hook slows the
+        kernels several-fold, so it times nothing)."""
+        t, result = time_call(fn, *args, repeat=3)
         tracemalloc.start()
-        t0 = time_call(fn, *args, repeat=1, **kwargs)
+        fn(*args)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        return t0[0], t0[1], peak / 1e6
+        return t, result, peak / 1e6
 
     t_tensor, aln_tensor, peak_tensor = peak_call(global_align, ha, hb)
     record(f"align_single_{hl}x{hl}_tensor", t_tensor, hcells, peak_mb=peak_tensor)

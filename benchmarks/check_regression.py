@@ -41,6 +41,7 @@ KEY_ROWS = (
     "numpy_score_many",
     "numpy_overlap_score_many",
     "numpy_mixed_mode_score_many",
+    "numpy_ragged_mixed_many",
     "numpy_affine_align_many",
     "numpy_affine_score_many",
     "bitparallel_numpy_score_many",

@@ -26,20 +26,34 @@ The sixteen ``*_batch`` kernels share one driver, :func:`_batch`.  It
 answers pairs with an empty side from one table and sweeps the rest in
 lockstep chunks of up to ``chunk`` pairs (the frontier is a (batch,
 m+1) matrix and every DP row costs one set of NumPy ops for the entire
-batch).  Pairs may differ in shape: :func:`_chunks` groups them in
-shape order under a padding bound, and a chunk is padded to its
-longest pair with the pad code :data:`_PAD`, whose row and column in
-every gather table are ``_NEG``, so no cell of a pair's own table
-reads a padded one.  The sweeps save each pair's frontier as they pass
-its own last row; the driver reads each pair's own end cell, score and
-affine end state, and walks the direction codes.  Pairs may differ in
-mode too: a chunk mixing global, overlap and local sweeps once, its
-rows in that order, so each mode's boundary, clamp and readout act on
-one contiguous slice of rows (banded never mixes).  The scalar entry
-points (:func:`global_align`, :func:`local_align`, ...) are the batch
-kernels at batch size 1, so *every* traceback in the system goes
-through the direction-code walk.  The ``*_reference`` functions are
-independent per-cell Python oracles for the parity tests.
+batch).  Pairs may differ in shape: a chunk is padded to its widest
+pair with the pad code :data:`_PAD`, whose row and column in every
+gather table are ``_NEG``, so no cell of a pair's own table reads a
+padded one.  The linear and affine sweeps **retire rows**: a pair
+leaves the sweep after its own last row nₖ, so a chunk sweeps Σnₖ
+rows of its width, and :func:`_chunks` plans those chunks in column
+order under a padding bound on exactly that count (banded sweeps run
+every row of the chunk and are planned in row order).  The driver
+reads each pair's own end cell, score and affine end state, and walks
+the direction codes.  Pairs may differ in mode too, and a chunk
+mixing global, overlap and local sweeps once (banded never mixes).  A
+linear or affine chunk lays its rows out as [local pairs by nₖ
+ascending | global and overlap pairs by nₖ descending], so at DP row
+i the pairs still inside their own rows are one slice, local pairs
+leaving from its front and the others from its back, and the local
+ones among them — whose clamp and best tracking cost each row fixed
+NumPy calls — are one sub-slice.  Global and overlap differ only in
+their j = 0 boundary, written from a per-row table, and in their
+readout.  The row loop runs over :func:`_segments`, the runs of rows
+sharing one live slice, and builds its views once a run, so a
+one-pair or uniform chunk is one run of whole-buffer ops.  Once a
+batch's local pairs and its other pairs each fill a chunk, the two
+classes are planned apart.
+The scalar entry points (:func:`global_align`, :func:`local_align`,
+...) are the batch kernels at batch size 1, so *every* traceback in
+the system goes through the direction-code walk.  The ``*_reference``
+functions are independent per-cell Python oracles for the parity
+tests.
 
 The linear and affine sweeps compute in one of two dtypes, which
 :func:`_sweep_dtype` picks once per call from the model, the gaps and
@@ -165,8 +179,8 @@ def _padded(table: np.ndarray) -> np.ndarray:
 
 
 class _Ends:
-    """Each pair's frontier rows, saved as a padded sweep passes its own
-    last row nₖ (``nk`` ``None``: the final rows are every pair's)."""
+    """Each pair's frontier rows, saved when a padded sweep ends the pair's
+    own last row nₖ (``nk`` ``None``: the final rows are every pair's)."""
 
     def __init__(
         self, nk: np.ndarray | None, B: int, M: int, count: int, dt: np.dtype = _F64
@@ -174,13 +188,12 @@ class _Ends:
         self.stops = {} if nk is None else {int(r): np.flatnonzero(nk == r) for r in np.unique(nk)}
         self.rows = [np.empty((B, M), dt) for _ in range(count if self.stops else 0)]
 
-    def save(self, i: int, *rows: np.ndarray) -> np.ndarray | None:
-        """Keep the pairs whose last row is ``i``; returns their indices."""
+    def save(self, i: int, *rows: np.ndarray) -> None:
+        """Keep the pairs whose last row is ``i``."""
         ks = self.stops.get(i)
         if ks is not None:
             for out, row in zip(self.rows, rows):
                 out[ks] = row[ks]
-        return ks
 
     def result(self, *final: np.ndarray) -> list[np.ndarray]:
         return self.rows if self.stops else list(final)
@@ -203,17 +216,27 @@ def _first_best(hrow: np.ndarray, mk: np.ndarray | None) -> np.ndarray:
     return np.argmax(hrow, axis=1)
 
 
-#: A mixed chunk's row order: each mode's rows are one slice of a buffer.
-_MODE_ORDER = ("global", "overlap", "local")
+def _layout(mode: str | Sequence[str], B: int) -> tuple[int, np.ndarray]:
+    """A chunk's local row count L and which of its B rows are global.
+    ``mode`` is every row's mode, or each row's own with the local rows
+    first (the row order :func:`_batch` lays a chunk out in)."""
+    modes = [mode] * B if isinstance(mode, str) else list(mode)
+    return modes.count("local"), np.array([md == "global" for md in modes])
 
 
-def _split(mode: str | Sequence[str], B: int) -> tuple[int, int]:
-    """Where a chunk's B rows change mode: (first overlap or local row,
-    first local row).  ``mode`` is every row's mode, or each row's own
-    in :data:`_MODE_ORDER`."""
-    if isinstance(mode, str):
-        return (B, B) if mode == "global" else (0, 0 if mode == "local" else B)
-    return mode.count("global"), B - mode.count("local")
+def _segments(nk: np.ndarray | None, L: int, n: int, B: int) -> list[tuple[int, ...]]:
+    """The runs of DP rows that share one set of live pairs, as (first
+    row, row past the last, lo, hi): rows lo..hi-1 are the pairs still
+    inside their own rows.  Rows [0, L) hold local pairs by nₖ ascending
+    and the rest global and overlap pairs by nₖ descending, so pairs
+    leave from both ends (``nk`` ``None``: every pair's last row is n)."""
+    if nk is None:
+        return [(1, n + 1, 0, B)]
+    stops = np.unique(nk)
+    starts = np.r_[1, stops[:-1] + 1]
+    lo = np.searchsorted(nk[:L], starts)
+    hi = L + np.searchsorted(-nk[L:], -starts, side="right")
+    return list(zip(starts.tolist(), (stops + 1).tolist(), lo.tolist(), hi.tolist()))
 
 
 def _check_band(n, m, band) -> int:
@@ -292,11 +315,11 @@ def _walk(
     return rev, i, j
 
 
-def _pair_bytes(D: np.ndarray, k: int) -> bytes:
-    """Row-major bytes of pair ``k``'s code matrix from the (n, B, m)
-    direction tensor (one strided copy; bytes indexing is the fastest
-    per-step read Python offers)."""
-    return D[:, k, :].tobytes()
+def _pair_bytes(D: np.ndarray, k: int, rows: int) -> bytes:
+    """Row-major bytes of the first ``rows`` rows of pair ``k``'s code
+    matrix from the (n, B, m) direction tensor (one strided copy; bytes
+    indexing is the fastest per-step read Python offers)."""
+    return D[:rows, k, :].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -330,17 +353,19 @@ def _sweep_linear(
     dt: np.dtype = _F64,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Forward linear-gap sweep in global/overlap/local: ``mode`` is
-    every pair's, or each pair's own with the rows in :data:`_MODE_ORDER`.
+    every pair's, or each pair's own in :func:`_layout`'s row order.
     It computes in ``dt`` (see :func:`_sweep_dtype`), and so do the rows
     and bests it returns.
 
     Returns (last, best, best_i, best_j): ``last`` is each pair's
     f-space row at its own last row (``nk``/``mk``: the pairs' lengths
-    in a padded chunk).  In local rows ``best*`` are each pair's best
-    cell of its own (earliest row, then earliest column on ties, as
-    ``np.argmax`` over its table; ``best_i`` counts rows within this
-    sweep); in the other rows they are zeros.  Emits direction codes
-    into ``D`` ((n, B, m) uint8) when given.
+    in a padded chunk, its rows ordered as :func:`_segments` reads
+    them; a pair leaves the sweep after its own last row).  In local
+    rows ``best*`` are each pair's best cell of its own (earliest row,
+    then earliest column on ties, as ``np.argmax`` over its table;
+    ``best_i`` counts rows within this sweep); in the other rows they
+    are zeros.  Emits direction codes into ``D`` ((n, B, m) uint8) on
+    each pair's own rows when given.
 
     ``F0`` is an optional initial frontier (f-space, shape (B, m+1)) —
     the checkpoint row a linear-memory walk restarts from; ``i0`` is
@@ -352,75 +377,80 @@ def _sweep_linear(
     B, n = A.shape
     m = Bm.shape[1]
     M = m + 1
-    ng, L = _split(mode, B)  # rows [0, ng) global, [ng, L) overlap, [L, B) local
-    nl = B - L
+    L, glob = _layout(mode, B)  # rows [0, L) local, the rest global or overlap
     P2 = _padded(model.matrix.astype(dt) - 2 * g)[:, Bm]  # per-code diag rows, pre-shifted
     bidx = np.arange(B)
     negjs = -g * np.arange(M, dtype=dt)
+    # Each row's j = 0 boundary: 0 on global rows; overlap's is local's zero cell.
+    edge = np.where(glob, 0, -g * (i0 + np.arange(n + 1))[:, None]).astype(dt)
     fr = _Frontier(B, M, dt)
     if F0 is not None:
         fr.prev[:] = F0
     else:
-        fr.prev[:L] = 0
-        fr.prev[L:] = negjs
+        fr.prev[:L] = negjs
+        fr.prev[L:] = 0
     t1 = np.empty((B, m), dt)
     cv = np.empty(M, dt)
-    hrow = np.empty((nl, M), dt)
+    hrow = np.empty((L, M), dt)
     best = np.zeros(B, dt)
     bi = np.zeros(B, dtype=np.int64)
     bj = np.zeros(B, dtype=np.int64)
-    lbest, lbi, lbj = best[L:], bi[L:], bj[L:]
     ends = _Ends(nk, B, M, 1, dt)
-    cap = _column_cap(mk[L:], M, dt) if nl and mk is not None else None
+    cap = _column_cap(mk[:L], M, dt) if L and mk is not None else None
     if D is not None:
         up = np.empty((B, m), dtype=bool)
         left = np.empty((B, m), dtype=bool)
-        stop = np.empty((nl, m), dtype=bool)
+        stop = np.empty((L, m), dtype=bool)
         tmp8 = np.empty((B, m), dtype=np.uint8)
-        ltmp8 = tmp8[L:]
-    for i in range(1, n + 1):
-        prev, cur = fr.prev, fr.cur
-        np.add(prev[:, :m], P2[A[:, i - 1], bidx], out=t1)
-        up_from = prev[:, 1:]
+    for s, e, lo, hi in _segments(nk, L, n, B):
+        # This run's views: its live rows lo..hi-1, the first nl local.
+        h, nl = hi - lo, L - lo
+        prev, acc, cur = fr.prev[lo:hi], fr.acc[lo:hi], fr.cur[lo:hi]
+        P2s, As, bs, t1s, edges = P2[:, lo:hi], A[lo:hi], bidx[:h], t1[lo:hi], edge[:, lo:hi]
+        cur0, cur1, lcur, hv = cur[:, 0], cur[:, 1:], cur[:nl], hrow[lo:]
+        capv = None if cap is None else cap[lo:]
+        lbest, lbi, lbj = best[lo:L], bi[lo:L], bj[lo:L]
         if D is not None:
-            np.greater(up_from, t1, out=up)
-        if ng:
-            cur[:ng, 0] = 0
-        if ng < B:
-            cur[ng:, 0] = -(i0 + i) * g  # overlap's boundary is local's zero cell
-        np.maximum(t1, up_from, out=cur[:, 1:])
-        if nl:
-            np.add(negjs, -g * (i0 + i), out=cv)  # F-value of a zero cell, this row
-            lcur = cur[L:] if L else cur
-            np.maximum(lcur, cv, out=lcur)  # the 0-clamp
-        fr.prefix_max()
-        acc = fr.acc
-        if nl:
-            # H never drops below its own clamped V, so no second clamp;
-            # read the H row back out for the running best.
-            lacc = acc[L:] if L else acc
-            np.subtract(lacc, cv, out=hrow)
-            if cap is not None:
-                np.minimum(hrow, cap, out=hrow)
-            rowmax = hrow.max(axis=1)
-            better = rowmax > lbest
-            if better.any():
-                lbest[better] = rowmax[better]
-                lbi[better] = i
-                lbj[better] = np.argmax(hrow[better], axis=1)
-        if D is not None:
-            np.greater(acc[:, 1:], cur[:, 1:], out=left)
-            np.multiply(left.view(np.uint8), 2, out=tmp8)
-            np.add(tmp8, up.view(np.uint8), out=D[i - 1])
+            Ds, ups, lefts, tmps = D[:, lo:hi], up[:h], left[:h], tmp8[:h]
+            stops, ltmp = stop[lo:], tmp8[:nl]
+            up8, left8, stop8 = (x.view(np.uint8) for x in (ups, lefts, stops))
+        for i in range(s, e):
+            np.add(prev[:, :m], P2s[As[:, i - 1], bs], out=t1s)
+            up_from = prev[:, 1:]
+            if D is not None:
+                np.greater(up_from, t1s, out=ups)
+            cur0[...] = edges[i]
+            np.maximum(t1s, up_from, out=cur1)
             if nl:
-                np.equal(lacc[:, 1:], cv[1:], out=stop)  # H == 0: clamp won
-                np.multiply(stop.view(np.uint8), 4, out=ltmp8)
-                dl = D[i - 1, L:]
-                np.add(dl, ltmp8, out=dl)
-        ks = ends.save(i, acc)
-        if ks is not None and cap is not None:
-            cap[ks[ks >= L] - L] = _LOW[dt][0]  # the rows past nₖ are padding
-        fr.advance()
+                np.add(negjs, -g * (i0 + i), out=cv)  # F-value of a zero cell, this row
+                np.maximum(lcur, cv, out=lcur)  # the 0-clamp
+            np.maximum.accumulate(cur, axis=1, out=acc)
+            if nl:
+                # H never drops below its own clamped V, so no second clamp;
+                # read the H row back out for the running best.
+                lacc = acc[:nl]
+                np.subtract(lacc, cv, out=hv)
+                if capv is not None:
+                    np.minimum(hv, capv, out=hv)
+                rowmax = hv.max(axis=1)
+                better = rowmax > lbest
+                if better.any():
+                    lbest[better] = rowmax[better]
+                    lbi[better] = i
+                    lbj[better] = np.argmax(hv[better], axis=1)
+            if D is not None:
+                np.greater(acc[:, 1:], cur1, out=lefts)
+                np.multiply(left8, 2, out=tmps)
+                np.add(tmps, up8, out=Ds[i - 1])
+                if nl:
+                    np.equal(lacc[:, 1:], cv[1:], out=stops)  # H == 0: clamp won
+                    np.multiply(stop8, 4, out=ltmp)
+                    dl = Ds[i - 1, :nl]
+                    np.add(dl, ltmp, out=dl)
+            prev, acc = acc, prev
+        if (e - s) % 2:
+            fr.advance()
+        ends.save(e - 1, fr.prev)  # the pairs whose last row ends this run
     return ends.result(fr.prev)[0], best, bi, bj
 
 
@@ -754,39 +784,43 @@ def _sweep_affine(
     dt: np.dtype = _F64,
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
     """Forward Gotoh sweep in global/overlap/local: ``mode`` is every
-    pair's, or each pair's own with the rows in :data:`_MODE_ORDER`.
-    It computes in ``dt`` (see :func:`_sweep_dtype`), and so do the rows
+    pair's, or each pair's own in :func:`_layout`'s row order.  It
+    computes in ``dt`` (see :func:`_sweep_dtype`), and so do the rows
     and bests it returns.
 
     Returns (last, best, best_i, best_j): ``last`` is each pair's
-    [M, X, Y] rows at its own last row (``nk`` in a padded chunk, else
-    the chunk's last row).  In local rows ``best*`` track the running
-    best M cell (a padded M cell clamps to 0, which never beats it); in
-    the other rows they are zeros.  Emits packed direction codes into
-    ``D`` ((n, B, m) uint8) when given.
+    [M, X, Y] rows at its own last row (``nk`` in a padded chunk, its
+    rows ordered as :func:`_segments` reads them, else the chunk's last
+    row); a pair leaves the sweep after its own last row.  In local
+    rows ``best*`` track the running best M cell (a padded M cell
+    clamps to 0, which never beats it); in the other rows they are
+    zeros.  Emits packed direction codes into ``D`` ((n, B, m) uint8)
+    on each pair's own rows when given.
     """
     B, n = A.shape
     m = Bm.shape[1]
     M = m + 1
-    ng, L = _split(mode, B)  # rows [0, ng) global, [ng, L) overlap, [L, B) local
-    nl = B - L
+    L, glob = _layout(mode, B)  # rows [0, L) local, the rest global or overlap
     P = _padded(model.matrix.astype(dt))[:, Bm]  # per-code substitution rows, (6, B, m)
     bidx = np.arange(B)
     open_, ext, low = dt.type(open_), dt.type(ext), _LOW[dt][0]
     js = np.arange(M, dtype=dt)
     extjs = ext * js
     src_shift = open_ - ext * (js + 1)
+    # Each row's j = 0 boundary: on global rows M is -inf and X a gap
+    # down a; on the others M is 0 (a free start) and X is -inf.
+    medge = np.where(glob, low, 0).astype(dt)
+    xedge = np.where(glob, open_ + np.arange(-1, n)[:, None] * ext, low).astype(dt)
     r = _AffineRows(B, M, dt)
     # Row 0: M[0][0] = 0 and the leading gaps in b live in Y; a local
     # row restarts at 0 everywhere.
-    r.Mp[:L, 0] = 0
+    r.Mp[L:, 0] = 0
     if m:
-        r.Yp[:L, 1:] = open_ + (js[1:] - 1) * ext
-    r.Mp[L:] = 0
+        r.Yp[L:, 1:] = open_ + (js[1:] - 1) * ext
+    r.Mp[:L] = 0
     best = np.zeros(B, dt)
     bi = np.zeros(B, dtype=np.int64)
     bj = np.zeros(B, dtype=np.int64)
-    lbest, lbi, lbj = best[L:], bi[L:], bj[L:]
     ends = _Ends(nk, B, M, 3, dt)
     if D is not None:
         e_x = np.empty((B, m), dtype=bool)
@@ -794,78 +828,85 @@ def _sweep_affine(
         b1 = np.empty((B, m), dtype=bool)
         u8a = np.empty((B, m), dtype=np.uint8)
         u8b = np.empty((B, m), dtype=np.uint8)
-        lb1, lu8a, lu8b = b1[L:], u8a[L:], u8b[L:]
-    for i in range(1, n + 1):
-        Mp, Xp, Yp = r.Mp, r.Xp, r.Yp
-        Mc, Xc, Yc = r.Mc, r.Xc, r.Yc
-        # M: best previous state, one diagonal step back.
-        np.maximum(Mp, Xp, out=r.bp)
+    for s, e, lo, hi in _segments(nk, L, n, B):
+        # This run's views: its live rows lo..hi-1, the first nl local.
+        h, nl = hi - lo, L - lo
+        Mp, Xp, Yp, Mc, Xc, Yc, bp, osrc, run, t = (
+            x[lo:hi] for x in (r.Mp, r.Xp, r.Yp, r.Mc, r.Xc, r.Yc, r.bp, r.osrc, r.run, r.t)
+        )
+        Ps, As, bs, medges, xedges = P[:, lo:hi], A[lo:hi], bidx[:h], medge[lo:hi], xedge[:, lo:hi]
+        bpm, tm, tr, runm, runr = bp[:, :m], t[:, :m], t[:, 1:], run[:, :m], run[:, 1:]
+        osm, osr = osrc[:, :m], osrc[:, 1:]
+        lbest, lbi, lbj = best[lo:L], bi[lo:L], bj[lo:L]
         if D is not None:
-            # bits 0-1: M's diag source (ties M > X > Y), from columns
-            # 0..m-1 of the previous row.
-            np.greater(Xp[:, :m], Mp[:, :m], out=e_x)
-            np.greater(Yp[:, :m], r.bp[:, :m], out=e_y)
-            np.multiply(e_y.view(np.uint8), 2, out=u8a)
-            np.logical_and(e_x, ~e_y, out=b1)
-            np.add(u8a, b1.view(np.uint8), out=u8a)  # u8a = msrc
-        np.maximum(r.bp, Yp, out=r.bp)
-        np.add(r.bp[:, :m], P[A[:, i - 1], bidx], out=Mc[:, 1:])
-        if ng:
-            Mc[:ng, 0] = low
-        if ng < B:
-            Mc[ng:, 0] = 0
-        if nl:
-            lM = Mc[L:] if L else Mc
+            Ds, ex, ey, bb, ua, ub = D[:, lo:hi], e_x[:h], e_y[:h], b1[:h], u8a[:h], u8b[:h]
+            lb1, lua, lub = bb[:nl], ua[:nl], ub[:nl]
+            ey8, bb8, lb8 = (x.view(np.uint8) for x in (ey, bb, lb1))
+        for i in range(s, e):
+            # M: best previous state, one diagonal step back.
+            np.maximum(Mp, Xp, out=bp)
             if D is not None:
-                # bit 6: the clamp won (cell value 0) — stop.
-                np.less_equal(lM[:, 1:], 0, out=lb1)
-                np.multiply(lb1.view(np.uint8), 64, out=lu8b)
-                np.add(lu8a, lu8b, out=lu8a)
-            np.maximum(lM, 0, out=lM)
-        # X: open from M/Y above, or extend the running gap.
-        np.maximum(Mp, Yp, out=r.osrc)
-        if D is not None:
-            np.greater(Yp[:, 1:], Mp[:, 1:], out=b1)  # bit 3
-            np.multiply(b1.view(np.uint8), 8, out=u8b)
-            np.add(u8a, u8b, out=u8a)
-        np.add(r.osrc, open_, out=r.osrc)
-        np.add(Xp, ext, out=r.t)
-        if D is not None:
-            np.greater(r.t[:, 1:], r.osrc[:, 1:], out=b1)  # bit 2
-            np.multiply(b1.view(np.uint8), 4, out=u8b)
-            np.add(u8a, u8b, out=u8a)
-        np.maximum(r.osrc, r.t, out=Xc)
-        if ng:
-            Xc[:ng, 0] = open_ + (i - 1) * ext
-        if ng < B:
-            Xc[ng:, 0] = low
-        # Y: prefix max over max(M, X)[j'] + open - ext*(j'+1).
-        np.maximum(Mc, Xc, out=r.osrc)
-        if D is not None:
-            np.greater(Xc[:, :m], Mc[:, :m], out=b1)  # bit 5
-            np.multiply(b1.view(np.uint8), 32, out=u8b)
-            np.add(u8a, u8b, out=u8a)
-        np.add(r.osrc, src_shift, out=r.t)
-        r.run[:, 0] = low
-        np.maximum.accumulate(r.t[:, :m], axis=1, out=r.run[:, 1:])
-        np.add(r.run, extjs, out=Yc)
-        Yc[:, 0] = low
-        if D is not None:
-            # bit 4: Y extended — the gap ran past the previous column.
-            np.add(Yc[:, :m], ext, out=r.t[:, :m])
-            np.add(r.osrc[:, :m], open_, out=r.run[:, :m])
-            np.greater(r.t[:, :m], r.run[:, :m], out=b1)
-            np.multiply(b1.view(np.uint8), 16, out=u8b)
-            np.add(u8a, u8b, out=D[i - 1])
-        if nl:
-            rowmax = lM.max(axis=1)
-            better = rowmax > lbest
-            if better.any():
-                lbest[better] = rowmax[better]
-                lbi[better] = i
-                lbj[better] = np.argmax(lM[better], axis=1)
-        ends.save(i, Mc, Xc, Yc)
-        r.advance()
+                # bits 0-1: M's diag source (ties M > X > Y), from columns
+                # 0..m-1 of the previous row.
+                np.greater(Xp[:, :m], Mp[:, :m], out=ex)
+                np.greater(Yp[:, :m], bpm, out=ey)
+                np.multiply(ey8, 2, out=ua)
+                np.logical_and(ex, ~ey, out=bb)
+                np.add(ua, bb8, out=ua)  # ua = msrc
+            np.maximum(bp, Yp, out=bp)
+            np.add(bpm, Ps[As[:, i - 1], bs], out=Mc[:, 1:])
+            Mc[:, 0] = medges
+            if nl:
+                lM = Mc[:nl]
+                if D is not None:
+                    # bit 6: the clamp won (cell value 0) — stop.
+                    np.less_equal(lM[:, 1:], 0, out=lb1)
+                    np.multiply(lb8, 64, out=lub)
+                    np.add(lua, lub, out=lua)
+                np.maximum(lM, 0, out=lM)
+            # X: open from M/Y above, or extend the running gap.
+            np.maximum(Mp, Yp, out=osrc)
+            if D is not None:
+                np.greater(Yp[:, 1:], Mp[:, 1:], out=bb)  # bit 3
+                np.multiply(bb8, 8, out=ub)
+                np.add(ua, ub, out=ua)
+            np.add(osrc, open_, out=osrc)
+            np.add(Xp, ext, out=t)
+            if D is not None:
+                np.greater(tr, osr, out=bb)  # bit 2
+                np.multiply(bb8, 4, out=ub)
+                np.add(ua, ub, out=ua)
+            np.maximum(osrc, t, out=Xc)
+            Xc[:, 0] = xedges[i]
+            # Y: prefix max over max(M, X)[j'] + open - ext*(j'+1).
+            np.maximum(Mc, Xc, out=osrc)
+            if D is not None:
+                np.greater(Xc[:, :m], Mc[:, :m], out=bb)  # bit 5
+                np.multiply(bb8, 32, out=ub)
+                np.add(ua, ub, out=ua)
+            np.add(osrc, src_shift, out=t)
+            run[:, 0] = low
+            np.maximum.accumulate(tm, axis=1, out=runr)
+            np.add(run, extjs, out=Yc)
+            Yc[:, 0] = low
+            if D is not None:
+                # bit 4: Y extended — the gap ran past the previous column.
+                np.add(Yc[:, :m], ext, out=tm)
+                np.add(osm, open_, out=runm)
+                np.greater(tm, runm, out=bb)
+                np.multiply(bb8, 16, out=ub)
+                np.add(ua, ub, out=Ds[i - 1])
+            if nl:
+                rowmax = lM.max(axis=1)
+                better = rowmax > lbest
+                if better.any():
+                    lbest[better] = rowmax[better]
+                    lbi[better] = i
+                    lbj[better] = np.argmax(lM[better], axis=1)
+            Mp, Mc, Xp, Xc, Yp, Yc = Mc, Mp, Xc, Xp, Yc, Yp
+        if (e - s) % 2:
+            r.advance()
+        ends.save(e - 1, r.Mp, r.Xp, r.Yp)  # the pairs whose last row ends this run
     return ends.result(r.Mp, r.Xp, r.Yp), best, bi, bj
 
 
@@ -1192,8 +1233,8 @@ def _empty_side(
     return score, (0, n), (0, m)
 
 
-#: A chunk closes before a pair that would make it sweep more than
-#: ``_PAD_RATIO`` times its pairs' own DP cells plus ``_ROW_CELLS`` a
+#: A chunk closes before a pair that would pad the chunk's pairs to more
+#: than ``_PAD_RATIO`` times their own DP cells plus ``_ROW_CELLS`` a
 #: row, about what a row's fixed NumPy calls cost in cells (0.7-2.2 k on
 #: a 2-vCPU host): padding buys fewer sweeps, never a long pair's table
 #: for many short ones.
@@ -1203,19 +1244,27 @@ _ROW_CELLS = 2048
 
 def _chunks(nk: np.ndarray, mk: np.ndarray, band: int | None, chunk: int) -> list:
     """(pair indices, rows, columns) of each chunk of at most ``chunk``
-    pairs with two non-empty sides, taken in shape order."""
+    pairs with two non-empty sides.  A linear or affine sweep runs each
+    pair's own rows at the chunk's width, Σnₖ · max mₖ cells, so those
+    pairs are taken by mₖ; a banded one runs every row of every pair,
+    B · n · (2·band + 1) cells, so those are taken by nₖ.  A chunk
+    closes before a pair that would pad the chunk's pairs past the
+    bound."""
     live = np.flatnonzero((nk > 0) & (mk > 0))
-    order = live[np.lexsort((mk[live], nk[live]))].tolist()
+    keys = (nk[live], mk[live]) if band is None else (mk[live], nk[live])
+    order = live[np.lexsort(keys)].tolist()
     rows, cols = nk.tolist(), (mk if band is None else np.full_like(mk, 2 * band + 1)).tolist()
     plan: list[list[int]] = [[]]
-    n = c = own = 0
+    height = n = own = 0  # the chunk's swept rows per column, its rows, its pairs' cells
     for k in order:
-        n, c, own = max(n, rows[k]), max(c, cols[k]), own + rows[k] * cols[k]
         size = len(plan[-1])
-        if size and (size == chunk or (size + 1) * n * c > _PAD_RATIO * own + _ROW_CELLS * n):
+        # The chunk's pairs padded to this pair's width (and rows, if banded).
+        padded = (height if band is None else size * rows[k]) * cols[k]
+        if size and (size == chunk or padded > _PAD_RATIO * own + _ROW_CELLS * n):
             plan.append([])
-            n, c, own = rows[k], cols[k], rows[k] * cols[k]
+            height = n = own = 0
         plan[-1].append(k)
+        height, n, own = height + rows[k], max(n, rows[k]), own + rows[k] * cols[k]
     return [(i, int(nk[i].max()), int(mk[i].max())) for i in map(np.array, plan) if i.size]
 
 
@@ -1280,28 +1329,26 @@ def _sweep_ends(
             ends = _sweep_affine_banded(A, Bm, band, model, *gaps, D=D, nk=nk)
         score, state = _affine_end(ends, rows, col)
         return score, ei, ej, state
-    # Each mode reads its own rows: global [0, ng), overlap [ng, L), local [L, B).
-    ng, L = _split(mode, B)
+    # Each mode reads its own rows: local [0, L), global and overlap after.
+    L, glob = _layout(mode, B)
+    gl, ov = np.flatnonzero(glob), L + np.flatnonzero(~glob[L:])
     score = np.empty(B)
-    omk = None if mk is None else mk[ng:L]
+    omk = None if mk is None else mk[ov]
     if gaps is None:
         F, best, bi, bj = _sweep_linear(A, Bm, model, mode, D=D, nk=nk, mk=mk, dt=dt)
-        if ng:
-            score[:ng] = F[rows[:ng], ej[:ng]] + g * (ej[:ng] + ei[:ng])
-        if L > ng:
+        score[gl] = F[gl, ej[gl]] + g * (ej[gl] + ei[gl])
+        if ov.size:
             # Overlap: H[n][j] = F[j] + g*j + n*g; the free end in b
             # takes the first maximum.
-            hrow = F[ng:L] + g * np.arange(m + 1)
-            ej[ng:L] = _first_best(hrow, omk)
-            score[ng:L] = hrow[rows[: L - ng], ej[ng:L]] + ei[ng:L] * g
+            hrow = F[ov] + g * np.arange(m + 1)
+            ej[ov] = _first_best(hrow, omk)
+            score[ov] = hrow[rows[: ov.size], ej[ov]] + ei[ov] * g
     else:
         ends, best, bi, bj = _sweep_affine(A, Bm, model, *gaps, mode, D=D, nk=nk, dt=dt)
-        if L > ng:
-            ej[ng:L] = _first_best(np.maximum(np.maximum(*ends[:2]), ends[2])[ng:L], omk)
-        if L:
-            score[:L], state[:L] = _affine_end(ends, rows[:L], ej[:L])
-    if L < B:
-        score[L:], ei[L:], ej[L:] = best[L:], bi[L:], bj[L:]
+        if ov.size:
+            ej[ov] = _first_best(np.maximum(np.maximum(*ends[:2]), ends[2])[ov], omk)
+        score[L:], state[L:] = _affine_end(ends, rows[L:], ej[L:])
+    score[:L], ei[:L], ej[:L] = best[:L], bi[:L], bj[:L]
     return score, ei, ej, state
 
 
@@ -1323,12 +1370,15 @@ def _batch(
     never mixes with the other three); ``band`` is read in banded mode
     only; ``gaps`` is ``(gap_open, gap_extend)`` for affine (Gotoh)
     costs, ``None`` for the model's linear gap.  Pairs may have any
-    shapes: they sweep in the chunks :func:`_chunks` plans, at most
+    shapes: they sweep in the chunks :func:`_chunks` plans (local pairs
+    apart from the others once each class fills a chunk), at most
     ``chunk`` pairs each (the working set), each padded to its longest
-    pair into buffers allocated once per call, with a chunk's pairs in
-    :data:`_MODE_ORDER`, all in the one dtype :func:`_sweep_dtype` picks
-    for the longest sides.  ``linear`` (align only) says whether a chunk
-    of that many padded cells walks in linear memory instead.
+    pair into buffers allocated once per call, a linear or affine
+    chunk's rows laid out as [local by nₖ ascending | global and overlap
+    by nₖ descending] so each pair leaves the sweep after its own last
+    row, all in the one dtype :func:`_sweep_dtype` picks for the longest
+    sides.  ``linear`` (align only) says whether a chunk of that many
+    padded cells walks in linear memory instead.
     """
     model = model or unit_dna()
     if gaps is not None:
@@ -1337,11 +1387,9 @@ def _batch(
     if not pairs:
         return [] if align else np.zeros(0)
     modes = [mode] * len(pairs) if isinstance(mode, str) else list(mode)
-    rank = None  # each pair's place in _MODE_ORDER, when the pairs mix modes
-    if modes.count(modes[0]) < len(modes):
-        if "banded" in modes:
-            raise ValueError("banded pairs cannot share a batch with other modes")
-        rank = np.array([_MODE_ORDER.index(md) for md in modes])
+    mixed = modes.count(modes[0]) < len(modes)
+    if mixed and "banded" in modes:
+        raise ValueError("banded pairs cannot share a batch with other modes")
     codes = [(_as_codes(a), _as_codes(b)) for a, b in pairs]
     nk = np.array([len(a) for a, _ in codes], dtype=np.int64)
     mk = np.array([len(b) for _, b in codes], dtype=np.int64)
@@ -1353,7 +1401,11 @@ def _batch(
         score, a_iv, b_iv = _empty_side(int(nk[k]), int(mk[k]), modes[k], model, gaps)
         scores[k] = score
         alns[k] = Alignment(score, (), a_iv, b_iv)
-    plan = _chunks(nk, mk, band, chunk)
+    local = np.array([md == "local" for md in modes])
+    # Local pairs cost every row of a chunk the clamp's and the best
+    # tracking's calls: once they fill chunks of their own, they sweep apart.
+    parts = (local, ~local) if min(local.sum(), (~local).sum()) >= chunk else (True,)
+    plan = [c for part in parts for c in _chunks(nk * part, mk, band, chunk)]
     if align and linear is not None:
         from fragalign.align.hirschberg import linear_align  # it imports this module
 
@@ -1369,10 +1421,9 @@ def _batch(
         Dbuf = np.empty(cells, dtype=np.uint8) if align else None
     for idx, n, m in plan:
         B, width = idx.size, bw or m
-        cmode: str | list[str] = modes[idx[0]]
-        if rank is not None and rank[idx].min() < rank[idx].max():
-            idx = idx[np.argsort(rank[idx], kind="stable")]
-            cmode = [modes[k] for k in idx]
+        if band is None:  # rows: local pairs by nₖ ascending | the rest by nₖ descending
+            idx = idx[np.lexsort((np.where(local[idx], nk[idx], -nk[idx]), ~local[idx]))]
+        cmode = [modes[k] for k in idx] if mixed else modes[0]
         A = Abuf[: B * n].reshape(B, n)
         Bm = Bbuf[: B * m].reshape(B, m)
         A.fill(_PAD)
@@ -1389,7 +1440,7 @@ def _batch(
             continue
         for r, k in enumerate(idx):
             i, j = int(ei[r]), int(ej[r])
-            db = _pair_bytes(D, r)
+            db = _pair_bytes(D, r, i)  # a walk from row i reads no row below it
             if gaps is None:
                 walked, i0, j0 = _walk(db, width, i, j, band)
             else:

@@ -486,6 +486,20 @@ _SWEPT_TOGETHER = ["global", "local", "overlap"]  # the modes one chunk may mix
     mixed=["local", "global", "overlap", "local"] + ["global"] * 6, extra_band=0, chunk=64,
     unbounded=True,
 )
+# One chunk that sheds pairs from both ends mid-sweep: local pairs end
+# at rows 1, 7 and 40, global and overlap ones at 3, 40 and 80.  Under a
+# positive gap every extra row a pair swept would raise its score; the
+# 40-row local pair's best cell is on its own last row, and the overlap
+# pair's best column lies past the shorter pairs' widths.
+@example(
+    pairs=[
+        ("ACGT" * 20, "TGCA" * 12 + "TG"), ("ACGGT" * 8, "TACG" * 7 + "AC"),
+        ("CGTA" * 10, "GTAC" * 15), ("G", "ACGTAC"), ("GAT", "ACGTACGTACGT"), ("ACGTACG", "TTGA"),
+    ],
+    model_name="gap+0.5", gaps=None, mode="mixed",
+    mixed=["global", "local", "overlap", "local", "global", "local"] + ["global"] * 4,
+    extra_band=0, chunk=64, unbounded=True,
+)
 def test_ragged_batch_equals_each_pair_alone(
     pairs, model_name, gaps, mode, mixed, extra_band, chunk, unbounded
 ):
@@ -618,18 +632,26 @@ def test_float64_models_equal_the_oracle(model_name, gaps, rng):
 @given(
     shapes=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 400)), max_size=80),
     chunk=st.sampled_from([1, 3, 64]),
+    band=st.sampled_from([None, 0, 7]),
 )
-def test_chunk_plan_sweeps_each_pair_once_within_the_padding_bound(shapes, chunk):
+def test_chunk_plan_sweeps_each_pair_once_within_the_padding_bound(shapes, chunk, band):
+    """A linear or affine chunk sweeps each pair's own rows at the chunk's
+    width, Σnₖ · m cells; a banded one every row of every pair, B · n ·
+    (2·band + 1).  Either stays within _PAD_RATIO times its pairs' own
+    cells plus _ROW_CELLS a row."""
     nk = np.array([n for n, _ in shapes], dtype=np.int64)
     mk = np.array([m for _, m in shapes], dtype=np.int64)
-    plan = pairwise._chunks(nk, mk, None, chunk)
+    plan = pairwise._chunks(nk, mk, band, chunk)
     assert sorted(k for idx, _, _ in plan for k in idx) == [
         k for k, (n, m) in enumerate(shapes) if n and m
     ]
     for idx, n, m in plan:
         assert 1 <= idx.size <= chunk and (n, m) == (nk[idx].max(), mk[idx].max())
-        bound = pairwise._PAD_RATIO * int((nk[idx] * mk[idx]).sum()) + pairwise._ROW_CELLS * n
-        assert idx.size == 1 or idx.size * n * m <= bound
+        if band is None:
+            own, swept = int((nk[idx] * mk[idx]).sum()), int(nk[idx].sum()) * m
+        else:
+            own, swept = int(nk[idx].sum()) * (2 * band + 1), idx.size * n * (2 * band + 1)
+        assert idx.size == 1 or swept <= pairwise._PAD_RATIO * own + pairwise._ROW_CELLS * n
 
 
 def test_banded_pairs_never_share_a_batch_with_other_modes():
