@@ -303,9 +303,9 @@ def run_engine_bench(n_pairs: int = 200, length: int = 256, seed: int = 2026) ->
     record(f"align_single_{hl}x{hl}_linear", t_linear, hcells, peak_mb=peak_linear)
     assert aln_linear == aln_tensor
 
-    # The banded satellite: vectorized diagonal-offset kernel vs the
-    # per-cell dict DP it replaced, one long pair at band 32 — plus
-    # the dispatch-trimmed single-pair fast path (batch-of-one).
+    # Banded: one long pair at band 32 through the batch banded sweep
+    # at B = 1, which sweeps 1-D row views, against the per-cell dict DP
+    # it replaced; then the same sweep over two pairs, per pair.
     from fragalign.align.pairwise import (
         banded_global_score,
         banded_global_score_reference,
@@ -316,8 +316,9 @@ def run_engine_bench(n_pairs: int = 200, length: int = 256, seed: int = 2026) ->
     ba, bb = random_dna(bl, gen), random_dna(bl, gen)
     t_vec_banded, s_vec = time_call(banded_global_score, ba, bb, 32, repeat=3)
     record("banded_single_pair_band32", t_vec_banded, bl * 65)
-    # The batch kernel at B=2 halves its dispatch cost per pair; per-
-    # pair time approximates what the old B=1 batch path cost.
+    # Two pairs share each row's NumPy calls, but on (2, 65) row views,
+    # which cost about twice the 1-D ones a lone pair sweeps: per pair,
+    # this row reads about what banded_single_pair_band32 does.
     t_b2, _ = time_call(banded_scores_batch, [(ba, bb), (bb, ba)], 32, repeat=3)
     record("banded_batch_kernel_per_pair_band32", t_b2 / 2, bl * 65)
     t_ref_banded, s_ref = time_call(

@@ -51,9 +51,11 @@ batch's local pairs and its other pairs each fill a chunk, the two
 classes are planned apart.
 The scalar entry points (:func:`global_align`, :func:`local_align`,
 ...) are the batch kernels at batch size 1, so *every* traceback in
-the system goes through the direction-code walk.  The ``*_reference``
-functions are independent per-cell Python oracles for the parity
-tests.
+the system goes through the direction-code walk.  That holds for
+banded calls too: one sweep per gap model serves a banded call of any
+size, one pair included (see the banded kernels' comment).  The
+``*_reference`` functions are independent per-cell Python oracles for
+the parity tests.
 
 The linear and affine sweeps compute in one of two dtypes, which
 :func:`_sweep_dtype` picks once per call from the model, the gaps and
@@ -71,7 +73,7 @@ answer's bytes do not depend on the dtype.  Banded sweeps stay float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -261,10 +263,6 @@ class _Frontier:
         self.prev = np.full((B, M), _LOW[dt][0], dt)
         self.cur = np.full((B, M), _LOW[dt][0], dt)
         self.acc = np.full((B, M), _LOW[dt][0], dt)
-
-    def prefix_max(self) -> None:
-        """``acc`` <- running maxima of ``cur`` along each row."""
-        np.maximum.accumulate(self.cur, axis=1, out=self.acc)
 
     def advance(self) -> None:
         """The accumulated row becomes ``prev``; old ``prev`` is scratch."""
@@ -529,7 +527,51 @@ def local_score_reference(a: str, b: str, model: SubstitutionModel | None = None
 # unweighted prefix max along k after the shift
 # F_i[k] = H[i][i-band+k] - g*k - 2*i*g.  The j = 0 boundary becomes
 # the constant -g*band, as does row 0.
+#
+# Both banded sweeps (this one and the affine one below) run their rows
+# in the runs :func:`_band_runs` plans.  Only the <= 2*band edge rows
+# reach past the matrix, so only they are masked; a block of rows'
+# substitution scores is gathered in one fancy-index call; the rotating
+# frontiers' views are built once, and their up-shift sentinel is
+# written once.  A one-pair chunk sweeps 1-D row views, where a NumPy
+# call costs least.
 # ---------------------------------------------------------------------------
+
+#: A banded sweep gathers its rows' substitution scores in blocks of at
+#: most this many bytes (B · rows · w · 8): one block but for huge chunks.
+_GATHER_MAX_BYTES = 64 << 20
+
+
+def _band_runs(
+    P: np.ndarray, A: np.ndarray, Bm: np.ndarray, band: int, nk: np.ndarray | None
+) -> Iterator[tuple[int, int, bool, np.ndarray]]:
+    """Yield the runs of a banded sweep's DP rows 1..n as (first row, row
+    past the last, edge, W), W holding each row's substitution scores
+    along the band from the padded table ``P``: (rows, B, w), or (rows,
+    w) for one pair.  Rows up to ``band`` reach left of column 1 and rows
+    past ``m - band`` right of column m: an edge run holds only such rows
+    and masks them, an interior run none.  A run also ends at each pair's
+    last row nₖ (``nk`` ``None``: every pair's is n), where the sweep
+    saves its end rows, and at the end of each block of rows gathered in
+    one fancy-index call of at most :data:`_GATHER_MAX_BYTES`."""
+    B, n = A.shape
+    m = Bm.shape[1]
+    w = 2 * band + 1
+    block = max(1, _GATHER_MAX_BYTES // (B * w * 8))
+    cuts = {band + 1, m - band + 1, n + 1, *range(1, n + 1, block)}
+    if nk is not None:
+        cuts.update((nk + 1).tolist())
+    cuts = sorted(c for c in cuts if 1 <= c <= n + 1)
+    # Each row's column j - 1 per diagonal, clipped into the matrix (the
+    # clipped cells lie outside it and are masked).
+    jm1 = np.clip(np.arange(n)[:, None] - band + np.arange(w), 0, max(m - 1, 0))
+    for s, e in zip(cuts, cuts[1:]):
+        if (s - 1) % block == 0:  # a block's first run gathers the block
+            rows = slice(s - 1, s - 1 + block)
+            a = np.ascontiguousarray(A[:, rows].T)[:, :, None]
+            W = P[a, np.ascontiguousarray(Bm[:, jm1[rows]].transpose(1, 0, 2))]
+            W, base = (W[:, 0] if B == 1 else W), s
+        yield s, e, s <= band or s > m - band, W[s - base : e - base]
 
 
 def _sweep_banded(
@@ -541,151 +583,66 @@ def _sweep_banded(
     nk: np.ndarray | None = None,
 ) -> np.ndarray:
     """Forward banded sweep; returns each pair's f-space row at its own
-    last row (``nk`` in a padded chunk)."""
+    last row (``nk`` in a padded chunk).  Emits direction codes into
+    ``D`` ((n, B, w) uint8) when given."""
     g = model.gap
     B, n = A.shape
     m = Bm.shape[1]
     w = 2 * band + 1
-    M = w + 1  # slot w is the -inf sentinel feeding the up-shift
     P2m = _padded(model.matrix - 2.0 * g)
     ks = np.arange(w)
     boundary = -g * band
-    fr = _Frontier(B, M)
-    init = np.full(w, -np.inf)
-    valid0 = (ks >= band) & (ks - band <= m)
-    init[valid0] = boundary  # row 0: H = g*j  ->  F = -g*band
-    fr.prev[:, :w] = init
-    fr.prev[:, w] = -np.inf
-    # Pre-gather every row's diagonal substitution scores when the
-    # tensor is small (it always is for narrow bands); out-of-matrix
-    # positions are clip artifacts and get masked below anyway.
-    jm1_all = np.clip(np.arange(n)[:, None] - band + ks, 0, max(m - 1, 0))
-    W_all = None
-    if B * n * w * 8 <= (64 << 20):
-        W_all = P2m[A[:, :, None], Bm[:, jm1_all]]  # (B, n, w)
-    t1 = np.empty((B, w))
-    ends = _Ends(nk, B, M, 1)
+    # Two (B, w + 1) frontiers take turns as the previous row and this
+    # one.  Slot w is the -inf sentinel feeding the up-shift; the row ops
+    # write slots 0..w-1 only, so it is written once, here.
+    fronts = [np.full((B, w + 1), -np.inf) for _ in range(2)]
+    fronts[0][:, :w][:, (ks >= band) & (ks - band <= m)] = boundary  # row 0: H = g*j -> F = -g*band
+    rows = [f[0] if B == 1 else f for f in fronts]
+    shape = (w,) if B == 1 else (B, w)
+    t1 = np.empty(shape)
+    # An align sweep keeps this row before its prefix max in ``cur`` to
+    # code the left moves; a score sweep takes the prefix max in place.
+    cur = None if D is None else np.empty(shape)
+    # Per parity: the previous row, its up-shift, this row before and
+    # after its prefix max (one view object when in place: NumPy copies
+    # an input that merely overlaps its output).
+    views = []
+    for prev, this in (rows, rows[::-1]):
+        fw = this[..., :w]
+        views.append((prev[..., :w], prev[..., 1:], fw if cur is None else cur, fw))
     if D is not None:
-        up = np.empty((B, w), dtype=bool)
-        left = np.empty((B, w), dtype=bool)
-        tmp8 = np.empty((B, w), dtype=np.uint8)
-    for i in range(1, n + 1):
-        prev, cur = fr.prev, fr.cur
-        if W_all is not None:
-            Wk = W_all[:, i - 1]
-        else:
-            Wk = P2m[A[:, i - 1][:, None], Bm[:, jm1_all[i - 1]]]
-        np.add(prev[:, :w], Wk, out=t1)
-        up_from = prev[:, 1 : w + 1]
-        if D is not None:
-            np.greater(up_from, t1, out=up)
-        np.maximum(t1, up_from, out=cur[:, :w])
-        # Mask cells outside the matrix; plant the j == 0 boundary.
-        klo = band - i + 1  # first k with j >= 1
-        if klo > 0:
-            cur[:, : min(klo, w)] = -np.inf
-            if klo - 1 < w:
-                cur[:, klo - 1] = boundary
-        khi = m - i + band  # last k with j <= m
-        if khi < w - 1:
-            cur[:, max(khi + 1, 0) : w] = -np.inf
-        cur[:, w] = -np.inf
-        fr.prefix_max()
-        if D is not None:
-            np.greater(fr.acc[:, :w], cur[:, :w], out=left)
-            np.multiply(left.view(np.uint8), 2, out=tmp8)
-            np.add(tmp8, up.view(np.uint8), out=D[i - 1])
-        ends.save(i, fr.acc)
-        fr.advance()
-        fr.prev[:, w] = -np.inf  # re-pin the sentinel after rotation
-    return ends.result(fr.prev)[0]
-
-
-def _sweep_banded_single(
-    ac: np.ndarray,
-    bc: np.ndarray,
-    band: int,
-    model: SubstitutionModel,
-    D: np.ndarray | None = None,
-) -> np.ndarray:
-    """Dispatch-trimmed single-pair banded sweep; returns the final
-    f-space frontier (length w).
-
-    The batched banded kernel is dispatch-bound at batch 1 (~6 NumPy
-    calls per DP row over a narrow band).  This path cuts the interior
-    to 3 calls per row on 1-D buffers: the whole band's substitution
-    scores are pre-gathered in one fancy-index gather, boundary
-    masking runs only over the <= 2*band edge rows (interior rows need
-    none), the rotating frontier views are pre-built per parity, and
-    the up-shift sentinel is written once instead of re-pinned per
-    row.  ~2-2.5x the batch kernel at batch 1 on the reference host
-    (measured against the anti-diagonal front sweep and a skewed
-    multi-row fixpoint sweep, which both lose — see ROADMAP).
-    Direction codes (``D``: (n, w) uint8) match the batch kernel's.
-    """
-    g = model.gap
-    n, m = len(ac), len(bc)
-    w = 2 * band + 1
-    P2m = model.matrix - 2.0 * g
-    ks = np.arange(w)
-    boundary = -g * band
-    jm1_all = np.clip(np.arange(n)[:, None] - band + ks, 0, max(m - 1, 0))
-    W_all = P2m[ac[:, None], bc[jm1_all]]  # (n, w), one gather
-    bufs = (np.full(w + 1, -np.inf), np.full(w + 1, -np.inf))
-    acc = np.empty(w) if D is not None else None
-    t1 = np.empty(w)
-    valid0 = (ks >= band) & (ks - band <= m)
-    bufs[0][:w][valid0] = boundary
-    # Pre-built rotating views: (row 0..w-1, up-shifted 1..w).
-    views = ((bufs[0][:w], bufs[0][1 : w + 1]), (bufs[1][:w], bufs[1][1 : w + 1]))
+        up = np.empty(shape, dtype=bool)
+        left = np.empty(shape, dtype=bool)
+        tmp8 = np.empty(shape, dtype=np.uint8)
+        up8, left8 = up.view(np.uint8), left.view(np.uint8)
+        Dv = D[:, 0] if B == 1 else D
+    ends = _Ends(nk, B, w + 1, 1)
     add, maximum, accum = np.add, np.maximum, np.maximum.accumulate
-    if D is not None:
-        up = np.empty(w, dtype=bool)
-        left = np.empty(w, dtype=bool)
-        tmp8 = np.empty(w, dtype=np.uint8)
-    lo_int = min(band + 1, n + 1)  # rows below this mask at k's low end
-    hi_int = min(n, m - band)  # rows above this mask at k's high end
     p = 0
-
-    def row(i: int, interior: bool) -> None:
-        (pw, pu), (cw, _) = views[p], views[1 - p]
-        add(pw, W_all[i - 1], out=t1)
-        if D is not None:
-            np.greater(pu, t1, out=up)
-        maximum(t1, pu, out=cw)
-        if not interior:
-            klo = band - i + 1
-            if klo > 0:
-                cw[: min(klo, w)] = -np.inf
-                if klo - 1 < w:
-                    cw[klo - 1] = boundary
-            khi = m - i + band
-            if khi < w - 1:
-                cw[max(khi + 1, 0) : w] = -np.inf
-        if D is None:
-            accum(cw, out=cw)
-        else:
-            accum(cw, out=acc)
-            np.greater(acc, cw, out=left)
-            np.multiply(left.view(np.uint8), 2, out=tmp8)
-            np.add(tmp8, up.view(np.uint8), out=D[i - 1])
-            cw[:] = acc
-
-    for i in range(1, lo_int):
-        row(i, False)
-        p = 1 - p
-    for i in range(lo_int, hi_int + 1):
-        row(i, True)
-        p = 1 - p
-    for i in range(max(lo_int, hi_int + 1), n + 1):
-        row(i, False)
-        p = 1 - p
-    return views[p][0]
-
-
-#: Pre-gathering the whole band's substitution tensor caps the single-
-#: pair fast path; bigger sweeps take the batch kernel at B = 1.
-_BANDED_SINGLE_MAX_BYTES = 64 << 20
+    for s, e, edge, W in _band_runs(P2m, A, Bm, band, nk):
+        for i, Wi in zip(range(s, e), W):
+            pw, pu, cw, fw = views[p]
+            add(pw, Wi, out=t1)
+            if D is not None:
+                np.greater(pu, t1, out=up)
+            maximum(t1, pu, out=cw)
+            if edge:
+                # Mask cells outside the matrix; plant the j == 0 boundary.
+                klo, khi = band - i + 1, m - i + band  # first k with j >= 1, last with j <= m
+                if klo > 0:
+                    cw[..., :klo] = -np.inf
+                    if klo <= w:
+                        cw[..., klo - 1] = boundary
+                if khi < w - 1:
+                    cw[..., max(khi + 1, 0) :] = -np.inf
+            accum(cw, axis=-1, out=fw)
+            if D is not None:
+                np.greater(fw, cw, out=left)
+                np.multiply(left8, 2, out=tmp8)
+                np.add(tmp8, up8, out=Dv[i - 1])
+            p ^= 1
+        ends.save(e - 1, fronts[p])  # the pairs whose last row ends this run
+    return ends.result(fronts[p])[0]
 
 
 def banded_global_score_reference(
@@ -964,246 +921,112 @@ def _sweep_affine_banded(
     nk: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """Forward banded Gotoh sweep; returns each pair's [M, X, Y] rows
-    at its own last row (``nk`` in a padded chunk)."""
+    at its own last row (``nk`` in a padded chunk).  Emits packed
+    direction codes into ``D`` ((n, B, w) uint8) when given."""
     B, n = A.shape
     m = Bm.shape[1]
     w = 2 * band + 1
-    M = w + 1  # slot w is the -inf sentinel feeding the X up-shift
-    ks = np.arange(M)
-    extks = ext * ks
-    src_shift = open_ - ext * (ks + 1.0)
-    # Pre-gather every row's diagonal substitution scores (masked
-    # positions are clip artifacts; they are -inf'd below anyway).
-    jm1_all = np.clip(np.arange(n)[:, None] - band + ks[:w], 0, max(m - 1, 0))
-    W_all = None
-    Pm = _padded(model.matrix)
-    if B * n * w * 8 <= (64 << 20):
-        W_all = Pm[A[:, :, None], Bm[:, jm1_all]]  # (B, n, w)
-    r = _AffineRows(B, M)
-    ends = _Ends(nk, B, M, 3)
-    # Row 0: j = k - band in [0, m]; M[0][0] = 0, Y[0][j] carries the
-    # leading gap in b.
-    j0s = ks[:w] - band
-    valid0 = (j0s >= 0) & (j0s <= m)
-    r.Mp[:, :w][:, valid0 & (j0s == 0)] = 0.0
-    ypos = valid0 & (j0s >= 1)
-    if ypos.any():
-        r.Yp[:, :w][:, ypos] = open_ + (j0s[ypos] - 1) * ext
-    if D is not None:
-        e_x = np.empty((B, w), dtype=bool)
-        e_y = np.empty((B, w), dtype=bool)
-        b1 = np.empty((B, w), dtype=bool)
-        u8a = np.empty((B, w), dtype=np.uint8)
-        u8b = np.empty((B, w), dtype=np.uint8)
-    for i in range(1, n + 1):
-        Mp, Xp, Yp = r.Mp, r.Xp, r.Yp
-        Mc, Xc, Yc = r.Mc, r.Xc, r.Yc
-        if W_all is not None:
-            Wk = W_all[:, i - 1]
-        else:
-            Wk = Pm[A[:, i - 1][:, None], Bm[:, jm1_all[i - 1]]]
-        # M: diagonal move is in-place in this layout.
-        np.maximum(Mp[:, :w], Xp[:, :w], out=r.bp[:, :w])
-        if D is not None:
-            np.greater(Xp[:, :w], Mp[:, :w], out=e_x)
-            np.greater(Yp[:, :w], r.bp[:, :w], out=e_y)
-            np.multiply(e_y.view(np.uint8), 2, out=u8a)
-            np.logical_and(e_x, ~e_y, out=b1)
-            np.add(u8a, b1.view(np.uint8), out=u8a)
-        np.maximum(r.bp[:, :w], Yp[:, :w], out=r.bp[:, :w])
-        np.add(r.bp[:, :w], Wk, out=Mc[:, :w])
-        # X: open/extend from k+1 of the previous row.
-        np.maximum(Mp[:, 1:M], Yp[:, 1:M], out=r.osrc[:, :w])
-        if D is not None:
-            np.greater(Yp[:, 1:M], Mp[:, 1:M], out=b1)  # bit 3
-            np.multiply(b1.view(np.uint8), 8, out=u8b)
-            np.add(u8a, u8b, out=u8a)
-        np.add(r.osrc[:, :w], open_, out=r.osrc[:, :w])
-        np.add(Xp[:, 1:M], ext, out=r.t[:, :w])
-        if D is not None:
-            np.greater(r.t[:, :w], r.osrc[:, :w], out=b1)  # bit 2
-            np.multiply(b1.view(np.uint8), 4, out=u8b)
-            np.add(u8a, u8b, out=u8a)
-        np.maximum(r.osrc[:, :w], r.t[:, :w], out=Xc[:, :w])
-        # Mask cells outside the matrix; plant the j == 0 boundary.
-        klo = band - i + 1  # first k with j >= 1
-        if klo > 0:
-            Mc[:, : min(klo, w)] = -np.inf
-            Xc[:, : min(klo, w)] = -np.inf
-            if klo - 1 < w:
-                Xc[:, klo - 1] = open_ + (i - 1) * ext
-        khi = m - i + band  # last k with j <= m
-        if khi < w - 1:
-            Mc[:, max(khi + 1, 0) : w] = -np.inf
-            Xc[:, max(khi + 1, 0) : w] = -np.inf
-        Mc[:, w] = -np.inf
-        Xc[:, w] = -np.inf
-        # Y: in-row prefix max along k.  The in-row predecessor of cell
-        # k is k-1, so the Y bits compare one slot to the left (the
-        # unbanded kernel's column slices do this implicitly).
-        np.maximum(Mc[:, :w], Xc[:, :w], out=r.osrc[:, :w])
-        if D is not None:
-            b1[:, 0] = False  # k = 0 has no in-row predecessor
-            np.greater(Xc[:, : w - 1], Mc[:, : w - 1], out=b1[:, 1:w])  # bit 5
-            np.multiply(b1.view(np.uint8), 32, out=u8b)
-            np.add(u8a, u8b, out=u8a)
-        np.add(r.osrc[:, :w], src_shift[:w], out=r.t[:, :w])
-        r.run[:, 0] = -np.inf
-        np.maximum.accumulate(r.t[:, : w - 1], axis=1, out=r.run[:, 1:w])
-        np.add(r.run[:, :w], extks[:w], out=Yc[:, :w])
-        Yc[:, 0] = -np.inf
-        if khi < w - 1:
-            Yc[:, max(khi + 1, 0) : w] = -np.inf
-        if klo > 0:
-            Yc[:, : min(klo, w)] = -np.inf
-        Yc[:, w] = -np.inf
-        if D is not None:
-            np.add(Yc[:, : w - 1], ext, out=r.t[:, : w - 1])
-            np.add(r.osrc[:, : w - 1], open_, out=r.run[:, : w - 1])
-            b1[:, 0] = False
-            np.greater(r.t[:, : w - 1], r.run[:, : w - 1], out=b1[:, 1:w])  # bit 4
-            np.multiply(b1.view(np.uint8), 16, out=u8b)
-            np.add(u8a, u8b, out=D[i - 1])
-        ends.save(i, Mc, Xc, Yc)
-        r.advance()
-    return ends.result(r.Mp, r.Xp, r.Yp)
-
-
-def _sweep_affine_banded_single(
-    ac: np.ndarray,
-    bc: np.ndarray,
-    band: int,
-    model: SubstitutionModel,
-    open_: float,
-    ext: float,
-    D: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dispatch-trimmed single-pair banded Gotoh sweep; returns the
-    final (M, X, Y) frontiers (each length w).
-
-    Same trick as :func:`_sweep_banded_single`, applied to the affine
-    kernel: at batch 1 the batched sweep is dispatch-bound (three
-    frontiers x ~6 NumPy calls per DP row, each paying 2-D slicing
-    overhead over a narrow band).  This path pre-gathers the whole
-    band's substitution scores in one fancy-index gather, pre-builds
-    the rotating frontier views per parity, writes the up-shift
-    sentinels once at init instead of re-pinning per row, and masks
-    band edges only over the <= 2*band boundary rows.  Direction codes
-    (``D``: (n, w) uint8) are bit-for-bit the batch kernel's, so
-    :func:`_walk_affine` reads either.
-    """
-    n, m = len(ac), len(bc)
-    w = 2 * band + 1
-    M = w + 1  # slot w is the -inf sentinel feeding the up-shifts
     ks = np.arange(w)
     extks = ext * ks
     src_shift = open_ - ext * (ks + 1.0)
-    Pm = model.matrix
-    jm1_all = np.clip(np.arange(n)[:, None] - band + ks, 0, max(m - 1, 0))
-    W_all = Pm[ac[:, None], bc[jm1_all]]  # (n, w), one gather
-    bufs = tuple(np.full(M, -np.inf) for _ in range(6))  # Mp Xp Yp Mc Xc Yc
+    Pm = _padded(model.matrix)
+    # Two trios of (B, w + 1) [M, X, Y] frontiers take turns as the
+    # previous row and this one.  Slot w is the -inf sentinel feeding the
+    # X up-shift; the row ops write slots 0..w-1 only, so it is written
+    # once, here.
+    trios = [[np.full((B, w + 1), -np.inf) for _ in range(3)] for _ in range(2)]
     # Row 0: j = k - band in [0, m]; M[0][0] = 0, Y[0][j] carries the
-    # leading gap in b (mirrors the batch kernel's init).
+    # leading gap in b.
     j0s = ks - band
     valid0 = (j0s >= 0) & (j0s <= m)
-    bufs[0][:w][valid0 & (j0s == 0)] = 0.0
+    trios[0][0][:, :w][:, valid0 & (j0s == 0)] = 0.0
     ypos = valid0 & (j0s >= 1)
-    if ypos.any():
-        bufs[2][:w][ypos] = open_ + (j0s[ypos] - 1) * ext
-    # Pre-built rotating views per parity: (band slice 0..w-1,
-    # up-shifted slice 1..w) for each of the three frontiers.
-    views = tuple(
-        tuple((buf[:w], buf[1:M]) for buf in trio)
-        for trio in (bufs[:3], bufs[3:])
-    )
-    bp, t, run = np.empty(w), np.empty(w), np.empty(w)
-    add, maximum, accum = np.add, np.maximum, np.maximum.accumulate
+    trios[0][2][:, :w][:, ypos] = open_ + (j0s[ypos] - 1) * ext
+    rows = [[f[0] if B == 1 else f for f in trio] for trio in trios]
+    # Per parity: the previous row's [M, X, Y] and their up-shifts, then
+    # this row's and their first w - 1 slots.
+    views = [
+        (*(f[..., :w] for f in prev), *(f[..., 1:] for f in prev),
+         *(f[..., :w] for f in this), *(f[..., : w - 1] for f in this))
+        for prev, this in (rows, rows[::-1])
+    ]
+    shape = (w,) if B == 1 else (B, w)
+    bp, t, run = (np.empty(shape) for _ in range(3))
+    run[..., 0] = -np.inf  # Y at k = 0 has no in-row predecessor: -inf
+    th, runt, bph = t[..., : w - 1], run[..., 1:], bp[..., : w - 1]
     if D is not None:
-        e_x = np.empty(w, dtype=bool)
-        e_y = np.empty(w, dtype=bool)
-        b1 = np.empty(w, dtype=bool)
-        u8a = np.empty(w, dtype=np.uint8)
-        u8b = np.empty(w, dtype=np.uint8)
-    lo_int = min(band + 1, n + 1)  # rows below this mask at k's low end
-    hi_int = min(n, m - band)  # rows above this mask at k's high end
+        e_x, e_y, b1, b2 = (np.empty(shape, dtype=bool) for _ in range(4))
+        b2[..., 0] = False  # the Y bits at k = 0, which has no in-row predecessor
+        u8a, u8b = (np.empty(shape, dtype=np.uint8) for _ in range(2))
+        ey8, b18, b28, b2t = e_y.view(np.uint8), b1.view(np.uint8), b2.view(np.uint8), b2[..., 1:]
+        Dv = D[:, 0] if B == 1 else D
+    ends = _Ends(nk, B, w + 1, 3)
+    add, maximum, accum = np.add, np.maximum, np.maximum.accumulate
     p = 0
-
-    def row(i: int, interior: bool) -> None:
-        (Mw, Mu), (Xw, Xu), (Yw, Yu) = views[p]
-        (Mcw, _), (Xcw, _), (Ycw, _) = views[1 - p]
-        # M: diagonal move is in-place in this layout.
-        maximum(Mw, Xw, out=bp)
-        if D is not None:
-            np.greater(Xw, Mw, out=e_x)
-            np.greater(Yw, bp, out=e_y)
-            np.multiply(e_y.view(np.uint8), 2, out=u8a)
-            np.logical_and(e_x, ~e_y, out=b1)
-            np.add(u8a, b1.view(np.uint8), out=u8a)
-        maximum(bp, Yw, out=bp)
-        add(bp, W_all[i - 1], out=Mcw)
-        # X: open/extend from k+1 of the previous row.
-        maximum(Mu, Yu, out=bp)
-        if D is not None:
-            np.greater(Yu, Mu, out=b1)  # bit 3
-            np.multiply(b1.view(np.uint8), 8, out=u8b)
-            np.add(u8a, u8b, out=u8a)
-        add(bp, open_, out=bp)
-        add(Xu, ext, out=t)
-        if D is not None:
-            np.greater(t, bp, out=b1)  # bit 2
-            np.multiply(b1.view(np.uint8), 4, out=u8b)
-            np.add(u8a, u8b, out=u8a)
-        maximum(bp, t, out=Xcw)
-        if not interior:
-            # Mask cells outside the matrix; plant the j == 0 boundary.
-            klo = band - i + 1
-            if klo > 0:
-                Mcw[: min(klo, w)] = -np.inf
-                Xcw[: min(klo, w)] = -np.inf
-                if klo - 1 < w:
-                    Xcw[klo - 1] = open_ + (i - 1) * ext
-            khi = m - i + band
-            if khi < w - 1:
-                Mcw[max(khi + 1, 0) : w] = -np.inf
-                Xcw[max(khi + 1, 0) : w] = -np.inf
-        # Y: in-row prefix max along k (predecessor is one slot left).
-        maximum(Mcw, Xcw, out=bp)
-        if D is not None:
-            b1[0] = False  # k = 0 has no in-row predecessor
-            np.greater(Xcw[: w - 1], Mcw[: w - 1], out=b1[1:w])  # bit 5
-            np.multiply(b1.view(np.uint8), 32, out=u8b)
-            np.add(u8a, u8b, out=u8a)
-        add(bp, src_shift, out=t)
-        run[0] = -np.inf
-        accum(t[: w - 1], out=run[1:w])
-        add(run, extks, out=Ycw)
-        Ycw[0] = -np.inf
-        if not interior:
-            khi = m - i + band
-            if khi < w - 1:
-                Ycw[max(khi + 1, 0) : w] = -np.inf
-            klo = band - i + 1
-            if klo > 0:
-                Ycw[: min(klo, w)] = -np.inf
-        if D is not None:
-            np.add(Ycw[: w - 1], ext, out=t[: w - 1])
-            np.add(bp[: w - 1], open_, out=run[: w - 1])
-            b1[0] = False
-            np.greater(t[: w - 1], run[: w - 1], out=b1[1:w])  # bit 4
-            np.multiply(b1.view(np.uint8), 16, out=u8b)
-            np.add(u8a, u8b, out=D[i - 1])
-
-    for i in range(1, lo_int):
-        row(i, False)
-        p = 1 - p
-    for i in range(lo_int, hi_int + 1):
-        row(i, True)
-        p = 1 - p
-    for i in range(max(lo_int, hi_int + 1), n + 1):
-        row(i, False)
-        p = 1 - p
-    (Mw, _), (Xw, _), (Yw, _) = views[p]
-    return Mw, Xw, Yw
+    for s, e, edge, W in _band_runs(Pm, A, Bm, band, nk):
+        for i, Wi in zip(range(s, e), W):
+            Mp, Xp, Yp, Mu, Xu, Yu, Mc, Xc, Yc, Mh, Xh, Yh = views[p]
+            # M: diagonal move is in-place in this layout.
+            maximum(Mp, Xp, out=bp)
+            if D is not None:
+                np.greater(Xp, Mp, out=e_x)
+                np.greater(Yp, bp, out=e_y)
+                np.multiply(ey8, 2, out=u8a)
+                np.greater(e_x, e_y, out=b1)  # e_x and not e_y
+                np.add(u8a, b18, out=u8a)
+            maximum(bp, Yp, out=bp)
+            add(bp, Wi, out=Mc)
+            # X: open/extend from k+1 of the previous row.
+            maximum(Mu, Yu, out=bp)
+            if D is not None:
+                np.greater(Yu, Mu, out=b1)  # bit 3
+                np.multiply(b18, 8, out=u8b)
+                np.add(u8a, u8b, out=u8a)
+            add(bp, open_, out=bp)
+            add(Xu, ext, out=t)
+            if D is not None:
+                np.greater(t, bp, out=b1)  # bit 2
+                np.multiply(b18, 4, out=u8b)
+                np.add(u8a, u8b, out=u8a)
+            maximum(bp, t, out=Xc)
+            if edge:
+                # Mask cells outside the matrix; plant the j == 0 boundary.
+                klo, khi = band - i + 1, m - i + band  # first k with j >= 1, last with j <= m
+                if klo > 0:
+                    Mc[..., :klo] = -np.inf
+                    Xc[..., :klo] = -np.inf
+                    if klo <= w:
+                        Xc[..., klo - 1] = open_ + (i - 1) * ext
+                if khi < w - 1:
+                    Mc[..., max(khi + 1, 0) :] = -np.inf
+                    Xc[..., max(khi + 1, 0) :] = -np.inf
+            # Y: in-row prefix max along k.  The in-row predecessor of cell
+            # k is k-1, so the Y bits compare one slot to the left (the
+            # unbanded kernel's column slices do this implicitly).
+            maximum(Mc, Xc, out=bp)
+            if D is not None:
+                np.greater(Xh, Mh, out=b2t)  # bit 5
+                np.multiply(b28, 32, out=u8b)
+                np.add(u8a, u8b, out=u8a)
+            add(bp, src_shift, out=t)
+            accum(th, axis=-1, out=runt)
+            add(run, extks, out=Yc)
+            if edge:
+                if khi < w - 1:
+                    Yc[..., max(khi + 1, 0) :] = -np.inf
+                if klo > 0:
+                    Yc[..., :klo] = -np.inf
+            if D is not None:
+                # bit 4: Y extended, the gap ran past the previous slot
+                # (t and bp are free now, so they take the two sides).
+                np.add(Yh, ext, out=th)
+                np.add(bph, open_, out=bph)
+                np.greater(th, bph, out=b2t)
+                np.multiply(b28, 16, out=u8b)
+                np.add(u8a, u8b, out=Dv[i - 1])
+            p ^= 1
+        ends.save(e - 1, *trios[p])  # the pairs whose last row ends this run
+    return ends.result(*trios[p])
 
 
 # ---------------------------------------------------------------------------
@@ -1310,23 +1133,10 @@ def _sweep_ends(
     state = np.zeros(B, dtype=np.int64)
     if mode == "banded":
         col = ej - ei + band  # each end cell (nₖ, mₖ) in the diagonal layout
-        # One pair sweeps dispatch-bound: take the trimmed single-pair
-        # path (identical results, fewer NumPy calls).
-        single = B == 1 and n * (2 * band + 1) * (8 + (D is not None)) <= _BANDED_SINGLE_MAX_BYTES
-        D1 = None if D is None else D[:, 0]  # the single path's (n, w) codes
         if gaps is None:
-            if single:
-                F = _sweep_banded_single(A[0], Bm[0], band, model, D=D1)[None]
-            else:
-                F = _sweep_banded(A, Bm, band, model, D=D, nk=nk)
+            F = _sweep_banded(A, Bm, band, model, D=D, nk=nk)
             return F[rows, col] + (g * col + 2.0 * g * ei), ei, ej, state
-        if single:
-            ends = [
-                f[None]
-                for f in _sweep_affine_banded_single(A[0], Bm[0], band, model, *gaps, D=D1)
-            ]
-        else:
-            ends = _sweep_affine_banded(A, Bm, band, model, *gaps, D=D, nk=nk)
+        ends = _sweep_affine_banded(A, Bm, band, model, *gaps, D=D, nk=nk)
         score, state = _affine_end(ends, rows, col)
         return score, ei, ej, state
     # Each mode reads its own rows: local [0, L), global and overlap after.

@@ -22,9 +22,7 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-import time
 from collections import deque
-from contextlib import contextmanager
 
 __all__ = [
     "TraceContext",
@@ -76,11 +74,6 @@ class TraceContext:
     def child(self) -> "TraceContext":
         """A fresh span under this one, in the same trace."""
         return TraceContext(self.trace_id, _new_id(), self.span_id)
-
-    def to_wire(self) -> dict:
-        """The two fields a request carries (parent is implicit: the
-        receiver treats the caller's ``span_id`` as its parent)."""
-        return {"trace_id": self.trace_id, "span_id": self.span_id}
 
 
 def new_trace_context() -> TraceContext:
@@ -213,8 +206,7 @@ class TraceBuffer:
     oldest spans fall off and ``dropped`` counts them, so a busy
     server pays O(1) per span and bounded memory total.  Entries may
     be :class:`Span` objects or deferred :func:`leaf_entry` tuples;
-    readers only ever see ``Span`` (tuples are materialised, in
-    place, on first read — so ``peek`` then ``drain`` agree on ids).
+    readers only ever see ``Span`` (tuples are materialised at drain).
     """
 
     def __init__(self, maxlen: int = 4096) -> None:
@@ -222,7 +214,6 @@ class TraceBuffer:
         self._spans: deque = deque(maxlen=maxlen)
         self._appended = 0
         self._drained = 0
-        self._discarded = 0
         self.maxlen = maxlen
 
     def append(self, entry) -> None:
@@ -240,51 +231,13 @@ class TraceBuffer:
     @property
     def dropped(self) -> int:
         """Spans the ring has silently lost to overflow: everything
-        appended that was neither drained out, deliberately discarded,
-        nor is still buffered."""
+        appended that was neither drained out nor is still buffered."""
         with self._lock:
-            return max(
-                0,
-                self._appended - self._drained - self._discarded - len(self._spans),
-            )
-
-    def discard(self, trace_id: str) -> int:
-        """Drop one trace's buffered spans without draining them.
-
-        The tail sampler's "not retained" path: a head-sampled-out
-        trace may already have out-of-band spans buffered (the batcher
-        records ``batcher.wait``/``batcher.compute`` at batch time,
-        before the retention decision exists), and leaving those
-        orphans in the ring would leak partial trees to later drains.
-        Deferred tuples carry ``trace_id`` at index 0, so no settling
-        is needed.  Returns the number of spans discarded; they are
-        counted separately from overflow ``dropped``.
-        """
-        with self._lock:
-            before = len(self._spans)
-            keep = [
-                e
-                for e in self._spans
-                if (e[0] if type(e) is tuple else e.trace_id) != trace_id
-            ]
-            removed = before - len(keep)
-            if removed:
-                self._spans.clear()
-                self._spans.extend(keep)
-                self._discarded += removed
-            return removed
+            return max(0, self._appended - self._drained - len(self._spans))
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._spans)
-
-    def _settle(self) -> None:
-        # Materialise deferred leaves in place (caller holds the lock)
-        # so repeated reads hand out stable span ids.
-        if any(type(e) is tuple for e in self._spans):
-            settled = [_materialize(e) for e in self._spans]
-            self._spans.clear()
-            self._spans.extend(settled)
 
     def drain(self, trace_id: str | None = None) -> list[Span]:
         """Remove and return buffered spans.
@@ -293,75 +246,23 @@ class TraceBuffer:
         traces stay buffered for their own drains.
         """
         with self._lock:
-            self._settle()
+            spans = [_materialize(e) for e in self._spans]
+            self._spans.clear()
             if trace_id is None:
-                out = list(self._spans)
-                self._spans.clear()
+                out = spans
             else:
-                out = [s for s in self._spans if s.trace_id == trace_id]
-                if out:
-                    keep = [s for s in self._spans if s.trace_id != trace_id]
-                    self._spans.clear()
-                    self._spans.extend(keep)
+                out = [s for s in spans if s.trace_id == trace_id]
+                self._spans.extend(s for s in spans if s.trace_id != trace_id)
             self._drained += len(out)
             return out
 
-    def peek(self, trace_id: str | None = None) -> list[Span]:
-        with self._lock:
-            self._settle()
-            if trace_id is None:
-                return list(self._spans)
-            return [s for s in self._spans if s.trace_id == trace_id]
-
 
 class Tracer:
-    """Record spans against a buffer; every method no-ops on ctx=None."""
+    """Record spans against a buffer: a request's deferred leaves in one
+    call, and the spans other spans parent under as themselves."""
 
     def __init__(self, buffer: TraceBuffer | None = None) -> None:
         self.buffer = buffer if buffer is not None else TraceBuffer()
-
-    @contextmanager
-    def span(self, ctx: TraceContext | None, name: str, **tags):
-        """Time a block as a child span of ``ctx``.
-
-        Yields the child context (or ``None``) so nested stages can
-        parent under it; mutate the yielded ``tags`` via the returned
-        context object's buffer entry only through ``record``.
-        """
-        if ctx is None:
-            yield None
-            return
-        child = ctx.child()
-        start_wall = time.time()
-        start = time.perf_counter()
-        try:
-            yield child
-        finally:
-            self.record_raw(
-                child, name, start_wall, time.perf_counter() - start, tags
-            )
-
-    def record(
-        self, ctx: TraceContext | None, name: str, duration_s: float, **tags
-    ) -> None:
-        """Record an already-measured duration as a child span of ``ctx``.
-
-        The span is a leaf (nothing can parent under it — no context
-        for it ever escapes), so it is buffered in deferred form: id
-        assignment and Span construction happen at read time.
-        """
-        if ctx is None:
-            return
-        self.buffer.append(
-            (
-                ctx.trace_id,
-                ctx.span_id,
-                name,
-                time.time() - duration_s,
-                duration_s,
-                tags or None,
-            )
-        )
 
     def extend(self, entries: list) -> None:
         """Buffer a batch of :func:`leaf_entry` tuples / :class:`Span`

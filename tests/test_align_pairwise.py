@@ -456,6 +456,25 @@ def _exact(values) -> list:
 _SWEPT_TOGETHER = ["global", "local", "overlap"]  # the modes one chunk may mix
 
 
+def _banded_run_cut_examples(test):
+    """Banded run cuts, each linear and with -3/-1 gaps.  One pair a chunk
+    at band 3: n = 2 <= band has no interior row, n = band + 1 one (its
+    m is 7), and m = 2·band and 2·band + 1; band 0 on a ragged chunk; a
+    ragged chunk at band 4 whose first pair ends inside the low edge run."""
+    cases = [
+        ([("AC", "ACG"), ("ACGT", "ACGTACG"), ("ACGTAC", "CGTACG"), ("ACGTACG", "ACTTACG")], 0, 1),
+        ([("ACGT", "AGGT"), ("GATTACA", "GATCACA")], 0, 64),
+        ([("AC", "ACG"), ("ACGTACGTAC", "ACGTACGTA"), ("GGCATTACGA", "GGCATACGA")], 3, 64),
+    ]
+    for pairs, extra_band, chunk in cases:
+        for gaps in (None, (-3.0, -1.0)):
+            test = example(
+                pairs=pairs, model_name="unit", gaps=gaps, mode="banded", mixed=["global"] * 10,
+                extra_band=extra_band, chunk=chunk, unbounded=True,
+            )(test)
+    return test
+
+
 @given(
     pairs=_ragged_pairs(),
     model_name=st.sampled_from(sorted(_RAGGED_MODELS)),
@@ -500,6 +519,15 @@ _SWEPT_TOGETHER = ["global", "local", "overlap"]  # the modes one chunk may mix
     mixed=["global", "local", "overlap", "local", "global", "local"] + ["global"] * 4,
     extra_band=0, chunk=64, unbounded=True,
 )
+# A banded Gotoh pair whose best path runs down column 0 to row 3 =
+# band, the last edge row (m = 2·band).  Each edge row plants its j = 0
+# gap as the oracle writes it, open + (i - 1)·extend; under these gaps the
+# row above plus one extend differs in the last bit.
+@example(
+    pairs=[("GGGACGTAC", "ACGTAC")] * 2, model_name="unit", gaps=(-5.0, -1.1), mode="banded",
+    mixed=["global"] * 10, extra_band=0, chunk=64, unbounded=False,
+)
+@_banded_run_cut_examples
 def test_ragged_batch_equals_each_pair_alone(
     pairs, model_name, gaps, mode, mixed, extra_band, chunk, unbounded
 ):
@@ -652,6 +680,25 @@ def test_chunk_plan_sweeps_each_pair_once_within_the_padding_bound(shapes, chunk
         else:
             own, swept = int(nk[idx].sum()) * (2 * band + 1), idx.size * n * (2 * band + 1)
         assert idx.size == 1 or swept <= pairwise._PAD_RATIO * own + pairwise._ROW_CELLS * n
+
+
+@pytest.mark.parametrize("cap", [0, 2000])
+@pytest.mark.parametrize("gaps", [None, (-3.0, -1.0)])
+def test_banded_gather_blocks_equal_one_block(cap, gaps, rng):
+    """A banded sweep gathers its rows' substitution scores in blocks of
+    at most _GATHER_MAX_BYTES.  At 0 every row is a block of its own; at
+    2000 bytes a block spans 4 to 22 rows here and ends inside edge and
+    interior runs.  Either way the answers are the one-block sweep's."""
+    from fragalign.genome.dna import random_dna
+
+    shapes = [(40, 37), (3, 5), (38, 40), (1, 1), (21, 20)]
+    pairs = [(random_dna(n, rng), random_dna(m, rng)) for n, m in shapes]
+    for chunk in (1, 64):
+        for kind in ("score", "align"):
+            want = pairwise._batch(kind, pairs, None, "banded", 5, gaps, chunk)
+            with mock.patch.object(pairwise, "_GATHER_MAX_BYTES", cap):
+                got = pairwise._batch(kind, pairs, None, "banded", 5, gaps, chunk)
+            assert _exact(got) == _exact(want)
 
 
 def test_banded_pairs_never_share_a_batch_with_other_modes():

@@ -209,23 +209,6 @@ class TestTraceBufferConcurrency:
         assert buf.dropped == 4 * 500 - len(buf)
         assert len(buf.drain()) <= 64
 
-    def test_discard_removes_one_trace_without_counting_dropped(self):
-        buf = TraceBuffer(maxlen=100)
-        for k in range(10):
-            buf.append(_entry("keep", f"s{k}"))
-            buf.append(_entry("toss", f"s{k}"))
-        assert buf.discard("toss") == 10
-        spans = buf.drain()
-        assert {s.trace_id for s in spans} == {"keep"}
-        assert len(spans) == 10
-        assert buf.dropped == 0  # discard is deliberate, not pressure
-
-    def test_discard_missing_trace_is_noop(self):
-        buf = TraceBuffer(maxlen=10)
-        buf.append(_entry("a", "s"))
-        assert buf.discard("nope") == 0
-        assert len(buf) == 1
-
 
 # -- kernel profiler under concurrency ---------------------------------
 
