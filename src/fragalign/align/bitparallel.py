@@ -71,24 +71,10 @@ def flat_model_family(model: SubstitutionModel | None) -> tuple[str, float] | No
     for ``(0, -c, -c)`` models, both restricted to scales where ``2*c``
     is integral (so float64 parity with the accumulating oracles is
     exact).  Only the A/C/G/T core of the matrix matters — the ``N``
-    row/column is handled per pair by the caller.
+    row/column is handled per pair by the caller.  Computed once per
+    model, as :attr:`SubstitutionModel.flat`.
     """
-    model = model or unit_dna()
-    core = model.matrix[:4, :4]
-    diag = float(core[0, 0])
-    off = float(core[0, 1])
-    if not (np.all(np.diag(core) == diag) and np.all(core[~np.eye(4, dtype=bool)] == off)):
-        return None
-    gap = float(model.gap)
-    if diag > 0 and off == -diag and gap == -diag:
-        c = diag
-    elif diag == 0 and off == gap and gap < 0:
-        c = -off
-    else:
-        return None
-    if not float(2 * c).is_integer():
-        return None
-    return ("unit" if diag > 0 else "lev", c)
+    return (model or unit_dna()).flat
 
 
 def bitparallel_score_reference(

@@ -20,6 +20,7 @@ _PURINE = {0, 2}
 # Byte -> code translation table for encode(): either case of ACGTN
 # maps to its code, every other byte to N.
 _BYTE_CODES = bytes(_CODE.get(chr(byte).upper(), 4) for byte in range(256))
+_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 
 
 def encode(seq: str) -> np.ndarray:
@@ -40,12 +41,15 @@ class SubstitutionModel:
     ``gap`` is the (linear) per-symbol gap penalty, conventionally
     negative.  Instances are immutable so they can be shared freely
     across worker processes.  ``integral`` says whether the matrix and
-    the gap are finite integers (the integer kernels' precondition).
+    the gap are finite integers (the integer kernels' precondition);
+    ``flat`` is the bit-parallel family that covers the model, or
+    ``None`` (see :func:`fragalign.align.bitparallel.flat_model_family`).
     """
 
     matrix: np.ndarray = field(repr=False)
     gap: float
     integral: bool = field(init=False, repr=False, compare=False)
+    flat: tuple[str, float] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
@@ -57,6 +61,7 @@ class SubstitutionModel:
         values = np.append(m, float(self.gap))
         integral = bool(np.isfinite(values).all() and (np.rint(values) == values).all())
         object.__setattr__(self, "integral", integral)
+        object.__setattr__(self, "flat", _flat_family(m[:4, :4], float(self.gap)))
 
     def score(self, a: str, b: str) -> float:
         """Score one character pair (slow path, for tests/examples)."""
@@ -65,6 +70,23 @@ class SubstitutionModel:
     def pair_matrix(self, a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
         """W[i, j] = score of a[i] vs b[j], via a single fancy-index gather."""
         return self.matrix[np.ix_(a_codes, b_codes)]
+
+
+def _flat_family(core: np.ndarray, gap: float) -> tuple[str, float] | None:
+    """:attr:`SubstitutionModel.flat` of an A/C/G/T core and gap."""
+    diag = float(core[0, 0])
+    off = float(core[0, 1])
+    if not (np.all(np.diag(core) == diag) and np.all(core[_OFF_DIAGONAL] == off)):
+        return None
+    if diag > 0 and off == -diag and gap == -diag:
+        c = diag
+    elif diag == 0 and off == gap and gap < 0:
+        c = -off
+    else:
+        return None
+    if not float(2 * c).is_integer():
+        return None
+    return ("unit" if diag > 0 else "lev", c)
 
 
 def unit_dna(match: float = 1.0, mismatch: float = -1.0, gap: float = -1.0) -> SubstitutionModel:

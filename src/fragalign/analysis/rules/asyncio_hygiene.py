@@ -15,7 +15,9 @@ their caller puts them, e.g. an executor):
   it inline is not.
 * **engine-call** — a direct call of ``<...>engine<...>.score/align/
   score_many/align_many`` inside an async body (the batcher's
-  worker-thread contract).
+  contract: a group runs on its worker thread unless
+  ``engine.inline`` calls it bounded, and only then through
+  ``engine.run`` on the loop).
 * **unawaited-coroutine** — an expression-statement call of an
   ``async def`` defined in the same module (``self.foo()`` or bare
   ``foo()``) whose result is discarded: the coroutine never runs.

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -106,6 +106,17 @@ class AlignmentBackend:
         report only the combos their kernels accelerate.
         """
         return True
+
+    def inline(
+        self, op: str, batch: Iterable[PreparedPair], model: SubstitutionModel,
+        specs: Sequence[JobSpec],
+    ) -> bool:
+        """Is the ``op`` (``score``/``align``) batch call on these pairs
+        short enough to run on an event loop?  Decided from the input,
+        never from timings; ``False`` unless the backend bounds it.
+        ``batch`` prepares each pair as it is read, once: an answer the
+        specs settle should leave it unread."""
+        return False
 
     def score(self, p: PreparedPair, model: SubstitutionModel, spec: JobSpec) -> float:
         raise NotImplementedError

@@ -237,8 +237,30 @@ class AlignmentEngine:
         resolved specs differ at most in ``mode`` and route to one
         backend go to it in one call: a group mixing global, overlap and
         local is one call, or one per backend a partial backend splits."""
+        resolved, calls = self._plan(op, specs)
+        preps = [self.prepare(a, b) for a, b in pairs]
+        out = np.empty(len(preps)) if op == "score" else [None] * len(preps)
+        for (be, _), idx in calls.items():
+            values = self._call(be, op, [preps[k] for k in idx], [resolved[k] for k in idx])
+            for k, value in zip(idx, values):
+                out[k] = value
+        return out
+
+    def inline(self, op: str, pairs: Sequence[tuple[str, str]], specs: Sequence[JobSpec]) -> bool:
+        """Whether ``run(op, pairs, specs)`` is bounded: one backend
+        call that its backend calls short (:meth:`AlignmentBackend.inline`).
+        The serving batcher runs a bounded group on its event loop."""
+        resolved, calls = self._plan(op, specs)
+        if len(calls) != 1:
+            return False
+        ((be, _),) = calls
+        return be.inline(op, (self.prepare(a, b) for a, b in pairs), self.model, resolved)
+
+    def _plan(self, op: str, specs: Sequence[JobSpec]) -> tuple[list[JobSpec], dict]:
+        """Each pair's resolved spec, and the pair indices of each
+        backend call keyed by (backend, group key)."""
         routes: dict[JobSpec, tuple[JobSpec, list[int]]] = {}
-        calls: dict[tuple, list[int]] = {}  # (backend, group key) -> pair indices
+        calls: dict[tuple, list[int]] = {}
         resolved = []
         for k, spec in enumerate(specs):
             route = routes.get(spec)
@@ -248,13 +270,7 @@ class AlignmentEngine:
                 route = routes[spec] = (job, calls.setdefault(key, []))
             resolved.append(route[0])
             route[1].append(k)
-        preps = [self.prepare(a, b) for a, b in pairs]
-        out = np.empty(len(preps)) if op == "score" else [None] * len(preps)
-        for (be, _), idx in calls.items():
-            values = self._call(be, op, [preps[k] for k in idx], [resolved[k] for k in idx])
-            for k, value in zip(idx, values):
-                out[k] = value
-        return out
+        return resolved, calls
 
     def _call(self, be: AlignmentBackend, op: str, preps: list, specs: list):
         """One backend batch call, profiled when a profiler is set."""

@@ -43,10 +43,7 @@ from fragalign._native import (
     bitparallel_scores_native,
     striped_local_scores_native,
 )
-from fragalign.align.bitparallel import (
-    bitparallel_scores_batch,
-    flat_model_family,
-)
+from fragalign.align.bitparallel import bitparallel_scores_batch
 from fragalign.align.scoring_matrices import SubstitutionModel
 from fragalign.engine.backends import (
     AlignmentBackend,
@@ -54,9 +51,15 @@ from fragalign.engine.backends import (
     PreparedPair,
 )
 
-__all__ = ["NativeBackend", "HAVE_NATIVE", "NATIVE_ERROR"]
+__all__ = ["NativeBackend", "HAVE_NATIVE", "NATIVE_ERROR", "INLINE_CELLS"]
 
 _SCORE_OPS = ("score", "score_many")
+_BITPARALLEL_MODES = ("global", "overlap")
+
+#: The most DP cells a batch may sum for :meth:`NativeBackend.inline`
+#: (64 pairs of 128 × 128): under a millisecond in the C bit-parallel
+#: kernel, so the serving batcher runs it on its event loop.
+INLINE_CELLS = 1 << 20
 
 # int32 headroom limits mirrored from the C entry point's guard: the
 # striped kernel refuses batches whose scores could approach the lane
@@ -110,11 +113,28 @@ class NativeBackend(AlignmentBackend):
     def accelerates(self, op, model, spec) -> bool:
         if op not in _SCORE_OPS or spec.gap_open is not None:
             return False
-        if spec.mode in ("global", "overlap"):
-            return flat_model_family(model) is not None
+        if spec.mode in _BITPARALLEL_MODES:
+            return model.flat is not None
         if spec.mode == "local":
             return self.use_c and _striped_params(model) is not None
         return False
+
+    def inline(self, op, batch, model, specs) -> bool:
+        """Whether ``score_many`` sends every pair whole to the C
+        bit-parallel kernel (``global``/``overlap``, a flat model, no
+        ``N``) and the batch sums at most :data:`INLINE_CELLS` cells;
+        the striped, numpy and fallback kernels are slower."""
+        if not (self.use_c and op == "score" and model.flat is not None):
+            return False
+        if any(spec.mode not in _BITPARALLEL_MODES or spec.gap_open is not None for spec in specs):
+            return False
+        cells, codes = 0, []
+        for p in batch:
+            cells += len(p.a_codes) * len(p.b_codes)
+            if cells > INLINE_CELLS:
+                return False
+            codes += (p.a_codes, p.b_codes)
+        return not codes or np.concatenate(codes).max(initial=0) <= 3
 
     # -- score verbs --------------------------------------------------
 
@@ -140,7 +160,7 @@ class NativeBackend(AlignmentBackend):
         return out
 
     def _bitparallel_many(self, batch, model, spec, n: int, m: int) -> np.ndarray:
-        family, c = flat_model_family(model)
+        family = model.flat[0]
         mode = spec.mode
         B = len(batch)
         if family == "lev" and mode == "overlap":
@@ -153,23 +173,23 @@ class NativeBackend(AlignmentBackend):
             return np.full(B, (n + m) * float(model.gap))
         acodes = np.stack([p.a_codes for p in batch])
         bcodes = np.stack([p.b_codes for p in batch])
+        if max(acodes.max(), bcodes.max()) <= 3:  # no N: no split
+            return self._bitparallel_kernel(acodes, bcodes, model, mode)
         has_n = (acodes.max(axis=1) > 3) | (bcodes.max(axis=1) > 3)
         out = np.empty(B)
         clean = ~has_n
         if clean.any():
-            ac, bc = acodes[clean], bcodes[clean]
-            if self.use_c:
-                out[clean] = bitparallel_scores_native(
-                    ac, bc, family, mode
-                ) * c
-            else:
-                out[clean] = bitparallel_scores_batch(
-                    list(zip(ac, bc)), model=model, mode=mode
-                )
-        if has_n.any():
-            sub = [p for p, bad in zip(batch, has_n) if bad]
-            out[has_n] = self._numpy.score_many(sub, model, [spec] * len(sub))
+            out[clean] = self._bitparallel_kernel(acodes[clean], bcodes[clean], model, mode)
+        sub = [p for p, bad in zip(batch, has_n) if bad]
+        out[has_n] = self._numpy.score_many(sub, model, [spec] * len(sub))
         return out
+
+    def _bitparallel_kernel(self, acodes, bcodes, model, mode: str) -> np.ndarray:
+        """Scores of N-free same-shape code rows: C, else numpy uint64."""
+        if self.use_c:
+            family, c = model.flat
+            return bitparallel_scores_native(acodes, bcodes, family, mode) * c
+        return bitparallel_scores_batch(list(zip(acodes, bcodes)), model=model, mode=mode)
 
     def _local_many(self, batch, model, spec, n: int, m: int) -> np.ndarray:
         if n == 0 or m == 0:

@@ -11,14 +11,16 @@ across shards for free; :func:`top_rows` turns either a live registry
 or a scraped exposition into the per-family throughput table behind
 ``fragalign top``.
 
-Recording runs on the batcher's worker thread while the event-loop
-thread scrapes the same registry (the ``metrics`` op, ``fragalign
-top``, the SLO sampler).  That cross-thread read is why there are
-locks: each instrument's own lock keeps its values exact under a
-concurrent scrape, and :meth:`record` also holds one profiler-level
-lock around its cross-instrument update so that recorders on more
-than one thread (a library engine shared across threads) never
-interleave their per-dispatch updates.
+Recording runs where the batcher runs the engine call: on its worker
+thread, or on the event-loop thread for a bounded group
+(:meth:`~fragalign.engine.AlignmentEngine.inline`), while the
+event-loop thread scrapes the same registry (the ``metrics`` op,
+``fragalign top``, the SLO sampler).  That cross-thread read is why
+there are locks: each instrument's own lock keeps its values exact
+under a concurrent scrape, and :meth:`record` also holds one
+profiler-level lock around its cross-instrument update so that
+recorders on more than one thread (a library engine shared across
+threads) never interleave their per-dispatch updates.
 """
 
 from __future__ import annotations

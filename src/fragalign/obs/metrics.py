@@ -20,8 +20,9 @@ Design constraints, in order:
   :func:`parse_exposition` + :func:`merge_expositions` implement the
   scrape side.
 * **Thread-safe.**  The batcher's worker thread records kernel
-  timings while the event loop records request latencies; every
-  instrument mutation holds a lock for O(1) work only.
+  timings (the event loop does, for the bounded groups it runs) while
+  the event loop records request latencies; every instrument mutation
+  holds a lock for O(1) work only.
 
 Quantiles are estimated from the cumulative bucket counts with linear
 interpolation inside the owning bucket, so the estimate is exact to

@@ -24,10 +24,13 @@ slot (the ``coalesced`` stat counts the N-1 free riders).  A job's
 result goes into the result cache before the job leaves the table, so
 a twin request always finds either the job or its answer.
 
-Engine calls are CPU-bound, so they run on a dedicated single worker
-thread: the event loop keeps accepting (and queueing) the *next* batch
-while the current one computes.  The single worker also serializes
-engine access, so the engine's memoized prep needs no lock.
+Engine calls are CPU-bound, so a group runs on a dedicated single
+worker thread: the event loop keeps accepting (and queueing) the
+*next* batch while the current one computes.  A group the engine calls
+bounded (:meth:`AlignmentEngine.inline`: sub-millisecond native
+scores) runs on the event loop instead, where it costs less than the
+hop to the worker.  Each group is awaited before the next starts, so
+engine access stays serialized and its memoized prep needs no lock.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ import asyncio
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 
 from fragalign.engine.facade import AlignmentEngine
 from fragalign.job import JobSpec, mode_label
@@ -91,9 +93,11 @@ class MicroBatcher:
     Parameters
     ----------
     engine:
-        Any object with ``run(op, pairs, specs)``, one spec per pair
-        (normally an :class:`AlignmentEngine`; tests substitute
-        counting wrappers).
+        Any object with ``run(op, pairs, specs)``, one spec per pair,
+        and ``inline(op, pairs, specs)``, True when that call may run
+        on the event loop (normally an :class:`AlignmentEngine`; tests
+        substitute counting wrappers, and one whose ``run`` blocks or
+        raises must answer False).
     max_batch:
         The most distinct jobs one batch dispatches; ``1`` serves
         request by request (the foil the benchmark measures against).
@@ -265,11 +269,17 @@ class MicroBatcher:
         for job in batch:
             groups.setdefault(job.spec.group_key(job.op), []).append(job)
         for (op, *_), group in groups.items():
+            pairs = [job.pair for job in group]
             specs = [job.spec for job in group]
-            call = partial(self.engine.run, op, [job.pair for job in group], specs)
             compute_start = time.perf_counter()
             try:
-                values = await self._loop.run_in_executor(self._executor, call)
+                if self.engine.inline(op, pairs, specs):
+                    # Bounded: cheaper here than the hop to the worker.
+                    values = self.engine.run(op, pairs, specs)
+                else:
+                    values = await self._loop.run_in_executor(
+                        self._executor, self.engine.run, op, pairs, specs
+                    )
                 values = list(map(_WIRE[op], values))
             except Exception as exc:
                 for job in group:
@@ -279,8 +289,8 @@ class MicroBatcher:
             if traced:
                 compute_s = time.perf_counter() - compute_start
                 start = time.time() - compute_s
-                # Worker-thread engine call for this job's whole
-                # dispatch group (queue + kernels); one shared tags
+                # The engine call for this job's whole dispatch group
+                # (inline, or worker queue + kernels); one shared tags
                 # dict for the group — read-only downstream.
                 tags = {"op": op, "group": len(group), "mode": mode_label(specs)}
                 shared = []
@@ -309,5 +319,6 @@ class MicroBatcher:
             await asyncio.gather(*pending, return_exceptions=True)
 
     def close(self) -> None:
-        """Release the worker thread (does not close the engine)."""
+        """Release the worker thread, if one started (does not close
+        the engine)."""
         self._executor.shutdown(wait=True)

@@ -157,7 +157,7 @@ class AlignmentService:
         service = AlignmentService(ServiceConfig(port=0))
         await service.start()          # binds; service.port is real now
         await service.wait_closed()    # until a shutdown request/stop()
-        service.close()                # release engine + worker thread
+        service.close()                # release engine + batcher worker thread
     """
 
     def __init__(
@@ -296,7 +296,8 @@ class AlignmentService:
             await self._server.wait_closed()
 
     def close(self) -> None:
-        """Release the batcher worker thread and the engine's backend."""
+        """Release the batcher worker thread (if a group ever needed it)
+        and the engine's backend."""
         self.batcher.close()
         self.engine.close()
         if self.journal is not None:

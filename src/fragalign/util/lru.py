@@ -30,8 +30,9 @@ class LRUCache:
     Thread-safe: every operation (lookup, insert, eviction, counter
     update) holds one internal lock, because the same instance is now
     shared across threads — the engine's encode memo is touched from
-    the batcher worker thread, the service result cache from the event
-    loop, and cluster cache warmers replay keysets from their own
+    the batcher worker thread (and from the event loop for the bounded
+    groups the batcher runs there), the service result cache from the
+    event loop, and cluster cache warmers replay keysets from their own
     threads.  The lock is held only for O(1) OrderedDict work, never
     while computing values.
     """

@@ -270,16 +270,21 @@ class TestNativeBackend:
                 assert list(nat.score_many(pairs, mode="local")) == [7.0, 3.0, 7.0]
 
     def test_n_pairs_split_from_bitparallel_path(self):
+        # One 40 x 40 bucket: N-carrying pairs mixed with clean ones,
+        # then clean pairs alone, on the C kernel and on the fallback.
         rng = np.random.default_rng(5)
         pairs = [
             (_rand_seq(rng, 40, "ACGTN"), _rand_seq(rng, 40, "ACGTN"))
             for _ in range(8)
-        ]
-        with AlignmentEngine(backend="native") as eng:
-            got = eng.score_many(pairs)
-        with AlignmentEngine(backend="numpy") as eng:
-            want = eng.score_many(pairs)
-        assert np.array_equal(got, want)
+        ] + [(_rand_seq(rng, 40, "ACGT"), _rand_seq(rng, 40, "ACGT")) for _ in range(4)]
+        with AlignmentEngine(backend="numpy") as ref:
+            for force_fallback in (False, True):
+                with AlignmentEngine(backend=NativeBackend(force_fallback=force_fallback)) as native:
+                    for batch in (pairs, pairs[8:]):
+                        for mode in ("global", "overlap"):
+                            got = native.score_many(batch, mode=mode)
+                            want = ref.score_many(batch, mode=mode)
+                            assert np.array_equal(got, want), (force_fallback, mode)
 
 
 class TestFacadeRouting:

@@ -215,6 +215,9 @@ class CountingEngine:
         self.calls.append((op, len(pairs)))
         return self._engine.run(op, pairs, specs)
 
+    def inline(self, op, pairs, specs):
+        return self._engine.inline(op, pairs, specs)
+
 
 class GatedEngine:
     """Engine whose calls block on the batcher's worker thread until the
@@ -228,6 +231,9 @@ class GatedEngine:
         self.specs: list[list[JobSpec]] = []  # and each pair's spec
         self.returned = 0
         self.peak = 0  # most calls in flight at once
+
+    def inline(self, op, pairs, specs):
+        return False  # a call blocks at the gate: never on the loop
 
     def run(self, op, pairs, specs):
         with self._cond:
@@ -593,6 +599,9 @@ class TestMicroBatcher:
 
     def test_engine_error_propagates_to_all_waiters(self):
         class ExplodingEngine:
+            def inline(self, op, pairs, specs):
+                return False
+
             def run(self, op, pairs, specs):
                 raise RuntimeError("kernel on fire")
 
@@ -618,6 +627,9 @@ class TestMicroBatcher:
         class AffineExplodes:
             def __init__(self) -> None:
                 self._engine = AlignmentEngine()
+
+            def inline(self, op, pairs, specs):
+                return False
 
             def run(self, op, pairs, specs):
                 if any(spec.gap_open is not None for spec in specs):
