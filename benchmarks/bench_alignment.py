@@ -125,8 +125,9 @@ def run_engine_bench(n_pairs: int = 200, length: int = 256, seed: int = 2026) ->
     one pair, including each strategy's peak allocation
     (``peak_mb``, via tracemalloc — NumPy reports its buffers there —
     in a pass of its own, apart from the timed ones).  Every row but
-    ``numpy_ragged_mixed_many`` sweeps pairs of ``length`` on each side;
-    that one sweeps the served ragged shape.
+    ``numpy_ragged_mixed_many`` and ``numpy_ragged_affine_many`` sweeps
+    pairs of ``length`` on each side; those sweep the served ragged shape,
+    with linear and with -3/-1 affine gaps.
     """
     gen = np.random.default_rng(seed)
     pairs = [(random_dna(length, gen), random_dna(length, gen)) for _ in range(n_pairs)]
@@ -177,20 +178,31 @@ def run_engine_bench(n_pairs: int = 200, length: int = 256, seed: int = 2026) ->
         assert list(mixed_scores) == [by_mode[s.mode][k] for k, s in enumerate(specs)]
         # The served shape: each side's length uniform in [length/8,
         # 3·length/2), the modes cycling, run as closed-loop dispatch
-        # groups of 24 pairs, score then align.  Its rate counts each
-        # verb's pass over the pairs' own cells.
+        # groups, score then align, every answer checked against its
+        # pair alone.  Its rate counts each verb's pass over the pairs'
+        # own cells.
         rag_gen = np.random.default_rng(seed + 1)
         rag_lens = rag_gen.integers(length // 8, 3 * length // 2, (n_pairs, 2))
         ragged = [(random_dna(int(n), rag_gen), random_dna(int(m), rag_gen)) for n, m in rag_lens]
-        groups = [(ragged[k : k + 24], specs[k : k + 24]) for k in range(0, n_pairs, 24)]
-        t, rag_out = time_call(
-            lambda: [(eng.run("score", p, s), eng.run("align", p, s)) for p, s in groups], repeat=3
-        )
-        record("numpy_ragged_mixed_many", t, 2 * int(np.prod(rag_lens, axis=1).sum()))
-        for (group, group_specs), (scores, alns) in zip(groups, rag_out):
-            for pair, spec, score, aln in zip(group, group_specs, scores, alns):
-                assert eng.run("score", [pair], [spec])[0] == score
-                assert eng.run("align", [pair], [spec])[0] == aln
+        rag_cells = 2 * int(np.prod(rag_lens, axis=1).sum())
+
+        def served(specs: list, size: int) -> float:
+            groups = [(ragged[k : k + size], specs[k : k + size]) for k in range(0, n_pairs, size)]
+            t, outs = time_call(
+                lambda: [(eng.run("score", p, s), eng.run("align", p, s)) for p, s in groups],
+                repeat=3,
+            )
+            for (group, group_specs), (scores, alns) in zip(groups, outs):
+                for pair, spec, score, aln in zip(group, group_specs, scores, alns):
+                    assert eng.run("score", [pair], [spec])[0] == score
+                    assert eng.run("align", [pair], [spec])[0] == aln
+            return t
+
+        # Linear gaps in groups of 24; the affine requests' groups hold
+        # ~6 pairs of a fragments-align batch.
+        record("numpy_ragged_mixed_many", served(specs, 24), rag_cells)
+        affine = [JobSpec(s.mode, gap_open=-3.0, gap_extend=-1.0) for s in specs]
+        record("numpy_ragged_affine_many", served(affine, 6), rag_cells)
 
     # Native-backend rows, A/B-interleaved.  Methodology: contenders
     # alternate in round-robin over AB_ROUNDS rounds on the SAME

@@ -53,6 +53,9 @@ KEY_ROWS = (
     "numpy_overlap_score_many",
     "numpy_mixed_mode_score_many",
     "numpy_ragged_mixed_many",
+    # The served affine shape: a fragments-align batch's affine groups
+    # take ~40 % of its kernel CPU for ~20 % of its requests.
+    "numpy_ragged_affine_many",
     "numpy_affine_align_many",
     "numpy_affine_score_many",
     "bitparallel_numpy_score_many",

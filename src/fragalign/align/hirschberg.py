@@ -1,7 +1,7 @@
 """Linear-memory alignment with *exact* traceback reproduction.
 
 The direction-tensor traceback of the batched kernels holds one packed
-byte per DP cell — an ``(n, B, m)`` tensor.  At 32k x 32k that is a
+byte per DP cell — an ``(n, Σ(mₖ + 1))`` tensor.  At 32k x 32k that is a
 gigabyte per pair, which caps pair length long before the hardware
 does.  This module recovers the **byte-identical** alignment in
 near-linear memory with a Hirschberg-style divide and conquer:
@@ -43,6 +43,7 @@ import numpy as np
 from fragalign.align.pairwise import (
     Alignment,
     _empty_side,
+    _Pack,
     _sweep_dtype,
     _sweep_ends,
     _sweep_linear,
@@ -88,11 +89,9 @@ class _LinearWalk:
     def _sweep(self, lo: int, hi: int, F_lo: np.ndarray, je: int, D=None):
         """Sweep rows (lo, hi] over columns 0..je from checkpoint
         ``F_lo``; returns the new frontier row (f-space, length je+1)."""
-        A = self.ac[lo:hi][None, :]
-        Bm = self.bc[:je][None, :]
-        F0 = F_lo[None, : je + 1]
-        F, _, _, _ = _sweep_linear(A, Bm, self.model, self.mode, D=D, F0=F0, i0=lo, dt=self.dt)
-        return F[0, : je + 1].copy()
+        pk = _Pack([(self.ac[lo:hi], self.bc[:je])])
+        F0 = F_lo[: je + 1]
+        return _sweep_linear(pk, self.model, self.mode, D=D, F0=F0, i0=lo, dt=self.dt)[0]
 
     # -- the recursion ------------------------------------------------
 
@@ -113,14 +112,14 @@ class _LinearWalk:
         if rows == 0:
             return je
         if rows * je <= self.block_cells or rows <= 1:
-            D = np.empty((rows, 1, je), dtype=np.uint8)
+            D = np.empty((rows, je + 1), dtype=np.uint8)
             F_hi = self._sweep(lo, hi, F_lo, je, D=D)
             if hi == len(self.ac) and self.corner is None:
                 # The first base case is always the bottom-right block
                 # (the bottom chain never shrinks rows or columns), so
                 # its frontier carries the corner value for the score.
                 self.corner = float(F_hi[je])
-            walked, i_rel, j_stop = _walk(D[:, 0, :].tobytes(), je, rows, je)
+            walked, i_rel, j_stop = _walk(D[:, 1:].tobytes(), je, rows, je)
             if walked:
                 self.segments.append([(lo + ri, cj) for ri, cj in walked])
             if i_rel == 0 and j_stop > 0:
@@ -182,7 +181,7 @@ def linear_align(  # parity-oracle: hirschberg_align_reference
 
     # Overlap and local: a score sweep finds the end cell (overlap ends
     # in row n), then the walk runs back from it.
-    score, ends_i, ends_j, _ = _sweep_ends(ac[None, :], bc[None, :], model, mode, dt=dt)
+    score, ends_i, ends_j, _ = _sweep_ends(_Pack([(ac, bc)]), model, mode, dt=dt)
     score, ei, ej = float(score[0]), int(ends_i[0]), int(ends_j[0])
     if ei == 0 or ej == 0:  # empty alignment: the walk starts and ends here
         return Alignment(score, (), (ei, ei), (ej, ej))

@@ -24,31 +24,37 @@ everywhere: diagonal, then up, then left (then stop).
 
 The sixteen ``*_batch`` kernels share one driver, :func:`_batch`.  It
 answers pairs with an empty side from one table and sweeps the rest in
-lockstep chunks of up to ``chunk`` pairs (the frontier is a (batch,
-m+1) matrix and every DP row costs one set of NumPy ops for the entire
-batch).  Pairs may differ in shape: a chunk is padded to its widest
-pair with the pad code :data:`_PAD`, whose row and column in every
-gather table are ``_NEG``, so no cell of a pair's own table reads a
-padded one.  The linear and affine sweeps **retire rows**: a pair
-leaves the sweep after its own last row nₖ, so a chunk sweeps Σnₖ
-rows of its width, and :func:`_chunks` plans those chunks in column
-order under a padding bound on exactly that count (banded sweeps run
-every row of the chunk and are planned in row order).  The driver
-reads each pair's own end cell, score and affine end state, and walks
-the direction codes.  Pairs may differ in mode too, and a chunk
-mixing global, overlap and local sweeps once (banded never mixes).  A
-linear or affine chunk lays its rows out as [local pairs by nₖ
-ascending | global and overlap pairs by nₖ descending], so at DP row
-i the pairs still inside their own rows are one slice, local pairs
+lockstep chunks of up to ``chunk`` pairs, so every DP row costs one set
+of NumPy ops for the whole chunk.  Pairs may differ in shape.  A
+linear or affine chunk is **packed** (:class:`_Pack`): its pairs lie
+end to end in one DP row of Σ(mₖ + 1) cells, pair k's column 0 its
+boundary cell, written from a per-row table after the diagonal and up
+moves.  The sweeps **retire rows**: a pair leaves the sweep after its
+own last row nₖ, so a chunk sweeps exactly Σnₖ · (mₖ + 1) cells, its
+pairs' own, and :func:`_chunks` plans it as a plain run of ``chunk``
+pairs.  The rows are laid out as [local pairs by nₖ ascending | global
+and overlap pairs by nₖ descending], so at DP row i the pairs still
+inside their own rows are one contiguous column range, local pairs
 leaving from its front and the others from its back, and the local
 ones among them — whose clamp and best tracking cost each row fixed
-NumPy calls — are one sub-slice.  Global and overlap differ only in
-their j = 0 boundary, written from a per-row table, and in their
-readout.  The row loop runs over :func:`_segments`, the runs of rows
-sharing one live slice, and builds its views once a run, so a
-one-pair or uniform chunk is one run of whole-buffer ops.  Once a
-batch's local pairs and its other pairs each fill a chunk, the two
-classes are planned apart.
+NumPy calls — are one sub-range.  Global and overlap differ only in
+their boundary and their readout.  One ``np.maximum.accumulate`` over
+the live range serves every pair because pair k's values carry the
+offset k · span (:func:`_span`), more than twice any pair's value
+range: the recurrences only add and take maxima, so the offset, written
+once into row 0 and the boundary table, costs nothing a row, and no
+pair's prefix max carries into the next; the readouts subtract it.
+The row loop runs over :func:`_packed_runs`, the runs of rows sharing
+one live range (:func:`_segments`), which also gathers each block of
+rows' substitution scores with one row-copy ``take`` per pair; it
+builds its views once a run, so a one-pair or uniform chunk is one run
+of whole-row ops.  Once a batch's local pairs and its other pairs each
+fill a chunk, the two classes are planned apart.  A banded chunk keeps
+the diagonal layout: it is padded to its longest pair with the pad
+code :data:`_PAD`, whose row and column in the gather table are
+``_NEG``, runs every row of every pair and is planned in row order
+under a padding bound.  The driver reads each pair's own end cell,
+score and affine end state, and walks the direction codes.
 The scalar entry points (:func:`global_align`, :func:`local_align`,
 ...) are the batch kernels at batch size 1, so *every* traceback in
 the system goes through the direction-code walk.  That holds for
@@ -58,16 +64,19 @@ size, one pair included (see the banded kernels' comment).  The
 the parity tests.
 
 The linear and affine sweeps compute in one of two dtypes, which
-:func:`_sweep_dtype` picks once per call from the model, the gaps and
-the longest sides.  When the matrix, the linear gap and the affine
-gaps are finite integers and (n + m + 2) times their largest magnitude
-stays under 2**26 (:data:`_INT_HEADROOM`), every cell is an exact
-integer under 2**27 in magnitude and the sweep runs in int32, where a
+:func:`_sweep_dtype` picks once per call from the model, the gaps, the
+longest sides and the most pairs a chunk holds.  When the matrix, the
+linear gap and the affine gaps are finite integers and B · (n + m + 2)
+times their largest magnitude stays under 2**26
+(:data:`_INT_HEADROOM`), every cell, offset included, is an exact
+integer under 2**28 in magnitude and the sweep runs in int32, where a
 row's adds, maxima and prefix max cost 0.5-0.7x of float64's; -2**28
 (:data:`_INT_NEG`) stands for both -inf and ``_NEG``.  Otherwise it runs
 in float64.  Both dtypes compute the same integers and the same
 direction codes, and scores return to float64 at the readout, so an
-answer's bytes do not depend on the dtype.  Banded sweeps stay float64.
+answer's bytes do not depend on the dtype.  When the values are not
+integers, an offset would round them differently from the pair swept
+alone, so each pair sweeps alone.  Banded sweeps stay float64.
 """
 
 from __future__ import annotations
@@ -114,14 +123,15 @@ __all__ = [
 ]
 
 _NEG = -1e30  # effectively -inf while staying finite for arithmetic
-_PAD = 5  # pads a chunk past a pair's own end; encode() emits only 0-4
+_PAD = 5  # pads a banded chunk past a pair's own end; encode() emits only 0-4
 
 _F64, _I32 = np.dtype(np.float64), np.dtype(np.int32)
 #: An int32 sweep's stand-in for both -inf and ``_NEG``.
 _INT_NEG = -(1 << 28)
-#: Sweeps run in int32 while (n + m + 2) times the largest per-cell step
-#: stays under this, so every cell stays under 2**27 in magnitude and a
-#: sentinel plus a cell stays far inside int32.
+#: Sweeps of B packed pairs run in int32 while B · (n + m + 2) times the
+#: largest per-cell step stays under this, so every cell, offset
+#: included, stays under 2**28 in magnitude, no real cell falls below
+#: -2**27, and a sentinel plus a cell stays far inside int32.
 _INT_HEADROOM = 1 << 26
 #: Each sweep dtype's (-inf, ``_NEG``).
 _LOW = {_F64: (-np.inf, _NEG), _I32: (_INT_NEG, _INT_NEG)}
@@ -159,17 +169,38 @@ def _as_codes(seq: str | np.ndarray) -> np.ndarray:
     return seq if isinstance(seq, np.ndarray) else encode(seq)
 
 
-def _sweep_dtype(
-    model: SubstitutionModel, gaps: tuple[float, float] | None, n: int, m: int
-) -> np.dtype:
-    """int32 when every cell of an (n, m) sweep is an exact small integer:
-    the matrix, the gap and ``gaps`` are integers and (n + m + 2) times
-    the largest of their magnitudes is under :data:`_INT_HEADROOM`.
-    float64 otherwise."""
+def _step(model: SubstitutionModel, gaps: tuple[float, float] | None) -> float | None:
+    """The largest magnitude of the matrix, the gap and ``gaps`` when all
+    are finite integers, else ``None``."""
     if not model.integral or not all(float(x).is_integer() for x in gaps or ()):
-        return _F64
-    step = max(np.abs(model.matrix).max(), abs(model.gap), *map(abs, gaps or ()))
-    return _I32 if (n + m + 2) * step < _INT_HEADROOM else _F64
+        return None
+    return max(np.abs(model.matrix).max(), abs(model.gap), *map(abs, gaps or ()))
+
+
+def _sweep_dtype(
+    model: SubstitutionModel, gaps: tuple[float, float] | None, n: int, m: int, B: int = 1
+) -> np.dtype:
+    """int32 when every cell of a packed sweep of B pairs of at most (n,
+    m), offsets included, is an exact small integer: the matrix, the gap
+    and ``gaps`` are integers and B · (n + m + 2) times the largest of
+    their magnitudes is under :data:`_INT_HEADROOM`.  float64 otherwise."""
+    step = _step(model, gaps)
+    return _I32 if step is not None and B * (n + m + 2) * step < _INT_HEADROOM else _F64
+
+
+def _span(
+    model: SubstitutionModel, gaps: tuple[float, float] | None, n: int, m: int, B: int
+) -> int | None:
+    """The offset between adjacent pairs' values in a packed row of up to
+    B pairs of at most (n, m): 4 · (n + m + 2) · step.  Every value of a
+    pair, its cells and the affine prefix terms alike, lies strictly
+    within ±2 · (n + m + 2) · step of its offset, so each pair's values
+    all lie above the last pair's.  ``None`` when an offset could round:
+    the values are not integers, or B offsets would pass 2**52."""
+    step = _step(model, gaps)
+    if step is None or 4 * B * (n + m + 2) * step >= 1 << 52:
+        return None
+    return int(4 * (n + m + 2) * step)
 
 
 def _padded(table: np.ndarray) -> np.ndarray:
@@ -184,11 +215,9 @@ class _Ends:
     """Each pair's frontier rows, saved when a padded sweep ends the pair's
     own last row nₖ (``nk`` ``None``: the final rows are every pair's)."""
 
-    def __init__(
-        self, nk: np.ndarray | None, B: int, M: int, count: int, dt: np.dtype = _F64
-    ) -> None:
+    def __init__(self, nk: np.ndarray | None, B: int, M: int, count: int) -> None:
         self.stops = {} if nk is None else {int(r): np.flatnonzero(nk == r) for r in np.unique(nk)}
-        self.rows = [np.empty((B, M), dt) for _ in range(count if self.stops else 0)]
+        self.rows = [np.empty((B, M)) for _ in range(count if self.stops else 0)]
 
     def save(self, i: int, *rows: np.ndarray) -> None:
         """Keep the pairs whose last row is ``i``."""
@@ -201,39 +230,45 @@ class _Ends:
         return self.rows if self.stops else list(final)
 
 
-def _column_cap(mk: np.ndarray, M: int, dt: np.dtype) -> np.ndarray:
-    """(B, M) ``+inf`` over each pair's columns 0..mₖ, ``-inf`` past them
-    (in ``dt``'s stand-ins): ``np.minimum`` with it keeps a pair's cells
-    and no padded one wins."""
-    low = _LOW[dt][0]
-    return np.where(np.arange(M) <= mk[:, None], -low, low).astype(dt, copy=False)
+class _Pack:
+    """A linear or affine chunk's pairs laid end to end in one DP row of
+    W = Σ(mₖ + 1) cells, in :func:`_layout`'s row order.  Pair k owns
+    columns c[k] .. c[k] + mₖ, the first its j = 0 boundary cell, and
+    when ``span`` is given its values carry the offset k · span."""
 
+    __slots__ = ("a", "nk", "c", "W", "n", "bcodes", "span", "off")
 
-def _first_best(hrow: np.ndarray, mk: np.ndarray | None) -> np.ndarray:
-    """Each row's first maximum over its pair's columns 0..mₖ.  Padding is
-    masked, as it can outscore them: under a positive linear gap, or by
-    affine X/Y zig-zags paying 2 × open a row where a gap pays one extend."""
-    if mk is not None:
-        np.minimum(hrow, _column_cap(mk, hrow.shape[1], hrow.dtype), out=hrow)
-    return np.argmax(hrow, axis=1)
+    def __init__(self, pairs: Sequence[tuple[np.ndarray, np.ndarray]], span: int = 0) -> None:
+        self.a = [a for a, _ in pairs]
+        self.nk = np.array([a.size for a in self.a])
+        self.c = np.r_[0, np.cumsum([b.size + 1 for _, b in pairs])]
+        self.W, self.n = int(self.c[-1]), int(self.nk.max())
+        self.bcodes = np.zeros(self.W, np.uint8)  # b's codes, one column right of each boundary
+        for k, (_, b) in enumerate(pairs):
+            self.bcodes[self.c[k] + 1 : self.c[k + 1]] = b
+        self.span = span if len(pairs) > 1 else 0
+        self.off = np.arange(len(pairs)) * self.span
+
+    def columns(self, dt: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+        """Each cell's column j in its pair, and its pair's offset, in ``dt``."""
+        mk1 = np.diff(self.c)
+        js = np.arange(self.W) - np.repeat(self.c[:-1], mk1)
+        return js.astype(dt), np.repeat(self.off, mk1).astype(dt)
 
 
 def _layout(mode: str | Sequence[str], B: int) -> tuple[int, np.ndarray]:
-    """A chunk's local row count L and which of its B rows are global.
-    ``mode`` is every row's mode, or each row's own with the local rows
-    first (the row order :func:`_batch` lays a chunk out in)."""
+    """A chunk's local pair count L and which of its B pairs are global.
+    ``mode`` is every pair's mode, or each pair's own with the local
+    pairs first (the order :func:`_batch` lays a chunk out in)."""
     modes = [mode] * B if isinstance(mode, str) else list(mode)
     return modes.count("local"), np.array([md == "global" for md in modes])
 
 
-def _segments(nk: np.ndarray | None, L: int, n: int, B: int) -> list[tuple[int, ...]]:
+def _segments(nk: np.ndarray, L: int) -> list[tuple[int, ...]]:
     """The runs of DP rows that share one set of live pairs, as (first
-    row, row past the last, lo, hi): rows lo..hi-1 are the pairs still
-    inside their own rows.  Rows [0, L) hold local pairs by nₖ ascending
-    and the rest global and overlap pairs by nₖ descending, so pairs
-    leave from both ends (``nk`` ``None``: every pair's last row is n)."""
-    if nk is None:
-        return [(1, n + 1, 0, B)]
+    row, row past the last, lo, hi): pairs lo..hi-1 are still inside
+    their own rows.  Pairs [0, L) are local by nₖ ascending and the rest
+    global and overlap by nₖ descending, so pairs leave from both ends."""
     stops = np.unique(nk)
     starts = np.r_[1, stops[:-1] + 1]
     lo = np.searchsorted(nk[:L], starts)
@@ -252,21 +287,37 @@ def _check_band(n, m, band) -> int:
     return int(band)
 
 
-class _Frontier:
-    """Three rotating (B, M) row buffers of dtype ``dt``: ``prev`` (last
-    finished row), ``cur`` (this row before left-extension) and ``acc``
-    (this row after)."""
+#: A packed sweep gathers its rows' substitution scores in blocks of at
+#: most this many bytes (rows · W · itemsize), so a block stays small
+#: beside the direction tensor and the walks' copies of it.
+_PACK_GATHER_BYTES = 3 << 20
 
-    __slots__ = ("prev", "cur", "acc")
 
-    def __init__(self, B: int, M: int, dt: np.dtype = _F64) -> None:
-        self.prev = np.full((B, M), _LOW[dt][0], dt)
-        self.cur = np.full((B, M), _LOW[dt][0], dt)
-        self.acc = np.full((B, M), _LOW[dt][0], dt)
-
-    def advance(self) -> None:
-        """The accumulated row becomes ``prev``; old ``prev`` is scratch."""
-        self.prev, self.acc = self.acc, self.prev
+def _packed_runs(
+    pk: _Pack, L: int, T: np.ndarray
+) -> Iterator[tuple[int, int, int, int, np.ndarray]]:
+    """Yield the runs of a packed sweep's DP rows 1..n as (first row, row
+    past the last, lo, hi, S): pairs lo..hi-1 are still inside their own
+    rows (see :func:`_segments`), and S holds the run's rows' substitution
+    scores, (rows, W).  They are gathered from the per-code table ``T``
+    ((5, W)) a block of rows at a time under :data:`_PACK_GATHER_BYTES`,
+    one row-copy ``take`` per live pair, so a run also ends at each
+    block's end."""
+    c, n = pk.c, pk.n
+    block = max(1, _PACK_GATHER_BYTES // (pk.W * T.itemsize))
+    S = np.empty((min(block, n), pk.W), T.dtype)
+    base = 1
+    for s, e, lo, hi in _segments(pk.nk, L):
+        while s < e:
+            if (s - 1) % block == 0:  # a block's first run gathers the block
+                base = s
+                for k in range(lo, hi):
+                    rows = pk.a[k][s - 1 : s - 1 + block]
+                    cols = slice(c[k], c[k + 1])
+                    np.take(T[:, cols], rows, axis=0, out=S[: rows.size, cols], mode="clip")
+            stop = min(e, base + block)
+            yield s, stop, lo, hi, S[s - base : stop - base]
+            s = stop
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +364,6 @@ def _walk(
     return rev, i, j
 
 
-def _pair_bytes(D: np.ndarray, k: int, rows: int) -> bytes:
-    """Row-major bytes of the first ``rows`` rows of pair ``k``'s code
-    matrix from the (n, B, m) direction tensor (one strided copy; bytes
-    indexing is the fastest per-step read Python offers)."""
-    return D[:rows, k, :].tobytes()
-
-
 # ---------------------------------------------------------------------------
 # Linear-gap global, overlap and local kernels.
 #
@@ -339,117 +383,110 @@ def _pair_bytes(D: np.ndarray, k: int, rows: int) -> bytes:
 
 
 def _sweep_linear(
-    A: np.ndarray,
-    Bm: np.ndarray,
+    pk: _Pack,
     model: SubstitutionModel,
     mode: str | Sequence[str],
     D: np.ndarray | None = None,
     F0: np.ndarray | None = None,
     i0: int = 0,
-    nk: np.ndarray | None = None,
-    mk: np.ndarray | None = None,
     dt: np.dtype = _F64,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Forward linear-gap sweep in global/overlap/local: ``mode`` is
-    every pair's, or each pair's own in :func:`_layout`'s row order.
-    It computes in ``dt`` (see :func:`_sweep_dtype`), and so do the rows
-    and bests it returns.
+    """Forward linear-gap sweep of a packed chunk in global/overlap/local:
+    ``mode`` is every pair's, or each pair's own in :func:`_layout`'s row
+    order.  It computes in ``dt`` (see :func:`_sweep_dtype`), and so do
+    the rows and bests it returns.
 
-    Returns (last, best, best_i, best_j): ``last`` is each pair's
-    f-space row at its own last row (``nk``/``mk``: the pairs' lengths
-    in a padded chunk, its rows ordered as :func:`_segments` reads
-    them; a pair leaves the sweep after its own last row).  In local
-    rows ``best*`` are each pair's best cell of its own (earliest row,
-    then earliest column on ties, as ``np.argmax`` over its table;
-    ``best_i`` counts rows within this sweep); in the other rows they
-    are zeros.  Emits direction codes into ``D`` ((n, B, m) uint8) on
-    each pair's own rows when given.
+    Returns (last, best, best_i, best_j): ``last`` is the (W,) f-space
+    row holding each pair's own last row nₖ, offsets included; a pair
+    leaves the sweep after that row.  In local rows ``best*`` are each
+    pair's best cell (earliest row, then earliest column on ties, as
+    ``np.argmax`` over its table; ``best_i`` counts rows within this
+    sweep); in the other rows they are zeros.  Emits direction codes
+    into ``D`` ((n, W) uint8) on each pair's own rows when given; a
+    pair's boundary column holds no code.
 
-    ``F0`` is an optional initial frontier (f-space, shape (B, m+1)) —
-    the checkpoint row a linear-memory walk restarts from; ``i0`` is
-    that row's absolute index (the overlap boundary and the local
-    zero-cell clamp depend on it).  Defaults reproduce a sweep from
+    ``F0`` is an optional initial frontier of one pair (f-space, shape
+    (m+1,)) — the checkpoint row a linear-memory walk restarts from;
+    ``i0`` is that row's absolute index (the overlap boundary and the
+    local zero-cell clamp depend on it).  Defaults reproduce a sweep from
     row 0.
     """
     g = dt.type(model.gap)
-    B, n = A.shape
-    m = Bm.shape[1]
-    M = m + 1
-    L, glob = _layout(mode, B)  # rows [0, L) local, the rest global or overlap
-    P2 = _padded(model.matrix.astype(dt) - 2 * g)[:, Bm]  # per-code diag rows, pre-shifted
-    bidx = np.arange(B)
-    negjs = -g * np.arange(M, dtype=dt)
-    # Each row's j = 0 boundary: 0 on global rows; overlap's is local's zero cell.
-    edge = np.where(glob, 0, -g * (i0 + np.arange(n + 1))[:, None]).astype(dt)
-    fr = _Frontier(B, M, dt)
+    B, W, c = len(pk.a), pk.W, pk.c
+    L, glob = _layout(mode, B)  # pairs [0, L) local, the rest global or overlap
+    cl = int(c[L])  # the local pairs' columns end here
+    T = (model.matrix.astype(dt) - 2 * g)[:, pk.bcodes]  # per-code diag scores, pre-shifted
+    js, offc = pk.columns(dt)
+    negjs = -g * js
+    # Each row's j = 0 boundary: 0 on global pairs; overlap's is local's zero cell.
+    edge = np.where(glob, 0, -g * (i0 + np.arange(pk.n + 1))[:, None]).astype(dt)
+    if pk.span:
+        negjs += offc
+        edge += pk.off.astype(dt)
+    bufs = [np.empty(W, dt), np.empty(W, dt)]  # take turns as the previous row and this one
     if F0 is not None:
-        fr.prev[:] = F0
+        bufs[0][:] = F0
     else:
-        fr.prev[:L] = negjs
-        fr.prev[L:] = 0
-    t1 = np.empty((B, m), dt)
-    cv = np.empty(M, dt)
-    hrow = np.empty((L, M), dt)
+        bufs[0][:cl] = negjs[:cl]
+        bufs[0][cl:] = offc[cl:]
+    cur, t1, cv, hv, last = (np.empty(x, dt) for x in (W, W, cl, cl, W))
     best = np.zeros(B, dt)
     bi = np.zeros(B, dtype=np.int64)
     bj = np.zeros(B, dtype=np.int64)
-    ends = _Ends(nk, B, M, 1, dt)
-    cap = _column_cap(mk[:L], M, dt) if L and mk is not None else None
     if D is not None:
-        up = np.empty((B, m), dtype=bool)
-        left = np.empty((B, m), dtype=bool)
-        stop = np.empty((L, m), dtype=bool)
-        tmp8 = np.empty((B, m), dtype=np.uint8)
-    for s, e, lo, hi in _segments(nk, L, n, B):
-        # This run's views: its live rows lo..hi-1, the first nl local.
-        h, nl = hi - lo, L - lo
-        prev, acc, cur = fr.prev[lo:hi], fr.acc[lo:hi], fr.cur[lo:hi]
-        P2s, As, bs, t1s, edges = P2[:, lo:hi], A[lo:hi], bidx[:h], t1[lo:hi], edge[:, lo:hi]
-        cur0, cur1, lcur, hv = cur[:, 0], cur[:, 1:], cur[:nl], hrow[lo:]
-        capv = None if cap is None else cap[lo:]
+        up = np.empty(W, dtype=bool)
+        left = np.empty(W, dtype=bool)
+        tmp8 = np.empty(W, dtype=np.uint8)
+    p = 0
+    for s, e, lo, hi, S in _packed_runs(pk, L, T):
+        # This run's views: the live pairs' columns a0..b1-1, their cells
+        # j >= 1 within a1..b1-1, the first nl columns local.
+        a0, b1 = int(c[lo]), int(c[hi])
+        a1, nl = a0 + 1, cl - a0
+        views = [(x[a0 : b1 - 1], x[a1:b1], y[a0:b1], y[a1:b1]) for x, y in (bufs, bufs[::-1])]
+        curv, cur1, t1v, Ss = cur[a0:b1], cur[a1:b1], t1[a1:b1], S[:, a1:b1]
+        bnd, edges = c[lo:hi] - a0, edge[:, lo:hi]
+        lcur, lnegjs, cvl, hvl, starts = cur[a0:cl], negjs[a0:cl], cv[a0:], hv[a0:], c[lo:L] - a0
+        bounds = (c[lo : L + 1] - a0).tolist()
         lbest, lbi, lbj = best[lo:L], bi[lo:L], bj[lo:L]
         if D is not None:
-            Ds, ups, lefts, tmps = D[:, lo:hi], up[:h], left[:h], tmp8[:h]
-            stops, ltmp = stop[lo:], tmp8[:nl]
+            Ds, ups, lefts, tmps = D[:, a1:b1], up[a1:b1], left[a1:b1], tmp8[a1:b1]
+            stops, ltmp = up[a1:cl], tmp8[a1:cl]  # up is spent when the stop bits are set
             up8, left8, stop8 = (x.view(np.uint8) for x in (ups, lefts, stops))
-        for i in range(s, e):
-            np.add(prev[:, :m], P2s[As[:, i - 1], bs], out=t1s)
-            up_from = prev[:, 1:]
+        for i, Si in zip(range(s, e), Ss):
+            pd, pu, acc, acc1 = views[p]
+            np.add(pd, Si, out=t1v)
             if D is not None:
-                np.greater(up_from, t1s, out=ups)
-            cur0[...] = edges[i]
-            np.maximum(t1s, up_from, out=cur1)
+                np.greater(pu, t1v, out=ups)
+            np.maximum(t1v, pu, out=cur1)
+            curv[bnd] = edges[i]
             if nl:
-                np.add(negjs, -g * (i0 + i), out=cv)  # F-value of a zero cell, this row
-                np.maximum(lcur, cv, out=lcur)  # the 0-clamp
-            np.maximum.accumulate(cur, axis=1, out=acc)
+                np.add(lnegjs, -g * (i0 + i), out=cvl)  # F-value of a zero cell, this row
+                np.maximum(lcur, cvl, out=lcur)  # the 0-clamp
+            np.maximum.accumulate(curv, out=acc)
             if nl:
                 # H never drops below its own clamped V, so no second clamp;
                 # read the H row back out for the running best.
-                lacc = acc[:nl]
-                np.subtract(lacc, cv, out=hv)
-                if capv is not None:
-                    np.minimum(hv, capv, out=hv)
-                rowmax = hv.max(axis=1)
+                np.subtract(acc[:nl], cvl, out=hvl)
+                rowmax = np.maximum.reduceat(hvl, starts)
                 better = rowmax > lbest
                 if better.any():
                     lbest[better] = rowmax[better]
                     lbi[better] = i
-                    lbj[better] = np.argmax(hv[better], axis=1)
+                    for k in np.flatnonzero(better).tolist():
+                        lbj[k] = hvl[bounds[k] : bounds[k + 1]].argmax()
             if D is not None:
-                np.greater(acc[:, 1:], cur1, out=lefts)
+                np.greater(acc1, cur1, out=lefts)
                 np.multiply(left8, 2, out=tmps)
                 np.add(tmps, up8, out=Ds[i - 1])
                 if nl:
-                    np.equal(lacc[:, 1:], cv[1:], out=stops)  # H == 0: clamp won
+                    np.equal(acc1[: nl - 1], cvl[1:], out=stops)  # H == 0: clamp won
                     np.multiply(stop8, 4, out=ltmp)
-                    dl = Ds[i - 1, :nl]
+                    dl = Ds[i - 1, : nl - 1]
                     np.add(dl, ltmp, out=dl)
-            prev, acc = acc, prev
-        if (e - s) % 2:
-            fr.advance()
-        ends.save(e - 1, fr.prev)  # the pairs whose last row ends this run
-    return ends.result(fr.prev)[0], best, bi, bj
+            p ^= 1
+        last[a0:b1] = bufs[p][a0:b1]  # the pairs whose last row ends this run keep it
+    return last, best, bi, bj
 
 
 def global_score_reference(a: str, b: str, model: SubstitutionModel | None = None) -> float:
@@ -704,167 +741,153 @@ def banded_global_score_reference(
 # ---------------------------------------------------------------------------
 
 
-class _AffineRows:
-    """The three rotating (B, m+1) frontiers plus per-row scratch, all of
-    dtype ``dt``."""
-
-    __slots__ = ("Mp", "Xp", "Yp", "Mc", "Xc", "Yc", "bp", "osrc", "run", "t")
-
-    def __init__(self, B: int, M: int, dt: np.dtype = _F64) -> None:
-        low = _LOW[dt][0]
-        self.Mp = np.full((B, M), low, dt)
-        self.Xp = np.full((B, M), low, dt)
-        self.Yp = np.full((B, M), low, dt)
-        self.Mc = np.full((B, M), low, dt)
-        self.Xc = np.full((B, M), low, dt)
-        self.Yc = np.full((B, M), low, dt)
-        self.bp = np.empty((B, M), dt)
-        self.osrc = np.empty((B, M), dt)
-        self.run = np.empty((B, M), dt)
-        self.t = np.empty((B, M), dt)
-
-    def advance(self) -> None:
-        self.Mp, self.Mc = self.Mc, self.Mp
-        self.Xp, self.Xc = self.Xc, self.Xp
-        self.Yp, self.Yc = self.Yc, self.Yp
-
-
 def _sweep_affine(
-    A: np.ndarray,
-    Bm: np.ndarray,
+    pk: _Pack,
     model: SubstitutionModel,
     open_: float,
     ext: float,
     mode: str | Sequence[str],
     D: np.ndarray | None = None,
-    nk: np.ndarray | None = None,
     dt: np.dtype = _F64,
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
-    """Forward Gotoh sweep in global/overlap/local: ``mode`` is every
-    pair's, or each pair's own in :func:`_layout`'s row order.  It
-    computes in ``dt`` (see :func:`_sweep_dtype`), and so do the rows
-    and bests it returns.
+    """Forward Gotoh sweep of a packed chunk in global/overlap/local:
+    ``mode`` is every pair's, or each pair's own in :func:`_layout`'s row
+    order.  It computes in ``dt`` (see :func:`_sweep_dtype`), and so do
+    the rows and bests it returns.
 
-    Returns (last, best, best_i, best_j): ``last`` is each pair's
-    [M, X, Y] rows at its own last row (``nk`` in a padded chunk, its
-    rows ordered as :func:`_segments` reads them, else the chunk's last
-    row); a pair leaves the sweep after its own last row.  In local
-    rows ``best*`` track the running best M cell (a padded M cell
-    clamps to 0, which never beats it); in the other rows they are
-    zeros.  Emits packed direction codes into ``D`` ((n, B, m) uint8)
-    on each pair's own rows when given.
+    Returns (last, best, best_i, best_j): ``last`` is the (W,) [M, X, Y]
+    rows holding each pair's own last row nₖ, offsets included; a pair
+    leaves the sweep after that row.  In local rows ``best*`` track the
+    running best M cell; in the other rows they are zeros.  Emits packed
+    direction codes into ``D`` ((n, W) uint8) on each pair's own rows
+    when given; a pair's boundary column holds no code.
     """
-    B, n = A.shape
-    m = Bm.shape[1]
-    M = m + 1
-    L, glob = _layout(mode, B)  # rows [0, L) local, the rest global or overlap
-    P = _padded(model.matrix.astype(dt))[:, Bm]  # per-code substitution rows, (6, B, m)
-    bidx = np.arange(B)
+    B, W, c = len(pk.a), pk.W, pk.c
+    L, glob = _layout(mode, B)  # pairs [0, L) local, the rest global or overlap
+    cl = int(c[L])  # the local pairs' columns end here
+    T = model.matrix.astype(dt)[:, pk.bcodes]  # per-code substitution scores, (5, W)
     open_, ext, low = dt.type(open_), dt.type(ext), _LOW[dt][0]
-    js = np.arange(M, dtype=dt)
+    js, offc = pk.columns(dt)
     extjs = ext * js
     src_shift = open_ - ext * (js + 1)
-    # Each row's j = 0 boundary: on global rows M is -inf and X a gap
+    off = pk.off.astype(dt)
+    # Each row's j = 0 boundary: on global pairs M is -inf and X a gap
     # down a; on the others M is 0 (a free start) and X is -inf.
     medge = np.where(glob, low, 0).astype(dt)
-    xedge = np.where(glob, open_ + np.arange(-1, n)[:, None] * ext, low).astype(dt)
-    r = _AffineRows(B, M, dt)
+    xedge = np.where(glob, open_ + np.arange(-1, pk.n)[:, None] * ext, low).astype(dt)
     # Row 0: M[0][0] = 0 and the leading gaps in b live in Y; a local
-    # row restarts at 0 everywhere.
-    r.Mp[L:, 0] = 0
-    if m:
-        r.Yp[L:, 1:] = open_ + (js[1:] - 1) * ext
-    r.Mp[:L] = 0
+    # pair restarts at 0 everywhere.
+    rows = [[np.full(W, low, dt) for _ in range(3)] for _ in range(2)]  # two [M, X, Y] trios
+    Mp, _, Yp = rows[0]
+    ygap = (js > 0) & (np.arange(W) >= cl)
+    Mp[:cl] = 0
+    Mp[c[L:-1]] = 0
+    Yp[ygap] = open_ + (js[ygap] - 1) * ext
     best = np.zeros(B, dt)
+    if pk.span:
+        medge[~glob] += off[~glob]
+        xedge[:, glob] += off[glob]
+        Mp[:cl] += offc[:cl]
+        Mp[c[L:-1]] += off[L:]
+        Yp[ygap] += offc[ygap]
+        best += off  # a local M cell clamps to its pair's offset
     bi = np.zeros(B, dtype=np.int64)
     bj = np.zeros(B, dtype=np.int64)
-    ends = _Ends(nk, B, M, 3, dt)
+    bp, osrc, run, t = (np.empty(W, dt) for _ in range(4))
+    last = [np.empty(W, dt) for _ in range(3)]
     if D is not None:
-        e_x = np.empty((B, m), dtype=bool)
-        e_y = np.empty((B, m), dtype=bool)
-        b1 = np.empty((B, m), dtype=bool)
-        u8a = np.empty((B, m), dtype=np.uint8)
-        u8b = np.empty((B, m), dtype=np.uint8)
-    for s, e, lo, hi in _segments(nk, L, n, B):
-        # This run's views: its live rows lo..hi-1, the first nl local.
-        h, nl = hi - lo, L - lo
-        Mp, Xp, Yp, Mc, Xc, Yc, bp, osrc, run, t = (
-            x[lo:hi] for x in (r.Mp, r.Xp, r.Yp, r.Mc, r.Xc, r.Yc, r.bp, r.osrc, r.run, r.t)
-        )
-        Ps, As, bs, medges, xedges = P[:, lo:hi], A[lo:hi], bidx[:h], medge[lo:hi], xedge[:, lo:hi]
-        bpm, tm, tr, runm, runr = bp[:, :m], t[:, :m], t[:, 1:], run[:, :m], run[:, 1:]
-        osm, osr = osrc[:, :m], osrc[:, 1:]
+        e_x, e_y, bits = (np.empty(W, dtype=bool) for _ in range(3))
+        u8a, u8b = np.empty(W, dtype=np.uint8), np.empty(W, dtype=np.uint8)
+    p = 0
+    for s, e, lo, hi, S in _packed_runs(pk, L, T):
+        # This run's views: the live pairs' columns a0..b1-1 (``f``), their
+        # cells j >= 1 within a1..b1-1 (``1``) and the column left of each
+        # such cell, a0..b1-2 (``0``); the first nl columns are local.
+        a0, b1 = int(c[lo]), int(c[hi])
+        a1, nl = a0 + 1, cl - a0
+        f, v1, v0 = slice(a0, b1), slice(a1, b1), slice(a0, b1 - 1)
+        views = [
+            (*(x[f] for x in prev), *(x[v0] for x in prev), prev[0][v1], prev[2][v1],
+             *(x[f] for x in this), this[0][v1], this[0][v0], this[1][v0], this[2][v1], this[2][v0])
+            for prev, this in (rows, rows[::-1])
+        ]
+        bpf, bp0, osf, os1, os0 = bp[f], bp[v0], osrc[f], osrc[v1], osrc[v0]
+        run1, run0, tf, t1, t0 = run[v1], run[v0], t[f], t[v1], t[v0]
+        shift, extj1, Ss = src_shift[f], extjs[v1], S[:, v1]
+        bnd, medges, xedges = c[lo:hi] - a0, medge[lo:hi], xedge[:, lo:hi]
+        zl, starts = offc[a0:cl], c[lo:L] - a0
+        bounds = (c[lo : L + 1] - a0).tolist()
         lbest, lbi, lbj = best[lo:L], bi[lo:L], bj[lo:L]
         if D is not None:
-            Ds, ex, ey, bb, ua, ub = D[:, lo:hi], e_x[:h], e_y[:h], b1[:h], u8a[:h], u8b[:h]
-            lb1, lua, lub = bb[:nl], ua[:nl], ub[:nl]
+            Ds, ex, ey, bb, ua, ub = D[:, v1], e_x[v1], e_y[v1], bits[v1], u8a[v1], u8b[v1]
+            lb1, lua, lub = bits[a1:cl], u8a[a1:cl], u8b[a1:cl]
             ey8, bb8, lb8 = (x.view(np.uint8) for x in (ey, bb, lb1))
-        for i in range(s, e):
+        for i, Si in zip(range(s, e), Ss):
+            Mp, Xp, Yp, Mp0, Xp0, Yp0, Mp1, Yp1, Mc, Xc, Yc, Mc1, Mc0, Xc0, Yc1, Yc0 = views[p]
             # M: best previous state, one diagonal step back.
-            np.maximum(Mp, Xp, out=bp)
+            np.maximum(Mp, Xp, out=bpf)
             if D is not None:
-                # bits 0-1: M's diag source (ties M > X > Y), from columns
-                # 0..m-1 of the previous row.
-                np.greater(Xp[:, :m], Mp[:, :m], out=ex)
-                np.greater(Yp[:, :m], bpm, out=ey)
+                # bits 0-1: M's diag source (ties M > X > Y), from the
+                # previous row's column left of each cell.
+                np.greater(Xp0, Mp0, out=ex)
+                np.greater(Yp0, bp0, out=ey)
                 np.multiply(ey8, 2, out=ua)
                 np.logical_and(ex, ~ey, out=bb)
                 np.add(ua, bb8, out=ua)  # ua = msrc
-            np.maximum(bp, Yp, out=bp)
-            np.add(bpm, Ps[As[:, i - 1], bs], out=Mc[:, 1:])
-            Mc[:, 0] = medges
+            np.maximum(bpf, Yp, out=bpf)
+            np.add(bp0, Si, out=Mc1)
+            Mc[bnd] = medges
             if nl:
                 lM = Mc[:nl]
                 if D is not None:
                     # bit 6: the clamp won (cell value 0) — stop.
-                    np.less_equal(lM[:, 1:], 0, out=lb1)
+                    np.less_equal(lM[1:], zl[1:], out=lb1)
                     np.multiply(lb8, 64, out=lub)
                     np.add(lua, lub, out=lua)
-                np.maximum(lM, 0, out=lM)
+                np.maximum(lM, zl, out=lM)
             # X: open from M/Y above, or extend the running gap.
-            np.maximum(Mp, Yp, out=osrc)
+            np.maximum(Mp, Yp, out=osf)
             if D is not None:
-                np.greater(Yp[:, 1:], Mp[:, 1:], out=bb)  # bit 3
+                np.greater(Yp1, Mp1, out=bb)  # bit 3
                 np.multiply(bb8, 8, out=ub)
                 np.add(ua, ub, out=ua)
-            np.add(osrc, open_, out=osrc)
-            np.add(Xp, ext, out=t)
+            np.add(osf, open_, out=osf)
+            np.add(Xp, ext, out=tf)
             if D is not None:
-                np.greater(tr, osr, out=bb)  # bit 2
+                np.greater(t1, os1, out=bb)  # bit 2
                 np.multiply(bb8, 4, out=ub)
                 np.add(ua, ub, out=ua)
-            np.maximum(osrc, t, out=Xc)
-            Xc[:, 0] = xedges[i]
+            np.maximum(osf, tf, out=Xc)
+            Xc[bnd] = xedges[i]
             # Y: prefix max over max(M, X)[j'] + open - ext*(j'+1).
-            np.maximum(Mc, Xc, out=osrc)
+            np.maximum(Mc, Xc, out=osf)
             if D is not None:
-                np.greater(Xc[:, :m], Mc[:, :m], out=bb)  # bit 5
+                np.greater(Xc0, Mc0, out=bb)  # bit 5
                 np.multiply(bb8, 32, out=ub)
                 np.add(ua, ub, out=ua)
-            np.add(osrc, src_shift, out=t)
-            run[:, 0] = low
-            np.maximum.accumulate(tm, axis=1, out=runr)
-            np.add(run, extjs, out=Yc)
-            Yc[:, 0] = low
+            np.add(osf, shift, out=tf)
+            np.maximum.accumulate(t0, out=run1)
+            np.add(run1, extj1, out=Yc1)
+            Yc[bnd] = low
             if D is not None:
                 # bit 4: Y extended — the gap ran past the previous column.
-                np.add(Yc[:, :m], ext, out=tm)
-                np.add(osm, open_, out=runm)
-                np.greater(tm, runm, out=bb)
+                np.add(Yc0, ext, out=t0)
+                np.add(os0, open_, out=run0)
+                np.greater(t0, run0, out=bb)
                 np.multiply(bb8, 16, out=ub)
                 np.add(ua, ub, out=Ds[i - 1])
             if nl:
-                rowmax = lM.max(axis=1)
+                rowmax = np.maximum.reduceat(lM, starts)
                 better = rowmax > lbest
                 if better.any():
                     lbest[better] = rowmax[better]
                     lbi[better] = i
-                    lbj[better] = np.argmax(lM[better], axis=1)
-            Mp, Mc, Xp, Xc, Yp, Yc = Mc, Mp, Xc, Xp, Yc, Yp
-        if (e - s) % 2:
-            r.advance()
-        ends.save(e - 1, r.Mp, r.Xp, r.Yp)  # the pairs whose last row ends this run
-    return ends.result(r.Mp, r.Xp, r.Yp), best, bi, bj
+                    for k in np.flatnonzero(better).tolist():
+                        lbj[k] = lM[bounds[k] : bounds[k + 1]].argmax()
+            p ^= 1
+        for out, row in zip(last, rows[p]):  # the pairs whose last row ends this run keep it
+            out[f] = row[f]
+    return last, best - off, bi, bj
 
 
 def _walk_affine(
@@ -1056,109 +1079,123 @@ def _empty_side(
     return score, (0, n), (0, m)
 
 
-#: A chunk closes before a pair that would pad the chunk's pairs to more
-#: than ``_PAD_RATIO`` times their own DP cells plus ``_ROW_CELLS`` a
-#: row, about what a row's fixed NumPy calls cost in cells (0.7-2.2 k on
-#: a 2-vCPU host): padding buys fewer sweeps, never a long pair's table
-#: for many short ones.
+#: A banded chunk closes before a pair that would pad the chunk's pairs
+#: to more than ``_PAD_RATIO`` times their own DP cells plus
+#: ``_ROW_CELLS`` a row, about what a row's fixed NumPy calls cost in
+#: cells (0.7-2.2 k on a 2-vCPU host): padding buys fewer sweeps, never a
+#: long pair's table for many short ones.
 _PAD_RATIO = 2
 _ROW_CELLS = 2048
 
 
 def _chunks(nk: np.ndarray, mk: np.ndarray, band: int | None, chunk: int) -> list:
     """(pair indices, rows, columns) of each chunk of at most ``chunk``
-    pairs with two non-empty sides.  A linear or affine sweep runs each
-    pair's own rows at the chunk's width, Σnₖ · max mₖ cells, so those
-    pairs are taken by mₖ; a banded one runs every row of every pair,
-    B · n · (2·band + 1) cells, so those are taken by nₖ.  A chunk
+    pairs with two non-empty sides, taken by nₖ.  A linear or affine
+    chunk lays its pairs end to end and sweeps only their own cells,
+    Σnₖ · (mₖ + 1), so it is a plain run of ``chunk`` pairs.  A banded
+    one runs every row of every pair, B · n · (2·band + 1) cells, and
     closes before a pair that would pad the chunk's pairs past the
     bound."""
     live = np.flatnonzero((nk > 0) & (mk > 0))
-    keys = (nk[live], mk[live]) if band is None else (mk[live], nk[live])
-    order = live[np.lexsort(keys)].tolist()
-    rows, cols = nk.tolist(), (mk if band is None else np.full_like(mk, 2 * band + 1)).tolist()
-    plan: list[list[int]] = [[]]
-    height = n = own = 0  # the chunk's swept rows per column, its rows, its pairs' cells
-    for k in order:
-        size = len(plan[-1])
-        # The chunk's pairs padded to this pair's width (and rows, if banded).
-        padded = (height if band is None else size * rows[k]) * cols[k]
-        if size and (size == chunk or padded > _PAD_RATIO * own + _ROW_CELLS * n):
-            plan.append([])
-            height = n = own = 0
-        plan[-1].append(k)
-        height, n, own = height + rows[k], max(n, rows[k]), own + rows[k] * cols[k]
-    return [(i, int(nk[i].max()), int(mk[i].max())) for i in map(np.array, plan) if i.size]
+    order = live[np.lexsort((mk[live], nk[live]))].tolist()
+    if band is None:
+        plan = [order[k : k + chunk] for k in range(0, len(order), chunk)]
+    else:
+        w, rows = 2 * band + 1, nk.tolist()
+        plan, n, own = [[]], 0, 0  # the chunk's rows and its pairs' cells
+        for k in order:
+            size = len(plan[-1])
+            # The chunk's pairs padded to this pair's rows.
+            if size and (size == chunk or size * rows[k] * w > _PAD_RATIO * own + _ROW_CELLS * n):
+                plan.append([])
+                n = own = 0
+            plan[-1].append(k)
+            n, own = rows[k], own + rows[k] * w
+        plan = [p for p in plan if p]
+    return [(i, int(nk[i].max()), int(mk[i].max())) for i in map(np.array, plan)]
 
 
-def _affine_end(
-    ends: list[np.ndarray], rows: np.ndarray, col: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's best score over its [M, X, Y] ends at column ``col``,
-    and the state it is in (0 = M, 1 = X, 2 = Y, ties in that order)."""
-    mv, xv, yv = (f[rows, col] for f in ends)
+def _affine_end(ends: list[np.ndarray], at) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair's best score over its [M, X, Y] ends at the cells ``at``
+    indexes, and the state it is in (0 = M, 1 = X, 2 = Y, ties in that
+    order)."""
+    mv, xv, yv = (f[at] for f in ends)
     score = np.maximum(np.maximum(mv, xv), yv)
     return score, np.where(mv == score, 0, np.where(xv == score, 1, 2))
 
 
 def _sweep_ends(
+    pk: _Pack,
+    model: SubstitutionModel,
+    mode: str | Sequence[str],
+    gaps: tuple[float, float] | None = None,
+    D: np.ndarray | None = None,
+    dt: np.dtype = _F64,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sweep one packed chunk in ``mode``s as the sweeps take them, in
+    ``dt``; returns each pair's (score, end_i, end_j, state), the scores
+    in float64.
+
+    (end_i, end_j) is the cell the alignment ends in, where its walk
+    starts: (nₖ, mₖ), or a best cell of the pair's own.  ``state`` is the
+    affine end state (0 = M, 1 = X, 2 = Y, ties in that order); it is 0
+    for linear gaps and for local, whose best cell is an M cell.
+    """
+    B, c = len(pk.a), pk.c
+    g = model.gap
+    ei, ej = pk.nk.copy(), np.diff(c) - 1
+    state = np.zeros(B, dtype=np.int64)
+    # Each mode reads its own pairs: local [0, L), global and overlap after.
+    L, glob = _layout(mode, B)
+    gl, ov = np.flatnonzero(glob), (L + np.flatnonzero(~glob[L:])).tolist()
+    score = np.empty(B)
+    js, offc = pk.columns(dt)
+    if gaps is None:
+        F, best, bi, bj = _sweep_linear(pk, model, mode, D=D, dt=dt)
+        if pk.span:
+            F -= offc
+        score[gl] = F[c[gl] + ej[gl]] + g * (ej[gl] + ei[gl])
+        for k in ov:
+            # Overlap: H[n][j] = F[j] + g*j + n*g; the free end in b
+            # takes the first maximum.
+            hrow = F[c[k] : c[k + 1]] + g * js[c[k] : c[k + 1]]
+            ej[k] = hrow.argmax()
+            score[k] = hrow[ej[k]] + ei[k] * g
+    else:
+        ends, best, bi, bj = _sweep_affine(pk, model, *gaps, mode, D=D, dt=dt)
+        if pk.span:
+            ends = [f - offc for f in ends]
+        for k in ov:
+            ej[k] = np.maximum(np.maximum(*ends[:2]), ends[2])[c[k] : c[k + 1]].argmax()
+        score[L:], state[L:] = _affine_end(ends, c[L:-1] + ej[L:])
+    score[:L], ei[:L], ej[:L] = best[:L], bi[:L], bj[:L]
+    return score, ei, ej, state
+
+
+def _banded_ends(
     A: np.ndarray,
     Bm: np.ndarray,
     model: SubstitutionModel,
-    mode: str | Sequence[str],
-    band: int | None = None,
+    band: int,
     gaps: tuple[float, float] | None = None,
     D: np.ndarray | None = None,
     nk: np.ndarray | None = None,
     mk: np.ndarray | None = None,
-    dt: np.dtype = _F64,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sweep one chunk in ``mode``s as the sweeps take them, the linear
-    and affine ones in ``dt`` (banded stays float64); returns each
-    pair's (score, end_i, end_j, state), the scores in float64.
-
-    (end_i, end_j) is the cell the alignment ends in, where its walk
-    starts: (nₖ, mₖ), the pairs' own lengths in a chunk padded with
-    :data:`_PAD` (``None``: every pair fills the chunk), or a best
-    cell of the pair's own.  ``state`` is the affine end state (0 = M,
-    1 = X, 2 = Y, ties in that order); it is 0 for linear gaps and for
-    local, whose best cell is an M cell.
-    """
+    """Sweep one banded chunk, padded with :data:`_PAD` (``nk``/``mk``
+    ``None``: every pair fills it); returns each pair's (score, end_i,
+    end_j, state) as :func:`_sweep_ends` does, the end cell (nₖ, mₖ)."""
     B, n = A.shape
-    m = Bm.shape[1]
-    g = model.gap
     rows = np.arange(B)
     ei = np.full(B, n) if nk is None else nk.copy()
-    ej = np.full(B, m) if mk is None else mk.copy()
-    state = np.zeros(B, dtype=np.int64)
-    if mode == "banded":
-        col = ej - ei + band  # each end cell (nₖ, mₖ) in the diagonal layout
-        if gaps is None:
-            F = _sweep_banded(A, Bm, band, model, D=D, nk=nk)
-            return F[rows, col] + (g * col + 2.0 * g * ei), ei, ej, state
-        ends = _sweep_affine_banded(A, Bm, band, model, *gaps, D=D, nk=nk)
-        score, state = _affine_end(ends, rows, col)
-        return score, ei, ej, state
-    # Each mode reads its own rows: local [0, L), global and overlap after.
-    L, glob = _layout(mode, B)
-    gl, ov = np.flatnonzero(glob), L + np.flatnonzero(~glob[L:])
-    score = np.empty(B)
-    omk = None if mk is None else mk[ov]
+    ej = np.full(B, Bm.shape[1]) if mk is None else mk.copy()
+    col = ej - ei + band  # each end cell (nₖ, mₖ) in the diagonal layout
     if gaps is None:
-        F, best, bi, bj = _sweep_linear(A, Bm, model, mode, D=D, nk=nk, mk=mk, dt=dt)
-        score[gl] = F[gl, ej[gl]] + g * (ej[gl] + ei[gl])
-        if ov.size:
-            # Overlap: H[n][j] = F[j] + g*j + n*g; the free end in b
-            # takes the first maximum.
-            hrow = F[ov] + g * np.arange(m + 1)
-            ej[ov] = _first_best(hrow, omk)
-            score[ov] = hrow[rows[: ov.size], ej[ov]] + ei[ov] * g
-    else:
-        ends, best, bi, bj = _sweep_affine(A, Bm, model, *gaps, mode, D=D, nk=nk, dt=dt)
-        if ov.size:
-            ej[ov] = _first_best(np.maximum(np.maximum(*ends[:2]), ends[2])[ov], omk)
-        score[L:], state[L:] = _affine_end(ends, rows[L:], ej[L:])
-    score[:L], ei[:L], ej[:L] = best[:L], bi[:L], bj[:L]
+        g = model.gap
+        F = _sweep_banded(A, Bm, band, model, D=D, nk=nk)
+        return F[rows, col] + (g * col + 2.0 * g * ei), ei, ej, np.zeros(B, dtype=np.int64)
+    ends = _sweep_affine_banded(A, Bm, band, model, *gaps, D=D, nk=nk)
+    score, state = _affine_end(ends, (rows, col))
     return score, ei, ej, state
 
 
@@ -1182,13 +1219,15 @@ def _batch(
     costs, ``None`` for the model's linear gap.  Pairs may have any
     shapes: they sweep in the chunks :func:`_chunks` plans (local pairs
     apart from the others once each class fills a chunk), at most
-    ``chunk`` pairs each (the working set), each padded to its longest
-    pair into buffers allocated once per call, a linear or affine
-    chunk's rows laid out as [local by nₖ ascending | global and overlap
-    by nₖ descending] so each pair leaves the sweep after its own last
-    row, all in the one dtype :func:`_sweep_dtype` picks for the longest
-    sides.  ``linear`` (align only) says whether a chunk of that many
-    padded cells walks in linear memory instead.
+    ``chunk`` pairs each (the working set).  A linear or affine chunk
+    lays its pairs end to end (:class:`_Pack`) in the order [local by nₖ
+    ascending | global and overlap by nₖ descending], so each pair
+    leaves the sweep after its own last row, all in the one dtype
+    :func:`_sweep_dtype` picks for the longest sides and the most pairs a
+    chunk holds; when offsets could round (:func:`_span`), each pair
+    sweeps alone.  A banded chunk is padded to its longest pair.
+    ``linear`` (align only) says whether a chunk whose direction tensor
+    holds that many cells walks in linear memory instead.
     """
     model = model or unit_dna()
     if gaps is not None:
@@ -1204,7 +1243,9 @@ def _batch(
     nk = np.array([len(a) for a, _ in codes], dtype=np.int64)
     mk = np.array([len(b) for _, b in codes], dtype=np.int64)
     band = _check_band(nk, mk, band) if modes[0] == "banded" else None
-    dt = _F64 if band is not None else _sweep_dtype(model, gaps, nk.max(), mk.max())
+    span = None if band is not None else _span(model, gaps, nk.max(), mk.max(), chunk)
+    if band is None and span is None:
+        chunk = 1  # an offset would round: each pair sweeps alone
     scores = np.empty(len(codes))
     alns: list = [None] * len(codes)
     for k in np.flatnonzero((nk == 0) | (mk == 0)):
@@ -1215,42 +1256,59 @@ def _batch(
     # Local pairs cost every row of a chunk the clamp's and the best
     # tracking's calls: once they fill chunks of their own, they sweep apart.
     parts = (local, ~local) if min(local.sum(), (~local).sum()) >= chunk else (True,)
-    plan = [c for part in parts for c in _chunks(nk * part, mk, band, chunk)]
+    w = None if band is None else 2 * band + 1  # a banded row's width
+    # Each chunk with its direction tensor's cells: n rows of Σ(mₖ + 1)
+    # packed, of B · w banded.
+    plan = [
+        (idx, n, m, n * (int(mk[idx].sum()) + idx.size if w is None else idx.size * w))
+        for part in parts for idx, n, m in _chunks(nk * part, mk, band, chunk)
+    ]
     if align and linear is not None:
         from fragalign.align.hirschberg import linear_align  # it imports this module
 
-        walks = [linear(idx.size * n * m) for idx, n, m in plan]
-        for k in (k for (idx, _, _), walk in zip(plan, walks) if walk for k in idx):
+        walks = [linear(cells) for *_, cells in plan]
+        for k in (k for (idx, *_), walk in zip(plan, walks) if walk for k in idx):
             alns[k] = linear_align(*codes[k], model, mode=modes[k])
         plan = [c for c, walk in zip(plan, walks) if not walk]
-    bw = None if band is None else 2 * band + 1  # a banded row's width
     if plan:
-        Abuf = np.empty(max(idx.size * n for idx, n, _ in plan), dtype=np.uint8)
-        Bbuf = np.empty(max(idx.size * m for idx, _, m in plan), dtype=np.uint8)
-        cells = max(idx.size * n * (bw or m) for idx, n, m in plan)
-        Dbuf = np.empty(cells, dtype=np.uint8) if align else None
-    for idx, n, m in plan:
-        B, width = idx.size, bw or m
-        if band is None:  # rows: local pairs by nₖ ascending | the rest by nₖ descending
+        Dbuf = np.empty(max(cells for *_, cells in plan), dtype=np.uint8) if align else None
+        B = max(idx.size for idx, *_ in plan)
+        dt = _F64 if band is not None else _sweep_dtype(model, gaps, nk.max(), mk.max(), B)
+        if band is not None:  # a banded chunk's padded codes
+            Abuf = np.empty(max(idx.size * n for idx, n, *_ in plan), dtype=np.uint8)
+            Bbuf = np.empty(max(idx.size * m for idx, _, m, _ in plan), dtype=np.uint8)
+    for idx, n, m, cells in plan:
+        B = idx.size
+        D = None if Dbuf is None else Dbuf[:cells]
+        if band is None:  # pairs: local by nₖ ascending | the rest by nₖ descending
             idx = idx[np.lexsort((np.where(local[idx], nk[idx], -nk[idx]), ~local[idx]))]
-        cmode = [modes[k] for k in idx] if mixed else modes[0]
-        A = Abuf[: B * n].reshape(B, n)
-        Bm = Bbuf[: B * m].reshape(B, m)
-        A.fill(_PAD)
-        Bm.fill(_PAD)
-        for r, k in enumerate(idx):
-            A[r, : nk[k]] = codes[k][0]
-            Bm[r, : mk[k]] = codes[k][1]
-        ragged = nk[idx].min() < n or mk[idx].min() < m
-        lens = (nk[idx], mk[idx]) if ragged else (None, None)
-        D = None if Dbuf is None else Dbuf[: n * B * width].reshape(n, B, width)
-        score, ei, ej, state = _sweep_ends(A, Bm, model, cmode, band, gaps, D, *lens, dt)
+            cmode = [modes[k] for k in idx] if mixed else modes[0]
+            pk = _Pack([codes[k] for k in idx], span)
+            D = None if D is None else D.reshape(n, pk.W)
+            score, ei, ej, state = _sweep_ends(pk, model, cmode, gaps, D, dt)
+        else:
+            A = Abuf[: B * n].reshape(B, n)
+            Bm = Bbuf[: B * m].reshape(B, m)
+            A.fill(_PAD)
+            Bm.fill(_PAD)
+            for r, k in enumerate(idx):
+                A[r, : nk[k]] = codes[k][0]
+                Bm[r, : mk[k]] = codes[k][1]
+            ragged = nk[idx].min() < n or mk[idx].min() < m
+            lens = (nk[idx], mk[idx]) if ragged else (None, None)
+            D = None if D is None else D.reshape(n, B, w)
+            score, ei, ej, state = _banded_ends(A, Bm, model, band, gaps, D, *lens)
         if D is None:
             scores[idx] = score
             continue
         for r, k in enumerate(idx):
             i, j = int(ei[r]), int(ej[r])
-            db = _pair_bytes(D, r, i)  # a walk from row i reads no row below it
+            # The pair's code rows down to its end row (a walk reads no row
+            # below it), as bytes: the fastest per-step read Python offers.
+            if band is None:
+                db, width = D[:i, pk.c[r] + 1 : pk.c[r + 1]].tobytes(), int(mk[k])
+            else:
+                db, width = D[:i, r, :].tobytes(), w
             if gaps is None:
                 walked, i0, j0 = _walk(db, width, i, j, band)
             else:
@@ -1272,9 +1330,9 @@ def global_scores_batch(
     """Needleman–Wunsch scores for a batch of pairs.
 
     Each pair is (a, b) as strings or pre-encoded uint8 codes, of any
-    lengths: each chunk is padded to its longest pair.  Exact on
-    integer-valued models: they sweep in int32 while (n + m + 2) times
-    the largest |matrix entry| or |gap| stays under 2**26, else in
+    lengths: each chunk lays its pairs end to end.  Exact on
+    integer-valued models: they sweep in int32 while B · (n + m + 2)
+    times the largest |matrix entry| or |gap| stays under 2**26, else in
     float64, where every operation stays integral; ``chunk`` bounds how
     many pairs sweep together (working set).
     """
@@ -1287,7 +1345,7 @@ def global_align_batch(
     """Batched Needleman–Wunsch with table-free traceback.
 
     One forward sweep per chunk emits the packed direction tensor
-    ((n, B, m) uint8 — ~8x smaller than the float H table it
+    ((n, Σ(mₖ + 1)) uint8 — ~8x smaller than the float H table it
     replaces); each pair is then an exact O(n+m) code walk.  Equals a
     loop of :func:`global_align` — same scores, same tie-breaking.
     """

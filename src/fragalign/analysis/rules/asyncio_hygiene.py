@@ -16,8 +16,8 @@ their caller puts them, e.g. an executor):
 * **engine-call** — a direct call of ``<...>engine<...>.score/align/
   score_many/align_many`` inside an async body (the batcher's
   contract: a group runs on its worker thread unless
-  ``engine.inline`` calls it bounded, and only then through
-  ``engine.run`` on the loop).
+  ``engine.inline`` hands back its call, bounded, and only then
+  through that call on the loop).
 * **unawaited-coroutine** — an expression-statement call of an
   ``async def`` defined in the same module (``self.foo()`` or bare
   ``foo()``) whose result is discarded: the coroutine never runs.

@@ -4,8 +4,8 @@ A backend is an execution strategy for the same mathematical DP; all
 backends produce identical scores and (for integer-valued models)
 identical tracebacks, which the cross-backend parity tests pin down.
 ``score_many``/``align_many`` receive a whole dispatch group, whatever
-its pairs' shapes and modes: the numpy kernels pad each chunk to its
-longest pair and sweep global, overlap and local pairs together, and
+its pairs' shapes and modes: the numpy kernels lay each chunk's pairs
+end to end and sweep global, overlap and local pairs together, and
 a backend whose kernels need one shape or one mode buckets the group
 itself.
 
@@ -19,10 +19,11 @@ agree on every knob but ``mode``.  Four modes are first-class:
 ``spec.gap_open``/``spec.gap_extend`` switch any mode to **affine
 (Gotoh) gap costs** (a k-gap costs ``open + (k-1)·extend``; unset keeps
 the model's linear gap).  ``spec.memory`` selects the align-verb
-traceback strategy: ``"tensor"`` (the packed (n, B, m) direction
+traceback strategy: ``"tensor"`` (the packed (n, Σ(mₖ + 1)) direction
 tensor), ``"linear"`` (the Hirschberg-style canonical walker —
 byte-identical alignments in near-linear memory) or ``"auto"`` (linear
-above ``linear_auto_cells`` DP cells per chunk, tensor below).
+from ``linear_auto_cells`` direction-tensor cells per chunk, tensor
+below).
 """
 
 from __future__ import annotations
@@ -59,16 +60,16 @@ __all__ = [
 ]
 
 #: Pairs one kernel sweep holds at once: bounds the sweep buffers and
-#: the (n, CHUNK, m) direction tensor of a batch.
+#: the direction tensor of a batch.
 CHUNK = 64
 
 #: ``memory="auto"`` switches the align verbs to the linear-memory
-#: walker above this many DP cells per *chunk* — the point where the
-#: (n, B, m) uint8 direction tensor starts to dominate peak memory
-#: (16M cells = a 16 MB tensor allocation).  A batch sweeps up to
-#: ``CHUNK`` pairs per tensor, padded to its longest pair, so each
-#: chunk resolves on its padded cells: one too big walks in linear
-#: memory while the rest of its batch keeps the tensor.
+#: walker from this many direction-tensor cells per *chunk* — the point
+#: where the uint8 tensor starts to dominate peak memory (16M cells = a
+#: 16 MB tensor allocation).  A chunk of up to ``CHUNK`` pairs laid end
+#: to end has a tensor of n rows of Σ(mₖ + 1) cells, n its longest pair's
+#: rows, and resolves on that count: one too big walks in linear memory
+#: while the rest of its batch keeps the tensor.
 LINEAR_AUTO_CELLS = 1 << 24
 
 
@@ -321,9 +322,9 @@ class NumpyBackend(AlignmentBackend):
 
     Every verb runs the kernels' one driver, sweeping up to
     :data:`CHUNK` pairs of any shapes and modes at a time; ``linear_auto_cells``
-    is the padded per-chunk DP-cell count from which a ``memory="auto"``
-    align chunk takes the linear-memory walker instead of the direction
-    tensor.
+    is the per-chunk direction-tensor cell count from which a
+    ``memory="auto"`` align chunk takes the linear-memory walker instead
+    of the tensor.
     """
 
     name = "numpy"

@@ -55,8 +55,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from functools import lru_cache
-from typing import Sequence
+from functools import lru_cache, partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -238,23 +238,41 @@ class AlignmentEngine:
         backend go to it in one call: a group mixing global, overlap and
         local is one call, or one per backend a partial backend splits."""
         resolved, calls = self._plan(op, specs)
-        preps = [self.prepare(a, b) for a, b in pairs]
+        return self._run(op, [self.prepare(a, b) for a, b in pairs], resolved, calls)
+
+    def inline(
+        self, op: str, pairs: Sequence[tuple[str, str]], specs: Sequence[JobSpec]
+    ) -> Callable[[], np.ndarray | list] | None:
+        """``run(op, pairs, specs)`` as a call of no arguments when it is
+        bounded: one backend call that its backend calls short
+        (:meth:`AlignmentBackend.inline`); else ``None``.  The call reuses
+        the plan and the pairs prepared to answer, so the serving
+        batcher, which runs a bounded group on its event loop, prepares
+        each pair once."""
+        resolved, calls = self._plan(op, specs)
+        if len(calls) != 1:
+            return None
+        ((be, _),) = calls
+        preps: list[PreparedPair] = []
+
+        def prepared():
+            for a, b in pairs:
+                preps.append(self.prepare(a, b))
+                yield preps[-1]
+
+        if not be.inline(op, prepared(), self.model, resolved):
+            return None
+        preps += [self.prepare(a, b) for a, b in pairs[len(preps) :]]  # any it left unread
+        return partial(self._run, op, preps, resolved, calls)
+
+    def _run(self, op: str, preps: list[PreparedPair], resolved: list[JobSpec], calls: dict):
+        """The backend calls :meth:`_plan` planned, on prepared pairs."""
         out = np.empty(len(preps)) if op == "score" else [None] * len(preps)
         for (be, _), idx in calls.items():
             values = self._call(be, op, [preps[k] for k in idx], [resolved[k] for k in idx])
             for k, value in zip(idx, values):
                 out[k] = value
         return out
-
-    def inline(self, op: str, pairs: Sequence[tuple[str, str]], specs: Sequence[JobSpec]) -> bool:
-        """Whether ``run(op, pairs, specs)`` is bounded: one backend
-        call that its backend calls short (:meth:`AlignmentBackend.inline`).
-        The serving batcher runs a bounded group on its event loop."""
-        resolved, calls = self._plan(op, specs)
-        if len(calls) != 1:
-            return False
-        ((be, _),) = calls
-        return be.inline(op, (self.prepare(a, b) for a, b in pairs), self.model, resolved)
 
     def _plan(self, op: str, specs: Sequence[JobSpec]) -> tuple[list[JobSpec], dict]:
         """Each pair's resolved spec, and the pair indices of each

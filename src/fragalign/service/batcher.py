@@ -94,10 +94,11 @@ class MicroBatcher:
     ----------
     engine:
         Any object with ``run(op, pairs, specs)``, one spec per pair,
-        and ``inline(op, pairs, specs)``, True when that call may run
-        on the event loop (normally an :class:`AlignmentEngine`; tests
-        substitute counting wrappers, and one whose ``run`` blocks or
-        raises must answer False).
+        and ``inline(op, pairs, specs)``, that call as one of no
+        arguments when it may run on the event loop, else ``None``
+        (normally an :class:`AlignmentEngine`; tests substitute counting
+        wrappers, and one whose ``run`` blocks or raises must answer
+        ``None``).
     max_batch:
         The most distinct jobs one batch dispatches; ``1`` serves
         request by request (the foil the benchmark measures against).
@@ -273,9 +274,10 @@ class MicroBatcher:
             specs = [job.spec for job in group]
             compute_start = time.perf_counter()
             try:
-                if self.engine.inline(op, pairs, specs):
+                call = self.engine.inline(op, pairs, specs)
+                if call is not None:
                     # Bounded: cheaper here than the hop to the worker.
-                    values = self.engine.run(op, pairs, specs)
+                    values = call()
                 else:
                     values = await self._loop.run_in_executor(
                         self._executor, self.engine.run, op, pairs, specs

@@ -406,13 +406,15 @@ class TestDegenerateShapes:
         )
 
 
-# -- ragged batches: one padded sweep per chunk ------------------------
+# -- ragged batches: one sweep per chunk --------------------------------
 
 _RAGGED_MODELS = {
     "unit": unit_dna(),
     "tt": transition_transversion(),
     "gap0": unit_dna(gap=0.0),
     "gap+0.5": unit_dna(gap=0.5),
+    # Non-dyadic values: an offset would round them, so these pairs sweep alone.
+    "nondyadic": unit_dna(0.3, -0.3, -0.7),
 }
 _ORACLE_MODELS = ("unit", "tt")  # integer models NaiveBackend matches exactly
 # Linear, then affine (open, extend).  With 2 * open > extend, a zig-zag
@@ -421,8 +423,8 @@ _RAGGED_GAPS = [None, (-3.0, -1.0), (0.0, 0.0), (0.0, -1.0), (-1.0, -3.0)]
 
 
 def _padding(unbounded: bool):
-    """Unbounded: every chunk pads to its longest pair however skewed,
-    so the sweeps are tested whatever the planner's padding bound."""
+    """Unbounded: every banded chunk pads to its longest pair however
+    skewed, so the sweeps are tested whatever the planner's padding bound."""
     if not unbounded:
         return contextlib.nullcontext()
     return mock.patch.object(pairwise, "_PAD_RATIO", math.inf)
@@ -491,8 +493,8 @@ def _banded_run_cut_examples(test):
     model_name="unit", gaps=None, mode="local", mixed=["local"] * 10, extra_band=0, chunk=3,
     unbounded=False,
 )
-# An affine overlap whose X/Y zig-zag through padded columns outscores
-# the pair's own end row.
+# An affine overlap whose X/Y zig-zag through a padded chunk's columns
+# would outscore the pair's own end row.
 @example(
     pairs=[("ACGTGG", "ACGT"), ("ACGTGG", "ACGTACGT")],
     model_name="unit", gaps=(0.0, -1.0), mode="overlap", mixed=["overlap"] * 10, extra_band=0,
@@ -569,12 +571,12 @@ def test_ragged_batch_equals_each_pair_alone(
 @pytest.mark.parametrize("unbounded", [False, True])
 @pytest.mark.parametrize("model_name", sorted(_RAGGED_MODELS))
 def test_ragged_chunks_equal_each_pair_alone_in_every_mode(model_name, unbounded, rng):
-    """Every mode, gap model and verb on one batch whose chunks of 3 are
-    each padded (a positive gap makes any padded cell that could win,
-    win); then the same batch with each pair in each of global, local
-    and overlap by turns, in chunks that mix the three.  The batches run
-    in int32 where the model allows it and again in float64, and both
-    equal the pairs run alone in int32."""
+    """Every mode, gap model and verb on one batch in chunks of 3, packed
+    or, when banded, padded (a positive gap makes any padded cell that
+    could win, win); then the same batch with each pair in each of
+    global, local and overlap by turns, in chunks that mix the three.
+    The batches run in int32 where the model allows it and again in
+    float64, and both equal the pairs run alone in int32."""
     from fragalign.genome.dna import random_dna
 
     shapes = [(65, 2), (0, 7), (1, 64), (63, 65), (30, 12), (64, 0), (17, 40), (2, 1)]
@@ -616,12 +618,16 @@ _NINF_MATRIX = np.where(unit_dna().matrix == -1, -np.inf, unit_dna().matrix)
 
 def test_sweep_dtype_rule():
     """int32 only for finite integer models and gaps under the headroom
-    bound, which counts the affine gaps' magnitudes too."""
+    bound, which counts the affine gaps' magnitudes too, and the pairs a
+    packed row holds: their offsets."""
     i32, f64 = np.dtype(np.int32), np.dtype(np.float64)
     rule = pairwise._sweep_dtype
     assert rule(unit_dna(), None, 384, 384) == rule(unit_dna(), (-3.0, -1.0), 384, 384) == i32
+    assert rule(unit_dna(), None, 384, 384, 64) == i32
+    assert rule(unit_dna(), (-3.0, -1.0), 384, 384, 64) == i32
     assert rule(SubstitutionModel(np.zeros((5, 5)), 0.0), (0.0, 0.0), 9, 9) == i32
     assert rule(_BIG, None, 30, 29) == i32 and rule(_BIG, None, 30, 30) == f64
+    assert rule(_BIG, None, 14, 14, 2) == i32 and rule(_BIG, None, 15, 14, 2) == f64
     assert rule(unit_dna(), (-_STEP, -1.0), 30, 29) == i32
     assert rule(unit_dna(), (-_STEP, -1.0), 30, 30) == f64
     assert rule(unit_dna(gap=0.5), None, 4, 4) == f64
@@ -657,29 +663,68 @@ def test_float64_models_equal_the_oracle(model_name, gaps, rng):
             assert (score, aln) == (want.score, want), (mode, a, b)
 
 
+@pytest.mark.parametrize("gaps", [None, (-3.0, -1.0)])
+def test_offsets_past_the_int32_bound_sweep_in_float64(gaps, rng):
+    """A batch whose pairs' offsets would pass the int32 headroom sweeps
+    in float64, while each of its pairs alone sweeps in int32, and the two
+    agree to the bit: every mode, mixed too, score and align."""
+    from fragalign.genome.dna import random_dna
+
+    step = -(-pairwise._INT_HEADROOM // (3 * 62))  # 3 pairs of up to (30, 30) reach the bound
+    model = unit_dna(step, -step, -step)
+    shapes = [(30, 30), (29, 30), (12, 20), (1, 7), (25, 17)]
+    pairs = [(random_dna(n, rng), random_dna(m, rng)) for n, m in shapes]
+    core = random_dna(10, rng)
+    pairs.append((random_dna(8, rng) + core, core + random_dna(11, rng)))
+    assert pairwise._sweep_dtype(model, gaps, 30, 30) == np.int32
+    assert pairwise._sweep_dtype(model, gaps, 30, 30, len(pairs)) == np.float64
+    modes = [_SWEPT_TOGETHER[k % 3] for k in range(len(pairs))]
+    for kind in ("score", "align"):
+        alone = {
+            md: [pairwise._batch(kind, [p], model, md, gaps=gaps)[0] for p in pairs]
+            for md in _SWEPT_TOGETHER
+        }
+        for md in _SWEPT_TOGETHER:
+            assert _exact(pairwise._batch(kind, pairs, model, md, gaps=gaps)) == _exact(alone[md])
+        want = [alone[md][k] for k, md in enumerate(modes)]
+        assert _exact(pairwise._batch(kind, pairs, model, modes, gaps=gaps)) == _exact(want)
+
+
 @given(
     shapes=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 400)), max_size=80),
     chunk=st.sampled_from([1, 3, 64]),
     band=st.sampled_from([None, 0, 7]),
+    local=st.integers(0, 64),
 )
-def test_chunk_plan_sweeps_each_pair_once_within_the_padding_bound(shapes, chunk, band):
-    """A linear or affine chunk sweeps each pair's own rows at the chunk's
-    width, Σnₖ · m cells; a banded one every row of every pair, B · n ·
-    (2·band + 1).  Either stays within _PAD_RATIO times its pairs' own
-    cells plus _ROW_CELLS a row."""
+def test_chunk_plan_sweeps_each_pair_once_within_the_padding_bound(shapes, chunk, band, local):
+    """A linear or affine chunk is a run of ``chunk`` pairs laid end to
+    end, and its runs of rows sweep exactly its pairs' own cells, Σnₖ ·
+    (mₖ + 1), whichever of them are local.  A banded one sweeps every row
+    of every pair, B · n · (2·band + 1), within _PAD_RATIO times its
+    pairs' own cells plus _ROW_CELLS a row."""
     nk = np.array([n for n, _ in shapes], dtype=np.int64)
     mk = np.array([m for _, m in shapes], dtype=np.int64)
     plan = pairwise._chunks(nk, mk, band, chunk)
     assert sorted(k for idx, _, _ in plan for k in idx) == [
         k for k, (n, m) in enumerate(shapes) if n and m
     ]
+    assert band is not None or all(idx.size == chunk for idx, _, _ in plan[:-1])
     for idx, n, m in plan:
         assert 1 <= idx.size <= chunk and (n, m) == (nk[idx].max(), mk[idx].max())
         if band is None:
-            own, swept = int((nk[idx] * mk[idx]).sum()), int(nk[idx].sum()) * m
+            # _batch's layout: the first L pairs local by nₖ ascending,
+            # the rest by nₖ descending.
+            L = min(local, idx.size)
+            order = np.r_[idx[:L][np.argsort(nk[idx[:L]])], idx[L:][np.argsort(-nk[idx[L:]])]]
+            pk = pairwise._Pack(
+                [(np.zeros(nk[k], np.uint8), np.zeros(mk[k], np.uint8)) for k in order]
+            )
+            swept = sum((e - s) * int(pk.c[hi] - pk.c[lo])
+                        for s, e, lo, hi in pairwise._segments(pk.nk, L))
+            assert swept == int((pk.nk * np.diff(pk.c)).sum())
         else:
             own, swept = int(nk[idx].sum()) * (2 * band + 1), idx.size * n * (2 * band + 1)
-        assert idx.size == 1 or swept <= pairwise._PAD_RATIO * own + pairwise._ROW_CELLS * n
+            assert idx.size == 1 or swept <= pairwise._PAD_RATIO * own + pairwise._ROW_CELLS * n
 
 
 @pytest.mark.parametrize("cap", [0, 2000])
@@ -707,6 +752,10 @@ def test_banded_pairs_never_share_a_batch_with_other_modes():
 
 
 def test_a_long_pair_sweeps_apart_from_short_ones():
+    """A banded chunk pads its pairs to the longest, so a long pair sweeps
+    apart; a packed chunk sweeps only its pairs' own cells, so it holds
+    them all."""
     nk = mk = np.array([32] * 63 + [2000])
-    plan = pairwise._chunks(nk, mk, None, 64)
-    assert [idx.tolist() for idx, _, _ in plan] == [list(range(63)), [63]]
+    plans = {band: pairwise._chunks(nk, mk, band, 64) for band in (0, None)}
+    assert [idx.tolist() for idx, _, _ in plans[0]] == [list(range(63)), [63]]
+    assert [idx.tolist() for idx, _, _ in plans[None]] == [list(range(64))]

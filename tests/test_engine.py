@@ -398,8 +398,9 @@ class TestMemoryKnob:
             assert small.align(a, b) == eng.align(a, b, memory="tensor")
 
     def test_auto_resolves_per_chunk(self, rng, monkeypatch):
-        # One long pair among short ones sweeps in a chunk of its own,
-        # and only that chunk is big enough to walk in linear memory.
+        # Chunks hold 64 pairs, taken by length: the longest of 65 pairs
+        # sweeps in a chunk of its own, and only that chunk's direction
+        # tensor is big enough to walk in linear memory.
         import fragalign.align.hirschberg as hirschberg
 
         walked = []
@@ -410,10 +411,10 @@ class TestMemoryKnob:
             return real(a, b, *args, **kwargs)
 
         monkeypatch.setattr(hirschberg, "linear_align", counted)
-        pairs = [(random_dna(8, rng), random_dna(9, rng)) for _ in range(20)]
+        pairs = [(random_dna(8, rng), random_dna(9, rng)) for _ in range(64)]
         pairs.insert(7, (random_dna(300, rng), random_dna(310, rng)))
         with AlignmentEngine(
-            backend=NumpyBackend(linear_auto_cells=5000)
+            backend=NumpyBackend(linear_auto_cells=50_000)
         ) as small, AlignmentEngine() as eng:
             assert small.align_many(pairs) == eng.align_many(pairs, memory="tensor")
         assert walked == [(300, 310)]

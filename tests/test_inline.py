@@ -1,11 +1,11 @@
 """Where a dispatch group computes: on the event loop or the worker.
 
-``AlignmentEngine.inline`` calls a group bounded only when every pair
-goes whole to the C bit-parallel kernel (native backend, ``score``,
-``global``/``overlap``, a flat model, no ``N``) and the group sums at
-most ``INLINE_CELLS`` DP cells.  ``MicroBatcher`` runs a bounded group
-on its event loop and every other group on its worker thread, one group
-at a time, and the answers are the engine's either way.
+``AlignmentEngine.inline`` hands back a group's call, bounded, only when
+every pair goes whole to the C bit-parallel kernel (native backend,
+``score``, ``global``/``overlap``, a flat model, no ``N``) and the group
+sums at most ``INLINE_CELLS`` DP cells.  ``MicroBatcher`` runs a bounded
+group on its event loop and every other group on its worker thread, one
+group at a time, and the answers are the engine's either way.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import asyncio
 import random
 import threading
 import time
+from functools import partial
 
 import pytest
 
@@ -123,16 +124,20 @@ class ThreadRecorder:
         self.calls: list[tuple[list, list, int]] = []  # (pairs, specs, thread id)
 
     def inline(self, op, pairs, specs):
-        return self._engine.inline(op, pairs, specs)
+        call = self._engine.inline(op, pairs, specs)
+        return None if call is None else partial(self._enter, pairs, specs, call)
 
     def run(self, op, pairs, specs):
+        return self._enter(pairs, specs, partial(self._engine.run, op, pairs, specs))
+
+    def _enter(self, pairs, specs, call):
         with self._lock:
             self._inside += 1
             self.peak = max(self.peak, self._inside)
         try:
             self.calls.append((list(pairs), list(specs), threading.get_ident()))
             time.sleep(0.002)  # widen the window an overlap would need
-            return self._engine.run(op, pairs, specs)
+            return call()
         finally:
             with self._lock:
                 self._inside -= 1
@@ -209,6 +214,19 @@ class TestBatcherPlacement:
         placed = [thread == loop_thread for _, _, thread in recorder.calls]
         assert placed == [_bounded(pairs, specs) for pairs, specs, _ in recorder.calls]
         assert any(placed) and not all(placed)
+
+    @needs_c
+    def test_a_bounded_group_prepares_each_pair_once(self, monkeypatch):
+        # The call the question hands back reuses the pairs it prepared.
+        bursts = [[(p, JobSpec()) for p in _FULL[:8]]]
+        with AlignmentEngine(backend="native") as eng:
+            prepared = []
+            real = eng.prepare
+            monkeypatch.setattr(eng, "prepare", lambda a, b: prepared.append((a, b)) or real(a, b))
+            answers, recorder, loop_thread = _serve(eng, bursts)
+        assert prepared == _FULL[:8]
+        assert [thread == loop_thread for *_, thread in recorder.calls] == [True]
+        assert answers == _direct(bursts)
 
     def test_fallback_native_groups_stay_on_the_worker(self):
         bursts = [

@@ -286,7 +286,7 @@ class TestBatcherDeadlines:
     def test_job_expired_in_queue_is_dropped_not_computed(self):
         class NeverEngine:
             def inline(self, op, pairs, specs):  # pragma: no cover - must not run
-                return False
+                return None
 
             def run(self, op, pairs, specs):  # pragma: no cover - must not run
                 raise AssertionError("expired job reached the engine")
@@ -387,7 +387,7 @@ class TestServerDeadline:
 
         class GatedEngine(AlignmentEngine):
             def inline(self, op, pairs, specs):
-                return False  # run blocks at the gate: never on the loop
+                return None  # run blocks at the gate: never on the loop
 
             def run(self, op, pairs, specs):
                 computed.extend(pairs)

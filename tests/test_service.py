@@ -233,7 +233,7 @@ class GatedEngine:
         self.peak = 0  # most calls in flight at once
 
     def inline(self, op, pairs, specs):
-        return False  # a call blocks at the gate: never on the loop
+        return None  # a call blocks at the gate: never on the loop
 
     def run(self, op, pairs, specs):
         with self._cond:
@@ -600,7 +600,7 @@ class TestMicroBatcher:
     def test_engine_error_propagates_to_all_waiters(self):
         class ExplodingEngine:
             def inline(self, op, pairs, specs):
-                return False
+                return None
 
             def run(self, op, pairs, specs):
                 raise RuntimeError("kernel on fire")
@@ -629,7 +629,7 @@ class TestMicroBatcher:
                 self._engine = AlignmentEngine()
 
             def inline(self, op, pairs, specs):
-                return False
+                return None
 
             def run(self, op, pairs, specs):
                 if any(spec.gap_open is not None for spec in specs):
@@ -991,7 +991,10 @@ class TestClientReconnectBehavior:
         # through the cluster router's failover path — hangs forever.
         async def run():
             async def handle(reader, writer):
-                await asyncio.sleep(3600)  # a server that never answers
+                try:
+                    await asyncio.sleep(3600)  # a server that never answers
+                finally:
+                    writer.close()  # cancelled when the run ends: close its side too
 
             server = await asyncio.start_server(handle, host="127.0.0.1", port=0)
             port = server.sockets[0].getsockname()[1]
