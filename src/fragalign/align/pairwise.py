@@ -320,6 +320,19 @@ def _packed_runs(
             s = stop
 
 
+def _track_best(row, starts, bounds, best, bi, bj, i: int) -> None:
+    """Move each live local pair's best cell to row ``i`` if the pair's H
+    cells in ``row`` (from ``bounds[k]``; ``starts`` is ``bounds[:-1]``)
+    beat it, at their first maximum, as ``np.argmax`` over its table."""
+    rowmax = np.maximum.reduceat(row, starts)
+    better = rowmax > best
+    if better.any():
+        best[better] = rowmax[better]
+        bi[better] = i
+        for k in np.flatnonzero(better).tolist():
+            bj[k] = row[bounds[k] : bounds[k + 1]].argmax()
+
+
 # ---------------------------------------------------------------------------
 # Direction codes and the table-free walk.
 #
@@ -468,13 +481,7 @@ def _sweep_linear(
                 # H never drops below its own clamped V, so no second clamp;
                 # read the H row back out for the running best.
                 np.subtract(acc[:nl], cvl, out=hvl)
-                rowmax = np.maximum.reduceat(hvl, starts)
-                better = rowmax > lbest
-                if better.any():
-                    lbest[better] = rowmax[better]
-                    lbi[better] = i
-                    for k in np.flatnonzero(better).tolist():
-                        lbj[k] = hvl[bounds[k] : bounds[k + 1]].argmax()
+                _track_best(hvl, starts, bounds, lbest, lbi, lbj, i)
             if D is not None:
                 np.greater(acc1, cur1, out=lefts)
                 np.multiply(left8, 2, out=tmps)
@@ -877,13 +884,7 @@ def _sweep_affine(
                 np.multiply(bb8, 16, out=ub)
                 np.add(ua, ub, out=Ds[i - 1])
             if nl:
-                rowmax = np.maximum.reduceat(lM, starts)
-                better = rowmax > lbest
-                if better.any():
-                    lbest[better] = rowmax[better]
-                    lbi[better] = i
-                    for k in np.flatnonzero(better).tolist():
-                        lbj[k] = lM[bounds[k] : bounds[k + 1]].argmax()
+                _track_best(lM, starts, bounds, lbest, lbi, lbj, i)
             p ^= 1
         for out, row in zip(last, rows[p]):  # the pairs whose last row ends this run keep it
             out[f] = row[f]
