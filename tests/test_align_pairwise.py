@@ -415,6 +415,9 @@ _RAGGED_MODELS = {
     "gap+0.5": unit_dna(gap=0.5),
     # Non-dyadic values: an offset would round them, so these pairs sweep alone.
     "nondyadic": unit_dna(0.3, -0.3, -0.7),
+    # Every cell 0 under linear or 0/0 gaps: the offsets' span is 0, so
+    # the pairs of a chunk share one prefix max with no offset between them.
+    "flat0": SubstitutionModel(np.zeros((5, 5)), 0.0),
 }
 _ORACLE_MODELS = ("unit", "tt")  # integer models NaiveBackend matches exactly
 # Linear, then affine (open, extend).  With 2 * open > extend, a zig-zag
