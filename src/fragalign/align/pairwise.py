@@ -31,8 +31,9 @@ end to end in one DP row of Σ(mₖ + 1) cells, pair k's column 0 its
 boundary cell, written from a per-row table after the diagonal and up
 moves.  The sweeps **retire rows**: a pair leaves the sweep after its
 own last row nₖ, so a chunk sweeps exactly Σnₖ · (mₖ + 1) cells, its
-pairs' own, and :func:`_chunks` plans it as a plain run of ``chunk``
-pairs.  The rows are laid out as [local pairs by nₖ ascending | global
+pairs' own, and :func:`_chunks` plans it as a run of ``chunk`` pairs
+that closes early only where its direction tensor would walk in linear
+memory.  The rows are laid out as [local pairs by nₖ ascending | global
 and overlap pairs by nₖ descending], so at DP row i the pairs still
 inside their own rows are one contiguous column range, local pairs
 leaving from its front and the others from its back, and the local
@@ -44,6 +45,8 @@ offset k · span (:func:`_span`), more than twice any pair's value
 range: the recurrences only add and take maxima, so the offset, written
 once into row 0 and the boundary table, costs nothing a row, and no
 pair's prefix max carries into the next; the readouts subtract it.
+Where an offset could round, no offset is written and each run of pairs
+of one width takes its own prefix max (:meth:`_Pack.scans`).
 The row loop runs over :func:`_packed_runs`, the runs of rows sharing
 one live range (:func:`_segments`), which also gathers each block of
 rows' substitution scores with one row-copy ``take`` per pair; it
@@ -74,9 +77,9 @@ row's adds, maxima and prefix max cost 0.5-0.7x of float64's; -2**28
 (:data:`_INT_NEG`) stands for both -inf and ``_NEG``.  Otherwise it runs
 in float64.  Both dtypes compute the same integers and the same
 direction codes, and scores return to float64 at the readout, so an
-answer's bytes do not depend on the dtype.  When the values are not
-integers, an offset would round them differently from the pair swept
-alone, so each pair sweeps alone.  Banded sweeps stay float64.
+answer's bytes do not depend on the dtype.  Values that are not
+integers would round under an offset, so they take none.  Banded sweeps
+stay float64.
 """
 
 from __future__ import annotations
@@ -238,7 +241,9 @@ class _Pack:
 
     __slots__ = ("a", "nk", "c", "W", "n", "bcodes", "span", "off")
 
-    def __init__(self, pairs: Sequence[tuple[np.ndarray, np.ndarray]], span: int = 0) -> None:
+    def __init__(
+        self, pairs: Sequence[tuple[np.ndarray, np.ndarray]], span: int | None = 0
+    ) -> None:
         self.a = [a for a, _ in pairs]
         self.nk = np.array([a.size for a in self.a])
         self.c = np.r_[0, np.cumsum([b.size + 1 for _, b in pairs])]
@@ -247,13 +252,21 @@ class _Pack:
         for k, (_, b) in enumerate(pairs):
             self.bcodes[self.c[k] + 1 : self.c[k + 1]] = b
         self.span = span if len(pairs) > 1 else 0
-        self.off = np.arange(len(pairs)) * self.span
+        self.off = np.arange(len(pairs)) * (self.span or 0)
 
     def columns(self, dt: np.dtype) -> tuple[np.ndarray, np.ndarray]:
         """Each cell's column j in its pair, and its pair's offset, in ``dt``."""
         mk1 = np.diff(self.c)
         js = np.arange(self.W) - np.repeat(self.c[:-1], mk1)
         return js.astype(dt), np.repeat(self.off, mk1).astype(dt)
+
+    def scans(self, lo: int, hi: int) -> list[tuple[int, int, tuple[int, int]]]:
+        """The runs of one width among pairs lo..hi-1, as (first column,
+        column past the last, (pairs, width)): with no offsets to part the
+        pairs, each run takes its own prefix max, a row a pair."""
+        c, w = self.c, np.diff(self.c[lo : hi + 1])
+        cut = np.r_[lo, lo + 1 + np.flatnonzero(w[1:] != w[:-1]), hi].tolist()
+        return [(int(c[a]), int(c[b]), (b - a, int(w[a - lo]))) for a, b in zip(cut, cut[1:])]
 
 
 def _layout(mode: str | Sequence[str], B: int) -> tuple[int, np.ndarray]:
@@ -458,6 +471,10 @@ def _sweep_linear(
         a1, nl = a0 + 1, cl - a0
         views = [(x[a0 : b1 - 1], x[a1:b1], y[a0:b1], y[a1:b1]) for x, y in (bufs, bufs[::-1])]
         curv, cur1, t1v, Ss = cur[a0:b1], cur[a1:b1], t1[a1:b1], S[:, a1:b1]
+        scans = [[(curv, v[2])] for v in views] if pk.span is not None else [
+            [(cur[a:b].reshape(sh), y[a:b].reshape(sh)) for a, b, sh in pk.scans(lo, hi)]
+            for y in bufs[::-1]
+        ]
         bnd, edges = c[lo:hi] - a0, edge[:, lo:hi]
         lcur, lnegjs, cvl, hvl, starts = cur[a0:cl], negjs[a0:cl], cv[a0:], hv[a0:], c[lo:L] - a0
         bounds = (c[lo : L + 1] - a0).tolist()
@@ -476,7 +493,8 @@ def _sweep_linear(
             if nl:
                 np.add(lnegjs, -g * (i0 + i), out=cvl)  # F-value of a zero cell, this row
                 np.maximum(lcur, cvl, out=lcur)  # the 0-clamp
-            np.maximum.accumulate(curv, out=acc)
+            for x, y in scans[p]:
+                np.maximum.accumulate(x, axis=-1, out=y)
             if nl:
                 # H never drops below its own clamped V, so no second clamp;
                 # read the H row back out for the running best.
@@ -800,7 +818,7 @@ def _sweep_affine(
         best += off  # a local M cell clamps to its pair's offset
     bi = np.zeros(B, dtype=np.int64)
     bj = np.zeros(B, dtype=np.int64)
-    bp, osrc, run, t = (np.empty(W, dt) for _ in range(4))
+    bp, osrc, run, t = (np.zeros(W, dt) for _ in range(4))
     last = [np.empty(W, dt) for _ in range(3)]
     if D is not None:
         e_x, e_y, bits = (np.empty(W, dtype=bool) for _ in range(3))
@@ -821,6 +839,10 @@ def _sweep_affine(
         bpf, bp0, osf, os1, os0 = bp[f], bp[v0], osrc[f], osrc[v1], osrc[v0]
         run1, run0, tf, t1, t0 = run[v1], run[v0], t[f], t[v1], t[v0]
         shift, extj1, Ss = src_shift[f], extjs[v1], S[:, v1]
+        scans = [(t0, run1)] if pk.span is not None else [
+            (t[a:b].reshape(sh)[:, :-1], run[a:b].reshape(sh)[:, 1:])
+            for a, b, sh in pk.scans(lo, hi)
+        ]
         bnd, medges, xedges = c[lo:hi] - a0, medge[lo:hi], xedge[:, lo:hi]
         zl, starts = offc[a0:cl], c[lo:L] - a0
         bounds = (c[lo : L + 1] - a0).tolist()
@@ -873,7 +895,8 @@ def _sweep_affine(
                 np.multiply(bb8, 32, out=ub)
                 np.add(ua, ub, out=ua)
             np.add(osf, shift, out=tf)
-            np.maximum.accumulate(t0, out=run1)
+            for x, y in scans:
+                np.maximum.accumulate(x, axis=-1, out=y)
             np.add(run1, extj1, out=Yc1)
             Yc[bnd] = low
             if D is not None:
@@ -1089,31 +1112,34 @@ _PAD_RATIO = 2
 _ROW_CELLS = 2048
 
 
-def _chunks(nk: np.ndarray, mk: np.ndarray, band: int | None, chunk: int) -> list:
+def _chunks(
+    nk: np.ndarray, mk: np.ndarray, band: int | None, chunk: int, linear: Callable | None = None
+) -> list:
     """(pair indices, rows, columns) of each chunk of at most ``chunk``
     pairs with two non-empty sides, taken by nₖ.  A linear or affine
     chunk lays its pairs end to end and sweeps only their own cells,
-    Σnₖ · (mₖ + 1), so it is a plain run of ``chunk`` pairs.  A banded
-    one runs every row of every pair, B · n · (2·band + 1) cells, and
-    closes before a pair that would pad the chunk's pairs past the
-    bound."""
+    Σnₖ · (mₖ + 1), so it is a run of ``chunk`` pairs, closed early only
+    before a pair whose rows would make its direction tensor, n · Σ(mₖ +
+    1) cells, walk in linear memory (``linear``): a pair walks so only
+    when its own tensor is that big.  A banded one runs every row of
+    every pair, B · n · (2·band + 1) cells, and closes before a pair that
+    would pad the chunk's pairs past the bound."""
     live = np.flatnonzero((nk > 0) & (mk > 0))
     order = live[np.lexsort((mk[live], nk[live]))].tolist()
-    if band is None:
-        plan = [order[k : k + chunk] for k in range(0, len(order), chunk)]
-    else:
-        w, rows = 2 * band + 1, nk.tolist()
-        plan, n, own = [[]], 0, 0  # the chunk's rows and its pairs' cells
-        for k in order:
-            size = len(plan[-1])
-            # The chunk's pairs padded to this pair's rows.
-            if size and (size == chunk or size * rows[k] * w > _PAD_RATIO * own + _ROW_CELLS * n):
-                plan.append([])
-                n = own = 0
-            plan[-1].append(k)
-            n, own = rows[k], own + rows[k] * w
-        plan = [p for p in plan if p]
-    return [(i, int(nk[i].max()), int(mk[i].max())) for i in map(np.array, plan)]
+    w, rows, cols = None if band is None else 2 * band + 1, nk.tolist(), (mk + 1).tolist()
+    plan, n, own = [[]], 0, 0  # the chunk's rows, and its pairs' cells (banded) or columns
+    for k in order:
+        size = len(plan[-1])
+        if w is None:  # the chunk's tensor with this pair's rows and columns
+            full = linear is not None and linear(rows[k] * (own + cols[k]))
+        else:  # the chunk's pairs padded to this pair's rows
+            full = size * rows[k] * w > _PAD_RATIO * own + _ROW_CELLS * n
+        if size and (size == chunk or full):
+            plan.append([])
+            n = own = 0
+        plan[-1].append(k)
+        n, own = rows[k], own + (cols[k] if w is None else rows[k] * w)
+    return [(i, int(nk[i].max()), int(mk[i].max())) for i in map(np.array, plan) if i.size]
 
 
 def _affine_end(ends: list[np.ndarray], at) -> tuple[np.ndarray, np.ndarray]:
@@ -1166,8 +1192,9 @@ def _sweep_ends(
         ends, best, bi, bj = _sweep_affine(pk, model, *gaps, mode, D=D, dt=dt)
         if pk.span:
             ends = [f - offc for f in ends]
-        for k in ov:
-            ej[k] = np.maximum(np.maximum(*ends[:2]), ends[2])[c[k] : c[k + 1]].argmax()
+        if ov:  # overlap: the free end in b takes the row's first maximum
+            top = np.maximum(np.maximum(*ends[:2]), ends[2])
+            ej[ov] = [top[c[k] : c[k + 1]].argmax() for k in ov]
         score[L:], state[L:] = _affine_end(ends, c[L:-1] + ej[L:])
     score[:L], ei[:L], ej[:L] = best[:L], bi[:L], bj[:L]
     return score, ei, ej, state
@@ -1225,15 +1252,16 @@ def _batch(
     ascending | global and overlap by nₖ descending], so each pair
     leaves the sweep after its own last row, all in the one dtype
     :func:`_sweep_dtype` picks for the longest sides and the most pairs a
-    chunk holds; when offsets could round (:func:`_span`), each pair
-    sweeps alone.  A banded chunk is padded to its longest pair.
-    ``linear`` (align only) says whether a chunk whose direction tensor
-    holds that many cells walks in linear memory instead.
+    chunk holds, offset by :func:`_span` where no offset rounds.  A
+    banded chunk is padded to its longest pair.  ``linear`` (align only)
+    says whether a chunk whose direction tensor holds that many cells
+    walks in linear memory instead; a packed chunk closes before it would.
     """
     model = model or unit_dna()
     if gaps is not None:
         gaps = check_affine_gaps(*gaps)
     align = kind == "align"
+    linear = linear if align else None
     if not pairs:
         return [] if align else np.zeros(0)
     modes = [mode] * len(pairs) if isinstance(mode, str) else list(mode)
@@ -1245,8 +1273,6 @@ def _batch(
     mk = np.array([len(b) for _, b in codes], dtype=np.int64)
     band = _check_band(nk, mk, band) if modes[0] == "banded" else None
     span = None if band is not None else _span(model, gaps, nk.max(), mk.max(), chunk)
-    if band is None and span is None:
-        chunk = 1  # an offset would round: each pair sweeps alone
     scores = np.empty(len(codes))
     alns: list = [None] * len(codes)
     for k in np.flatnonzero((nk == 0) | (mk == 0)):
@@ -1262,9 +1288,9 @@ def _batch(
     # packed, of B · w banded.
     plan = [
         (idx, n, m, n * (int(mk[idx].sum()) + idx.size if w is None else idx.size * w))
-        for part in parts for idx, n, m in _chunks(nk * part, mk, band, chunk)
+        for part in parts for idx, n, m in _chunks(nk * part, mk, band, chunk, linear)
     ]
-    if align and linear is not None:
+    if linear is not None:
         from fragalign.align.hirschberg import linear_align  # it imports this module
 
         walks = [linear(cells) for *_, cells in plan]

@@ -68,8 +68,9 @@ CHUNK = 64
 #: where the uint8 tensor starts to dominate peak memory (16M cells = a
 #: 16 MB tensor allocation).  A chunk of up to ``CHUNK`` pairs laid end
 #: to end has a tensor of n rows of Σ(mₖ + 1) cells, n its longest pair's
-#: rows, and resolves on that count: one too big walks in linear memory
-#: while the rest of its batch keeps the tensor.
+#: rows, and closes before a pair that would bring it to this count: only
+#: a pair whose own tensor is that big walks in linear memory, while the
+#: rest of its batch keeps the tensor.
 LINEAR_AUTO_CELLS = 1 << 24
 
 

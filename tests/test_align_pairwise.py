@@ -50,7 +50,7 @@ from fragalign.align.scoring_matrices import (
     transition_transversion,
     unit_dna,
 )
-from fragalign.engine.backends import NaiveBackend, PreparedPair
+from fragalign.engine.backends import LINEAR_AUTO_CELLS, NaiveBackend, PreparedPair
 from fragalign.job import JobSpec
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=24)
@@ -413,7 +413,8 @@ _RAGGED_MODELS = {
     "tt": transition_transversion(),
     "gap0": unit_dna(gap=0.0),
     "gap+0.5": unit_dna(gap=0.5),
-    # Non-dyadic values: an offset would round them, so these pairs sweep alone.
+    # Non-integer values (gap+0.5 too): an offset could round them, so no
+    # offset parts the pairs and each run of one width takes its own prefix max.
     "nondyadic": unit_dna(0.3, -0.3, -0.7),
     # Every cell 0 under linear or 0/0 gaps: the offsets' span is 0, so
     # the pairs of a chunk share one prefix max with no offset between them.
@@ -523,6 +524,19 @@ def _banded_run_cut_examples(test):
     model_name="gap+0.5", gaps=None, mode="mixed",
     mixed=["global", "local", "overlap", "local", "global", "local"] + ["global"] * 4,
     extra_band=0, chunk=64, unbounded=True,
+)
+# Non-dyadic values on pairs of equal and unequal widths, each run of
+# one width taking one prefix max, linear and affine.
+@example(
+    pairs=[("ACGTACGTAC", "ACGTAC"), ("TTGACG", "ACGTTT"), ("GGA", "CAGTTA"), ("AC", "ACGTACGTA")],
+    model_name="nondyadic", gaps=None, mode="mixed",
+    mixed=["global", "overlap", "local"] * 3 + ["global"],
+    extra_band=0, chunk=64, unbounded=False,
+)
+@example(
+    pairs=[("ACGTACGTAC", "ACGTAC"), ("TTGACG", "ACGTTT"), ("GGA", "CAGTTA"), ("AC", "ACGTACGTA")],
+    model_name="nondyadic", gaps=(-3.0, -1.0), mode="mixed",
+    mixed=["overlap", "global", "global"] + ["local"] * 7, extra_band=0, chunk=64, unbounded=False,
 )
 # A banded Gotoh pair whose best path runs down column 0 to row 3 =
 # band, the last edge row (m = 2·band).  Each edge row plants its j = 0
@@ -638,6 +652,22 @@ def test_sweep_dtype_rule():
     assert rule(SubstitutionModel(_NINF_MATRIX, -1.0), None, 4, 4) == f64
 
 
+def test_span_rule():
+    """Offsets part a packed row's pairs when the model and the gaps are
+    integers and B offsets stay under 2**52; values that are not integers,
+    or not finite, take none."""
+    span = pairwise._span
+    assert span(unit_dna(), None, 384, 384, 64) == span(unit_dna(), (-1.0, -1.0), 384, 384, 1)
+    assert span(unit_dna(), None, 384, 384, 64) == 4 * 770
+    assert span(unit_dna(), (-3.0, -1.0), 384, 384, 64) == 4 * 770 * 3
+    assert span(unit_dna(), (-2.5, -1.0), 384, 384, 64) is None
+    assert span(_RAGGED_MODELS["gap+0.5"], None, 9, 10, 3) is None
+    assert span(_RAGGED_MODELS["nondyadic"], None, 9, 10, 3) is None
+    assert span(SubstitutionModel(_NINF_MATRIX, -1.0), None, 4, 4, 2) is None
+    big = unit_dna(2.0**40, -1.0, -1.0)
+    assert span(big, None, 30, 30, 16) and span(big, None, 30, 30, 17) is None  # 4·17·62 > 2**12
+
+
 @pytest.mark.parametrize("gaps", [None, (-3.0, -1.0)])
 @pytest.mark.parametrize("model_name", ["big", "ninf"])
 def test_float64_models_equal_the_oracle(model_name, gaps, rng):
@@ -698,23 +728,34 @@ def test_offsets_past_the_int32_bound_sweep_in_float64(gaps, rng):
     chunk=st.sampled_from([1, 3, 64]),
     band=st.sampled_from([None, 0, 7]),
     local=st.integers(0, 64),
+    cap=st.sampled_from([None, 1, 5000, 1 << 20]),
 )
-def test_chunk_plan_sweeps_each_pair_once_within_the_padding_bound(shapes, chunk, band, local):
+def test_chunk_plan_sweeps_each_pair_once_within_the_padding_bound(
+    shapes, chunk, band, local, cap
+):
     """A linear or affine chunk is a run of ``chunk`` pairs laid end to
     end, and its runs of rows sweep exactly its pairs' own cells, Σnₖ ·
-    (mₖ + 1), whichever of them are local.  A banded one sweeps every row
-    of every pair, B · n · (2·band + 1), within _PAD_RATIO times its
-    pairs' own cells plus _ROW_CELLS a row."""
+    (mₖ + 1), whichever of them are local.  Given a linear-walk threshold
+    ``cap``, it also closes before a pair that would bring its direction
+    tensor, n · Σ(mₖ + 1), to it, and only then.  A banded one sweeps
+    every row of every pair, B · n · (2·band + 1), within _PAD_RATIO times
+    its pairs' own cells plus _ROW_CELLS a row."""
     nk = np.array([n for n, _ in shapes], dtype=np.int64)
     mk = np.array([m for _, m in shapes], dtype=np.int64)
-    plan = pairwise._chunks(nk, mk, band, chunk)
+    linear = None if cap is None else (lambda cells: cells >= cap)
+    plan = pairwise._chunks(nk, mk, band, chunk, linear)
     assert sorted(k for idx, _, _ in plan for k in idx) == [
         k for k, (n, m) in enumerate(shapes) if n and m
     ]
-    assert band is not None or all(idx.size == chunk for idx, _, _ in plan[:-1])
+    for (idx, _, _), (nxt, _, _) in zip(plan, plan[1:]):
+        if band is None:  # full, or the next pair would walk the chunk in linear memory
+            tensor = int(nk[nxt[0]]) * int((mk[idx] + 1).sum() + mk[nxt[0]] + 1)
+            assert idx.size == chunk or (cap is not None and tensor >= cap)
     for idx, n, m in plan:
         assert 1 <= idx.size <= chunk and (n, m) == (nk[idx].max(), mk[idx].max())
         if band is None:
+            # Only a lone pair's direction tensor may reach the threshold.
+            assert cap is None or idx.size == 1 or n * int((mk[idx] + 1).sum()) < cap
             # _batch's layout: the first L pairs local by nₖ ascending,
             # the rest by nₖ descending.
             L = min(local, idx.size)
@@ -757,8 +798,14 @@ def test_banded_pairs_never_share_a_batch_with_other_modes():
 def test_a_long_pair_sweeps_apart_from_short_ones():
     """A banded chunk pads its pairs to the longest, so a long pair sweeps
     apart; a packed chunk sweeps only its pairs' own cells, so it holds
-    them all."""
+    them all unless its direction tensor would walk in linear memory."""
     nk = mk = np.array([32] * 63 + [2000])
     plans = {band: pairwise._chunks(nk, mk, band, 64) for band in (0, None)}
     assert [idx.tolist() for idx, _, _ in plans[0]] == [list(range(63)), [63]]
     assert [idx.tolist() for idx, _, _ in plans[None]] == [list(range(64))]
+    # An align chunk closes before a pair that would bring its direction
+    # tensor to the linear walk: 3000 · (63 · 201 + 3001) cells here, past
+    # the default threshold, where the short pairs alone hold 2.5 M.
+    nk = mk = np.array([200] * 63 + [3000])
+    plan = pairwise._chunks(nk, mk, None, 64, lambda cells: cells >= LINEAR_AUTO_CELLS)
+    assert [idx.tolist() for idx, _, _ in plan] == [list(range(63)), [63]]

@@ -398,9 +398,8 @@ class TestMemoryKnob:
             assert small.align(a, b) == eng.align(a, b, memory="tensor")
 
     def test_auto_resolves_per_chunk(self, rng, monkeypatch):
-        # Chunks hold 64 pairs, taken by length: the longest of 65 pairs
-        # sweeps in a chunk of its own, and only that chunk's direction
-        # tensor is big enough to walk in linear memory.
+        # One long pair among short ones sweeps in a chunk of its own,
+        # and only that chunk is big enough to walk in linear memory.
         import fragalign.align.hirschberg as hirschberg
 
         walked = []
@@ -411,13 +410,27 @@ class TestMemoryKnob:
             return real(a, b, *args, **kwargs)
 
         monkeypatch.setattr(hirschberg, "linear_align", counted)
-        pairs = [(random_dna(8, rng), random_dna(9, rng)) for _ in range(64)]
+        pairs = [(random_dna(8, rng), random_dna(9, rng)) for _ in range(20)]
         pairs.insert(7, (random_dna(300, rng), random_dna(310, rng)))
         with AlignmentEngine(
-            backend=NumpyBackend(linear_auto_cells=50_000)
+            backend=NumpyBackend(linear_auto_cells=5000)
         ) as small, AlignmentEngine() as eng:
             assert small.align_many(pairs) == eng.align_many(pairs, memory="tensor")
         assert walked == [(300, 310)]
+
+    def test_auto_keeps_the_tensor_for_a_pair_under_the_threshold(self, rng, monkeypatch):
+        # A pair whose own tensor (60 x 71 cells) is under the threshold
+        # but would bring the short pairs' chunk past it sweeps apart, so
+        # no pair walks in linear memory.
+        import fragalign.align.hirschberg as hirschberg
+
+        monkeypatch.setattr(hirschberg, "linear_align", None)  # never called
+        pairs = [(random_dna(8, rng), random_dna(9, rng)) for _ in range(20)]
+        pairs.insert(7, (random_dna(60, rng), random_dna(70, rng)))
+        with AlignmentEngine(
+            backend=NumpyBackend(linear_auto_cells=5000)
+        ) as small, AlignmentEngine() as eng:
+            assert small.align_many(pairs) == eng.align_many(pairs, memory="tensor")
 
     def test_invalid_memory_combinations(self, rng):
         a, b = random_dna(16, rng), random_dna(16, rng)
